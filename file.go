@@ -118,22 +118,17 @@ func concatOutput(c *cluster.Cluster, block int, outputPath string) error {
 		}
 		r := diskio.NewReader(f, block, diskio.Accounting{})
 		for {
-			n, rerr := r.ReadKeys(keyBuf)
-			if n > 0 {
-				bb := record.EncodeKeys(byteBuf[:0], keyBuf[:n])
-				if _, werr := bw.Write(bb); werr != nil {
-					f.Close()
-					out.Close()
-					return werr
-				}
+			n, err := diskio.ReadChunk(r, keyBuf)
+			if err == nil && n > 0 {
+				_, err = bw.Write(record.EncodeKeys(byteBuf[:0], keyBuf[:n]))
 			}
-			if rerr == io.EOF || n == 0 {
-				break
-			}
-			if rerr != nil {
+			if err != nil {
 				f.Close()
 				out.Close()
-				return rerr
+				return err
+			}
+			if n == 0 {
+				break
 			}
 		}
 		if err := f.Close(); err != nil {

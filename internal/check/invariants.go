@@ -311,11 +311,15 @@ func checkStepIO(c *Case, r *Run) error {
 //	step 1  2·(l_i/B)·(1+passes)      polyphase sort of the portion
 //	step 2  l_i/B + samples           pivot sampling (sketch = full scan)
 //	step 3  2·(l_i/B) + p             one split pass into p segments
-//	step 4  l_i/B + 2·(q_i/B) + 2p    send own segments, land received
+//	step 4  l_i/B + q_i/B + 2p        read what is sent, write what lands
 //	step 5  merge budget of q_i       p-file external merge (0 if fused)
 //
-// each plus ioSlack.  Polyphase passes are bounded with fan-in 2 — the
-// loosest tape count — so the budget is valid for every Tapes setting.
+// each plus ioSlack.  Step 4 reads the l_i − s_ii keys it sends and
+// writes the q_i − s_ii it receives (the own segment s_ii stays on disk),
+// or, fused, reads all of l_i and writes the q_i output; only a fused run
+// under Checkpoint also spills its incoming streams, one more q_i/B.
+// Polyphase passes are bounded with fan-in 2 — the loosest tape count —
+// so the budget is valid for every Tapes setting.
 // The histogram strategy re-scans the sorted file once per refinement
 // round, so its step-2 budget is rounds full passes (rounds comes from
 // the report's PivotRounds; the other strategies report 1).
@@ -331,7 +335,10 @@ func stepBudgets(pp pdm.Params, cfg hetsort.Config, p int, li, qi int64, rounds 
 		b[1] = lb*int64(rounds) + ioSlack
 	}
 	b[2] = 2*lb + int64(p) + ioSlack
-	b[3] = lb + 2*qb + int64(2*p) + ioSlack
+	b[3] = lb + qb + int64(2*p) + ioSlack
+	if cfg.Pipeline && cfg.Checkpoint.Enabled {
+		b[3] += qb
+	}
 	b[4] = pp.MergeIOs(qi, int64(p), int64(cfg.Tapes)) + ioSlack
 	return b
 }

@@ -23,7 +23,6 @@ package dewitt
 
 import (
 	"fmt"
-	"io"
 	"sort"
 
 	"hetsort/internal/cluster"
@@ -234,7 +233,13 @@ func distribute(n *cluster.Node, cfg Config, inputName string, splitters []recor
 	}
 	buf := make([]record.Key, cfg.BlockKeys)
 	for {
-		cnt, rerr := r.ReadKeys(buf)
+		cnt, err := diskio.ReadChunk(r, buf)
+		if err != nil {
+			return err
+		}
+		if cnt == 0 {
+			break
+		}
 		for _, k := range buf[:cnt] {
 			dst := sort.Search(len(splitters), func(j int) bool { return splitters[j] >= k })
 			out[dst] = append(out[dst], k)
@@ -246,12 +251,6 @@ func distribute(n *cluster.Node, cfg Config, inputName string, splitters []recor
 			}
 		}
 		n.ChargeCompute(int64(cnt) * 3) // binary search per key
-		if rerr == io.EOF || cnt == 0 {
-			break
-		}
-		if rerr != nil {
-			return rerr
-		}
 	}
 	for dst := 0; dst < p; dst++ {
 		if len(out[dst]) > 0 {

@@ -325,6 +325,48 @@ func TestFaultFSNeverFailsWhenNegative(t *testing.T) {
 	}
 }
 
+// TestReadChunkEndOfInputProtocol pins the one chunk-loop contract: a
+// full chunk, then the short tail, then (0, nil) at end of input — and a
+// fault on the first block of a chunk comes back as the error, never as
+// an empty chunk a loop would take for the end of the file.
+func TestReadChunkEndOfInputProtocol(t *testing.T) {
+	inner := NewMemFS()
+	if err := WriteFile(inner, "x", make([]record.Key, 20), 4, Accounting{}); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]record.Key, 8) // a multiple of the block: every chunk starts on a block read
+	for _, overlapped := range []bool{false, true} {
+		f, err := inner.Open("x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewBlockReader(f, 4, Accounting{}, Overlap{Enabled: overlapped, Depth: 2})
+		for i, want := range []int{8, 8, 4, 0, 0} {
+			if n, err := ReadChunk(r, buf); n != want || err != nil {
+				t.Fatalf("overlap=%v chunk %d: got (%d, %v), want (%d, nil)", overlapped, i, n, err, want)
+			}
+		}
+		r.Release()
+		f.Close()
+	}
+
+	ffs := NewFaultFS(inner, -1)
+	f, err := ffs.Open("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	r := NewReader(f, 4, Accounting{})
+	defer r.Release()
+	if n, err := ReadChunk(r, buf); n != 8 || err != nil {
+		t.Fatalf("first chunk: got (%d, %v)", n, err)
+	}
+	ffs.FailAfter, ffs.FailCount = 0, 1 // the next read faults once
+	if n, err := ReadChunk(r, buf); n != 0 || !errors.Is(err, ErrInjected) {
+		t.Fatalf("faulted chunk: got (%d, %v), want (0, ErrInjected)", n, err)
+	}
+}
+
 func TestWriterSurfacesInjectedFault(t *testing.T) {
 	ffs := NewFaultFS(NewMemFS(), 1) // allow Create only
 	f, err := ffs.Create("x")

@@ -403,6 +403,20 @@ func (r *Reader) ReadKeys(dst []record.Key) (int, error) {
 	return n, nil
 }
 
+// ReadChunk is the one end-of-input protocol for chunk loops over a
+// BlockReader: it fills dst like ReadKeys and returns the count, with 0
+// keys and a nil error meaning the input is exhausted.  Every other
+// error is returned as is — also when it struck before the chunk's first
+// key, where ReadKeys reports (0, err) and a loop that tests the count
+// first would mistake a read fault for the end of the file.
+func ReadChunk(r BlockReader, dst []record.Key) (int, error) {
+	n, err := r.ReadKeys(dst)
+	if err == io.EOF {
+		err = nil
+	}
+	return n, err
+}
+
 // ReadKeyAt reads the key at index idx (in keys) from f, charging one
 // seek and one block read.  The file position afterwards is undefined.
 // This is the access pattern of the pivot-sampling step (paper step 2).

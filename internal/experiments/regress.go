@@ -13,9 +13,9 @@ import (
 // committed BENCH_*.json baselines and diffs the new numbers against
 // the committed ones.  Virtual-time metrics (vsec) get a percentage
 // tolerance; protocol-integer metrics (block I/Os, peak open streams,
-// link queue high-water marks, redistribution rounds, links created)
-// regress on ANY increase, because the simulator is deterministic and
-// an extra block I/O is a real algorithmic change, not noise.  Host
+// redistribution rounds, links created) regress on ANY increase,
+// because the simulator is deterministic and an extra block I/O is a
+// real algorithmic change, not noise.  Host
 // wall-clock (wallms) and output hashes are not compared: the former
 // depends on the machine running the gate, the latter is a correctness
 // property already asserted in-experiment.
@@ -305,7 +305,10 @@ func (r *RegressReport) gateScaling(o Options, path string, maxP int) error {
 		}
 		r.compare(key, "vsec", b.VSec, c.VSec)
 		r.compare(key, "peak_open_streams", float64(b.PeakOpenStreams), float64(c.PeakOpenStreams))
-		r.compare(key, "max_link_queue_hwm", float64(b.MaxLinkQueueHWM), float64(c.MaxLinkQueueHWM))
+		// max_link_queue_hwm is recorded but not gated: a queue's depth
+		// depends on how the host schedules the node goroutines (the same
+		// binary gives 4 or 5 at p=4/grid, 9 or 11 at p=16/tree), and a
+		// blocking gate compares only what repeats exactly.
 		r.compare(key, "rounds", float64(b.Rounds), float64(c.Rounds))
 		r.compare(key, "links_created", float64(b.LinksCreated), float64(c.LinksCreated))
 	}

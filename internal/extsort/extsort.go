@@ -21,7 +21,6 @@ package extsort
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 
 	"hetsort/internal/checkpoint"
@@ -41,7 +40,6 @@ import (
 const (
 	tagSamples = 200 + iota
 	tagPivots
-	tagData
 	tagDone
 	tagOverSizes
 	tagBarrierBase = 300 // barriers use tagBarrierBase + 2*step
@@ -104,16 +102,16 @@ type Config struct {
 	// KeepIntermediates retains segment and received files for
 	// debugging when true.
 	KeepIntermediates bool
-	// Pipeline fuses steps 4 and 5: each node merges the incoming
-	// redistribution streams directly into its output file as messages
-	// arrive, never materialising the p received files — saving their
-	// write and re-read (up to 2·l_i/B block I/Os per node).  The
-	// output is byte-identical to the barrier path.  When the p
-	// message buffers do not fit in MemoryKeys the node falls back to
-	// the barrier path (traced as a Pipeline "fallback" event); when
-	// Checkpoint is set the streams are additionally teed to the
-	// receive files, which the phase-4 manifest needs durable — that
-	// still saves the l_i/B re-read.  Pipeline is an execution
+	// Pipeline fuses steps 4 and 5: each node merges its own bucket and
+	// the final round's incoming streams directly into its output file
+	// as messages arrive, never materialising the received files —
+	// saving their write and re-read.  The output is byte-identical to
+	// the barrier path.  When the final round's message buffers do not
+	// fit in MemoryKeys (fusedFits) the node falls back to the barrier
+	// path (traced as a Pipeline "fallback" event); when Checkpoint is
+	// set the streams are additionally teed to the receive files, which
+	// the phase-4 manifest needs durable — that still saves the
+	// re-read.  Pipeline is an execution
 	// strategy, not an outcome parameter: it is deliberately excluded
 	// from the resume fingerprint, so an interrupted run may be
 	// resumed with either setting.
@@ -141,10 +139,11 @@ type Config struct {
 	InputSum record.Checksum
 	// Topology selects the communication structure for pivot
 	// aggregation (step 2) and redistribution (step 4): TopologyFlat is
-	// Algorithm 1 as written; TopologyTree and TopologyGrid bound every
-	// node's fan-in at O(r) per round by aggregating samples up an
-	// r-ary reduction tree and routing partitions through ⌈log_r p⌉
-	// rounds of r-way exchanges (2 rounds for the √p×√p grid).  Unlike
+	// Algorithm 1 as written (star collectives, one all-to-all round);
+	// TopologyTree and TopologyGrid bound every node's fan-in at O(r)
+	// per round by aggregating samples up an r-ary reduction tree and
+	// routing partitions through ⌈log_r p⌉ rounds of r-way exchanges (2
+	// rounds for the √p×√p grid).  Unlike
 	// Pipeline/Overlap, the topology is an outcome parameter for the
 	// QuantileSketch strategy (its sketch merge is order-sensitive, so
 	// per-node partitions may differ from the flat run's even though
@@ -177,7 +176,7 @@ type Config struct {
 // sig fingerprints the parameters that must match between an
 // interrupted run and its resume.
 func (c Config) sig(inputName, outputName string) string {
-	return fmt.Sprintf("extsort-v1 perf=%v B=%d M=%d T=%d msg=%d rf=%d strat=%d over=%d eps=%g htol=%g seed=%d topo=%d r=%d d=%d in=%s out=%s",
+	return fmt.Sprintf("extsort-v2 perf=%v B=%d M=%d T=%d msg=%d rf=%d strat=%d over=%d eps=%g htol=%g seed=%d topo=%d r=%d d=%d in=%s out=%s",
 		[]int(c.Perf), c.BlockKeys, c.MemoryKeys, c.Tapes, c.MessageKeys,
 		c.RunFormation, c.Strategy, c.OverFactor, c.QuantileEps, c.HistTolerance, c.Seed,
 		c.Topology, c.Radix, c.Disks, inputName, outputName)
@@ -424,28 +423,21 @@ func runWorkers(c *cluster.Cluster, cfg Config, inputName, outputName string, pl
 	pivotsOut := make([][]record.Key, p)
 	statsOut := make([]pivotStats, p)
 
-	// Size the link queues from the dataset: step 4's send-all-then-
-	// receive-all exchange queues at most one whole segment (≤ l_i
-	// keys) per link, so sends never block and the exchange order
-	// cannot deadlock, barrier or pipelined.  Flat runs set one uniform
-	// bound (every link can carry a whole portion); hierarchical runs
-	// install a per-link hint instead, so only the O(r) links each node
-	// actually uses per round are sized for bulk data and the rest of
-	// the p² mesh stays unallocated.
-	var maxPortion, totalKeys int64
-	for i := 0; i < p; i++ {
+	// Size the link queues from the portions: each redistribution round
+	// is send-all-then-receive-all, so every link must hold whatever its
+	// sender can queue on it before the receiver starts draining — then
+	// sends never block and the exchange order cannot deadlock.  The
+	// bound is a lazily evaluated per-link hint (see linkBound), so only
+	// the links a topology actually uses are ever sized for bulk data.
+	portions := make([]int64, p)
+	var totalKeys int64
+	for i := range portions {
 		if li, err := diskio.CountKeys(c.Node(i).FS(), inputName); err == nil {
+			portions[i] = li
 			totalKeys += li
-			if li > maxPortion {
-				maxPortion = li
-			}
 		}
 	}
-	if cfg.Topology != TopologyFlat && p > 1 {
-		c.EnsureLinkCapacityFunc(hierLinkBound(p, cfg.Topology, cfg.Radix, cfg.MessageKeys, totalKeys))
-	} else {
-		c.EnsureLinkCapacity(cluster.LinkBound(maxPortion, cfg.MessageKeys))
-	}
+	c.EnsureLinkCapacityFunc(linkBound(p, cfg.Topology, cfg.Radix, cfg.MessageKeys, portions))
 	if cfg.Progress != nil {
 		cfg.Progress.Bind(c, cfg.Perf, totalKeys, cfg.BlockKeys)
 	}
@@ -736,55 +728,24 @@ func (w *worker) run(stepEnds *[5]float64, stepIO *[5][]pdm.IOStats, stepAttr *[
 	for j := range needy {
 		needy[j] = w.plan == nil || w.plan.Done[j] < 4
 	}
-	// With Pipeline, a needy node fuses step 5 into this step: the
-	// incoming streams are merged straight into the output file while
-	// the messages arrive.  The fused work (receive, merge compute,
-	// output writes) is all attributed to step 4's window; step 5 then
-	// only commits and cleans up.  The fallback keeps the barrier path
-	// when the fan-in's message buffers would not fit in memory — for
-	// the flat all-to-all that fan-in is p, for the hierarchical
-	// topologies it is the O(r) final-round in-degree.
-	pipelined := w.cfg.Pipeline && needy[id]
-	var recvNames []string
-	var counts []int64
-	merged := false
-	if w.hier() {
-		if pipelined && !w.cfg.hierPipelineFits(w.hierFinalFanIn()) {
-			pipelined = false
+	// With Pipeline, a needy node fuses step 5 into this step: the final
+	// round's streams are merged straight into the output file while the
+	// messages arrive.  The fused work (receive, merge compute, output
+	// writes) is all attributed to step 4's window; step 5 then only
+	// commits and cleans up.  The fallback keeps the barrier path when
+	// the final round's fan-in — p on the flat topology, O(r) on the
+	// hierarchical ones — would not fit its message buffers in memory.
+	fused := w.cfg.Pipeline && needy[id]
+	if fused {
+		if nbrs := len(w.finalInNeighbors()); !w.cfg.fusedFits(nbrs) {
+			fused = false
 			n.TraceEvent(trace.Pipeline, "fallback",
-				fmt.Sprintf("fan-in %d x %d-key messages exceeds MemoryKeys=%d", w.hierFinalFanIn(), w.cfg.MessageKeys, w.cfg.MemoryKeys))
+				fmt.Sprintf("fan-in %d x %d-key messages exceeds MemoryKeys=%d", nbrs+1, w.cfg.MessageKeys, w.cfg.MemoryKeys))
 		}
-		var err error
-		recvNames, counts, merged, err = w.redistributeHier(needy, pipelined)
-		if err != nil {
-			return fmt.Errorf("step 4 on node %d: %w", id, err)
-		}
-	} else {
-		if pipelined && !w.cfg.pipelineFits(n.P()) {
-			pipelined = false
-			n.TraceEvent(trace.Pipeline, "fallback",
-				fmt.Sprintf("fan-in %d x %d-key messages exceeds MemoryKeys=%d", n.P(), w.cfg.MessageKeys, w.cfg.MemoryKeys))
-		}
-		if err := w.sendSegments(needy); err != nil {
-			return fmt.Errorf("step 4 on node %d: %w", id, err)
-		}
-		recvNames = make([]string, n.P())
-		for i := range recvNames {
-			recvNames[i] = w.recvName(i)
-		}
-		if needy[id] {
-			n.Metrics().Gauge("redist.fanin.streams").Set(float64(n.P()))
-			var err error
-			if pipelined {
-				counts, err = w.pipelineMerge(recvNames)
-				merged = err == nil
-			} else {
-				counts, err = w.receiveSegments(recvNames)
-			}
-			if err != nil {
-				return fmt.Errorf("step 4 on node %d: %w", id, err)
-			}
-		}
+	}
+	inputs, counts, merged, err := w.redistribute(needy, fused)
+	if err != nil {
+		return fmt.Errorf("step 4 on node %d: %w", id, err)
 	}
 	if needy[id] {
 		n.CrashPoint(StepNames[3])
@@ -798,10 +759,10 @@ func (w *worker) run(stepEnds *[5]float64, stepIO *[5][]pdm.IOStats, stepAttr *[
 				}
 				files = append(files, checkpoint.FileInfo{Name: w.segName(j), Keys: sz})
 			}
-			for i, name := range recvNames {
-				// ...and the final-merge inputs (the flat path's p
-				// received files; the hierarchical path's own last-round
-				// bucket plus its O(r) received files).
+			for i, name := range inputs {
+				// ...and the final-merge inputs: the own last-round
+				// bucket plus one received file per final-round
+				// in-neighbor.
 				files = append(files, checkpoint.FileInfo{Name: name, Keys: counts[i]})
 			}
 			if err := w.commit(4, files); err != nil {
@@ -832,19 +793,14 @@ func (w *worker) run(stepEnds *[5]float64, stepIO *[5][]pdm.IOStats, stepAttr *[
 				return err
 			}
 		}
-		for _, name := range recvNames {
+		for _, name := range inputs {
 			if err := n.FS().Remove(name); err != nil && !errors.Is(err, os.ErrNotExist) {
 				return err
 			}
 		}
-		if w.hier() {
-			// A crashed hierarchical run can orphan round buckets for
-			// destinations that were no longer needy on the retry.
-			if err := w.cleanStaleRounds(); err != nil {
-				return err
-			}
-		}
-		return nil
+		// A crashed multi-round run can orphan round buckets for
+		// destinations that were no longer needy on the retry.
+		return w.cleanStaleRounds()
 	}
 	if done >= 5 {
 		// A node that crashed after its phase-5 commit but before its
@@ -855,7 +811,7 @@ func (w *worker) run(stepEnds *[5]float64, stepIO *[5][]pdm.IOStats, stepAttr *[
 		w.skipPhase(4)
 	} else {
 		if !merged {
-			if err := w.finalMerge(recvNames); err != nil {
+			if err := w.finalMerge(inputs); err != nil {
 				return fmt.Errorf("step 5 on node %d: %w", id, err)
 			}
 		}
@@ -952,7 +908,7 @@ func (w *worker) selectPivots(li int64) ([]record.Key, error) {
 	w.pstats.Rounds = 1
 	w.pstats.SampleKeys = int64(len(samples))
 	var pivots []record.Key
-	if w.hier() {
+	if w.treeColl() {
 		// Aggregate up the radix-r reduction tree: each inner node merges
 		// its children's sorted sample slices into one sorted slice before
 		// forwarding, so no node's fan-in exceeds r−1 and the root does
@@ -1034,7 +990,13 @@ func (w *worker) partition(pivots []record.Key) ([]int64, error) {
 	}()
 	buf := make([]record.Key, cfg.BlockKeys)
 	for {
-		cnt, rerr := r.ReadKeys(buf)
+		cnt, err := diskio.ReadChunk(r, buf)
+		if err != nil {
+			return nil, err
+		}
+		if cnt == 0 {
+			break
+		}
 		for _, k := range buf[:cnt] {
 			for seg < len(pivots) && k > pivots[seg] {
 				if err := closeSeg(); err != nil {
@@ -1053,12 +1015,6 @@ func (w *worker) partition(pivots []record.Key) ([]int64, error) {
 			sizes[seg]++
 		}
 		n.ChargeCompute(int64(cnt)) // one comparison per key against the current pivot
-		if rerr == io.EOF || cnt == 0 {
-			break
-		}
-		if rerr != nil {
-			return nil, rerr
-		}
 	}
 	if err := closeSeg(); err != nil {
 		return nil, err
@@ -1086,126 +1042,16 @@ func (w *worker) partition(pivots []record.Key) ([]int64, error) {
 func (w *worker) segName(j int) string  { return fmt.Sprintf("hetsort.seg%d", j) }
 func (w *worker) recvName(i int) string { return fmt.Sprintf("hetsort.recv%d", i) }
 
-// sendSegments implements the sending half of step 4: segment j is
-// shipped to node j in MessageKeys-sized messages, terminated by a
-// zero-length sentinel.  Only needy receivers (phase 4 not yet
-// committed) are sent to — on a fresh run that is everyone; on a resumed
-// run the retained segments are re-read and re-sent only to the nodes
-// whose in-flight messages died with the crash.  Buffered links make the
-// sends non-blocking, so a simple send-all-then-receive-all order cannot
-// deadlock.  Payloads are pooled buffers whose ownership transfers with
-// the message (SendOwned), so redistribution allocates nothing steady-
-// state and self-sends move no bytes at all.
-func (w *worker) sendSegments(needy []bool) error {
-	n, cfg := w.n, w.cfg
-	p := n.P()
-	resend := w.plan != nil && w.plan.Done[n.ID()] >= 4
-	for j := 0; j < p; j++ {
-		if !needy[j] {
-			continue
-		}
-		if resend {
-			n.TraceEvent(trace.Recovery, "resend", fmt.Sprintf("seg%d -> node %d", j, j))
-		}
-		f, err := n.FS().Open(w.segName(j))
-		if err != nil {
-			return err
-		}
-		r := diskio.NewBlockReader(f, cfg.BlockKeys, n.Acct(), w.overlap())
-		for {
-			buf := n.AcquireBuf(cfg.MessageKeys)
-			cnt, rerr := r.ReadKeys(buf)
-			if cnt > 0 {
-				if err := n.SendOwned(j, tagData, buf[:cnt]); err != nil {
-					r.Release()
-					f.Close()
-					return err
-				}
-			} else {
-				n.ReleaseBuf(buf)
-			}
-			if rerr == io.EOF || cnt == 0 {
-				break
-			}
-			if rerr != nil {
-				r.Release()
-				f.Close()
-				return rerr
-			}
-		}
-		r.Release()
-		if err := f.Close(); err != nil {
-			return err
-		}
-		// Zero-length message with the data tag terminates the stream.
-		if err := n.SendOwned(j, tagData, nil); err != nil {
-			return err
-		}
-		if !cfg.KeepIntermediates && !cfg.Checkpoint {
-			// Without checkpointing a sent segment is dead weight; with
-			// it, segments are retained until phase 5 commits so a
-			// recovered peer can ask for them again.
-			if err := n.FS().Remove(w.segName(j)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// receiveSegments implements the receiving half of step 4: drain each
-// peer in rank order, writing its stream to a private file.  Keys from
-// one peer arrive sorted (the segment was a slice of a sorted file), so
-// recv_i is sorted.  Returns the key count received from each peer.
-func (w *worker) receiveSegments(names []string) ([]int64, error) {
-	n, cfg := w.n, w.cfg
-	p := n.P()
-	counts := make([]int64, p)
-	for i := 0; i < p; i++ {
-		f, err := n.FS().Create(names[i])
-		if err != nil {
-			return nil, err
-		}
-		wr := diskio.NewBlockWriter(f, cfg.BlockKeys, n.Acct(), w.overlap())
-		for {
-			keys, err := n.Recv(i, tagData)
-			if err != nil {
-				wr.Close()
-				f.Close()
-				return nil, err
-			}
-			if len(keys) == 0 {
-				break
-			}
-			werr := wr.WriteKeys(keys)
-			n.ReleaseBuf(keys)
-			if werr != nil {
-				wr.Close()
-				f.Close()
-				return nil, werr
-			}
-		}
-		counts[i] = wr.KeysWritten()
-		if err := wr.Close(); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Close(); err != nil {
-			return nil, err
-		}
-	}
-	return counts, nil
-}
-
-// finalMerge implements step 5: external merge of the p received files.
-func (w *worker) finalMerge(recvNames []string) error {
-	if err := polyphase.MergeFiles(w.polyCfg("hetsort.s5."), recvNames, w.output); err != nil {
+// finalMerge implements step 5: external merge of the final-round
+// inputs (the own bucket and the received files).
+func (w *worker) finalMerge(inputs []string) error {
+	if err := polyphase.MergeFiles(w.polyCfg("hetsort.s5."), inputs, w.output); err != nil {
 		return err
 	}
 	if !w.cfg.KeepIntermediates && !w.cfg.Checkpoint {
-		// With checkpointing the received files survive until phase 5
-		// commits (see run), so a crash during the merge can redo it.
-		for _, name := range recvNames {
+		// With checkpointing the inputs survive until phase 5 commits
+		// (see run), so a crash during the merge can redo it.
+		for _, name := range inputs {
 			if err := w.n.FS().Remove(name); err != nil {
 				return err
 			}

@@ -338,6 +338,51 @@ func TestDiskFaultSurfaced(t *testing.T) {
 	}
 }
 
+// TestTransientReadFaultNeverLosesKeys sweeps a one-shot disk fault over
+// every file operation of a small sort: whichever operation it strikes,
+// Sort must either report an error or deliver the complete sorted
+// output.  A fault on the first block of a chunk makes ReadKeys return
+// (0, err); the chunk loops used to test the count before the error,
+// took that for end of input, and the sort "succeeded" with part of a
+// segment missing.
+func TestTransientReadFaultNeverLosesKeys(t *testing.T) {
+	v := perf.Homogeneous(2)
+	var silent []int64
+	for k := int64(0); ; k++ {
+		var ffs *diskio.FaultFS
+		c, err := cluster.New(cluster.Config{
+			Slowdowns: v.Slowdowns(),
+			BlockKeys: 64,
+			Disks: func(id int) diskio.FS {
+				if id != 1 {
+					return diskio.NewMemFS()
+				}
+				ffs = diskio.NewFaultFS(diskio.NewMemFS(), -1) // disarmed while the input lands
+				return ffs
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := testConfig(v)
+		sum, err := DistributeInput(c, v, record.Uniform, 8192, 3, cfg.BlockKeys, "input")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ffs.FailAfter, ffs.FailCount = k, 1
+		_, err = Sort(c, cfg, "input", "output")
+		if ffs.Injected() == 0 {
+			break // k is past the sort's last operation
+		}
+		if err == nil && VerifyOutput(c, "output", cfg.BlockKeys, sum) != nil {
+			silent = append(silent, k)
+		}
+	}
+	if len(silent) > 0 {
+		t.Errorf("Sort returned nil with keys missing when the fault hit operation %v", silent)
+	}
+}
+
 func TestIntermediateFilesCleaned(t *testing.T) {
 	v := perf.Homogeneous(2)
 	c := newCluster(t, v)

@@ -34,7 +34,7 @@ func (w *worker) selectPivotsHistogram(li int64) ([]record.Key, error) {
 	// the totals.  ChargeCompute covers the decode-add-encode combine.
 	reduce := func(vals []int64) ([]int64, error) {
 		enc := histsort.EncodeCounts(vals)
-		if w.hier() {
+		if w.treeColl() {
 			agg, err := n.TreeReduce(w.collRadix(), tagSamples, enc,
 				func(acc, child []record.Key) ([]record.Key, error) {
 					n.ChargeCompute(int64(len(acc)))

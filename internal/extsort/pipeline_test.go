@@ -87,7 +87,7 @@ func TestPipelineMatchesBarrierProperty(t *testing.T) {
 					}
 				}
 			}
-			if cfg.pipelineFits(len(v)) {
+			if cfg.fusedFits(len(v) - 1) {
 				if pipedIO >= barrierIO {
 					t.Errorf("pipelined I/O %d not strictly below barrier %d", pipedIO, barrierIO)
 				}
@@ -107,7 +107,7 @@ func TestPipelineFallbackTraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig(v) // MemoryKeys 1024 < 4*(256+64)+64: cannot pipeline
+	cfg := testConfig(v) // MemoryKeys 1024 < 3*(256+64)+2*64: cannot pipeline
 	cfg.Pipeline = true
 	sum, err := DistributeInput(c, v, record.Uniform, v.NearestValidSize(1<<12), 3, cfg.BlockKeys, "input")
 	if err != nil {

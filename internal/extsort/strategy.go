@@ -234,12 +234,16 @@ func (w *worker) selectPivotsQuantile(li int64) ([]record.Key, error) {
 		r := diskio.NewReader(f, cfg.BlockKeys, n.Acct())
 		buf := make([]record.Key, cfg.BlockKeys)
 		for {
-			cnt, rerr := r.ReadKeys(buf)
-			sk.InsertAll(buf[:cnt])
-			n.ChargeCompute(int64(cnt))
-			if rerr != nil || cnt == 0 {
+			cnt, err := diskio.ReadChunk(r, buf)
+			if err != nil {
+				f.Close()
+				return nil, err
+			}
+			if cnt == 0 {
 				break
 			}
+			sk.InsertAll(buf[:cnt])
+			n.ChargeCompute(int64(cnt))
 		}
 		if err := f.Close(); err != nil {
 			return nil, err
@@ -248,7 +252,7 @@ func (w *worker) selectPivotsQuantile(li int64) ([]record.Key, error) {
 	vals, weights := sk.Export()
 	w.pstats.Rounds = 1
 	w.pstats.SampleKeys = 2 * int64(len(vals))
-	if w.hier() {
+	if w.treeColl() {
 		// Sketches combine pairwise up the reduction tree: each inner
 		// node merges its children's summaries into its own and forwards
 		// one ε-sketch, so the root receives O(r) sketches instead of p.
@@ -399,7 +403,13 @@ func (w *worker) countSublists(fine []record.Key) ([]int64, error) {
 	seg := 0
 	buf := make([]record.Key, cfg.BlockKeys)
 	for {
-		cnt, rerr := r.ReadKeys(buf)
+		cnt, err := diskio.ReadChunk(r, buf)
+		if err != nil {
+			return nil, err
+		}
+		if cnt == 0 {
+			return sizes, nil
+		}
 		for _, key := range buf[:cnt] {
 			for seg < len(fine) && key > fine[seg] {
 				seg++
@@ -407,9 +417,5 @@ func (w *worker) countSublists(fine []record.Key) ([]int64, error) {
 			sizes[seg]++
 		}
 		n.ChargeCompute(int64(cnt))
-		if rerr != nil || cnt == 0 {
-			break
-		}
 	}
-	return sizes, nil
 }

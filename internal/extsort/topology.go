@@ -4,18 +4,20 @@ import (
 	"fmt"
 	"math"
 
+	"hetsort/internal/cluster"
 	"hetsort/internal/record"
 )
 
 // Topology selects the communication structure of steps 2 and 4.  The
 // flat structure is Algorithm 1 as written: one O(p·s) gather for the
-// samples and one p×p all-to-all round for the redistribution.  Both
-// collapse long before p=1024 — the designated node's fan-in and the
-// per-link buffer memory grow with p and p² respectively — so the
+// samples and one p×p all-to-all round for the redistribution — the
+// radix-p case of the same routing algebra (topoLevels gives {p, 1}).
+// Both collapse long before p=1024 — the designated node's fan-in and
+// the per-link buffer memory grow with p and p² respectively — so the
 // hierarchical structures trade extra rounds (and one extra disk pass
 // per round) for O(r) fan-in per node per round, the multi-pass
 // all-to-all of Rahn/Sanders/Singler's distributed external sort.
-// The output is byte-identical to the flat path for the exact pivot
+// The output is byte-identical to the flat run's for the exact pivot
 // strategies (regular sampling, random pivots, overpartitioning); the
 // QuantileSketch strategy's GK merge is not associative, so its tree
 // aggregation keeps the global sorted output identical while per-node
@@ -86,18 +88,23 @@ func collectiveRadix(p int, topo Topology, radix int) int {
 // topoLevels returns the strictly decreasing block sizes the
 // redistribution refines through: levels[0] = p, levels[len-1] = 1,
 // and round t refines blocks of levels[t] ranks into sub-blocks of
-// levels[t+1].  Every inner level is a power of the radix (⌈√p⌉ for
-// the grid), so the levels are *nested*: a rank's level-(t+1) block
+// levels[t+1].  A single node still gets one (empty) round, {1, 1}, so
+// the engine needs no p=1 case.  Every inner level is a power of the
+// radix (p for the flat topology, hence its single round; ⌈√p⌉ for the
+// grid), so the levels are *nested*: a rank's level-(t+1) block
 // boundary is always also a level-t boundary (blocks align at absolute
 // multiples of their size, the last block of each level ragged), which
 // the round invariant — every node of dest's current block holds a
 // bucket for dest — depends on.
 func topoLevels(p int, topo Topology, radix int) []int {
 	if p <= 1 {
-		return []int{1}
+		return []int{1, 1}
 	}
 	r := radix
-	if topo == TopologyGrid {
+	switch topo {
+	case TopologyFlat:
+		r = p
+	case TopologyGrid:
 		r = gridRadix(p)
 	}
 	if r < 2 {
@@ -158,13 +165,11 @@ func roundInNeighbors(q, s, sub, p int) []int {
 
 // PeakFanIn returns the worst per-node count of concurrently open
 // incoming redistribution streams (in-neighbors plus the node's own
-// bucket): p for the flat all-to-all, the worst round in-degree + 1
-// for the hierarchical structures — O(r·log_r p) never materializes;
-// each round's O(r) fan-in is what a node holds open at once.
+// bucket): the worst round in-degree + 1, which is p for the flat
+// all-to-all and O(r) for the hierarchical structures — O(r·log_r p)
+// never materializes; each round's fan-in is what a node holds open at
+// once.
 func PeakFanIn(p int, topo Topology, radix int) int {
-	if topo == TopologyFlat || p <= 1 {
-		return p
-	}
 	lv := topoLevels(p, topo, radix)
 	peak := 1
 	for t := 0; t+1 < len(lv); t++ {
@@ -256,23 +261,29 @@ func collectiveEdgeBounds(p, rc int) map[int]int {
 	return edges
 }
 
-// hierLinkBound builds the per-link capacity hint for a hierarchical
-// run: collective-tree edges get their block-size bounds, and each
-// round edge (sender → representative) gets room for the whole
-// dataset's worth of messages plus one end-of-stream sentinel per
-// destination in the target sub-block.  The dataset-sized bound is the
-// only statically safe one — an all-duplicate input funnels every key
-// through one destination's sub-block — but it is charged per *used*
-// link, and a node only has O(r) out-links per round, so the resident
-// capacity stays O(p·r·log_r p · N/msg) slots instead of the flat
-// path's O(p²) channels.
-func hierLinkBound(p int, topo Topology, radix, messageKeys int, totalKeys int64) func(from, to int) int {
+// linkBound builds the per-link capacity hint for a run, so that the
+// send-all-then-receive-all rounds never block on a full queue:
+// collective-tree edges get their block-size bounds, and each round edge
+// (sender → representative) gets cluster.LinkBound of the keys it can
+// carry, plus one more sentinel and one more partial message per further
+// destination in the target sub-block.  A round-0 edge carries only the
+// sender's own portion; a forwarding round can funnel the whole dataset
+// through one edge (an all-duplicate input sends every key to one
+// destination's sub-block), so there the dataset-sized bound is the only
+// statically safe one.  Both are charged per *used* link — the hint is
+// evaluated lazily — so a hierarchical run's resident capacity stays
+// O(p·r·log_r p) links, and the flat run's p² links each hold exactly
+// cluster.LinkBound(l_from, messageKeys).
+func linkBound(p int, topo Topology, radix, messageKeys int, portions []int64) func(from, to int) int {
 	lv := topoLevels(p, topo, radix)
-	coll := collectiveEdgeBounds(p, collectiveRadix(p, topo, radix))
-	if messageKeys <= 0 {
-		messageKeys = 1
+	var coll map[int]int // the flat star collectives fit the cluster's control-traffic floor
+	if topo != TopologyFlat {
+		coll = collectiveEdgeBounds(p, collectiveRadix(p, topo, radix))
 	}
-	dataMsgs := int((totalKeys + int64(messageKeys) - 1) / int64(messageKeys))
+	var totalKeys int64
+	for _, l := range portions {
+		totalKeys += l
+	}
 	return func(from, to int) int {
 		b := coll[from*p+to]
 		for t := 0; t+1 < len(lv); t++ {
@@ -291,7 +302,11 @@ func hierLinkBound(p int, topo Topology, radix, messageKeys int, totalKeys int64
 			if end > p {
 				end = p
 			}
-			if v := dataMsgs + (end - slo) + 16; v > b {
+			keys := totalKeys
+			if t == 0 {
+				keys = portions[from]
+			}
+			if v := cluster.LinkBound(keys, messageKeys) + 2*(end-slo-1); v > b {
 				b = v
 			}
 		}

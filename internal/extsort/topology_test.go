@@ -2,6 +2,7 @@ package extsort
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"hetsort/internal/cluster"
@@ -27,7 +28,7 @@ func TestTopoLevelsAndRouting(t *testing.T) {
 				if lv[len(lv)-1] != 1 {
 					t.Fatalf("p=%d %v r%d: levels %v do not end at 1", p, topo, radix, lv)
 				}
-				for i := 1; i < len(lv); i++ {
+				for i := 1; i < len(lv) && p > 1; i++ {
 					if lv[i] >= lv[i-1] {
 						t.Fatalf("p=%d %v r%d: levels %v not strictly decreasing", p, topo, radix, lv)
 					}
@@ -469,11 +470,133 @@ func TestHierCrashResume(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, name := range names {
-					if len(name) >= len(hierRoundPrefix) && name[:len(hierRoundPrefix)] == hierRoundPrefix {
+					if strings.HasPrefix(name, roundPrefix) {
 						t.Fatalf("node %d kept stale intermediate %s", i, name)
 					}
 				}
 			}
 		})
+	}
+}
+
+// TestFlatIsRadixPTree: the flat topology is the tree at radix ≥ p — one
+// redistribution round, fan-in p — and differs from it only in step 2's
+// star collectives, which move no block.  So the two must agree on every
+// output byte, partition size, per-node step-4/5 block count and fan-in
+// gauge, barrier or fused, with and without checkpoints, and across a
+// crash in step 4 and its resume.
+func TestFlatIsRadixPTree(t *testing.T) {
+	type outcome struct {
+		out   [][]record.Key
+		res   *Result
+		fanIn []float64
+	}
+	run := func(t *testing.T, v perf.Vector, cfg Config, n int64, crash bool) outcome {
+		t.Helper()
+		c := newCluster(t, v)
+		sum, err := DistributeInput(c, v, record.Uniform, n, 31, cfg.BlockKeys, "input")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.InputSum = sum
+		var res *Result
+		if crash {
+			if err := c.ScheduleCrash(len(v)/2, -1, StepNames[3]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Sort(c, cfg, "input", "output"); !cluster.IsCrash(err) {
+				t.Fatalf("crash in step 4 did not surface: %v", err)
+			}
+			res, _, err = Resume(c, cfg, "input", "output")
+		} else {
+			res, err = Sort(c, cfg, "input", "output")
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := VerifyOutput(c, "output", cfg.BlockKeys, sum); err != nil {
+			t.Fatal(err)
+		}
+		o := outcome{out: nodeOutputs(t, c, cfg.BlockKeys), res: res}
+		for i := range v {
+			o.fanIn = append(o.fanIn, c.Node(i).Metrics().Gauge("redist.fanin.streams").Value())
+		}
+		return o
+	}
+	for _, p := range []int{2, 3, 4, 7, 9} {
+		v := make(perf.Vector, p)
+		for i := range v {
+			v[i] = []int{1, 1, 4, 4}[i%4]
+		}
+		n := v.NearestValidSize(int64(3000 * p))
+		if flat, tree := PeakFanIn(p, TopologyFlat, 4), PeakFanIn(p, TopologyTree, p); flat != p || tree != p {
+			t.Errorf("p=%d: PeakFanIn flat %d, radix-p tree %d, want %d", p, flat, tree, p)
+		}
+		for _, pipe := range []bool{false, true} {
+			for _, mode := range []string{"plain", "checkpoint", "crash-resume"} {
+				t.Run(fmt.Sprintf("p%d-pipeline=%v-%s", p, pipe, mode), func(t *testing.T) {
+					cfg := testConfig(v)
+					cfg.MemoryKeys = 8192 // room for the 9-way fused merge
+					cfg.Pipeline = pipe
+					cfg.Checkpoint = mode != "plain"
+					crash := mode == "crash-resume"
+					flat := run(t, v, cfg, n, crash)
+					cfg.Topology, cfg.Radix = TopologyTree, p+1
+					tree := run(t, v, cfg, n, crash)
+					for i := range v {
+						if fmt.Sprint(flat.out[i]) != fmt.Sprint(tree.out[i]) {
+							t.Fatalf("node %d output differs", i)
+						}
+						if flat.res.PartitionSizes[i] != tree.res.PartitionSizes[i] {
+							t.Errorf("node %d partition: flat %d, tree %d", i, flat.res.PartitionSizes[i], tree.res.PartitionSizes[i])
+						}
+						if flat.fanIn[i] != float64(p) || tree.fanIn[i] != float64(p) {
+							t.Errorf("node %d fan-in gauge: flat %v, tree %v, want %d", i, flat.fanIn[i], tree.fanIn[i], p)
+						}
+						// Which peers had committed phase 4 when the crash
+						// aborted them depends on host scheduling, so the
+						// resumed run's I/O is not comparable run to run.
+						for s := 3; s < 5 && !crash; s++ {
+							if flat.res.StepIO[s][i] != tree.res.StepIO[s][i] {
+								t.Errorf("node %d step %d I/O: flat %+v, tree %+v", i, s+1, flat.res.StepIO[s][i], tree.res.StepIO[s][i])
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestLinkBoundSingleRound pins the link-sizing rule where it matters
+// most: at levels {p, 1} all p² − p links carry bulk data, and each must
+// be sized by its sender's own portion — cluster.LinkBound(l_from, msg)
+// — not by the dataset, or the flat p=1024 mesh would not fit in memory.
+func TestLinkBoundSingleRound(t *testing.T) {
+	const msg = 256
+	portions := []int64{0, 100, 256, 257, 5000, 70000, 1 << 20}
+	p := len(portions)
+	for name, bound := range map[string]func(from, to int) int{
+		"flat":         linkBound(p, TopologyFlat, 4, msg, portions),
+		"radix-p tree": linkBound(p, TopologyTree, p, msg, portions),
+	} {
+		for from := 0; from < p; from++ {
+			for to := 0; to < p; to++ {
+				if from == to {
+					continue
+				}
+				want := cluster.LinkBound(portions[from], msg)
+				if name != "flat" {
+					// Tree collectives may ask for more on their own edges.
+					if cb := collectiveEdgeBounds(p, p)[from*p+to]; cb > want {
+						want = cb
+					}
+				}
+				if got := bound(from, to); got != want {
+					t.Errorf("%s link %d->%d: capacity %d, want cluster.LinkBound(%d, %d) = %d",
+						name, from, to, got, portions[from], msg, want)
+				}
+			}
+		}
 	}
 }

@@ -72,18 +72,32 @@ func TestNodeClocksNonDecreasingAcrossSteps(t *testing.T) {
 	_ = res
 }
 
-func TestRedistributionIOMatchesFinalPartitions(t *testing.T) {
-	// Step 4 writes each node's *received* data: its block writes must
-	// be about partitionSize/B.
+// TestOwnSegmentStaysOnDisk: step 4 moves only what changes node.  Node
+// i reads the l_i − s_ii keys it sends and writes the q_i − s_ii keys it
+// receives; its own segment s_ii is neither read nor written until step
+// 5 merges it from where step 3 left it.
+func TestOwnSegmentStaysOnDisk(t *testing.T) {
 	v := perf.Vector{1, 1, 4, 4}
 	c := newCluster(t, v)
 	cfg := testConfig(v)
-	res := runSort(t, c, v, cfg, record.Uniform, v.NearestValidSize(40000), 109)
-	for i := range res.PartitionSizes {
-		wantBlocks := res.PartitionSizes[i] / int64(cfg.BlockKeys)
-		got := res.StepIO[3][i].Writes
-		if got < wantBlocks || got > wantBlocks+int64(c.P())+2 {
-			t.Fatalf("node %d: step-4 writes %d vs expected ~%d", i, got, wantBlocks)
+	cfg.KeepIntermediates = true // the segment files stay countable
+	n := v.NearestValidSize(40000)
+	res := runSort(t, c, v, cfg, record.Uniform, n, 109)
+	p, B := int64(c.P()), int64(cfg.BlockKeys)
+	ceil := func(keys int64) int64 { return (keys + B - 1) / B }
+	for i, li := range v.Shares(n) {
+		own, err := diskio.CountKeys(c.Node(i).FS(), fmt.Sprintf("hetsort.seg%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		qi := res.PartitionSizes[i]
+		io := res.StepIO[3][i]
+		if lo := (qi - own) / B; io.Writes < lo || io.Writes > lo+p {
+			t.Errorf("node %d: step-4 writes %d, want the %d received keys' ~%d blocks", i, io.Writes, qi-own, lo)
+		}
+		if bound := ceil(li-own) + ceil(qi-own) + 2*p; io.Total() > bound {
+			t.Errorf("node %d: step-4 I/O %d exceeds ceil((l_i-s_ii)/B)+ceil((q_i-s_ii)/B)+2p = %d (l_i=%d q_i=%d s_ii=%d)",
+				i, io.Total(), bound, li, qi, own)
 		}
 	}
 }

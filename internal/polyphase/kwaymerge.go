@@ -2,7 +2,6 @@ package polyphase
 
 import (
 	"fmt"
-	"io"
 
 	"hetsort/internal/diskio"
 )
@@ -122,16 +121,14 @@ func copyFile(cfg Config, src, dst string) error {
 	defer w.Close()
 	buf := make([]uint32, cfg.BlockKeys)
 	for {
-		n, err := r.ReadKeys(buf)
-		if n > 0 {
-			if werr := w.WriteKeys(buf[:n]); werr != nil {
-				return werr
-			}
+		n, err := diskio.ReadChunk(r, buf)
+		if err != nil {
+			return err
 		}
-		if err == io.EOF || n == 0 {
+		if n == 0 {
 			break
 		}
-		if err != nil {
+		if err := w.WriteKeys(buf[:n]); err != nil {
 			return err
 		}
 	}

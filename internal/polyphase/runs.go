@@ -158,30 +158,25 @@ func formRunsLoadSort(r diskio.BlockReader, memoryKeys int, meter vtime.Meter, s
 	load := make([]record.Key, memoryKeys)
 	var runs, total int64
 	for {
-		n, err := r.ReadKeys(load)
-		if n > 0 {
-			chunk := load[:n]
-			slices.Sort(chunk)
-			meter.ChargeCompute(nLogN(int64(n)))
-			if err := sink.beginRun(); err != nil {
-				return runs, total, err
-			}
-			runs++
-			total += int64(n)
-			for _, k := range chunk {
-				if serr := sink.emit(k); serr != nil {
-					return runs, total, serr
-				}
-			}
-			if serr := sink.endRun(); serr != nil {
+		n, err := diskio.ReadChunk(r, load)
+		if err != nil || n == 0 {
+			return runs, total, err
+		}
+		chunk := load[:n]
+		slices.Sort(chunk)
+		meter.ChargeCompute(nLogN(int64(n)))
+		if err := sink.beginRun(); err != nil {
+			return runs, total, err
+		}
+		runs++
+		total += int64(n)
+		for _, k := range chunk {
+			if serr := sink.emit(k); serr != nil {
 				return runs, total, serr
 			}
 		}
-		if err == io.EOF || n == 0 {
-			return runs, total, nil
-		}
-		if err != nil {
-			return runs, total, err
+		if serr := sink.endRun(); serr != nil {
+			return runs, total, serr
 		}
 	}
 }
@@ -205,41 +200,39 @@ func formRunsGuidesort(r diskio.BlockReader, memoryKeys int, meter vtime.Meter, 
 		return sink.endRun()
 	}
 	for {
-		n, err := r.ReadKeys(load)
-		if n > 0 {
-			chunk := load[:n]
-			slices.Sort(chunk)
-			meter.ChargeCompute(nLogN(int64(n)))
-			if inRun {
-				// The guide comparison: does this load extend the run?
-				meter.ChargeCompute(1)
-				if chunk[0] < lastMax {
-					if serr := endIfOpen(); serr != nil {
-						return runs, total, serr
-					}
-				}
-			}
-			if !inRun {
-				if serr := sink.beginRun(); serr != nil {
-					return runs, total, serr
-				}
-				runs++
-				inRun = true
-			}
-			total += int64(n)
-			for _, k := range chunk {
-				if serr := sink.emit(k); serr != nil {
-					return runs, total, serr
-				}
-			}
-			lastMax = chunk[n-1]
-		}
-		if err == io.EOF || n == 0 {
-			return runs, total, endIfOpen()
-		}
+		n, err := diskio.ReadChunk(r, load)
 		if err != nil {
 			return runs, total, err
 		}
+		if n == 0 {
+			return runs, total, endIfOpen()
+		}
+		chunk := load[:n]
+		slices.Sort(chunk)
+		meter.ChargeCompute(nLogN(int64(n)))
+		if inRun {
+			// The guide comparison: does this load extend the run?
+			meter.ChargeCompute(1)
+			if chunk[0] < lastMax {
+				if serr := endIfOpen(); serr != nil {
+					return runs, total, serr
+				}
+			}
+		}
+		if !inRun {
+			if serr := sink.beginRun(); serr != nil {
+				return runs, total, serr
+			}
+			runs++
+			inRun = true
+		}
+		total += int64(n)
+		for _, k := range chunk {
+			if serr := sink.emit(k); serr != nil {
+				return runs, total, serr
+			}
+		}
+		lastMax = chunk[n-1]
 	}
 }
 
