@@ -17,9 +17,7 @@ import (
 	"hetsort/internal/extsort"
 	"hetsort/internal/perf"
 	"hetsort/internal/polyphase"
-	"hetsort/internal/psrs"
 	"hetsort/internal/record"
-	"hetsort/internal/sampling"
 )
 
 func benchOptions() experiments.Options {
@@ -193,36 +191,6 @@ func BenchmarkFigure1PDM(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPivotStrategy is A1: regular sampling vs
-// overpartitioning load balance (sublist expansion) on the in-core
-// foundation, the comparison behind the paper's section-3.3 argument.
-func BenchmarkAblationPivotStrategy(b *testing.B) {
-	for _, strat := range []psrs.Strategy{psrs.RegularSampling, psrs.Overpartitioning} {
-		b.Run(strat.String(), func(b *testing.B) {
-			v := perf.Homogeneous(8)
-			keys := record.Uniform.Generate(1<<16, 5, 8)
-			portions := make([][]record.Key, 8)
-			share := len(keys) / 8
-			for i := range portions {
-				portions[i] = keys[i*share : (i+1)*share]
-			}
-			var exp float64
-			for i := 0; i < b.N; i++ {
-				c, err := cluster.New(cluster.Config{Slowdowns: v.Slowdowns()})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := psrs.Sort(c, psrs.Config{Perf: v, Strategy: strat, Seed: int64(i)}, portions)
-				if err != nil {
-					b.Fatal(err)
-				}
-				exp = sampling.SublistExpansion(res.PartitionSizes)
-			}
-			b.ReportMetric(exp, "expansion")
-		})
-	}
-}
-
 // BenchmarkAblationDuplicates is A2: the effect of duplicate-heavy
 // inputs on load balance (the paper's U+d bound discussion, §3.1).
 func BenchmarkAblationDuplicates(b *testing.B) {
@@ -326,42 +294,6 @@ func BenchmarkExternalPSRSWallClock(b *testing.B) {
 		if _, err := extsort.Sort(c, cfg, "in", "out"); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkAblationQuantilePivots is A4: PSRS pivots from merged
-// Greenwald-Khanna sketches (the variant of the paper's reference [29])
-// vs regular sampling, compared on weighted sublist expansion.
-func BenchmarkAblationQuantilePivots(b *testing.B) {
-	for _, strat := range []psrs.Strategy{psrs.RegularSampling, psrs.Quantiles} {
-		b.Run(strat.String(), func(b *testing.B) {
-			v := perf.Vector{1, 1, 4, 4}
-			n := v.NearestValidSize(1 << 17)
-			keys := record.Uniform.Generate(int(n), 11, 4)
-			shares := v.Shares(n)
-			portions := make([][]record.Key, len(v))
-			off := int64(0)
-			for i, s := range shares {
-				portions[i] = keys[off : off+s]
-				off += s
-			}
-			var exp float64
-			for i := 0; i < b.N; i++ {
-				c, err := cluster.New(cluster.Config{Slowdowns: v.Slowdowns()})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := psrs.Sort(c, psrs.Config{Perf: v, Strategy: strat, Seed: int64(i)}, portions)
-				if err != nil {
-					b.Fatal(err)
-				}
-				exp, err = sampling.WeightedExpansion(res.PartitionSizes, v)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(exp, "weighted-expansion")
-		})
 	}
 }
 

@@ -142,6 +142,21 @@ func TestSortConfigErrors(t *testing.T) {
 	}
 }
 
+// TestRadixIgnoredUnlessTree holds Config.Radix to its documentation:
+// flat and grid derive their fan-in from p, so a Radix no tree could use
+// must not fail them (it used to: "Radix=1 must be >= 2").
+func TestRadixIgnoredUnlessTree(t *testing.T) {
+	keys := []Key{5, 3, 8, 1, 9, 2, 7, 4}
+	for _, topo := range []string{TopologyFlat, TopologyGrid} {
+		if _, _, err := Sort(keys, Config{Topology: topo, Radix: 1}); err != nil {
+			t.Errorf("topology %q rejected the Radix it ignores: %v", topo, err)
+		}
+	}
+	if _, _, err := Sort(keys, Config{Topology: TopologyTree, Radix: 1}); err == nil || !strings.Contains(err.Error(), "Radix") {
+		t.Errorf("tree accepted Radix=1: %v", err)
+	}
+}
+
 func TestSortRejectsBadTuningValues(t *testing.T) {
 	// NaN compares false against everything, so a plain `eps <= 0`
 	// guard waves it through; the config validation must reject it

@@ -9,9 +9,7 @@ import (
 	"hetsort/internal/extsort"
 	"hetsort/internal/perf"
 	"hetsort/internal/polyphase"
-	"hetsort/internal/psrs"
 	"hetsort/internal/record"
-	"hetsort/internal/sampling"
 	"hetsort/internal/stats"
 )
 
@@ -35,27 +33,38 @@ func Ablations(o Options) ([]AblationRow, error) {
 		rows = append(rows, AblationRow{ID: id, Variant: variant, Metric: metric, Value: v})
 	}
 
-	// A1: in-core pivot strategies, homogeneous p=8.
-	{
-		v := perf.Homogeneous(8)
-		n := int(o.scale(1 << 22))
-		keys := record.Uniform.Generate(n, o.Seed, 8)
-		portions := make([][]record.Key, 8)
-		share := n / 8
-		for i := range portions {
-			portions[i] = keys[i*share : (i+1)*share]
-		}
-		for _, strat := range []psrs.Strategy{psrs.RegularSampling, psrs.Overpartitioning} {
-			c, err := cluster.New(cluster.Config{Slowdowns: v.Slowdowns()})
+	// pivots runs Algorithm 1 out of core on the same uniform input
+	// once per pivot strategy and reports each run's sublist expansion.
+	pivots := func(id, metric string, v perf.Vector, cfgs ...extsort.Config) error {
+		n := v.NearestValidSize(o.scale(1 << 22))
+		for _, cfg := range cfgs {
+			c, err := cluster.New(cluster.Config{Slowdowns: v.Slowdowns(), BlockKeys: o.BlockKeys})
 			if err != nil {
-				return nil, err
+				return err
 			}
-			res, err := psrs.Sort(c, psrs.Config{Perf: v, Strategy: strat, Seed: o.Seed, OverFactor: 2}, portions)
+			cfg.Perf, cfg.BlockKeys, cfg.MemoryKeys, cfg.Tapes, cfg.MessageKeys, cfg.Seed =
+				v, o.BlockKeys, o.MemoryKeys, o.Tapes, o.MessageKeys, o.Seed
+			sum, err := extsort.DistributeInput(c, v, record.Uniform, n, o.Seed, o.BlockKeys, "input")
 			if err != nil {
-				return nil, fmt.Errorf("A1 %v: %w", strat, err)
+				return err
 			}
-			add("A1", strat.String(), "expansion", sampling.SublistExpansion(res.PartitionSizes))
+			res, err := extsort.Sort(c, cfg, "input", "output")
+			if err != nil {
+				return fmt.Errorf("%s %v: %w", id, cfg.Strategy, err)
+			}
+			if err := extsort.VerifyOutput(c, "output", o.BlockKeys, sum); err != nil {
+				return err
+			}
+			add(id, cfg.Strategy.String(), metric, res.SublistExpansion(v))
 		}
+		return nil
+	}
+
+	// A1: regular sampling vs overpartitioning, homogeneous p=8.
+	if err := pivots("A1", "expansion", perf.Homogeneous(8),
+		extsort.Config{Strategy: extsort.RegularSampling},
+		extsort.Config{Strategy: extsort.Overpartitioning, OverFactor: 2}); err != nil {
+		return nil, err
 	}
 
 	// A2: duplicates, perf {1,1,4,4}.
@@ -109,32 +118,10 @@ func Ablations(o Options) ([]AblationRow, error) {
 	}
 
 	// A4: quantile pivots vs regular sampling, perf {1,1,4,4}.
-	{
-		v := PaperVector
-		n := v.NearestValidSize(o.scale(1 << 22))
-		keys := record.Uniform.Generate(int(n), o.Seed, 4)
-		shares := v.Shares(n)
-		portions := make([][]record.Key, len(v))
-		off := int64(0)
-		for i, s := range shares {
-			portions[i] = keys[off : off+s]
-			off += s
-		}
-		for _, strat := range []psrs.Strategy{psrs.RegularSampling, psrs.Quantiles} {
-			c, err := cluster.New(cluster.Config{Slowdowns: v.Slowdowns()})
-			if err != nil {
-				return nil, err
-			}
-			res, err := psrs.Sort(c, psrs.Config{Perf: v, Strategy: strat, Seed: o.Seed}, portions)
-			if err != nil {
-				return nil, fmt.Errorf("A4 %v: %w", strat, err)
-			}
-			we, err := sampling.WeightedExpansion(res.PartitionSizes, v)
-			if err != nil {
-				return nil, err
-			}
-			add("A4", strat.String(), "weighted-expansion", we)
-		}
+	if err := pivots("A4", "weighted-expansion", PaperVector,
+		extsort.Config{Strategy: extsort.RegularSampling},
+		extsort.Config{Strategy: extsort.QuantileSketch}); err != nil {
+		return nil, err
 	}
 
 	// A5: disks per node.

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 
 	"hetsort/internal/checkpoint"
 	"hetsort/internal/cluster"
@@ -38,10 +39,8 @@ import (
 
 // Message tags.
 const (
-	tagSamples = 200 + iota
-	tagPivots
-	tagDone
-	tagOverSizes
+	tagSamples     = 200 // step 2's reduces
+	tagPivots      = 201 // step 2's broadcasts
 	tagBarrierBase = 300 // barriers use tagBarrierBase + 2*step
 )
 
@@ -150,8 +149,8 @@ type Config struct {
 	// the global sorted output is identical) and the phase-4 artifacts
 	// differ, so it is part of the resume fingerprint.
 	Topology Topology
-	// Radix is the tree fan-in r (default 4).  The grid topology
-	// derives its ⌈√p⌉ radix from p and ignores this.
+	// Radix is the tree fan-in r (default 4).  Flat and grid derive
+	// theirs from p (p and ⌈√p⌉) and ignore this.
 	Radix int
 	// Merkle upgrades the final checkpoint manifest to a Merkle-anchored
 	// one: each node hashes the artifacts its phase-5 manifest depends on
@@ -185,9 +184,7 @@ func (c Config) sig(inputName, outputName string) string {
 // ApplyDefaults fills zero-valued fields with the paper's defaults for
 // a p-node cluster (8 KiB blocks, 2^16-key memory, 15 tapes, 8K-integer
 // messages, homogeneous perf).
-func (c *Config) ApplyDefaults(p int) { c.applyDefaults(p) }
-
-func (c *Config) applyDefaults(p int) {
+func (c *Config) ApplyDefaults(p int) {
 	if len(c.Perf) == 0 {
 		c.Perf = perf.Homogeneous(p)
 	}
@@ -236,7 +233,8 @@ func (c Config) Validate(p int) error {
 	default:
 		return fmt.Errorf("extsort: unknown topology %d", c.Topology)
 	}
-	if c.Radix < 2 {
+	// Only a tree reads Radix; flat and grid derive theirs from p.
+	if c.Topology == TopologyTree && c.Radix < 2 {
 		return fmt.Errorf("extsort: Radix=%d must be >= 2", c.Radix)
 	}
 	// Written as negated in-range checks so NaN — for which every
@@ -295,12 +293,6 @@ type Result struct {
 	PivotSampleKeys int64
 }
 
-// pivotStats carries one node's step-2 accounting out of the strategy.
-type pivotStats struct {
-	Rounds     int
-	SampleKeys int64
-}
-
 // SublistExpansion returns the Table-3 S(max) metric for the run: the
 // worst ratio of a node's final partition to its perf-optimal share.
 func (r *Result) SublistExpansion(v perf.Vector) float64 {
@@ -344,21 +336,18 @@ func (r *Result) MaxPartition(v perf.Vector, class int) int64 {
 // the file inputName on its private FS; on success every node holds its
 // sorted partition in outputName.
 func Sort(c *cluster.Cluster, cfg Config, inputName, outputName string) (*Result, error) {
-	p := c.P()
-	if err := cfg.resolveDisks(c); err != nil {
-		return nil, err
-	}
-	cfg.applyDefaults(p)
-	if err := cfg.Validate(p); err != nil {
+	if err := cfg.resolve(c); err != nil {
 		return nil, err
 	}
 	return runWorkers(c, cfg, inputName, outputName, nil)
 }
 
-// resolveDisks aligns Config.Disks with the cluster's per-node disk
-// count: unset adopts the cluster's D (so the resume fingerprint always
-// records the real striping layout), an explicit mismatch is an error.
-func (c *Config) resolveDisks(cl *cluster.Cluster) error {
+// resolve readies the configuration for a run on cl: Config.Disks is
+// aligned with the cluster's per-node disk count — unset adopts the
+// cluster's D (so the resume fingerprint always records the real
+// striping layout), an explicit mismatch is an error — then the defaults
+// are filled in and the result validated.
+func (c *Config) resolve(cl *cluster.Cluster) error {
 	d := cl.Node(0).Disks()
 	if c.Disks <= 0 {
 		c.Disks = d
@@ -366,7 +355,8 @@ func (c *Config) resolveDisks(cl *cluster.Cluster) error {
 	if c.Disks != d {
 		return fmt.Errorf("extsort: Config.Disks=%d does not match the cluster's %d disks per node", c.Disks, d)
 	}
-	return nil
+	c.ApplyDefaults(cl.P())
+	return c.Validate(cl.P())
 }
 
 // Resume continues an interrupted checkpointed Sort from the manifests
@@ -378,16 +368,11 @@ func (c *Config) resolveDisks(cl *cluster.Cluster) error {
 // input checksum for verification.  All recovery I/O is charged to the
 // PDM counters.  The configuration must match the interrupted run's.
 func Resume(c *cluster.Cluster, cfg Config, inputName, outputName string) (*Result, record.Checksum, error) {
-	p := c.P()
-	if err := cfg.resolveDisks(c); err != nil {
-		return nil, record.Checksum{}, err
-	}
-	cfg.applyDefaults(p)
-	if err := cfg.Validate(p); err != nil {
+	if err := cfg.resolve(c); err != nil {
 		return nil, record.Checksum{}, err
 	}
 	cfg.Checkpoint = true // resuming implies checkpointing the rest of the run
-	disks := make([]diskio.FS, p)
+	disks := make([]diskio.FS, c.P())
 	for i := range disks {
 		disks[i] = c.Node(i).FS()
 	}
@@ -419,9 +404,7 @@ func runWorkers(c *cluster.Cluster, cfg Config, inputName, outputName string, pl
 		res.StepIO[s] = make([]pdm.IOStats, p)
 		res.StepAttr[s] = make([]vtime.Breakdown, p)
 	}
-	stepEnds := make([][5]float64, p) // per node, clock at each barrier
-	pivotsOut := make([][]record.Key, p)
-	statsOut := make([]pivotStats, p)
+	radix := resolveRadix(p, cfg.Topology, cfg.Radix)
 
 	// Size the link queues from the portions: each redistribution round
 	// is send-all-then-receive-all, so every link must hold whatever its
@@ -437,15 +420,17 @@ func runWorkers(c *cluster.Cluster, cfg Config, inputName, outputName string, pl
 			totalKeys += li
 		}
 	}
-	c.EnsureLinkCapacityFunc(linkBound(p, cfg.Topology, cfg.Radix, cfg.MessageKeys, portions))
+	c.EnsureLinkCapacityFunc(linkBound(p, radix, cfg.MessageKeys, portions))
 	if cfg.Progress != nil {
 		cfg.Progress.Bind(c, cfg.Perf, totalKeys, cfg.BlockKeys)
 	}
 
+	workers := make([]worker, p)
 	err := c.Run(func(n *cluster.Node) error {
-		w := worker{n: n, cfg: cfg, input: inputName, output: outputName,
+		w := &workers[n.ID()]
+		*w = worker{n: n, cfg: cfg, radix: radix, input: inputName, output: outputName,
 			plan: plan, sig: cfg.sig(inputName, outputName)}
-		return w.run(&stepEnds[n.ID()], &res.StepIO, &res.StepAttr, &pivotsOut[n.ID()], &statsOut[n.ID()])
+		return w.run()
 	})
 	if err != nil {
 		return nil, err
@@ -461,22 +446,21 @@ func runWorkers(c *cluster.Cluster, cfg Config, inputName, outputName string, pl
 			return nil, fmt.Errorf("extsort: counting node %d output: %w", i, err)
 		}
 		res.PartitionSizes[i] = sz
+		w := &workers[i]
+		res.PivotRounds = max(res.PivotRounds, w.pivotRounds)
+		res.PivotSampleKeys += w.sampleKeys
 	}
 	res.Time = c.MaxClock()
-	res.Pivots = pivotsOut[0]
-	for _, st := range statsOut {
-		if st.Rounds > res.PivotRounds {
-			res.PivotRounds = st.Rounds
-		}
-		res.PivotSampleKeys += st.SampleKeys
-	}
+	res.Pivots = workers[0].pivots
 	// Step durations: max end over nodes, minus max previous end.
 	prev := 0.0
 	for s := 0; s < 5; s++ {
 		var end float64
-		for i := 0; i < p; i++ {
-			if stepEnds[i][s] > end {
-				end = stepEnds[i][s]
+		for i := range workers {
+			res.StepIO[s][i] = workers[i].io[s]
+			res.StepAttr[s][i] = workers[i].attr[s]
+			if workers[i].ends[s] > end {
+				end = workers[i].ends[s]
 			}
 		}
 		res.StepTimes[s] = end - prev
@@ -492,6 +476,7 @@ func runWorkers(c *cluster.Cluster, cfg Config, inputName, outputName string, pl
 type worker struct {
 	n      *cluster.Node
 	cfg    Config
+	radix  int // the run's one fan-in (resolveRadix): collectives and redistribution
 	input  string
 	output string
 
@@ -502,8 +487,19 @@ type worker struct {
 	sig    string
 	pivots []record.Key
 
-	// pstats accumulates this node's step-2 sample/round accounting.
-	pstats pivotStats
+	// This node's step-2 accounting (Result.PivotRounds, PivotSampleKeys).
+	pivotRounds int
+	sampleKeys  int64
+
+	// merged records that the pipelined step 4 already merged the
+	// output in-stream.
+	merged bool
+
+	// Per-step measurements, barrier to barrier, read after the run:
+	// the clock at each step's end, and the step's I/O and attribution.
+	ends [5]float64
+	io   [5]pdm.IOStats
+	attr [5]vtime.Breakdown
 }
 
 // done returns how many phases this node had committed before the run
@@ -516,13 +512,10 @@ func (w *worker) done() int {
 }
 
 // commit durably records that `phase` phases are complete, listing the
-// files the state depends on.  No-op without checkpointing.  The
+// files the state depends on (only called under Checkpoint).  The
 // "committed:<step>" crash point right after the save lets tests kill a
 // node between its commit and the following barrier.
 func (w *worker) commit(phase int, files []checkpoint.FileInfo) error {
-	if !w.cfg.Checkpoint {
-		return nil
-	}
 	n := w.n
 	m := &checkpoint.Manifest{
 		Node:   n.ID(),
@@ -562,276 +555,178 @@ func (w *worker) commit(phase int, files []checkpoint.FileInfo) error {
 	return nil
 }
 
-// skipPhase records that a resumed node is skipping an already
-// committed phase.
-func (w *worker) skipPhase(step int) {
-	w.n.TraceEvent(trace.Recovery, StepNames[step], "skipped (already committed)")
+// step is one row of Algorithm 1's step table.  run does the step's
+// work on a node that has not committed it; files lists what the
+// step's manifest depends on; skip, when set, is what a resumed node
+// that already committed the step still owes its peers; tidy, when set,
+// removes the files the step's commit made dead — an idempotent sweep,
+// so a node that crashed between its commit and its tidy re-runs it on
+// resume.
+type step struct {
+	run   func(*worker) error
+	files func(*worker) ([]checkpoint.FileInfo, error)
+	skip  func(*worker) error
+	tidy  func(*worker) error
 }
 
-func (w *worker) run(stepEnds *[5]float64, stepIO *[5][]pdm.IOStats, stepAttr *[5][]vtime.Breakdown, pivotsOut *[]record.Key, pstatsOut *pivotStats) error {
+// steps is Algorithm 1.  Only step 4 has a skip: a node past phase 4
+// still re-sends its retained segments to the needy receivers, which
+// is exactly the recovery of their lost in-flight messages.
+var steps = [len(StepNames)]step{
+	{run: (*worker).sequentialSort, files: (*worker).sortedFile},
+	{run: (*worker).pivotSelection, files: (*worker).sortedFile},
+	// The sorted file survives until the segments are durably
+	// committed, so a crash mid-partition can redo the split.
+	{run: (*worker).partition, tidy: (*worker).removeSorted,
+		files: func(w *worker) ([]checkpoint.FileInfo, error) { return w.segFiles() }},
+	// Phase 4 keeps the own segments durable for peers' recoveries,
+	// beside the final-merge inputs.
+	{run: (*worker).redistribute, skip: (*worker).redistribute,
+		files: func(w *worker) ([]checkpoint.FileInfo, error) { return w.segFiles(w.finalInputs()...) }},
+	{run: (*worker).finalMerge, files: (*worker).outputFile, tidy: (*worker).cleanup},
+}
+
+// run drives the step table on one node.  Every step is bracketed the
+// same way: block I/O is attributed to the step's phase cell and the
+// clock attribution delta is recorded barrier to barrier, so waiting at
+// the barrier counts as the step's idle time; a fresh step runs, passes
+// its crash point and commits its manifest, an already committed one is
+// skipped (traced as a recovery event).
+func (w *worker) run() error {
 	n := w.n
 	id := n.ID()
-	done := w.done()
-	// begin/mark bracket one step: block I/O is attributed to the step's
-	// phase cell and the clock attribution delta is recorded barrier to
-	// barrier, so waiting at the barrier counts as the step's idle time.
-	var attrBefore vtime.Breakdown
-	begin := func(step int) pdm.IOStats {
-		n.SetIOPhase(step + 1)
-		attrBefore = n.Attribution()
-		return n.IOStats()
-	}
-	mark := func(step int, before pdm.IOStats) error {
-		if err := w.barrier(tagBarrierBase + 2*step); err != nil {
-			return err
-		}
-		stepEnds[step] = n.Clock()
-		stepIO[step][id] = n.IOStats().Sub(before)
-		stepAttr[step][id] = n.Attribution().Sub(attrBefore)
-		n.SetIOPhase(0)
-		return nil
-	}
-
 	if w.plan != nil {
 		// Replay the clock to the last commit, so a resumed run reports
 		// the honest virtual completion time of the whole sort.
 		n.AdvanceClock(w.plan.Clocks[id])
 		w.pivots = w.plan.Pivots
-		n.TraceEvent(trace.Recovery, "resume", fmt.Sprintf("phases-done:%d clock:%.6f", done, w.plan.Clocks[id]))
+		n.TraceEvent(trace.Recovery, "resume", fmt.Sprintf("phases-done:%d clock:%.6f", w.done(), w.plan.Clocks[id]))
 	} else if w.cfg.Checkpoint {
 		// Phase-0 manifest: the run exists and the input is durable.
-		li, err := diskio.CountKeys(n.FS(), w.input)
+		in, err := w.fileInfo(w.input)
 		if err != nil {
 			return fmt.Errorf("checkpointing input on node %d: %w", id, err)
 		}
-		if err := w.commit(0, []checkpoint.FileInfo{{Name: w.input, Keys: li}}); err != nil {
+		if err := w.commit(0, in); err != nil {
 			return err
 		}
 	}
-
-	// Step 1: sequential external sort.
-	before := begin(0)
-	endPhase := n.TracePhase(StepNames[0])
-	if done >= 1 {
-		w.skipPhase(0)
-	} else {
-		keys, err := w.sequentialSort()
-		if err != nil {
-			return fmt.Errorf("step 1 on node %d: %w", id, err)
+	for s, st := range steps {
+		n.SetIOPhase(s + 1)
+		ioBefore, attrBefore := n.IOStats(), n.Attribution()
+		endPhase := n.TracePhase(StepNames[s])
+		var err error
+		switch {
+		case w.done() <= s:
+			err = w.runStep(s, st)
+		case st.skip != nil:
+			err = st.skip(w)
 		}
-		n.CrashPoint(StepNames[0])
-		if err := w.commit(1, []checkpoint.FileInfo{{Name: w.sortedName(), Keys: keys}}); err != nil {
+		if err == nil && st.tidy != nil {
+			err = st.tidy(w)
+		}
+		if err != nil {
+			return fmt.Errorf("step %d on node %d: %w", s+1, id, err)
+		}
+		if w.done() > s {
+			n.TraceEvent(trace.Recovery, StepNames[s], "skipped (already committed)")
+		}
+		endPhase()
+		if err := n.TreeBarrier(w.radix, tagBarrierBase+2*s); err != nil {
 			return err
 		}
+		w.ends[s] = n.Clock()
+		w.io[s] = n.IOStats().Sub(ioBefore)
+		w.attr[s] = n.Attribution().Sub(attrBefore)
+		n.SetIOPhase(0)
 	}
-	endPhase()
-	if err := mark(0, before); err != nil {
-		return err
-	}
-
-	// Step 2: pivot selection.  When resuming after any node committed
-	// phase 2, the pivots were already selected and broadcast (the
-	// collective completed), so every node adopts the manifest copy
-	// without a re-gather; otherwise all nodes re-run the collective.
-	before = begin(1)
-	endPhase = n.TracePhase(StepNames[1])
-	var pivots []record.Key
-	switch {
-	case done >= 2:
-		pivots = w.pivots
-		w.skipPhase(1)
-	case w.plan != nil && w.plan.Pivots != nil:
-		pivots = w.plan.Pivots
-		n.TraceEvent(trace.Recovery, StepNames[1], "pivots adopted from a peer's manifest")
-		w.pivots = pivots
-		li, err := diskio.CountKeys(n.FS(), w.sortedName())
-		if err != nil {
-			return fmt.Errorf("step 2 on node %d: %w", id, err)
-		}
-		n.CrashPoint(StepNames[1])
-		if err := w.commit(2, []checkpoint.FileInfo{{Name: w.sortedName(), Keys: li}}); err != nil {
-			return err
-		}
-	default:
-		li, err := diskio.CountKeys(n.FS(), w.sortedName())
-		if err != nil {
-			return fmt.Errorf("step 2 on node %d: %w", id, err)
-		}
-		switch w.cfg.Strategy {
-		case RegularSampling:
-			pivots, err = w.selectPivots(li)
-		case Overpartitioning:
-			pivots, err = w.selectPivotsOver(li)
-		case RandomPivots:
-			pivots, err = w.selectPivotsRandom(li)
-		case QuantileSketch:
-			pivots, err = w.selectPivotsQuantile(li)
-		case Histogram:
-			pivots, err = w.selectPivotsHistogram(li)
-		default:
-			err = fmt.Errorf("unknown strategy %d", w.cfg.Strategy)
-		}
-		if err != nil {
-			return fmt.Errorf("step 2 on node %d: %w", id, err)
-		}
-		w.pivots = pivots
-		n.CrashPoint(StepNames[1])
-		if err := w.commit(2, []checkpoint.FileInfo{{Name: w.sortedName(), Keys: li}}); err != nil {
-			return err
-		}
-	}
-	endPhase()
-	*pivotsOut = pivots
-	*pstatsOut = w.pstats
-	if err := mark(1, before); err != nil {
-		return err
-	}
-
-	// Step 3: partitioning.
-	before = begin(2)
-	endPhase = n.TracePhase(StepNames[2])
-	if done >= 3 {
-		w.skipPhase(2)
-	} else {
-		segSizes, err := w.partition(pivots)
-		if err != nil {
-			return fmt.Errorf("step 3 on node %d: %w", id, err)
-		}
-		n.CrashPoint(StepNames[2])
-		files := make([]checkpoint.FileInfo, len(segSizes))
-		for j, sz := range segSizes {
-			files[j] = checkpoint.FileInfo{Name: w.segName(j), Keys: sz}
-		}
-		if err := w.commit(3, files); err != nil {
-			return err
-		}
-		if w.cfg.Checkpoint && !w.cfg.KeepIntermediates {
-			// The sorted file is only removed once the segments are
-			// durably committed, so a crash mid-partition can redo it.
-			if err := n.FS().Remove(w.sortedName()); err != nil && !errors.Is(err, os.ErrNotExist) {
-				return fmt.Errorf("step 3 on node %d: %w", id, err)
-			}
-		}
-	}
-	endPhase()
-	if err := mark(2, before); err != nil {
-		return err
-	}
-
-	// Step 4: redistribution.  Needy nodes (phase 4 not committed)
-	// re-receive everything; every node — including ones already past
-	// phase 4 — re-sends its retained segments to the needy receivers,
-	// which is exactly the recovery of the lost in-flight messages.
-	before = begin(3)
-	endPhase = n.TracePhase(StepNames[3])
-	needy := make([]bool, n.P())
-	for j := range needy {
-		needy[j] = w.plan == nil || w.plan.Done[j] < 4
-	}
-	// With Pipeline, a needy node fuses step 5 into this step: the final
-	// round's streams are merged straight into the output file while the
-	// messages arrive.  The fused work (receive, merge compute, output
-	// writes) is all attributed to step 4's window; step 5 then only
-	// commits and cleans up.  The fallback keeps the barrier path when
-	// the final round's fan-in — p on the flat topology, O(r) on the
-	// hierarchical ones — would not fit its message buffers in memory.
-	fused := w.cfg.Pipeline && needy[id]
-	if fused {
-		if nbrs := len(w.finalInNeighbors()); !w.cfg.fusedFits(nbrs) {
-			fused = false
-			n.TraceEvent(trace.Pipeline, "fallback",
-				fmt.Sprintf("fan-in %d x %d-key messages exceeds MemoryKeys=%d", nbrs+1, w.cfg.MessageKeys, w.cfg.MemoryKeys))
-		}
-	}
-	inputs, counts, merged, err := w.redistribute(needy, fused)
-	if err != nil {
-		return fmt.Errorf("step 4 on node %d: %w", id, err)
-	}
-	if needy[id] {
-		n.CrashPoint(StepNames[3])
-		if done < 4 && w.cfg.Checkpoint {
-			var files []checkpoint.FileInfo
-			for j := 0; j < n.P(); j++ {
-				// Own segments stay durable for peers' recoveries...
-				sz, err := diskio.CountKeys(n.FS(), w.segName(j))
-				if err != nil {
-					return fmt.Errorf("step 4 on node %d: %w", id, err)
-				}
-				files = append(files, checkpoint.FileInfo{Name: w.segName(j), Keys: sz})
-			}
-			for i, name := range inputs {
-				// ...and the final-merge inputs: the own last-round
-				// bucket plus one received file per final-round
-				// in-neighbor.
-				files = append(files, checkpoint.FileInfo{Name: name, Keys: counts[i]})
-			}
-			if err := w.commit(4, files); err != nil {
-				return err
-			}
-		}
-	} else {
-		w.skipPhase(3)
-	}
-	endPhase()
-	if err := mark(3, before); err != nil {
-		return err
-	}
-
-	// Step 5: final merge (already performed in-stream when pipelined;
-	// then this window only holds the commit and cleanup).
-	before = begin(4)
-	endPhase = n.TracePhase(StepNames[4])
-	cleanup := func() error {
-		// Once phase 5 is committed no recovery can need the segments
-		// or received files: a peer at phase 5 implies every node
-		// committed phase 4 (the barrier ordering guarantees it).
-		if !w.cfg.Checkpoint || w.cfg.KeepIntermediates {
-			return nil
-		}
-		for j := 0; j < n.P(); j++ {
-			if err := n.FS().Remove(w.segName(j)); err != nil && !errors.Is(err, os.ErrNotExist) {
-				return err
-			}
-		}
-		for _, name := range inputs {
-			if err := n.FS().Remove(name); err != nil && !errors.Is(err, os.ErrNotExist) {
-				return err
-			}
-		}
-		// A crashed multi-round run can orphan round buckets for
-		// destinations that were no longer needy on the retry.
-		return w.cleanStaleRounds()
-	}
-	if done >= 5 {
-		// A node that crashed after its phase-5 commit but before its
-		// cleanup re-runs the (idempotent) sweep here.
-		if err := cleanup(); err != nil {
-			return fmt.Errorf("step 5 cleanup on node %d: %w", id, err)
-		}
-		w.skipPhase(4)
-	} else {
-		if !merged {
-			if err := w.finalMerge(inputs); err != nil {
-				return fmt.Errorf("step 5 on node %d: %w", id, err)
-			}
-		}
-		n.CrashPoint(StepNames[4])
-		outKeys, err := diskio.CountKeys(n.FS(), w.output)
-		if err != nil {
-			return fmt.Errorf("step 5 on node %d: %w", id, err)
-		}
-		if err := w.commit(5, []checkpoint.FileInfo{{Name: w.output, Keys: outKeys}}); err != nil {
-			return err
-		}
-		if err := cleanup(); err != nil {
-			return fmt.Errorf("step 5 cleanup on node %d: %w", id, err)
-		}
-	}
-	endPhase()
-	return mark(4, before)
+	return nil
 }
 
-func (w *worker) sortedName() string { return "hetsort.sorted" }
+// runStep is a fresh step: the work, the crash point between work and
+// commit, and the manifest.
+func (w *worker) runStep(s int, st step) error {
+	if err := st.run(w); err != nil {
+		return err
+	}
+	w.n.CrashPoint(StepNames[s])
+	if !w.cfg.Checkpoint {
+		return nil
+	}
+	files, err := st.files(w)
+	if err != nil {
+		return err
+	}
+	return w.commit(s+1, files)
+}
+
+// fileInfo is the manifest entry list for the named files, sizes read
+// from the disk.
+func (w *worker) fileInfo(names ...string) ([]checkpoint.FileInfo, error) {
+	files := make([]checkpoint.FileInfo, len(names))
+	for i, name := range names {
+		keys, err := diskio.CountKeys(w.n.FS(), name)
+		if err != nil {
+			return nil, err
+		}
+		files[i] = checkpoint.FileInfo{Name: name, Keys: keys}
+	}
+	return files, nil
+}
+
+func (w *worker) sortedFile() ([]checkpoint.FileInfo, error) { return w.fileInfo(sortedName) }
+func (w *worker) outputFile() ([]checkpoint.FileInfo, error) { return w.fileInfo(w.output) }
+
+// segFiles lists the p step-3 segment files, followed by any more.
+func (w *worker) segFiles(more ...string) ([]checkpoint.FileInfo, error) {
+	names := make([]string, w.n.P(), w.n.P()+len(more))
+	for j := range names {
+		names[j] = w.segName(j)
+	}
+	return w.fileInfo(append(names, more...)...)
+}
+
+// remove deletes an intermediate file that may already be gone.
+func (w *worker) remove(name string) error {
+	if err := w.n.FS().Remove(name); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	return nil
+}
+
+func (w *worker) removeSorted() error {
+	if w.cfg.KeepIntermediates {
+		return nil
+	}
+	return w.remove(sortedName)
+}
+
+// cleanup is step 5's tidy: once phase 5 is committed no recovery can
+// need the segments, the received files or the round buckets — a peer
+// at phase 5 implies every node committed phase 4 (the barrier ordering
+// guarantees it).  A crashed multi-round run can orphan buckets for
+// destinations that were no longer needy on the retry, so the sweep
+// goes by prefix, not by what this run created.
+func (w *worker) cleanup() error {
+	if w.cfg.KeepIntermediates {
+		return nil
+	}
+	names, err := w.n.FS().Names()
+	if err != nil {
+		return err
+	}
+	for _, name := range names {
+		for _, prefix := range []string{segPrefix, recvPrefix, roundPrefix} {
+			if !strings.HasPrefix(name, prefix) {
+				continue
+			}
+			if err := w.remove(name); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
 
 // overlap resolves the node's overlapped-I/O mode: depth defaults to the
 // node's disk parallelism (minimum 2, double buffering).
@@ -860,115 +755,28 @@ func (w *worker) polyCfg(prefix string) polyphase.Config {
 	}
 }
 
-func (w *worker) sequentialSort() (int64, error) {
-	st, err := polyphase.Sort(w.polyCfg("hetsort.s1."), w.input, w.sortedName())
-	return st.Keys, err
-}
-
-// selectPivots implements step 2: sample the sorted file at regular
-// positions (perf-proportional count), gather on node 0, select the
-// p-1 weighted pivots, broadcast.
-func (w *worker) selectPivots(li int64) ([]record.Key, error) {
-	n, cfg := w.n, w.cfg
-	p, id := n.P(), n.ID()
-	if p == 1 {
-		return nil, nil
-	}
-	var samples []record.Key
-	if li > 0 {
-		spacing, _, serr := sampling.HeteroSpacing(id, li, cfg.Perf[id], p)
-		if serr != nil {
-			var spErr *sampling.SpacingError
-			if !errors.As(serr, &spErr) {
-				return nil, fmt.Errorf("strategy %s: %w", cfg.Strategy, serr)
-			}
-			// Portion too small for regular spacing: sample everything.
-			samples, serr = diskio.ReadFileAll(n.FS(), w.sortedName(), cfg.BlockKeys, n.Acct())
-			if serr != nil {
-				return nil, fmt.Errorf("strategy %s small-portion fallback (%v): %w", cfg.Strategy, spErr, serr)
-			}
-		} else {
-			f, err := n.FS().Open(w.sortedName())
-			if err != nil {
-				return nil, err
-			}
-			for _, idx := range sampling.RegularSampleIndices(li, spacing) {
-				k, err := diskio.ReadKeyAt(f, idx, n.Acct())
-				if err != nil {
-					f.Close()
-					return nil, err
-				}
-				samples = append(samples, k)
-			}
-			if err := f.Close(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	w.pstats.Rounds = 1
-	w.pstats.SampleKeys = int64(len(samples))
-	var pivots []record.Key
-	if w.treeColl() {
-		// Aggregate up the radix-r reduction tree: each inner node merges
-		// its children's sorted sample slices into one sorted slice before
-		// forwarding, so no node's fan-in exceeds r−1 and the root does
-		// O(s·log_r p) merge work instead of an O(s·log s) sort.  The
-		// candidate multiset reaching the root is exactly the flat
-		// gather's, and SelectPivotsRegular depends only on the multiset,
-		// so the pivots are bit-identical to the flat run's.
-		merged, err := n.TreeReduce(w.collRadix(), tagSamples, samples,
-			func(acc, child []record.Key) ([]record.Key, error) {
-				n.ChargeCompute(int64(len(acc) + len(child)))
-				return sampling.CombineSorted(acc, child), nil
-			})
-		if err != nil {
-			return nil, err
-		}
-		if id == 0 {
-			n.ChargeCompute(int64(len(merged)) * 16)
-			pivots, err = sampling.SelectPivotsRegular(merged, cfg.Perf)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return w.bcast(tagPivots, pivots)
-	}
-	gathered, err := n.Gather(0, tagSamples, samples)
-	if err != nil {
-		return nil, err
-	}
-	if id == 0 {
-		var cands []record.Key
-		for _, g := range gathered {
-			cands = append(cands, g...)
-		}
-		n.ChargeCompute(int64(len(cands)) * 16) // in-core sort of a small sample
-		pivots, err = sampling.SelectPivotsRegular(cands, cfg.Perf)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return n.Bcast(0, tagPivots, pivots)
+func (w *worker) sequentialSort() error {
+	_, err := polyphase.Sort(w.polyCfg("hetsort.s1."), w.input, sortedName)
+	return err
 }
 
 // partition implements step 3: one streaming pass over the sorted file,
 // splitting it into p contiguous segment files at the pivots.
-func (w *worker) partition(pivots []record.Key) ([]int64, error) {
-	n, cfg := w.n, w.cfg
+func (w *worker) partition() error {
+	n, cfg, pivots := w.n, w.cfg, w.pivots
 	p := n.P()
-	in, err := n.FS().Open(w.sortedName())
+	in, err := n.FS().Open(sortedName)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer in.Close()
 	r := diskio.NewBlockReader(in, cfg.BlockKeys, n.Acct(), w.overlap())
 	defer r.Release() // joins any prefetch goroutine before in closes
 
-	sizes := make([]int64, p)
 	seg := 0
 	outFile, err := n.FS().Create(w.segName(0))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	out := diskio.NewBlockWriter(outFile, cfg.BlockKeys, n.Acct(), w.overlap())
 	closeSeg := func() error {
@@ -992,7 +800,7 @@ func (w *worker) partition(pivots []record.Key) ([]int64, error) {
 	for {
 		cnt, err := diskio.ReadChunk(r, buf)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if cnt == 0 {
 			break
@@ -1000,62 +808,55 @@ func (w *worker) partition(pivots []record.Key) ([]int64, error) {
 		for _, k := range buf[:cnt] {
 			for seg < len(pivots) && k > pivots[seg] {
 				if err := closeSeg(); err != nil {
-					return nil, err
+					return err
 				}
 				seg++
 				outFile, err = n.FS().Create(w.segName(seg))
 				if err != nil {
-					return nil, err
+					return err
 				}
 				out = diskio.NewBlockWriter(outFile, cfg.BlockKeys, n.Acct(), w.overlap())
 			}
 			if err := out.WriteKey(k); err != nil {
-				return nil, err
+				return err
 			}
-			sizes[seg]++
 		}
 		n.ChargeCompute(int64(cnt)) // one comparison per key against the current pivot
 	}
 	if err := closeSeg(); err != nil {
-		return nil, err
+		return err
 	}
 	// Create the remaining (empty) segment files.
 	for s := seg + 1; s < p; s++ {
 		f, err := n.FS().Create(w.segName(s))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := f.Close(); err != nil {
-			return nil, err
-		}
-	}
-	if !w.cfg.KeepIntermediates && !w.cfg.Checkpoint {
-		// With checkpointing the sorted file survives until the segment
-		// files are durably committed (see run).
-		if err := n.FS().Remove(w.sortedName()); err != nil {
-			return nil, err
-		}
-	}
-	return sizes, nil
-}
-
-func (w *worker) segName(j int) string  { return fmt.Sprintf("hetsort.seg%d", j) }
-func (w *worker) recvName(i int) string { return fmt.Sprintf("hetsort.recv%d", i) }
-
-// finalMerge implements step 5: external merge of the final-round
-// inputs (the own bucket and the received files).
-func (w *worker) finalMerge(inputs []string) error {
-	if err := polyphase.MergeFiles(w.polyCfg("hetsort.s5."), inputs, w.output); err != nil {
-		return err
-	}
-	if !w.cfg.KeepIntermediates && !w.cfg.Checkpoint {
-		// With checkpointing the inputs survive until phase 5 commits
-		// (see run), so a crash during the merge can redo it.
-		for _, name := range inputs {
-			if err := w.n.FS().Remove(name); err != nil {
-				return err
-			}
+			return err
 		}
 	}
 	return nil
+}
+
+// The intermediates: step 1's sorted file, and the name prefixes of
+// step 3's segments and step 4's received files (round buckets: hier.go).
+const (
+	sortedName = "hetsort.sorted"
+	segPrefix  = "hetsort.seg"
+	recvPrefix = "hetsort.recv"
+)
+
+func (w *worker) segName(j int) string  { return fmt.Sprintf("%s%d", segPrefix, j) }
+func (w *worker) recvName(i int) string { return fmt.Sprintf("%s%d", recvPrefix, i) }
+
+// finalMerge implements step 5: external merge of the final-round
+// inputs (the own bucket and the received files) — unless the pipelined
+// step 4 already merged them in-stream, when this step's window only
+// holds the commit.
+func (w *worker) finalMerge() error {
+	if w.merged {
+		return nil
+	}
+	return polyphase.MergeFiles(w.polyCfg("hetsort.s5."), w.finalInputs(), w.output)
 }

@@ -383,18 +383,28 @@ func TestTransientReadFaultNeverLosesKeys(t *testing.T) {
 	}
 }
 
+// TestIntermediateFilesCleaned: a run leaves only its input and output
+// behind — also when the pipelined final round merged the node's own
+// bucket in-stream, which no step-5 merge then consumes and removes (a
+// fused run used to leak it).
 func TestIntermediateFilesCleaned(t *testing.T) {
-	v := perf.Homogeneous(2)
-	c := newCluster(t, v)
-	runSort(t, c, v, testConfig(v), record.Uniform, 8192, 29)
-	for i := 0; i < 2; i++ {
-		names, err := c.Node(i).FS().Names()
-		if err != nil {
-			t.Fatal(err)
+	v := perf.Homogeneous(4)
+	for _, fused := range []bool{false, true} {
+		c := newCluster(t, v)
+		cfg := testConfig(v)
+		if fused {
+			cfg.Pipeline, cfg.Topology, cfg.Radix = true, TopologyTree, 2
 		}
-		for _, name := range names {
-			if name != "input" && name != "output" {
-				t.Errorf("node %d leftover %q", i, name)
+		runSort(t, c, v, cfg, record.Uniform, 8192, 29)
+		for i := range v {
+			names, err := c.Node(i).FS().Names()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range names {
+				if name != "input" && name != "output" {
+					t.Errorf("fused=%v: node %d leftover %q", fused, i, name)
+				}
 			}
 		}
 	}

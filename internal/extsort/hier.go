@@ -1,15 +1,11 @@
 package extsort
 
 import (
-	"errors"
 	"fmt"
-	"os"
-	"strings"
 
 	"hetsort/internal/cluster"
 	"hetsort/internal/diskio"
 	"hetsort/internal/polyphase"
-	"hetsort/internal/record"
 	"hetsort/internal/trace"
 )
 
@@ -18,55 +14,7 @@ import (
 // shared link (per-link FIFO) without inter-round barriers.
 const tagRoundBase = 400
 
-// treeColl reports whether step 2's collectives and the inter-step
-// barriers run on the radix-r tree instead of Algorithm 1's star.
-func (w *worker) treeColl() bool {
-	return w.cfg.Topology != TopologyFlat && w.n.P() > 1
-}
-
-// collRadix is the fan-in of this run's collective tree.
-func (w *worker) collRadix() int {
-	return collectiveRadix(w.n.P(), w.cfg.Topology, w.cfg.Radix)
-}
-
-// The step-2 collectives and the inter-step barriers dispatch on the
-// topology: hierarchical runs route every collective through the
-// radix-r tree so no node's fan-in exceeds r−1, flat runs keep
-// Algorithm 1's star.  TreeGather delivers the root the exact per-rank
-// slices of the flat Gather, so the strategies built on these wrappers
-// produce bit-identical pivots on either topology.
-
-func (w *worker) barrier(tag int) error {
-	if w.treeColl() {
-		return w.n.TreeBarrier(w.collRadix(), tag)
-	}
-	return w.n.Barrier(tag)
-}
-
-func (w *worker) gather(tag int, keys []record.Key) ([][]record.Key, error) {
-	if w.treeColl() {
-		return w.n.TreeGather(w.collRadix(), tag, keys)
-	}
-	return w.n.Gather(0, tag, keys)
-}
-
-func (w *worker) bcast(tag int, keys []record.Key) ([]record.Key, error) {
-	if w.treeColl() {
-		return w.n.TreeBcast(w.collRadix(), tag, keys)
-	}
-	return w.n.Bcast(0, tag, keys)
-}
-
-func (w *worker) allGather(tag int, keys []record.Key) ([]record.Key, error) {
-	if w.treeColl() {
-		return w.n.TreeAllGather(w.collRadix(), tag, keys)
-	}
-	return w.n.AllGather(tag, keys)
-}
-
-// roundPrefix prefixes every intermediate bucket file, for the phase-5
-// sweep that clears stale intermediates a recovered run may have left
-// behind.
+// roundPrefix prefixes every intermediate bucket file (swept by cleanup).
 const roundPrefix = "hetsort.rt"
 
 // bucketName is the file holding this node's round-t bucket for
@@ -81,7 +29,7 @@ func (w *worker) bucketName(t, d int) string {
 
 // levels returns this run's refinement levels.
 func (w *worker) levels() []int {
-	return topoLevels(w.n.P(), w.cfg.Topology, w.cfg.Radix)
+	return topoLevels(w.n.P(), w.radix)
 }
 
 // finalInNeighbors returns the peers that stream to this node in the
@@ -91,10 +39,10 @@ func (w *worker) finalInNeighbors() []int {
 	return roundInNeighbors(w.n.ID(), lv[len(lv)-2], 1, w.n.P())
 }
 
-// finalInputs recomputes the final-merge input files — the node's own
-// last-round bucket plus one receive file per final-round in-neighbor —
-// without executing any round.  A resumed node that already committed
-// phase 4 uses this to locate the durable inputs its manifest listed.
+// finalInputs names the final-merge input files — the node's own
+// last-round bucket plus one receive file per final-round in-neighbor.
+// They follow from the routing alone, so a resumed node that already
+// committed phase 4 finds the durable inputs its manifest listed.
 func (w *worker) finalInputs() []string {
 	names := []string{w.bucketName(len(w.levels())-2, w.n.ID())}
 	for _, i := range w.finalInNeighbors() {
@@ -153,12 +101,30 @@ func (b *blockFile) Close() error {
 // phase 4 act as pure forwarders, re-routing the needy destinations'
 // data from their retained segment files — and both senders and
 // receivers apply the same needy filter, so only lost partitions flow.
-// Returns the final-merge input files and their key counts (for the
-// phase-4 manifest), and whether the output was already merged
-// in-stream (fused).
-func (w *worker) redistribute(needy []bool, fused bool) (inputs []string, counts []int64, merged bool, err error) {
+// Leaves in w.merged whether the output was already merged in-stream.
+func (w *worker) redistribute() error {
 	n := w.n
 	p, id := n.P(), n.ID()
+	// Needy nodes (phase 4 not committed) re-receive everything.
+	needy := make([]bool, p)
+	for j := range needy {
+		needy[j] = w.plan == nil || w.plan.Done[j] < 4
+	}
+	// With Pipeline, a needy node fuses step 5 into this step: the final
+	// round's streams are merged straight into the output file while the
+	// messages arrive.  The fused work (receive, merge compute, output
+	// writes) is all attributed to step 4's window; step 5 then only
+	// commits.  The fallback keeps the barrier path when the final
+	// round's fan-in — p at radix p, O(r) below — would not fit its
+	// message buffers in memory.
+	fused := w.cfg.Pipeline && needy[id]
+	if fused {
+		if nbrs := len(w.finalInNeighbors()); !w.cfg.fusedFits(nbrs) {
+			fused = false
+			n.TraceEvent(trace.Pipeline, "fallback",
+				fmt.Sprintf("fan-in %d x %d-key messages exceeds MemoryKeys=%d", nbrs+1, w.cfg.MessageKeys, w.cfg.MemoryKeys))
+		}
+	}
 	lv := w.levels()
 	T := len(lv) - 1
 	n.Metrics().Gauge("redist.rounds").Set(float64(T))
@@ -194,7 +160,7 @@ func (w *worker) redistribute(needy []bool, fused bool) (inputs []string, counts
 				k, serr := w.sendBucket(rep, tag, t, d)
 				if serr != nil {
 					endRound()
-					return nil, nil, false, serr
+					return serr
 				}
 				sent += k
 			}
@@ -217,28 +183,24 @@ func (w *worker) redistribute(needy []bool, fused bool) (inputs []string, counts
 			if !needy[d] {
 				continue
 			}
+			var err error
 			if sub > 1 {
 				err = w.advanceBucket(t, tag, d, nbrs)
 			} else {
 				// Final round: the destination is the node itself.
-				inputs, counts, err = w.landFinal(t, tag, nbrs, fused)
-				merged = fused && err == nil
+				err = w.landFinal(t, tag, nbrs, fused)
+				w.merged = fused && err == nil
 			}
 			if err != nil {
 				endRound()
-				return nil, nil, false, err
+				return err
 			}
 		}
 		n.Metrics().Gauge(fmt.Sprintf("redist.r%d.queue.hwm", t)).Set(float64(n.MaxInQueueHWM()))
 		endRound()
 	}
 	n.Metrics().Gauge("redist.fanin.streams").Set(float64(maxFan))
-	if !needy[id] {
-		// A forwarder's final-merge inputs are the durable files its
-		// earlier phase-4 manifest listed.
-		inputs = w.finalInputs()
-	}
-	return inputs, counts, merged, nil
+	return nil
 }
 
 // removeBucket applies the retention rules after a bucket was consumed
@@ -250,10 +212,7 @@ func (w *worker) removeBucket(t, d int) error {
 	if w.cfg.KeepIntermediates || (t == 0 && w.cfg.Checkpoint) {
 		return nil
 	}
-	if err := w.n.FS().Remove(w.bucketName(t, d)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-	return nil
+	return w.remove(w.bucketName(t, d))
 }
 
 // sendBucket streams this node's round-t bucket for destination d to
@@ -300,14 +259,14 @@ func (w *worker) sendBucket(to, tag, t, d int) (sent int64, err error) {
 
 // mergeBucket merges this node's round-t bucket for destination d with
 // the in-neighbors' streams into the file outName — own-bucket reader
-// and streams into one loser tree into one block writer — and returns
-// the key count each stream delivered.  With tee set, every stream is
-// also written to its hetsort.recv<i> file as it arrives.
-func (w *worker) mergeBucket(t, tag, d int, nbrs []int, outName string, tee bool) (counts []int64, err error) {
+// and streams into one loser tree into one block writer.  With tee set,
+// every stream is also written to its hetsort.recv<i> file as it
+// arrives.
+func (w *worker) mergeBucket(t, tag, d int, nbrs []int, outName string, tee bool) (err error) {
 	n := w.n
 	f, err := n.FS().Open(w.bucketName(t, d))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	r := diskio.NewBlockReader(f, w.cfg.BlockKeys, n.Acct(), w.overlap())
 	srcs := []polyphase.MergeSource{r}
@@ -332,7 +291,7 @@ func (w *worker) mergeBucket(t, tag, d int, nbrs []int, outName string, tee bool
 		if tee {
 			b, err := w.createBlockFile(w.recvName(nb))
 			if err != nil {
-				return nil, err
+				return err
 			}
 			tees = append(tees, b)
 			s.Tee = b.WriteKeys
@@ -340,20 +299,13 @@ func (w *worker) mergeBucket(t, tag, d int, nbrs []int, outName string, tee bool
 	}
 	out, err := w.createBlockFile(outName)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	err = polyphase.MergeOpt(srcs, n, out.WriteKeys, polyphase.MergeOptions{NoGallop: w.cfg.NoGalloping})
 	if cerr := out.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		return nil, err
-	}
-	counts = make([]int64, len(streams))
-	for i, s := range streams {
-		counts[i] = s.Received()
-	}
-	return counts, nil
+	return err
 }
 
 // advanceBucket turns this node's round-t bucket for destination d into
@@ -369,7 +321,7 @@ func (w *worker) advanceBucket(t, tag, d int, nbrs []int) error {
 		}
 		return w.n.FS().Rename(old, next)
 	}
-	if _, err := w.mergeBucket(t, tag, d, nbrs, next, false); err != nil {
+	if err := w.mergeBucket(t, tag, d, nbrs, next, false); err != nil {
 		return err
 	}
 	return w.removeBucket(t, d)
@@ -380,44 +332,32 @@ func (w *worker) advanceBucket(t, tag, d int, nbrs []int) error {
 // output file, teed to durable receive files when checkpointing so the
 // phase-4 manifest has its inputs; otherwise each stream spools to its
 // receive file and step 5 merges them with the own bucket, which stays
-// on disk either way.  Returns the final-merge inputs and their counts.
-func (w *worker) landFinal(t, tag int, nbrs []int, fused bool) (inputs []string, counts []int64, err error) {
+// on disk either way.
+func (w *worker) landFinal(t, tag int, nbrs []int, fused bool) error {
 	n := w.n
-	own := w.bucketName(t, n.ID())
-	ownKeys, err := diskio.CountKeys(n.FS(), own)
-	if err != nil {
-		return nil, nil, err
-	}
-	inputs, counts = []string{own}, []int64{ownKeys}
-	for _, nb := range nbrs {
-		inputs = append(inputs, w.recvName(nb))
-	}
 	if fused {
 		mode := "fused"
 		if w.cfg.Checkpoint {
 			mode = "spill"
 		}
 		n.TraceEvent(trace.Pipeline, mode, fmt.Sprintf("fan-in:%d msg:%d", len(nbrs)+1, w.cfg.MessageKeys))
-		got, err := w.mergeBucket(t, tag, n.ID(), nbrs, w.output, w.cfg.Checkpoint)
-		return inputs, append(counts, got...), err
+		return w.mergeBucket(t, tag, n.ID(), nbrs, w.output, w.cfg.Checkpoint)
 	}
 	for _, nb := range nbrs {
-		got, err := w.spool(nb, tag)
-		if err != nil {
-			return nil, nil, err
+		if err := w.spool(nb, tag); err != nil {
+			return err
 		}
-		counts = append(counts, got)
 	}
-	return inputs, counts, nil
+	return nil
 }
 
 // spool drains peer nb's stream into its receive file.  Keys from one
 // peer arrive sorted (every bucket is a slice of a sorted file), so the
-// receive file is sorted.  Returns the key count received.
-func (w *worker) spool(nb, tag int) (int64, error) {
+// receive file is sorted.
+func (w *worker) spool(nb, tag int) error {
 	b, err := w.createBlockFile(w.recvName(nb))
 	if err != nil {
-		return 0, err
+		return err
 	}
 	for {
 		keys, err := w.n.Recv(nb, tag)
@@ -427,28 +367,10 @@ func (w *worker) spool(nb, tag int) (int64, error) {
 		}
 		if err != nil {
 			b.Close()
-			return 0, err
+			return err
 		}
 		if len(keys) == 0 {
-			return b.KeysWritten(), b.Close()
+			return b.Close()
 		}
 	}
-}
-
-// cleanStaleRounds removes any leftover intermediate bucket files — a
-// crashed multi-round run can orphan rt files for destinations that
-// were no longer needy on the retry.  Swept once, after phase 5 commits.
-func (w *worker) cleanStaleRounds() error {
-	names, err := w.n.FS().Names()
-	if err != nil {
-		return err
-	}
-	for _, name := range names {
-		if strings.HasPrefix(name, roundPrefix) {
-			if err := w.n.FS().Remove(name); err != nil && !errors.Is(err, os.ErrNotExist) {
-				return err
-			}
-		}
-	}
-	return nil
 }

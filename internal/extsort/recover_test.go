@@ -2,6 +2,7 @@ package extsort
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -35,11 +36,60 @@ func totalIO(c *cluster.Cluster) int64 {
 	return io
 }
 
+// checkRecoveryEvents holds a resumed run's recovery trace against what
+// the step table owes for the commit levels the nodes resumed from (read
+// back from their "resume" events): every committed step is traced as
+// skipped, a node short of phase 2 adopts a peer's pivots when any peer
+// has them, and a node past phase 4 re-sends one retained segment to
+// every peer short of it — nothing else and nothing twice.  crashed died
+// having committed wantDone phases.
+func checkRecoveryEvents(t *testing.T, events []trace.Event, p, crashed, wantDone int) {
+	t.Helper()
+	done := make([]int, p)
+	got := map[string]int{}
+	most := 0
+	for _, e := range events {
+		if e.Kind != trace.Recovery {
+			continue
+		}
+		if e.Label == "resume" {
+			if _, err := fmt.Sscanf(e.Detail, "phases-done:%d", &done[e.Node]); err != nil {
+				t.Fatalf("resume event %q: %v", e.Detail, err)
+			}
+			most = max(most, done[e.Node])
+			continue
+		}
+		got[fmt.Sprintf("node %d: %s: %s", e.Node, e.Label, e.Detail)]++
+	}
+	if done[crashed] != wantDone {
+		t.Errorf("crashed node %d resumed from phase %d, want %d", crashed, done[crashed], wantDone)
+	}
+	want := map[string]int{}
+	for i, d := range done {
+		for s := 0; s < d; s++ {
+			want[fmt.Sprintf("node %d: %s: skipped (already committed)", i, StepNames[s])]++
+		}
+		if d < 2 && most >= 2 {
+			want[fmt.Sprintf("node %d: %s: pivots adopted from a peer's manifest", i, StepNames[1])]++
+		}
+		for j, dj := range done {
+			if d >= 4 && dj < 4 && j != i {
+				want[fmt.Sprintf("node %d: resend: hetsort.seg%d for node %d -> node %d", i, j, j, j)]++
+			}
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("recovery events for commit levels %v:\n got %v\nwant %v", done, got, want)
+	}
+}
+
 // TestCrashAtEveryPhaseResumesIdentically is the acceptance property of
-// the checkpoint subsystem: kill a node at any of the five phase
-// boundaries — just before its commit, or just after it (mixed-phase
-// cluster state) — and the resumed run must produce output identical to
-// an uninterrupted run of the same configuration and seed.
+// the checkpoint subsystem, driven over the step table: kill a node at
+// any of the five phase boundaries — just before its commit, or just
+// after it (mixed-phase cluster state) — and the resumed run must
+// produce output identical to an uninterrupted run of the same
+// configuration and seed, tracing exactly the recovery its commit levels
+// call for.
 func TestCrashAtEveryPhaseResumesIdentically(t *testing.T) {
 	v := perf.Vector{1, 1, 4, 4}
 	n := v.NearestValidSize(1 << 14)
@@ -60,18 +110,21 @@ func TestCrashAtEveryPhaseResumesIdentically(t *testing.T) {
 	}
 	want := collectOutput(t, refC, base.BlockKeys)
 
-	var points []string
+	points := []string{"committed:start"} // right after the phase-0 manifest
 	for _, s := range StepNames {
 		points = append(points, s)              // after the phase's work, before its commit
 		points = append(points, "committed:"+s) // after the commit, before the barrier
 	}
-	points = append(points, "committed:start") // right after the phase-0 manifest
 
 	for pi, point := range points {
 		point := point
 		crashNode := pi % len(v)
 		t.Run(point, func(t *testing.T) {
-			c := newCluster(t, v)
+			tl := new(trace.Log)
+			c, err := cluster.New(cluster.Config{Slowdowns: v.Slowdowns(), BlockKeys: 64, Trace: tl})
+			if err != nil {
+				t.Fatal(err)
+			}
 			sum, err := DistributeInput(c, v, record.Uniform, n, seed, base.BlockKeys, "input")
 			if err != nil {
 				t.Fatal(err)
@@ -123,6 +176,8 @@ func TestCrashAtEveryPhaseResumesIdentically(t *testing.T) {
 			if res.Time <= 0 {
 				t.Errorf("resumed run reports no virtual time")
 			}
+			// points[pi] is reached with pi/2 phases committed.
+			checkRecoveryEvents(t, tl.Events(), len(v), crashNode, pi/2)
 		})
 	}
 }

@@ -1,12 +1,15 @@
 package extsort
 
 import (
+	"errors"
 	"fmt"
 
 	"hetsort/internal/diskio"
+	"hetsort/internal/histsort"
 	"hetsort/internal/quantile"
 	"hetsort/internal/record"
 	"hetsort/internal/sampling"
+	"hetsort/internal/trace"
 )
 
 // Strategy selects how step 2 chooses the partitioning pivots.  The
@@ -65,21 +68,190 @@ func (s Strategy) String() string {
 	}
 }
 
-// sampleRandom reads `count` keys at distinct random positions of the
-// node's sorted file (charging a seek + block read each, like the
-// regular sampler).
-func (w *worker) sampleRandom(li int64, count int, seed int64) ([]record.Key, error) {
+// pivotSelector is a pivot strategy's part of step 2.  Step 2 has one
+// shape, on every topology: rounds of reduce-then-broadcast over the
+// run's collective tree.  Every node contributes keys derived from its
+// sorted file, the contributions combine pairwise up the tree into node
+// 0, node 0 decides, and the decision is broadcast — the next round's
+// input, or after the last round the p−1 pivots.  At radix ≥ p the tree
+// is Algorithm 1's star, message for message.
+//
+// combine is charged by one rule at every radix: concatenating key
+// samples is free (decide sorts them anyway, and a sorted pairwise merge
+// would cost the radix-p root O(p·S)), merging two sketches costs 8 ops
+// per tuple, adding two count vectors one op per counter.
+type pivotSelector struct {
+	// rounds is the number of reduce-then-broadcast rounds.  Zero means
+	// the strategy iterates until node 0 broadcasts nothing, and node 0
+	// then broadcasts what decide returns for the empty reduction.
+	rounds int
+	// contribute returns what this node sends up in the given round;
+	// down is the previous round's broadcast (nil in round 0).
+	contribute func(round int, down []record.Key) ([]record.Key, error)
+	combine    func(round int, acc, child []record.Key) ([]record.Key, error)
+	// decide runs on node 0 only, on the round's combined contributions.
+	decide func(round int, agg []record.Key) ([]record.Key, error)
+}
+
+// pivotSelection implements step 2.  When resuming after any node
+// committed phase 2, the pivots were already selected and broadcast (the
+// collective completed), so every node adopts the manifest copy without
+// a re-gather; otherwise all nodes run the strategy's rounds.
+func (w *worker) pivotSelection() error {
 	n := w.n
+	if w.plan != nil && w.plan.Pivots != nil {
+		n.TraceEvent(trace.Recovery, StepNames[1], "pivots adopted from a peer's manifest")
+		return nil
+	}
+	li, err := diskio.CountKeys(n.FS(), sortedName)
+	if err != nil || n.P() == 1 {
+		return err
+	}
+	sel, err := w.selector(li)
+	if err != nil {
+		return err
+	}
+	// announce is a round's second half: node 0 decides, everyone learns.
+	announce := func(round int, agg []record.Key) (down []record.Key, err error) {
+		if n.ID() == 0 {
+			if down, err = sel.decide(round, agg); err != nil {
+				return nil, err
+			}
+		}
+		return n.TreeBcast(w.radix, tagPivots, down)
+	}
+	var down []record.Key
+	for round := 0; ; round++ {
+		up, err := sel.contribute(round, down)
+		if err != nil {
+			return fmt.Errorf("strategy %s round %d: %w", w.cfg.Strategy, round, err)
+		}
+		agg, err := n.TreeReduce(w.radix, tagSamples, up, func(acc, child []record.Key) ([]record.Key, error) {
+			return sel.combine(round, acc, child)
+		})
+		if err != nil {
+			return err
+		}
+		if down, err = announce(round, agg); err != nil {
+			return err
+		}
+		if len(down) > 0 {
+			w.pivotRounds++
+		}
+		if round+1 == sel.rounds {
+			break
+		}
+		if sel.rounds == 0 && len(down) == 0 {
+			// Converged: the pivots follow the empty candidate broadcast.
+			if down, err = announce(round+1, nil); err != nil {
+				return err
+			}
+			break
+		}
+	}
+	w.pivots = down
+	return nil
+}
+
+// selector builds the configured strategy's selector for this node,
+// whose sorted file holds li keys.
+func (w *worker) selector(li int64) (pivotSelector, error) {
+	n, cfg := w.n, w.cfg
+	p, id := n.P(), n.ID()
+	switch cfg.Strategy {
+	case RegularSampling:
+		return w.sampled(func() ([]record.Key, error) { return w.sampleRegular(li) },
+			func(c []record.Key) ([]record.Key, error) { return sampling.SelectPivotsRegular(c, cfg.Perf) }), nil
+	case RandomPivots:
+		// Perf-proportional random samples; node 0 picks the weighted
+		// pivots from them without any regular-position structure.
+		return w.sampled(func() ([]record.Key, error) { return w.sampleRandom(li, (p-1)*cfg.Perf[id], cfg.Seed+int64(id)*101) },
+			func(c []record.Key) ([]record.Key, error) { return sampling.SelectPivotsWeighted(c, cfg.Perf) }), nil
+	case Overpartitioning:
+		return w.overpartition(li), nil
+	case QuantileSketch:
+		return w.sketched(li)
+	case Histogram:
+		return w.histogram(li), nil
+	}
+	return pivotSelector{}, fmt.Errorf("unknown strategy %d", cfg.Strategy)
+}
+
+// concat is the combine of key samples; addCounts that of count vectors
+// (exact 64-bit addition, associative and commutative, so the totals are
+// the same at every radix).
+func (w *worker) concat(_ int, acc, child []record.Key) ([]record.Key, error) {
+	return append(acc, child...), nil
+}
+
+func (w *worker) addCounts(_ int, acc, child []record.Key) ([]record.Key, error) {
+	w.n.ChargeCompute(int64(len(acc)) / 2) // a counter is two keys on the wire
+	return histsort.AddCounts(acc, child), nil
+}
+
+// sampled is a one-shot sampling strategy: every node contributes keys
+// sampled from its sorted file, node 0 sorts the lot in core and picks
+// the pivots.  The candidates reach node 0 in rank order at every radix,
+// and the pickers depend only on the multiset anyway.
+func (w *worker) sampled(sample func() ([]record.Key, error), pick func([]record.Key) ([]record.Key, error)) pivotSelector {
+	return pivotSelector{
+		rounds: 1,
+		contribute: func(int, []record.Key) ([]record.Key, error) {
+			samples, err := sample()
+			w.sampleKeys += int64(len(samples))
+			return samples, err
+		},
+		combine: w.concat,
+		decide: func(_ int, cands []record.Key) ([]record.Key, error) {
+			w.n.ChargeCompute(int64(len(cands)) * 16) // in-core sort of a small sample
+			return pick(cands)
+		},
+	}
+}
+
+// sampleRegular is Algorithm 1's sampler: the sorted file read at
+// regular positions, perf-proportional count.
+func (w *worker) sampleRegular(li int64) ([]record.Key, error) {
+	n, cfg := w.n, w.cfg
+	if li <= 0 {
+		return nil, nil
+	}
+	spacing, _, err := sampling.HeteroSpacing(n.ID(), li, cfg.Perf[n.ID()], n.P())
+	if err != nil {
+		var spErr *sampling.SpacingError
+		if !errors.As(err, &spErr) {
+			return nil, err
+		}
+		// Portion too small for regular spacing: sample everything.
+		samples, err := diskio.ReadFileAll(n.FS(), sortedName, cfg.BlockKeys, n.Acct())
+		if err != nil {
+			return nil, fmt.Errorf("small-portion fallback (%v): %w", spErr, err)
+		}
+		return samples, nil
+	}
+	return w.readKeysAt(sampling.RegularSampleIndices(li, spacing))
+}
+
+// sampleRandom reads `count` keys at distinct random positions of the
+// node's sorted file.
+func (w *worker) sampleRandom(li int64, count int, seed int64) ([]record.Key, error) {
 	if li <= 0 || count <= 0 {
 		return nil, nil
 	}
-	f, err := n.FS().Open(w.sortedName())
+	return w.readKeysAt(sampling.RandomSampleIndices(li, count, seed))
+}
+
+// readKeysAt reads the sorted file at the given key indices, charging a
+// seek + block read each.
+func (w *worker) readKeysAt(indices []int64) ([]record.Key, error) {
+	n := w.n
+	f, err := n.FS().Open(sortedName)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	var out []record.Key
-	for _, idx := range sampling.RandomSampleIndices(li, count, seed) {
+	out := make([]record.Key, 0, len(indices))
+	for _, idx := range indices {
 		k, err := diskio.ReadKeyAt(f, idx, n.Acct())
 		if err != nil {
 			return nil, err
@@ -89,272 +261,132 @@ func (w *worker) sampleRandom(li int64, count int, seed int64) ([]record.Key, er
 	return out, nil
 }
 
-// selectPivotsRandom implements the RandomPivots strategy: each node
-// contributes perf-proportional random samples; node 0 picks the p-1
-// weighted pivots from them without any regular-position structure.
-func (w *worker) selectPivotsRandom(li int64) ([]record.Key, error) {
+// overpartition is the Overpartitioning strategy for the external
+// sorter.  Round 0 is a sampling round whose decision is k*p-1 fine
+// pivots defining k*p sublists; round 1 agrees on the global sublist
+// sizes (one scan of the sorted file each, sizes added up the tree) and
+// node 0 assigns consecutive sublists to processors weighted by perf.
+// The p-1 "processor pivots" it broadcasts are the fine pivots at the
+// assignment cuts, which keeps steps 3-5 identical across strategies.
+func (w *worker) overpartition(li int64) pivotSelector {
 	n, cfg := w.n, w.cfg
 	p, id := n.P(), n.ID()
-	if p == 1 {
-		return nil, nil
-	}
-	count := (p - 1) * cfg.Perf[id]
-	samples, err := w.sampleRandom(li, count, cfg.Seed+int64(id)*101)
-	if err != nil {
-		return nil, err
-	}
-	w.pstats.Rounds = 1
-	w.pstats.SampleKeys = int64(len(samples))
-	// TreeGather presents the root the same per-rank slices as the flat
-	// gather, so the hierarchical dispatch changes no pivot byte.
-	gathered, err := w.gather(tagSamples, samples)
-	if err != nil {
-		return nil, err
-	}
-	var pivots []record.Key
-	if id == 0 {
-		var cands []record.Key
-		for _, g := range gathered {
-			cands = append(cands, g...)
-		}
-		n.ChargeCompute(int64(len(cands)) * 16)
-		pivots, err = sampling.SelectPivotsWeighted(cands, cfg.Perf)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return w.bcast(tagPivots, pivots)
-}
-
-// selectPivotsOver implements the Overpartitioning strategy for the
-// external sorter: k*p-1 pivots define k*p sublists; all nodes agree on
-// a consecutive-range assignment of sublists to processors weighted by
-// perf, and the returned p-1 "processor pivots" are the sublist
-// boundaries at the assignment cuts.  Converting the assignment back to
-// p-1 pivots keeps steps 3-5 identical across strategies.
-func (w *worker) selectPivotsOver(li int64) ([]record.Key, error) {
-	n, cfg := w.n, w.cfg
-	p, id := n.P(), n.ID()
-	if p == 1 {
-		return nil, nil
-	}
 	k := cfg.OverFactor
 	if k <= 0 {
 		k = 4
 	}
-	count := k * p * cfg.Perf[id]
-	samples, err := w.sampleRandom(li, count, cfg.Seed+int64(id)*211)
-	if err != nil {
-		return nil, err
-	}
-	w.pstats.Rounds = 1
-	w.pstats.SampleKeys = int64(len(samples))
-	gathered, err := w.gather(tagSamples, samples)
-	if err != nil {
-		return nil, err
-	}
-	// Node 0 selects the fine pivots.
+	sel := w.sampled(func() ([]record.Key, error) { return w.sampleRandom(li, k*p*cfg.Perf[id], cfg.Seed+int64(id)*211) },
+		func(c []record.Key) ([]record.Key, error) { return sampling.OverpartitionPivots(c, p, k) })
+	sample, pickFine := sel.contribute, sel.decide
 	var fine []record.Key
-	if id == 0 {
-		var cands []record.Key
-		for _, g := range gathered {
-			cands = append(cands, g...)
+	sel.rounds = 2
+	sel.contribute = func(round int, down []record.Key) ([]record.Key, error) {
+		if round == 0 {
+			return sample(round, down)
 		}
-		n.ChargeCompute(int64(len(cands)) * 16)
-		fine, err = sampling.OverpartitionPivots(cands, p, k)
+		fine = down
+		sizes, err := w.countSublists(fine)
+		w.sampleKeys += int64(len(sizes))
+		return histsort.EncodeCounts(sizes), err
+	}
+	sel.combine = func(round int, acc, child []record.Key) ([]record.Key, error) {
+		if round == 0 {
+			return w.concat(round, acc, child)
+		}
+		return w.addCounts(round, acc, child)
+	}
+	sel.decide = func(round int, agg []record.Key) ([]record.Key, error) {
+		if round == 0 {
+			return pickFine(round, agg)
+		}
+		assign, err := sampling.AssignSublists(histsort.DecodeCounts(agg), cfg.Perf)
 		if err != nil {
 			return nil, err
 		}
-	}
-	fine, err = w.bcast(tagPivots, fine)
-	if err != nil {
-		return nil, err
-	}
-
-	// Every node counts its local sublist sizes with one scan of the
-	// sorted file, then the global sizes are agreed via AllGather.
-	sizes, err := w.countSublists(fine)
-	if err != nil {
-		return nil, err
-	}
-	sizeKeys, err := keysFromCounts(sizes)
-	if err != nil {
-		return nil, err
-	}
-	w.pstats.SampleKeys += int64(len(sizeKeys))
-	all, err := w.allGather(tagOverSizes, sizeKeys)
-	if err != nil {
-		return nil, err
-	}
-	global := make([]int64, len(sizes))
-	for i := range all {
-		global[i%len(sizes)] += int64(all[i])
-	}
-	assign, err := sampling.AssignSublists(global, cfg.Perf)
-	if err != nil {
-		return nil, err
-	}
-	// The processor pivots are the fine pivots at the assignment cuts.
-	pivots := make([]record.Key, p-1)
-	cut := 0
-	for proc := 0; proc < p-1; proc++ {
-		cut += len(assign[proc])
-		if cut-1 < len(fine) {
-			pivots[proc] = fine[cut-1]
-		} else {
-			pivots[proc] = ^record.Key(0)
+		pivots := make([]record.Key, p-1)
+		cut := 0
+		for proc := range pivots {
+			cut += len(assign[proc])
+			if cut-1 < len(fine) {
+				pivots[proc] = fine[cut-1]
+			} else {
+				pivots[proc] = ^record.Key(0)
+			}
 		}
+		return pivots, nil
 	}
-	return pivots, nil
+	return sel
 }
 
-// selectPivotsQuantile implements the QuantileSketch strategy: stream
-// the sorted file through an ε-sketch, gather the compressed sketches
-// on node 0 as (values, weights) pairs, merge, and answer the pivot
-// quantiles from the merged sketch.
-func (w *worker) selectPivotsQuantile(li int64) ([]record.Key, error) {
+// sketched is the QuantileSketch strategy: stream the sorted file
+// through an ε-sketch, merge the sketches pairwise up the tree — each
+// inner node folds its children's summaries into its own and forwards
+// one ε-sketch — and answer the pivot quantiles from node 0's merged
+// sketch.  GK merging is order-sensitive, so the pivots depend on the
+// radix: the topology is an outcome parameter for this strategy (every
+// partitioning satisfies the sketch error bound, and the global sorted
+// output is identical either way).
+func (w *worker) sketched(li int64) (pivotSelector, error) {
 	n, cfg := w.n, w.cfg
-	p, id := n.P(), n.ID()
-	if p == 1 {
-		return nil, nil
-	}
 	eps := cfg.QuantileEps
 	if eps <= 0 {
 		eps = 0.01
 	}
 	sk, err := quantile.New(eps)
 	if err != nil {
-		return nil, err
+		return pivotSelector{}, err
 	}
-	if li > 0 {
-		f, err := n.FS().Open(w.sortedName())
-		if err != nil {
-			return nil, err
-		}
-		r := diskio.NewReader(f, cfg.BlockKeys, n.Acct())
-		buf := make([]record.Key, cfg.BlockKeys)
-		for {
-			cnt, err := diskio.ReadChunk(r, buf)
+	return pivotSelector{
+		rounds: 1,
+		contribute: func(int, []record.Key) ([]record.Key, error) {
+			if li > 0 {
+				err := w.scanSorted(func(keys []record.Key) { sk.InsertAll(keys) })
+				if err != nil {
+					return nil, err
+				}
+			}
+			w.sampleKeys += 2 * int64(sk.TupleCount())
+			return encodeSketch(sk)
+		},
+		combine: func(_ int, acc, child []record.Key) ([]record.Key, error) {
+			sa, err := decodeSketch(eps, acc)
 			if err != nil {
-				f.Close()
 				return nil, err
 			}
-			if cnt == 0 {
-				break
+			sc, err := decodeSketch(eps, child)
+			if err != nil {
+				return nil, err
 			}
-			sk.InsertAll(buf[:cnt])
-			n.ChargeCompute(int64(cnt))
-		}
-		if err := f.Close(); err != nil {
-			return nil, err
-		}
-	}
-	vals, weights := sk.Export()
-	w.pstats.Rounds = 1
-	w.pstats.SampleKeys = 2 * int64(len(vals))
-	if w.treeColl() {
-		// Sketches combine pairwise up the reduction tree: each inner
-		// node merges its children's summaries into its own and forwards
-		// one ε-sketch, so the root receives O(r) sketches instead of p.
-		// GK merging is order-sensitive, so the pivots can differ from
-		// the flat run's — the topology is an outcome parameter for this
-		// strategy (both partitionings satisfy the sketch error bound,
-		// and the global sorted output is identical either way).
-		enc, err := encodeSketch(vals, weights)
-		if err != nil {
-			return nil, err
-		}
-		agg, err := n.TreeReduce(w.collRadix(), tagSamples, enc,
-			func(acc, child []record.Key) ([]record.Key, error) {
-				av, aw := decodeSketch(acc)
-				cv, cw := decodeSketch(child)
-				sa, err := quantile.FromExport(eps, av, aw)
-				if err != nil {
-					return nil, err
-				}
-				sc, err := quantile.FromExport(eps, cv, cw)
-				if err != nil {
-					return nil, err
-				}
-				n.ChargeCompute(int64(sa.TupleCount()+sc.TupleCount()) * 8)
-				sa.Merge(sc)
-				mv, mw := sa.Export()
-				return encodeSketch(mv, mw)
-			})
-		if err != nil {
-			return nil, err
-		}
-		var pivots []record.Key
-		if id == 0 {
-			rv, rw := decodeSketch(agg)
-			merged, err := quantile.FromExport(eps, rv, rw)
+			n.ChargeCompute(int64(sa.TupleCount()+sc.TupleCount()) * 8)
+			sa.Merge(sc)
+			return encodeSketch(sa)
+		},
+		decide: func(_ int, agg []record.Key) ([]record.Key, error) {
+			merged, err := decodeSketch(eps, agg)
 			if err != nil {
 				return nil, err
 			}
 			n.ChargeCompute(int64(merged.TupleCount()) * 8)
-			pivots = w.quantilePivots(merged)
-		}
-		return w.bcast(tagPivots, pivots)
-	}
-	wk, err := quantile.WeightsToKeys(weights)
-	if err != nil {
-		return nil, err
-	}
-	gv, err := n.Gather(0, tagSamples, vals)
-	if err != nil {
-		return nil, err
-	}
-	gw, err := n.Gather(0, tagOverSizes, wk)
-	if err != nil {
-		return nil, err
-	}
-	var pivots []record.Key
-	if id == 0 {
-		merged, err := quantile.New(eps)
-		if err != nil {
-			return nil, err
-		}
-		for i := range gv {
-			ws := make([]int64, len(gw[i]))
-			for j, wt := range gw[i] {
-				ws[j] = int64(wt)
+			// The p-1 perf-weighted pivot quantiles.
+			pivots := make([]record.Key, n.P()-1)
+			var cum int64
+			sum := float64(cfg.Perf.Sum())
+			for j := range pivots {
+				cum += int64(cfg.Perf[j])
+				// An empty global input answers no query: zero pivots are valid.
+				pivots[j], _ = merged.Query(float64(cum) / sum)
 			}
-			s, err := quantile.FromExport(eps, gv[i], ws)
-			if err != nil {
-				return nil, fmt.Errorf("node %d sketch: %w", i, err)
-			}
-			merged.Merge(s)
-		}
-		n.ChargeCompute(int64(merged.TupleCount()) * 8)
-		pivots = w.quantilePivots(merged)
-	}
-	return n.Bcast(0, tagPivots, pivots)
+			return pivots, nil
+		},
+	}, nil
 }
 
-// quantilePivots answers the p-1 perf-weighted pivot quantiles from the
-// merged sketch.
-func (w *worker) quantilePivots(merged *quantile.Summary) []record.Key {
-	p := w.n.P()
-	sum := w.cfg.Perf.Sum()
-	pivots := make([]record.Key, p-1)
-	var cum int64
-	for j := 0; j < p-1; j++ {
-		cum += int64(w.cfg.Perf[j])
-		pv, qerr := merged.Query(float64(cum) / float64(sum))
-		if qerr != nil {
-			// Empty global input: zero pivots are valid.
-			pv = 0
-		}
-		pivots[j] = pv
-	}
-	return pivots
-}
-
-// encodeSketch flattens a sketch export into one key slice for the
-// reduction tree — (value, weight) pairs interleaved.  Weights normally
-// fit a Key because they never exceed the (32-bit-keyed) dataset size,
-// but a wider weight is surfaced as an error rather than truncated.
-func encodeSketch(vals []record.Key, weights []int64) ([]record.Key, error) {
+// encodeSketch flattens a sketch into one key slice for the reduction
+// tree — (value, weight) pairs interleaved.  Weights normally fit a Key
+// because they never exceed the (32-bit-keyed) dataset size, but a wider
+// weight is surfaced as an error rather than truncated.
+func encodeSketch(sk *quantile.Summary) ([]record.Key, error) {
+	vals, weights := sk.Export()
 	wk, err := quantile.WeightsToKeys(weights)
 	if err != nil {
 		return nil, err
@@ -366,56 +398,123 @@ func encodeSketch(vals []record.Key, weights []int64) ([]record.Key, error) {
 	return out, nil
 }
 
-// keysFromCounts converts sublist-size counters to wire keys for the
-// size agreement, surfacing 32-bit overflow instead of wrapping.
-func keysFromCounts(counts []int64) ([]record.Key, error) {
-	out := make([]record.Key, len(counts))
-	for i, c := range counts {
-		if c < 0 || c > int64(^record.Key(0)) {
-			return nil, fmt.Errorf("sublist size %d overflows the 32-bit wire format", c)
-		}
-		out[i] = record.Key(c)
-	}
-	return out, nil
-}
-
-func decodeSketch(enc []record.Key) ([]record.Key, []int64) {
+func decodeSketch(eps float64, enc []record.Key) (*quantile.Summary, error) {
 	vals := make([]record.Key, 0, len(enc)/2)
 	weights := make([]int64, 0, len(enc)/2)
 	for i := 0; i+1 < len(enc); i += 2 {
 		vals = append(vals, enc[i])
 		weights = append(weights, int64(enc[i+1]))
 	}
-	return vals, weights
+	return quantile.FromExport(eps, vals, weights)
+}
+
+// histogram is the Histogram strategy: iterative splitter refinement
+// (Histogram Sort with Sampling).  Round 0 agrees on the global key
+// count so node 0 can set the rank targets of its histsort.Refiner; in
+// every later round node 0's candidate splitters come down, every node
+// histograms its sorted file against them in one scan (the counting
+// charged to compute, the scan to the PDM counters), the per-candidate
+// global ranks add up the tree, and the refinement narrows until every
+// pivot's rank is within the tolerance of its heterogeneous perf-share
+// target.  Per-link traffic is O(p) encoded counters per round and no
+// node's fan-in exceeds the radix, so the strategy holds up at p=1024
+// where a flat sample gather's O(p²) keys collapse.
+func (w *worker) histogram(li int64) pivotSelector {
+	cfg, p := w.cfg, w.n.P()
+	var ref *histsort.Refiner // node 0 only
+	var cands []record.Key
+	return pivotSelector{
+		contribute: func(round int, down []record.Key) ([]record.Key, error) {
+			if round == 0 {
+				return histsort.EncodeCounts([]int64{li}), nil
+			}
+			// One scan of the sorted file: the sublist sizes' prefix sums
+			// are exactly the local ranks rank(c_j) = |{k : k <= c_j}|.
+			sizes, err := w.countSublists(down)
+			if err != nil {
+				return nil, err
+			}
+			ranks := sizes[:len(down)]
+			for j := 1; j < len(ranks); j++ {
+				ranks[j] += ranks[j-1]
+			}
+			return histsort.EncodeCounts(ranks), nil
+		},
+		combine: w.addCounts,
+		decide: func(_ int, agg []record.Key) (_ []record.Key, err error) {
+			switch {
+			case ref == nil:
+				total := histsort.DecodeCounts(agg)[0]
+				shares := cfg.Perf.Shares(total)
+				minShare := shares[0]
+				targets := make([]int64, p-1)
+				var cum int64
+				for i, s := range shares {
+					if s < minShare {
+						minShare = s
+					}
+					if i < p-1 {
+						cum += s
+						targets[i] = cum
+					}
+				}
+				tol := int64(cfg.HistTolerance * float64(minShare))
+				if tol < 1 {
+					tol = 1
+				}
+				ref, err = histsort.NewRefiner(histsort.Config{Targets: targets, Total: total, Tolerance: tol})
+			case len(cands) == 0: // converged last round: these are the pivots
+				return ref.Pivots(), nil
+			default:
+				err = ref.Observe(cands, histsort.DecodeCounts(agg))
+			}
+			if err != nil {
+				return nil, err
+			}
+			// The candidates are the only key-valued samples this
+			// strategy ships; count them once, at the source.
+			cands = ref.Candidates()
+			w.sampleKeys += int64(len(cands))
+			return cands, nil
+		},
+	}
+}
+
+// scanSorted streams the node's sorted file through visit, one block at
+// a time, charging one comparison per key.
+func (w *worker) scanSorted(visit func([]record.Key)) error {
+	n, cfg := w.n, w.cfg
+	f, err := n.FS().Open(sortedName)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	r := diskio.NewReader(f, cfg.BlockKeys, n.Acct())
+	buf := make([]record.Key, cfg.BlockKeys)
+	for {
+		cnt, err := diskio.ReadChunk(r, buf)
+		if err != nil || cnt == 0 {
+			return err
+		}
+		visit(buf[:cnt])
+		n.ChargeCompute(int64(cnt))
+	}
 }
 
 // countSublists scans the sorted file once and counts how many keys
 // fall in each of the len(fine)+1 sublists.
 func (w *worker) countSublists(fine []record.Key) ([]int64, error) {
-	n, cfg := w.n, w.cfg
-	f, err := n.FS().Open(w.sortedName())
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	r := diskio.NewReader(f, cfg.BlockKeys, n.Acct())
 	sizes := make([]int64, len(fine)+1)
 	seg := 0
-	buf := make([]record.Key, cfg.BlockKeys)
-	for {
-		cnt, err := diskio.ReadChunk(r, buf)
-		if err != nil {
-			return nil, err
-		}
-		if cnt == 0 {
-			return sizes, nil
-		}
-		for _, key := range buf[:cnt] {
-			for seg < len(fine) && key > fine[seg] {
-				seg++
+	err := w.scanSorted(func(keys []record.Key) {
+		s := seg // a register for the hot loop; seg itself lives in the closure
+		for _, key := range keys {
+			for s < len(fine) && key > fine[s] {
+				s++
 			}
-			sizes[seg]++
+			sizes[s]++
 		}
-		n.ChargeCompute(int64(cnt))
-	}
+		seg = s
+	})
+	return sizes, err
 }

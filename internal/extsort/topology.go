@@ -63,52 +63,37 @@ func ParseTopology(s string) (Topology, error) {
 	return TopologyFlat, fmt.Errorf("extsort: unknown topology %q (want flat, tree or grid)", s)
 }
 
-// gridRadix is the block fan-out of the grid topology: ⌈√p⌉.
-func gridRadix(p int) int {
-	g := int(math.Ceil(math.Sqrt(float64(p))))
-	if g < 2 {
-		g = 2
-	}
-	return g
-}
-
-// collectiveRadix is the fan-in of the step-2 reduction tree: the
-// configured radix for trees, ⌈√p⌉ for grids (matching the grid's
-// 2-level block structure).
-func collectiveRadix(p int, topo Topology, radix int) int {
-	if topo == TopologyGrid {
-		return gridRadix(p)
+// resolveRadix turns the topology into the one fan-in r the whole run
+// uses — the collective tree of step 2 and the barriers, the
+// redistribution levels, the link sizing: p for flat (a star is the
+// radix-p tree), ⌈√p⌉ for the grid, the configured Radix for a tree.
+func resolveRadix(p int, topo Topology, radix int) int {
+	switch topo {
+	case TopologyFlat:
+		radix = p
+	case TopologyGrid:
+		radix = int(math.Ceil(math.Sqrt(float64(p))))
 	}
 	if radix < 2 {
-		return 2
+		radix = 2
 	}
 	return radix
 }
 
 // topoLevels returns the strictly decreasing block sizes the
-// redistribution refines through: levels[0] = p, levels[len-1] = 1,
-// and round t refines blocks of levels[t] ranks into sub-blocks of
-// levels[t+1].  A single node still gets one (empty) round, {1, 1}, so
-// the engine needs no p=1 case.  Every inner level is a power of the
-// radix (p for the flat topology, hence its single round; ⌈√p⌉ for the
-// grid), so the levels are *nested*: a rank's level-(t+1) block
-// boundary is always also a level-t boundary (blocks align at absolute
-// multiples of their size, the last block of each level ragged), which
-// the round invariant — every node of dest's current block holds a
-// bucket for dest — depends on.
-func topoLevels(p int, topo Topology, radix int) []int {
+// redistribution refines through at radix r: levels[0] = p,
+// levels[len-1] = 1, and round t refines blocks of levels[t] ranks into
+// sub-blocks of levels[t+1].  A single node still gets one (empty)
+// round, {1, 1}, so the engine needs no p=1 case.  Every inner level is
+// a power of the radix (so r ≥ p gives the single round {p, 1}), hence
+// the levels are *nested*: a rank's level-(t+1) block boundary is always
+// also a level-t boundary (blocks align at absolute multiples of their
+// size, the last block of each level ragged), which the round invariant
+// — every node of dest's current block holds a bucket for dest —
+// depends on.
+func topoLevels(p, r int) []int {
 	if p <= 1 {
 		return []int{1, 1}
-	}
-	r := radix
-	switch topo {
-	case TopologyFlat:
-		r = p
-	case TopologyGrid:
-		r = gridRadix(p)
-	}
-	if r < 2 {
-		r = 2
 	}
 	lv := []int{1}
 	for s := r; s < p; s *= r {
@@ -170,7 +155,7 @@ func roundInNeighbors(q, s, sub, p int) []int {
 // never materializes; each round's fan-in is what a node holds open at
 // once.
 func PeakFanIn(p int, topo Topology, radix int) int {
-	lv := topoLevels(p, topo, radix)
+	lv := topoLevels(p, resolveRadix(p, topo, radix))
 	peak := 1
 	for t := 0; t+1 < len(lv); t++ {
 		s, sub := lv[t], lv[t+1]
@@ -207,7 +192,7 @@ func PeakFanIn(p int, topo Topology, radix int) int {
 // of exhausting the host.
 func (c Config) LinkMemoryBytes(p int) int64 {
 	cc := c
-	cc.applyDefaults(p)
+	cc.ApplyDefaults(p)
 	fan := int64(PeakFanIn(p, cc.Topology, cc.Radix))
 	per := satMulInt64(int64(cc.MessageKeys), record.KeySize)
 	return satMulInt64(int64(p), satMulInt64(fan, per))
@@ -226,12 +211,11 @@ func satMulInt64(a, b int64) int64 {
 }
 
 // collectiveEdgeBounds returns per-link message-capacity bounds for the
-// radix-rc collective tree rooted at node 0: a gather/reduce edge
-// (child leader → block leader) queues up to the child block's rank
-// count per collective (TreeGather forwards one message per rank), and
-// back-to-back collectives (the quantile strategy gathers values then
-// weights) can double that before the leader drains; broadcast edges
-// carry single messages.  Keys are from*p+to.
+// radix-rc collective tree rooted at node 0: an upward edge (child
+// leader → block leader) queues up to the child block's rank count per
+// barrier (TreeBarrier forwards one empty message per rank), and a
+// barrier back to back with a reduce can double that before the leader
+// drains; broadcast edges carry single messages.  Keys are from*p+to.
 func collectiveEdgeBounds(p, rc int) map[int]int {
 	edges := make(map[int]int)
 	bump := func(from, to, v int) {
@@ -273,13 +257,11 @@ func collectiveEdgeBounds(p, rc int) map[int]int {
 // statically safe one.  Both are charged per *used* link — the hint is
 // evaluated lazily — so a hierarchical run's resident capacity stays
 // O(p·r·log_r p) links, and the flat run's p² links each hold exactly
-// cluster.LinkBound(l_from, messageKeys).
-func linkBound(p int, topo Topology, radix, messageKeys int, portions []int64) func(from, to int) int {
-	lv := topoLevels(p, topo, radix)
-	var coll map[int]int // the flat star collectives fit the cluster's control-traffic floor
-	if topo != TopologyFlat {
-		coll = collectiveEdgeBounds(p, collectiveRadix(p, topo, radix))
-	}
+// cluster.LinkBound(l_from, messageKeys) unless a star edge of the
+// collectives asks for a slot more.  radix is the resolved one.
+func linkBound(p, radix, messageKeys int, portions []int64) func(from, to int) int {
+	lv := topoLevels(p, radix)
+	coll := collectiveEdgeBounds(p, radix)
 	var totalKeys int64
 	for _, l := range portions {
 		totalKeys += l

@@ -21,7 +21,7 @@ func TestTopoLevelsAndRouting(t *testing.T) {
 	for _, topo := range []Topology{TopologyTree, TopologyGrid} {
 		for _, radix := range []int{2, 3, 4, 16} {
 			for _, p := range []int{1, 2, 3, 4, 5, 8, 16, 17, 31, 64, 100} {
-				lv := topoLevels(p, topo, radix)
+				lv := topoLevels(p, resolveRadix(p, topo, radix))
 				if lv[0] != p && p > 1 {
 					t.Fatalf("p=%d %v r%d: levels %v do not start at p", p, topo, radix, lv)
 				}
@@ -104,7 +104,7 @@ func TestPeakFanInScaling(t *testing.T) {
 			}
 		}
 		grid := PeakFanIn(p, TopologyGrid, 0)
-		if g := gridRadix(p); grid > 2*g {
+		if g := resolveRadix(p, TopologyGrid, 0); grid > 2*g {
 			t.Fatalf("p=%d: grid peak fan-in %d exceeds 2⌈√p⌉=%d", p, grid, 2*g)
 		}
 	}
@@ -479,17 +479,20 @@ func TestHierCrashResume(t *testing.T) {
 	}
 }
 
-// TestFlatIsRadixPTree: the flat topology is the tree at radix ≥ p — one
-// redistribution round, fan-in p — and differs from it only in step 2's
-// star collectives, which move no block.  So the two must agree on every
-// output byte, partition size, per-node step-4/5 block count and fan-in
-// gauge, barrier or fused, with and without checkpoints, and across a
-// crash in step 4 and its resume.
+// TestFlatIsRadixPTree: the flat topology is the tree at radix ≥ p — a
+// star of collectives, one redistribution round, fan-in p — and nothing
+// else: no code path asks which of the two it is running.  So under
+// every pivot strategy the two must agree on every output byte, on the
+// whole Result (virtual time, per-step times and I/O, pivots, step-2
+// accounting), on the message count and on the fan-in gauge, barrier or
+// fused, with and without checkpoints, and on the outcome of a crash in
+// step 4 and its resume.
 func TestFlatIsRadixPTree(t *testing.T) {
 	type outcome struct {
 		out   [][]record.Key
 		res   *Result
 		fanIn []float64
+		msgs  int64
 	}
 	run := func(t *testing.T, v perf.Vector, cfg Config, n int64, crash bool) outcome {
 		t.Helper()
@@ -520,6 +523,7 @@ func TestFlatIsRadixPTree(t *testing.T) {
 		o := outcome{out: nodeOutputs(t, c, cfg.BlockKeys), res: res}
 		for i := range v {
 			o.fanIn = append(o.fanIn, c.Node(i).Metrics().Gauge("redist.fanin.streams").Value())
+			o.msgs += c.Node(i).Metrics().Counter("net.sent.msgs").Value()
 		}
 		return o
 	}
@@ -532,37 +536,46 @@ func TestFlatIsRadixPTree(t *testing.T) {
 		if flat, tree := PeakFanIn(p, TopologyFlat, 4), PeakFanIn(p, TopologyTree, p); flat != p || tree != p {
 			t.Errorf("p=%d: PeakFanIn flat %d, radix-p tree %d, want %d", p, flat, tree, p)
 		}
-		for _, pipe := range []bool{false, true} {
-			for _, mode := range []string{"plain", "checkpoint", "crash-resume"} {
-				t.Run(fmt.Sprintf("p%d-pipeline=%v-%s", p, pipe, mode), func(t *testing.T) {
-					cfg := testConfig(v)
-					cfg.MemoryKeys = 8192 // room for the 9-way fused merge
-					cfg.Pipeline = pipe
-					cfg.Checkpoint = mode != "plain"
-					crash := mode == "crash-resume"
-					flat := run(t, v, cfg, n, crash)
-					cfg.Topology, cfg.Radix = TopologyTree, p+1
-					tree := run(t, v, cfg, n, crash)
-					for i := range v {
-						if fmt.Sprint(flat.out[i]) != fmt.Sprint(tree.out[i]) {
-							t.Fatalf("node %d output differs", i)
-						}
-						if flat.res.PartitionSizes[i] != tree.res.PartitionSizes[i] {
-							t.Errorf("node %d partition: flat %d, tree %d", i, flat.res.PartitionSizes[i], tree.res.PartitionSizes[i])
-						}
-						if flat.fanIn[i] != float64(p) || tree.fanIn[i] != float64(p) {
-							t.Errorf("node %d fan-in gauge: flat %v, tree %v, want %d", i, flat.fanIn[i], tree.fanIn[i], p)
-						}
-						// Which peers had committed phase 4 when the crash
-						// aborted them depends on host scheduling, so the
-						// resumed run's I/O is not comparable run to run.
-						for s := 3; s < 5 && !crash; s++ {
-							if flat.res.StepIO[s][i] != tree.res.StepIO[s][i] {
-								t.Errorf("node %d step %d I/O: flat %+v, tree %+v", i, s+1, flat.res.StepIO[s][i], tree.res.StepIO[s][i])
+		for _, strat := range []Strategy{RegularSampling, Overpartitioning, RandomPivots, QuantileSketch, Histogram} {
+			for _, pipe := range []bool{false, true} {
+				for _, mode := range []string{"plain", "checkpoint", "crash-resume"} {
+					t.Run(fmt.Sprintf("p%d-%v-pipeline=%v-%s", p, strat, pipe, mode), func(t *testing.T) {
+						cfg := testConfig(v)
+						cfg.MemoryKeys = 8192 // room for the 9-way fused merge
+						cfg.Strategy, cfg.Seed = strat, 77
+						cfg.Pipeline = pipe
+						cfg.Checkpoint = mode != "plain"
+						crash := mode == "crash-resume"
+						flat := run(t, v, cfg, n, crash)
+						cfg.Topology, cfg.Radix = TopologyTree, p+1
+						tree := run(t, v, cfg, n, crash)
+						for i := range v {
+							if fmt.Sprint(flat.out[i]) != fmt.Sprint(tree.out[i]) {
+								t.Fatalf("node %d output differs", i)
+							}
+							if flat.fanIn[i] != float64(p) || tree.fanIn[i] != float64(p) {
+								t.Errorf("node %d fan-in gauge: flat %v, tree %v, want %d", i, flat.fanIn[i], tree.fanIn[i], p)
 							}
 						}
-					}
-				})
+						if fmt.Sprint(flat.res.PartitionSizes, flat.res.Pivots) != fmt.Sprint(tree.res.PartitionSizes, tree.res.Pivots) {
+							t.Errorf("partitions and pivots: flat %v %v, tree %v %v",
+								flat.res.PartitionSizes, flat.res.Pivots, tree.res.PartitionSizes, tree.res.Pivots)
+						}
+						if crash {
+							// Which peers had committed phase 4 when the crash
+							// aborted them depends on host scheduling, so the
+							// resumed run's clocks, I/O and traffic are not
+							// comparable run to run.
+							return
+						}
+						if f, tr := fmt.Sprintf("%+v", *flat.res), fmt.Sprintf("%+v", *tree.res); f != tr {
+							t.Errorf("results differ:\nflat %s\ntree %s", f, tr)
+						}
+						if flat.msgs != tree.msgs {
+							t.Errorf("messages sent: flat %d, tree %d", flat.msgs, tree.msgs)
+						}
+					})
+				}
 			}
 		}
 	}
@@ -577,8 +590,8 @@ func TestLinkBoundSingleRound(t *testing.T) {
 	portions := []int64{0, 100, 256, 257, 5000, 70000, 1 << 20}
 	p := len(portions)
 	for name, bound := range map[string]func(from, to int) int{
-		"flat":         linkBound(p, TopologyFlat, 4, msg, portions),
-		"radix-p tree": linkBound(p, TopologyTree, p, msg, portions),
+		"flat":         linkBound(p, resolveRadix(p, TopologyFlat, 4), msg, portions),
+		"radix-p tree": linkBound(p, resolveRadix(p, TopologyTree, p), msg, portions),
 	} {
 		for from := 0; from < p; from++ {
 			for to := 0; to < p; to++ {
@@ -586,11 +599,9 @@ func TestLinkBoundSingleRound(t *testing.T) {
 					continue
 				}
 				want := cluster.LinkBound(portions[from], msg)
-				if name != "flat" {
-					// Tree collectives may ask for more on their own edges.
-					if cb := collectiveEdgeBounds(p, p)[from*p+to]; cb > want {
-						want = cb
-					}
+				// The collectives' star edges may ask for a slot more.
+				if cb := collectiveEdgeBounds(p, p)[from*p+to]; cb > want {
+					want = cb
 				}
 				if got := bound(from, to); got != want {
 					t.Errorf("%s link %d->%d: capacity %d, want cluster.LinkBound(%d, %d) = %d",
