@@ -36,7 +36,7 @@ func main() {
 		memory   = flag.Int("memory", 1<<16, "per-node memory M in keys")
 		tapes    = flag.Int("tapes", 15, "polyphase merge file count")
 		msg      = flag.Int("msg", 8192, "redistribution message size in keys")
-		disks    = flag.Int("disks", 1, "PDM disks per node D: node files are striped over D member disks")
+		disks    = flag.Int("disks", 1, "PDM disks per node D: models D member disks, block u of a file on disk u mod D (timing only)")
 		diskAcc  = flag.String("disk-access", hetsort.DiskAccessStriped, "multi-disk scheduling model: striped, independent (timing only)")
 		runForm  = flag.String("run-formation", hetsort.RunReplacementSelection, "initial run former: replacement-selection, load-sort, guidesort")
 		network  = flag.String("net", hetsort.NetworkFastEthernet, "network model: fast-ethernet, myrinet, ideal")
@@ -48,7 +48,7 @@ func main() {
 		pipeline = flag.Bool("pipeline", false, "fuse steps 4+5: merge redistribution streams directly into the output")
 		topology = flag.String("topology", "flat", "redistribution topology: flat, tree, grid (tree/grid bound per-node fan-in at large p)")
 		radix    = flag.Int("radix", 0, "tree fan-in r for -topology tree (default 4)")
-		overlap  = flag.Bool("overlap", false, "overlap disk I/O with compute: prefetch reads, write-behind writes (same I/O counts, lower virtual time)")
+		overlap  = flag.Bool("overlap", false, "overlap disk I/O with compute: reads charged as prefetched, writes as written behind (same I/O counts, lower virtual time)")
 		verbose  = flag.Bool("v", false, "print the full per-step report")
 		withGant = flag.Bool("trace", false, "print a virtual-time Gantt chart of the run")
 		traceOut = flag.String("trace-out", "", "write a Chrome trace_event JSON of the run (load in Perfetto); implies tracing")

@@ -136,12 +136,13 @@ type Config struct {
 	Tapes int
 	// MessageKeys is the redistribution message size in keys (default 8192).
 	MessageKeys int
-	// Disks is the PDM D parameter: the number of member disks per node
-	// (default 1).  With D > 1 every node file is striped block-by-block
-	// across D disks, sequential scans complete up to D times faster
-	// (per-disk queues overlap the member transfers), and per-disk I/O
-	// counters appear in Report.DiskIO.  I/O counts and output bytes are
-	// independent of D.
+	// Disks is the PDM D parameter: the number of member disks each
+	// node is modelled with (default 1).  With D > 1 block u of every
+	// node file is served by member disk u mod D, sequential scans
+	// complete up to D times faster (per-disk queues overlap the member
+	// transfers), and per-disk I/O counters appear in Report.DiskIO.
+	// Timing only: files, I/O counts and output bytes are independent
+	// of D, and a checkpointed run may be resumed under a different D.
 	Disks int
 	// DiskAccess selects the multi-disk scheduling model by name:
 	// DiskAccessStriped (default) or DiskAccessIndependent.  Timing
@@ -189,12 +190,12 @@ type Config struct {
 	// Checkpoint enabled the streams are still spilled to durable
 	// receive files for the phase-4 manifest.
 	Pipeline bool
-	// Overlap turns on asynchronous disk I/O: readers prefetch blocks
-	// ahead of the consumer and writers flush behind it, hiding disk
-	// transfer time behind concurrent compute (up to the node's disk
-	// parallelism per stream).  PDM I/O counts and output bytes are
-	// identical to the synchronous path; only virtual time changes.
-	// Only meaningful for AlgorithmExternalPSRS.
+	// Overlap models asynchronous disk I/O: readers are charged as
+	// prefetching blocks ahead of the consumer and writers as flushing
+	// behind it, hiding disk transfer time behind concurrent compute
+	// (up to the node's disk parallelism per stream).  PDM I/O counts
+	// and output bytes are identical to the synchronous mode; only
+	// virtual time changes.  Only meaningful for AlgorithmExternalPSRS.
 	Overlap bool
 	// Topology selects the communication structure for pivot
 	// aggregation and redistribution: TopologyFlat (default),
@@ -401,7 +402,6 @@ func (c Config) extsortConfig(v perf.Vector) (extsort.Config, error) {
 		MemoryKeys:    c.MemoryKeys,
 		Tapes:         c.Tapes,
 		MessageKeys:   c.MessageKeys,
-		Disks:         c.Disks,
 		RunFormation:  rf,
 		Strategy:      strat,
 		QuantileEps:   c.QuantileEps,

@@ -113,6 +113,55 @@ func TestSortOverlapReport(t *testing.T) {
 	}
 }
 
+// TestSortOverlapMetricsDeterministic: the prefetch metrics are model
+// quantities, counted where the overlapped charge is made — two runs of
+// one seeded config agree on every node, every overlapped read block is
+// either a hit (transfer wholly hidden by accrued credit) or a stall,
+// and no host-scheduling quantity (the old write-behind queue depth) is
+// reported.
+func TestSortOverlapMetricsDeterministic(t *testing.T) {
+	keys := make([]Key, 40000)
+	for i := range keys {
+		keys[i] = Key(1664525*uint32(i) + 1013904223)
+	}
+	cfg := Config{Perf: []int{1, 1, 4, 4}, MemoryKeys: 4096, BlockKeys: 128, Tapes: 5, MessageKeys: 512,
+		Disks: 2, Overlap: true, Pipeline: true}
+	_, a, err := Sort(keys, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, b, err := Sort(keys, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hits, stalls float64
+	for i, m := range a.NodeMetrics {
+		for _, name := range []string{"disk.prefetch.blocks", "disk.prefetch.hits", "disk.prefetch.stalls", "disk.writebehind.blocks"} {
+			if m[name] != b.NodeMetrics[i][name] {
+				t.Errorf("node %d %s: %v in one run, %v in the next", i, name, m[name], b.NodeMetrics[i][name])
+			}
+		}
+		if m["disk.prefetch.hits"]+m["disk.prefetch.stalls"] != m["disk.prefetch.blocks"] {
+			t.Errorf("node %d: %v hits + %v stalls != %v prefetched blocks", i,
+				m["disk.prefetch.hits"], m["disk.prefetch.stalls"], m["disk.prefetch.blocks"])
+		}
+		if rw := a.NodeIO[i]; m["disk.prefetch.blocks"] > float64(rw.Reads) || m["disk.writebehind.blocks"] > float64(rw.Writes) {
+			t.Errorf("node %d: overlapped blocks %v/%v exceed its PDM reads/writes %d/%d", i,
+				m["disk.prefetch.blocks"], m["disk.writebehind.blocks"], rw.Reads, rw.Writes)
+		}
+		for name := range m {
+			if strings.HasPrefix(name, "disk.writebehind.queue") {
+				t.Errorf("node %d still reports %s", i, name)
+			}
+		}
+		hits += m["disk.prefetch.hits"]
+		stalls += m["disk.prefetch.stalls"]
+	}
+	if hits == 0 || stalls == 0 {
+		t.Errorf("degenerate run: %v hits, %v stalls", hits, stalls)
+	}
+}
+
 func TestSortDoesNotMutateInput(t *testing.T) {
 	keys := []Key{5, 3, 1, 4, 2, 9, 8, 7, 6, 0}
 	orig := append([]Key(nil), keys...)

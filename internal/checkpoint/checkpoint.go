@@ -113,7 +113,7 @@ func HashFile(fs diskio.FS, name string, blockKeys int, acct diskio.Accounting) 
 		n, err := f.Read(buf)
 		if n > 0 {
 			h.Write(buf[:n])
-			acct.ChargeRead(diskio.DiskAt(f, off), 1)
+			acct.ChargeRead(off, 1)
 			off += int64(n)
 		}
 		if err == io.EOF {
@@ -220,8 +220,8 @@ func Save(fs diskio.FS, m *Manifest, acct diskio.Accounting) error {
 	if err := fs.Rename(manifestTemp, ManifestName); err != nil {
 		return fmt.Errorf("checkpoint: publishing manifest: %w", err)
 	}
-	// The manifest is metadata, not striped key data: attribute its one
-	// block write and the publishing seek to member disk 0.
+	// One block write at offset 0 of the manifest file, and the
+	// publishing seek (on a D-disk node both land on member disk 0).
 	acct.ChargeWrite(0, 1)
 	acct.ChargeSeek(0, 1)
 	return nil

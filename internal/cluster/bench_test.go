@@ -39,43 +39,3 @@ func BenchmarkPointToPoint(b *testing.B) {
 		b.Fatal(err)
 	}
 }
-
-func BenchmarkBarrier(b *testing.B) {
-	c, err := New(Config{Slowdowns: []float64{1, 1, 1, 1}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	err = c.Run(func(n *Node) error {
-		for i := 0; i < b.N; i++ {
-			if err := n.Barrier(i * 2); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkAllGather(b *testing.B) {
-	c, err := New(Config{Slowdowns: []float64{1, 1, 1, 1}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload := make([]record.Key, 1024)
-	b.SetBytes(int64(len(payload)) * record.KeySize * 4)
-	b.ResetTimer()
-	err = c.Run(func(n *Node) error {
-		for i := 0; i < b.N; i++ {
-			if _, err := n.AllGather(i*2, payload); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-}

@@ -42,12 +42,13 @@ type Config struct {
 	// Disks returns the private filesystem of node id.  Default: a
 	// fresh MemFS per node.
 	Disks func(id int) diskio.FS
-	// DisksPerNode is the PDM D parameter per node.  With D > 1 the
-	// node's filesystem is striped round-robin across D member disks
-	// (diskio.StripeOver) and each disk gets its own virtual-time
-	// queue: block transfers to distinct disks coalesce into one
-	// parallel I/O step that completes when the slowest involved disk
-	// does, while transfers hitting the same disk serialize.  The I/O
+	// DisksPerNode is the PDM D parameter per node.  With D > 1 block u
+	// of every node file is served by member disk u mod D (the files
+	// themselves stay plain; see diskio.Accounting) and each disk gets
+	// its own virtual-time queue: block transfers to distinct disks
+	// coalesce into one parallel I/O step that completes when the
+	// slowest involved disk does, while transfers hitting the same
+	// disk serialize.  The I/O
 	// *count* (the PDM complexity measure) is unchanged — only time
 	// parallelizes, and only as far as the access pattern actually
 	// spreads over the disks.  Default 1, the paper's configuration
@@ -392,14 +393,6 @@ func New(cfg Config) (*Cluster, error) {
 	c.links = make([]linkState, p*p)
 	c.nodes = make([]*Node, p)
 	for i := 0; i < p; i++ {
-		fs := cfg.Disks(i)
-		if cfg.DisksPerNode > 1 {
-			sfs, err := diskio.StripeOver(fs, cfg.DisksPerNode, int64(cfg.BlockKeys)*record.KeySize)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: striping node %d over %d disks: %w", i, cfg.DisksPerNode, err)
-			}
-			fs = sfs
-		}
 		n := &Node{
 			id:       i,
 			cluster:  c,
@@ -408,7 +401,7 @@ func New(cfg Config) (*Cluster, error) {
 			block:    cfg.BlockKeys,
 			disks:    cfg.DisksPerNode,
 			access:   cfg.DiskAccess,
-			fs:       fs,
+			fs:       cfg.Disks(i),
 			contend:  cfg.Contention,
 			metrics:  metrics.NewRegistry(),
 		}
@@ -606,6 +599,9 @@ type Node struct {
 	mSentTo    []*metrics.Counter // keys sent per outgoing link
 	mQueueHist *metrics.Histogram // queue depth sampled after each send
 	mQueueLast *metrics.Gauge
+	// The overlap counters are registered by the first overlapped
+	// charge, so synchronous runs report none of them.
+	mPrefetch, mPrefetchHits, mPrefetchStalls, mWriteBehind *metrics.Counter
 
 	// Overlap-window state (vtime.OverlapMeter): while windows are
 	// open, compute charges accrue credit (capped by the windows'
@@ -751,10 +747,11 @@ func (n *Node) Counter() *pdm.Counter { return &n.counter }
 // IOStats returns a snapshot of the node's I/O counter.
 func (n *Node) IOStats() pdm.IOStats { return n.counter.Snapshot() }
 
-// Acct returns the accounting handle (counter + meter) to pass to the
-// disk layer and the sorts.
+// Acct returns the accounting handle (counters, meter and the D-disk
+// block placement) to pass to the disk layer and the sorts.
 func (n *Node) Acct() diskio.Accounting {
-	return diskio.Accounting{Counter: &n.counter, Meter: n, Disks: n.diskCtrPtrs}
+	return diskio.Accounting{Counter: &n.counter, Meter: n, Disks: n.diskCtrPtrs,
+		StripeBytes: int64(n.block) * record.KeySize}
 }
 
 // ChargeCompute implements vtime.Meter.  Inside an overlap window the
@@ -796,8 +793,8 @@ func (n *Node) blockSec() float64 {
 
 // BeginOverlap implements vtime.OverlapMeter: it opens an overlap window
 // whose device keeps up to depthBlocks transfers in flight (<= 0 means 2,
-// double-buffering).  The overlap layer in diskio opens one window per
-// prefetching reader or write-behind writer.
+// double-buffering).  Under diskio.Overlap every Reader and Writer holds
+// one window for its lifetime.
 func (n *Node) BeginOverlap(depthBlocks int) {
 	if depthBlocks <= 0 {
 		depthBlocks = 2
@@ -832,8 +829,15 @@ func (n *Node) EndOverlap() {
 // hidden up to the accrued credit — max(0, disk − overlappable compute)
 // per window — and only the exposed remainder advances the clock as
 // Disk.  The hidden share is recorded in the Overlapped attribution
-// column (and the node metrics), never silently dropped.
-func (n *Node) ChargeOverlappedIOBlocks(blocks int64) {
+// column, never silently dropped.
+//
+// The charge also feeds the node's prefetch metrics, which are thereby
+// model quantities: a read charge wholly hidden by credit is a prefetch
+// hit (the block was in memory when the consumer asked), one that
+// exposed any time a stall (the consumer waited for the drive), and
+// hits + stalls = disk.prefetch.blocks.  The disk layer charges one
+// block at a time.
+func (n *Node) ChargeOverlappedIOBlocks(blocks int64, write bool) {
 	// Asynchronously issued blocks stream at the array's parallel rate:
 	// the prefetch/write-behind queue keeps all D member disks fed, so
 	// a block's exposed time is the single-disk time over D.
@@ -844,6 +848,22 @@ func (n *Node) ChargeOverlappedIOBlocks(blocks int64) {
 	}
 	n.overlapCredit -= hidden
 	n.attr.Overlapped += hidden
+	if n.mPrefetch == nil {
+		n.mPrefetch = n.metrics.Counter("disk.prefetch.blocks")
+		n.mPrefetchHits = n.metrics.Counter("disk.prefetch.hits")
+		n.mPrefetchStalls = n.metrics.Counter("disk.prefetch.stalls")
+		n.mWriteBehind = n.metrics.Counter("disk.writebehind.blocks")
+	}
+	switch {
+	case write:
+		n.mWriteBehind.Add(blocks)
+	case hidden == sec:
+		n.mPrefetch.Add(blocks)
+		n.mPrefetchHits.Add(blocks)
+	default:
+		n.mPrefetch.Add(blocks)
+		n.mPrefetchStalls.Add(blocks)
+	}
 	if exposed := sec - hidden; exposed > 0 {
 		n.ChargeTime(vtime.Disk, exposed)
 	} else {
@@ -953,7 +973,7 @@ func (n *Node) chargeDiskBlock(d int) {
 }
 
 // ChargeDiskIOBlocks implements vtime.DiskMeter: the disk layer names
-// the member disk that physically serves each block of a striped file.
+// the member disk that serves each block (diskio.Accounting places it).
 func (n *Node) ChargeDiskIOBlocks(disk int, blocks int64) {
 	if n.disks == 1 {
 		n.ChargeTime(vtime.Disk, float64(blocks)*n.blockSec())
@@ -994,11 +1014,10 @@ func (n *Node) ChargeDiskSeek(disk int, seeks int64) {
 }
 
 // ChargeIOBlocks implements vtime.Meter for transfers with no placement
-// information (plain un-striped files, checkpoint metadata, direct
-// charges).  At D > 1 they are modeled as perfectly striped: blocks
-// round-robin over the member disks continuing from the last disk
-// touched, so a bulk charge of n blocks coalesces into ceil(n/D)
-// parallel steps.
+// information (bulk charges made directly on the node).  At D > 1 they
+// are modeled as perfectly striped: blocks round-robin over the member
+// disks continuing from the last disk touched, so a bulk charge of n
+// blocks coalesces into ceil(n/D) parallel steps.
 func (n *Node) ChargeIOBlocks(blocks int64) {
 	if n.disks == 1 {
 		n.ChargeTime(vtime.Disk, float64(blocks)*n.blockSec())
@@ -1022,21 +1041,6 @@ func (n *Node) ObserveMerge(keys, chunks, fastChunks, comparisons int64) {
 	n.metrics.Counter("merge.chunks").Add(chunks)
 	n.metrics.Counter("merge.fastpath.chunks").Add(fastChunks)
 	n.metrics.Counter("merge.comparisons").Add(comparisons)
-}
-
-// ObserveOverlap implements diskio's overlap observer: each prefetching
-// reader and write-behind writer reports its lifetime counters when it
-// is released, and the node folds them into the metrics registry.  The
-// write-behind queue high-water mark is kept as the worst over all
-// writers (histogram + last gauge), mirroring the link-queue metrics.
-func (n *Node) ObserveOverlap(prefetched, hits, stalls, writeBehind, queueHighWater int64) {
-	n.metrics.Counter("disk.prefetch.blocks").Add(prefetched)
-	n.metrics.Counter("disk.prefetch.hits").Add(hits)
-	n.metrics.Counter("disk.prefetch.stalls").Add(stalls)
-	n.metrics.Counter("disk.writebehind.blocks").Add(writeBehind)
-	if writeBehind > 0 {
-		n.metrics.Histogram("disk.writebehind.queue.hwm").Observe(float64(queueHighWater))
-	}
 }
 
 // AcquireBuf returns a payload buffer of the given length from the

@@ -307,23 +307,6 @@ func TestBcast(t *testing.T) {
 	}
 }
 
-func TestAllGather(t *testing.T) {
-	c := mustNew(t, 1, 1, 1)
-	err := c.Run(func(n *Node) error {
-		got, err := n.AllGather(1, []record.Key{record.Key(n.ID())})
-		if err != nil {
-			return err
-		}
-		if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
-			t.Errorf("node %d allgather %v", n.ID(), got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBarrierSynchronisesClocks(t *testing.T) {
 	c := mustNew(t, 1, 1, 1, 1)
 	err := c.Run(func(n *Node) error {
@@ -331,7 +314,7 @@ func TestBarrierSynchronisesClocks(t *testing.T) {
 		if n.ID() == 3 {
 			n.AdvanceClock(100)
 		}
-		if err := n.Barrier(10); err != nil {
+		if err := n.TreeBarrier(n.P(), 10); err != nil {
 			return err
 		}
 		if n.Clock() < 100 {
@@ -349,7 +332,7 @@ func TestDeterministicClocks(t *testing.T) {
 		c := mustNew(t, 1, 2, 3, 4)
 		err := c.Run(func(n *Node) error {
 			n.ChargeCompute(int64(1000 * (n.ID() + 1)))
-			if err := n.Barrier(0); err != nil {
+			if err := n.TreeBarrier(n.P(), 0); err != nil {
 				return err
 			}
 			// Ring exchange.

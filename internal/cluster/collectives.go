@@ -44,33 +44,3 @@ func (n *Node) Bcast(root, tag int, keys []record.Key) ([]record.Key, error) {
 	}
 	return n.Recv(root, tag)
 }
-
-// Barrier synchronises all nodes: no node returns before every node has
-// entered, and all clocks advance to at least the global maximum at
-// entry (plus the messaging cost of the synchronisation itself).
-// Implemented as a zero-payload gather to node 0 followed by a
-// broadcast.
-func (n *Node) Barrier(tag int) error {
-	if _, err := n.Gather(0, tag, nil); err != nil {
-		return err
-	}
-	_, err := n.Bcast(0, tag+1, nil)
-	return err
-}
-
-// AllGather performs a Gather to node 0 followed by a broadcast of the
-// concatenation; every node returns the same concatenated slice, in
-// rank order.
-func (n *Node) AllGather(tag int, keys []record.Key) ([]record.Key, error) {
-	parts, err := n.Gather(0, tag, keys)
-	if err != nil {
-		return nil, err
-	}
-	var flat []record.Key
-	if n.id == 0 {
-		for _, p := range parts {
-			flat = append(flat, p...)
-		}
-	}
-	return n.Bcast(0, tag+1, flat)
-}

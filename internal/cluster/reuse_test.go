@@ -70,7 +70,7 @@ func TestAbortUnblocksBarrier(t *testing.T) {
 		if n.ID() == 2 {
 			return boom
 		}
-		return n.Barrier(50)
+		return n.TreeBarrier(n.P(), 50)
 	})
 	if err == nil {
 		t.Fatal("expected joined errors")
@@ -87,19 +87,27 @@ func TestEightNodeCollectives(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = c.Run(func(n *Node) error {
-		all, err := n.AllGather(3, []record.Key{record.Key(n.ID() * n.ID())})
+		parts, err := n.Gather(0, 3, []record.Key{record.Key(n.ID() * n.ID())})
+		if err != nil {
+			return err
+		}
+		var flat []record.Key
+		for _, part := range parts {
+			flat = append(flat, part...)
+		}
+		all, err := n.Bcast(0, 4, flat)
 		if err != nil {
 			return err
 		}
 		if len(all) != 8 {
-			t.Errorf("allgather len %d", len(all))
+			t.Errorf("gather+bcast len %d", len(all))
 		}
 		for i, v := range all {
 			if v != record.Key(i*i) {
-				t.Errorf("allgather[%d]=%d", i, v)
+				t.Errorf("gather+bcast[%d]=%d", i, v)
 			}
 		}
-		return n.Barrier(10)
+		return n.TreeBarrier(n.P(), 10)
 	})
 	if err != nil {
 		t.Fatal(err)

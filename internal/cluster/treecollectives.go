@@ -128,31 +128,15 @@ func (n *Node) TreeBcast(radix, tag int, keys []record.Key) ([]record.Key, error
 }
 
 // TreeBarrier synchronises all nodes through the r-ary tree, consuming
-// tags tag and tag+1, with the same contract as Barrier: no node
-// returns before every node has entered.
+// tags tag and tag+1: no node returns before every node has entered,
+// and all clocks advance to at least the global maximum at entry (plus
+// the messaging cost of the synchronisation itself).
 func (n *Node) TreeBarrier(radix, tag int) error {
 	if _, err := n.TreeGather(radix, tag, nil); err != nil {
 		return err
 	}
 	_, err := n.TreeBcast(radix, tag+1, nil)
 	return err
-}
-
-// TreeAllGather gathers every node's keys up the tree and broadcasts
-// the rank-order concatenation back down; every node returns the same
-// concatenated slice.  Consumes tags tag and tag+1, like AllGather.
-func (n *Node) TreeAllGather(radix, tag int, keys []record.Key) ([]record.Key, error) {
-	parts, err := n.TreeGather(radix, tag, keys)
-	if err != nil {
-		return nil, err
-	}
-	var flat []record.Key
-	if n.id == 0 {
-		for _, p := range parts {
-			flat = append(flat, p...)
-		}
-	}
-	return n.TreeBcast(radix, tag+1, flat)
 }
 
 // TreeReduce folds every node's keys into node 0 up the r-ary tree:

@@ -64,6 +64,9 @@ func TestTreeGatherMatchesFlat(t *testing.T) {
 	}
 }
 
+// TestTreeBcastAllGatherBarrier: a broadcast, an all-gather composed the
+// way step 2 composes it (TreeGather up, the root's concatenation back
+// down with TreeBcast) and a barrier, back to back on distinct tags.
 func TestTreeBcastAllGatherBarrier(t *testing.T) {
 	for _, p := range []int{1, 2, 5, 9, 16} {
 		for _, r := range []int{2, 4} {
@@ -85,7 +88,15 @@ func TestTreeBcastAllGatherBarrier(t *testing.T) {
 					if bcast[n.ID()], err = n.TreeBcast(r, 10, in); err != nil {
 						return err
 					}
-					if allg[n.ID()], err = n.TreeAllGather(r, 20, nodeKeys(n.ID())); err != nil {
+					parts, err := n.TreeGather(r, 20, nodeKeys(n.ID()))
+					if err != nil {
+						return err
+					}
+					var flat []record.Key
+					for _, part := range parts {
+						flat = append(flat, part...)
+					}
+					if allg[n.ID()], err = n.TreeBcast(r, 21, flat); err != nil {
 						return err
 					}
 					return n.TreeBarrier(r, 30)

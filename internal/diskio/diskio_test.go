@@ -4,11 +4,13 @@ import (
 	"errors"
 	"io"
 	"os"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"hetsort/internal/pdm"
 	"hetsort/internal/record"
+	"hetsort/internal/vtime"
 )
 
 // fsFactories lets every test run against both filesystem backends.
@@ -340,7 +342,7 @@ func TestReadChunkEndOfInputProtocol(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := NewBlockReader(f, 4, Accounting{}, Overlap{Enabled: overlapped, Depth: 2})
+		r := NewReader(f, 4, Accounting{Meter: vtime.Nop{}, Overlap: Overlap{Enabled: overlapped}})
 		for i, want := range []int{8, 8, 4, 0, 0} {
 			if n, err := ReadChunk(r, buf); n != want || err != nil {
 				t.Fatalf("overlap=%v chunk %d: got (%d, %v), want (%d, nil)", overlapped, i, n, err, want)
@@ -440,26 +442,73 @@ func TestFaultFSFullInterface(t *testing.T) {
 	}
 }
 
+// TestWriterWriteKeySingle: WriteKey appends into the same block buffer
+// as WriteKeys, so the two interleave freely; a block goes out exactly
+// when it fills, and a closed or failed writer refuses the key.
 func TestWriterWriteKeySingle(t *testing.T) {
-	fs := NewMemFS()
-	f, _ := fs.Create("x")
-	var c pdm.Counter
-	w := NewWriter(f, 2, Accounting{Counter: &c})
-	for _, k := range []record.Key{3, 1, 2} {
-		if err := w.WriteKey(k); err != nil {
-			t.Fatal(err)
-		}
+	for _, tc := range []struct {
+		name   string
+		ops    [][]record.Key // one key = WriteKey, more = WriteKeys
+		writes []int64        // block writes charged after each op
+	}{
+		{"keys only", [][]record.Key{{3}, {1}, {2}}, []int64{0, 1, 1}},
+		{"across a block boundary", [][]record.Key{{3}, {1, 2, 7}, {9}, {4}}, []int64{0, 2, 2, 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := NewMemFS()
+			f, _ := fs.Create("x")
+			var c pdm.Counter
+			w := NewWriter(f, 2, Accounting{Counter: &c})
+			var want []record.Key
+			for i, op := range tc.ops {
+				var err error
+				if len(op) == 1 {
+					err = w.WriteKey(op[0])
+				} else {
+					err = w.WriteKeys(op)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, op...)
+				if c.Writes() != tc.writes[i] {
+					t.Fatalf("after op %d: %d block writes, want %d", i, c.Writes(), tc.writes[i])
+				}
+			}
+			if w.KeysWritten() != int64(len(want)) {
+				t.Fatalf("KeysWritten=%d want %d", w.KeysWritten(), len(want))
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			if wantBlocks := int64(len(want)+1) / 2; c.Writes() != wantBlocks {
+				t.Fatalf("writes=%d want %d", c.Writes(), wantBlocks)
+			}
+			got, _ := ReadFileAll(fs, "x", 2, Accounting{})
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("got %v want %v", got, want)
+			}
+			if err := w.WriteKey(1); err == nil {
+				t.Fatal("WriteKey on a closed Writer succeeded")
+			}
+		})
 	}
-	if err := w.Close(); err != nil {
+
+	ffs := NewFaultFS(NewMemFS(), 1) // allow Create only
+	f, err := ffs.Create("x")
+	if err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
-	got, _ := ReadFileAll(fs, "x", 2, Accounting{})
-	if len(got) != 3 || got[0] != 3 || got[2] != 2 {
-		t.Fatalf("got %v", got)
+	w := NewWriter(f, 2, Accounting{})
+	if err := w.WriteKey(1); err != nil {
+		t.Fatalf("buffered key: %v", err)
 	}
-	if c.Writes() != 2 { // 2 blocks: [3,1] and [2]
-		t.Fatalf("writes=%d", c.Writes())
+	if err := w.WriteKey(2); !errors.Is(err, ErrInjected) {
+		t.Fatalf("key that fills the block: want ErrInjected, got %v", err)
+	}
+	if err := w.WriteKey(3); !errors.Is(err, ErrInjected) {
+		t.Fatalf("failed writer took another key: %v", err)
 	}
 }
 

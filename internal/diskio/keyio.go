@@ -74,67 +74,83 @@ func putKeyBuf(b []record.Key) {
 	}
 }
 
-// Accounting bundles the sinks every block transfer reports to: the
+// Accounting bundles the sinks every block transfer reports to — the
 // PDM I/O counter (complexity accounting), the virtual-time meter
-// (simulated-clock accounting), and optionally one counter per member
-// disk of a striped node.  Any field may be nil/empty.  Every transfer
-// bumps both the node Counter and the serving disk's counter, so the
-// per-disk counters always sum exactly to the node counter.
+// (simulated-clock accounting), optionally one counter per member disk
+// of a D-disk node — and the two timing-only modes of the disk model:
+// where a block lives among the D disks, and whether streams charge
+// their blocks overlapped with compute.  Any field may be nil/empty.
+// Every transfer bumps both the node Counter and the serving disk's
+// counter, so the per-disk counters always sum exactly to the node
+// counter.
 type Accounting struct {
 	Counter *pdm.Counter
 	Meter   vtime.Meter
-	// Disks holds one counter per member disk; transfers on files that
-	// implement Placed are attributed to the disk serving the block's
-	// offset, everything else to disk 0.
+	// Disks holds one counter per member disk; its length is the PDM's
+	// D.  Node files are plain files at every D: the member disk of a
+	// block is a pure function of its byte offset (diskAt), the same
+	// round-robin a striping controller would apply.
 	Disks []*pdm.Counter
+	// StripeBytes is the placement unit, one block of the node
+	// (B·record.KeySize): the byte at offset off of any file is served
+	// by member disk (off / StripeBytes) mod D.  Zero places every
+	// block on disk 0.
+	StripeBytes int64
+	// Overlap, when enabled, makes the Readers and Writers built on
+	// this accounting charge their blocks inside an overlap window of
+	// the meter (see Overlap).  Direct charges stay synchronous.
+	Overlap Overlap
 }
 
-// disk returns the per-disk counter for d, clamping unknown indices to
-// disk 0 so plain files on a multi-disk node still account somewhere.
-func (a Accounting) disk(d int) *pdm.Counter {
-	if len(a.Disks) == 0 {
-		return nil
+// diskAt returns the member disk serving the byte at offset off.
+func (a Accounting) diskAt(off int64) int {
+	if len(a.Disks) <= 1 || a.StripeBytes <= 0 || off < 0 {
+		return 0
 	}
-	if d < 0 || d >= len(a.Disks) {
-		d = 0
-	}
-	return a.Disks[d]
+	return int(off / a.StripeBytes % int64(len(a.Disks)))
 }
 
-func (a Accounting) read(d int, blocks int64) {
+// transfer records the transfer of blocks blocks starting at byte offset
+// off of a file: PDM counts on the node and member-disk counters, time
+// on the meter — through the open overlap window om when the stream has
+// one, else synchronously on the block's member disk.
+func (a Accounting) transfer(off, blocks int64, write bool, om vtime.OverlapMeter) {
+	d := a.diskAt(off)
+	add := (*pdm.Counter).AddRead
+	if write {
+		add = (*pdm.Counter).AddWrite
+	}
 	if a.Counter != nil {
-		a.Counter.AddRead(blocks)
+		add(a.Counter, blocks)
 	}
-	if c := a.disk(d); c != nil {
-		c.AddRead(blocks)
+	if len(a.Disks) > 0 {
+		add(a.Disks[d], blocks)
 	}
-	if dm, ok := a.Meter.(vtime.DiskMeter); ok {
+	if om != nil {
+		om.ChargeOverlappedIOBlocks(blocks, write)
+	} else if dm, ok := a.Meter.(vtime.DiskMeter); ok {
 		dm.ChargeDiskIOBlocks(d, blocks)
 	} else if a.Meter != nil {
 		a.Meter.ChargeIOBlocks(blocks)
 	}
 }
 
-func (a Accounting) write(d int, blocks int64) {
-	if a.Counter != nil {
-		a.Counter.AddWrite(blocks)
-	}
-	if c := a.disk(d); c != nil {
-		c.AddWrite(blocks)
-	}
-	if dm, ok := a.Meter.(vtime.DiskMeter); ok {
-		dm.ChargeDiskIOBlocks(d, blocks)
-	} else if a.Meter != nil {
-		a.Meter.ChargeIOBlocks(blocks)
-	}
-}
+// ChargeRead and ChargeWrite record synchronous block transfers
+// performed outside the package's readers and writers (manifest saves,
+// hashing passes) at byte offset off of their file.  They keep the node
+// counter, the per-disk counters and the meter in lockstep, like every
+// internal transfer.
+func (a Accounting) ChargeRead(off, blocks int64)  { a.transfer(off, blocks, false, nil) }
+func (a Accounting) ChargeWrite(off, blocks int64) { a.transfer(off, blocks, true, nil) }
 
-func (a Accounting) seek(d int, n int64) {
+// ChargeSeek records n repositionings to byte offset off of a file.
+func (a Accounting) ChargeSeek(off, n int64) {
+	d := a.diskAt(off)
 	if a.Counter != nil {
 		a.Counter.AddSeek(n)
 	}
-	if c := a.disk(d); c != nil {
-		c.AddSeek(n)
+	if len(a.Disks) > 0 {
+		a.Disks[d].AddSeek(n)
 	}
 	if dm, ok := a.Meter.(vtime.DiskMeter); ok {
 		dm.ChargeDiskSeek(d, n)
@@ -143,34 +159,44 @@ func (a Accounting) seek(d int, n int64) {
 	}
 }
 
-// ChargeRead, ChargeWrite and ChargeSeek record block transfers and
-// seeks performed outside the package's readers and writers (manifest
-// saves, hashing passes), attributed to member disk d (use 0 when the
-// placement is unknown).  They keep the node counter, the per-disk
-// counters and the meter in lockstep, like every internal transfer.
-func (a Accounting) ChargeRead(d int, blocks int64)  { a.read(d, blocks) }
-func (a Accounting) ChargeWrite(d int, blocks int64) { a.write(d, blocks) }
-func (a Accounting) ChargeSeek(d int, n int64)       { a.seek(d, n) }
-
-// DiskAt reports which member disk serves the byte at off in f: files
-// that implement Placed answer for themselves, everything else lives
-// entirely on disk 0.
-func DiskAt(f File, off int64) int {
-	if p, ok := f.(Placed); ok {
-		return p.DiskAt(off)
+// openWindow opens an overlap window on the meter when the accounting is
+// in overlapped mode and the meter models one.  The returned meter (nil
+// otherwise) takes the stream's block charges until the stream closes
+// the window with EndOverlap.
+func (a Accounting) openWindow() vtime.OverlapMeter {
+	om, ok := a.Meter.(vtime.OverlapMeter)
+	if !a.Overlap.Enabled || !ok {
+		return nil
 	}
-	return 0
+	om.BeginOverlap(a.Overlap.DepthFor(a.Meter))
+	return om
+}
+
+// startOffset returns f's current byte position when block placement
+// depends on it (D > 1), so streams opened mid-file attribute their
+// blocks to the right member disk.
+func (a Accounting) startOffset(f File) int64 {
+	if len(a.Disks) <= 1 {
+		return 0
+	}
+	off, err := f.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return 0
+	}
+	return off
 }
 
 // Writer streams keys to a file in blocks of BlockSize keys, charging
 // the accounting sinks one block write per block (a final partial block
-// counts as one whole transfer, as in the PDM).
+// counts as one whole transfer, as in the PDM).  Under acct.Overlap the
+// charges go through an overlap window held from NewWriter to Close
+// (write-behind: the drive drains blocks while the CPU produces more).
 type Writer struct {
 	f      File
 	acct   Accounting
-	placed Placed // non-nil when f knows its disk placement
-	off    int64  // byte offset of the next block written
-	block  int    // keys per block
+	om     vtime.OverlapMeter // open overlap window, nil when synchronous
+	off    int64              // byte offset of the next block written
+	block  int                // keys per block
 	buf    []byte
 	n      int   // keys buffered
 	total  int64 // keys written overall
@@ -185,14 +211,14 @@ func NewWriter(f File, blockKeys int, acct Accounting) *Writer {
 	if blockKeys <= 0 {
 		panic("diskio: block size must be positive")
 	}
-	w := &Writer{
+	return &Writer{
 		f:     f,
 		acct:  acct,
 		block: blockKeys,
 		buf:   getByteBuf(blockKeys * record.KeySize)[:0],
+		om:    acct.openWindow(),
+		off:   acct.startOffset(f),
 	}
-	w.placed, w.off = placement(f)
-	return w
 }
 
 // WriteKeys appends keys to the stream.
@@ -224,7 +250,21 @@ func (w *Writer) WriteKeys(keys []record.Key) error {
 
 // WriteKey appends a single key.
 func (w *Writer) WriteKey(k record.Key) error {
-	return w.WriteKeys([]record.Key{k})
+	if w.err != nil {
+		return w.err
+	}
+	if w.closed {
+		return errWriterClosed
+	}
+	end := len(w.buf) + record.KeySize
+	w.buf = w.buf[:end]
+	record.PutKey(w.buf[end-record.KeySize:], k)
+	w.n++
+	w.total++
+	if w.n == w.block {
+		return w.flushBlock()
+	}
+	return nil
 }
 
 func (w *Writer) flushBlock() error {
@@ -235,12 +275,8 @@ func (w *Writer) flushBlock() error {
 		w.err = fmt.Errorf("diskio: writing block: %w", err)
 		return w.err
 	}
-	d := 0
-	if w.placed != nil {
-		d = w.placed.DiskAt(w.off)
-	}
+	w.acct.transfer(w.off, 1, true, w.om)
 	w.off += int64(len(w.buf))
-	w.acct.write(d, 1)
 	w.buf = w.buf[:0]
 	w.n = 0
 	return nil
@@ -249,9 +285,9 @@ func (w *Writer) flushBlock() error {
 // KeysWritten returns the number of keys accepted so far.
 func (w *Writer) KeysWritten() int64 { return w.total }
 
-// Close flushes the final partial block and returns the block buffer to
-// the pool.  It does not close the underlying file handle; the caller
-// owns it.  Close is idempotent.
+// Close flushes the final partial block, closes the overlap window and
+// returns the block buffer to the pool.  It does not close the
+// underlying file handle; the caller owns it.  Close is idempotent.
 func (w *Writer) Close() error {
 	if w.closed {
 		return w.err
@@ -263,37 +299,26 @@ func (w *Writer) Close() error {
 	w.closed = true
 	putByteBuf(w.buf)
 	w.buf = nil
+	if w.om != nil {
+		w.om.EndOverlap()
+	}
 	return err
 }
 
 // Reader streams keys from a file in blocks of BlockSize keys, charging
-// one block read per block fetched.
+// one block read per block fetched.  Under acct.Overlap the charges go
+// through an overlap window held from NewReader to Release (prefetch:
+// the drive reads ahead while the CPU consumes).
 type Reader struct {
-	f      File
-	acct   Accounting
-	placed Placed // non-nil when f knows its disk placement
-	off    int64  // byte offset of the next block read
-	block  int
-	buf    []byte
-	keys   []record.Key
-	pos    int
-	err    error
-}
-
-// placement inspects f for striped disk placement: the Placed view and
-// the handle's current byte position (so readers and writers opened
-// mid-file attribute blocks to the right member disk).  Plain files get
-// a nil Placed; their blocks all land on disk 0.
-func placement(f File) (Placed, int64) {
-	p, ok := f.(Placed)
-	if !ok {
-		return nil, 0
-	}
-	off, err := f.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return nil, 0
-	}
-	return p, off
+	f     File
+	acct  Accounting
+	om    vtime.OverlapMeter // open overlap window, nil when synchronous
+	off   int64              // byte offset of the next block read
+	block int
+	buf   []byte
+	keys  []record.Key
+	pos   int
+	err   error
 }
 
 // NewReader returns a Reader on f with the given block size in keys.
@@ -301,15 +326,15 @@ func NewReader(f File, blockKeys int, acct Accounting) *Reader {
 	if blockKeys <= 0 {
 		panic("diskio: block size must be positive")
 	}
-	r := &Reader{
+	return &Reader{
 		f:     f,
 		acct:  acct,
 		block: blockKeys,
 		buf:   getByteBuf(blockKeys * record.KeySize),
 		keys:  getKeyBuf(blockKeys),
+		om:    acct.openWindow(),
+		off:   acct.startOffset(f),
 	}
-	r.placed, r.off = placement(f)
-	return r
 }
 
 func (r *Reader) fill() error {
@@ -322,12 +347,8 @@ func (r *Reader) fill() error {
 			r.err = fmt.Errorf("diskio: truncated key at end of %s", r.f.Name())
 			return r.err
 		}
-		d := 0
-		if r.placed != nil {
-			d = r.placed.DiskAt(r.off)
-		}
+		r.acct.transfer(r.off, 1, false, r.om)
 		r.off += int64(n)
-		r.acct.read(d, 1)
 		r.keys = record.DecodeKeys(r.keys[:0], r.buf[:n])
 		r.pos = 0
 		return nil
@@ -359,14 +380,19 @@ func (r *Reader) Fill() error {
 	return r.fill()
 }
 
-// Release returns the Reader's block buffers to the pool.  The Reader
-// must not be used afterwards; further reads fail cleanly.
+// Release closes the overlap window and returns the Reader's block
+// buffers to the pool.  The Reader must not be used afterwards; further
+// reads fail cleanly.  Release is idempotent.
 func (r *Reader) Release() {
 	putByteBuf(r.buf)
 	putKeyBuf(r.keys)
 	r.buf, r.keys, r.pos = nil, nil, 0
 	if r.err == nil {
 		r.err = fmt.Errorf("diskio: read on released Reader")
+	}
+	if r.om != nil {
+		r.om.EndOverlap()
+		r.om = nil
 	}
 }
 
@@ -404,12 +430,12 @@ func (r *Reader) ReadKeys(dst []record.Key) (int, error) {
 }
 
 // ReadChunk is the one end-of-input protocol for chunk loops over a
-// BlockReader: it fills dst like ReadKeys and returns the count, with 0
+// Reader: it fills dst like ReadKeys and returns the count, with 0
 // keys and a nil error meaning the input is exhausted.  Every other
 // error is returned as is — also when it struck before the chunk's first
 // key, where ReadKeys reports (0, err) and a loop that tests the count
 // first would mistake a read fault for the end of the file.
-func ReadChunk(r BlockReader, dst []record.Key) (int, error) {
+func ReadChunk(r *Reader, dst []record.Key) (int, error) {
 	n, err := r.ReadKeys(dst)
 	if err == io.EOF {
 		err = nil
@@ -424,13 +450,12 @@ func ReadKeyAt(f File, idx int64, acct Accounting) (record.Key, error) {
 	if _, err := f.Seek(idx*record.KeySize, io.SeekStart); err != nil {
 		return 0, fmt.Errorf("diskio: seek to key %d: %w", idx, err)
 	}
-	d := DiskAt(f, idx*record.KeySize)
-	acct.seek(d, 1)
+	acct.ChargeSeek(idx*record.KeySize, 1)
 	var buf [record.KeySize]byte
 	if _, err := io.ReadFull(f, buf[:]); err != nil {
 		return 0, fmt.Errorf("diskio: read key %d: %w", idx, err)
 	}
-	acct.read(d, 1)
+	acct.ChargeRead(idx*record.KeySize, 1)
 	return record.GetKey(buf[:]), nil
 }
 
@@ -460,6 +485,7 @@ func ReadFileAll(fs FS, name string, blockKeys int, acct Accounting) ([]record.K
 	}
 	defer f.Close()
 	r := NewReader(f, blockKeys, acct)
+	defer r.Release()
 	var out []record.Key
 	buf := make([]record.Key, blockKeys)
 	for {

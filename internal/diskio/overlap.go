@@ -1,46 +1,30 @@
 package diskio
 
-import (
-	"fmt"
-	"io"
+import "hetsort/internal/vtime"
 
-	"hetsort/internal/record"
-	"hetsort/internal/vtime"
-)
-
-// This file is the overlapped-I/O layer: a prefetching reader and a
-// write-behind writer that move block transfers off the consumer's
-// critical path, the way the PDM's DisksPerNode parameter assumes a
-// drive can transfer while the CPU merges.
+// Overlap is the overlapped-I/O accounting mode: the model of a drive
+// that prefetches reads and drains writes behind the consumer while the
+// CPU merges, the way the PDM's D parameter assumes.  The simulator has
+// no real drive to keep busy, so nothing is fetched ahead or written
+// behind — the one Reader and Writer move every block synchronously on
+// the caller's goroutine, exactly as without Overlap, and only the
+// charge differs:
 //
-// Two invariants shape the design:
+//  1. PDM I/O counts are identical to the synchronous mode, block for
+//     block.
 //
-//  1. PDM I/O *counts* are identical to the synchronous path.  All
-//     accounting (pdm.Counter and vtime charges) happens on the
-//     consumer goroutine, at the moment a block is handed over —
-//     received from the prefetcher or enqueued to the drainer.  The
-//     background goroutines touch only the File and the buffer pools.
-//     A block the prefetcher read ahead but the consumer never took is
-//     never charged, exactly as the synchronous Reader would never have
-//     read it.  This also keeps the meters single-goroutine.
-//
-//  2. Only virtual *time* changes.  When the Accounting's Meter is a
-//     vtime.OverlapMeter, the consumer-side charges go through
-//     ChargeOverlappedIOBlocks inside a BeginOverlap/EndOverlap window
-//     spanning the stream's lifetime, so disk time hides behind
-//     concurrent compute up to the window's in-flight depth.  Any other
+//  2. Virtual time changes.  When the Accounting's Meter is a
+//     vtime.OverlapMeter, a stream holds an overlap window on it from
+//     construction to Release/Close and charges its blocks with
+//     ChargeOverlappedIOBlocks: compute charged while the window is
+//     open accrues credit (capped by the window's in-flight depth) and
+//     a block's transfer time hides behind that credit.  Any other
 //     meter gets plain synchronous charges.
-//
-// Goroutine discipline: Release (reader) and Close (writer) join the
-// background goroutine before returning, so the caller may close the
-// underlying File immediately afterwards.
-
-// Overlap configures the asynchronous I/O mode of the disk layer.
 type Overlap struct {
-	// Enabled turns on prefetch for readers and write-behind for
-	// writers created through NewBlockReader/NewBlockWriter.
+	// Enabled turns on overlapped charging for the Readers and Writers
+	// built on an Accounting that carries this Overlap.
 	Enabled bool
-	// Depth is the number of blocks kept in flight per stream.  Zero
+	// Depth is the number of blocks a stream keeps in flight.  Zero
 	// means "use the device's natural depth": the meter's disk count
 	// when it exposes one (a node with D disks can keep D transfers in
 	// flight), else 2.  Any value below 2 is raised to 2 (double
@@ -50,8 +34,7 @@ type Overlap struct {
 
 // DepthFor resolves the effective in-flight depth for a stream charged
 // to meter m: an explicit Depth wins; Depth == 0 asks the meter how many
-// member disks it drives (cluster.Node exposes Disks()), so prefetch
-// depth finally defaults to the node's DisksPerNode.
+// member disks it drives (cluster.Node exposes Disks()).
 func (o Overlap) DepthFor(m vtime.Meter) int {
 	d := o.Depth
 	if d == 0 {
@@ -63,476 +46,4 @@ func (o Overlap) DepthFor(m vtime.Meter) int {
 		d = 2
 	}
 	return d
-}
-
-// BlockReader is the consumer-side surface shared by the synchronous
-// Reader and the PrefetchReader; polyphase's tapes and the merge kernel
-// work against it.  Buffered/Discard/Fill satisfy polyphase.MergeSource.
-type BlockReader interface {
-	Buffered() []record.Key
-	Discard(n int)
-	Fill() error
-	ReadKey() (record.Key, error)
-	ReadKeys(dst []record.Key) (int, error)
-	Release()
-}
-
-// BlockWriter is the producer-side surface shared by the synchronous
-// Writer and the write-behind AsyncWriter.
-type BlockWriter interface {
-	WriteKeys(keys []record.Key) error
-	WriteKey(k record.Key) error
-	KeysWritten() int64
-	Close() error
-}
-
-var (
-	_ BlockReader = (*Reader)(nil)
-	_ BlockReader = (*PrefetchReader)(nil)
-	_ BlockWriter = (*Writer)(nil)
-	_ BlockWriter = (*AsyncWriter)(nil)
-)
-
-// OverlapObserver is an optional extension of vtime.Meter: a meter that
-// also implements it receives each overlapped stream's lifetime counters
-// when the stream is released — blocks prefetched, prefetch hits
-// (block was ready when the consumer asked) vs. stalls (consumer had to
-// wait for the disk), write-behind blocks, and the write-behind queue's
-// high-water mark.  cluster.Node implements it to feed the per-node
-// metrics registry; the int64-only signature keeps this package free of
-// a metrics dependency, mirroring polyphase.MergeObserver.
-type OverlapObserver interface {
-	ObserveOverlap(prefetched, hits, stalls, writeBehind, queueHighWater int64)
-}
-
-// NewBlockReader returns a PrefetchReader on f when o.Enabled, else the
-// plain synchronous Reader.
-func NewBlockReader(f File, blockKeys int, acct Accounting, o Overlap) BlockReader {
-	if !o.Enabled {
-		return NewReader(f, blockKeys, acct)
-	}
-	return NewPrefetchReader(f, blockKeys, acct, o.DepthFor(acct.Meter))
-}
-
-// NewBlockWriter returns a write-behind AsyncWriter on f when o.Enabled,
-// else the plain synchronous Writer.
-func NewBlockWriter(f File, blockKeys int, acct Accounting, o Overlap) BlockWriter {
-	if !o.Enabled {
-		return NewWriter(f, blockKeys, acct)
-	}
-	return NewAsyncWriter(f, blockKeys, acct, o.DepthFor(acct.Meter))
-}
-
-// readOverlapped charges one consumer-side handover of blocks read
-// through the prefetcher: the PDM count is identical to a synchronous
-// read; the time charge goes through the overlap window when the meter
-// supports one.
-func (a Accounting) readOverlapped(d int, blocks int64) {
-	if a.Counter != nil {
-		a.Counter.AddRead(blocks)
-	}
-	if c := a.disk(d); c != nil {
-		c.AddRead(blocks)
-	}
-	if om, ok := a.Meter.(vtime.OverlapMeter); ok {
-		om.ChargeOverlappedIOBlocks(blocks)
-	} else if a.Meter != nil {
-		a.Meter.ChargeIOBlocks(blocks)
-	}
-}
-
-// writeOverlapped is readOverlapped's write-behind counterpart.
-func (a Accounting) writeOverlapped(d int, blocks int64) {
-	if a.Counter != nil {
-		a.Counter.AddWrite(blocks)
-	}
-	if c := a.disk(d); c != nil {
-		c.AddWrite(blocks)
-	}
-	if om, ok := a.Meter.(vtime.OverlapMeter); ok {
-		om.ChargeOverlappedIOBlocks(blocks)
-	} else if a.Meter != nil {
-		a.Meter.ChargeIOBlocks(blocks)
-	}
-}
-
-// overlapWindow opens an overlap window on the accounting's meter if it
-// supports one, returning the close function (a no-op otherwise).
-func (a Accounting) overlapWindow(depth int) func() {
-	if om, ok := a.Meter.(vtime.OverlapMeter); ok {
-		om.BeginOverlap(depth)
-		return om.EndOverlap
-	}
-	return func() {}
-}
-
-// pfBlock is one unit of prefetcher→consumer handoff: a pooled byte
-// buffer holding a whole (or final partial) block, or a terminal error.
-type pfBlock struct {
-	buf []byte
-	err error
-}
-
-// PrefetchReader streams keys from a file like Reader, but a background
-// goroutine reads blocks ahead of the consumer, keeping up to depth
-// blocks in flight.  All accounting happens on the consumer goroutine
-// (see the file comment); Release joins the background goroutine, so the
-// file may be closed right after.
-type PrefetchReader struct {
-	acct     Accounting
-	placed   Placed // non-nil when the file knows its disk placement
-	off      int64  // consumer-side byte offset of the next block taken
-	block    int
-	ch       chan pfBlock  // depth-1 buffered; +1 in the producer's hands = depth in flight
-	quit     chan struct{} // closed by Release to stop the producer
-	done     chan struct{} // closed by the producer on exit
-	endWin   func()
-	keys     []record.Key
-	pos      int
-	err      error
-	released bool
-
-	fetched int64 // blocks handed to the consumer (== blocks charged)
-	unread  int64 // blocks read ahead but never consumed (never charged)
-	hits    int64 // fills served without waiting
-	stalls  int64 // fills that had to wait for the disk
-}
-
-// NewPrefetchReader returns a PrefetchReader on f keeping up to depth
-// blocks in flight (minimum 2, double buffering).
-func NewPrefetchReader(f File, blockKeys int, acct Accounting, depth int) *PrefetchReader {
-	if blockKeys <= 0 {
-		panic("diskio: block size must be positive")
-	}
-	if depth < 2 {
-		depth = 2
-	}
-	r := &PrefetchReader{
-		acct:   acct,
-		block:  blockKeys,
-		ch:     make(chan pfBlock, depth-1),
-		quit:   make(chan struct{}),
-		done:   make(chan struct{}),
-		endWin: acct.overlapWindow(depth),
-		keys:   getKeyBuf(blockKeys),
-	}
-	// Capture placement before the producer takes the handle: blocks
-	// arrive in file order, so the consumer can attribute each one to
-	// its member disk from the running offset alone (DiskAt is a pure
-	// function of the offset, safe alongside the producer's reads).
-	r.placed, r.off = placement(f)
-	go r.produce(f)
-	return r
-}
-
-// produce runs on the background goroutine.  It touches only f and the
-// buffer pools — never the accounting — and always either sends a
-// terminal pfBlock before exiting or exits on quit.
-func (r *PrefetchReader) produce(f File) {
-	defer close(r.done)
-	for {
-		select {
-		case <-r.quit:
-			return
-		default:
-		}
-		buf := getByteBuf(r.block * record.KeySize)
-		n, err := io.ReadFull(f, buf)
-		if n > 0 {
-			blk := pfBlock{buf: buf[:n]}
-			if n%record.KeySize != 0 {
-				putByteBuf(buf)
-				blk = pfBlock{err: fmt.Errorf("diskio: truncated key at end of %s", f.Name())}
-			}
-			select {
-			case r.ch <- blk:
-			case <-r.quit:
-				if blk.buf != nil {
-					putByteBuf(blk.buf)
-				}
-				return
-			}
-			if blk.err != nil {
-				return
-			}
-			continue
-		}
-		putByteBuf(buf)
-		if err == io.ErrUnexpectedEOF || err == nil {
-			err = io.EOF
-		}
-		select {
-		case r.ch <- pfBlock{err: err}:
-		case <-r.quit:
-		}
-		return
-	}
-}
-
-func (r *PrefetchReader) fill() error {
-	if r.err != nil {
-		return r.err
-	}
-	var blk pfBlock
-	select {
-	case blk = <-r.ch:
-		r.hits++
-	default:
-		r.stalls++
-		blk = <-r.ch // the producer always sends a terminal block before exiting
-	}
-	if blk.err != nil {
-		r.err = blk.err
-		return r.err
-	}
-	r.fetched++
-	d := 0
-	if r.placed != nil {
-		d = r.placed.DiskAt(r.off)
-	}
-	r.off += int64(len(blk.buf))
-	r.acct.readOverlapped(d, 1)
-	r.keys = record.DecodeKeys(r.keys[:0], blk.buf)
-	putByteBuf(blk.buf)
-	r.pos = 0
-	return nil
-}
-
-// Buffered returns the keys decoded but not yet consumed.
-func (r *PrefetchReader) Buffered() []record.Key { return r.keys[r.pos:] }
-
-// Discard consumes the first n buffered keys.
-func (r *PrefetchReader) Discard(n int) { r.pos += n }
-
-// Fill decodes the next block once the buffer is empty; io.EOF when the
-// file is exhausted.
-func (r *PrefetchReader) Fill() error {
-	if r.pos < len(r.keys) {
-		return nil
-	}
-	return r.fill()
-}
-
-// ReadKey returns the next key, or io.EOF when the stream is exhausted.
-func (r *PrefetchReader) ReadKey() (record.Key, error) {
-	if r.pos >= len(r.keys) {
-		if err := r.fill(); err != nil {
-			return 0, err
-		}
-	}
-	k := r.keys[r.pos]
-	r.pos++
-	return k, nil
-}
-
-// ReadKeys fills dst with up to len(dst) keys and returns how many were
-// read; io.EOF only with n==0 once exhausted.
-func (r *PrefetchReader) ReadKeys(dst []record.Key) (int, error) {
-	n := 0
-	for n < len(dst) {
-		if r.pos >= len(r.keys) {
-			if err := r.fill(); err != nil {
-				if n > 0 && err == io.EOF {
-					return n, nil
-				}
-				return n, err
-			}
-		}
-		c := copy(dst[n:], r.keys[r.pos:])
-		r.pos += c
-		n += c
-	}
-	return n, nil
-}
-
-// Release stops and joins the producer goroutine, recycles the buffers,
-// closes the overlap window and reports the stream's counters to the
-// meter's OverlapObserver (if any).  The underlying file may be closed
-// as soon as Release returns.  Release is idempotent; further reads fail
-// cleanly.
-func (r *PrefetchReader) Release() {
-	if r.released {
-		return
-	}
-	r.released = true
-	close(r.quit)
-	// Drain until the producer has exited: it may be blocked mid-send.
-drain:
-	for {
-		select {
-		case blk := <-r.ch:
-			r.recycle(blk)
-		case <-r.done:
-			break drain
-		}
-	}
-	for {
-		select {
-		case blk := <-r.ch:
-			r.recycle(blk)
-		default:
-			putKeyBuf(r.keys)
-			r.keys, r.pos = nil, 0
-			if r.err == nil {
-				r.err = fmt.Errorf("diskio: read on released PrefetchReader")
-			}
-			r.endWin()
-			if obs, ok := r.acct.Meter.(OverlapObserver); ok {
-				obs.ObserveOverlap(r.fetched+r.unread, r.hits, r.stalls, 0, 0)
-			}
-			return
-		}
-	}
-}
-
-func (r *PrefetchReader) recycle(blk pfBlock) {
-	if blk.buf != nil {
-		putByteBuf(blk.buf)
-		r.unread++
-	}
-}
-
-// AsyncWriter streams keys to a file like Writer, but flushed blocks are
-// handed to a background drainer instead of blocking WriteKeys; up to
-// depth blocks are in flight (the handoff applies backpressure beyond
-// that).  Accounting happens on the consumer goroutine at handoff time,
-// so PDM counts match the synchronous Writer exactly.  Close joins the
-// drainer before returning, so the file may be closed right after; a
-// write error from the drainer surfaces at Close (later blocks are
-// drained and discarded so the consumer never deadlocks).
-type AsyncWriter struct {
-	acct   Accounting
-	placed Placed // non-nil when the file knows its disk placement
-	off    int64  // consumer-side byte offset of the next block handed off
-	block  int
-	ch     chan []byte   // depth-1 buffered; +1 in the drainer's hands = depth in flight
-	done   chan struct{} // closed by the drainer on exit
-	werr   error         // drainer-side write error; read only after <-done
-	endWin func()
-	buf    []byte
-	n      int
-	total  int64
-	closed bool
-	err    error
-
-	wrote int64 // blocks handed to the drainer (== blocks charged)
-	hwm   int64 // worst queue depth observed at handoff
-}
-
-// NewAsyncWriter returns a write-behind writer on f keeping up to depth
-// blocks in flight (minimum 2).
-func NewAsyncWriter(f File, blockKeys int, acct Accounting, depth int) *AsyncWriter {
-	if blockKeys <= 0 {
-		panic("diskio: block size must be positive")
-	}
-	if depth < 2 {
-		depth = 2
-	}
-	w := &AsyncWriter{
-		acct:   acct,
-		block:  blockKeys,
-		ch:     make(chan []byte, depth-1),
-		done:   make(chan struct{}),
-		endWin: acct.overlapWindow(depth),
-		buf:    getByteBuf(blockKeys * record.KeySize)[:0],
-	}
-	// Capture placement before the drainer takes the handle; the
-	// consumer attributes each handed-off block from its own offset.
-	w.placed, w.off = placement(f)
-	go w.drain(f)
-	return w
-}
-
-// drain runs on the background goroutine: it writes each handed-off
-// block to f and recycles the buffer.  After the first write error it
-// keeps receiving (and discarding) so the consumer never blocks forever.
-func (w *AsyncWriter) drain(f File) {
-	defer close(w.done)
-	for buf := range w.ch {
-		if w.werr == nil {
-			if _, err := f.Write(buf); err != nil {
-				w.werr = fmt.Errorf("diskio: writing block: %w", err)
-			}
-		}
-		putByteBuf(buf)
-	}
-}
-
-// WriteKeys appends keys to the stream.
-func (w *AsyncWriter) WriteKeys(keys []record.Key) error {
-	if w.err != nil {
-		return w.err
-	}
-	if w.closed {
-		return errWriterClosed
-	}
-	for len(keys) > 0 {
-		room := w.block - w.n
-		take := len(keys)
-		if take > room {
-			take = room
-		}
-		w.buf = record.EncodeKeys(w.buf, keys[:take])
-		w.n += take
-		w.total += int64(take)
-		keys = keys[take:]
-		if w.n == w.block {
-			w.flushBlock()
-		}
-	}
-	return nil
-}
-
-// WriteKey appends a single key.
-func (w *AsyncWriter) WriteKey(k record.Key) error {
-	return w.WriteKeys([]record.Key{k})
-}
-
-// flushBlock hands the current block to the drainer (blocking when depth
-// blocks are already in flight) and charges one block write.
-func (w *AsyncWriter) flushBlock() {
-	if w.n == 0 {
-		return
-	}
-	if q := int64(len(w.ch)) + 1; q > w.hwm {
-		w.hwm = q
-	}
-	d := 0
-	if w.placed != nil {
-		d = w.placed.DiskAt(w.off)
-	}
-	w.off += int64(len(w.buf))
-	w.ch <- w.buf
-	w.wrote++
-	w.acct.writeOverlapped(d, 1)
-	w.buf = getByteBuf(w.block * record.KeySize)[:0]
-	w.n = 0
-}
-
-// KeysWritten returns the number of keys accepted so far.
-func (w *AsyncWriter) KeysWritten() int64 { return w.total }
-
-// Close flushes the final partial block, joins the drainer, recycles the
-// buffers, closes the overlap window and reports the stream's counters
-// to the meter's OverlapObserver (if any).  It does not close the
-// underlying file handle; the caller owns it and may close it as soon as
-// Close returns.  Close is idempotent.
-func (w *AsyncWriter) Close() error {
-	if w.closed {
-		return w.err
-	}
-	w.flushBlock()
-	w.closed = true
-	close(w.ch)
-	<-w.done
-	if w.err == nil {
-		w.err = w.werr
-	}
-	putByteBuf(w.buf)
-	w.buf = nil
-	w.endWin()
-	if obs, ok := w.acct.Meter.(OverlapObserver); ok {
-		obs.ObserveOverlap(0, 0, 0, w.wrote, w.hwm)
-	}
-	return w.err
 }

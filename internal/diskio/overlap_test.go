@@ -2,7 +2,6 @@ package diskio
 
 import (
 	"bytes"
-	"errors"
 	"io"
 	"testing"
 
@@ -11,32 +10,33 @@ import (
 	"hetsort/internal/vtime"
 )
 
-// overlapMeter records OverlapMeter and OverlapObserver traffic so the
-// tests can check the consumer-side accounting protocol.
+// overlapMeter records OverlapMeter traffic so the tests can check the
+// window and charging protocol of overlapped streams.
 type overlapMeter struct {
 	vtime.Nop
-	begins, ends       int
-	overlapped, direct int64
-	prefetched, hits   int64
-	stalls, wbBlocks   int64
-	wbHWM              int64
+	begins, ends         int
+	depth                int
+	overReads, overWrite int64
+	direct               int64
 }
 
-func (m *overlapMeter) BeginOverlap(int)                 { m.begins++ }
-func (m *overlapMeter) EndOverlap()                      { m.ends++ }
-func (m *overlapMeter) ChargeOverlappedIOBlocks(n int64) { m.overlapped += n }
-func (m *overlapMeter) ChargeIOBlocks(n int64)           { m.direct += n }
-func (m *overlapMeter) ObserveOverlap(pf, hits, stalls, wb, hwm int64) {
-	m.prefetched += pf
-	m.hits += hits
-	m.stalls += stalls
-	m.wbBlocks += wb
-	if hwm > m.wbHWM {
-		m.wbHWM = hwm
+func (m *overlapMeter) BeginOverlap(d int) { m.begins++; m.depth = d }
+func (m *overlapMeter) EndOverlap()        { m.ends++ }
+func (m *overlapMeter) ChargeOverlappedIOBlocks(n int64, write bool) {
+	if write {
+		m.overWrite += n
+	} else {
+		m.overReads += n
 	}
 }
+func (m *overlapMeter) ChargeIOBlocks(n int64)            { m.direct += n }
+func (m *overlapMeter) ChargeDiskIOBlocks(_ int, n int64) { m.direct += n }
 
-func TestPrefetchReaderMatchesReader(t *testing.T) {
+// TestOverlappedReaderMatchesReader: Accounting.Overlap changes how a
+// Reader charges, nothing else — same keys, same block count, every
+// block charged through one overlap window held from NewReader to
+// Release (which is idempotent).
+func TestOverlappedReaderMatchesReader(t *testing.T) {
 	for name, mk := range fsFactories(t) {
 		t.Run(name, func(t *testing.T) {
 			fs := mk()
@@ -44,7 +44,7 @@ func TestPrefetchReaderMatchesReader(t *testing.T) {
 			if err := WriteFile(fs, "x", keys, 64, Accounting{}); err != nil {
 				t.Fatal(err)
 			}
-			var syncC, pfC pdm.Counter
+			var syncC, ovC pdm.Counter
 			sf, _ := fs.Open("x")
 			sr := NewReader(sf, 64, Accounting{Counter: &syncC})
 			want, err := readAll(sr)
@@ -54,44 +54,46 @@ func TestPrefetchReaderMatchesReader(t *testing.T) {
 			sr.Release()
 			sf.Close()
 
-			pf, _ := fs.Open("x")
+			of, _ := fs.Open("x")
 			m := &overlapMeter{}
-			pr := NewPrefetchReader(pf, 64, Accounting{Counter: &pfC, Meter: m}, 4)
-			got, err := readAll(pr)
+			or := NewReader(of, 64, Accounting{Counter: &ovC, Meter: m, Overlap: Overlap{Enabled: true, Depth: 4}})
+			if m.begins != 1 || m.depth != 4 {
+				t.Fatalf("NewReader opened %d windows of depth %d, want 1 of depth 4", m.begins, m.depth)
+			}
+			got, err := readAll(or)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pr.Release()
-			pf.Close()
+			or.Release()
+			or.Release()
+			of.Close()
 
 			if len(got) != len(want) {
-				t.Fatalf("prefetch read %d keys, sync read %d", len(got), len(want))
+				t.Fatalf("overlapped read %d keys, sync read %d", len(got), len(want))
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("key %d: prefetch %d sync %d", i, got[i], want[i])
+					t.Fatalf("key %d: overlapped %d sync %d", i, got[i], want[i])
 				}
 			}
-			if pfC.Reads() != syncC.Reads() {
-				t.Fatalf("prefetch charged %d block reads, sync %d", pfC.Reads(), syncC.Reads())
+			if ovC.Reads() != syncC.Reads() {
+				t.Fatalf("overlapped charged %d block reads, sync %d", ovC.Reads(), syncC.Reads())
 			}
-			if m.overlapped != pfC.Reads() {
-				t.Fatalf("overlap meter saw %d blocks, counter %d", m.overlapped, pfC.Reads())
+			if m.overReads != ovC.Reads() || m.overWrite != 0 || m.direct != 0 {
+				t.Fatalf("meter saw %d overlapped reads, %d overlapped writes, %d direct blocks; counter %d reads",
+					m.overReads, m.overWrite, m.direct, ovC.Reads())
 			}
 			if m.begins != 1 || m.ends != 1 {
 				t.Fatalf("window begins=%d ends=%d, want 1/1", m.begins, m.ends)
 			}
-			if m.prefetched != pfC.Reads() {
-				t.Fatalf("observer saw %d prefetched blocks, counter %d", m.prefetched, pfC.Reads())
-			}
-			if m.hits+m.stalls == 0 {
-				t.Fatal("no fill outcomes observed")
+			if _, err := or.ReadKey(); err == nil {
+				t.Fatal("read on released Reader succeeded")
 			}
 		})
 	}
 }
 
-func readAll(r BlockReader) ([]record.Key, error) {
+func readAll(r *Reader) ([]record.Key, error) {
 	var out []record.Key
 	buf := make([]record.Key, 50)
 	for {
@@ -109,45 +111,14 @@ func readAll(r BlockReader) ([]record.Key, error) {
 	}
 }
 
-// TestPrefetchReaderEarlyRelease checks the count-preservation rule:
-// blocks the producer read ahead but the consumer never took are not
-// charged, exactly as a synchronous reader would never have read them.
-func TestPrefetchReaderEarlyRelease(t *testing.T) {
-	fs := NewMemFS()
-	if err := WriteFile(fs, "x", make([]record.Key, 1000), 10, Accounting{}); err != nil {
-		t.Fatal(err)
-	}
-	var c pdm.Counter
-	f, _ := fs.Open("x")
-	m := &overlapMeter{}
-	r := NewPrefetchReader(f, 10, Accounting{Counter: &c, Meter: m}, 4)
-	for i := 0; i < 15; i++ { // 1.5 blocks consumed
-		if _, err := r.ReadKey(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r.Release()
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Reads() != 2 {
-		t.Fatalf("charged %d block reads after 15 keys, want 2", c.Reads())
-	}
-	if m.ends != 1 {
-		t.Fatalf("window not closed on early release (ends=%d)", m.ends)
-	}
-	if _, err := r.ReadKey(); err == nil {
-		t.Fatal("read on released PrefetchReader succeeded")
-	}
-	r.Release() // idempotent
-}
-
-func TestAsyncWriterMatchesWriter(t *testing.T) {
+// TestOverlappedWriterMatchesWriter is the Writer's counterpart: same
+// file bytes, same block count, one window from NewWriter to Close.
+func TestOverlappedWriterMatchesWriter(t *testing.T) {
 	for name, mk := range fsFactories(t) {
 		t.Run(name, func(t *testing.T) {
 			fs := mk()
 			keys := record.Uniform.Generate(777, 3, 1)
-			var syncC, asC pdm.Counter
+			var syncC, ovC pdm.Counter
 			sf, _ := fs.Create("sync")
 			sw := NewWriter(sf, 64, Accounting{Counter: &syncC})
 			if err := sw.WriteKeys(keys); err != nil {
@@ -158,121 +129,83 @@ func TestAsyncWriterMatchesWriter(t *testing.T) {
 			}
 			sf.Close()
 
-			af, _ := fs.Create("async")
+			of, _ := fs.Create("overlapped")
 			m := &overlapMeter{}
-			aw := NewAsyncWriter(af, 64, Accounting{Counter: &asC, Meter: m}, 3)
+			ow := NewWriter(of, 64, Accounting{Counter: &ovC, Meter: m, Overlap: Overlap{Enabled: true, Depth: 3}})
 			// Dribble in odd-sized slices to exercise block splitting.
 			for off := 0; off < len(keys); off += 13 {
 				end := off + 13
 				if end > len(keys) {
 					end = len(keys)
 				}
-				if err := aw.WriteKeys(keys[off:end]); err != nil {
+				if err := ow.WriteKeys(keys[off:end]); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if err := aw.Close(); err != nil {
+			if err := ow.Close(); err != nil {
 				t.Fatal(err)
 			}
-			af.Close()
+			if err := ow.Close(); err != nil {
+				t.Fatal(err)
+			}
+			of.Close()
 
 			want, err := ReadFileAll(fs, "sync", 64, Accounting{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := ReadFileAll(fs, "async", 64, Accounting{})
+			got, err := ReadFileAll(fs, "overlapped", 64, Accounting{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(record.EncodeKeys(nil, want), record.EncodeKeys(nil, got)) {
-				t.Fatal("write-behind output differs from synchronous output")
+				t.Fatal("overlapped output differs from synchronous output")
 			}
-			if asC.Writes() != syncC.Writes() {
-				t.Fatalf("write-behind charged %d block writes, sync %d", asC.Writes(), syncC.Writes())
+			if ovC.Writes() != syncC.Writes() {
+				t.Fatalf("overlapped charged %d block writes, sync %d", ovC.Writes(), syncC.Writes())
 			}
-			if m.overlapped != asC.Writes() {
-				t.Fatalf("overlap meter saw %d blocks, counter %d", m.overlapped, asC.Writes())
+			if m.overWrite != ovC.Writes() || m.overReads != 0 || m.direct != 0 {
+				t.Fatalf("meter saw %d overlapped writes, %d overlapped reads, %d direct blocks; counter %d writes",
+					m.overWrite, m.overReads, m.direct, ovC.Writes())
 			}
-			if aw.KeysWritten() != int64(len(keys)) {
-				t.Fatalf("KeysWritten=%d want %d", aw.KeysWritten(), len(keys))
+			if ow.KeysWritten() != int64(len(keys)) {
+				t.Fatalf("KeysWritten=%d want %d", ow.KeysWritten(), len(keys))
 			}
 			if m.begins != 1 || m.ends != 1 {
 				t.Fatalf("window begins=%d ends=%d, want 1/1", m.begins, m.ends)
-			}
-			if m.wbBlocks != asC.Writes() {
-				t.Fatalf("observer saw %d write-behind blocks, counter %d", m.wbBlocks, asC.Writes())
-			}
-			if m.wbHWM < 1 {
-				t.Fatalf("queue high-water %d, want >= 1", m.wbHWM)
 			}
 		})
 	}
 }
 
-// failAfterFile fails every Write after the first n.
-type failAfterFile struct {
-	File
-	n int
-}
+// plainMeter is a vtime.Meter and nothing more.
+type plainMeter struct{ blocks int64 }
 
-func (f *failAfterFile) Write(p []byte) (int, error) {
-	if f.n <= 0 {
-		return 0, errors.New("boom")
-	}
-	f.n--
-	return f.File.Write(p)
-}
+func (m *plainMeter) ChargeCompute(int64)    {}
+func (m *plainMeter) ChargeIOBlocks(n int64) { m.blocks += n }
+func (m *plainMeter) ChargeSeek(int64)       {}
 
-func TestAsyncWriterSurfacesWriteError(t *testing.T) {
+// TestOverlapNeedsAnOverlapMeter: on a meter without the window model
+// an overlapped stream charges synchronously, and direct charges are
+// synchronous whatever the mode.
+func TestOverlapNeedsAnOverlapMeter(t *testing.T) {
 	fs := NewMemFS()
-	inner, _ := fs.Create("x")
-	f := &failAfterFile{File: inner, n: 1}
-	w := NewAsyncWriter(f, 10, Accounting{}, 2)
-	// Enough blocks that the drainer hits the failure and must keep
-	// draining (discarding) so this loop cannot deadlock.
-	if err := w.WriteKeys(make([]record.Key, 200)); err != nil {
+	plain := &plainMeter{}
+	on := Overlap{Enabled: true}
+	if err := WriteFile(fs, "x", make([]record.Key, 25), 10, Accounting{Meter: plain, Overlap: on}); err != nil {
 		t.Fatal(err)
 	}
-	err := w.Close()
-	if err == nil {
-		t.Fatal("Close did not surface the drainer's write error")
+	if plain.blocks != 3 {
+		t.Fatalf("plain meter saw %d synchronous blocks, want 3", plain.blocks)
 	}
-	if w.Close() != err {
-		t.Fatal("Close is not idempotent on the error")
+	m := &overlapMeter{}
+	acct := Accounting{Meter: m, Overlap: on}
+	acct.ChargeRead(0, 2)
+	acct.ChargeWrite(0, 1)
+	if m.direct != 3 || m.overReads+m.overWrite != 0 || m.begins != 0 {
+		t.Fatalf("direct charges under Overlap: direct=%d overlapped=%d windows=%d, want 3/0/0",
+			m.direct, m.overReads+m.overWrite, m.begins)
 	}
-	if werr := w.WriteKeys(make([]record.Key, 1)); werr == nil {
-		t.Fatal("write after failed Close succeeded")
-	}
-}
-
-func TestNewBlockReaderWriterFallThrough(t *testing.T) {
-	fs := NewMemFS()
-	f, _ := fs.Create("x")
-	sw := NewBlockWriter(f, 10, Accounting{}, Overlap{})
-	if _, ok := sw.(*Writer); !ok {
-		t.Fatal("disabled Overlap did not yield the synchronous Writer")
-	}
-	sw.Close()
-	aw := NewBlockWriter(f, 10, Accounting{}, Overlap{Enabled: true})
-	if _, ok := aw.(*AsyncWriter); !ok {
-		t.Fatal("enabled Overlap did not yield the write-behind AsyncWriter")
-	}
-	aw.Close()
-	f.Close()
-	if err := WriteFile(fs, "y", make([]record.Key, 5), 10, Accounting{}); err != nil {
-		t.Fatal(err)
-	}
-	rf, _ := fs.Open("y")
-	if _, ok := NewBlockReader(rf, 10, Accounting{}, Overlap{}).(*Reader); !ok {
-		t.Fatal("disabled Overlap did not yield the synchronous Reader")
-	}
-	r := NewBlockReader(rf, 10, Accounting{}, Overlap{Enabled: true})
-	pr, ok := r.(*PrefetchReader)
-	if !ok {
-		t.Fatal("enabled Overlap did not yield the PrefetchReader")
-	}
-	pr.Release()
-	rf.Close()
 }
 
 // diskCountMeter is a meter that reports a disk count, standing in for
@@ -284,11 +217,11 @@ type diskCountMeter struct {
 
 func (m diskCountMeter) Disks() int { return m.disks }
 
-// TestOverlapDepthDefault checks depth resolution: explicit depths win,
+// TestOverlapDefaultDepth checks depth resolution: explicit depths win,
 // <= 1 means double buffering, and Depth == 0 asks the meter for its
 // disk count — the regression test for prefetch depth defaulting to the
 // node's DisksPerNode.
-func TestOverlapDepthDefault(t *testing.T) {
+func TestOverlapDefaultDepth(t *testing.T) {
 	for _, d := range []int{-1, 0, 1} {
 		if got := (Overlap{Depth: d}).DepthFor(nil); got != 2 {
 			t.Fatalf("Overlap{Depth: %d}.DepthFor(nil) = %d, want 2", d, got)

@@ -71,17 +71,6 @@ type Config struct {
 	MessageKeys int
 	// RunFormation selects the run former for step 1.
 	RunFormation polyphase.RunFormation
-	// Disks is the PDM D parameter per node (default 1).  It must match
-	// the cluster's DisksPerNode: with D > 1 every node file is striped
-	// unit-by-unit across D member disks, so the on-disk layout — and
-	// hence the resume fingerprint — depends on it.
-	Disks int
-	// NoGalloping disables the merge kernel's multi-block galloping
-	// fast path everywhere (steps 1 and 5 and the pipelined merges).
-	// Compute-only: output bytes and PDM I/O counts are unchanged, so
-	// it too is excluded from the resume fingerprint.  Used as the
-	// ablation baseline.
-	NoGalloping bool
 	// Strategy selects the pivot scheme for step 2 (default
 	// RegularSampling, the paper's Algorithm 1).
 	Strategy Strategy
@@ -115,17 +104,16 @@ type Config struct {
 	// from the resume fingerprint, so an interrupted run may be
 	// resumed with either setting.
 	Pipeline bool
-	// Overlap turns on asynchronous disk I/O: readers prefetch blocks
-	// ahead of the consumer and writers flush behind it, so disk
-	// transfer time hides behind concurrent compute up to the stream's
-	// in-flight depth (vtime.OverlapMeter's windowed model).  The PDM
-	// I/O *counts* and the output bytes are identical to the synchronous
-	// path — only virtual time changes — and like Pipeline it is an
-	// execution strategy excluded from the resume fingerprint.
+	// Overlap charges disk I/O as asynchronous: readers are modelled as
+	// prefetching ahead of the consumer and writers as flushing behind
+	// it, so disk transfer time hides behind concurrent compute up to
+	// the stream's in-flight depth, max(2, the node's D)
+	// (vtime.OverlapMeter's windowed model).  The PDM I/O *counts* and
+	// the output bytes are identical to the synchronous mode — only
+	// virtual time changes — and like Pipeline and the cluster's
+	// DisksPerNode it is an execution strategy excluded from the resume
+	// fingerprint.
 	Overlap bool
-	// OverlapDepth is the number of blocks kept in flight per
-	// overlapped stream (0 = max(2, the node's DisksPerNode)).
-	OverlapDepth int
 	// Checkpoint makes the five phase boundaries durable commit points:
 	// each node writes a manifest (see internal/checkpoint) to its
 	// private FS after every phase, segment files are retained until
@@ -175,10 +163,10 @@ type Config struct {
 // sig fingerprints the parameters that must match between an
 // interrupted run and its resume.
 func (c Config) sig(inputName, outputName string) string {
-	return fmt.Sprintf("extsort-v2 perf=%v B=%d M=%d T=%d msg=%d rf=%d strat=%d over=%d eps=%g htol=%g seed=%d topo=%d r=%d d=%d in=%s out=%s",
+	return fmt.Sprintf("extsort-v3 perf=%v B=%d M=%d T=%d msg=%d rf=%d strat=%d over=%d eps=%g htol=%g seed=%d topo=%d r=%d in=%s out=%s",
 		[]int(c.Perf), c.BlockKeys, c.MemoryKeys, c.Tapes, c.MessageKeys,
 		c.RunFormation, c.Strategy, c.OverFactor, c.QuantileEps, c.HistTolerance, c.Seed,
-		c.Topology, c.Radix, c.Disks, inputName, outputName)
+		c.Topology, c.Radix, inputName, outputName)
 }
 
 // ApplyDefaults fills zero-valued fields with the paper's defaults for
@@ -202,9 +190,6 @@ func (c *Config) ApplyDefaults(p int) {
 	}
 	if c.Radix <= 0 {
 		c.Radix = 4
-	}
-	if c.Disks <= 0 {
-		c.Disks = 1
 	}
 	if c.HistTolerance == 0 {
 		c.HistTolerance = 0.05
@@ -342,19 +327,9 @@ func Sort(c *cluster.Cluster, cfg Config, inputName, outputName string) (*Result
 	return runWorkers(c, cfg, inputName, outputName, nil)
 }
 
-// resolve readies the configuration for a run on cl: Config.Disks is
-// aligned with the cluster's per-node disk count — unset adopts the
-// cluster's D (so the resume fingerprint always records the real
-// striping layout), an explicit mismatch is an error — then the defaults
-// are filled in and the result validated.
+// resolve readies the configuration for a run on cl: the defaults are
+// filled in and the result validated.
 func (c *Config) resolve(cl *cluster.Cluster) error {
-	d := cl.Node(0).Disks()
-	if c.Disks <= 0 {
-		c.Disks = d
-	}
-	if c.Disks != d {
-		return fmt.Errorf("extsort: Config.Disks=%d does not match the cluster's %d disks per node", c.Disks, d)
-	}
 	c.ApplyDefaults(cl.P())
 	return c.Validate(cl.P())
 }
@@ -728,30 +703,26 @@ func (w *worker) cleanup() error {
 	return nil
 }
 
-// overlap resolves the node's overlapped-I/O mode: depth defaults to the
-// node's disk parallelism (minimum 2, double buffering).
-func (w *worker) overlap() diskio.Overlap {
-	if !w.cfg.Overlap {
-		return diskio.Overlap{}
-	}
-	depth := w.cfg.OverlapDepth
-	if depth <= 0 {
-		depth = w.n.Disks()
-	}
-	return diskio.Overlap{Enabled: true, Depth: depth}
+// acct is the node's accounting for the sort's block streams: charged
+// overlapped under Config.Overlap.  Point charges (sampling probes,
+// manifest commits, hashing) use n.Acct() and stay synchronous.
+func (w *worker) acct() diskio.Accounting {
+	a := w.n.Acct()
+	a.Overlap.Enabled = w.cfg.Overlap
+	return a
 }
 
 func (w *worker) polyCfg(prefix string) polyphase.Config {
+	acct := w.acct()
 	return polyphase.Config{
 		FS:           w.n.FS(),
 		BlockKeys:    w.cfg.BlockKeys,
 		MemoryKeys:   w.cfg.MemoryKeys,
 		Tapes:        w.cfg.Tapes,
 		RunFormation: w.cfg.RunFormation,
-		Acct:         w.n.Acct(),
-		Overlap:      w.overlap(),
+		Acct:         acct,
+		Overlap:      acct.Overlap,
 		TempPrefix:   prefix,
-		NoGallop:     w.cfg.NoGalloping,
 	}
 }
 
@@ -770,15 +741,15 @@ func (w *worker) partition() error {
 		return err
 	}
 	defer in.Close()
-	r := diskio.NewBlockReader(in, cfg.BlockKeys, n.Acct(), w.overlap())
-	defer r.Release() // joins any prefetch goroutine before in closes
+	r := diskio.NewReader(in, cfg.BlockKeys, w.acct())
+	defer r.Release()
 
 	seg := 0
 	outFile, err := n.FS().Create(w.segName(0))
 	if err != nil {
 		return err
 	}
-	out := diskio.NewBlockWriter(outFile, cfg.BlockKeys, n.Acct(), w.overlap())
+	out := diskio.NewWriter(outFile, cfg.BlockKeys, w.acct())
 	closeSeg := func() error {
 		werr := out.Close()
 		ferr := outFile.Close()
@@ -789,8 +760,6 @@ func (w *worker) partition() error {
 		return ferr
 	}
 	defer func() {
-		// Error-path cleanup: the write-behind drainer must be joined
-		// before its file handle goes away.
 		if out != nil {
 			out.Close()
 			outFile.Close()
@@ -815,7 +784,7 @@ func (w *worker) partition() error {
 				if err != nil {
 					return err
 				}
-				out = diskio.NewBlockWriter(outFile, cfg.BlockKeys, n.Acct(), w.overlap())
+				out = diskio.NewWriter(outFile, cfg.BlockKeys, w.acct())
 			}
 			if err := out.WriteKey(k); err != nil {
 				return err

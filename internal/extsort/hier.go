@@ -62,7 +62,7 @@ func (c Config) fusedFits(streams int) bool {
 
 // blockFile is a block writer together with the file it writes.
 type blockFile struct {
-	diskio.BlockWriter
+	*diskio.Writer
 	f diskio.File
 }
 
@@ -71,12 +71,12 @@ func (w *worker) createBlockFile(name string) (*blockFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &blockFile{diskio.NewBlockWriter(f, w.cfg.BlockKeys, w.n.Acct(), w.overlap()), f}, nil
+	return &blockFile{diskio.NewWriter(f, w.cfg.BlockKeys, w.acct()), f}, nil
 }
 
 // Close flushes the writer and closes the file; the first error wins.
 func (b *blockFile) Close() error {
-	err := b.BlockWriter.Close()
+	err := b.Writer.Close()
 	if ferr := b.f.Close(); err == nil {
 		err = ferr
 	}
@@ -233,7 +233,7 @@ func (w *worker) sendBucket(to, tag, t, d int) (sent int64, err error) {
 	if err != nil {
 		return 0, err
 	}
-	r := diskio.NewBlockReader(f, cfg.BlockKeys, n.Acct(), w.overlap())
+	r := diskio.NewReader(f, cfg.BlockKeys, w.acct())
 	for err == nil {
 		buf := n.AcquireBuf(cfg.MessageKeys)
 		var cnt int
@@ -268,7 +268,7 @@ func (w *worker) mergeBucket(t, tag, d int, nbrs []int, outName string, tee bool
 	if err != nil {
 		return err
 	}
-	r := diskio.NewBlockReader(f, w.cfg.BlockKeys, n.Acct(), w.overlap())
+	r := diskio.NewReader(f, w.cfg.BlockKeys, w.acct())
 	srcs := []polyphase.MergeSource{r}
 	streams := make([]*cluster.Stream, 0, len(nbrs))
 	var tees []*blockFile
@@ -276,7 +276,7 @@ func (w *worker) mergeBucket(t, tag, d int, nbrs []int, outName string, tee bool
 		for _, s := range streams {
 			s.Close()
 		}
-		r.Release() // joins any prefetch goroutine before f closes
+		r.Release()
 		f.Close()
 		for _, b := range tees {
 			if cerr := b.Close(); err == nil {
@@ -301,7 +301,7 @@ func (w *worker) mergeBucket(t, tag, d int, nbrs []int, outName string, tee bool
 	if err != nil {
 		return err
 	}
-	err = polyphase.MergeOpt(srcs, n, out.WriteKeys, polyphase.MergeOptions{NoGallop: w.cfg.NoGalloping})
+	err = polyphase.Merge(srcs, n, out.WriteKeys)
 	if cerr := out.Close(); err == nil {
 		err = cerr
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"hetsort/internal/checkpoint"
 	"hetsort/internal/cluster"
 	"hetsort/internal/diskio"
 	"hetsort/internal/perf"
@@ -268,6 +269,53 @@ func TestResumeRejectsChangedConfig(t *testing.T) {
 	}
 	if err := VerifyOutput(c, "output", cfg.BlockKeys, sum); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResumeRefusesV2Manifest: a checkpoint written under the extsort-v2
+// fingerprint (which recorded d=, the disk count its node files were
+// physically striped over) is refused by fingerprint — with the error
+// that names both configurations — never by a missing member file.
+func TestResumeRefusesV2Manifest(t *testing.T) {
+	v := perf.Vector{1, 1}
+	n := v.NearestValidSize(1 << 12)
+	c := newCluster(t, v)
+	cfg := testConfig(v)
+	cfg.Checkpoint = true
+	sum, err := DistributeInput(c, v, record.Uniform, n, 3, cfg.BlockKeys, "input")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.InputSum = sum
+	if err := c.ScheduleCrash(0, -1, StepNames[2]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Sort(c, cfg, "input", "output"); !cluster.IsCrash(err) {
+		t.Fatalf("want crash, got %v", err)
+	}
+	for i := 0; i < c.P(); i++ {
+		fs := c.Node(i).FS()
+		m, err := checkpoint.Load(fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v3 := m.Sig
+		m.Sig = strings.Replace(strings.Replace(v3, "extsort-v3 ", "extsort-v2 ", 1), " in=", " d=1 in=", 1)
+		if m.Sig == v3 || !strings.HasPrefix(m.Sig, "extsort-v2 ") {
+			t.Fatalf("could not age fingerprint %q", v3)
+		}
+		if err := checkpoint.Save(fs, m, diskio.Accounting{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, _, err = Resume(c, cfg, "input", "output")
+	if err == nil {
+		t.Fatal("resume from extsort-v2 manifests accepted")
+	}
+	for _, want := range []string{"different configuration", "extsort-v2 ", "extsort-v3 "} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error does not mention %q: %v", want, err)
+		}
 	}
 }
 

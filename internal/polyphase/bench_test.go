@@ -39,7 +39,7 @@ func BenchmarkRunFormation(b *testing.B) {
 			}
 			for i := 0; i < b.N; i++ {
 				sink := &discardSink{}
-				if _, _, err := formRuns(fs, "in", 1024, 1<<13, rf, diskio.Accounting{}, diskio.Overlap{}, sink); err != nil {
+				if _, _, err := formRuns(fs, "in", 1024, 1<<13, rf, diskio.Accounting{}, sink); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -49,7 +49,7 @@ func TestGuidesortCoalescesBandedLoads(t *testing.T) {
 		fs := newMemInput(t, keys)
 		var runs [][]record.Key
 		sink := &collectSink{runs: &runs}
-		n, total, err := formRuns(fs, "input", 16, m, how, accounting(), diskio.Overlap{}, sink)
+		n, total, err := formRuns(fs, "input", 16, m, how, accounting(), sink)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestGuidesortRunsNeverExceedLoadSort(t *testing.T) {
 			fs := newMemInput(t, keys)
 			var runs [][]record.Key
 			sink := &collectSink{runs: &runs}
-			if _, _, err := formRuns(fs, "input", 16, 128, how, accounting(), diskio.Overlap{}, sink); err != nil {
+			if _, _, err := formRuns(fs, "input", 16, 128, how, accounting(), sink); err != nil {
 				t.Fatal(err)
 			}
 			for _, r := range runs {
@@ -110,7 +110,7 @@ func TestGuidesortComputeBelowReplacement(t *testing.T) {
 		acct := diskio.Accounting{Meter: &captureMeter{compute: &charged}}
 		var runs [][]record.Key
 		sink := &collectSink{runs: &runs}
-		if _, _, err := formRuns(fs, "input", 64, 512, how, acct, diskio.Overlap{}, sink); err != nil {
+		if _, _, err := formRuns(fs, "input", 64, 512, how, acct, sink); err != nil {
 			t.Fatal(err)
 		}
 		return charged

@@ -239,7 +239,7 @@ func TestRunFormationEmitsSortedRuns(t *testing.T) {
 	fs := newMemInput(t, record.Uniform.Generate(3000, 5, 1))
 	var runs [][]record.Key
 	sink := &collectSink{runs: &runs}
-	n, total, err := formRuns(fs, "input", 16, 64, ReplacementSelection, accounting(), diskio.Overlap{}, sink)
+	n, total, err := formRuns(fs, "input", 16, 64, ReplacementSelection, accounting(), sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestReplacementSelectionAverageRunLength(t *testing.T) {
 	fs := newMemInput(t, record.Uniform.Generate(50000, 9, 1))
 	var runs [][]record.Key
 	sink := &collectSink{runs: &runs}
-	n, total, err := formRuns(fs, "input", 64, 256, ReplacementSelection, accounting(), diskio.Overlap{}, sink)
+	n, total, err := formRuns(fs, "input", 64, 256, ReplacementSelection, accounting(), sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestLoadSortRunLengthExactlyM(t *testing.T) {
 	fs := newMemInput(t, record.Uniform.Generate(1000, 3, 1))
 	var runs [][]record.Key
 	sink := &collectSink{runs: &runs}
-	_, _, err := formRuns(fs, "input", 16, 256, LoadSort, accounting(), diskio.Overlap{}, sink)
+	_, _, err := formRuns(fs, "input", 16, 256, LoadSort, accounting(), sink)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ func MergeFiles(cfg Config, inputs []string, outputName string) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
+	cfg.Acct.Overlap = cfg.Overlap
 	switch len(inputs) {
 	case 0:
 		f, err := cfg.FS.Create(outputName)
@@ -62,10 +63,8 @@ func MergeFiles(cfg Config, inputs []string, outputName string) error {
 func mergeGroup(cfg Config, inputs []string, out string) error {
 	files := make([]diskio.File, len(inputs))
 	srcs := make([]MergeSource, len(inputs))
-	readers := make([]diskio.BlockReader, len(inputs))
+	readers := make([]*diskio.Reader, len(inputs))
 	defer func() {
-		// Release before Close: a prefetching reader's goroutine must
-		// be joined before its file handle goes away.
 		for _, r := range readers {
 			if r != nil {
 				r.Release()
@@ -83,7 +82,7 @@ func mergeGroup(cfg Config, inputs []string, out string) error {
 			return fmt.Errorf("polyphase: merge open %s: %w", name, err)
 		}
 		files[i] = f
-		readers[i] = diskio.NewBlockReader(f, cfg.BlockKeys, cfg.Acct, cfg.Overlap)
+		readers[i] = diskio.NewReader(f, cfg.BlockKeys, cfg.Acct)
 		srcs[i] = readers[i]
 	}
 	of, err := cfg.FS.Create(out)
@@ -91,7 +90,7 @@ func mergeGroup(cfg Config, inputs []string, out string) error {
 		return err
 	}
 	defer of.Close()
-	w := diskio.NewBlockWriter(of, cfg.BlockKeys, cfg.Acct, cfg.Overlap)
+	w := diskio.NewWriter(of, cfg.BlockKeys, cfg.Acct)
 	defer w.Close()
 
 	if err := MergeOpt(srcs, cfg.Acct.Meter, w.WriteKeys, MergeOptions{NoGallop: cfg.NoGallop}); err != nil {
@@ -115,9 +114,9 @@ func copyFile(cfg Config, src, dst string) error {
 		return err
 	}
 	defer out.Close()
-	r := diskio.NewBlockReader(in, cfg.BlockKeys, cfg.Acct, cfg.Overlap)
+	r := diskio.NewReader(in, cfg.BlockKeys, cfg.Acct)
 	defer r.Release()
-	w := diskio.NewBlockWriter(out, cfg.BlockKeys, cfg.Acct, cfg.Overlap)
+	w := diskio.NewWriter(out, cfg.BlockKeys, cfg.Acct)
 	defer w.Close()
 	buf := make([]uint32, cfg.BlockKeys)
 	for {

@@ -32,9 +32,10 @@ type Config struct {
 	NoGallop bool
 	// Acct receives I/O counts and virtual-time charges.
 	Acct diskio.Accounting
-	// Overlap selects asynchronous prefetch and write-behind for the
-	// tape streams (PDM I/O counts are unchanged; only virtual time
-	// hides behind compute).
+	// Overlap selects overlapped charging (the prefetch and
+	// write-behind model) for the tape streams: PDM I/O counts are
+	// unchanged; only virtual time hides behind compute.  It replaces
+	// Acct.Overlap.
 	Overlap diskio.Overlap
 	// TempPrefix prefixes tape file names so concurrent sorts on a
 	// shared FS do not collide.
@@ -66,23 +67,21 @@ type Stats struct {
 }
 
 // tape is one of the T files, with in-memory run-boundary metadata.
-// Readers are always Released (joining any prefetch goroutine) before
-// the underlying file closes, and writers are always Closed (joining
-// any write-behind drainer) even on error paths.
+// Readers are always Released and writers always Closed, even on error
+// paths, so an overlapped stream's window never outlives it.
 type tape struct {
-	fs      diskio.FS
-	name    string
-	block   int
-	acct    diskio.Accounting
-	overlap diskio.Overlap
+	fs    diskio.FS
+	name  string
+	block int
+	acct  diskio.Accounting
 
 	runs    []int64 // FIFO of run lengths in keys
 	dummies int64
 
 	rf diskio.File
-	r  diskio.BlockReader
+	r  *diskio.Reader
 	wf diskio.File
-	w  diskio.BlockWriter
+	w  *diskio.Writer
 }
 
 func (t *tape) total() int64 { return int64(len(t.runs)) + t.dummies }
@@ -100,7 +99,7 @@ func (t *tape) becomeOutput() error {
 		return err
 	}
 	t.wf = f
-	t.w = diskio.NewBlockWriter(f, t.block, t.acct, t.overlap)
+	t.w = diskio.NewWriter(f, t.block, t.acct)
 	t.runs = t.runs[:0]
 	return nil
 }
@@ -121,7 +120,7 @@ func (t *tape) finishOutput() error {
 		return err
 	}
 	t.rf = f
-	t.r = diskio.NewBlockReader(f, t.block, t.acct, t.overlap)
+	t.r = diskio.NewReader(f, t.block, t.acct)
 	return nil
 }
 
@@ -225,14 +224,14 @@ func Sort(cfg Config, inputName, outputName string) (Stats, error) {
 	if err := cfg.Validate(); err != nil {
 		return Stats{}, err
 	}
+	cfg.Acct.Overlap = cfg.Overlap
 	tapes := make([]*tape, cfg.Tapes)
 	for i := range tapes {
 		tapes[i] = &tape{
-			fs:      cfg.FS,
-			name:    fmt.Sprintf("%stape%d", cfg.TempPrefix, i),
-			block:   cfg.BlockKeys,
-			acct:    cfg.Acct,
-			overlap: cfg.Overlap,
+			fs:    cfg.FS,
+			name:  fmt.Sprintf("%stape%d", cfg.TempPrefix, i),
+			block: cfg.BlockKeys,
+			acct:  cfg.Acct,
 		}
 	}
 	defer func() {
@@ -251,7 +250,7 @@ func Sort(cfg Config, inputName, outputName string) (Stats, error) {
 	dist := newDistributor(inputs)
 	sink := &countingSink{inner: dist, lenDst: &dist.curLen}
 	runs, keys, err := formRuns(cfg.FS, inputName, cfg.BlockKeys, cfg.MemoryKeys,
-		cfg.RunFormation, cfg.Acct, cfg.Overlap, sink)
+		cfg.RunFormation, cfg.Acct, sink)
 	if err != nil {
 		return Stats{}, fmt.Errorf("polyphase: run formation: %w", err)
 	}

@@ -58,15 +58,15 @@ type runSink interface {
 // and keys processed.
 func formRuns(
 	fs diskio.FS, inputName string, blockKeys, memoryKeys int,
-	how RunFormation, acct diskio.Accounting, ov diskio.Overlap, sink runSink,
+	how RunFormation, acct diskio.Accounting, sink runSink,
 ) (runs int64, keys int64, err error) {
 	in, err := fs.Open(inputName)
 	if err != nil {
 		return 0, 0, fmt.Errorf("polyphase: opening input: %w", err)
 	}
 	defer in.Close()
-	r := diskio.NewBlockReader(in, blockKeys, acct, ov)
-	defer r.Release() // joins any prefetch goroutine before in closes
+	r := diskio.NewReader(in, blockKeys, acct)
+	defer r.Release()
 	meter := acct.Meter
 	if meter == nil {
 		meter = vtime.Nop{}
@@ -83,7 +83,7 @@ func formRuns(
 	}
 }
 
-func formRunsReplacement(r diskio.BlockReader, memoryKeys int, meter vtime.Meter, sink runSink) (int64, int64, error) {
+func formRunsReplacement(r *diskio.Reader, memoryKeys int, meter vtime.Meter, sink runSink) (int64, int64, error) {
 	h := newSelectionHeap(memoryKeys, meter)
 	var total int64
 	// Prime the heap.
@@ -154,7 +154,7 @@ func formRunsReplacement(r diskio.BlockReader, memoryKeys int, meter vtime.Meter
 	return runs, total, nil
 }
 
-func formRunsLoadSort(r diskio.BlockReader, memoryKeys int, meter vtime.Meter, sink runSink) (int64, int64, error) {
+func formRunsLoadSort(r *diskio.Reader, memoryKeys int, meter vtime.Meter, sink runSink) (int64, int64, error) {
 	load := make([]record.Key, memoryKeys)
 	var runs, total int64
 	for {
@@ -187,7 +187,7 @@ func formRunsLoadSort(r diskio.BlockReader, memoryKeys int, meter vtime.Meter, s
 // simply continues.  On sorted or near-sorted input the whole file
 // becomes a single run for one comparison per load; on random input it
 // degrades gracefully to LoadSort's run lengths.
-func formRunsGuidesort(r diskio.BlockReader, memoryKeys int, meter vtime.Meter, sink runSink) (int64, int64, error) {
+func formRunsGuidesort(r *diskio.Reader, memoryKeys int, meter vtime.Meter, sink runSink) (int64, int64, error) {
 	load := make([]record.Key, memoryKeys)
 	var runs, total int64
 	inRun := false

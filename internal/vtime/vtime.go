@@ -109,8 +109,10 @@ type OverlapMeter interface {
 	// EndOverlap closes the innermost window opened by BeginOverlap.
 	EndOverlap()
 	// ChargeOverlappedIOBlocks charges the transfer of n disk blocks
-	// issued asynchronously inside an overlap window.
-	ChargeOverlappedIOBlocks(n int64)
+	// issued asynchronously inside an overlap window: prefetched reads,
+	// or with write set, written-behind writes.  The direction changes
+	// no time, only which of the meter's own counters the blocks join.
+	ChargeOverlappedIOBlocks(n int64, write bool)
 }
 
 // Breakdown splits a span of virtual time over the categories.
@@ -238,7 +240,7 @@ func (Nop) BeginOverlap(int) {}
 func (Nop) EndOverlap() {}
 
 // ChargeOverlappedIOBlocks implements OverlapMeter.
-func (Nop) ChargeOverlappedIOBlocks(int64) {}
+func (Nop) ChargeOverlappedIOBlocks(int64, bool) {}
 
 // ChargeDiskIOBlocks implements DiskMeter.
 func (Nop) ChargeDiskIOBlocks(int, int64) {}

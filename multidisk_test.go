@@ -2,6 +2,7 @@ package hetsort
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -103,99 +104,80 @@ func TestSortGuidesortFormer(t *testing.T) {
 	}
 }
 
-// TestSortFileMultiDiskCrashResume: striped node disks survive the full
-// fault-tolerance cycle — a D=4 overlapped checkpointed run crashes,
-// resumes, and finishes byte-identical to both an uninterrupted D=4 run
-// and a plain D=1 run; resuming under a different D is refused (the
-// striped on-disk layout is part of the resume fingerprint).
+// TestSortFileMultiDiskCrashResume: D and Overlap are execution
+// strategies, not layouts.  At D in {1, 4}, synchronous and overlapped,
+// a checkpointed run crashed at any of the five phases resumes to output
+// byte-identical to a plain uninterrupted D=1 run; and because node
+// files are the same plain files at every D, a D=4 checkpoint resumes
+// under D=2 just as well.
 func TestSortFileMultiDiskCrashResume(t *testing.T) {
 	dir := t.TempDir()
 	inPath := filepath.Join(dir, "in.u32")
 	writeKeyFile(t, inPath, 40000)
 
-	cfg := Config{
-		Perf: []int{1, 1, 4, 4}, MemoryKeys: 4096, BlockKeys: 128, Tapes: 5, MessageKeys: 512,
-		Disks: 4, Overlap: true,
-	}
-
-	// Cross-D byte equality: a single-disk run is the reference.
-	d1Cfg := cfg
-	d1Cfg.Disks = 1
-	d1Cfg.WorkDir = filepath.Join(dir, "d1")
-	d1Out := filepath.Join(dir, "d1.u32")
-	if _, err := SortFile(inPath, d1Out, d1Cfg); err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(d1Out)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Config{Perf: []int{1, 1, 4, 4}, MemoryKeys: 4096, BlockKeys: 128, Tapes: 5, MessageKeys: 512}
 
 	refCfg := cfg
 	refCfg.WorkDir = filepath.Join(dir, "ref")
-	refCfg.Checkpoint.Enabled = true
 	refOut := filepath.Join(dir, "ref.u32")
-	refRep, err := SortFile(inPath, refOut, refCfg)
+	if _, err := SortFile(inPath, refOut, refCfg); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(refOut)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refBytes, err := os.ReadFile(refOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(refBytes, want) {
-		t.Fatal("D=4 output differs from D=1 output")
-	}
-	for i, dio := range refRep.DiskIO {
-		var sum pdm.IOStats
-		for _, s := range dio {
-			sum = sum.Add(s)
+
+	crashAndResume := func(t *testing.T, crashCfg Config, phase, resumeDisks int) {
+		work := t.TempDir()
+		crashCfg.WorkDir = work
+		crashCfg.Checkpoint = CheckpointConfig{Enabled: true, CrashNode: phase % 4, CrashPhase: phase}
+		outPath := filepath.Join(work, "out.u32")
+		if _, err := SortFile(inPath, outPath, crashCfg); !IsCrash(err) {
+			t.Fatalf("want an injected crash, got %v", err)
 		}
-		if sum != refRep.NodeIO[i] {
-			t.Fatalf("node %d per-disk sum %v != node I/O %v (overlapped run)", i, sum, refRep.NodeIO[i])
+		resCfg := crashCfg
+		resCfg.Disks = resumeDisks
+		resCfg.Checkpoint = CheckpointConfig{Enabled: true}
+		rep, err := Resume(outPath, resCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(outPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatal("resumed output differs from the uninterrupted D=1 run")
+		}
+		if resumeDisks > 1 && len(rep.DiskIO[0]) != resumeDisks {
+			t.Fatalf("resumed run reports %d member disks, want %d", len(rep.DiskIO[0]), resumeDisks)
+		}
+		for i, dio := range rep.DiskIO {
+			var sum pdm.IOStats
+			for _, s := range dio {
+				sum = sum.Add(s)
+			}
+			if resumeDisks > 1 && sum != rep.NodeIO[i] {
+				t.Fatalf("node %d per-disk sum %v != node I/O %v (resumed run)", i, sum, rep.NodeIO[i])
+			}
 		}
 	}
 
-	runCfg := cfg
-	runCfg.WorkDir = filepath.Join(dir, "work")
-	runCfg.Checkpoint.Enabled = true
-	runCfg.Checkpoint.CrashNode = 2
-	runCfg.Checkpoint.CrashPhase = 4
-	outPath := filepath.Join(dir, "out.u32")
-	if _, err := SortFile(inPath, outPath, runCfg); !IsCrash(err) {
-		t.Fatalf("want an injected crash, got %v", err)
-	}
-
-	// Resuming with a different disk count must be refused.
-	wrongCfg := cfg
-	wrongCfg.Disks = 2
-	wrongCfg.WorkDir = filepath.Join(dir, "work")
-	wrongCfg.Checkpoint.Enabled = true
-	if _, err := Resume(outPath, wrongCfg); err == nil {
-		t.Fatal("resume with mismatched disk count accepted")
-	}
-
-	resCfg := cfg
-	resCfg.WorkDir = filepath.Join(dir, "work")
-	resCfg.Checkpoint.Enabled = true
-	resRep, err := Resume(outPath, resCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("resumed D=4 output differs from the reference")
-	}
-	for i, dio := range resRep.DiskIO {
-		var sum pdm.IOStats
-		for _, s := range dio {
-			sum = sum.Add(s)
-		}
-		if sum != resRep.NodeIO[i] {
-			t.Fatalf("node %d per-disk sum %v != node I/O %v (resumed run)", i, sum, resRep.NodeIO[i])
+	for _, d := range []int{1, 4} {
+		for _, overlap := range []bool{false, true} {
+			for phase := 1; phase <= 5; phase++ {
+				t.Run(fmt.Sprintf("D%d/overlap=%v/phase%d", d, overlap, phase), func(t *testing.T) {
+					c := cfg
+					c.Disks, c.Overlap = d, overlap
+					crashAndResume(t, c, phase, d)
+				})
+			}
 		}
 	}
+	t.Run("D4-resumes-under-D2", func(t *testing.T) {
+		c := cfg
+		c.Disks, c.Overlap = 4, true
+		crashAndResume(t, c, 4, 2)
+	})
 }
