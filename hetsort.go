@@ -428,18 +428,10 @@ func Sort(keys []Key, cfg Config) ([]Key, *Report, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// Distribute perf-proportional portions onto the node disks.
-	shares := v.Shares(int64(len(keys)))
-	var off int64
-	for i := 0; i < c.P(); i++ {
-		portion := keys[off : off+shares[i]]
-		off += shares[i]
-		if err := diskio.WriteFile(c.Node(i).FS(), "input", portion, cfg.blockKeys(), diskio.Accounting{}); err != nil {
-			return nil, nil, err
-		}
+	want, err := extsort.StageInput(c, v, keys, cfg.blockKeys(), "input")
+	if err != nil {
+		return nil, nil, err
 	}
-	want := record.ChecksumOf(keys)
-
 	res, err := cfg.sortOnCluster(c, v, want)
 	if err != nil {
 		return nil, nil, err

@@ -1,0 +1,269 @@
+package diskio_test
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"os"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"hetsort/internal/diskio"
+	"hetsort/internal/storage"
+)
+
+// fsImpl is one diskio.FS implementation under the conformance table.
+type fsImpl struct {
+	name string
+	mk   func(t *testing.T) diskio.FS
+	// inMemory implementations give every Create fresh bytes; the
+	// directory-backed ones truncate the inode in place (POSIX O_TRUNC),
+	// so a reader opened before the Create sees the new content.
+	inMemory bool
+}
+
+func view(t *testing.T, b storage.Backend) diskio.FS {
+	t.Helper()
+	fs, err := b.FS("jobs/j1/node0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
+
+// fsImpls lists every FS the sorts can be handed: the two diskio
+// filesystems and the two storage backends' FS views.
+var fsImpls = []fsImpl{
+	{"mem", func(*testing.T) diskio.FS { return diskio.NewMemFS() }, true},
+	{"dir", func(t *testing.T) diskio.FS {
+		d, err := diskio.NewDirFS(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}, false},
+	{"object-view", func(t *testing.T) diskio.FS { return view(t, storage.NewObject()) }, true},
+	{"dir-view", func(t *testing.T) diskio.FS {
+		d, err := storage.NewDir(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return view(t, d)
+	}, false},
+}
+
+func TestFSConformance(t *testing.T) {
+	for _, impl := range fsImpls {
+		t.Run(impl.name, func(t *testing.T) { testFSConformance(t, impl) })
+	}
+}
+
+// put creates name on fs holding data.
+func put(t *testing.T, fs diskio.FS, name string, data []byte) {
+	t.Helper()
+	f, err := fs.Create(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// get returns the content of name on fs.
+func get(t *testing.T, fs diskio.FS, name string) []byte {
+	t.Helper()
+	f, err := fs.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	data, err := io.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// testFSConformance is the handle and name-table contract every
+// diskio.FS must meet; each case runs on a fresh filesystem.
+func testFSConformance(t *testing.T, impl fsImpl) {
+	cases := []struct {
+		name string
+		run  func(t *testing.T, fs diskio.FS)
+	}{
+		{"append", func(t *testing.T, fs diskio.FS) {
+			f, err := fs.Create("f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, chunk := range []string{"abc", "", "defgh"} {
+				if n, err := f.Write([]byte(chunk)); err != nil || n != len(chunk) {
+					t.Fatalf("Write(%q) = %d, %v", chunk, n, err)
+				}
+			}
+			f.Close()
+			if got := get(t, fs, "f"); string(got) != "abcdefgh" {
+				t.Fatalf("content %q", got)
+			}
+		}},
+		{"overwrite in place keeps the tail", func(t *testing.T, fs diskio.FS) {
+			f, _ := fs.Create("f")
+			f.Write([]byte("01234567"))
+			if _, err := f.Seek(2, io.SeekStart); err != nil {
+				t.Fatal(err)
+			}
+			f.Write([]byte("xy"))
+			f.Close()
+			if got := get(t, fs, "f"); string(got) != "01xy4567" {
+				t.Fatalf("content %q, want 01xy4567", got)
+			}
+		}},
+		{"write past EOF zero-fills the gap", func(t *testing.T, fs diskio.FS) {
+			f, _ := fs.Create("f")
+			f.Write([]byte("ab"))
+			if pos, err := f.Seek(3, io.SeekEnd); err != nil || pos != 5 {
+				t.Fatalf("Seek past EOF: %d %v", pos, err)
+			}
+			f.Write([]byte("z"))
+			f.Close()
+			if got := get(t, fs, "f"); !bytes.Equal(got, []byte("ab\x00\x00\x00z")) {
+				t.Fatalf("content %q", got)
+			}
+		}},
+		{"seek whences", func(t *testing.T, fs diskio.FS) {
+			f, _ := fs.Create("f")
+			defer f.Close()
+			f.Write([]byte{0, 1, 2, 3, 4, 5, 6, 7})
+			if pos, err := f.Seek(2, io.SeekStart); err != nil || pos != 2 {
+				t.Fatalf("SeekStart: %d %v", pos, err)
+			}
+			if pos, err := f.Seek(2, io.SeekCurrent); err != nil || pos != 4 {
+				t.Fatalf("SeekCurrent: %d %v", pos, err)
+			}
+			if pos, err := f.Seek(-1, io.SeekEnd); err != nil || pos != 7 {
+				t.Fatalf("SeekEnd: %d %v", pos, err)
+			}
+			if _, err := f.Seek(-100, io.SeekStart); err == nil {
+				t.Fatal("negative seek should fail")
+			}
+			if _, err := f.Seek(-9, io.SeekEnd); err == nil {
+				t.Fatal("seek before the start should fail")
+			}
+			if _, err := f.Seek(0, 99); err == nil {
+				t.Fatal("bad whence should fail")
+			}
+			// A failed seek leaves the position alone.
+			var b [1]byte
+			if _, err := f.Read(b[:]); err != nil || b[0] != 7 {
+				t.Fatalf("read after failed seeks: %v %v", b, err)
+			}
+		}},
+		{"read-only handle refuses Write", func(t *testing.T, fs diskio.FS) {
+			put(t, fs, "f", []byte("data"))
+			f, err := fs.Open("f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if _, err := f.Write([]byte{1}); err == nil {
+				t.Fatal("write to read-only handle should fail")
+			}
+			if got := get(t, fs, "f"); string(got) != "data" {
+				t.Fatalf("content changed to %q", got)
+			}
+		}},
+		{"closed handle returns os.ErrClosed", func(t *testing.T, fs diskio.FS) {
+			f, _ := fs.Create("f")
+			f.Write([]byte("x"))
+			f.Close()
+			if _, err := f.Write([]byte{1}); !errors.Is(err, os.ErrClosed) {
+				t.Errorf("write after close: %v", err)
+			}
+			if _, err := f.Read(make([]byte, 1)); !errors.Is(err, os.ErrClosed) {
+				t.Errorf("read after close: %v", err)
+			}
+			if _, err := f.Seek(0, io.SeekStart); !errors.Is(err, os.ErrClosed) {
+				t.Errorf("seek after close: %v", err)
+			}
+		}},
+		{"Create over an open reader isolates it", func(t *testing.T, fs diskio.FS) {
+			if !impl.inMemory {
+				t.Skip("directory-backed Create truncates the inode in place")
+			}
+			put(t, fs, "f", []byte("version-one"))
+			r, err := fs.Open("f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			put(t, fs, "f", []byte("v2"))
+			if got, err := io.ReadAll(r); err != nil || string(got) != "version-one" {
+				t.Fatalf("open reader saw %q, %v", got, err)
+			}
+			if got := get(t, fs, "f"); string(got) != "v2" {
+				t.Fatalf("new content %q", got)
+			}
+		}},
+		{"Rename replaces", func(t *testing.T, fs diskio.FS) {
+			put(t, fs, "a", []byte("from-a"))
+			put(t, fs, "b", []byte("old-b-content"))
+			if err := fs.Rename("a", "b"); err != nil {
+				t.Fatal(err)
+			}
+			if got := get(t, fs, "b"); string(got) != "from-a" {
+				t.Fatalf("target holds %q", got)
+			}
+			if _, err := fs.Open("a"); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("source still opens: %v", err)
+			}
+		}},
+		{"Names is sorted", func(t *testing.T, fs diskio.FS) {
+			for _, n := range []string{"c", "a", "b"} {
+				put(t, fs, n, nil)
+			}
+			names, err := fs.Names()
+			if err != nil || !reflect.DeepEqual(names, []string{"a", "b", "c"}) {
+				t.Fatalf("Names = %v, %v", names, err)
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { c.run(t, impl.mk(t)) })
+	}
+}
+
+// TestBlockAppendAllocatesLinearly is the regression test for the
+// quadratic append: the in-memory file used to allocate an exact-size
+// buffer and copy the whole file on every block written (≈ 1 GiB for
+// the 1 MiB below).
+func TestBlockAppendAllocatesLinearly(t *testing.T) {
+	for _, impl := range fsImpls {
+		if !impl.inMemory {
+			continue
+		}
+		t.Run(impl.name, func(t *testing.T) {
+			f, err := impl.mk(t).Create("f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			block := make([]byte, 512)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < (1<<20)/len(block); i++ {
+				if _, err := f.Write(block); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+				t.Fatalf("writing 1 MiB in 512-byte blocks allocated %d bytes, want <= 8 MiB", grew)
+			}
+		})
+	}
+}

@@ -245,51 +245,6 @@ func TestMemFSOpenMissing(t *testing.T) {
 	}
 }
 
-func TestMemFSSeekWhence(t *testing.T) {
-	fs := NewMemFS()
-	f, _ := fs.Create("x")
-	f.Write([]byte{0, 1, 2, 3, 4, 5, 6, 7})
-	if pos, err := f.Seek(2, io.SeekStart); err != nil || pos != 2 {
-		t.Fatalf("SeekStart: %d %v", pos, err)
-	}
-	if pos, err := f.Seek(2, io.SeekCurrent); err != nil || pos != 4 {
-		t.Fatalf("SeekCurrent: %d %v", pos, err)
-	}
-	if pos, err := f.Seek(-1, io.SeekEnd); err != nil || pos != 7 {
-		t.Fatalf("SeekEnd: %d %v", pos, err)
-	}
-	if _, err := f.Seek(-100, io.SeekStart); err == nil {
-		t.Fatal("negative seek should fail")
-	}
-	if _, err := f.Seek(0, 99); err == nil {
-		t.Fatal("bad whence should fail")
-	}
-}
-
-func TestMemFSReadOnlyOpen(t *testing.T) {
-	fs := NewMemFS()
-	WriteFile(fs, "x", []record.Key{1}, 4, Accounting{})
-	f, _ := fs.Open("x")
-	if _, err := f.Write([]byte{1}); err == nil {
-		t.Fatal("write to read-only handle should fail")
-	}
-}
-
-func TestMemFSClosedHandle(t *testing.T) {
-	fs := NewMemFS()
-	f, _ := fs.Create("x")
-	f.Close()
-	if _, err := f.Write([]byte{1}); err == nil {
-		t.Fatal("write after close")
-	}
-	if _, err := f.Read(make([]byte, 1)); err == nil {
-		t.Fatal("read after close")
-	}
-	if _, err := f.Seek(0, io.SeekStart); err == nil {
-		t.Fatal("seek after close")
-	}
-}
-
 func TestMemFSTotalBytes(t *testing.T) {
 	fs := NewMemFS()
 	WriteFile(fs, "a", make([]record.Key, 10), 4, Accounting{})

@@ -195,37 +195,51 @@ func (d *DirFS) Names() ([]string, error) {
 	return names, nil
 }
 
-// MemFS is an in-memory FS for tests and fast benchmarks.  The zero
-// value is not usable; call NewMemFS.
+// MemFS is an in-memory FS: the default node disk of every test and
+// example, and the byte store under storage.Object.  The zero value is
+// not usable; call NewMemFS.
 type MemFS struct {
-	mu    sync.Mutex
-	files map[string]*[]byte
+	mu    sync.Mutex // guards the name table only; bytes are under each file's own lock
+	files map[string]*memData
+}
+
+// memData is one file's bytes.  Handles hold the *memData, so a Create
+// or Install that replaces the name-table entry leaves handles opened
+// before it on the old bytes.
+type memData struct {
+	mu sync.RWMutex
+	b  []byte
 }
 
 // NewMemFS returns an empty in-memory filesystem.
-func NewMemFS() *MemFS { return &MemFS{files: make(map[string]*[]byte)} }
+func NewMemFS() *MemFS { return &MemFS{files: make(map[string]*memData)} }
 
 // Create implements FS.
-func (m *MemFS) Create(name string) (File, error) {
+func (m *MemFS) Create(name string) (File, error) { return m.Install(name, nil) }
+
+// Install is Create with initial content: name atomically becomes a
+// file holding a copy of data, so a concurrent Open sees the old file or
+// the whole new one, never a prefix (storage.Object's Put).
+func (m *MemFS) Install(name string, data []byte) (File, error) {
 	if name == "" {
 		return nil, errors.New("diskio: empty file name")
 	}
+	d := &memData{b: append([]byte(nil), data...)}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	buf := new([]byte)
-	m.files[name] = buf
-	return &memFile{fs: m, name: name, buf: buf, writable: true}, nil
+	m.files[name] = d
+	return &memFile{name: name, data: d, writable: true}, nil
 }
 
 // Open implements FS.
 func (m *MemFS) Open(name string) (File, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	buf, ok := m.files[name]
+	d, ok := m.files[name]
 	if !ok {
 		return nil, fmt.Errorf("diskio: open %s: %w", name, os.ErrNotExist)
 	}
-	return &memFile{fs: m, name: name, buf: buf}, nil
+	return &memFile{name: name, data: d}, nil
 }
 
 // Remove implements FS.
@@ -243,7 +257,7 @@ func (m *MemFS) Remove(name string) error {
 func (m *MemFS) Rename(oldName, newName string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	buf, ok := m.files[oldName]
+	d, ok := m.files[oldName]
 	if !ok {
 		return fmt.Errorf("diskio: rename %s: %w", oldName, os.ErrNotExist)
 	}
@@ -251,7 +265,7 @@ func (m *MemFS) Rename(oldName, newName string) error {
 		return errors.New("diskio: empty target name")
 	}
 	delete(m.files, oldName)
-	m.files[newName] = buf
+	m.files[newName] = d
 	return nil
 }
 
@@ -273,16 +287,23 @@ func (m *MemFS) TotalBytes() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var total int64
-	for _, b := range m.files {
-		total += int64(len(*b))
+	for _, d := range m.files {
+		total += d.size()
 	}
 	return total
 }
 
+func (d *memData) size() int64 {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return int64(len(d.b))
+}
+
+// memFile is a handle on one memData; the offset is the handle's own
+// (a File is confined to one goroutine), the bytes are shared.
 type memFile struct {
-	fs       *MemFS
 	name     string
-	buf      *[]byte
+	data     *memData
 	off      int64
 	writable bool
 	closed   bool
@@ -294,12 +315,12 @@ func (f *memFile) Read(p []byte) (int, error) {
 	if f.closed {
 		return 0, os.ErrClosed
 	}
-	f.fs.mu.Lock()
-	defer f.fs.mu.Unlock()
-	if f.off >= int64(len(*f.buf)) {
+	f.data.mu.RLock()
+	defer f.data.mu.RUnlock()
+	if f.off >= int64(len(f.data.b)) {
 		return 0, io.EOF
 	}
-	n := copy(p, (*f.buf)[f.off:])
+	n := copy(p, f.data.b[f.off:])
 	f.off += int64(n)
 	return n, nil
 }
@@ -311,18 +332,19 @@ func (f *memFile) Write(p []byte) (int, error) {
 	if !f.writable {
 		return 0, errors.New("diskio: file opened read-only")
 	}
-	f.fs.mu.Lock()
-	defer f.fs.mu.Unlock()
-	b := *f.buf
-	end := f.off + int64(len(p))
-	if end > int64(len(b)) {
-		nb := make([]byte, end)
-		copy(nb, b)
-		b = nb
+	f.data.mu.Lock()
+	defer f.data.mu.Unlock()
+	b := f.data.b
+	// A seek past EOF leaves a gap that must read back as zeros, and
+	// append's spare capacity is not guaranteed to be.
+	if gap := f.off - int64(len(b)); gap > 0 {
+		b = append(b, make([]byte, gap)...)
 	}
-	copy(b[f.off:end], p)
-	*f.buf = b
-	f.off = end
+	// Overwrite what exists from off, append the rest: amortised growth,
+	// so a file written block by block copies O(n) bytes, not O(n²).
+	n := copy(b[f.off:], p)
+	f.data.b = append(b, p[n:]...)
+	f.off += int64(len(p))
 	return len(p), nil
 }
 
@@ -330,8 +352,6 @@ func (f *memFile) Seek(offset int64, whence int) (int64, error) {
 	if f.closed {
 		return 0, os.ErrClosed
 	}
-	f.fs.mu.Lock()
-	defer f.fs.mu.Unlock()
 	var base int64
 	switch whence {
 	case io.SeekStart:
@@ -339,7 +359,7 @@ func (f *memFile) Seek(offset int64, whence int) (int64, error) {
 	case io.SeekCurrent:
 		base = f.off
 	case io.SeekEnd:
-		base = int64(len(*f.buf))
+		base = f.data.size()
 	default:
 		return 0, fmt.Errorf("diskio: bad whence %d", whence)
 	}

@@ -477,8 +477,13 @@ func WriteFile(fs FS, name string, keys []record.Key, blockKeys int, acct Accoun
 	return f.Close()
 }
 
-// ReadFileAll opens name on fs and reads every key.
+// ReadFileAll opens name on fs and reads every key into a slice sized
+// once from the file length.
 func ReadFileAll(fs FS, name string, blockKeys int, acct Accounting) ([]record.Key, error) {
+	count, err := CountKeys(fs, name)
+	if err != nil {
+		return nil, err
+	}
 	f, err := fs.Open(name)
 	if err != nil {
 		return nil, err
@@ -486,21 +491,12 @@ func ReadFileAll(fs FS, name string, blockKeys int, acct Accounting) ([]record.K
 	defer f.Close()
 	r := NewReader(f, blockKeys, acct)
 	defer r.Release()
-	var out []record.Key
-	buf := make([]record.Key, blockKeys)
-	for {
-		n, err := r.ReadKeys(buf)
-		out = append(out, buf[:n]...)
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			return out, nil
-		}
+	out := make([]record.Key, count)
+	n, err := r.ReadKeys(out)
+	if err != nil && err != io.EOF {
+		return nil, err
 	}
+	return out[:n], nil
 }
 
 // CountKeys returns the number of keys stored in name by seeking to the

@@ -24,26 +24,16 @@ type Overlap struct {
 	// Enabled turns on overlapped charging for the Readers and Writers
 	// built on an Accounting that carries this Overlap.
 	Enabled bool
-	// Depth is the number of blocks a stream keeps in flight.  Zero
-	// means "use the device's natural depth": the meter's disk count
-	// when it exposes one (a node with D disks can keep D transfers in
-	// flight), else 2.  Any value below 2 is raised to 2 (double
-	// buffering is the minimum that overlaps anything).
-	Depth int
 }
 
-// DepthFor resolves the effective in-flight depth for a stream charged
-// to meter m: an explicit Depth wins; Depth == 0 asks the meter how many
-// member disks it drives (cluster.Node exposes Disks()).
+// DepthFor returns the number of blocks a stream charged to meter m
+// keeps in flight: the meter's disk count when it exposes one (a node
+// with D disks can keep D transfers in flight; cluster.Node exposes
+// Disks()), and never below 2 (double buffering is the minimum that
+// overlaps anything).
 func (o Overlap) DepthFor(m vtime.Meter) int {
-	d := o.Depth
-	if d == 0 {
-		if dp, ok := m.(interface{ Disks() int }); ok {
-			d = dp.Disks()
-		}
+	if dp, ok := m.(interface{ Disks() int }); ok && dp.Disks() > 2 {
+		return dp.Disks()
 	}
-	if d < 2 {
-		d = 2
-	}
-	return d
+	return 2
 }

@@ -14,12 +14,14 @@ import (
 // window and charging protocol of overlapped streams.
 type overlapMeter struct {
 	vtime.Nop
+	disks                int // reported by Disks(): the depth DepthFor resolves
 	begins, ends         int
 	depth                int
 	overReads, overWrite int64
 	direct               int64
 }
 
+func (m *overlapMeter) Disks() int         { return m.disks }
 func (m *overlapMeter) BeginOverlap(d int) { m.begins++; m.depth = d }
 func (m *overlapMeter) EndOverlap()        { m.ends++ }
 func (m *overlapMeter) ChargeOverlappedIOBlocks(n int64, write bool) {
@@ -55,8 +57,8 @@ func TestOverlappedReaderMatchesReader(t *testing.T) {
 			sf.Close()
 
 			of, _ := fs.Open("x")
-			m := &overlapMeter{}
-			or := NewReader(of, 64, Accounting{Counter: &ovC, Meter: m, Overlap: Overlap{Enabled: true, Depth: 4}})
+			m := &overlapMeter{disks: 4}
+			or := NewReader(of, 64, Accounting{Counter: &ovC, Meter: m, Overlap: Overlap{Enabled: true}})
 			if m.begins != 1 || m.depth != 4 {
 				t.Fatalf("NewReader opened %d windows of depth %d, want 1 of depth 4", m.begins, m.depth)
 			}
@@ -130,8 +132,8 @@ func TestOverlappedWriterMatchesWriter(t *testing.T) {
 			sf.Close()
 
 			of, _ := fs.Create("overlapped")
-			m := &overlapMeter{}
-			ow := NewWriter(of, 64, Accounting{Counter: &ovC, Meter: m, Overlap: Overlap{Enabled: true, Depth: 3}})
+			m := &overlapMeter{disks: 3}
+			ow := NewWriter(of, 64, Accounting{Counter: &ovC, Meter: m, Overlap: Overlap{Enabled: true}})
 			// Dribble in odd-sized slices to exercise block splitting.
 			for off := 0; off < len(keys); off += 13 {
 				end := off + 13
@@ -217,29 +219,19 @@ type diskCountMeter struct {
 
 func (m diskCountMeter) Disks() int { return m.disks }
 
-// TestOverlapDefaultDepth checks depth resolution: explicit depths win,
-// <= 1 means double buffering, and Depth == 0 asks the meter for its
-// disk count — the regression test for prefetch depth defaulting to the
-// node's DisksPerNode.
+// TestOverlapDefaultDepth checks depth resolution: the meter's disk
+// count when it exposes one, floored at double buffering — the
+// regression test for prefetch depth defaulting to the node's
+// DisksPerNode.
 func TestOverlapDefaultDepth(t *testing.T) {
-	for _, d := range []int{-1, 0, 1} {
-		if got := (Overlap{Depth: d}).DepthFor(nil); got != 2 {
-			t.Fatalf("Overlap{Depth: %d}.DepthFor(nil) = %d, want 2", d, got)
-		}
+	if got := (Overlap{}).DepthFor(nil); got != 2 {
+		t.Fatalf("DepthFor(nil) = %d, want 2", got)
 	}
-	if got := (Overlap{Depth: 5}).DepthFor(nil); got != 5 {
-		t.Fatalf("Overlap{Depth: 5}.DepthFor(nil) = %d", got)
-	}
-	// Depth 0 + a meter with D disks → depth D (floored at 2).
 	if got := (Overlap{}).DepthFor(diskCountMeter{disks: 4}); got != 4 {
 		t.Fatalf("DepthFor(4-disk meter) = %d, want 4", got)
 	}
 	if got := (Overlap{}).DepthFor(diskCountMeter{disks: 1}); got != 2 {
 		t.Fatalf("DepthFor(1-disk meter) = %d, want 2", got)
-	}
-	// An explicit depth is never overridden by the meter.
-	if got := (Overlap{Depth: 3}).DepthFor(diskCountMeter{disks: 8}); got != 3 {
-		t.Fatalf("DepthFor(explicit 3, 8-disk meter) = %d, want 3", got)
 	}
 	// A plain meter without a disk count still double-buffers.
 	if got := (Overlap{}).DepthFor(vtime.Nop{}); got != 2 {

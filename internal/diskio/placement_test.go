@@ -189,7 +189,7 @@ func TestStripedAccountingOverlapped(t *testing.T) {
 	const blockKeys = 8
 	fs := NewMemFS()
 	acct, node, perDisk := diskAcct(4, blockKeys, vtime.Nop{})
-	acct.Overlap = Overlap{Enabled: true, Depth: 4}
+	acct.Overlap = Overlap{Enabled: true}
 
 	keys := seq(10 * blockKeys)
 	if err := WriteFile(fs, "f", keys, blockKeys, acct); err != nil {

@@ -1,13 +1,9 @@
 package experiments
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 
 	"hetsort/internal/cluster"
-	"hetsort/internal/diskio"
 	"hetsort/internal/extsort"
 	"hetsort/internal/perf"
 	"hetsort/internal/record"
@@ -127,7 +123,7 @@ func ScalingSweep(o Options, maxP int) ([]ScalingRow, error) {
 			row.Rounds = int(rounds)
 			row.MaxLinkQueueHWM = hwm
 			row.LinksCreated = c.LinksCreated()
-			sha, err := outputSHA(c, block)
+			sha, err := clusterOutputSHA(c, block)
 			if err != nil {
 				return nil, err
 			}
@@ -142,23 +138,6 @@ func ScalingSweep(o Options, maxP int) ([]ScalingRow, error) {
 		}
 	}
 	return rows, nil
-}
-
-// outputSHA hashes the concatenated per-node sorted outputs.
-func outputSHA(c *cluster.Cluster, block int) (string, error) {
-	h := sha256.New()
-	var buf [4]byte
-	for i := 0; i < c.P(); i++ {
-		keys, err := diskio.ReadFileAll(c.Node(i).FS(), "output", block, diskio.Accounting{})
-		if err != nil {
-			return "", fmt.Errorf("experiments: hashing node %d output: %w", i, err)
-		}
-		for _, k := range keys {
-			binary.LittleEndian.PutUint32(buf[:], uint32(k))
-			h.Write(buf[:])
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // ScalingString renders the sweep.

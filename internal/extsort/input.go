@@ -10,27 +10,31 @@ import (
 	"hetsort/internal/record"
 )
 
-// DistributeInput generates n keys of the given distribution and writes
-// each node's perf-proportional portion to the file name on its private
-// disk (the initial configuration of Algorithm 1: "disk i has l_i, a
-// portion of size (n/Σperf)*perf[i] of the unsorted list").  It returns
-// the input checksum for later verification.  Generation is not charged
-// to the clocks — the paper's timings likewise exclude the initial
-// distribution.
+// DistributeInput generates n keys of the given distribution and stages
+// them with StageInput.  Generation is not charged to the clocks — the
+// paper's timings likewise exclude the initial distribution.
 func DistributeInput(c *cluster.Cluster, v perf.Vector, dist record.Distribution,
 	n int64, seed int64, blockKeys int, name string) (record.Checksum, error) {
+	return StageInput(c, v, dist.Generate(int(n), seed, c.P()), blockKeys, name)
+}
+
+// StageInput writes each node's perf-proportional portion of keys to
+// the file name on its private disk (the initial configuration of
+// Algorithm 1: "disk i has l_i, a portion of size (n/Σperf)*perf[i] of
+// the unsorted list"), uncharged.  It returns the input checksum for
+// later verification.
+func StageInput(c *cluster.Cluster, v perf.Vector, keys []record.Key,
+	blockKeys int, name string) (record.Checksum, error) {
 	if err := v.Validate(); err != nil {
 		return record.Checksum{}, err
 	}
 	if len(v) != c.P() {
 		return record.Checksum{}, fmt.Errorf("extsort: perf length %d != cluster size %d", len(v), c.P())
 	}
-	keys := dist.Generate(int(n), seed, c.P())
-	shares := v.Shares(n)
 	var off int64
-	for i := 0; i < c.P(); i++ {
-		portion := keys[off : off+shares[i]]
-		off += shares[i]
+	for i, share := range v.Shares(int64(len(keys))) {
+		portion := keys[off : off+share]
+		off += share
 		if err := diskio.WriteFile(c.Node(i).FS(), name, portion, blockKeys, diskio.Accounting{}); err != nil {
 			return record.Checksum{}, fmt.Errorf("extsort: writing node %d input: %w", i, err)
 		}

@@ -373,20 +373,14 @@ func TestTreePivotTheorem1(t *testing.T) {
 	}
 }
 
-// distributeKeys writes explicit keys across the cluster in
-// perf-proportional portions (DistributeInput for a literal input).
+// distributeKeys is StageInput failing the test on error.
 func distributeKeys(t *testing.T, c *cluster.Cluster, v perf.Vector, keys []record.Key, block int, name string) record.Checksum {
 	t.Helper()
-	shares := v.Shares(int64(len(keys)))
-	var off int64
-	for i := 0; i < c.P(); i++ {
-		portion := keys[off : off+shares[i]]
-		off += shares[i]
-		if err := diskio.WriteFile(c.Node(i).FS(), name, portion, block, diskio.Accounting{}); err != nil {
-			t.Fatal(err)
-		}
+	sum, err := StageInput(c, v, keys, block, name)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return record.ChecksumOf(keys)
+	return sum
 }
 
 // maxMultiplicity returns the count of the most frequent key.

@@ -503,17 +503,10 @@ func (s *Service) runFresh(cl *cluster.Cluster, j *job, ecfg extsort.Config) (*e
 	if err != nil {
 		return nil, record.Checksum{}, err
 	}
-	v := perf.Vector(s.cfg.Machine.Perf)
-	shares := v.Shares(int64(len(keys)))
-	var off int64
-	for i := 0; i < cl.P(); i++ {
-		portion := keys[off : off+shares[i]]
-		off += shares[i]
-		if err := diskio.WriteFile(cl.Node(i).FS(), "input", portion, s.cfg.Machine.BlockKeys, diskio.Accounting{}); err != nil {
-			return nil, record.Checksum{}, err
-		}
+	want, err := extsort.StageInput(cl, perf.Vector(s.cfg.Machine.Perf), keys, s.cfg.Machine.BlockKeys, "input")
+	if err != nil {
+		return nil, record.Checksum{}, err
 	}
-	want := record.ChecksumOf(keys)
 	ecfg.InputSum = want
 	if ph := j.spec.CrashPhase; ph >= 1 && ph <= checkpoint.Phases {
 		if err := cl.ScheduleCrash(j.spec.CrashNode, -1, extsort.StepNames[ph-1]); err != nil {

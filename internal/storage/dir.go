@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"errors"
 	"fmt"
 	"io/fs"
 	"os"
@@ -83,10 +82,7 @@ func (d *Dir) Get(name string) ([]byte, error) {
 		return nil, err
 	}
 	data, err := os.ReadFile(p)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("storage: get %s: %w", name, ErrNotExist)
-	}
-	return data, err
+	return data, notExist("get", name, err)
 }
 
 // Stat implements Backend.
@@ -96,11 +92,8 @@ func (d *Dir) Stat(name string) (int64, error) {
 		return 0, err
 	}
 	st, err := os.Stat(p)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, fmt.Errorf("storage: stat %s: %w", name, ErrNotExist)
-	}
 	if err != nil {
-		return 0, err
+		return 0, notExist("stat", name, err)
 	}
 	return st.Size(), nil
 }
@@ -138,11 +131,7 @@ func (d *Dir) Delete(name string) error {
 	if err != nil {
 		return err
 	}
-	err = os.Remove(p)
-	if errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("storage: delete %s: %w", name, ErrNotExist)
-	}
-	return err
+	return notExist("delete", name, os.Remove(p))
 }
 
 // FS implements Backend: the view is a diskio.DirFS over the prefix

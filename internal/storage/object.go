@@ -1,97 +1,93 @@
 package storage
 
 import (
-	"errors"
-	"fmt"
 	"io"
-	"os"
-	"sort"
 	"strings"
-	"sync"
 
 	"hetsort/internal/diskio"
 )
 
 // Object is an in-memory S3-style object store: a flat namespace of
-// immutable-on-Put byte blobs.  Put swaps the whole object, so a reader
-// that opened the previous version keeps reading it unchanged (read-
-// after-replace isolation, like S3).  The FS view gives the sorts
-// seekable read/write handles over objects in the same namespace.
+// immutable-on-Put byte blobs.  It is one diskio.MemFS plus name
+// validation: an object is a MemFS file under its full name, so Put
+// swaps the whole file and a reader that opened the previous version
+// keeps reading it unchanged (read-after-replace isolation, like S3).
+// The FS view gives the sorts seekable read/write handles over objects
+// in the same namespace.
 //
 // Object is the test and ephemeral-daemon backend; wrap it in Faulty to
 // inject storage faults.
 type Object struct {
-	mu   sync.Mutex
-	objs map[string]*blob
-}
-
-// blob is one stored object.  File handles hold the *blob, so a Put
-// that replaces the map entry does not disturb open readers; writers
-// opened through the FS view mutate the blob in place under the store
-// lock (single-writer, like a POSIX file).
-type blob struct {
-	data []byte
+	fs *diskio.MemFS
 }
 
 // NewObject returns an empty in-memory object store.
-func NewObject() *Object { return &Object{objs: make(map[string]*blob)} }
+func NewObject() *Object { return &Object{fs: diskio.NewMemFS()} }
 
 // Put implements Backend.
 func (o *Object) Put(name string, data []byte) error {
 	if err := ValidName(name); err != nil {
 		return err
 	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.objs[name] = &blob{data: append([]byte(nil), data...)}
-	return nil
+	_, err := o.fs.Install(name, data)
+	return err
+}
+
+// open returns a read handle on the named object, positioned at its
+// start, and the object's size.
+func (o *Object) open(op, name string) (diskio.File, int64, error) {
+	if err := ValidName(name); err != nil {
+		return nil, 0, err
+	}
+	f, err := o.fs.Open(name)
+	if err != nil {
+		return nil, 0, notExist(op, name, err)
+	}
+	size, err := f.Seek(0, io.SeekEnd)
+	if err == nil {
+		_, err = f.Seek(0, io.SeekStart)
+	}
+	return f, size, err
 }
 
 // Get implements Backend.
 func (o *Object) Get(name string) ([]byte, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	b, ok := o.objs[name]
-	if !ok {
-		return nil, fmt.Errorf("storage: get %s: %w", name, ErrNotExist)
+	f, size, err := o.open("get", name)
+	if err != nil {
+		return nil, err
 	}
-	return append([]byte(nil), b.data...), nil
+	data := make([]byte, size)
+	_, err = io.ReadFull(f, data)
+	return data, err
 }
 
 // Stat implements Backend.
 func (o *Object) Stat(name string) (int64, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	b, ok := o.objs[name]
-	if !ok {
-		return 0, fmt.Errorf("storage: stat %s: %w", name, ErrNotExist)
-	}
-	return int64(len(b.data)), nil
+	_, size, err := o.open("stat", name)
+	return size, err
 }
 
 // List implements Backend.
 func (o *Object) List(prefix string) ([]string, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
+	all, err := o.fs.Names()
+	if err != nil {
+		return nil, err
+	}
 	var names []string
-	for n := range o.objs {
+	for _, n := range all {
 		if strings.HasPrefix(n, prefix) {
 			names = append(names, n)
 		}
 	}
-	sort.Strings(names)
 	return names, nil
 }
 
 // Delete implements Backend.
 func (o *Object) Delete(name string) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if _, ok := o.objs[name]; !ok {
-		return fmt.Errorf("storage: delete %s: %w", name, ErrNotExist)
+	if err := ValidName(name); err != nil {
+		return err
 	}
-	delete(o.objs, name)
-	return nil
+	return notExist("delete", name, o.fs.Remove(name))
 }
 
 // FS implements Backend: files created through the view are objects
@@ -103,184 +99,66 @@ func (o *Object) FS(prefix string) (diskio.FS, error) {
 	return &objectFS{store: o, prefix: prefix + "/"}, nil
 }
 
-// TotalBytes returns the sum of all object sizes (for tests asserting
-// space bounds).
-func (o *Object) TotalBytes() int64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	var total int64
-	for _, b := range o.objs {
-		total += int64(len(b.data))
-	}
-	return total
-}
-
-// objectFS is a diskio.FS over one prefix of an Object store.
+// objectFS is a diskio.FS over one prefix of an Object store: every
+// name is validated, prefixed, and handed to the store's MemFS, whose
+// handles it returns as they are (their Name is the object's full name).
 type objectFS struct {
 	store  *Object
 	prefix string
 }
 
-func (f *objectFS) key(name string) (string, error) {
+func (v *objectFS) key(name string) (string, error) {
 	if err := ValidName(name); err != nil {
 		return "", err
 	}
-	return f.prefix + name, nil
+	return v.prefix + name, nil
 }
 
 // Create implements diskio.FS.
-func (f *objectFS) Create(name string) (diskio.File, error) {
-	k, err := f.key(name)
+func (v *objectFS) Create(name string) (diskio.File, error) {
+	k, err := v.key(name)
 	if err != nil {
 		return nil, err
 	}
-	f.store.mu.Lock()
-	defer f.store.mu.Unlock()
-	b := &blob{}
-	f.store.objs[k] = b
-	return &objectFile{store: f.store, name: name, blob: b, writable: true}, nil
+	return v.store.fs.Create(k)
 }
 
 // Open implements diskio.FS.
-func (f *objectFS) Open(name string) (diskio.File, error) {
-	k, err := f.key(name)
+func (v *objectFS) Open(name string) (diskio.File, error) {
+	k, err := v.key(name)
 	if err != nil {
 		return nil, err
 	}
-	f.store.mu.Lock()
-	defer f.store.mu.Unlock()
-	b, ok := f.store.objs[k]
-	if !ok {
-		return nil, fmt.Errorf("storage: open %s: %w", name, os.ErrNotExist)
-	}
-	return &objectFile{store: f.store, name: name, blob: b}, nil
+	return v.store.fs.Open(k)
 }
 
 // Remove implements diskio.FS.
-func (f *objectFS) Remove(name string) error {
-	k, err := f.key(name)
+func (v *objectFS) Remove(name string) error {
+	k, err := v.key(name)
 	if err != nil {
 		return err
 	}
-	f.store.mu.Lock()
-	defer f.store.mu.Unlock()
-	if _, ok := f.store.objs[k]; !ok {
-		return fmt.Errorf("storage: remove %s: %w", name, os.ErrNotExist)
-	}
-	delete(f.store.objs, k)
-	return nil
+	return v.store.fs.Remove(k)
 }
 
 // Rename implements diskio.FS.
-func (f *objectFS) Rename(oldName, newName string) error {
-	ok, err := f.key(oldName)
+func (v *objectFS) Rename(oldName, newName string) error {
+	ok, err := v.key(oldName)
 	if err != nil {
 		return err
 	}
-	nk, err := f.key(newName)
+	nk, err := v.key(newName)
 	if err != nil {
 		return err
 	}
-	f.store.mu.Lock()
-	defer f.store.mu.Unlock()
-	b, exists := f.store.objs[ok]
-	if !exists {
-		return fmt.Errorf("storage: rename %s: %w", oldName, os.ErrNotExist)
-	}
-	delete(f.store.objs, ok)
-	f.store.objs[nk] = b
-	return nil
+	return v.store.fs.Rename(ok, nk)
 }
 
 // Names implements diskio.FS.
-func (f *objectFS) Names() ([]string, error) {
-	f.store.mu.Lock()
-	defer f.store.mu.Unlock()
-	var names []string
-	for n := range f.store.objs {
-		if strings.HasPrefix(n, f.prefix) {
-			names = append(names, strings.TrimPrefix(n, f.prefix))
-		}
+func (v *objectFS) Names() ([]string, error) {
+	names, err := v.store.List(v.prefix)
+	for i, n := range names {
+		names[i] = strings.TrimPrefix(n, v.prefix)
 	}
-	sort.Strings(names)
-	return names, nil
-}
-
-// objectFile is a seekable handle on one blob, semantics matching
-// diskio.MemFS files.
-type objectFile struct {
-	store    *Object
-	name     string
-	blob     *blob
-	off      int64
-	writable bool
-	closed   bool
-}
-
-func (f *objectFile) Name() string { return f.name }
-
-func (f *objectFile) Read(p []byte) (int, error) {
-	if f.closed {
-		return 0, os.ErrClosed
-	}
-	f.store.mu.Lock()
-	defer f.store.mu.Unlock()
-	if f.off >= int64(len(f.blob.data)) {
-		return 0, io.EOF
-	}
-	n := copy(p, f.blob.data[f.off:])
-	f.off += int64(n)
-	return n, nil
-}
-
-func (f *objectFile) Write(p []byte) (int, error) {
-	if f.closed {
-		return 0, os.ErrClosed
-	}
-	if !f.writable {
-		return 0, errors.New("storage: file opened read-only")
-	}
-	f.store.mu.Lock()
-	defer f.store.mu.Unlock()
-	b := f.blob.data
-	end := f.off + int64(len(p))
-	if end > int64(len(b)) {
-		nb := make([]byte, end)
-		copy(nb, b)
-		b = nb
-	}
-	copy(b[f.off:end], p)
-	f.blob.data = b
-	f.off = end
-	return len(p), nil
-}
-
-func (f *objectFile) Seek(offset int64, whence int) (int64, error) {
-	if f.closed {
-		return 0, os.ErrClosed
-	}
-	f.store.mu.Lock()
-	defer f.store.mu.Unlock()
-	var base int64
-	switch whence {
-	case io.SeekStart:
-		base = 0
-	case io.SeekCurrent:
-		base = f.off
-	case io.SeekEnd:
-		base = int64(len(f.blob.data))
-	default:
-		return 0, fmt.Errorf("storage: bad whence %d", whence)
-	}
-	np := base + offset
-	if np < 0 {
-		return 0, errors.New("storage: negative seek position")
-	}
-	f.off = np
-	return np, nil
-}
-
-func (f *objectFile) Close() error {
-	f.closed = true
-	return nil
+	return names, err
 }

@@ -20,6 +20,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path"
 	"strings"
 
@@ -29,6 +30,15 @@ import (
 // ErrNotExist reports a missing object.  Implementations wrap it (or
 // os.ErrNotExist) so callers can errors.Is either way.
 var ErrNotExist = errors.New("storage: object does not exist")
+
+// notExist turns the filesystem's os.ErrNotExist into the object API's
+// ErrNotExist for operation op on name; any other err passes through.
+func notExist(op, name string, err error) error {
+	if errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("storage: %s %s: %w", op, name, ErrNotExist)
+	}
+	return err
+}
 
 // Backend stores named objects and exposes filesystem views over
 // prefixes of the same namespace.  Object names are slash-separated

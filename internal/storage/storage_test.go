@@ -3,10 +3,12 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"hetsort/internal/diskio"
@@ -239,5 +241,90 @@ func TestFaultyPermanentAndTransient(t *testing.T) {
 	// The FS view bypasses the object-op budget by design.
 	if _, err := perm.FS("ns"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestObjectConcurrentAccess is a -race test of the store's two lock
+// levels.  Puts, Gets and FS-view reads race on one object name: every
+// read must see one whole version (each version is a run of one byte
+// whose length is that byte), never a prefix or a mix.  Meanwhile a
+// writer handle appends to a second file of the same store and a reader
+// handle scans a third, which share the name table but no file lock,
+// and Stat reads the length of the file being appended to.
+func TestObjectConcurrentAccess(t *testing.T) {
+	o := NewObject()
+	fs, err := o.FS("ns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	version := func(v byte) []byte { return bytes.Repeat([]byte{v}, int(v)) }
+	whole := func(data []byte) bool {
+		return len(data) > 0 && len(data) == int(data[0]) && bytes.Count(data, data[:1]) == len(data)
+	}
+	if err := o.Put("ns/f", version(1)); err != nil {
+		t.Fatal(err)
+	}
+	other := bytes.Repeat([]byte("other"), 100)
+	if err := o.Put("ns/other", other); err != nil {
+		t.Fatal(err)
+	}
+
+	const rounds = 200
+	var wg sync.WaitGroup
+	run := func(fn func(i int) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if err := fn(i); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for w := 0; w < 2; w++ {
+		run(func(i int) error { return o.Put("ns/f", version(byte(1+i%250))) })
+	}
+	run(func(int) error {
+		data, err := o.Get("ns/f")
+		if err == nil && !whole(data) {
+			err = fmt.Errorf("Get saw a torn object: %d bytes of %v", len(data), data[:1])
+		}
+		return err
+	})
+	run(func(int) error {
+		f, err := fs.Open("f")
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		data, err := io.ReadAll(f)
+		if err == nil && !whole(data) {
+			err = fmt.Errorf("open reader saw a torn object: %d bytes of %v", len(data), data[:1])
+		}
+		return err
+	})
+	appender, err := fs.Create("log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(func(int) error { _, err := appender.Write([]byte("block")); return err })
+	run(func(int) error { _, err := o.Stat("ns/log"); return err }) // the appender's file lock
+	run(func(int) error {
+		f, err := fs.Open("other")
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		data, err := io.ReadAll(f)
+		if err == nil && !bytes.Equal(data, other) {
+			err = fmt.Errorf("reader of an untouched file saw %d bytes", len(data))
+		}
+		return err
+	})
+	wg.Wait()
+	if sz, err := o.Stat("ns/log"); err != nil || sz != rounds*int64(len("block")) {
+		t.Fatalf("appended file: %d bytes, %v", sz, err)
 	}
 }
