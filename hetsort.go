@@ -436,13 +436,20 @@ func Sort(keys []Key, cfg Config) ([]Key, *Report, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	out := make([]Key, 0, len(keys))
-	for i := 0; i < c.P(); i++ {
-		part, err := diskio.ReadFileAll(c.Node(i).FS(), "output", cfg.blockKeys(), diskio.Accounting{})
-		if err != nil {
-			return nil, nil, err
+	// Each node's output is read straight into its slot of the result.
+	out := make([]Key, len(keys))
+	slot := out
+	for i, size := range res.PartitionSizes {
+		f, r, err := diskio.Section{Name: "output", Keys: size}.Open(c.Node(i).FS(), cfg.blockKeys(), diskio.Accounting{})
+		if err == nil {
+			_, err = r.ReadKeys(slot[:size])
+			r.Release()
+			f.Close()
 		}
-		out = append(out, part...)
+		if err != nil {
+			return nil, nil, fmt.Errorf("hetsort: reading node %d's output: %w", i, err)
+		}
+		slot = slot[size:]
 	}
 	rep := newReport(res, v)
 	rep.attachTrace(tl)

@@ -144,18 +144,24 @@ func TestHistBalanceInvariantTeeth(t *testing.T) {
 
 func TestStepIOInvariantTeeth(t *testing.T) {
 	inv := invariantByName(t, "step-io")
-	keys := make([]hetsort.Key, 1000)
+	keys := make([]hetsort.Key, 4000)
 	for i := range keys {
 		keys[i] = hetsort.Key(i)
 	}
 	cfg := hetsort.Config{Nodes: 2, BlockKeys: 16, MemoryKeys: 256, Tapes: 4}
 	c := &Case{Name: "synthetic", Keys: keys, Config: cfg}
-	rep := &hetsort.Report{PartitionSizes: []int64{500, 500}}
-	rep.StepIO[2] = []pdm.IOStats{{Reads: 1 << 30}, {}}
+	rep := &hetsort.Report{PartitionSizes: []int64{2000, 2000}}
+	// Step 3 is one scan of the l_i/B = 125 blocks...
+	rep.StepIO[2] = []pdm.IOStats{{Reads: 125}, {Reads: 125}}
 	o := &Outcome{Case: c, Runs: []Run{{Label: "base", Config: cfg, Output: keys, Report: rep}}}
+	if err := inv.Check(o); err != nil {
+		t.Fatalf("step-io invariant rejected the step-3 scan: %v", err)
+	}
+	// ...so a pass that also copies the portion out is over budget.
+	rep.StepIO[2][0].Writes = 125
 	err := inv.Check(o)
 	if err == nil {
-		t.Fatal("step-io invariant accepted a billion-block partitioning pass")
+		t.Fatal("step-io invariant accepted a partitioning pass that rewrites the portion")
 	}
 	if !strings.Contains(err.Error(), "3:partitioning") {
 		t.Fatalf("violation does not name the step: %v", err)

@@ -310,12 +310,12 @@ func checkStepIO(c *Case, r *Run) error {
 //
 //	step 1  2·(l_i/B)·(1+passes)      polyphase sort of the portion
 //	step 2  l_i/B + samples           pivot sampling (sketch = full scan)
-//	step 3  2·(l_i/B) + p             one split pass into p segments
+//	step 3  l_i/B                     one scan locating the p+1 cuts
 //	step 4  l_i/B + q_i/B + 2p        read what is sent, write what lands
 //	step 5  merge budget of q_i       p-file external merge (0 if fused)
 //
 // each plus ioSlack.  Step 4 reads the l_i − s_ii keys it sends and
-// writes the q_i − s_ii it receives (the own segment s_ii stays on disk),
+// writes the q_i − s_ii it receives (the own bucket s_ii stays on disk),
 // or, fused, reads all of l_i and writes the q_i output; only a fused run
 // under Checkpoint also spills its incoming streams, one more q_i/B.
 // Polyphase passes are bounded with fan-in 2 — the loosest tape count —
@@ -334,7 +334,7 @@ func stepBudgets(pp pdm.Params, cfg hetsort.Config, p int, li, qi int64, rounds 
 	if cfg.PivotStrategy == hetsort.PivotHistogram && rounds > 1 {
 		b[1] = lb*int64(rounds) + ioSlack
 	}
-	b[2] = 2*lb + int64(p) + ioSlack
+	b[2] = lb + ioSlack
 	b[3] = lb + qb + int64(2*p) + ioSlack
 	if cfg.Pipeline && cfg.Checkpoint.Enabled {
 		b[3] += qb

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"hetsort/internal/diskio"
@@ -84,6 +85,10 @@ type Manifest struct {
 	// hands them to nodes that died before receiving the broadcast,
 	// sparing a re-gather.
 	Pivots []record.Key `json:"pivots,omitempty"`
+	// Cuts, recorded at phases 3 and 4, holds the P+1 key offsets at which
+	// the pivots cut the sorted file Files[0]: keys Cuts[j]..Cuts[j+1] are
+	// the bucket bound for node j, and exist nowhere else.
+	Cuts []int64 `json:"cuts,omitempty"`
 	// Files lists the durable files this phase depends on.
 	Files []FileInfo `json:"files,omitempty"`
 	// Root, when non-empty, is the hex Merkle root over Files: each
@@ -272,11 +277,34 @@ func Remove(fs diskio.FS) error {
 	return err
 }
 
+// validateCuts checks a phase-3 or phase-4 manifest's cuts: P+1 offsets,
+// 0 = Cuts[0] ≤ … ≤ Cuts[P] = the length of the sorted file Files[0], as
+// recorded and as found on fs.  Other phases do not depend on cuts.
+func (m *Manifest) validateCuts(fs diskio.FS) error {
+	if m.Phase != 3 && m.Phase != 4 {
+		return nil
+	}
+	ok := len(m.Cuts) == m.P+1 && len(m.Files) > 0 && m.Cuts[0] == 0 &&
+		slices.IsSorted(m.Cuts) && m.Cuts[m.P] == m.Files[0].Keys
+	if ok {
+		n, err := diskio.CountKeys(fs, m.Files[0].Name)
+		ok = err == nil && n == m.Cuts[m.P]
+	}
+	if !ok {
+		return fmt.Errorf("%w: node %d phase %d: cuts %v are not %d offsets ascending from 0 to the length of the sorted file",
+			ErrCorrupt, m.Node, m.Phase, m.Cuts, m.P+1)
+	}
+	return nil
+}
+
 // Validate checks that every file the manifest depends on exists on fs
-// with the recorded length, and — for Merkle-anchored manifests — that
-// its content re-hashes to the recorded leaf and the leaves still
-// produce the recorded root.
+// with the recorded length, that the phase's cuts span the sorted file,
+// and — for Merkle-anchored manifests — that every file's content
+// re-hashes to the recorded leaf and the leaves still produce the root.
 func (m *Manifest) Validate(fs diskio.FS) error {
+	if err := m.validateCuts(fs); err != nil {
+		return err
+	}
 	for _, fi := range m.Files {
 		n, err := diskio.CountKeys(fs, fi.Name)
 		if err != nil {
@@ -315,6 +343,9 @@ type Recovery struct {
 	// Input is the global input checksum recorded at the start of the
 	// original run.
 	Input record.Checksum
+	// Cuts[i] is node i's own cuts (nil unless it stands at phase 3 or 4);
+	// unlike the pivots, every node's sorted file is cut elsewhere.
+	Cuts [][]int64
 }
 
 // MinDone returns the least-advanced node's committed phase.
@@ -341,6 +372,7 @@ func Plan(disks []diskio.FS, sig string) (*Recovery, error) {
 	r := &Recovery{
 		Done:   make([]int, p),
 		Clocks: make([]float64, p),
+		Cuts:   make([][]int64, p),
 	}
 	for i, fs := range disks {
 		m, err := Load(fs)
@@ -372,6 +404,7 @@ func Plan(disks []diskio.FS, sig string) (*Recovery, error) {
 		}
 		r.Done[i] = m.Phase
 		r.Clocks[i] = m.Clock
+		r.Cuts[i] = m.Cuts
 		if m.Phase >= 2 && r.Pivots == nil {
 			r.Pivots = append([]record.Key(nil), m.Pivots...)
 		}

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"strings"
@@ -177,6 +178,16 @@ func planDisks(t *testing.T, phases ...int) []diskio.FS {
 	for i, ph := range phases {
 		disks[i] = diskio.NewMemFS()
 		m := sampleManifest(i, len(phases), ph)
+		if ph == 3 || ph == 4 {
+			// These phases stand on the sorted file and its cuts.
+			if err := diskio.WriteFile(disks[i], "sorted", make([]record.Key, len(phases)), 2, diskio.Accounting{}); err != nil {
+				t.Fatal(err)
+			}
+			m.Files = []FileInfo{{Name: "sorted", Keys: int64(len(phases))}}
+			for j := 0; j <= len(phases); j++ {
+				m.Cuts = append(m.Cuts, int64(j))
+			}
+		}
 		if err := Save(disks[i], m, diskio.Accounting{}); err != nil {
 			t.Fatal(err)
 		}
@@ -202,6 +213,49 @@ func TestPlanAggregates(t *testing.T) {
 	}
 	if r.Clocks[2] != 3.25 {
 		t.Fatalf("clocks %v", r.Clocks)
+	}
+	// Cuts are each node's own, and only phases 3-4 have any.
+	if got := fmt.Sprint(r.Cuts); got != "[[] [0 1 2 3 4] [] []]" {
+		t.Fatalf("cuts %v", got)
+	}
+}
+
+// TestValidateCuts: a phase-3 or phase-4 manifest must carry P+1 cuts
+// that ascend from 0 to the length of the sorted file, its first
+// dependency, as found on disk.
+func TestValidateCuts(t *testing.T) {
+	fs := diskio.NewMemFS()
+	if err := diskio.WriteFile(fs, "sorted", []record.Key{1, 2, 3, 4, 5}, 2, diskio.Accounting{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		phase int
+		cuts  []int64
+		files []FileInfo
+		ok    bool
+	}{
+		{"phase 3", 3, []int64{0, 2, 5}, []FileInfo{{Name: "sorted", Keys: 5}}, true},
+		{"phase 4, empty buckets", 4, []int64{0, 0, 5}, []FileInfo{{Name: "sorted", Keys: 5}}, true},
+		{"phase 2 needs none", 2, nil, []FileInfo{{Name: "sorted", Keys: 5}}, true},
+		{"none recorded", 3, nil, []FileInfo{{Name: "sorted", Keys: 5}}, false},
+		{"too few", 3, []int64{0, 5}, []FileInfo{{Name: "sorted", Keys: 5}}, false},
+		{"not from zero", 3, []int64{1, 2, 5}, []FileInfo{{Name: "sorted", Keys: 5}}, false},
+		{"descending", 3, []int64{0, 3, 2}, []FileInfo{{Name: "sorted", Keys: 5}}, false},
+		{"short of the file", 3, []int64{0, 2, 4}, []FileInfo{{Name: "sorted", Keys: 5}}, false},
+		{"past the file", 3, []int64{0, 2, 6}, []FileInfo{{Name: "sorted", Keys: 6}}, false},
+		{"no sorted file listed", 3, []int64{0, 2, 5}, nil, false},
+		{"sorted file gone", 4, []int64{0, 2, 5}, []FileInfo{{Name: "lost", Keys: 5}}, false},
+	} {
+		m := sampleManifest(0, 2, tc.phase)
+		m.Cuts, m.Files = tc.cuts, tc.files
+		err := m.Validate(fs)
+		if tc.ok && err != nil {
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		}
+		if !tc.ok && !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrCorrupt", tc.name, err)
+		}
 	}
 }
 

@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"hetsort/internal/diskio"
+	"hetsort/internal/pdm"
+	"hetsort/internal/record"
 	"hetsort/internal/storage"
 )
 
@@ -71,6 +73,40 @@ func put(t *testing.T, fs diskio.FS, name string, data []byte) {
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// writeKeys creates name on fs holding the keys 0..n-1.
+func writeKeys(t *testing.T, fs diskio.FS, name string, n int) {
+	t.Helper()
+	keys := make([]record.Key, n)
+	for i := range keys {
+		keys[i] = record.Key(i)
+	}
+	if err := diskio.WriteFile(fs, name, keys, 8, diskio.Accounting{}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readSection reads a section to its end in 8-key blocks.
+func readSection(t *testing.T, fs diskio.FS, sec diskio.Section, acct diskio.Accounting) []record.Key {
+	t.Helper()
+	f, r, err := sec.Open(fs, 8, acct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	defer r.Release()
+	var keys []record.Key
+	for buf := make([]record.Key, 5); ; {
+		n, err := diskio.ReadChunk(r, buf)
+		if err != nil {
+			t.Fatalf("section %+v: %v", sec, err)
+		}
+		if n == 0 {
+			return keys
+		}
+		keys = append(keys, buf[:n]...)
 	}
 }
 
@@ -229,6 +265,80 @@ func testFSConformance(t *testing.T, impl fsImpl) {
 			names, err := fs.Names()
 			if err != nil || !reflect.DeepEqual(names, []string{"a", "b", "c"}) {
 				t.Fatalf("Names = %v, %v", names, err)
+			}
+		}},
+		// Section readers: a run of keys inside a file, read in place.
+		{"section: unaligned, exactly its keys, ceil(keys/B) reads, no seek", func(t *testing.T, fs diskio.FS) {
+			writeKeys(t, fs, "f", 100)
+			var ctr pdm.Counter
+			got := readSection(t, fs, diskio.Section{Name: "f", Off: 13, Keys: 21}, diskio.Accounting{Counter: &ctr})
+			if len(got) != 21 || got[0] != 13 || got[20] != 33 {
+				t.Fatalf("section [13:+21] read %v", got)
+			}
+			if io := ctr.Snapshot(); io.Reads != 3 || io.Writes != 0 || io.Seeks != 0 {
+				t.Fatalf("21 keys in 8-key blocks charged %+v, want 3 reads and nothing else", io)
+			}
+		}},
+		{"section: whole file when Keys is negative", func(t *testing.T, fs diskio.FS) {
+			writeKeys(t, fs, "f", 20)
+			if got := readSection(t, fs, diskio.Section{Name: "f", Keys: -1}, diskio.Accounting{}); len(got) != 20 {
+				t.Fatalf("whole-file section read %d keys", len(got))
+			}
+		}},
+		{"section: empty charges nothing", func(t *testing.T, fs diskio.FS) {
+			writeKeys(t, fs, "f", 100)
+			var ctr pdm.Counter
+			for _, off := range []int64{0, 50, 100} {
+				if got := readSection(t, fs, diskio.Section{Name: "f", Off: off}, diskio.Accounting{Counter: &ctr}); len(got) != 0 {
+					t.Fatalf("empty section at %d read %v", off, got)
+				}
+			}
+			if io := ctr.Snapshot(); io.Total() != 0 || io.Seeks != 0 {
+				t.Fatalf("empty sections charged %+v", io)
+			}
+		}},
+		{"section: past EOF errors", func(t *testing.T, fs diskio.FS) {
+			writeKeys(t, fs, "f", 100)
+			for _, sec := range []diskio.Section{{Name: "f", Off: 90, Keys: 11}, {Name: "f", Off: 100, Keys: 1}, {Name: "f", Off: 200, Keys: 8}} {
+				f, r, err := sec.Open(fs, 8, diskio.Accounting{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				n, err := r.ReadKeys(make([]record.Key, sec.Keys))
+				if err == nil || err == io.EOF {
+					t.Errorf("section %+v of a 100-key file read %d keys, err %v", sec, n, err)
+				}
+				r.Release()
+				f.Close()
+			}
+		}},
+		{"section: D=4 blocks land on the disks of a whole-file read", func(t *testing.T, fs diskio.FS) {
+			writeKeys(t, fs, "f", 100) // 12 full 8-key blocks and a 4-key one
+			acct := func() (diskio.Accounting, []*pdm.Counter) {
+				disks := []*pdm.Counter{{}, {}, {}, {}}
+				return diskio.Accounting{Counter: new(pdm.Counter), Disks: disks, StripeBytes: 8 * record.KeySize}, disks
+			}
+			reads := func(disks []*pdm.Counter) (r [4]int64) {
+				for d, c := range disks {
+					r[d] = c.Snapshot().Reads
+				}
+				return r
+			}
+			whole, wholeDisks := acct()
+			readSection(t, fs, diskio.Section{Name: "f", Keys: -1}, whole)
+			// Blocks 3..7 live on disks 3, 0, 1, 2, 3.
+			mid, midDisks := acct()
+			readSection(t, fs, diskio.Section{Name: "f", Off: 24, Keys: 40}, mid)
+			if got := reads(midDisks); got != [4]int64{1, 1, 1, 2} {
+				t.Fatalf("blocks 3..7 read from disks %v, want [1 1 1 2]", got)
+			}
+			// Cut at block boundaries, the sections add up to the file.
+			parts, partDisks := acct()
+			for _, sec := range []diskio.Section{{Name: "f", Keys: 24}, {Name: "f", Off: 24, Keys: 40}, {Name: "f", Off: 64, Keys: 36}} {
+				readSection(t, fs, sec, parts)
+			}
+			if got, want := reads(partDisks), reads(wholeDisks); got != want {
+				t.Fatalf("three sections read disks %v, the whole file %v", got, want)
 			}
 		}},
 	}

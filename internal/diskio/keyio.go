@@ -314,6 +314,7 @@ type Reader struct {
 	acct  Accounting
 	om    vtime.OverlapMeter // open overlap window, nil when synchronous
 	off   int64              // byte offset of the next block read
+	left  int64              // keys still to fetch; negative: to the end of the file
 	block int
 	buf   []byte
 	keys  []record.Key
@@ -334,14 +335,56 @@ func NewReader(f File, blockKeys int, acct Accounting) *Reader {
 		keys:  getKeyBuf(blockKeys),
 		om:    acct.openWindow(),
 		off:   acct.startOffset(f),
+		left:  -1,
 	}
+}
+
+// Section names a run of consecutive keys in a file: the Keys keys of
+// Name from key index Off on, or the whole file when Keys is negative.  A
+// sorted file cut at p−1 pivots is p sections, none of which needs a copy.
+type Section struct {
+	Name      string
+	Off, Keys int64
+}
+
+// Open opens the section's file on fs and returns it with a Reader that
+// yields exactly the section's keys, in blocks counted from the section's
+// start — ⌈Keys/B⌉ block reads, as if it were a file of its own — and
+// fails if the file ends first.  Positioning is not charged as a seek, but
+// every block is placed on the member disk of its absolute offset in the
+// file.  The caller releases the Reader and closes the file.
+func (s Section) Open(fs FS, blockKeys int, acct Accounting) (File, *Reader, error) {
+	f, err := fs.Open(s.Name)
+	if err != nil {
+		return nil, nil, err
+	}
+	r := NewReader(f, blockKeys, acct)
+	if s.Keys >= 0 {
+		r.off, r.left = s.Off*record.KeySize, s.Keys
+		if _, err := f.Seek(r.off, io.SeekStart); err != nil {
+			r.err = fmt.Errorf("diskio: seek to key %d of %s: %w", s.Off, s.Name, err)
+		}
+	}
+	return f, r, nil
 }
 
 func (r *Reader) fill() error {
 	if r.err != nil {
 		return r.err
 	}
-	n, err := io.ReadFull(r.f, r.buf)
+	if r.left == 0 {
+		r.err = io.EOF
+		return r.err
+	}
+	want := r.buf
+	if lim := r.left * record.KeySize; r.left > 0 && lim < int64(len(want)) {
+		want = want[:lim]
+	}
+	n, err := io.ReadFull(r.f, want)
+	if r.left > 0 && n < len(want) && (err == io.EOF || err == io.ErrUnexpectedEOF) {
+		r.err = fmt.Errorf("diskio: %s ends %d keys short of the section read from it", r.f.Name(), r.left-int64(n/record.KeySize))
+		return r.err
+	}
 	if n > 0 {
 		if n%record.KeySize != 0 {
 			r.err = fmt.Errorf("diskio: truncated key at end of %s", r.f.Name())
@@ -349,6 +392,9 @@ func (r *Reader) fill() error {
 		}
 		r.acct.transfer(r.off, 1, false, r.om)
 		r.off += int64(n)
+		if r.left > 0 {
+			r.left -= int64(n / record.KeySize)
+		}
 		r.keys = record.DecodeKeys(r.keys[:0], r.buf[:n])
 		r.pos = 0
 		return nil
@@ -480,17 +526,19 @@ func WriteFile(fs FS, name string, keys []record.Key, blockKeys int, acct Accoun
 // ReadFileAll opens name on fs and reads every key into a slice sized
 // once from the file length.
 func ReadFileAll(fs FS, name string, blockKeys int, acct Accounting) ([]record.Key, error) {
-	count, err := CountKeys(fs, name)
-	if err != nil {
-		return nil, err
-	}
-	f, err := fs.Open(name)
+	f, r, err := Section{Name: name, Keys: -1}.Open(fs, blockKeys, acct)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	r := NewReader(f, blockKeys, acct)
 	defer r.Release()
+	count, err := keysIn(f)
+	if err == nil {
+		_, err = f.Seek(0, io.SeekStart)
+	}
+	if err != nil {
+		return nil, err
+	}
 	out := make([]record.Key, count)
 	n, err := r.ReadKeys(out)
 	if err != nil && err != io.EOF {
@@ -507,12 +555,17 @@ func CountKeys(fs FS, name string) (int64, error) {
 		return 0, err
 	}
 	defer f.Close()
+	return keysIn(f)
+}
+
+// keysIn returns the number of keys in f, leaving the handle at its end.
+func keysIn(f File) (int64, error) {
 	sz, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
 		return 0, err
 	}
 	if sz%record.KeySize != 0 {
-		return 0, fmt.Errorf("diskio: %s has ragged size %d", name, sz)
+		return 0, fmt.Errorf("diskio: %s has ragged size %d", f.Name(), sz)
 	}
 	return sz / record.KeySize, nil
 }

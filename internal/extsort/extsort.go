@@ -7,11 +7,14 @@
 //  2. regularly spaced pivot candidates read from the sorted file
 //     (perf-proportional counts), gathered on node 0, which selects and
 //     broadcasts p-1 pivots;
-//  3. partitioning of the sorted file into p contiguous segment files;
-//  4. redistribution: segment j travels to node j in fixed-size
-//     messages (a multiple of the block size);
-//  5. final merge of the p received sorted files with the external
-//     merge of step 1's sorter.
+//  3. partitioning of the sorted file at the pivots: one scan locates
+//     the p+1 cut offsets, and bucket j is the section between cuts j
+//     and j+1 — the file is already in bucket order, so nothing is copied;
+//  4. redistribution: bucket j travels to node j in fixed-size
+//     messages (a multiple of the block size), read straight from its
+//     section of the sorted file;
+//  5. final merge of the node's own bucket and the received sorted files
+//     with the external merge of step 1's sorter.
 //
 // The concatenation of the nodes' output files in rank order is the
 // globally sorted sequence, and the PSRS theorem bounds every node's
@@ -87,9 +90,6 @@ type Config struct {
 	HistTolerance float64
 	// Seed feeds the random samplers of the non-regular strategies.
 	Seed int64
-	// KeepIntermediates retains segment and received files for
-	// debugging when true.
-	KeepIntermediates bool
 	// Pipeline fuses steps 4 and 5: each node merges its own bucket and
 	// the final round's incoming streams directly into its output file
 	// as messages arrive, never materialising the received files —
@@ -116,9 +116,10 @@ type Config struct {
 	Overlap bool
 	// Checkpoint makes the five phase boundaries durable commit points:
 	// each node writes a manifest (see internal/checkpoint) to its
-	// private FS after every phase, segment files are retained until
-	// they can no longer be needed by a recovery, and an interrupted
-	// run can be continued with Resume.
+	// private FS after every phase — from phase 3 on with the cut offsets
+	// of its sorted file, which stays on disk until phase 5 commits so a
+	// recovered peer can be sent its bucket again — and an interrupted run
+	// can be continued with Resume.
 	Checkpoint bool
 	// InputSum is the global input multiset checksum stamped into the
 	// manifests so a resumed run can verify its final output (only
@@ -163,7 +164,7 @@ type Config struct {
 // sig fingerprints the parameters that must match between an
 // interrupted run and its resume.
 func (c Config) sig(inputName, outputName string) string {
-	return fmt.Sprintf("extsort-v3 perf=%v B=%d M=%d T=%d msg=%d rf=%d strat=%d over=%d eps=%g htol=%g seed=%d topo=%d r=%d in=%s out=%s",
+	return fmt.Sprintf("extsort-v4 perf=%v B=%d M=%d T=%d msg=%d rf=%d strat=%d over=%d eps=%g htol=%g seed=%d topo=%d r=%d in=%s out=%s",
 		[]int(c.Perf), c.BlockKeys, c.MemoryKeys, c.Tapes, c.MessageKeys,
 		c.RunFormation, c.Strategy, c.OverFactor, c.QuantileEps, c.HistTolerance, c.Seed,
 		c.Topology, c.Radix, inputName, outputName)
@@ -338,7 +339,7 @@ func (c *Config) resolve(cl *cluster.Cluster) error {
 // on the node disks: it loads and validates every node's manifest,
 // replays each node's virtual clock to its last commit, re-runs only the
 // phases that did not commit (needy nodes re-receive their lost
-// redistribution segments from the senders' retained partition files),
+// redistribution segments from the senders' sorted files),
 // and returns the completed result together with the original run's
 // input checksum for verification.  All recovery I/O is charged to the
 // PDM counters.  The configuration must match the interrupted run's.
@@ -401,10 +402,12 @@ func runWorkers(c *cluster.Cluster, cfg Config, inputName, outputName string, pl
 	}
 
 	workers := make([]worker, p)
+	levels := topoLevels(p, radix)
 	err := c.Run(func(n *cluster.Node) error {
 		w := &workers[n.ID()]
 		*w = worker{n: n, cfg: cfg, radix: radix, input: inputName, output: outputName,
-			plan: plan, sig: cfg.sig(inputName, outputName)}
+			plan: plan, sig: cfg.sig(inputName, outputName),
+			lv: levels, ownRounds: ownRounds(n.ID(), levels, p)}
 		return w.run()
 	})
 	if err != nil {
@@ -451,7 +454,8 @@ func runWorkers(c *cluster.Cluster, cfg Config, inputName, outputName string, pl
 type worker struct {
 	n      *cluster.Node
 	cfg    Config
-	radix  int // the run's one fan-in (resolveRadix): collectives and redistribution
+	radix  int   // the run's one fan-in (resolveRadix): collectives and redistribution
+	lv     []int // the redistribution's refinement levels (topoLevels), shared read-only
 	input  string
 	output string
 
@@ -461,6 +465,13 @@ type worker struct {
 	plan   *checkpoint.Recovery
 	sig    string
 	pivots []record.Key
+
+	// cuts is step 3's whole result: the p+1 key offsets at which the
+	// pivots cut the sorted file, bucket j being keys cuts[j]..cuts[j+1].
+	// Through the first ownRounds redistribution rounds the node's buckets
+	// are still those sections (see bucket).
+	cuts      []int64
+	ownRounds int
 
 	// This node's step-2 accounting (Result.PivotRounds, PivotSampleKeys).
 	pivotRounds int
@@ -502,6 +513,10 @@ func (w *worker) commit(phase int, files []checkpoint.FileInfo) error {
 		Pivots: w.pivots,
 		Files:  files,
 	}
+	if phase == 3 || phase == 4 {
+		// The phases whose state is the sorted file cut into buckets.
+		m.Cuts = w.cuts
+	}
 	// Manifest I/O is charged to phase 0 (checkpointing is bookkeeping,
 	// not an Algorithm-1 step), and its virtual latency is observed.
 	step := n.Counter().CurrentPhase()
@@ -536,7 +551,8 @@ func (w *worker) commit(phase int, files []checkpoint.FileInfo) error {
 // that already committed the step still owes its peers; tidy, when set,
 // removes the files the step's commit made dead — an idempotent sweep,
 // so a node that crashed between its commit and its tidy re-runs it on
-// resume.
+// resume.  The sorted file lives until step 5's tidy: its sections are
+// the buckets.
 type step struct {
 	run   func(*worker) error
 	files func(*worker) ([]checkpoint.FileInfo, error)
@@ -545,19 +561,15 @@ type step struct {
 }
 
 // steps is Algorithm 1.  Only step 4 has a skip: a node past phase 4
-// still re-sends its retained segments to the needy receivers, which
+// still re-sends its buckets to the needy receivers, which
 // is exactly the recovery of their lost in-flight messages.
 var steps = [len(StepNames)]step{
 	{run: (*worker).sequentialSort, files: (*worker).sortedFile},
 	{run: (*worker).pivotSelection, files: (*worker).sortedFile},
-	// The sorted file survives until the segments are durably
-	// committed, so a crash mid-partition can redo the split.
-	{run: (*worker).partition, tidy: (*worker).removeSorted,
-		files: func(w *worker) ([]checkpoint.FileInfo, error) { return w.segFiles() }},
-	// Phase 4 keeps the own segments durable for peers' recoveries,
-	// beside the final-merge inputs.
-	{run: (*worker).redistribute, skip: (*worker).redistribute,
-		files: func(w *worker) ([]checkpoint.FileInfo, error) { return w.segFiles(w.finalInputs()...) }},
+	{run: (*worker).locateCuts, files: (*worker).sortedFile},
+	// Phase 4 keeps the sorted file — every bucket a peer's recovery may
+	// ask for again — beside the final-merge inputs.
+	{run: (*worker).redistribute, skip: (*worker).redistribute, files: (*worker).redistributed},
 	{run: (*worker).finalMerge, files: (*worker).outputFile, tidy: (*worker).cleanup},
 }
 
@@ -574,7 +586,7 @@ func (w *worker) run() error {
 		// Replay the clock to the last commit, so a resumed run reports
 		// the honest virtual completion time of the whole sort.
 		n.AdvanceClock(w.plan.Clocks[id])
-		w.pivots = w.plan.Pivots
+		w.pivots, w.cuts = w.plan.Pivots, w.plan.Cuts[id]
 		n.TraceEvent(trace.Recovery, "resume", fmt.Sprintf("phases-done:%d clock:%.6f", w.done(), w.plan.Clocks[id]))
 	} else if w.cfg.Checkpoint {
 		// Phase-0 manifest: the run exists and the input is durable.
@@ -652,13 +664,16 @@ func (w *worker) fileInfo(names ...string) ([]checkpoint.FileInfo, error) {
 func (w *worker) sortedFile() ([]checkpoint.FileInfo, error) { return w.fileInfo(sortedName) }
 func (w *worker) outputFile() ([]checkpoint.FileInfo, error) { return w.fileInfo(w.output) }
 
-// segFiles lists the p step-3 segment files, followed by any more.
-func (w *worker) segFiles(more ...string) ([]checkpoint.FileInfo, error) {
-	names := make([]string, w.n.P(), w.n.P()+len(more))
-	for j := range names {
-		names[j] = w.segName(j)
+// redistributed lists what phase 4 depends on: the sorted file, then the
+// final-merge inputs that are files of their own.
+func (w *worker) redistributed() ([]checkpoint.FileInfo, error) {
+	names := []string{sortedName}
+	for _, in := range w.finalInputs() {
+		if in.Name != sortedName {
+			names = append(names, in.Name)
+		}
 	}
-	return w.fileInfo(append(names, more...)...)
+	return w.fileInfo(names...)
 }
 
 // remove deletes an intermediate file that may already be gone.
@@ -669,29 +684,19 @@ func (w *worker) remove(name string) error {
 	return nil
 }
 
-func (w *worker) removeSorted() error {
-	if w.cfg.KeepIntermediates {
-		return nil
-	}
-	return w.remove(sortedName)
-}
-
 // cleanup is step 5's tidy: once phase 5 is committed no recovery can
-// need the segments, the received files or the round buckets — a peer
+// need the sorted file, the received files or the round buckets — a peer
 // at phase 5 implies every node committed phase 4 (the barrier ordering
 // guarantees it).  A crashed multi-round run can orphan buckets for
 // destinations that were no longer needy on the retry, so the sweep
 // goes by prefix, not by what this run created.
 func (w *worker) cleanup() error {
-	if w.cfg.KeepIntermediates {
-		return nil
-	}
 	names, err := w.n.FS().Names()
 	if err != nil {
 		return err
 	}
 	for _, name := range names {
-		for _, prefix := range []string{segPrefix, recvPrefix, roundPrefix} {
+		for _, prefix := range []string{sortedName, recvPrefix, roundPrefix} {
 			if !strings.HasPrefix(name, prefix) {
 				continue
 			}
@@ -731,92 +736,29 @@ func (w *worker) sequentialSort() error {
 	return err
 }
 
-// partition implements step 3: one streaming pass over the sorted file,
-// splitting it into p contiguous segment files at the pivots.
-func (w *worker) partition() error {
-	n, cfg, pivots := w.n, w.cfg, w.pivots
-	p := n.P()
-	in, err := n.FS().Open(sortedName)
+// locateCuts implements step 3: one scan of the sorted file against the
+// pivots, whose sublist sizes' prefix sums are the cut offsets.  The
+// paper's ≤ 2·l_i/B also copies the buckets out, which nothing downstream
+// needs.  A resumed node past phase 3 adopted its manifest's cuts instead.
+func (w *worker) locateCuts() error {
+	sizes, err := w.countSublists(w.pivots, w.acct())
 	if err != nil {
 		return err
 	}
-	defer in.Close()
-	r := diskio.NewReader(in, cfg.BlockKeys, w.acct())
-	defer r.Release()
-
-	seg := 0
-	outFile, err := n.FS().Create(w.segName(0))
-	if err != nil {
-		return err
-	}
-	out := diskio.NewWriter(outFile, cfg.BlockKeys, w.acct())
-	closeSeg := func() error {
-		werr := out.Close()
-		ferr := outFile.Close()
-		out, outFile = nil, nil
-		if werr != nil {
-			return werr
-		}
-		return ferr
-	}
-	defer func() {
-		if out != nil {
-			out.Close()
-			outFile.Close()
-		}
-	}()
-	buf := make([]record.Key, cfg.BlockKeys)
-	for {
-		cnt, err := diskio.ReadChunk(r, buf)
-		if err != nil {
-			return err
-		}
-		if cnt == 0 {
-			break
-		}
-		for _, k := range buf[:cnt] {
-			for seg < len(pivots) && k > pivots[seg] {
-				if err := closeSeg(); err != nil {
-					return err
-				}
-				seg++
-				outFile, err = n.FS().Create(w.segName(seg))
-				if err != nil {
-					return err
-				}
-				out = diskio.NewWriter(outFile, cfg.BlockKeys, w.acct())
-			}
-			if err := out.WriteKey(k); err != nil {
-				return err
-			}
-		}
-		n.ChargeCompute(int64(cnt)) // one comparison per key against the current pivot
-	}
-	if err := closeSeg(); err != nil {
-		return err
-	}
-	// Create the remaining (empty) segment files.
-	for s := seg + 1; s < p; s++ {
-		f, err := n.FS().Create(w.segName(s))
-		if err != nil {
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+	w.cuts = make([]int64, len(sizes)+1)
+	for j, size := range sizes {
+		w.cuts[j+1] = w.cuts[j] + size
 	}
 	return nil
 }
 
-// The intermediates: step 1's sorted file, and the name prefixes of
-// step 3's segments and step 4's received files (round buckets: hier.go).
+// The intermediates: step 1's sorted file and the name prefix of step
+// 4's received files (round buckets: hier.go).
 const (
 	sortedName = "hetsort.sorted"
-	segPrefix  = "hetsort.seg"
 	recvPrefix = "hetsort.recv"
 )
 
-func (w *worker) segName(j int) string  { return fmt.Sprintf("%s%d", segPrefix, j) }
 func (w *worker) recvName(i int) string { return fmt.Sprintf("%s%d", recvPrefix, i) }
 
 // finalMerge implements step 5: external merge of the final-round
@@ -827,5 +769,5 @@ func (w *worker) finalMerge() error {
 	if w.merged {
 		return nil
 	}
-	return polyphase.MergeFiles(w.polyCfg("hetsort.s5."), w.finalInputs(), w.output)
+	return polyphase.MergeSections(w.polyCfg("hetsort.s5."), w.finalInputs(), w.output)
 }

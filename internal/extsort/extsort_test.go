@@ -1,6 +1,7 @@
 package extsort
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -155,9 +156,10 @@ func TestIOBudgetsPerStep(t *testing.T) {
 		if got := res.StepIO[1][i].Total(); got > 16 {
 			t.Errorf("node %d step 2: %d I/Os for sampling", i, got)
 		}
-		// Step 3: read everything once, write everything once.
-		if got, budget := res.StepIO[2][i].Total(), params.PartitionIOs(li); got > budget+4 {
-			t.Errorf("node %d step 3: %d I/Os > budget %d", i, got, budget)
+		// Step 3: read everything once to locate the cuts, write nothing
+		// (half the paper's partitioning bound, which copies).
+		if got, want := res.StepIO[2][i], (pdm.IOStats{Reads: params.PartitionIOs(li) / 2}); got != want {
+			t.Errorf("node %d step 3: I/O %+v, want exactly %+v", i, got, want)
 		}
 		// Step 4: read sender side + write receiver side ~ 2*l/B.
 		if got, budget := res.StepIO[3][i].Total(), params.RedistributionIOs(2*li); got > budget+8 {
@@ -410,18 +412,60 @@ func TestIntermediateFilesCleaned(t *testing.T) {
 	}
 }
 
-func TestKeepIntermediates(t *testing.T) {
-	v := perf.Homogeneous(2)
-	c := newCluster(t, v)
-	cfg := testConfig(v)
-	cfg.KeepIntermediates = true
-	runSort(t, c, v, cfg, record.Uniform, 8192, 31)
-	names, err := c.Node(0).FS().Names()
-	if err != nil {
-		t.Fatal(err)
+// createLog is a node disk that records the names passed to Create.
+type createLog struct {
+	diskio.FS
+	created []string
+}
+
+func (l *createLog) Create(name string) (diskio.File, error) {
+	l.created = append(l.created, name)
+	return l.FS.Create(name)
+}
+
+// TestBucketsAreNotFiles: step 3 cuts the sorted file by offset, so no
+// strategy, topology or execution mode creates a file per bucket — the
+// round-0 buckets are sections of hetsort.sorted — and what a node does
+// create (tapes, manifests, round intermediates for its sub-block, one
+// receive file per in-neighbor, merge scratch, the output) stays linear
+// in p, where p segment files per node made it p² per run.
+func TestBucketsAreNotFiles(t *testing.T) {
+	const p = 7 // ragged for radix 3 and for the 3x3 grid
+	v := make(perf.Vector, p)
+	for i := range v {
+		v[i] = []int{1, 1, 4, 4}[i%4]
 	}
-	if len(names) <= 2 {
-		t.Fatalf("expected intermediates kept, only %v", names)
+	n := v.NearestValidSize(2500 * p)
+	for _, strat := range []Strategy{RegularSampling, Overpartitioning, RandomPivots, QuantileSketch, Histogram} {
+		for _, topo := range []Topology{TopologyFlat, TopologyTree, TopologyGrid} {
+			for mode := 0; mode < 4; mode++ {
+				cfg := testConfig(v)
+				cfg.Strategy, cfg.Seed, cfg.Topology, cfg.Radix = strat, 5, topo, 3
+				cfg.Pipeline, cfg.Checkpoint = mode&1 != 0, mode&2 != 0
+				name := fmt.Sprintf("%v-%v-pipeline=%v-checkpoint=%v", strat, topo, cfg.Pipeline, cfg.Checkpoint)
+				logs := make([]*createLog, p)
+				c, err := cluster.New(cluster.Config{Slowdowns: v.Slowdowns(), BlockKeys: 64,
+					Disks: func(id int) diskio.FS {
+						logs[id] = &createLog{FS: diskio.NewMemFS()}
+						return logs[id]
+					}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				runSort(t, c, v, cfg, record.Uniform, n, 41)
+				for i, l := range logs {
+					for _, created := range l.created {
+						if strings.HasPrefix(created, "hetsort.seg") {
+							t.Fatalf("%s: node %d created bucket file %q", name, i, created)
+						}
+					}
+					if bound := 2*p + cfg.Tapes + 8; len(l.created) > bound {
+						t.Errorf("%s: node %d created %d files, want at most 2p+T+8 = %d: %v",
+							name, i, len(l.created), bound, l.created)
+					}
+				}
+			}
+		}
 	}
 }
 

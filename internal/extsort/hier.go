@@ -17,38 +17,44 @@ const tagRoundBase = 400
 // roundPrefix prefixes every intermediate bucket file (swept by cleanup).
 const roundPrefix = "hetsort.rt"
 
-// bucketName is the file holding this node's round-t bucket for
-// destination d: round 0 reads straight from the step-3 segment files,
-// later rounds from the merged intermediates.
-func (w *worker) bucketName(t, d int) string {
-	if t == 0 {
-		return w.segName(d)
+// bucket is this node's round-t bucket for destination d: the section of
+// the sorted file between cuts d and d+1 in round 0 — and for as long as no
+// round has merged a peer's keys into it (ownRounds) — then the merged
+// intermediate of the round before.  Which of the two follows from the
+// routing alone, so a resumed node finds the buckets it left.
+func (w *worker) bucket(t, d int) diskio.Section {
+	if t <= w.ownRounds {
+		return diskio.Section{Name: sortedName, Off: w.cuts[d], Keys: w.cuts[d+1] - w.cuts[d]}
 	}
-	return fmt.Sprintf("%s%d.d%d", roundPrefix, t, d)
+	return diskio.Section{Name: fmt.Sprintf("%s%d.d%d", roundPrefix, t, d), Keys: -1}
 }
 
-// levels returns this run's refinement levels.
-func (w *worker) levels() []int {
-	return topoLevels(w.n.P(), w.radix)
+// dropBucket removes a consumed bucket (sent or merged forward) unless it
+// is a section of the sorted file, which stays whole until step 5's
+// cleanup so that a recovered peer can be sent any bucket again.
+func (w *worker) dropBucket(b diskio.Section) error {
+	if b.Name == sortedName {
+		return nil
+	}
+	return w.remove(b.Name)
 }
 
 // finalInNeighbors returns the peers that stream to this node in the
 // final round.
 func (w *worker) finalInNeighbors() []int {
-	lv := w.levels()
-	return roundInNeighbors(w.n.ID(), lv[len(lv)-2], 1, w.n.P())
+	return roundInNeighbors(w.n.ID(), w.lv[len(w.lv)-2], 1, w.n.P())
 }
 
-// finalInputs names the final-merge input files — the node's own
-// last-round bucket plus one receive file per final-round in-neighbor.
-// They follow from the routing alone, so a resumed node that already
-// committed phase 4 finds the durable inputs its manifest listed.
-func (w *worker) finalInputs() []string {
-	names := []string{w.bucketName(len(w.levels())-2, w.n.ID())}
+// finalInputs lists the final-merge inputs — the node's own last-round
+// bucket plus one receive file per final-round in-neighbor.  They follow
+// from the routing alone, so a resumed node that already committed phase
+// 4 finds the durable inputs its manifest listed.
+func (w *worker) finalInputs() []diskio.Section {
+	ins := []diskio.Section{w.bucket(len(w.lv)-2, w.n.ID())}
 	for _, i := range w.finalInNeighbors() {
-		names = append(names, w.recvName(i))
+		ins = append(ins, diskio.Section{Name: w.recvName(i), Keys: -1})
 	}
-	return names
+	return ins
 }
 
 // fusedFits reports whether a fused final round fed by the given number
@@ -99,7 +105,7 @@ func (b *blockFile) Close() error {
 //
 // All nodes run all rounds — on a resumed run the nodes already past
 // phase 4 act as pure forwarders, re-routing the needy destinations'
-// data from their retained segment files — and both senders and
+// data from their sorted files — and both senders and
 // receivers apply the same needy filter, so only lost partitions flow.
 // Leaves in w.merged whether the output was already merged in-stream.
 func (w *worker) redistribute() error {
@@ -125,7 +131,7 @@ func (w *worker) redistribute() error {
 				fmt.Sprintf("fan-in %d x %d-key messages exceeds MemoryKeys=%d", nbrs+1, w.cfg.MessageKeys, w.cfg.MemoryKeys))
 		}
 	}
-	lv := w.levels()
+	lv := w.lv
 	T := len(lv) - 1
 	n.Metrics().Gauge("redist.rounds").Set(float64(T))
 	maxFan := 1
@@ -157,7 +163,7 @@ func (w *worker) redistribute() error {
 				if !needy[d] {
 					continue
 				}
-				k, serr := w.sendBucket(rep, tag, t, d)
+				k, serr := w.sendBucket(rep, tag, w.bucket(t, d), d)
 				if serr != nil {
 					endRound()
 					return serr
@@ -203,72 +209,64 @@ func (w *worker) redistribute() error {
 	return nil
 }
 
-// removeBucket applies the retention rules after a bucket was consumed
-// (sent or merged forward): intermediates go unless debugging keeps
-// them; round-0 buckets are the step-3 segments, which Checkpoint
-// retains until phase 5 commits so a recovered peer can ask for them
-// again.
-func (w *worker) removeBucket(t, d int) error {
-	if w.cfg.KeepIntermediates || (t == 0 && w.cfg.Checkpoint) {
-		return nil
-	}
-	return w.remove(w.bucketName(t, d))
-}
-
-// sendBucket streams this node's round-t bucket for destination d to
+// sendBucket streams bucket b, this node's keys for destination d, to
 // node `to` in MessageKeys-sized messages, terminated by the zero-length
-// sentinel, and returns the key count sent.  Payloads are pooled buffers
-// whose ownership transfers with the message (SendOwned), so
-// redistribution allocates nothing steady-state.  On a resumed run a
+// sentinel, and returns the key count sent.  An empty section (most
+// buckets of a small portion at large p) opens nothing.  Payloads are
+// pooled buffers whose ownership transfers with the message (SendOwned),
+// so redistribution allocates nothing steady-state.  On a resumed run a
 // node already past phase 4 is re-sending retained data to a peer whose
 // in-flight messages died with the crash; that is traced as a "resend"
 // recovery event.
-func (w *worker) sendBucket(to, tag, t, d int) (sent int64, err error) {
+func (w *worker) sendBucket(to, tag int, b diskio.Section, d int) (sent int64, err error) {
 	n, cfg := w.n, w.cfg
-	name := w.bucketName(t, d)
 	if w.done() >= 4 {
-		n.TraceEvent(trace.Recovery, "resend", fmt.Sprintf("%s for node %d -> node %d", name, d, to))
-	}
-	f, err := n.FS().Open(name)
-	if err != nil {
-		return 0, err
-	}
-	r := diskio.NewReader(f, cfg.BlockKeys, w.acct())
-	for err == nil {
-		buf := n.AcquireBuf(cfg.MessageKeys)
-		var cnt int
-		if cnt, err = diskio.ReadChunk(r, buf); err != nil || cnt == 0 {
-			n.ReleaseBuf(buf)
-			break
+		label := b.Name
+		if b.Keys >= 0 {
+			label = fmt.Sprintf("%s[%d:+%d]", b.Name, b.Off, b.Keys)
 		}
-		err = n.SendOwned(to, tag, buf[:cnt])
-		sent += int64(cnt)
+		n.TraceEvent(trace.Recovery, "resend", fmt.Sprintf("%s for node %d -> node %d", label, d, to))
 	}
-	r.Release()
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return sent, err
+	if b.Keys != 0 {
+		var f diskio.File
+		var r *diskio.Reader
+		if f, r, err = b.Open(n.FS(), cfg.BlockKeys, w.acct()); err != nil {
+			return 0, err
+		}
+		for err == nil {
+			buf := n.AcquireBuf(cfg.MessageKeys)
+			var cnt int
+			if cnt, err = diskio.ReadChunk(r, buf); err != nil || cnt == 0 {
+				n.ReleaseBuf(buf)
+				break
+			}
+			err = n.SendOwned(to, tag, buf[:cnt])
+			sent += int64(cnt)
+		}
+		r.Release()
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return sent, err
+		}
 	}
 	if err := n.SendOwned(to, tag, nil); err != nil {
 		return sent, err
 	}
-	return sent, w.removeBucket(t, d)
+	return sent, w.dropBucket(b)
 }
 
-// mergeBucket merges this node's round-t bucket for destination d with
-// the in-neighbors' streams into the file outName — own-bucket reader
-// and streams into one loser tree into one block writer.  With tee set,
-// every stream is also written to its hetsort.recv<i> file as it
-// arrives.
-func (w *worker) mergeBucket(t, tag, d int, nbrs []int, outName string, tee bool) (err error) {
+// mergeBucket merges this node's bucket own with the in-neighbors'
+// streams into the file outName — own-bucket reader and streams into one
+// loser tree into one block writer.  With tee set, every stream is also
+// written to its hetsort.recv<i> file as it arrives.
+func (w *worker) mergeBucket(own diskio.Section, tag int, nbrs []int, outName string, tee bool) (err error) {
 	n := w.n
-	f, err := n.FS().Open(w.bucketName(t, d))
+	f, r, err := own.Open(n.FS(), w.cfg.BlockKeys, w.acct())
 	if err != nil {
 		return err
 	}
-	r := diskio.NewReader(f, w.cfg.BlockKeys, w.acct())
 	srcs := []polyphase.MergeSource{r}
 	streams := make([]*cluster.Stream, 0, len(nbrs))
 	var tees []*blockFile
@@ -310,21 +308,20 @@ func (w *worker) mergeBucket(t, tag, d int, nbrs []int, outName string, tee bool
 
 // advanceBucket turns this node's round-t bucket for destination d into
 // its round-(t+1) bucket, merging in the in-neighbors' streams.  With no
-// in-neighbors the bucket advances by rename — except a round-0 segment
-// that checkpointing must retain, which is copied with counted I/O
-// instead.
+// in-neighbors the bucket advances with no I/O: a section of the sorted
+// file stays the section it is, a merged intermediate is renamed.
 func (w *worker) advanceBucket(t, tag, d int, nbrs []int) error {
-	old, next := w.bucketName(t, d), w.bucketName(t+1, d)
+	old, next := w.bucket(t, d), w.bucket(t+1, d)
 	if len(nbrs) == 0 {
-		if t == 0 && (w.cfg.Checkpoint || w.cfg.KeepIntermediates) {
-			return polyphase.MergeFiles(w.polyCfg("hetsort.s4."), []string{old}, next)
+		if old == next {
+			return nil
 		}
-		return w.n.FS().Rename(old, next)
+		return w.n.FS().Rename(old.Name, next.Name)
 	}
-	if err := w.mergeBucket(t, tag, d, nbrs, next, false); err != nil {
+	if err := w.mergeBucket(old, tag, nbrs, next.Name, false); err != nil {
 		return err
 	}
-	return w.removeBucket(t, d)
+	return w.dropBucket(old)
 }
 
 // landFinal is the final round at a needy node.  Fused (Pipeline), the
@@ -341,7 +338,7 @@ func (w *worker) landFinal(t, tag int, nbrs []int, fused bool) error {
 			mode = "spill"
 		}
 		n.TraceEvent(trace.Pipeline, mode, fmt.Sprintf("fan-in:%d msg:%d", len(nbrs)+1, w.cfg.MessageKeys))
-		return w.mergeBucket(t, tag, n.ID(), nbrs, w.output, w.cfg.Checkpoint)
+		return w.mergeBucket(w.bucket(t, n.ID()), tag, nbrs, w.output, w.cfg.Checkpoint)
 	}
 	for _, nb := range nbrs {
 		if err := w.spool(nb, tag); err != nil {

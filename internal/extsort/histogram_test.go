@@ -1,6 +1,7 @@
 package extsort
 
 import (
+	"slices"
 	"testing"
 
 	"hetsort/internal/cluster"
@@ -104,67 +105,81 @@ func TestHistogramDegenerateInputs(t *testing.T) {
 	// The same degenerate shapes the other strategies are tested on:
 	// empty input, a single key, fewer keys than nodes, and
 	// all-duplicates (where refinement cannot shrink any interval and
-	// must fall back to midpoint subdivision, then collapse).
-	v := perf.Vector{1, 1, 2, 2}
-	write := func(t *testing.T, c *cluster.Cluster, cfg Config, parts [][]record.Key) record.Checksum {
-		t.Helper()
-		var all []record.Key
-		for i, part := range parts {
-			if err := diskio.WriteFile(c.Node(i).FS(), "input", part, cfg.BlockKeys, diskio.Accounting{}); err != nil {
-				t.Fatal(err)
-			}
-			all = append(all, part...)
+	// must fall back to midpoint subdivision, then collapse) — plus the
+	// shapes that make buckets degenerate sections of the sorted file: a
+	// node with nothing to cut, every key at the top of the key range (so
+	// the pivots are ^Key(0) and every bucket but the first is empty), and
+	// one node, whose only bucket is its whole file.  Each runs through
+	// the histogram strategy and through every way a section is consumed:
+	// sent, merged in step 5, merged in-stream, advanced through tree
+	// rounds and re-sent after a crash.
+	fill := func(n int, k record.Key) []record.Key {
+		keys := make([]record.Key, n)
+		for i := range keys {
+			keys[i] = k
 		}
-		return record.ChecksumOf(all)
+		return keys
 	}
 	cases := []struct {
 		name  string
-		parts func() [][]record.Key
+		parts [][]record.Key
 	}{
-		{"empty", func() [][]record.Key {
-			return [][]record.Key{nil, nil, nil, nil}
-		}},
-		{"single-key", func() [][]record.Key {
-			return [][]record.Key{{7}, nil, nil, nil}
-		}},
-		{"fewer-keys-than-nodes", func() [][]record.Key {
-			return [][]record.Key{{9}, {3}, nil, nil}
-		}},
-		{"all-duplicates", func() [][]record.Key {
-			parts := make([][]record.Key, 4)
-			for i := range parts {
-				keys := make([]record.Key, 2048)
-				for j := range keys {
-					keys[j] = 42
-				}
-				parts[i] = keys
-			}
-			return parts
-		}},
+		{"empty", [][]record.Key{nil, nil, nil, nil}},
+		{"single-key", [][]record.Key{{7}, nil, nil, nil}},
+		{"fewer-keys-than-nodes", [][]record.Key{{9}, {3}, nil, nil}},
+		{"all-duplicates", [][]record.Key{fill(2048, 42), fill(2048, 42), fill(2048, 42), fill(2048, 42)}},
+		{"empty-node", [][]record.Key{fill(700, 5), nil, fill(900, 1<<31), fill(300, 77)}},
+		{"max-key", [][]record.Key{fill(600, ^record.Key(0)), fill(600, ^record.Key(0)), fill(1200, ^record.Key(0)), fill(1200, ^record.Key(0))}},
+		{"one-node", [][]record.Key{{5, 3, 9, 1, 1, 8}}},
+	}
+	paths := []struct {
+		name  string
+		crash bool
+		mut   func(*Config)
+	}{
+		{"histogram", false, func(c *Config) { c.Strategy = Histogram }},
+		{"barrier", false, func(*Config) {}},
+		{"pipeline", false, func(c *Config) { c.Pipeline = true }},
+		{"tree-checkpoint-resume", true, func(c *Config) { c.Topology, c.Radix, c.Checkpoint = TopologyTree, 2, true }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newCluster(t, v)
-			cfg := testConfig(v)
-			cfg.Strategy = Histogram
-			parts := tc.parts()
-			sum := write(t, c, cfg, parts)
-			res, err := Sort(c, cfg, "input", "output")
-			if err != nil {
-				t.Fatal(err)
+			v := perf.Vector{1, 1, 2, 2}[:len(tc.parts)]
+			var want []record.Key
+			for _, part := range tc.parts {
+				want = append(want, part...)
 			}
-			if err := VerifyOutput(c, "output", cfg.BlockKeys, sum); err != nil {
-				t.Fatal(err)
-			}
-			var want, got int64
-			for _, part := range parts {
-				want += int64(len(part))
-			}
-			for _, s := range res.PartitionSizes {
-				got += s
-			}
-			if got != want {
-				t.Fatalf("output holds %d keys, input had %d", got, want)
+			slices.Sort(want)
+			for _, path := range paths {
+				c := newCluster(t, v)
+				cfg := testConfig(v)
+				path.mut(&cfg)
+				for i, part := range tc.parts {
+					if err := diskio.WriteFile(c.Node(i).FS(), "input", part, cfg.BlockKeys, diskio.Accounting{}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				cfg.InputSum = record.ChecksumOf(want)
+				var err error
+				if path.crash {
+					// The last node dies with step 4 done but uncommitted;
+					// its peers re-send it their buckets on resume.
+					if err := c.ScheduleCrash(len(v)-1, -1, StepNames[3]); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := Sort(c, cfg, "input", "output"); !cluster.IsCrash(err) {
+						t.Fatalf("%s: want crash, got %v", path.name, err)
+					}
+					_, _, err = Resume(c, cfg, "input", "output")
+				} else {
+					_, err = Sort(c, cfg, "input", "output")
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", path.name, err)
+				}
+				if got := collectOutput(t, c, cfg.BlockKeys); !slices.Equal(got, want) {
+					t.Fatalf("%s: output holds %d keys, not the %d input keys in order", path.name, len(got), len(want))
+				}
 			}
 		})
 	}

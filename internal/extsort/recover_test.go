@@ -41,12 +41,13 @@ func totalIO(c *cluster.Cluster) int64 {
 // the step table owes for the commit levels the nodes resumed from (read
 // back from their "resume" events): every committed step is traced as
 // skipped, a node short of phase 2 adopts a peer's pivots when any peer
-// has them, and a node past phase 4 re-sends one retained segment to
-// every peer short of it — nothing else and nothing twice.  crashed died
+// has them, and a node past phase 4 re-sends one bucket — a section of
+// its sorted file, named by the cuts its manifest held (cuts[i]) — to
+// every peer short of it; nothing else and nothing twice.  crashed died
 // having committed wantDone phases.
-func checkRecoveryEvents(t *testing.T, events []trace.Event, p, crashed, wantDone int) {
+func checkRecoveryEvents(t *testing.T, events []trace.Event, cuts [][]int64, crashed, wantDone int) {
 	t.Helper()
-	done := make([]int, p)
+	done := make([]int, len(cuts))
 	got := map[string]int{}
 	most := 0
 	for _, e := range events {
@@ -75,13 +76,29 @@ func checkRecoveryEvents(t *testing.T, events []trace.Event, p, crashed, wantDon
 		}
 		for j, dj := range done {
 			if d >= 4 && dj < 4 && j != i {
-				want[fmt.Sprintf("node %d: resend: hetsort.seg%d for node %d -> node %d", i, j, j, j)]++
+				want[fmt.Sprintf("node %d: resend: hetsort.sorted[%d:+%d] for node %d -> node %d",
+					i, cuts[i][j], cuts[i][j+1]-cuts[i][j], j, j)]++
 			}
 		}
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("recovery events for commit levels %v:\n got %v\nwant %v", done, got, want)
 	}
+}
+
+// manifestState loads every node's manifest of a crashed run: the phase
+// it committed and the cuts it recorded (nil outside phases 3–4).
+func manifestState(t *testing.T, c *cluster.Cluster) (phases []int, cuts [][]int64) {
+	t.Helper()
+	for i := 0; i < c.P(); i++ {
+		m, err := checkpoint.Load(c.Node(i).FS())
+		if err != nil {
+			t.Fatal(err)
+		}
+		phases = append(phases, m.Phase)
+		cuts = append(cuts, m.Cuts)
+	}
+	return phases, cuts
 }
 
 // TestCrashAtEveryPhaseResumesIdentically is the acceptance property of
@@ -140,6 +157,7 @@ func TestCrashAtEveryPhaseResumesIdentically(t *testing.T) {
 				t.Fatalf("crash at %q did not surface: %v", point, err)
 			}
 			crashedIO := totalIO(c)
+			phases, cuts := manifestState(t, c)
 
 			res, got, err := Resume(c, cfg, "input", "output")
 			if err != nil {
@@ -177,8 +195,15 @@ func TestCrashAtEveryPhaseResumesIdentically(t *testing.T) {
 			if res.Time <= 0 {
 				t.Errorf("resumed run reports no virtual time")
 			}
+			// A node that committed phase 3 resumes on the cuts in its
+			// manifest: it never scans the sorted file again.
+			for i, ph := range phases {
+				if io := res.StepIO[2][i]; ph >= 3 && io.Total() != 0 {
+					t.Errorf("node %d resumed from phase %d but did step-3 I/O %+v", i, ph, io)
+				}
+			}
 			// points[pi] is reached with pi/2 phases committed.
-			checkRecoveryEvents(t, tl.Events(), len(v), crashNode, pi/2)
+			checkRecoveryEvents(t, tl.Events(), cuts, crashNode, pi/2)
 		})
 	}
 }
@@ -186,7 +211,7 @@ func TestCrashAtEveryPhaseResumesIdentically(t *testing.T) {
 // TestResumeTraceAndResend checks the observability contract: a resumed
 // run traces its recovery decisions, and a node that died during
 // redistribution gets its lost segments re-sent from the peers'
-// retained partition files (visible as "resend" recovery events).
+// sorted files (visible as "resend" recovery events).
 func TestResumeTraceAndResend(t *testing.T) {
 	v := perf.Vector{1, 1, 4, 4}
 	n := v.NearestValidSize(1 << 14)
@@ -272,50 +297,117 @@ func TestResumeRejectsChangedConfig(t *testing.T) {
 	}
 }
 
-// TestResumeRefusesV2Manifest: a checkpoint written under the extsort-v2
-// fingerprint (which recorded d=, the disk count its node files were
-// physically striped over) is refused by fingerprint — with the error
-// that names both configurations — never by a missing member file.
-func TestResumeRefusesV2Manifest(t *testing.T) {
+// crashedPair runs a checkpointed two-node sort that dies on node 0 at
+// the named crash point and returns the cluster and its configuration.
+func crashedPair(t *testing.T, point string) (*cluster.Cluster, Config) {
+	t.Helper()
 	v := perf.Vector{1, 1}
-	n := v.NearestValidSize(1 << 12)
 	c := newCluster(t, v)
 	cfg := testConfig(v)
 	cfg.Checkpoint = true
-	sum, err := DistributeInput(c, v, record.Uniform, n, 3, cfg.BlockKeys, "input")
+	sum, err := DistributeInput(c, v, record.Uniform, v.NearestValidSize(1<<12), 3, cfg.BlockKeys, "input")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.InputSum = sum
-	if err := c.ScheduleCrash(0, -1, StepNames[2]); err != nil {
+	if err := c.ScheduleCrash(0, -1, point); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Sort(c, cfg, "input", "output"); !cluster.IsCrash(err) {
 		t.Fatalf("want crash, got %v", err)
 	}
-	for i := 0; i < c.P(); i++ {
-		fs := c.Node(i).FS()
-		m, err := checkpoint.Load(fs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v3 := m.Sig
-		m.Sig = strings.Replace(strings.Replace(v3, "extsort-v3 ", "extsort-v2 ", 1), " in=", " d=1 in=", 1)
-		if m.Sig == v3 || !strings.HasPrefix(m.Sig, "extsort-v2 ") {
-			t.Fatalf("could not age fingerprint %q", v3)
-		}
-		if err := checkpoint.Save(fs, m, diskio.Accounting{}); err != nil {
-			t.Fatal(err)
-		}
+	return c, cfg
+}
+
+// TestResumeRefusesV2Manifest: a checkpoint written under an older
+// fingerprint — extsort-v2 recorded d=, the disk count its node files
+// were physically striped over; extsort-v3 kept its buckets in p segment
+// files where v4 keeps cut offsets — is refused by fingerprint, with the
+// error that names both configurations, never by a missing file.
+func TestResumeRefusesV2Manifest(t *testing.T) {
+	for _, old := range []struct{ version, extra string }{
+		{"extsort-v2 ", " d=1 in="},
+		{"extsort-v3 ", " in="},
+	} {
+		t.Run(strings.TrimSpace(old.version), func(t *testing.T) {
+			c, cfg := crashedPair(t, StepNames[2])
+			for i := 0; i < c.P(); i++ {
+				fs := c.Node(i).FS()
+				m, err := checkpoint.Load(fs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				v4 := m.Sig
+				m.Sig = strings.Replace(strings.Replace(v4, "extsort-v4 ", old.version, 1), " in=", old.extra, 1)
+				if m.Sig == v4 || !strings.HasPrefix(m.Sig, old.version) {
+					t.Fatalf("could not age fingerprint %q", v4)
+				}
+				if err := checkpoint.Save(fs, m, diskio.Accounting{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, _, err := Resume(c, cfg, "input", "output")
+			if err == nil {
+				t.Fatalf("resume from %smanifests accepted", old.version)
+			}
+			for _, want := range []string{"different configuration", old.version, "extsort-v4 "} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("error does not mention %q: %v", want, err)
+				}
+			}
+		})
 	}
-	_, _, err = Resume(c, cfg, "input", "output")
-	if err == nil {
-		t.Fatal("resume from extsort-v2 manifests accepted")
-	}
-	for _, want := range []string{"different configuration", "extsort-v2 ", "extsort-v3 "} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("error does not mention %q: %v", want, err)
-		}
+}
+
+// TestResumeRefusesTamperedCuts: from phase 3 on a node's buckets exist
+// only as the cut offsets in its manifest and the sorted file they point
+// into, so a resume must refuse cuts that cannot be that file's — and a
+// sorted file that is no longer the one they were taken from.
+func TestResumeRefusesTamperedCuts(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		tamper func(t *testing.T, fs diskio.FS, m *checkpoint.Manifest)
+	}{
+		{"missing", func(_ *testing.T, _ diskio.FS, m *checkpoint.Manifest) { m.Cuts = nil }},
+		{"one-short", func(_ *testing.T, _ diskio.FS, m *checkpoint.Manifest) { m.Cuts = m.Cuts[:len(m.Cuts)-1] }},
+		{"first-not-zero", func(_ *testing.T, _ diskio.FS, m *checkpoint.Manifest) { m.Cuts[0] = 1 }},
+		{"descending", func(_ *testing.T, _ diskio.FS, m *checkpoint.Manifest) { m.Cuts[1] = m.Cuts[2] + 1 }},
+		{"past-end", func(_ *testing.T, _ diskio.FS, m *checkpoint.Manifest) { m.Cuts[len(m.Cuts)-1]++ }},
+		{"sorted-file-truncated", func(t *testing.T, fs diskio.FS, _ *checkpoint.Manifest) {
+			keys, err := diskio.ReadFileAll(fs, sortedName, 64, diskio.Accounting{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := diskio.WriteFile(fs, sortedName, keys[:len(keys)-1], 64, diskio.Accounting{}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"sorted-file-missing", func(t *testing.T, fs diskio.FS, _ *checkpoint.Manifest) {
+			if err := fs.Remove(sortedName); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Node 0 dies between step 4's work and its commit, so node 1
+			// stands at phase 3 or 4: cuts recorded either way.
+			c, cfg := crashedPair(t, StepNames[3])
+			fs := c.Node(1).FS()
+			m, err := checkpoint.Load(fs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Phase < 3 || len(m.Cuts) != c.P()+1 {
+				t.Fatalf("phase-%d manifest with cuts %v, want phase 3 or 4 and %d cuts", m.Phase, m.Cuts, c.P()+1)
+			}
+			tc.tamper(t, fs, m)
+			if err := checkpoint.Save(fs, m, diskio.Accounting{}); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := Resume(c, cfg, "input", "output"); !errors.Is(err, checkpoint.ErrCorrupt) {
+				t.Fatalf("resume over tampered state: %v, want ErrCorrupt", err)
+			}
+		})
 	}
 }
 
@@ -336,7 +428,7 @@ func TestResumeWithoutManifests(t *testing.T) {
 }
 
 // TestCheckpointedSortCleansIntermediates: after an uninterrupted
-// checkpointed run, the retained segment and received files are gone —
+// checkpointed run, the retained sorted and received files are gone —
 // retention ends at the phase-5 commit — and only input, output and the
 // manifest remain.
 func TestCheckpointedSortCleansIntermediates(t *testing.T) {

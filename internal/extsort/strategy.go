@@ -285,7 +285,7 @@ func (w *worker) overpartition(li int64) pivotSelector {
 			return sample(round, down)
 		}
 		fine = down
-		sizes, err := w.countSublists(fine)
+		sizes, err := w.countSublists(fine, n.Acct())
 		w.sampleKeys += int64(len(sizes))
 		return histsort.EncodeCounts(sizes), err
 	}
@@ -340,7 +340,7 @@ func (w *worker) sketched(li int64) (pivotSelector, error) {
 		rounds: 1,
 		contribute: func(int, []record.Key) ([]record.Key, error) {
 			if li > 0 {
-				err := w.scanSorted(func(keys []record.Key) { sk.InsertAll(keys) })
+				err := w.scanSorted(n.Acct(), func(keys []record.Key) { sk.InsertAll(keys) })
 				if err != nil {
 					return nil, err
 				}
@@ -430,7 +430,7 @@ func (w *worker) histogram(li int64) pivotSelector {
 			}
 			// One scan of the sorted file: the sublist sizes' prefix sums
 			// are exactly the local ranks rank(c_j) = |{k : k <= c_j}|.
-			sizes, err := w.countSublists(down)
+			sizes, err := w.countSublists(down, w.n.Acct())
 			if err != nil {
 				return nil, err
 			}
@@ -481,15 +481,15 @@ func (w *worker) histogram(li int64) pivotSelector {
 }
 
 // scanSorted streams the node's sorted file through visit, one block at
-// a time, charging one comparison per key.
-func (w *worker) scanSorted(visit func([]record.Key)) error {
+// a time, charging the block reads to acct and one comparison per key.
+func (w *worker) scanSorted(acct diskio.Accounting, visit func([]record.Key)) error {
 	n, cfg := w.n, w.cfg
-	f, err := n.FS().Open(sortedName)
+	f, r, err := diskio.Section{Name: sortedName, Keys: -1}.Open(n.FS(), cfg.BlockKeys, acct)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	r := diskio.NewReader(f, cfg.BlockKeys, n.Acct())
+	defer r.Release()
 	buf := make([]record.Key, cfg.BlockKeys)
 	for {
 		cnt, err := diskio.ReadChunk(r, buf)
@@ -502,11 +502,12 @@ func (w *worker) scanSorted(visit func([]record.Key)) error {
 }
 
 // countSublists scans the sorted file once and counts how many keys
-// fall in each of the len(fine)+1 sublists.
-func (w *worker) countSublists(fine []record.Key) ([]int64, error) {
+// fall in each of the len(fine)+1 sublists: sublist j holds the keys k
+// with fine[j-1] < k <= fine[j].
+func (w *worker) countSublists(fine []record.Key, acct diskio.Accounting) ([]int64, error) {
 	sizes := make([]int64, len(fine)+1)
 	seg := 0
-	err := w.scanSorted(func(keys []record.Key) {
+	err := w.scanSorted(acct, func(keys []record.Key) {
 		s := seg // a register for the hot loop; seg itself lives in the closure
 		for _, key := range keys {
 			for s < len(fine) && key > fine[s] {

@@ -148,6 +148,18 @@ func roundInNeighbors(q, s, sub, p int) []int {
 	return in
 }
 
+// ownRounds counts the leading rounds of the levels lv that route no
+// peer's bucket to node q (ragged blocks leave such nodes: at p=10, r=3
+// only nodes 0 and 9 have round-0 in-neighbors), so that q's buckets
+// are still what step 3 made them.
+func ownRounds(q int, lv []int, p int) int {
+	t := 0
+	for t+1 < len(lv) && len(roundInNeighbors(q, lv[t], lv[t+1], p)) == 0 {
+		t++
+	}
+	return t
+}
+
 // PeakFanIn returns the worst per-node count of concurrently open
 // incoming redistribution streams (in-neighbors plus the node's own
 // bucket): the worst round in-degree + 1, which is p for the flat

@@ -473,6 +473,58 @@ func TestHierCrashResume(t *testing.T) {
 	}
 }
 
+// TestBucketWithNoInNeighborsAdvancesFree: at a ragged p some nodes get
+// no peer's data in round 0 (p=5, r=2: levels {5,4,2,1}, nodes 1–3), so
+// their buckets reach round 1 as the sections of the sorted file they
+// already are — no I/O, checkpointing or not (a checkpointed run used to
+// copy them with counted I/O to keep the step-3 files).  The run must
+// also resume from those sections after a crash.
+func TestBucketWithNoInNeighborsAdvancesFree(t *testing.T) {
+	v := perf.Vector{1, 1, 4, 4, 1}
+	p := len(v)
+	var own []int
+	for q := range v {
+		own = append(own, ownRounds(q, topoLevels(p, 2), p))
+	}
+	if fmt.Sprint(own) != "[0 1 1 1 0]" {
+		t.Fatalf("rounds without in-neighbors %v, want [0 1 1 1 0]", own)
+	}
+	n := v.NearestValidSize(20000)
+	cfg := testConfig(v)
+	cfg.Topology, cfg.Radix = TopologyTree, 2
+	_, plain := runTopo(t, v, cfg, n, 61)
+	cfg.Checkpoint = true
+	_, ckpt := runTopo(t, v, cfg, n, 61)
+	for i := range v {
+		// The step's window also holds its manifest commit: one write, one seek.
+		want := plain.StepIO[3][i]
+		want.Writes++
+		want.Seeks++
+		if got := ckpt.StepIO[3][i]; got != want {
+			t.Errorf("node %d: checkpointed step-4 I/O %+v, want the plain run's plus the commit, %+v", i, got, want)
+		}
+	}
+
+	c := newCluster(t, v)
+	sum, err := DistributeInput(c, v, record.Uniform, n, 61, cfg.BlockKeys, "input")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.InputSum = sum
+	if err := c.ScheduleCrash(2, -1, StepNames[3]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Sort(c, cfg, "input", "output"); !cluster.IsCrash(err) {
+		t.Fatalf("want crash, got %v", err)
+	}
+	if _, _, err := Resume(c, cfg, "input", "output"); err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyOutput(c, "output", cfg.BlockKeys, sum); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFlatIsRadixPTree: the flat topology is the tree at radix ≥ p — a
 // star of collectives, one redistribution round, fan-in p — and nothing
 // else: no code path asks which of the two it is running.  So under

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"hetsort/internal/checkpoint"
 	"hetsort/internal/cluster"
 	"hetsort/internal/diskio"
 	"hetsort/internal/perf"
@@ -74,22 +75,40 @@ func TestNodeClocksNonDecreasingAcrossSteps(t *testing.T) {
 
 // TestOwnSegmentStaysOnDisk: step 4 moves only what changes node.  Node
 // i reads the l_i − s_ii keys it sends and writes the q_i − s_ii keys it
-// receives; its own segment s_ii is neither read nor written until step
-// 5 merges it from where step 3 left it.
+// receives; its own bucket s_ii is neither read nor written until step 5
+// merges it from its section of the sorted file.  s_ii comes from the
+// cuts in the manifests of a checkpointed twin of the run, stopped in
+// step 4 — after its barrier-3 every node has committed phase 3.
 func TestOwnSegmentStaysOnDisk(t *testing.T) {
 	v := perf.Vector{1, 1, 4, 4}
 	c := newCluster(t, v)
 	cfg := testConfig(v)
-	cfg.KeepIntermediates = true // the segment files stay countable
 	n := v.NearestValidSize(40000)
 	res := runSort(t, c, v, cfg, record.Uniform, n, 109)
+
+	twin := newCluster(t, v)
+	cfg.Checkpoint = true
+	if _, err := DistributeInput(twin, v, record.Uniform, n, 109, cfg.BlockKeys, "input"); err != nil {
+		t.Fatal(err)
+	}
+	if err := twin.ScheduleCrash(0, -1, StepNames[3]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Sort(twin, cfg, "input", "output"); !cluster.IsCrash(err) {
+		t.Fatalf("want crash, got %v", err)
+	}
+
 	p, B := int64(c.P()), int64(cfg.BlockKeys)
 	ceil := func(keys int64) int64 { return (keys + B - 1) / B }
 	for i, li := range v.Shares(n) {
-		own, err := diskio.CountKeys(c.Node(i).FS(), fmt.Sprintf("hetsort.seg%d", i))
+		m, err := checkpoint.Load(twin.Node(i).FS())
 		if err != nil {
 			t.Fatal(err)
 		}
+		if len(m.Cuts) != len(v)+1 || m.Cuts[len(v)] != li {
+			t.Fatalf("node %d: phase-%d manifest cuts %v do not span its %d keys", i, m.Phase, m.Cuts, li)
+		}
+		own := m.Cuts[i+1] - m.Cuts[i]
 		qi := res.PartitionSizes[i]
 		io := res.StepIO[3][i]
 		if lo := (qi - own) / B; io.Writes < lo || io.Writes > lo+p {
@@ -155,9 +174,8 @@ func TestMultiDiskNodesSpeedUpIOSteps(t *testing.T) {
 }
 
 func TestStepIOReadWriteSplit(t *testing.T) {
-	// Per step, reads and writes have characteristic shapes:
-	// step 3 (partition) reads everything once and writes everything
-	// once; step 5 (merge of p<=fan files) likewise.
+	// Per step, reads and writes have characteristic shapes: step 3
+	// (locating the cuts) reads everything once and writes nothing.
 	v := perf.Homogeneous(2)
 	c := newCluster(t, v)
 	cfg := testConfig(v)
@@ -167,11 +185,8 @@ func TestStepIOReadWriteSplit(t *testing.T) {
 	blocks := li / int64(cfg.BlockKeys)
 	for i := 0; i < 2; i++ {
 		p3 := res.StepIO[2][i]
-		if p3.Reads < blocks || p3.Reads > blocks+4 {
-			t.Errorf("node %d step3 reads %d want ~%d", i, p3.Reads, blocks)
-		}
-		if p3.Writes < blocks || p3.Writes > blocks+4 {
-			t.Errorf("node %d step3 writes %d want ~%d", i, p3.Writes, blocks)
+		if p3.Reads != blocks || p3.Writes != 0 || p3.Seeks != 0 {
+			t.Errorf("node %d step3 I/O %+v, want %d reads and nothing else", i, p3, blocks)
 		}
 		// Step 2 is seek-dominated: tiny transfer counts, nonzero seeks.
 		p2 := res.StepIO[1][i]

@@ -13,6 +13,17 @@ import (
 // the p partition files it received).  Inputs are left untouched;
 // intermediate files are created under cfg.TempPrefix and removed.
 func MergeFiles(cfg Config, inputs []string, outputName string) error {
+	secs := make([]diskio.Section, len(inputs))
+	for i, name := range inputs {
+		secs[i] = diskio.Section{Name: name, Keys: -1}
+	}
+	return MergeSections(cfg, secs, outputName)
+}
+
+// MergeSections is MergeFiles over sections of files: an input may be a
+// sorted range of a larger file (a bucket of Algorithm 1's sorted file),
+// read in place with the block charges of a file of its own.
+func MergeSections(cfg Config, inputs []diskio.Section, outputName string) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -31,7 +42,7 @@ func MergeFiles(cfg Config, inputs []string, outputName string) error {
 	}
 	fan := cfg.Tapes - 1
 	level := 0
-	current := append([]string(nil), inputs...)
+	current := inputs
 	var scratch []string
 	defer func() {
 		for _, name := range scratch {
@@ -39,7 +50,7 @@ func MergeFiles(cfg Config, inputs []string, outputName string) error {
 		}
 	}()
 	for len(current) > fan {
-		var next []string
+		var next []diskio.Section
 		for i := 0; i < len(current); i += fan {
 			end := i + fan
 			if end > len(current) {
@@ -50,7 +61,7 @@ func MergeFiles(cfg Config, inputs []string, outputName string) error {
 				return err
 			}
 			scratch = append(scratch, name)
-			next = append(next, name)
+			next = append(next, diskio.Section{Name: name, Keys: -1})
 		}
 		current = next
 		level++
@@ -60,7 +71,7 @@ func MergeFiles(cfg Config, inputs []string, outputName string) error {
 
 // mergeGroup streams a single k-way merge of the sorted inputs into out
 // through the loser-tree kernel.
-func mergeGroup(cfg Config, inputs []string, out string) error {
+func mergeGroup(cfg Config, inputs []diskio.Section, out string) error {
 	files := make([]diskio.File, len(inputs))
 	srcs := make([]MergeSource, len(inputs))
 	readers := make([]*diskio.Reader, len(inputs))
@@ -76,13 +87,11 @@ func mergeGroup(cfg Config, inputs []string, out string) error {
 			}
 		}
 	}()
-	for i, name := range inputs {
-		f, err := cfg.FS.Open(name)
-		if err != nil {
-			return fmt.Errorf("polyphase: merge open %s: %w", name, err)
+	for i, in := range inputs {
+		var err error
+		if files[i], readers[i], err = in.Open(cfg.FS, cfg.BlockKeys, cfg.Acct); err != nil {
+			return fmt.Errorf("polyphase: merge open %s: %w", in.Name, err)
 		}
-		files[i] = f
-		readers[i] = diskio.NewReader(f, cfg.BlockKeys, cfg.Acct)
 		srcs[i] = readers[i]
 	}
 	of, err := cfg.FS.Create(out)
@@ -103,19 +112,18 @@ func mergeGroup(cfg Config, inputs []string, out string) error {
 }
 
 // copyFile copies src to dst through counted block I/O.
-func copyFile(cfg Config, src, dst string) error {
-	in, err := cfg.FS.Open(src)
+func copyFile(cfg Config, src diskio.Section, dst string) error {
+	in, r, err := src.Open(cfg.FS, cfg.BlockKeys, cfg.Acct)
 	if err != nil {
 		return err
 	}
 	defer in.Close()
+	defer r.Release()
 	out, err := cfg.FS.Create(dst)
 	if err != nil {
 		return err
 	}
 	defer out.Close()
-	r := diskio.NewReader(in, cfg.BlockKeys, cfg.Acct)
-	defer r.Release()
 	w := diskio.NewWriter(out, cfg.BlockKeys, cfg.Acct)
 	defer w.Close()
 	buf := make([]uint32, cfg.BlockKeys)

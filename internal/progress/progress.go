@@ -192,10 +192,10 @@ func (t *Tracker) Snapshot() *Snapshot {
 
 // expectedBlocks is the perf-model estimate of a node's total accounted
 // block transfers across Algorithm 1: run formation streams the
-// l_i-key portion through disk twice (4·l/B transfers), partitioning
-// rescans it (2·l/B), redistribution writes the received partition
+// l_i-key portion through disk twice (4·l/B transfers), locating the
+// cuts scans it once (l/B), redistribution writes the received partition
 // (≈l/B at perfect balance), and the final merge streams it once more
-// (2·l/B) — ≈9·l/B.  The constant is the same for every node, so
+// (2·l/B) — ≈8·l/B.  The constant is the same for every node, so
 // Fraction is comparable across nodes; pipelined or hierarchical runs
 // shift the true total a little, which only skews the advisory ETA.
 func expectedBlocks(share int64, blockKeys int) int64 {
@@ -203,7 +203,7 @@ func expectedBlocks(share int64, blockKeys int) int64 {
 		return 0
 	}
 	b := int64(blockKeys)
-	return 9 * ((share + b - 1) / b)
+	return 8 * ((share + b - 1) / b)
 }
 
 // Table renders the snapshot as an aligned text table, one row per

@@ -7,7 +7,7 @@
 //     with atomic Put so a crashed daemon never leaves a half-written
 //     spec or status visible; and
 //   - a diskio.FS view rooted at a prefix, so the sort's block-granular
-//     working files — input portions, polyphase tapes, segment files,
+//     working files — input portions, polyphase tapes, sorted files,
 //     checkpoint manifests — live on the same backend and survive a
 //     daemon restart with it.
 //
