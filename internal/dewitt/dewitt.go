@@ -269,12 +269,13 @@ func distribute(n *cluster.Node, cfg Config, inputName string, splitters []recor
 // each in core and writing it as a run file.
 func receiveRuns(n *cluster.Node, cfg Config) ([]string, error) {
 	load := make([]record.Key, 0, cfg.MemoryKeys)
+	scratch := make([]record.Key, cfg.MemoryKeys)
 	var runs []string
 	flush := func() error {
 		if len(load) == 0 {
 			return nil
 		}
-		sort.Slice(load, func(i, j int) bool { return load[i] < load[j] })
+		record.SortKeys(load, scratch)
 		n.ChargeCompute(nLogN(int64(len(load))))
 		name := fmt.Sprintf("dewitt.run%d", len(runs))
 		if err := diskio.WriteFile(n.FS(), name, load, cfg.BlockKeys, n.Acct()); err != nil {

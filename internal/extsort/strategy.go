@@ -503,12 +503,17 @@ func (w *worker) scanSorted(acct diskio.Accounting, visit func([]record.Key)) er
 
 // countSublists scans the sorted file once and counts how many keys
 // fall in each of the len(fine)+1 sublists: sublist j holds the keys k
-// with fine[j-1] < k <= fine[j].
+// with fine[j-1] < k <= fine[j].  A block that ends inside the current
+// sublist is booked whole; only blocks a pivot cuts are walked key by key.
 func (w *worker) countSublists(fine []record.Key, acct diskio.Accounting) ([]int64, error) {
 	sizes := make([]int64, len(fine)+1)
 	seg := 0
 	err := w.scanSorted(acct, func(keys []record.Key) {
 		s := seg // a register for the hot loop; seg itself lives in the closure
+		if s == len(fine) || keys[len(keys)-1] <= fine[s] {
+			sizes[s] += int64(len(keys))
+			return
+		}
 		for _, key := range keys {
 			for s < len(fine) && key > fine[s] {
 				s++

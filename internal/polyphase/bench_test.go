@@ -28,30 +28,46 @@ func BenchmarkSort(b *testing.B) {
 	}
 }
 
+// BenchmarkRunFormation times the three run formers alone (input through
+// a MemFS reader, runs discarded) at the small shape of the tests and at
+// the in-regime shape of the bench's het4-mem node 2 (M 65536, B 2048,
+// 2^20 keys), on uniform keys and on zipf-s2, whose loads are mostly one
+// key and whose low byte is constant.
 func BenchmarkRunFormation(b *testing.B) {
-	for _, rf := range []RunFormation{ReplacementSelection, LoadSort} {
-		b.Run(rf.String(), func(b *testing.B) {
-			keys := record.Uniform.Generate(1<<16, 1, 1)
-			b.SetBytes(int64(len(keys)) * record.KeySize)
+	shapes := []struct {
+		name                string
+		keys, block, memory int
+	}{
+		{"small", 1 << 16, 1024, 1 << 13},
+		{"regime", 1 << 20, 2048, 1 << 16},
+	}
+	for _, sh := range shapes {
+		for _, d := range []record.Distribution{record.Uniform, record.ZipfS2} {
 			fs := diskio.NewMemFS()
-			if err := diskio.WriteFile(fs, "in", keys, 1024, diskio.Accounting{}); err != nil {
+			keys := d.Generate(sh.keys, 1, 1)
+			if err := diskio.WriteFile(fs, "in", keys, sh.block, diskio.Accounting{}); err != nil {
 				b.Fatal(err)
 			}
-			for i := 0; i < b.N; i++ {
-				sink := &discardSink{}
-				if _, _, err := formRuns(fs, "in", 1024, 1<<13, rf, diskio.Accounting{}, sink); err != nil {
-					b.Fatal(err)
-				}
+			for _, rf := range []RunFormation{ReplacementSelection, LoadSort, Guidesort} {
+				b.Run(fmt.Sprintf("%s/%v/%v", sh.name, d, rf), func(b *testing.B) {
+					b.SetBytes(int64(sh.keys) * record.KeySize)
+					for i := 0; i < b.N; i++ {
+						if _, _, err := formRuns(fs, "in", sh.block, sh.memory, rf, diskio.Accounting{}, discardSink{}); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(sh.keys), "ns/key")
+				})
 			}
-		})
+		}
 	}
 }
 
 type discardSink struct{}
 
-func (discardSink) beginRun() error       { return nil }
-func (discardSink) emit(record.Key) error { return nil }
-func (discardSink) endRun() error         { return nil }
+func (discardSink) beginRun() (int, error)      { return 0, nil }
+func (discardSink) emitKeys([]record.Key) error { return nil }
+func (discardSink) endRun() error               { return nil }
 
 func BenchmarkMergeFiles(b *testing.B) {
 	fs := diskio.NewMemFS()

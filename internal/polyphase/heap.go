@@ -16,18 +16,33 @@ import (
 	"hetsort/internal/vtime"
 )
 
-// selectionItem is an entry in the replacement-selection heap: keys
-// tagged with the run generation they belong to, ordered by (run, key).
-type selectionItem struct {
-	key record.Key
-	run int64
-}
+// A selectionItem is an entry of the replacement-selection heap, one
+// word: the run generation in the high half, the key in the low half, so
+// that integer order is (run, key) order and keys of the current run sort
+// before keys demoted to the next.
+type selectionItem = uint64
 
-// selectionHeap is a min-heap over (run, key) pairs for replacement
-// selection: keys of the current run sort before keys demoted to the
-// next run.
+// maxSelectionRun is the largest run number an item can carry.
+const maxSelectionRun = 1<<32 - 1
+
+func packItem(run uint64, key record.Key) selectionItem { return run<<32 | uint64(key) }
+
+func itemRun(it selectionItem) uint64     { return it >> 32 }
+func itemKey(it selectionItem) record.Key { return record.Key(it) }
+
+// selectionSentinel sits one slot past the last item, so that the sift
+// may read the right child of a node that has only a left one: no item is
+// greater, and the strict comparison never prefers it.
+const selectionSentinel = ^selectionItem(0)
+
+// selectionHeap is a binary min-heap of selectionItems for replacement
+// selection.  The sifts move a hole instead of swapping, but visit the
+// levels and take the ties (left child first) of the textbook sift, and
+// charge what it would: two comparisons per level visited on the way down,
+// one on the way up, plus one.  The levels visited are the depth the moved
+// item comes to rest at, plus one.
 type selectionHeap struct {
-	items []selectionItem
+	items []selectionItem // cap > len: push and pop keep the sentinel at items[:len+1][len]
 	meter vtime.Meter
 }
 
@@ -35,31 +50,26 @@ func newSelectionHeap(capacity int, meter vtime.Meter) *selectionHeap {
 	if meter == nil {
 		meter = vtime.Nop{}
 	}
-	return &selectionHeap{items: make([]selectionItem, 0, capacity), meter: meter}
+	return &selectionHeap{items: make([]selectionItem, 0, capacity+1), meter: meter}
 }
 
 func (h *selectionHeap) len() int { return len(h.items) }
 
-func (h *selectionHeap) less(a, b selectionItem) bool {
-	if a.run != b.run {
-		return a.run < b.run
-	}
-	return a.key < b.key
-}
-
 func (h *selectionHeap) push(it selectionItem) {
-	h.items = append(h.items, it)
-	i := len(h.items) - 1
+	i := len(h.items)
+	h.items = append(h.items, it, selectionSentinel)[:i+1]
+	items := h.items
 	var ops int64
 	for i > 0 {
 		parent := (i - 1) / 2
 		ops++
-		if !h.less(h.items[i], h.items[parent]) {
+		if it >= items[parent] {
 			break
 		}
-		h.items[parent], h.items[i] = h.items[i], h.items[parent]
+		items[i] = items[parent]
 		i = parent
 	}
+	items[i] = it
 	h.meter.ChargeCompute(ops + 1)
 }
 
@@ -68,35 +78,40 @@ func (h *selectionHeap) peek() selectionItem { return h.items[0] }
 func (h *selectionHeap) pop() selectionItem {
 	top := h.items[0]
 	last := len(h.items) - 1
-	h.items[0] = h.items[last]
+	it := h.items[last]
+	h.items[last] = selectionSentinel
 	h.items = h.items[:last]
-	h.siftDown(0)
+	h.siftDown(it)
 	return top
 }
 
-func (h *selectionHeap) replaceTop(it selectionItem) {
-	h.items[0] = it
-	h.siftDown(0)
-}
+func (h *selectionHeap) replaceTop(it selectionItem) { h.siftDown(it) }
 
-func (h *selectionHeap) siftDown(i int) {
+// siftDown puts it where the root's hole comes to rest.
+func (h *selectionHeap) siftDown(it selectionItem) {
 	n := len(h.items)
-	var ops int64
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.less(h.items[l], h.items[smallest]) {
-			smallest = l
+	items := h.items[:n+1]
+	i, levels := 0, int64(1)
+	for c := 1; c < n; c = 2*i + 1 {
+		// The smaller child, the left one on a tie.  Which one it is is a
+		// coin toss on random keys, so it is computed (min and a 0/1 the
+		// compiler sets without a jump), not branched on.
+		l, r := items[c], items[c+1]
+		child := min(l, r)
+		right := 0
+		if r < l {
+			right = 1
 		}
-		if r < n && h.less(h.items[r], h.items[smallest]) {
-			smallest = r
-		}
-		ops += 2
-		if smallest == i {
+		c += right
+		if child >= it {
 			break
 		}
-		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
-		i = smallest
+		items[i] = child
+		i = c
+		levels++
 	}
-	h.meter.ChargeCompute(ops + 1)
+	if n > 0 {
+		items[i] = it
+	}
+	h.meter.ChargeCompute(2*levels + 1)
 }

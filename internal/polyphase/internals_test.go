@@ -1,7 +1,9 @@
 package polyphase
 
 import (
+	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -138,29 +140,41 @@ func TestSelectionHeapRunOrdering(t *testing.T) {
 	// Items of run r must all come out before any item of run r+1,
 	// regardless of key values.
 	h := newSelectionHeap(8, vtime.Nop{})
-	h.push(selectionItem{key: 1, run: 1})
-	h.push(selectionItem{key: 100, run: 0})
-	h.push(selectionItem{key: 50, run: 0})
-	h.push(selectionItem{key: 0, run: 1})
-	want := []selectionItem{{50, 0}, {100, 0}, {0, 1}, {1, 1}}
+	h.push(packItem(1, 1))
+	h.push(packItem(0, 100))
+	h.push(packItem(0, 50))
+	h.push(packItem(1, 0))
+	want := []struct {
+		key record.Key
+		run uint64
+	}{{50, 0}, {100, 0}, {0, 1}, {1, 1}}
 	for i, w := range want {
 		got := h.pop()
-		if got != w {
-			t.Fatalf("pop %d = %+v want %+v", i, got, w)
+		if itemKey(got) != w.key || itemRun(got) != w.run {
+			t.Fatalf("pop %d = (key %d, run %d) want %+v", i, itemKey(got), itemRun(got), w)
 		}
+	}
+	// The run outranks the key at the extremes of both halves of the word.
+	h.push(packItem(maxSelectionRun, 0))
+	h.push(packItem(maxSelectionRun-1, 0xffffffff))
+	if got := h.pop(); itemRun(got) != maxSelectionRun-1 || itemKey(got) != 0xffffffff {
+		t.Fatalf("pop = (key %d, run %d), want the lower run first", itemKey(got), itemRun(got))
 	}
 }
 
 func TestSelectionHeapReplaceTop(t *testing.T) {
 	h := newSelectionHeap(4, nil)
-	h.push(selectionItem{key: 10, run: 0})
-	h.push(selectionItem{key: 20, run: 0})
-	h.replaceTop(selectionItem{key: 5, run: 1}) // demoted to next run
-	if got := h.pop(); got.key != 20 || got.run != 0 {
-		t.Fatalf("pop = %+v", got)
+	h.push(packItem(0, 10))
+	h.push(packItem(0, 20))
+	h.replaceTop(packItem(1, 5)) // demoted to next run
+	if got := h.pop(); itemKey(got) != 20 || itemRun(got) != 0 {
+		t.Fatalf("pop = (key %d, run %d)", itemKey(got), itemRun(got))
 	}
-	if got := h.pop(); got.key != 5 || got.run != 1 {
-		t.Fatalf("pop = %+v", got)
+	if got := h.pop(); itemKey(got) != 5 || itemRun(got) != 1 {
+		t.Fatalf("pop = (key %d, run %d)", itemKey(got), itemRun(got))
+	}
+	if h.len() != 0 {
+		t.Fatalf("%d items left", h.len())
 	}
 }
 
@@ -310,12 +324,271 @@ type collectSink struct {
 	cur  []record.Key
 }
 
-func (c *collectSink) beginRun() error { c.cur = nil; return nil }
-func (c *collectSink) emit(k record.Key) error {
-	c.cur = append(c.cur, k)
+func (c *collectSink) beginRun() (int, error) { c.cur = nil; return 0, nil }
+func (c *collectSink) emitKeys(keys []record.Key) error {
+	c.cur = append(c.cur, keys...)
 	return nil
 }
 func (c *collectSink) endRun() error {
 	*c.runs = append(*c.runs, c.cur)
 	return nil
+}
+
+// The replacement-selection former as it stood before its items were
+// packed into one word: a heap of {key, run} structs with a two-field
+// less and a swapping sift, handing each key to the sink alone.  It is
+// the reference the packed former is compared with, event for event.
+
+type refItem struct {
+	key record.Key
+	run int64
+}
+
+type refHeap struct {
+	items []refItem
+	meter vtime.Meter
+}
+
+func (h *refHeap) less(a, b refItem) bool {
+	if a.run != b.run {
+		return a.run < b.run
+	}
+	return a.key < b.key
+}
+
+func (h *refHeap) push(it refItem) {
+	h.items = append(h.items, it)
+	i := len(h.items) - 1
+	var ops int64
+	for i > 0 {
+		parent := (i - 1) / 2
+		ops++
+		if !h.less(h.items[i], h.items[parent]) {
+			break
+		}
+		h.items[parent], h.items[i] = h.items[i], h.items[parent]
+		i = parent
+	}
+	h.meter.ChargeCompute(ops + 1)
+}
+
+func (h *refHeap) pop() {
+	last := len(h.items) - 1
+	h.items[0] = h.items[last]
+	h.items = h.items[:last]
+	h.siftDown(0)
+}
+
+func (h *refHeap) replaceTop(it refItem) {
+	h.items[0] = it
+	h.siftDown(0)
+}
+
+func (h *refHeap) siftDown(i int) {
+	n := len(h.items)
+	var ops int64
+	for {
+		l, r := 2*i+1, 2*i+2
+		smallest := i
+		if l < n && h.less(h.items[l], h.items[smallest]) {
+			smallest = l
+		}
+		if r < n && h.less(h.items[r], h.items[smallest]) {
+			smallest = r
+		}
+		ops += 2
+		if smallest == i {
+			break
+		}
+		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
+		i = smallest
+	}
+	h.meter.ChargeCompute(ops + 1)
+}
+
+// refFormRunsReplacement is the former's old loop; emit takes one key.
+func refFormRunsReplacement(r *diskio.Reader, memoryKeys int, meter vtime.Meter, sink runSink, emit func(record.Key) error) (int64, int64, error) {
+	h := &refHeap{meter: meter}
+	var total int64
+	for len(h.items) < memoryKeys {
+		k, err := r.ReadKey()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return 0, 0, err
+		}
+		h.push(refItem{key: k, run: 0})
+		total++
+	}
+	var runs int64
+	current := int64(0)
+	inRun := false
+	var lastOut record.Key
+	for len(h.items) > 0 {
+		it := h.items[0]
+		if it.run != current {
+			if inRun {
+				if err := sink.endRun(); err != nil {
+					return runs, total, err
+				}
+				inRun = false
+			}
+			current = it.run
+		}
+		if !inRun {
+			if _, err := sink.beginRun(); err != nil {
+				return runs, total, err
+			}
+			runs++
+			inRun = true
+		}
+		if err := emit(it.key); err != nil {
+			return runs, total, err
+		}
+		lastOut = it.key
+		next, err := r.ReadKey()
+		switch err {
+		case nil:
+			total++
+			meter.ChargeCompute(1)
+			if next >= lastOut {
+				h.replaceTop(refItem{key: next, run: current})
+			} else {
+				h.replaceTop(refItem{key: next, run: current + 1})
+			}
+		case io.EOF:
+			h.pop()
+		default:
+			return runs, total, err
+		}
+	}
+	if inRun {
+		if err := sink.endRun(); err != nil {
+			return runs, total, err
+		}
+	}
+	return runs, total, nil
+}
+
+// eventMeter records every charge in order: c<ops> for compute, b<n> for
+// block transfers (the input's reads and the tapes' writes alike).
+type eventMeter struct{ events []string }
+
+func (m *eventMeter) ChargeCompute(n int64)  { m.events = append(m.events, fmt.Sprint("c", n)) }
+func (m *eventMeter) ChargeIOBlocks(n int64) { m.events = append(m.events, fmt.Sprint("b", n)) }
+func (m *eventMeter) ChargeSeek(n int64)     { m.events = append(m.events, fmt.Sprint("s", n)) }
+
+// formed is everything run formation leaves behind on three tapes.
+type formed struct {
+	runs, total int64
+	lengths     [][]int64      // run lengths per tape, in order
+	keys        [][]record.Key // tape contents
+	events      []string
+}
+
+// formOnTapes runs one of the two formers over keys into a real
+// distributor on three block-writing tapes, with every charge recorded.
+func formOnTapes(t *testing.T, keys []record.Key, block, memory int, reference bool) formed {
+	t.Helper()
+	fs := diskio.NewMemFS()
+	if err := diskio.WriteFile(fs, "input", keys, block, diskio.Accounting{}); err != nil {
+		t.Fatal(err)
+	}
+	meter := &eventMeter{}
+	acct := diskio.Accounting{Meter: meter}
+	tapes := make([]*tape, 3)
+	for i := range tapes {
+		tapes[i] = &tape{fs: fs, name: fmt.Sprint("tape", i), block: block, acct: acct}
+		if err := tapes[i].becomeOutput(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := newDistributor(tapes)
+	in, err := fs.Open("input")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	r := diskio.NewReader(in, block, acct)
+	defer r.Release()
+	var f formed
+	if reference {
+		f.runs, f.total, err = refFormRunsReplacement(r, memory, meter, d, func(k record.Key) error {
+			d.curLen++
+			return d.tapes[d.cur].w.WriteKey(k)
+		})
+	} else {
+		f.runs, f.total, err = formRunsReplacement(r, block, memory, meter, d)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tp := range tapes {
+		if err := tp.finishOutput(); err != nil { // flushes the partial block: one more charge
+			t.Fatal(err)
+		}
+		f.lengths = append(f.lengths, slices.Clone(tp.runs))
+		tp.close()
+		got, err := diskio.ReadFileAll(fs, tp.name, block, diskio.Accounting{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.keys = append(f.keys, got)
+	}
+	f.events = meter.events
+	return f
+}
+
+// TestReplacementSelectionMatchesReference: over every generator and an
+// all-equal input, heaps of 1 to 4096 keys and inputs from empty to seven
+// heaps and a bit, the packed former forms the runs of the struct-item
+// reference — same boundaries, same keys on the same tapes — and charges
+// the same amounts in the same order, the tapes' block writes included.
+func TestReplacementSelectionMatchesReference(t *testing.T) {
+	const block = 16
+	type input struct {
+		name string
+		gen  func(n int) []record.Key
+	}
+	var inputs []input
+	for _, d := range record.Distributions() {
+		inputs = append(inputs, input{d.String(), func(n int) []record.Key { return d.Generate(n, 41, 3) }})
+	}
+	inputs = append(inputs, input{"all-equal", func(n int) []record.Key {
+		keys := make([]record.Key, n)
+		for i := range keys {
+			keys[i] = 0xabcdef01
+		}
+		return keys
+	}})
+	for _, in := range inputs {
+		for _, m := range []int{1, 2, 3, 64, 4096} {
+			for _, n := range []int{0, 1, m, 7*m + 5} {
+				keys := in.gen(n)
+				want := formOnTapes(t, keys, block, m, true)
+				got := formOnTapes(t, keys, block, m, false)
+				id := fmt.Sprintf("%s M=%d n=%d", in.name, m, n)
+				if got.runs != want.runs || got.total != want.total {
+					t.Fatalf("%s: formed %d runs of %d keys, reference %d of %d", id, got.runs, got.total, want.runs, want.total)
+				}
+				for i := range want.lengths {
+					if !slices.Equal(got.lengths[i], want.lengths[i]) {
+						t.Fatalf("%s: tape %d run lengths %v, reference %v", id, i, got.lengths[i], want.lengths[i])
+					}
+					if !slices.Equal(got.keys[i], want.keys[i]) {
+						t.Fatalf("%s: tape %d holds other keys than the reference's", id, i)
+					}
+				}
+				if !slices.Equal(got.events, want.events) {
+					at := 0
+					for at < len(got.events) && at < len(want.events) && got.events[at] == want.events[at] {
+						at++
+					}
+					t.Fatalf("%s: %d charges, reference %d; first difference at charge %d: %v, reference %v",
+						id, len(got.events), len(want.events), at, got.events[at:min(at+4, len(got.events))], want.events[at:min(at+4, len(want.events))])
+				}
+			}
+		}
+	}
 }

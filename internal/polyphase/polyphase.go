@@ -193,14 +193,16 @@ func (d *distributor) pick() int {
 	}
 }
 
-func (d *distributor) beginRun() error {
+func (d *distributor) beginRun() (int, error) {
 	d.cur = d.pick()
 	d.curLen = 0
-	return nil
+	t := d.tapes[d.cur]
+	return t.block - int(t.w.KeysWritten()%int64(t.block)), nil
 }
 
-func (d *distributor) emit(k record.Key) error {
-	return d.tapes[d.cur].w.WriteKey(k)
+func (d *distributor) emitKeys(keys []record.Key) error {
+	d.curLen += int64(len(keys))
+	return d.tapes[d.cur].w.WriteKeys(keys)
 }
 
 func (d *distributor) endRun() error {
@@ -248,9 +250,8 @@ func Sort(cfg Config, inputName, outputName string) (Stats, error) {
 		}
 	}
 	dist := newDistributor(inputs)
-	sink := &countingSink{inner: dist, lenDst: &dist.curLen}
 	runs, keys, err := formRuns(cfg.FS, inputName, cfg.BlockKeys, cfg.MemoryKeys,
-		cfg.RunFormation, cfg.Acct, sink)
+		cfg.RunFormation, cfg.Acct, dist)
 	if err != nil {
 		return Stats{}, fmt.Errorf("polyphase: run formation: %w", err)
 	}
@@ -431,28 +432,3 @@ func mergeStep(inputs []*tape, out *tape, cfg Config) error {
 	out.runs = append(out.runs, outLen)
 	return nil
 }
-
-// countingSink wraps a runSink and counts the keys of the current run
-// into *lenDst (the distributor records the length at endRun).
-type countingSink struct {
-	inner  runSink
-	lenDst *int64
-}
-
-func (c *countingSink) beginRun() error {
-	if err := c.inner.beginRun(); err != nil {
-		return err
-	}
-	*c.lenDst = 0
-	return nil
-}
-
-func (c *countingSink) emit(k record.Key) error {
-	if err := c.inner.emit(k); err != nil {
-		return err
-	}
-	*c.lenDst++
-	return nil
-}
-
-func (c *countingSink) endRun() error { return c.inner.endRun() }

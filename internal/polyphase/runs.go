@@ -3,7 +3,6 @@ package polyphase
 import (
 	"fmt"
 	"io"
-	"slices"
 
 	"hetsort/internal/diskio"
 	"hetsort/internal/record"
@@ -43,18 +42,22 @@ func (rf RunFormation) String() string {
 	}
 }
 
-// runSink receives each formed run: length in keys, and the keys are
-// delivered through the provided writer callback sequence.
+// runSink receives the formed runs, each as beginRun, its keys in order
+// over any number of emitKeys calls, endRun.
 type runSink interface {
-	// beginRun announces a new run; subsequent emit calls belong to it
-	// until endRun.
-	beginRun() error
-	emit(k record.Key) error
+	// beginRun announces a new run.  room is how many keys the sink takes
+	// before it next transfers a block, 0 if it has no blocks: a former
+	// that charges compute per key ends its chunks there and every
+	// blockKeys keys after, so the transfer is charged between the same two
+	// keys as if each had been handed over alone.
+	beginRun() (room int, err error)
+	emitKeys(keys []record.Key) error
 	endRun() error
 }
 
 // formRuns reads the whole input file and emits sorted runs to sink.
-// memoryKeys bounds the in-core working set.  Returns the number of runs
+// memoryKeys bounds the in-core working set in keys; blockKeys is the
+// block size of the input and of the sink.  Returns the number of runs
 // and keys processed.
 func formRuns(
 	fs diskio.FS, inputName string, blockKeys, memoryKeys int,
@@ -73,17 +76,15 @@ func formRuns(
 	}
 	switch how {
 	case ReplacementSelection:
-		return formRunsReplacement(r, memoryKeys, meter, sink)
-	case LoadSort:
-		return formRunsLoadSort(r, memoryKeys, meter, sink)
-	case Guidesort:
-		return formRunsGuidesort(r, memoryKeys, meter, sink)
+		return formRunsReplacement(r, blockKeys, memoryKeys, meter, sink)
+	case LoadSort, Guidesort:
+		return formRunsLoads(r, memoryKeys, how == Guidesort, meter, sink)
 	default:
 		return 0, 0, fmt.Errorf("polyphase: unknown run formation %d", how)
 	}
 }
 
-func formRunsReplacement(r *diskio.Reader, memoryKeys int, meter vtime.Meter, sink runSink) (int64, int64, error) {
+func formRunsReplacement(r *diskio.Reader, blockKeys, memoryKeys int, meter vtime.Meter, sink runSink) (int64, int64, error) {
 	h := newSelectionHeap(memoryKeys, meter)
 	var total int64
 	// Prime the heap.
@@ -95,142 +96,138 @@ func formRunsReplacement(r *diskio.Reader, memoryKeys int, meter vtime.Meter, si
 		if err != nil {
 			return 0, 0, err
 		}
-		h.push(selectionItem{key: k, run: 0})
+		h.push(packItem(0, k))
 		total++
 	}
-	if h.len() == 0 {
-		return 0, 0, nil
-	}
 	var runs int64
-	current := int64(0)
+	var current uint64
 	inRun := false
-	var lastOut record.Key
+	// in is the unread rest of the reader's block; out collects the run's
+	// keys up to the sink's next block boundary, room keys away.
+	in := r.Buffered()
+	r.Discard(len(in))
+	out := make([]record.Key, 0, blockKeys)
+	room := blockKeys
+	flush := func() error {
+		err := sink.emitKeys(out)
+		out, room = out[:0], blockKeys
+		return err
+	}
+	endRun := func() error {
+		if err := flush(); err != nil {
+			return err
+		}
+		return sink.endRun()
+	}
 	for h.len() > 0 {
 		it := h.peek()
-		if it.run != current {
-			// Current run exhausted; start the next one.
+		if run := itemRun(it); run != current || !inRun {
+			// Current run exhausted (or none begun); start the next one.
 			if inRun {
-				if err := sink.endRun(); err != nil {
+				if err := endRun(); err != nil {
 					return runs, total, err
 				}
-				inRun = false
 			}
-			current = it.run
-		}
-		if !inRun {
-			if err := sink.beginRun(); err != nil {
+			current = run
+			var err error
+			if room, err = sink.beginRun(); err != nil {
 				return runs, total, err
+			}
+			if room <= 0 {
+				room = blockKeys
 			}
 			runs++
 			inRun = true
 		}
-		if err := sink.emit(it.key); err != nil {
-			return runs, total, err
+		lastOut := itemKey(it)
+		out = append(out, lastOut)
+		if len(out) == room {
+			if err := flush(); err != nil {
+				return runs, total, err
+			}
 		}
-		lastOut = it.key
 		// Refill from input: a key >= lastOut can extend the current
 		// run; a smaller key is demoted to the next run.
-		next, err := r.ReadKey()
-		switch err {
-		case nil:
-			total++
-			meter.ChargeCompute(1)
-			if next >= lastOut {
-				h.replaceTop(selectionItem{key: next, run: current})
-			} else {
-				h.replaceTop(selectionItem{key: next, run: current + 1})
+		if len(in) == 0 {
+			switch err := r.Fill(); err {
+			case nil:
+				in = r.Buffered()
+				r.Discard(len(in))
+			case io.EOF:
+			default:
+				return runs, total, err
 			}
-		case io.EOF:
-			h.pop()
-		default:
-			return runs, total, err
 		}
+		if len(in) == 0 {
+			h.pop()
+			continue
+		}
+		next := in[0]
+		in = in[1:]
+		total++
+		meter.ChargeCompute(1)
+		run := current
+		if next < lastOut {
+			if run == maxSelectionRun {
+				return runs, total, fmt.Errorf("polyphase: replacement selection is out of run numbers after %d runs", runs)
+			}
+			run++
+		}
+		h.replaceTop(packItem(run, next))
 	}
 	if inRun {
-		if err := sink.endRun(); err != nil {
-			return runs, total, err
-		}
+		return runs, total, endRun()
 	}
 	return runs, total, nil
 }
 
-func formRunsLoadSort(r *diskio.Reader, memoryKeys int, meter vtime.Meter, sink runSink) (int64, int64, error) {
-	load := make([]record.Key, memoryKeys)
-	var runs, total int64
-	for {
-		n, err := diskio.ReadChunk(r, load)
-		if err != nil || n == 0 {
-			return runs, total, err
-		}
-		chunk := load[:n]
-		slices.Sort(chunk)
-		meter.ChargeCompute(nLogN(int64(n)))
-		if err := sink.beginRun(); err != nil {
-			return runs, total, err
-		}
-		runs++
-		total += int64(n)
-		for _, k := range chunk {
-			if serr := sink.emit(k); serr != nil {
-				return runs, total, serr
-			}
-		}
-		if serr := sink.endRun(); serr != nil {
-			return runs, total, serr
-		}
-	}
-}
-
-// formRunsGuidesort sorts memory loads and coalesces consecutive loads
-// into one run when the guide comparison allows it: if the new load's
-// smallest key is at least the largest key already emitted, the run
-// simply continues.  On sorted or near-sorted input the whole file
-// becomes a single run for one comparison per load; on random input it
-// degrades gracefully to LoadSort's run lengths.
-func formRunsGuidesort(r *diskio.Reader, memoryKeys int, meter vtime.Meter, sink runSink) (int64, int64, error) {
-	load := make([]record.Key, memoryKeys)
+// formRunsLoads is the LoadSort and Guidesort former: it sorts memory
+// loads in core, one run per load.  With guide set it coalesces
+// consecutive loads into one run when the guide comparison allows it: if
+// the new load's smallest key is at least the largest key already
+// emitted, the run simply continues.  On sorted or near-sorted input the
+// whole file becomes a single run for one comparison per load; on random
+// input it degrades gracefully to LoadSort's run lengths.
+func formRunsLoads(r *diskio.Reader, memoryKeys int, guide bool, meter vtime.Meter, sink runSink) (int64, int64, error) {
+	load := make([]record.Key, 2*memoryKeys)
+	load, scratch := load[:memoryKeys], load[memoryKeys:]
 	var runs, total int64
 	inRun := false
 	var lastMax record.Key
-	endIfOpen := func() error {
-		if !inRun {
-			return nil
-		}
-		inRun = false
-		return sink.endRun()
-	}
 	for {
 		n, err := diskio.ReadChunk(r, load)
 		if err != nil {
 			return runs, total, err
 		}
 		if n == 0 {
-			return runs, total, endIfOpen()
+			if inRun {
+				err = sink.endRun()
+			}
+			return runs, total, err
 		}
 		chunk := load[:n]
-		slices.Sort(chunk)
+		record.SortKeys(chunk, scratch)
 		meter.ChargeCompute(nLogN(int64(n)))
-		if inRun {
+		if inRun && guide {
 			// The guide comparison: does this load extend the run?
 			meter.ChargeCompute(1)
-			if chunk[0] < lastMax {
-				if serr := endIfOpen(); serr != nil {
-					return runs, total, serr
-				}
+		}
+		if inRun && (!guide || chunk[0] < lastMax) {
+			if err := sink.endRun(); err != nil {
+				return runs, total, err
 			}
+			inRun = false
 		}
 		if !inRun {
-			if serr := sink.beginRun(); serr != nil {
-				return runs, total, serr
+			if _, err := sink.beginRun(); err != nil {
+				return runs, total, err
 			}
 			runs++
 			inRun = true
 		}
 		total += int64(n)
-		for _, k := range chunk {
-			if serr := sink.emit(k); serr != nil {
-				return runs, total, serr
-			}
+		if err := sink.emitKeys(chunk); err != nil {
+			return runs, total, err
 		}
 		lastMax = chunk[n-1]
 	}

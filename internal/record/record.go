@@ -15,7 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Key is one data item: a 32-bit unsigned integer, 4 bytes on disk.
@@ -31,31 +31,99 @@ func PutKey(buf []byte, k Key) { binary.LittleEndian.PutUint32(buf, k) }
 // GetKey decodes a key from buf (little endian).
 func GetKey(buf []byte) Key { return binary.LittleEndian.Uint32(buf) }
 
-// EncodeKeys appends the encoding of keys to dst and returns it.
+// EncodeKeys appends the encoding of keys to dst and returns it.  dst
+// grows once; the keys go in two to a 64-bit store.
 func EncodeKeys(dst []byte, keys []Key) []byte {
 	off := len(dst)
-	dst = append(dst, make([]byte, KeySize*len(keys))...)
-	for i, k := range keys {
-		PutKey(dst[off+i*KeySize:], k)
+	dst = slices.Grow(dst, KeySize*len(keys))[:off+KeySize*len(keys)]
+	out := dst[off:]
+	for len(keys) >= 2 && len(out) >= 2*KeySize {
+		binary.LittleEndian.PutUint64(out, uint64(keys[0])|uint64(keys[1])<<32)
+		out, keys = out[2*KeySize:], keys[2:]
+	}
+	if len(keys) > 0 {
+		PutKey(out, keys[0])
 	}
 	return dst
 }
 
-// DecodeKeys decodes len(buf)/KeySize keys from buf, appending to dst.
-// It panics if len(buf) is not a multiple of KeySize.
+// DecodeKeys decodes len(buf)/KeySize keys from buf, appending to dst,
+// which grows once; the keys come out two to a 64-bit load.  It panics if
+// len(buf) is not a multiple of KeySize.
 func DecodeKeys(dst []Key, buf []byte) []Key {
 	if len(buf)%KeySize != 0 {
 		panic(fmt.Sprintf("record: buffer length %d not a multiple of %d", len(buf), KeySize))
 	}
-	for i := 0; i < len(buf); i += KeySize {
-		dst = append(dst, GetKey(buf[i:]))
+	off, n := len(dst), len(buf)/KeySize
+	dst = slices.Grow(dst, n)[:off+n]
+	out := dst[off:]
+	for len(out) >= 2 && len(buf) >= 2*KeySize {
+		w := binary.LittleEndian.Uint64(buf)
+		out[0], out[1] = Key(w), Key(w>>32)
+		out, buf = out[2:], buf[2*KeySize:]
+	}
+	if len(out) > 0 {
+		out[0] = GetKey(buf)
 	}
 	return dst
 }
 
 // IsSorted reports whether keys is non-decreasing.
-func IsSorted(keys []Key) bool {
-	return sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i] < keys[j] })
+func IsSorted(keys []Key) bool { return slices.IsSorted(keys) }
+
+// sortCutoff is the length below which SortKeys sorts by insertion: four
+// counting passes cost more than the few hundred comparisons they save.
+const sortCutoff = 64
+
+// SortKeys sorts keys in place, ascending: the one in-core sorter of the
+// run formers.  From sortCutoff keys on it is an LSD radix sort on the four
+// key bytes through scratch, which it overwrites and which must be at least
+// as long as keys (SortKeys panics otherwise, whatever the length, so a
+// short scratch never corrupts a load that happens to be small).  A pass
+// whose byte is the same in every key would move nothing and is skipped, so
+// a load of small or clustered keys pays for the bytes that vary.
+func SortKeys(keys, scratch []Key) {
+	n := len(keys)
+	if len(scratch) < n {
+		panic(fmt.Sprintf("record: SortKeys scratch holds %d keys, load has %d", len(scratch), n))
+	}
+	if n < sortCutoff {
+		for i := 1; i < n; i++ {
+			k, j := keys[i], i
+			for ; j > 0 && keys[j-1] > k; j-- {
+				keys[j] = keys[j-1]
+			}
+			keys[j] = k
+		}
+		return
+	}
+	var count [KeySize][256]int
+	for _, k := range keys {
+		count[0][k&0xff]++
+		count[1][k>>8&0xff]++
+		count[2][k>>16&0xff]++
+		count[3][k>>24]++
+	}
+	src, dst := keys, scratch[:n]
+	for pass := range count {
+		c, shift := &count[pass], uint(pass)*8
+		if c[src[0]>>shift&0xff] == n {
+			continue
+		}
+		sum := 0
+		for d, cnt := range c {
+			c[d], sum = sum, sum+cnt
+		}
+		for _, k := range src {
+			d := k >> shift & 0xff
+			dst[c[d]] = k
+			c[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &keys[0] {
+		copy(keys, src)
+	}
 }
 
 // Checksum is an order-insensitive fingerprint of a multiset of keys,
