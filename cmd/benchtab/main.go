@@ -10,46 +10,32 @@
 //	benchtab -experiment pipeline -cpuprofile cpu.pprof
 //
 // Experiments: table1, table2, calibration, packets, table3, speedups,
-// figure1, distributions, ablations, checkpoint, pipeline, pdm, overlap,
+// figure1, distributions, ablations, checkpoint, pipeline, overlap, pdm,
 // attribution, scaling, histsort, regress, all.
 //
+// Every measured experiment prints rows of one shape (experiment,
+// labels, metrics, output SHA-256).  The baselined ones — pipeline
+// (A8), overlap (A9), pdm (A10), histsort and scaling — also write
+// their rows to BENCH_<name>.json, exactly the files the regress gate
+// reads; each is self-checking (byte-identical output across its
+// variants, and the inequalities its doc comment in
+// internal/experiments states).  histsort and scaling are not part of
+// "all" (sorts at p up to 256 and 1024); -maxp caps both.
+//
 // The regress experiment (not part of "all") is the perf-regression
-// gate: it re-runs the pipeline, pdm and histsort ablations and the
-// scaling sweep at the scales recorded in the committed
-// BENCH_pipeline.json, BENCH_pdm.json, BENCH_histsort.json and
-// BENCH_scaling.json, diffs vsec within -tolerance percent and the
-// protocol-integer metrics exactly, writes BENCH_regress.json, and
-// exits non-zero if anything regressed.
+// gate: it re-runs every baselined experiment at the scale its
+// committed BENCH_<name>.json records (capped at -maxp), matches rows
+// by (experiment, labels), and diffs vsec within -tolerance percent,
+// every other metric exact-or-lower and the output SHA-256 equal.  A
+// baseline row the re-run no longer produces fails the gate.  It
+// writes BENCH_regress.json and exits non-zero if anything regressed.
 //
-// The histsort experiment (not part of "all": 16 full sorts at p up to
-// 256) is the adversarial pivot ablation: the four hostile generators
-// crossed with the four pivot strategies, self-checked for
-// byte-identical output across strategies, histogram expansion no worse
-// than regular sampling's, and fewer sample keys shipped.  It writes
-// BENCH_histsort.json.
-//
-// The pipeline experiment (ablation A8) additionally writes its rows to
-// BENCH_pipeline.json, the pdm experiment (ablation A10: the multi-disk
-// D sweep plus the sequential-phase run-formation and galloping-merge
-// kernels, self-checked for byte-identical output and equal block I/O
-// where the change is timing- or compute-only) writes BENCH_pdm.json,
-// the overlap experiment (ablation A9: prefetch +
-// write-behind against the synchronous I/O path) writes
-// BENCH_overlap.json, and the attribution experiment — where each
-// node's virtual time went (compute/disk/network/idle) and the per-step
-// skew against the perf-vector prediction — writes
-// BENCH_attribution.json.  The scaling experiment sweeps the cluster
-// size p=4..1024 (capped by -maxp) across the flat, tree and grid
-// redistribution topologies, asserts byte-identical output at every
-// point, and writes BENCH_scaling.json (virtual time, peak open
-// streams, per-link queue high-water marks vs p).
-// -cpuprofile/-memprofile write pprof profiles of
-// the selected experiments, and every run ends with a host-side cost
-// table (wall clock, allocations, allocs per sorted key).
+// -cpuprofile/-memprofile write pprof profiles of the selected
+// experiments, and every run ends with a host-side cost table (wall
+// clock, allocations, allocs per sorted key).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -67,8 +53,8 @@ func main() {
 		trials  = flag.Int("trials", 5, "repetitions per measurement (paper: 30)")
 		onDisk  = flag.Bool("ondisk", false, "use real temporary directories for node disks")
 		tmp     = flag.String("tmpdir", "", "root directory for -ondisk")
-		which   = flag.String("experiment", "all", "experiment to run: table1, table2, calibration, packets, table3, speedups, figure1, distributions, ablations, checkpoint, pipeline, pdm, overlap, attribution, scaling, histsort, regress, all")
-		maxP    = flag.Int("maxp", 1024, "largest cluster size the scaling experiment sweeps to")
+		which   = flag.String("experiment", "all", "experiment to run: table1, table2, calibration, packets, table3, speedups, figure1, distributions, ablations, checkpoint, pipeline, overlap, pdm, attribution, scaling, histsort, regress, all")
+		maxP    = flag.Int("maxp", 1024, "largest cluster size the scaling, histsort and regress experiments sweep to")
 		tolPct  = flag.Float64("tolerance", 5, "regress gate: allowed vsec increase in percent before failing")
 		benchD  = flag.String("bench-dir", ".", "regress gate: directory holding the committed BENCH_*.json baselines")
 		seed    = flag.Int64("seed", 1, "base input seed")
@@ -95,6 +81,7 @@ func main() {
 		OnDisk:    *onDisk,
 		TempDir:   *tmp,
 		Seed:      *seed,
+		MaxP:      *maxP,
 	}
 	fmt.Printf("hetsort benchtab: size shift 2^-%d, %d trials per point\n\n", *shift, *trials)
 
@@ -188,7 +175,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		fmt.Print(experiments.AblationsString(rows))
+		fmt.Print(experiments.RowsString("Ablations A1-A6 (see DESIGN.md)", rows))
 		return nil
 	})
 	run("checkpoint", func() error {
@@ -196,134 +183,56 @@ func main() {
 		if err != nil {
 			return err
 		}
-		fmt.Print(experiments.AblationsString(rows))
+		fmt.Print(experiments.RowsString("A7: the cost of crash tolerance", rows))
 		return nil
 	})
-	run("pipeline", func() error {
-		rows, err := experiments.PipelineAblation(o)
-		if err != nil {
-			return err
+	for _, e := range experiments.Baselined {
+		// The wide sweeps simulate up to a thousand nodes and dominate the
+		// suite's wall clock: run them explicitly, capping with -maxp.
+		if *which == "all" && (e.Name == "scaling" || e.Name == "histsort") {
+			continue
 		}
-		fmt.Print(experiments.AblationsString(rows))
-		if err := writeJSON("BENCH_pipeline.json", struct {
-			Experiment string                    `json:"experiment"`
-			SizeShift  uint                      `json:"size_shift"`
-			Rows       []experiments.AblationRow `json:"rows"`
-		}{"pipeline", *shift, rows}); err != nil {
-			return err
-		}
-		fmt.Println("wrote BENCH_pipeline.json")
-		return nil
-	})
-	run("pdm", func() error {
-		rows, err := experiments.PDMAblation(o)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.PDMString(rows))
-		if err := writeJSON("BENCH_pdm.json", struct {
-			Experiment string               `json:"experiment"`
-			SizeShift  uint                 `json:"size_shift"`
-			Rows       []experiments.PDMRow `json:"rows"`
-		}{"pdm", *shift, rows}); err != nil {
-			return err
-		}
-		fmt.Println("wrote BENCH_pdm.json")
-		return nil
-	})
-	run("overlap", func() error {
-		rows, err := experiments.OverlapAblation(o)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.AblationsString(rows))
-		if err := writeJSON("BENCH_overlap.json", struct {
-			Experiment string                    `json:"experiment"`
-			SizeShift  uint                      `json:"size_shift"`
-			Rows       []experiments.AblationRow `json:"rows"`
-		}{"overlap", *shift, rows}); err != nil {
-			return err
-		}
-		fmt.Println("wrote BENCH_overlap.json")
-		return nil
-	})
-	// Not part of "all": the p=1024 points simulate a thousand nodes and
-	// dominate the suite's wall clock.  Run explicitly, capping with -maxp.
-	if *which == "scaling" {
-		run("scaling", func() error {
-			rows, err := experiments.ScalingSweep(o, *maxP)
+		run(e.Name, func() error {
+			rows, err := e.Run(o)
 			if err != nil {
 				return err
 			}
-			fmt.Print(experiments.ScalingString(rows))
-			if err := writeJSON("BENCH_scaling.json", struct {
-				Experiment string                   `json:"experiment"`
-				MaxP       int                      `json:"max_p"`
-				Rows       []experiments.ScalingRow `json:"rows"`
-			}{"scaling", *maxP, rows}); err != nil {
+			fmt.Print(experiments.RowsString(e.Title, rows))
+			path := experiments.BaselinePath(".", e.Name)
+			if err := experiments.WriteJSON(path, experiments.Baseline{SizeShift: *shift, MaxP: *maxP, Rows: rows}); err != nil {
 				return err
 			}
-			fmt.Println("wrote BENCH_scaling.json")
+			fmt.Println("wrote", path)
 			return nil
 		})
 	}
-
-	// Not part of "all": 16 full sorts at p up to 256.  Run explicitly.
-	if *which == "histsort" {
-		run("histsort", func() error {
-			rows, err := experiments.HistsortAblation(o)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.HistsortString(rows))
-			if err := writeJSON("BENCH_histsort.json", struct {
-				Experiment string                    `json:"experiment"`
-				SizeShift  uint                      `json:"size_shift"`
-				Rows       []experiments.HistsortRow `json:"rows"`
-			}{"histsort", *shift, rows}); err != nil {
-				return err
-			}
-			fmt.Println("wrote BENCH_histsort.json")
-			return nil
-		})
-	}
-
-	// Not part of "all" either: the gate re-runs pipeline and scaling at
-	// the baselines' committed scales, so it is a CI step, not a table.
-	if *which == "regress" {
-		run("regress", func() error {
-			rep, err := experiments.RegressionGate(o, *benchD, *tolPct, *maxP)
-			if err != nil {
-				return err
-			}
-			fmt.Print(rep.String())
-			if err := writeJSON("BENCH_regress.json", rep); err != nil {
-				return err
-			}
-			fmt.Println("wrote BENCH_regress.json")
-			if n := rep.Regressions(); n > 0 {
-				return fmt.Errorf("%d metric(s) regressed beyond the gate (vsec tolerance %.1f%%)", n, *tolPct)
-			}
-			return nil
-		})
-	}
-
 	run("attribution", func() error {
 		rep, err := experiments.RunAttribution(o)
 		if err != nil {
 			return err
 		}
 		fmt.Print(experiments.AttributionString(rep))
-		if err := writeJSON("BENCH_attribution.json", struct {
-			Experiment string                         `json:"experiment"`
-			SizeShift  uint                           `json:"size_shift"`
-			Report     *experiments.AttributionReport `json:"report"`
-		}{"attribution", *shift, rep}); err != nil {
-			return err
-		}
-		fmt.Println("wrote BENCH_attribution.json")
 		return nil
 	})
+	// Not part of "all": the gate re-runs the baselined experiments at
+	// their committed scales, so it is a CI step, not a table.
+	if *which == "regress" {
+		run("regress", func() error {
+			rep, err := experiments.RegressionGate(o, *benchD, *tolPct)
+			if err != nil {
+				return err
+			}
+			fmt.Print(rep.String())
+			if err := experiments.WriteJSON("BENCH_regress.json", rep); err != nil {
+				return err
+			}
+			fmt.Println("wrote BENCH_regress.json")
+			if n := rep.Regressions(); n > 0 {
+				return fmt.Errorf("%d finding(s) breached the gate (vsec tolerance %.1f%%)", n, *tolPct)
+			}
+			return nil
+		})
+	}
 
 	fmt.Print(cost.String())
 
@@ -338,14 +247,6 @@ func main() {
 			fatal(err)
 		}
 	}
-}
-
-func writeJSON(name string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(name, append(data, '\n'), 0o644)
 }
 
 func fatal(err error) {

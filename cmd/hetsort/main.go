@@ -43,7 +43,7 @@ func main() {
 		gen      = flag.Int64("gen", 0, "generate this many keys into -input instead of sorting")
 		dist     = flag.String("dist", "uniform", "distribution for -gen (uniform, gaussian, zipf, sorted, reverse, nearly-sorted, bucket, staggered, heavy-dup, zipf-s2, staircase, sampler-killer)")
 		seed     = flag.Int64("seed", 1, "seed for -gen")
-		pivot    = flag.String("pivot", "", "pivot strategy: regular-sampling (default), overpartitioning, random-pivots, quantile-sketch, histogram")
+		pivot    = flag.String("pivot", "", "pivot strategy: regular-sampling (default), random-pivots, quantile-sketch, histogram")
 		histTol  = flag.Float64("hist-tol", 0, "histogram refinement tolerance as a fraction of the smallest share (default 0.05; -pivot histogram only)")
 		pipeline = flag.Bool("pipeline", false, "fuse steps 4+5: merge redistribution streams directly into the output")
 		topology = flag.String("topology", "flat", "redistribution topology: flat, tree, grid (tree/grid bound per-node fan-in at large p)")

@@ -39,10 +39,6 @@ func main() {
 	}
 	variants := []variant{
 		{"Algorithm 1 (regular sampling)", func(c hetsort.Config) hetsort.Config { return c }},
-		{"Algorithm 1 + overpartitioning", func(c hetsort.Config) hetsort.Config {
-			c.PivotStrategy = hetsort.PivotOverpartitioning
-			return c
-		}},
 		{"Algorithm 1 + random pivots", func(c hetsort.Config) hetsort.Config {
 			c.PivotStrategy = hetsort.PivotRandom
 			return c

@@ -85,9 +85,6 @@ const (
 const (
 	// PivotRegularSampling is the paper's Algorithm 1 (default).
 	PivotRegularSampling = "regular-sampling"
-	// PivotOverpartitioning is the Li & Sevcik scheme adapted to
-	// heterogeneous clusters (the paper's Cluster-2000 companion).
-	PivotOverpartitioning = "overpartitioning"
 	// PivotRandom picks pivots from unstructured random samples (the
 	// strawman the regular-position discipline improves on).
 	PivotRandom = "random-pivots"
@@ -361,8 +358,6 @@ func (c Config) pivotStrategy() (extsort.Strategy, error) {
 	switch c.PivotStrategy {
 	case "", PivotRegularSampling:
 		return extsort.RegularSampling, nil
-	case PivotOverpartitioning:
-		return extsort.Overpartitioning, nil
 	case PivotRandom:
 		return extsort.RandomPivots, nil
 	case PivotQuantileSketch:

@@ -380,7 +380,7 @@ func TestSortPivotStrategies(t *testing.T) {
 	for i := range keys {
 		keys[i] = Key(2654435761 * uint32(i+13))
 	}
-	for _, strat := range []string{PivotRegularSampling, PivotOverpartitioning, PivotRandom, PivotQuantileSketch, PivotHistogram} {
+	for _, strat := range []string{PivotRegularSampling, PivotRandom, PivotQuantileSketch, PivotHistogram} {
 		t.Run(strat, func(t *testing.T) {
 			sorted, rep, err := Sort(keys, Config{
 				PivotStrategy: strat, MemoryKeys: 4096, BlockKeys: 128, Tapes: 5, MessageKeys: 512,

@@ -368,6 +368,46 @@ func TestNamesSorted(t *testing.T) {
 	}
 }
 
+func TestTransientFaultFSRecovers(t *testing.T) {
+	ffs := NewTransientFaultFS(NewMemFS(), 2, 3)
+	f, err := ffs.Create("x") // op 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{1, 2, 3, 4}); err != nil { // op 2
+		t.Fatal(err)
+	}
+	// Ops 3..5 are the transient window: all must fail.
+	for i := 0; i < 3; i++ {
+		if _, err := f.Write([]byte{9}); !errors.Is(err, ErrInjected) {
+			t.Fatalf("op %d: want injected fault, got %v", 3+i, err)
+		}
+	}
+	// The device has recovered.
+	if _, err := f.Write([]byte{5, 6, 7, 8}); err != nil {
+		t.Fatalf("post-recovery write: %v", err)
+	}
+	if got := ffs.Injected(); got != 3 {
+		t.Fatalf("Injected() = %d, want 3", got)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestPermanentFaultFSInjectedCounter(t *testing.T) {
+	ffs := NewFaultFS(NewMemFS(), 0)
+	if _, err := ffs.Create("x"); !errors.Is(err, ErrInjected) {
+		t.Fatalf("want injected fault, got %v", err)
+	}
+	if _, err := ffs.Open("x"); !errors.Is(err, ErrInjected) {
+		t.Fatalf("want injected fault, got %v", err)
+	}
+	if got := ffs.Injected(); got != 2 {
+		t.Fatalf("Injected() = %d, want 2", got)
+	}
+}
+
 func TestFaultFSFullInterface(t *testing.T) {
 	inner := NewMemFS()
 	WriteFile(inner, "x", []record.Key{1, 2}, 4, Accounting{})

@@ -18,8 +18,7 @@ var ErrInjected = errors.New("diskio: injected fault")
 // disk failure).  Setting FailCount > 0 selects the transient mode: only
 // the next FailCount operations fail, after which the device recovers
 // and operations succeed again — the model of a controller hiccup or a
-// transient NFS error that a bounded retry policy (see RetryFS) should
-// absorb.
+// transient NFS error.
 type FaultFS struct {
 	Inner FS
 	// FailAfter is the number of file operations allowed before

@@ -124,7 +124,7 @@ func (d *DirFS) Remove(name string) error {
 // updates the directory in the page cache, so a crash right after an
 // "atomic" manifest commit could lose the rename and resurrect the old
 // manifest — exactly the torn-commit window the durable-replace
-// protocol exists to close.  MemFS and the fault/retry wrappers need no
+// protocol exists to close.  MemFS and the fault wrapper need no
 // equivalent (nothing outlives the process there), so directory
 // durability is DirFS's job alone.
 func (d *DirFS) Rename(oldName, newName string) error {

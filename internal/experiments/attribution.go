@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"hetsort/internal/cluster"
 	"hetsort/internal/extsort"
 	"hetsort/internal/stats"
 	"hetsort/internal/vtime"
@@ -12,45 +11,41 @@ import (
 
 // AttributionNode is one node's share of the attribution report.
 type AttributionNode struct {
-	Node int `json:"node"`
-	Perf int `json:"perf"`
+	Node int
+	Perf int
 	// Clock is the node's final virtual clock; Breakdown splits it into
 	// compute/disk/network/idle (the categories sum to Clock).
-	Clock     float64         `json:"clock"`
-	Breakdown vtime.Breakdown `json:"breakdown"`
+	Clock     float64
+	Breakdown vtime.Breakdown
 	// StepBusy[s] is the node's busy time (compute+disk+network,
 	// excluding barrier and receive waits) inside step s's window.
-	StepBusy [5]float64 `json:"step_busy"`
+	StepBusy [5]float64
 	// StepSkew[s] is StepBusy[s] divided by the step's mean busy time
 	// over the nodes.  The perf-proportional distribution predicts every
 	// node finishes each step together, i.e. skew 1.0; a node's skew
 	// above 1 marks it as the step's straggler relative to the
 	// perf-vector prediction.
-	StepSkew [5]float64 `json:"step_skew"`
+	StepSkew [5]float64
 }
 
 // AttributionReport is the run-observability experiment's result: where
 // each node's virtual time went, per Algorithm-1 step, with the skew of
 // observed step times against the perf-vector prediction.
 type AttributionReport struct {
-	Keys      int64             `json:"keys"`
-	Time      float64           `json:"time"`
-	StepTimes [5]float64        `json:"step_times"`
-	Nodes     []AttributionNode `json:"nodes"`
+	Keys      int64
+	Time      float64
+	StepTimes [5]float64
+	Nodes     []AttributionNode
 }
 
-// RunAttribution sorts one paper-vector input with full attribution and
-// verifies the tentpole invariant (categories sum to each node's clock)
-// before reporting.
+// RunAttribution sorts one paper-vector input and reports its
+// attribution (the runner has checked that the categories sum to each
+// node's clock).
 func RunAttribution(o Options) (*AttributionReport, error) {
 	o = o.withDefaults()
 	v := PaperVector
-	c, err := o.newCluster(cluster.FastEthernet())
-	if err != nil {
-		return nil, err
-	}
 	n := v.NearestValidSize(o.scale(1 << 24))
-	res, err := o.runParallel(c, v, n, o.Seed)
+	_, res, err := o.run("attribution", point{perf: v, n: n, seed: o.Seed}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -64,9 +59,6 @@ func RunAttribution(o Options) (*AttributionReport, error) {
 		meanBusy[s] /= float64(len(v))
 	}
 	for i := range v {
-		if err := vtime.CheckAttribution(res.NodeClocks[i], res.NodeAttr[i]); err != nil {
-			return nil, fmt.Errorf("attribution invariant violated on node %d: %w", i, err)
-		}
 		an := AttributionNode{
 			Node: i, Perf: v[i],
 			Clock:     res.NodeClocks[i],

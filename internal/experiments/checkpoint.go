@@ -1,104 +1,40 @@
 package experiments
 
-import (
-	"fmt"
+import "hetsort/internal/extsort"
 
-	"hetsort/internal/cluster"
-	"hetsort/internal/extsort"
-	"hetsort/internal/record"
-)
+// A7-A9 vary how the sort executes, never what it computes: the same
+// uniform input on the paper's loaded cluster, perf {1,1,4,4}, once per
+// variant.  Each is self-checking.
 
-// CheckpointAblation runs A7: the cost of crash tolerance on the
-// paper's loaded cluster.  Three variants of the same uniform sort on
-// perf {1,1,4,4}: checkpointing off, checkpointing on (the pure
-// overhead of the five durable manifest commits), and checkpointing on
-// with a node killed during redistribution and the run finished by the
-// recovery planner (overhead plus the redone work).  Block I/Os for the
-// crashed variant sum the interrupted and resumed runs; its virtual
+// variant labels a point by its variant name.
+func variant(name string) map[string]string { return map[string]string{"variant": name} }
+
+// paperRun completes one point per variant with the paper's machine and
+// the suite's reference input.
+func paperRun(o Options, variants ...point) []point {
+	for i := range variants {
+		variants[i].perf = PaperVector
+		variants[i].n = PaperVector.NearestValidSize(o.scale(1 << 22))
+		variants[i].seed = o.Seed
+	}
+	return variants
+}
+
+// CheckpointAblation runs A7: the cost of crash tolerance.  Checkpointing
+// off, on (the pure overhead of the five durable manifest commits), and
+// on with a node killed during redistribution and the run finished by
+// the recovery planner (overhead plus the redone work).  Block I/Os for
+// the crashed variant sum the interrupted and resumed runs; its virtual
 // time is the resumed run's, whose clocks replay from the manifests, so
 // all three times are comparable end-to-end figures.
-func CheckpointAblation(o Options) ([]AblationRow, error) {
+func CheckpointAblation(o Options) ([]Row, error) {
 	o = o.withDefaults()
-	var rows []AblationRow
-	add := func(variant, metric string, val float64) {
-		rows = append(rows, AblationRow{ID: "A7", Variant: variant, Metric: metric, Value: val})
+	rows, err := o.table("checkpoint", []metric{vsec, blockIOs}, paperRun(o,
+		point{labels: variant("off")},
+		point{labels: variant("on"), cfg: extsort.Config{Checkpoint: true}},
+		point{labels: variant("on+crash+resume"), crash: true}))
+	if err != nil {
+		return nil, err
 	}
-	v := PaperVector
-	n := v.NearestValidSize(o.scale(1 << 22))
-
-	for _, ckpt := range []bool{false, true} {
-		c, err := o.newCluster(cluster.FastEthernet())
-		if err != nil {
-			return nil, err
-		}
-		c.ResetClocks()
-		sum, err := extsort.DistributeInput(c, v, record.Uniform, n, o.Seed, o.BlockKeys, "input")
-		if err != nil {
-			return nil, err
-		}
-		cfg := o.extsortConfig(v)
-		cfg.Checkpoint = ckpt
-		cfg.InputSum = sum
-		res, err := extsort.Sort(c, cfg, "input", "output")
-		if err != nil {
-			return nil, fmt.Errorf("A7 checkpoint=%v: %w", ckpt, err)
-		}
-		if err := extsort.VerifyOutput(c, "output", o.BlockKeys, sum); err != nil {
-			return nil, fmt.Errorf("A7 checkpoint=%v verify: %w", ckpt, err)
-		}
-		variant := "off"
-		if ckpt {
-			variant = "on"
-		}
-		var io int64
-		for _, s := range res.NodeIO {
-			io += s.Total()
-		}
-		add(variant, "vsec", res.Time)
-		add(variant, "blockIOs", float64(io))
-	}
-
-	// Crash node 1 (one of the loaded nodes) mid-redistribution, then
-	// recover from the manifests.
-	{
-		c, err := o.newCluster(cluster.FastEthernet())
-		if err != nil {
-			return nil, err
-		}
-		c.ResetClocks()
-		sum, err := extsort.DistributeInput(c, v, record.Uniform, n, o.Seed, o.BlockKeys, "input")
-		if err != nil {
-			return nil, err
-		}
-		cfg := o.extsortConfig(v)
-		cfg.Checkpoint = true
-		cfg.InputSum = sum
-		if err := c.ScheduleCrash(1, -1, extsort.StepNames[3]); err != nil {
-			return nil, err
-		}
-		if _, err := extsort.Sort(c, cfg, "input", "output"); err == nil {
-			return nil, fmt.Errorf("A7: injected crash did not interrupt the sort")
-		} else if !cluster.IsCrash(err) {
-			return nil, fmt.Errorf("A7: sort failed for a non-crash reason: %w", err)
-		}
-		var crashedIO int64
-		for i := 0; i < c.P(); i++ {
-			crashedIO += c.Node(i).IOStats().Total()
-		}
-		c.ClearCrashes()
-		res, want, err := extsort.Resume(c, cfg, "input", "output")
-		if err != nil {
-			return nil, fmt.Errorf("A7 resume: %w", err)
-		}
-		if err := extsort.VerifyOutput(c, "output", o.BlockKeys, want); err != nil {
-			return nil, fmt.Errorf("A7 resume verify: %w", err)
-		}
-		var resumedIO int64
-		for _, s := range res.NodeIO {
-			resumedIO += s.Total()
-		}
-		add("on+crash+resume", "vsec", res.Time)
-		add("on+crash+resume", "blockIOs", float64(crashedIO+resumedIO))
-	}
-	return rows, nil
+	return rows, sameOutput(rows)
 }

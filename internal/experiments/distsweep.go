@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"hetsort/internal/cluster"
-	"hetsort/internal/extsort"
 	"hetsort/internal/record"
 	"hetsort/internal/stats"
 )
@@ -31,29 +29,11 @@ func DistributionSweep(o Options) ([]DistributionRow, error) {
 	n := v.NearestValidSize(o.scale(1 << 22))
 	var rows []DistributionRow
 	for _, d := range record.PaperDistributions() {
-		c, err := o.newCluster(cluster.FastEthernet())
-		if err != nil {
-			return nil, err
-		}
 		var smax float64
 		sum, err := o.trialSummary(func(seed int64) (float64, error) {
-			c.ResetClocks()
-			cfg := o.extsortConfig(v)
-			isum, derr := extsort.DistributeInput(c, v, d, n, seed, o.BlockKeys, "input")
-			if derr != nil {
-				return 0, derr
-			}
-			res, serr := extsort.Sort(c, cfg, "input", "output")
-			if serr != nil {
-				return 0, serr
-			}
-			if verr := extsort.VerifyOutput(c, "output", o.BlockKeys, isum); verr != nil {
-				return 0, verr
-			}
-			if e := res.SublistExpansion(v); e > smax {
-				smax = e
-			}
-			return res.Time, nil
+			row, _, rerr := o.run("distributions", point{perf: v, n: n, dist: d, seed: seed}, []metric{vsec, expansion})
+			smax = max(smax, row.Metrics["expansion"])
+			return row.Metrics["vsec"], rerr
 		})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: distribution sweep %v: %w", d, err)

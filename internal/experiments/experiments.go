@@ -14,12 +14,8 @@ package experiments
 import (
 	"fmt"
 
-	"hetsort/internal/cluster"
 	"hetsort/internal/diskio"
-	"hetsort/internal/extsort"
 	"hetsort/internal/perf"
-	"hetsort/internal/polyphase"
-	"hetsort/internal/record"
 	"hetsort/internal/stats"
 )
 
@@ -55,6 +51,9 @@ type Options struct {
 	TempDir string
 	// Seed offsets every trial's input seed.
 	Seed int64
+	// MaxP caps the cluster sizes the scaling and histsort experiments
+	// sweep to (0 = no cap).
+	MaxP int
 }
 
 func (o Options) withDefaults() Options {
@@ -89,13 +88,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-func min(a, b uint) uint {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // scale applies SizeShift to a paper-scale size.
 func (o Options) scale(paperSize int64) int64 {
 	s := paperSize >> o.SizeShift
@@ -106,9 +98,9 @@ func (o Options) scale(paperSize int64) int64 {
 }
 
 // disks returns the per-node FS factory.
-func (o Options) disks() (func(int) diskio.FS, error) {
+func (o Options) disks() func(int) diskio.FS {
 	if !o.OnDisk {
-		return func(int) diskio.FS { return diskio.NewMemFS() }, nil
+		return func(int) diskio.FS { return diskio.NewMemFS() }
 	}
 	root := o.TempDir
 	if root == "" {
@@ -120,65 +112,7 @@ func (o Options) disks() (func(int) diskio.FS, error) {
 			panic(err)
 		}
 		return fs
-	}, nil
-}
-
-// newCluster builds the paper's 4-node loaded cluster with the given
-// interconnect.
-func (o Options) newCluster(net cluster.NetModel) (*cluster.Cluster, error) {
-	disks, err := o.disks()
-	if err != nil {
-		return nil, err
 	}
-	return cluster.New(cluster.Config{
-		Slowdowns: PaperVector.Slowdowns(),
-		Net:       net,
-		BlockKeys: o.BlockKeys,
-		Disks:     disks,
-	})
-}
-
-// extsortConfig assembles the Algorithm-1 configuration for a vector.
-func (o Options) extsortConfig(v perf.Vector) extsort.Config {
-	return extsort.Config{
-		Perf:        v,
-		BlockKeys:   o.BlockKeys,
-		MemoryKeys:  o.MemoryKeys,
-		Tapes:       o.Tapes,
-		MessageKeys: o.MessageKeys,
-	}
-}
-
-// polyCfg assembles a sequential-sort configuration on fs charged to
-// acct.
-func (o Options) polyCfg(fs diskio.FS, acct diskio.Accounting) polyphase.Config {
-	return polyphase.Config{
-		FS:         fs,
-		BlockKeys:  o.BlockKeys,
-		MemoryKeys: o.MemoryKeys,
-		Tapes:      o.Tapes,
-		Acct:       acct,
-		TempPrefix: "tmp.",
-	}
-}
-
-// runParallel distributes a fresh input and runs Algorithm 1 once,
-// verifying the output, and returns the result.
-func (o Options) runParallel(c *cluster.Cluster, v perf.Vector, n int64, seed int64) (*extsort.Result, error) {
-	c.ResetClocks()
-	cfg := o.extsortConfig(v)
-	sum, err := extsort.DistributeInput(c, v, record.Uniform, n, seed, o.BlockKeys, "input")
-	if err != nil {
-		return nil, err
-	}
-	res, err := extsort.Sort(c, cfg, "input", "output")
-	if err != nil {
-		return nil, err
-	}
-	if err := extsort.VerifyOutput(c, "output", o.BlockKeys, sum); err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // trialSummary repeats a measured quantity over Options.Trials seeds.

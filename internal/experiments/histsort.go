@@ -2,13 +2,35 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 
-	"hetsort/internal/cluster"
 	"hetsort/internal/extsort"
 	"hetsort/internal/perf"
 	"hetsort/internal/record"
-	"hetsort/internal/stats"
 )
+
+// smallMachine is the fixed per-node machine of the scaling and histsort
+// sweeps: they scale p and the input shape, not the node, so every
+// point keeps roughly 512 keys per node.
+func smallMachine(cfg extsort.Config) extsort.Config {
+	cfg.BlockKeys, cfg.MemoryKeys, cfg.Tapes, cfg.MessageKeys = 64, 4096, 4, 1024
+	return cfg
+}
+
+// paperVectorRepeated is the paper's loaded vector {1,1,4,4} repeated to
+// p nodes, so the heterogeneity the pivot aggregation must handle grows
+// with p.
+func paperVectorRepeated(p int) perf.Vector {
+	v := make(perf.Vector, 0, p)
+	for len(v) < p {
+		v = append(v, PaperVector...)
+	}
+	return v
+}
+
+// histsortTolerance is the refinement tolerance the ablation pins, so
+// the committed baseline numbers are reproducible.
+const histsortTolerance = 0.02
 
 // HistsortAblation runs the adversarial pivot-strategy ablation behind
 // BENCH_histsort.json: the four hostile generators (heavy-dup, zipf-s2,
@@ -23,66 +45,22 @@ import (
 //
 //   - every strategy's output hashes identically per (p, generator) —
 //     pivot selection may move the cuts, never the sorted bytes;
-//   - per generator, the histogram strategy's worst-over-p expansion
-//     stays at or below regular sampling's (the refinement tolerance
-//     holds where position sampling drifts);
+//   - per generator, over the uncapped grid, the histogram strategy's
+//     worst-over-p expansion stays at or below regular sampling's (the
+//     refinement tolerance holds where position sampling drifts);
 //   - per (p, generator), the histogram strategy ships strictly fewer
 //     sample keys than regular sampling — candidate broadcasts replace
 //     the p*sum(perf) sample gather (which degrades to shipping whole
 //     portions when they are too small for the regular spacing);
 //   - the one-shot strategies report exactly one pivot round, the
 //     histogram strategy at least one.
-type HistsortRow struct {
-	P         int    `json:"p"`
-	Topology  string `json:"topology"`
-	Generator string `json:"generator"`
-	Strategy  string `json:"strategy"`
-	// N is the total input size of the point.
-	N    int64   `json:"n"`
-	VSec float64 `json:"vsec"`
-	// Expansion is the S(max) weighted sublist expansion.
-	Expansion float64 `json:"expansion"`
-	// SampleKeys counts the key-valued samples shipped through the
-	// step-2 collectives (extsort.Result.PivotSampleKeys).
-	SampleKeys int64 `json:"sample_keys"`
-	// Rounds is the number of step-2 collective rounds.
-	Rounds    int    `json:"rounds"`
-	OutputSHA string `json:"output_sha256"`
-}
-
-// histsortTolerance is the refinement tolerance the ablation pins, so
-// the committed baseline numbers are reproducible.
-const histsortTolerance = 0.02
-
-var histsortGenerators = []record.Distribution{
-	record.HeavyDup, record.ZipfS2, record.Staircase, record.SamplerKiller,
-}
-
-var histsortStrategies = []extsort.Strategy{
-	extsort.RegularSampling, extsort.RandomPivots, extsort.QuantileSketch, extsort.Histogram,
-}
-
-// HistsortString renders the rows.
-func HistsortString(rows []HistsortRow) string {
-	t := &stats.Table{
-		Title:   "Adversarial pivot ablation: histogram refinement vs one-shot strategies, {1,1,4,4} repeated",
-		Headers: []string{"p", "topo", "generator", "strategy", "vsec", "S(max)", "samples", "rounds", "output sha256"},
-	}
-	for _, r := range rows {
-		t.AddRow(fmt.Sprintf("%d", r.P), r.Topology, r.Generator, r.Strategy,
-			fmt.Sprintf("%.4f", r.VSec), fmt.Sprintf("%.4f", r.Expansion),
-			fmt.Sprintf("%d", r.SampleKeys), fmt.Sprintf("%d", r.Rounds), r.OutputSHA[:12])
-	}
-	return t.String()
-}
-
-// HistsortAblation runs the sweep and enforces the gates.
-func HistsortAblation(o Options) ([]HistsortRow, error) {
+func HistsortAblation(o Options) ([]Row, error) {
 	o = o.withDefaults()
-	// The fixed small machine of the scaling sweep: the ablation scales
-	// p and the input shape, not the per-node machine.
-	block, mem, tapes, msg := 64, 4096, 4, 1024
-	points := []struct {
+	generators := []record.Distribution{record.HeavyDup, record.ZipfS2, record.Staircase, record.SamplerKiller}
+	strategies := []extsort.Strategy{extsort.RegularSampling, extsort.RandomPivots, extsort.QuantileSketch, extsort.Histogram}
+	var pts []point
+	capped := false
+	for _, m := range []struct {
 		p     int
 		topo  extsort.Topology
 		radix int
@@ -90,116 +68,58 @@ func HistsortAblation(o Options) ([]HistsortRow, error) {
 		{16, extsort.TopologyFlat, 0},
 		{64, extsort.TopologyTree, 4},
 		{256, extsort.TopologyTree, 4},
-	}
-	var rows []HistsortRow
-	// worst[gen][strategy] tracks the worst-over-p expansion.
-	worst := map[string]map[string]float64{}
-	for _, pt := range points {
-		v := make(perf.Vector, 0, pt.p)
-		for len(v) < pt.p {
-			v = append(v, PaperVector...)
+	} {
+		if capped = o.MaxP > 0 && m.p > o.MaxP; capped {
+			break
 		}
-		n := v.NearestValidSize(int64(512 * pt.p))
-		for _, gen := range histsortGenerators {
-			var genRows []HistsortRow
-			for _, strat := range histsortStrategies {
-				c, err := cluster.New(cluster.Config{
-					Slowdowns: v.Slowdowns(),
-					Net:       cluster.FastEthernet(),
-					BlockKeys: block,
+		v := paperVectorRepeated(m.p)
+		n := v.NearestValidSize(int64(512 * m.p))
+		for _, gen := range generators {
+			for _, strat := range strategies {
+				pts = append(pts, point{
+					labels: map[string]string{"p": strconv.Itoa(m.p), "topology": m.topo.String(),
+						"generator": gen.String(), "strategy": strat.String(), "n": strconv.FormatInt(n, 10)},
+					perf: v, n: n, dist: gen, seed: o.Seed,
+					cfg: smallMachine(extsort.Config{Topology: m.topo, Radix: m.radix,
+						Strategy: strat, HistTolerance: histsortTolerance}),
 				})
-				if err != nil {
-					return nil, err
-				}
-				sum, err := extsort.DistributeInput(c, v, gen, n, o.Seed, block, "input")
-				if err != nil {
-					return nil, fmt.Errorf("histsort p=%d %s %s: %w", pt.p, gen, strat, err)
-				}
-				cfg := extsort.Config{
-					Perf: v, BlockKeys: block, MemoryKeys: mem, Tapes: tapes,
-					MessageKeys: msg, Topology: pt.topo, Radix: pt.radix,
-					Strategy: strat, HistTolerance: histsortTolerance,
-				}
-				res, err := extsort.Sort(c, cfg, "input", "output")
-				if err != nil {
-					return nil, fmt.Errorf("histsort p=%d %s %s: %w", pt.p, gen, strat, err)
-				}
-				if err := extsort.VerifyOutput(c, "output", block, sum); err != nil {
-					return nil, fmt.Errorf("histsort p=%d %s %s verify: %w", pt.p, gen, strat, err)
-				}
-				sha, err := clusterOutputSHA(c, block)
-				if err != nil {
-					return nil, err
-				}
-				row := HistsortRow{
-					P: pt.p, Topology: topoName(pt.topo), Generator: gen.String(),
-					Strategy: strat.String(), N: n, VSec: res.Time,
-					Expansion: res.SublistExpansion(v), SampleKeys: res.PivotSampleKeys,
-					Rounds: res.PivotRounds, OutputSHA: sha,
-				}
-				genRows = append(genRows, row)
-				if worst[row.Generator] == nil {
-					worst[row.Generator] = map[string]float64{}
-				}
-				if row.Expansion > worst[row.Generator][row.Strategy] {
-					worst[row.Generator][row.Strategy] = row.Expansion
-				}
 			}
-			if err := gateHistsortPoint(genRows); err != nil {
-				return nil, err
-			}
-			rows = append(rows, genRows...)
 		}
 	}
-	// Worst-over-p expansion gate: refinement must hold the balance at
-	// least as well as position sampling on every hostile generator.
-	for _, gen := range histsortGenerators {
-		hist := worst[gen.String()][extsort.Histogram.String()]
-		reg := worst[gen.String()][extsort.RegularSampling.String()]
-		if hist > reg+1e-9 {
-			return nil, fmt.Errorf("histsort: %s worst-case expansion %.6f exceeds regular sampling's %.6f",
-				gen, hist, reg)
+	rows, err := o.table("histsort", []metric{vsec, expansion, sampleKeys, pivotRounds}, pts)
+	if err != nil {
+		return nil, err
+	}
+	// worst[generator] is the worst-over-p expansion of (regular, histogram).
+	worst := map[string][2]float64{}
+	for _, g := range groupBy(rows, "p", "generator") {
+		if err := sameOutput(g); err != nil {
+			return nil, err
+		}
+		reg, hist := g[0].Metrics, g[len(g)-1].Metrics
+		if hist["sample_keys"] >= reg["sample_keys"] {
+			return nil, fmt.Errorf("%s shipped %v sample keys, not fewer than regular sampling's %v",
+				g[len(g)-1].Key(), hist["sample_keys"], reg["sample_keys"])
+		}
+		if hist["rounds"] < 1 {
+			return nil, fmt.Errorf("%s reports %v rounds", g[len(g)-1].Key(), hist["rounds"])
+		}
+		for _, r := range g[:len(g)-1] {
+			if r.Metrics["rounds"] != 1 {
+				return nil, fmt.Errorf("one-shot strategy %s reports %v rounds", r.Key(), r.Metrics["rounds"])
+			}
+		}
+		w := worst[g[0].Labels["generator"]]
+		worst[g[0].Labels["generator"]] = [2]float64{max(w[0], reg["expansion"]), max(w[1], hist["expansion"])}
+	}
+	// Refinement must hold the balance at least as well as position
+	// sampling on every hostile generator — a claim about the whole grid
+	// (heavy-dup at p=64 alone ends 0.7 % above: 32.52 vs 32.29), so a
+	// capped sweep does not make it.
+	for gen, w := range worst {
+		if !capped && w[1] > w[0]+1e-9 {
+			return nil, fmt.Errorf("histsort: %s worst-case expansion %.6f exceeds regular sampling's %.6f", gen, w[1], w[0])
 		}
 	}
 	return rows, nil
-}
-
-// gateHistsortPoint enforces the per-(p, generator) gates over one
-// strategy sweep.
-func gateHistsortPoint(rows []HistsortRow) error {
-	byStrat := map[string]HistsortRow{}
-	for _, r := range rows {
-		byStrat[r.Strategy] = r
-		if r.OutputSHA != rows[0].OutputSHA {
-			return fmt.Errorf("histsort p=%d %s: %s output hash %s differs from %s's %s",
-				r.P, r.Generator, r.Strategy, r.OutputSHA[:12], rows[0].Strategy, rows[0].OutputSHA[:12])
-		}
-	}
-	hist := byStrat[extsort.Histogram.String()]
-	reg := byStrat[extsort.RegularSampling.String()]
-	if hist.SampleKeys >= reg.SampleKeys {
-		return fmt.Errorf("histsort p=%d %s: histogram shipped %d sample keys, not fewer than regular sampling's %d",
-			hist.P, hist.Generator, hist.SampleKeys, reg.SampleKeys)
-	}
-	if hist.Rounds < 1 {
-		return fmt.Errorf("histsort p=%d %s: histogram reports %d rounds", hist.P, hist.Generator, hist.Rounds)
-	}
-	for _, r := range rows {
-		if r.Strategy != hist.Strategy && r.Rounds != 1 {
-			return fmt.Errorf("histsort p=%d %s: one-shot strategy %s reports %d rounds",
-				r.P, r.Generator, r.Strategy, r.Rounds)
-		}
-	}
-	return nil
-}
-
-func topoName(t extsort.Topology) string {
-	switch t {
-	case extsort.TopologyTree:
-		return "tree"
-	case extsort.TopologyGrid:
-		return "grid"
-	default:
-		return "flat"
-	}
 }

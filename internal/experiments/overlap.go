@@ -2,117 +2,36 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
-	"hetsort/internal/cluster"
-	"hetsort/internal/diskio"
 	"hetsort/internal/extsort"
-	"hetsort/internal/record"
-	"hetsort/internal/vtime"
 )
 
 // OverlapAblation runs A9: overlapped disk I/O (prefetch + write-behind)
-// against the synchronous path on the paper's loaded cluster.  Two
-// variants of the same uniform sort on perf {1,1,4,4}: synchronous
-// (every block transfer stalls the node) and overlapped (reads are
-// prefetched and writes drained behind concurrent compute, hiding disk
-// time up to the window's buffering depth).  Reported per variant:
-// virtual time, total PDM block I/Os, hidden (overlapped) disk seconds,
-// and host wall-clock.  The ablation is self-checking — it fails unless
-// the overlapped run's per-node outputs are byte-identical to the
-// synchronous run's, its PDM block I/O count is exactly equal (overlap
-// changes when transfers cost time, never how many happen), its virtual
-// time is strictly lower, and every node's time attribution still sums
-// to its clock.
-func OverlapAblation(o Options) ([]AblationRow, error) {
+// against the synchronous path, where every block transfer stalls the
+// node.  It fails unless the overlapped run's output is byte-identical,
+// its PDM block I/O count exactly equal (overlap changes when transfers
+// cost time, never how many happen), its virtual time strictly lower
+// and some disk time hidden.
+func OverlapAblation(o Options) ([]Row, error) {
 	o = o.withDefaults()
-	var rows []AblationRow
-	add := func(variant, metric string, val float64) {
-		rows = append(rows, AblationRow{ID: "A9", Variant: variant, Metric: metric, Value: val})
+	rows, err := o.table("overlap", []metric{vsec, blockIOs, hiddenDisk}, paperRun(o,
+		point{labels: variant("synchronous")},
+		point{labels: variant("overlapped"), cfg: extsort.Config{Overlap: true}}))
+	if err != nil {
+		return nil, err
 	}
-	v := PaperVector
-	n := v.NearestValidSize(o.scale(1 << 22))
-
-	variants := []struct {
-		name    string
-		overlap bool
-	}{
-		{"synchronous", false},
-		{"overlapped", true},
+	sync, over := rows[0].Metrics, rows[1].Metrics
+	if over["block_ios"] != sync["block_ios"] {
+		return nil, fmt.Errorf("A9: overlapped path did %v block I/Os, synchronous did %v — overlap must not change I/O counts",
+			over["block_ios"], sync["block_ios"])
 	}
-	var reference [][]record.Key
-	var syncIO, overlapIO int64
-	var syncTime, overlapTime float64
-	for _, vt := range variants {
-		c, err := o.newCluster(cluster.FastEthernet())
-		if err != nil {
-			return nil, err
-		}
-		c.ResetClocks()
-		sum, err := extsort.DistributeInput(c, v, record.Uniform, n, o.Seed, o.BlockKeys, "input")
-		if err != nil {
-			return nil, err
-		}
-		cfg := o.extsortConfig(v)
-		cfg.Overlap = vt.overlap
-		cfg.InputSum = sum
-		start := time.Now()
-		res, err := extsort.Sort(c, cfg, "input", "output")
-		if err != nil {
-			return nil, fmt.Errorf("A9 %s: %w", vt.name, err)
-		}
-		wall := time.Since(start)
-		if err := extsort.VerifyOutput(c, "output", o.BlockKeys, sum); err != nil {
-			return nil, fmt.Errorf("A9 %s verify: %w", vt.name, err)
-		}
-		var io int64
-		var hidden float64
-		for _, s := range res.NodeIO {
-			io += s.Total()
-		}
-		for i, b := range res.NodeAttr {
-			hidden += b.Overlapped
-			if err := vtime.CheckAttribution(res.NodeClocks[i], b); err != nil {
-				return nil, fmt.Errorf("A9 %s node %d: %w", vt.name, i, err)
-			}
-		}
-		outs := make([][]record.Key, c.P())
-		for i := range outs {
-			if outs[i], err = diskio.ReadFileAll(c.Node(i).FS(), "output", o.BlockKeys, diskio.Accounting{}); err != nil {
-				return nil, err
-			}
-		}
-		switch vt.name {
-		case "synchronous":
-			reference = outs
-			syncIO, syncTime = io, res.Time
-		default:
-			overlapIO, overlapTime = io, res.Time
-			for i := range outs {
-				if len(outs[i]) != len(reference[i]) {
-					return nil, fmt.Errorf("A9 %s: node %d holds %d keys, synchronous run %d",
-						vt.name, i, len(outs[i]), len(reference[i]))
-				}
-				for j := range outs[i] {
-					if outs[i][j] != reference[i][j] {
-						return nil, fmt.Errorf("A9 %s: node %d output diverges from the synchronous run at key %d",
-							vt.name, i, j)
-					}
-				}
-			}
-		}
-		add(vt.name, "vsec", res.Time)
-		add(vt.name, "blockIOs", float64(io))
-		add(vt.name, "hiddenDiskSec", hidden)
-		add(vt.name, "wallms", float64(wall.Microseconds())/1000)
-	}
-	if overlapIO != syncIO {
-		return nil, fmt.Errorf("A9: overlapped path did %d block I/Os, synchronous did %d — overlap must not change I/O counts",
-			overlapIO, syncIO)
-	}
-	if overlapTime >= syncTime {
+	if over["vsec"] >= sync["vsec"] {
 		return nil, fmt.Errorf("A9: overlapped run took %.3f virtual s, not strictly below the synchronous %.3f",
-			overlapTime, syncTime)
+			over["vsec"], sync["vsec"])
 	}
-	return rows, nil
+	if sync["hidden_disk_sec"] != 0 || over["hidden_disk_sec"] <= 0 {
+		return nil, fmt.Errorf("A9: hidden disk time %v synchronous, %v overlapped",
+			sync["hidden_disk_sec"], over["hidden_disk_sec"])
+	}
+	return rows, sameOutput(rows)
 }

@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"hetsort/internal/cluster"
 	"hetsort/internal/extsort"
 	"hetsort/internal/perf"
-	"hetsort/internal/record"
 	"hetsort/internal/stats"
 )
 
@@ -38,32 +36,16 @@ func RunPacketSweep(o Options) ([]PacketRow, error) {
 	o = o.withDefaults()
 	v := perf.Homogeneous(4)
 	n := o.scale(1 << 21)
-	c, err := o.newCluster(cluster.FastEthernet())
-	if err != nil {
-		return nil, err
-	}
 	var rows []PacketRow
 	for _, msg := range PacketSizes {
 		scaled := msg >> o.SizeShift
 		if scaled < 1 {
 			scaled = 1
 		}
-		cfg := o.extsortConfig(v)
-		cfg.MessageKeys = scaled
 		sum, err := o.trialSummary(func(seed int64) (float64, error) {
-			c.ResetClocks()
-			isum, derr := extsort.DistributeInput(c, v, record.Uniform, n, seed, o.BlockKeys, "input")
-			if derr != nil {
-				return 0, derr
-			}
-			res, serr := extsort.Sort(c, cfg, "input", "output")
-			if serr != nil {
-				return 0, serr
-			}
-			if verr := extsort.VerifyOutput(c, "output", o.BlockKeys, isum); verr != nil {
-				return 0, verr
-			}
-			return res.Time, nil
+			row, _, rerr := o.run("packets", point{perf: v, n: n, seed: seed, slowdowns: PaperVector.Slowdowns(),
+				cfg: extsort.Config{MessageKeys: scaled}}, []metric{vsec})
+			return row.Metrics["vsec"], rerr
 		})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: packet sweep msg=%d: %w", msg, err)

@@ -1,17 +1,13 @@
 package experiments
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
+	"strconv"
 
-	"hetsort/internal/cluster"
-	"hetsort/internal/diskio"
 	"hetsort/internal/extsort"
 	"hetsort/internal/pdm"
 	"hetsort/internal/polyphase"
 	"hetsort/internal/record"
-	"hetsort/internal/stats"
 )
 
 // PDMAblation runs A10: saturating the per-node PDM.  Two parts, both
@@ -23,9 +19,8 @@ import (
 // (Pipeline, Overlap, and a checkpointed crash+resume).  D is
 // timing-only, so the ablation fails unless the base variants move
 // exactly the same number of blocks, every variant's output hashes
-// identically, each node's per-disk counters sum to its node counters,
-// and every multi-disk variant finishes in strictly less virtual time
-// than the single-disk run.
+// identically, and every multi-disk variant finishes in strictly less
+// virtual time than the single-disk run.
 //
 // Part 2 (run-formation) measures the sequential-phase kernels on one
 // node sorting a banded input (12 disjoint key ranges, each one memory
@@ -35,7 +30,7 @@ import (
 // the baseline's exactly while its virtual time is strictly lower;
 // guidesort coalesces the banded loads into long runs, so it must beat
 // the baseline strictly too.  All four outputs must hash identically.
-func PDMAblation(o Options) ([]PDMRow, error) {
+func PDMAblation(o Options) ([]Row, error) {
 	o = o.withDefaults()
 	rows, err := pdmDisks(o)
 	if err != nil {
@@ -48,160 +43,47 @@ func PDMAblation(o Options) ([]PDMRow, error) {
 	return append(rows, formers...), nil
 }
 
-// PDMRow is one measured variant of the A10 ablation (the
-// BENCH_pdm.json row shape).
-type PDMRow struct {
-	// Part is "disks" (part 1) or "run-formation" (part 2).
-	Part    string `json:"part"`
-	Variant string `json:"variant"`
-	// D and Access describe the node disk configuration (part 1).
-	D      int    `json:"d,omitempty"`
-	Access string `json:"access,omitempty"`
-	// RunFormer names the sequential run former (part 2).
-	RunFormer string  `json:"run_former,omitempty"`
-	VSec      float64 `json:"vsec"`
-	BlockIOs  int64   `json:"block_ios"`
-	// OutputSHA is the SHA-256 of the sorted output bytes; the ablation
-	// demands it be identical across every variant of a part.
-	OutputSHA string `json:"output_sha256"`
-}
-
-// PDMString renders the rows.
-func PDMString(rows []PDMRow) string {
-	t := &stats.Table{
-		Title:   "A10: per-node PDM saturation (multi-disk striping + sequential-phase kernels)",
-		Headers: []string{"Part", "Variant", "vsec", "blockIOs", "output sha256"},
-	}
-	for _, r := range rows {
-		t.AddRow(r.Part, r.Variant, fmt.Sprintf("%.4f", r.VSec),
-			fmt.Sprintf("%d", r.BlockIOs), r.OutputSHA[:12])
-	}
-	return t.String()
-}
-
 // pdmDisks is part 1: the D sweep over the full parallel sort.
-func pdmDisks(o Options) ([]PDMRow, error) {
-	v := PaperVector
-	n := v.NearestValidSize(o.scale(1 << 22))
-	variants := []struct {
-		name              string
-		d                 int
-		access            pdm.AccessMode
-		pipeline, overlap bool
-		crash             bool
-	}{
-		{name: "d1", d: 1},
-		{name: "d2", d: 2},
-		{name: "d4", d: 4},
-		{name: "d4-independent", d: 4, access: pdm.Independent},
-		{name: "d4-pipeline", d: 4, pipeline: true},
-		{name: "d4-overlap", d: 4, overlap: true},
-		{name: "d4-crash-resume", d: 4, crash: true},
+func pdmDisks(o Options) ([]Row, error) {
+	disks := func(name string, pt point) point {
+		pt.labels = map[string]string{"part": "disks", "variant": name,
+			"d": strconv.Itoa(pt.disks), "access": pt.access.String()}
+		return pt
 	}
-	var rows []PDMRow
-	vsec := map[string]float64{}
-	ios := map[string]int64{}
-	for _, vt := range variants {
-		c, err := cluster.New(cluster.Config{
-			Slowdowns:    v.Slowdowns(),
-			Net:          cluster.FastEthernet(),
-			BlockKeys:    o.BlockKeys,
-			DisksPerNode: vt.d,
-			DiskAccess:   vt.access,
-		})
-		if err != nil {
-			return nil, err
-		}
-		c.ResetClocks()
-		sum, err := extsort.DistributeInput(c, v, record.Uniform, n, o.Seed, o.BlockKeys, "input")
-		if err != nil {
-			return nil, err
-		}
-		cfg := o.extsortConfig(v)
-		cfg.Pipeline = vt.pipeline
-		cfg.Overlap = vt.overlap
-		cfg.InputSum = sum
-		var res *extsort.Result
-		var extra int64 // the crashed attempt's I/O, for the resume variant
-		if vt.crash {
-			cfg.Checkpoint = true
-			if err := c.ScheduleCrash(1, -1, extsort.StepNames[3]); err != nil {
-				return nil, err
-			}
-			if _, err := extsort.Sort(c, cfg, "input", "output"); err == nil {
-				return nil, fmt.Errorf("A10 %s: injected crash did not interrupt the sort", vt.name)
-			} else if !cluster.IsCrash(err) {
-				return nil, fmt.Errorf("A10 %s: sort failed for a non-crash reason: %w", vt.name, err)
-			}
-			for i := 0; i < c.P(); i++ {
-				extra += c.Node(i).IOStats().Total()
-			}
-			c.ClearCrashes()
-			if res, _, err = extsort.Resume(c, cfg, "input", "output"); err != nil {
-				return nil, fmt.Errorf("A10 %s resume: %w", vt.name, err)
-			}
-		} else if res, err = extsort.Sort(c, cfg, "input", "output"); err != nil {
-			return nil, fmt.Errorf("A10 %s: %w", vt.name, err)
-		}
-		if err := extsort.VerifyOutput(c, "output", o.BlockKeys, sum); err != nil {
-			return nil, fmt.Errorf("A10 %s verify: %w", vt.name, err)
-		}
-		var io int64
-		for i, s := range res.NodeIO {
-			io += s.Total()
-			if dio := res.DiskIO[i]; vt.d > 1 {
-				var dsum pdm.IOStats
-				for _, ds := range dio {
-					dsum = dsum.Add(ds)
-				}
-				if dsum != s {
-					return nil, fmt.Errorf("A10 %s: node %d per-disk counters %+v do not sum to node counters %+v",
-						vt.name, i, dsum, s)
-				}
-			} else if dio != nil {
-				return nil, fmt.Errorf("A10 %s: node %d reports per-disk counters at D=1", vt.name, i)
-			}
-		}
-		sha, err := clusterOutputSHA(c, o.BlockKeys)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, PDMRow{Part: "disks", Variant: vt.name, D: vt.d,
-			Access: accessName(vt.access), VSec: res.Time, BlockIOs: io + extra, OutputSHA: sha})
-		vsec[vt.name] = res.Time
-		ios[vt.name] = io
+	rows, err := o.table("pdm", []metric{vsec, blockIOs}, paperRun(o,
+		disks("d1", point{disks: 1}),
+		disks("d2", point{disks: 2}),
+		disks("d4", point{disks: 4}),
+		disks("d4-independent", point{disks: 4, access: pdm.Independent}),
+		disks("d4-pipeline", point{disks: 4, cfg: extsort.Config{Pipeline: true}}),
+		disks("d4-overlap", point{disks: 4, cfg: extsort.Config{Overlap: true}}),
+		disks("d4-crash-resume", point{disks: 4, crash: true})))
+	if err != nil {
+		return nil, err
 	}
-	// Gates.  The base variants move identical blocks (D and the access
-	// model are timing-only; Pipeline/Overlap/resume legitimately change
-	// the count), every output hashes identically, and virtual time
-	// strictly improves with each doubling of D.
-	for _, name := range []string{"d2", "d4", "d4-independent"} {
-		if ios[name] != ios["d1"] {
-			return nil, fmt.Errorf("A10: %s moved %d blocks, d1 moved %d — D must be timing-only",
-				name, ios[name], ios["d1"])
+	// The base variants move identical blocks (D and the access model are
+	// timing-only; Pipeline/Overlap/resume legitimately change the count),
+	// every output hashes identically, and more disks are strictly faster.
+	d1 := rows[0].Metrics
+	for _, r := range rows[1:4] {
+		if r.Metrics["block_ios"] != d1["block_ios"] {
+			return nil, fmt.Errorf("A10: %s moved %v blocks, d1 moved %v — D must be timing-only",
+				r.Key(), r.Metrics["block_ios"], d1["block_ios"])
 		}
 	}
-	for i := 1; i < len(rows); i++ {
-		if rows[i].OutputSHA != rows[0].OutputSHA {
-			return nil, fmt.Errorf("A10: %s output hash %s differs from d1's %s",
-				rows[i].Variant, rows[i].OutputSHA, rows[0].OutputSHA)
-		}
+	if d2, d4 := rows[1].Metrics["vsec"], rows[2].Metrics["vsec"]; !(d4 < d1["vsec"] && d2 < d1["vsec"]) {
+		return nil, fmt.Errorf("A10: multi-disk nodes not strictly faster: d1=%.4f d2=%.4f d4=%.4f", d1["vsec"], d2, d4)
 	}
-	if !(vsec["d4"] < vsec["d1"] && vsec["d2"] < vsec["d1"]) {
-		return nil, fmt.Errorf("A10: multi-disk nodes not strictly faster: d1=%.4f d2=%.4f d4=%.4f",
-			vsec["d1"], vsec["d2"], vsec["d4"])
-	}
-	return rows, nil
+	return rows, sameOutput(rows)
 }
 
 // pdmRunFormers is part 2: the sequential-phase kernels on one node.
-func pdmRunFormers(o Options) ([]PDMRow, error) {
+func pdmRunFormers(o Options) ([]Row, error) {
 	// A banded input: 12 disjoint key ranges, each exactly one memory
 	// load, so load-sort forms 12 runs while guidesort coalesces them
 	// into one already-sorted stream.
 	const bands = 12
-	n := bands * o.MemoryKeys
-	keys := make([]record.Key, 0, n)
+	keys := make([]record.Key, 0, bands*o.MemoryKeys)
 	state := uint64(o.Seed)*2862933555777941757 + 3037000493
 	for b := 0; b < bands; b++ {
 		base := record.Key(b) << 24
@@ -216,7 +98,8 @@ func pdmRunFormers(o Options) ([]PDMRow, error) {
 	// differs only in the merge kernel; guidesort replaces the former
 	// entirely; replacement selection rides along as the default
 	// former's number on the same input.
-	variants := []struct {
+	var rows []Row
+	for _, vt := range []struct {
 		name     string
 		former   polyphase.RunFormation
 		noGallop bool
@@ -225,83 +108,32 @@ func pdmRunFormers(o Options) ([]PDMRow, error) {
 		{name: "galloping", former: polyphase.LoadSort},
 		{name: "guidesort", former: polyphase.Guidesort},
 		{name: "replacement-selection", former: polyphase.ReplacementSelection},
-	}
-	var rows []PDMRow
-	vsec := map[string]float64{}
-	ios := map[string]int64{}
-	for _, vt := range variants {
-		c, err := cluster.New(cluster.Config{Slowdowns: []float64{1}, BlockKeys: o.BlockKeys})
-		if err != nil {
-			return nil, err
-		}
-		fs := c.Node(0).FS()
-		if err := diskio.WriteFile(fs, "in", keys, o.BlockKeys, diskio.Accounting{}); err != nil {
-			return nil, err
-		}
-		err = c.Run(func(nd *cluster.Node) error {
-			cfg := polyphase.Config{FS: fs, BlockKeys: o.BlockKeys,
-				MemoryKeys: o.MemoryKeys, Tapes: o.Tapes, Acct: nd.Acct(),
-				TempPrefix: "a10.", RunFormation: vt.former, NoGallop: vt.noGallop}
-			_, serr := polyphase.Sort(cfg, "in", "out")
-			return serr
+	} {
+		labels := map[string]string{"part": "run-formation", "variant": vt.name, "run_former": vt.former.String()}
+		row, err := o.runSequential("pdm", labels, []metric{vsec, blockIOs}, 1, keys, func(cfg *polyphase.Config) {
+			cfg.RunFormation, cfg.NoGallop = vt.former, vt.noGallop
 		})
 		if err != nil {
-			return nil, fmt.Errorf("A10 %s: %w", vt.name, err)
-		}
-		out, err := diskio.ReadFileAll(fs, "out", o.BlockKeys, diskio.Accounting{})
-		if err != nil {
 			return nil, err
 		}
-		h := sha256.Sum256(record.EncodeKeys(nil, out))
-		rows = append(rows, PDMRow{Part: "run-formation", Variant: vt.name,
-			RunFormer: vt.former.String(), VSec: c.MaxClock(),
-			BlockIOs: c.Node(0).IOStats().Total(), OutputSHA: hex.EncodeToString(h[:])})
-		vsec[vt.name] = c.MaxClock()
-		ios[vt.name] = c.Node(0).IOStats().Total()
+		rows = append(rows, row)
 	}
-	// Gates.  Galloping is compute-only (same blocks, strictly less
-	// time); guidesort coalesces the banded runs (no more blocks than
-	// the baseline, strictly less time); all outputs hash identically.
-	for _, r := range rows[1:] {
-		if r.OutputSHA != rows[0].OutputSHA {
-			return nil, fmt.Errorf("A10: %s output hash differs from the baseline's", r.Variant)
-		}
+	// Galloping is compute-only (same blocks, strictly less time);
+	// guidesort coalesces the banded runs (no more blocks than the
+	// baseline, strictly less time); all outputs hash identically.
+	base, gallop, guide := rows[0].Metrics, rows[1].Metrics, rows[2].Metrics
+	if gallop["block_ios"] != base["block_ios"] {
+		return nil, fmt.Errorf("A10: galloping moved %v blocks, baseline moved %v — galloping must be compute-only",
+			gallop["block_ios"], base["block_ios"])
 	}
-	if ios["galloping"] != ios["baseline"] {
-		return nil, fmt.Errorf("A10: galloping moved %d blocks, baseline moved %d — galloping must be compute-only",
-			ios["galloping"], ios["baseline"])
+	if gallop["vsec"] >= base["vsec"] {
+		return nil, fmt.Errorf("A10: galloping (%.4f vsec) not strictly below the baseline (%.4f)", gallop["vsec"], base["vsec"])
 	}
-	if vsec["galloping"] >= vsec["baseline"] {
-		return nil, fmt.Errorf("A10: galloping (%.4f vsec) not strictly below the baseline (%.4f)",
-			vsec["galloping"], vsec["baseline"])
+	if guide["block_ios"] > base["block_ios"] {
+		return nil, fmt.Errorf("A10: guidesort moved %v blocks, more than the baseline's %v", guide["block_ios"], base["block_ios"])
 	}
-	if ios["guidesort"] > ios["baseline"] {
-		return nil, fmt.Errorf("A10: guidesort moved %d blocks, more than the baseline's %d",
-			ios["guidesort"], ios["baseline"])
+	if guide["vsec"] >= base["vsec"] {
+		return nil, fmt.Errorf("A10: guidesort (%.4f vsec) not strictly below the baseline (%.4f)", guide["vsec"], base["vsec"])
 	}
-	if vsec["guidesort"] >= vsec["baseline"] {
-		return nil, fmt.Errorf("A10: guidesort (%.4f vsec) not strictly below the baseline (%.4f)",
-			vsec["guidesort"], vsec["baseline"])
-	}
-	return rows, nil
-}
-
-// clusterOutputSHA hashes the concatenated per-node sorted outputs.
-func clusterOutputSHA(c *cluster.Cluster, blockKeys int) (string, error) {
-	h := sha256.New()
-	for i := 0; i < c.P(); i++ {
-		keys, err := diskio.ReadFileAll(c.Node(i).FS(), "output", blockKeys, diskio.Accounting{})
-		if err != nil {
-			return "", err
-		}
-		h.Write(record.EncodeKeys(nil, keys))
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-func accessName(m pdm.AccessMode) string {
-	if m == pdm.Independent {
-		return "independent"
-	}
-	return "striped"
+	return rows, sameOutput(rows)
 }

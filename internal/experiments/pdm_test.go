@@ -16,30 +16,29 @@ func TestPDMAblation(t *testing.T) {
 		t.Fatal(err)
 	}
 	parts := map[string]int{}
-	byVariant := map[string]PDMRow{}
 	for _, r := range rows {
-		parts[r.Part]++
-		byVariant[r.Part+"/"+r.Variant] = r
-		if r.OutputSHA == "" || r.BlockIOs <= 0 || r.VSec <= 0 {
-			t.Fatalf("row %s/%s incomplete: %+v", r.Part, r.Variant, r)
+		parts[r.Labels["part"]]++
+		if r.Experiment != "pdm" || r.OutputSHA == "" || r.Metrics["block_ios"] <= 0 || r.Metrics["vsec"] <= 0 {
+			t.Fatalf("row %s incomplete: %+v", r.Key(), r)
 		}
 	}
-	if parts["disks"] != 7 {
-		t.Fatalf("disks part has %d variants, want 7", parts["disks"])
+	if parts["disks"] != 7 || parts["run-formation"] != 4 {
+		t.Fatalf("parts %v, want 7 disks variants and 4 run formers", parts)
 	}
-	if parts["run-formation"] != 4 {
-		t.Fatalf("run-formation part has %d variants, want 4", parts["run-formation"])
+	byVariant := map[string]map[string]string{}
+	for _, r := range rows {
+		byVariant[r.Labels["variant"]] = r.Labels
 	}
-	if r := byVariant["disks/d4-independent"]; r.Access != "independent" || r.D != 4 {
-		t.Fatalf("d4-independent row mislabelled: %+v", r)
+	if l := byVariant["d4-independent"]; l["access"] != "independent" || l["d"] != "4" {
+		t.Fatalf("d4-independent row mislabelled: %v", l)
 	}
-	if r := byVariant["run-formation/guidesort"]; r.RunFormer != "guidesort" {
-		t.Fatalf("guidesort row mislabelled: %+v", r)
+	if l := byVariant["guidesort"]; l["run_former"] != "guidesort" {
+		t.Fatalf("guidesort row mislabelled: %v", l)
 	}
-	out := PDMString(rows)
-	for _, frag := range []string{"d4-crash-resume", "galloping", "guidesort"} {
+	out := RowsString("A10", rows)
+	for _, frag := range []string{"d4-crash-resume", "galloping", "guidesort", "run_former", "block_ios"} {
 		if !strings.Contains(out, frag) {
-			t.Errorf("PDMString missing %q", frag)
+			t.Errorf("RowsString missing %q", frag)
 		}
 	}
 }

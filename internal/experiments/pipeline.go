@@ -2,105 +2,29 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
-	"hetsort/internal/cluster"
-	"hetsort/internal/diskio"
 	"hetsort/internal/extsort"
-	"hetsort/internal/record"
 )
 
 // PipelineAblation runs A8: the fused redistribution→merge pipeline
-// against the barrier path on the paper's loaded cluster.  Three
-// variants of the same uniform sort on perf {1,1,4,4}: barrier (steps 4
-// and 5 separated by the received files on disk), pipelined (streams
-// merged straight into the output), and pipelined with checkpointing
-// (spill-while-merging: streams teed to durable receive files for the
-// phase-4 manifest).  Reported per variant: virtual time, total PDM
-// block I/Os, and host wall-clock.  The ablation is self-checking — it
-// fails unless every variant's per-node outputs are byte-identical to
-// the barrier run's and the pipelined variant performs strictly fewer
-// block I/Os (it eliminates up to 2·l_i/B per node).
-func PipelineAblation(o Options) ([]AblationRow, error) {
+// against the barrier path.  Barrier (steps 4 and 5 separated by the
+// received files on disk), pipelined (streams merged straight into the
+// output), and pipelined with checkpointing (spill-while-merging:
+// streams teed to durable receive files for the phase-4 manifest).  It
+// fails unless every variant's output is byte-identical and the
+// pipelined variant performs strictly fewer block I/Os (it eliminates
+// up to 2·l_i/B per node).
+func PipelineAblation(o Options) ([]Row, error) {
 	o = o.withDefaults()
-	var rows []AblationRow
-	add := func(variant, metric string, val float64) {
-		rows = append(rows, AblationRow{ID: "A8", Variant: variant, Metric: metric, Value: val})
+	rows, err := o.table("pipeline", []metric{vsec, blockIOs}, paperRun(o,
+		point{labels: variant("barrier")},
+		point{labels: variant("pipelined"), cfg: extsort.Config{Pipeline: true}},
+		point{labels: variant("pipelined+ckpt"), cfg: extsort.Config{Pipeline: true, Checkpoint: true}}))
+	if err != nil {
+		return nil, err
 	}
-	v := PaperVector
-	n := v.NearestValidSize(o.scale(1 << 22))
-
-	variants := []struct {
-		name           string
-		pipeline, ckpt bool
-	}{
-		{"barrier", false, false},
-		{"pipelined", true, false},
-		{"pipelined+ckpt", true, true},
+	if barrier, fused := rows[0].Metrics["block_ios"], rows[1].Metrics["block_ios"]; fused >= barrier {
+		return nil, fmt.Errorf("A8: pipelined path did %v block I/Os, not strictly below the barrier's %v", fused, barrier)
 	}
-	var reference [][]record.Key
-	var barrierIO, pipelinedIO int64
-	for _, vt := range variants {
-		c, err := o.newCluster(cluster.FastEthernet())
-		if err != nil {
-			return nil, err
-		}
-		c.ResetClocks()
-		sum, err := extsort.DistributeInput(c, v, record.Uniform, n, o.Seed, o.BlockKeys, "input")
-		if err != nil {
-			return nil, err
-		}
-		cfg := o.extsortConfig(v)
-		cfg.Pipeline = vt.pipeline
-		cfg.Checkpoint = vt.ckpt
-		cfg.InputSum = sum
-		start := time.Now()
-		res, err := extsort.Sort(c, cfg, "input", "output")
-		if err != nil {
-			return nil, fmt.Errorf("A8 %s: %w", vt.name, err)
-		}
-		wall := time.Since(start)
-		if err := extsort.VerifyOutput(c, "output", o.BlockKeys, sum); err != nil {
-			return nil, fmt.Errorf("A8 %s verify: %w", vt.name, err)
-		}
-		var io int64
-		for _, s := range res.NodeIO {
-			io += s.Total()
-		}
-		outs := make([][]record.Key, c.P())
-		for i := range outs {
-			if outs[i], err = diskio.ReadFileAll(c.Node(i).FS(), "output", o.BlockKeys, diskio.Accounting{}); err != nil {
-				return nil, err
-			}
-		}
-		switch vt.name {
-		case "barrier":
-			reference = outs
-			barrierIO = io
-		default:
-			if vt.name == "pipelined" {
-				pipelinedIO = io
-			}
-			for i := range outs {
-				if len(outs[i]) != len(reference[i]) {
-					return nil, fmt.Errorf("A8 %s: node %d holds %d keys, barrier run %d",
-						vt.name, i, len(outs[i]), len(reference[i]))
-				}
-				for j := range outs[i] {
-					if outs[i][j] != reference[i][j] {
-						return nil, fmt.Errorf("A8 %s: node %d output diverges from the barrier run at key %d",
-							vt.name, i, j)
-					}
-				}
-			}
-		}
-		add(vt.name, "vsec", res.Time)
-		add(vt.name, "blockIOs", float64(io))
-		add(vt.name, "wallms", float64(wall.Microseconds())/1000)
-	}
-	if pipelinedIO >= barrierIO {
-		return nil, fmt.Errorf("A8: pipelined path did %d block I/Os, not strictly below the barrier's %d",
-			pipelinedIO, barrierIO)
-	}
-	return rows, nil
+	return rows, sameOutput(rows)
 }

@@ -3,10 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"hetsort/internal/cluster"
-	"hetsort/internal/diskio"
 	"hetsort/internal/perf"
-	"hetsort/internal/polyphase"
 	"hetsort/internal/record"
 	"hetsort/internal/stats"
 )
@@ -78,30 +75,8 @@ func Table2(o Options) ([]Table2Row, error) {
 // on a single simulated node with the given load factor and returns the
 // virtual time.
 func sequentialSortTime(o Options, slowdown float64, n int64, seed int64) (float64, error) {
-	disks, err := o.disks()
-	if err != nil {
-		return 0, err
-	}
-	c, err := cluster.New(cluster.Config{
-		Slowdowns: []float64{slowdown},
-		BlockKeys: o.BlockKeys,
-		Disks:     disks,
-	})
-	if err != nil {
-		return 0, err
-	}
-	keys := record.Uniform.Generate(int(n), seed, 1)
-	if err := diskio.WriteFile(c.Node(0).FS(), "input", keys, o.BlockKeys, diskio.Accounting{}); err != nil {
-		return 0, err
-	}
-	err = c.Run(func(node *cluster.Node) error {
-		_, serr := polyphase.Sort(o.polyCfg(node.FS(), node.Acct()), "input", "output")
-		return serr
-	})
-	if err != nil {
-		return 0, err
-	}
-	return c.MaxClock(), nil
+	row, err := o.runSequential("sequential", nil, []metric{vsec}, slowdown, record.Uniform.Generate(int(n), seed, 1), nil)
+	return row.Metrics["vsec"], err
 }
 
 // Calibration reproduces the paper's protocol for filling the perf

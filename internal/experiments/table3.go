@@ -64,10 +64,6 @@ func Table3(o Options) ([]Table3Row, error) {
 	}
 	var rows []Table3Row
 	for _, s := range specs {
-		c, err := o.newCluster(s.net)
-		if err != nil {
-			return nil, err
-		}
 		fastClass := s.v.Max()
 		// The paper's S(max) column reports the expansion "for the two
 		// fastest processors": max fast-class partition over the fast
@@ -78,7 +74,8 @@ func Table3(o Options) ([]Table3Row, error) {
 		var maxPart int64
 		var smax float64
 		sum, err := o.trialSummary(func(seed int64) (float64, error) {
-			res, rerr := o.runParallel(c, s.v, s.size, seed)
+			_, res, rerr := o.run("table3", point{perf: s.v, n: s.size, seed: seed,
+				slowdowns: PaperVector.Slowdowns(), net: s.net}, nil)
 			if rerr != nil {
 				return 0, rerr
 			}
@@ -157,19 +154,11 @@ func ComputeSpeedups(o Options) (*Speedups, error) {
 	}
 
 	homog := perf.Homogeneous(4)
-	cH, err := o.newCluster(cluster.FastEthernet())
+	_, resH, err := o.run("speedups", point{perf: homog, n: n, seed: o.Seed, slowdowns: PaperVector.Slowdowns()}, nil)
 	if err != nil {
 		return nil, err
 	}
-	resH, err := o.runParallel(cH, homog, n, o.Seed)
-	if err != nil {
-		return nil, err
-	}
-	cX, err := o.newCluster(cluster.FastEthernet())
-	if err != nil {
-		return nil, err
-	}
-	resX, err := o.runParallel(cX, PaperVector, PaperVector.NearestValidSize(n), o.Seed)
+	_, resX, err := o.run("speedups", point{perf: PaperVector, n: PaperVector.NearestValidSize(n), seed: o.Seed}, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -77,9 +77,6 @@ type Config struct {
 	// Strategy selects the pivot scheme for step 2 (default
 	// RegularSampling, the paper's Algorithm 1).
 	Strategy Strategy
-	// OverFactor is the sublists-per-processor factor k when Strategy
-	// is Overpartitioning (default 4).
-	OverFactor int
 	// QuantileEps is the sketch error bound for QuantileSketch
 	// (default 0.01).
 	QuantileEps float64
@@ -164,9 +161,9 @@ type Config struct {
 // sig fingerprints the parameters that must match between an
 // interrupted run and its resume.
 func (c Config) sig(inputName, outputName string) string {
-	return fmt.Sprintf("extsort-v4 perf=%v B=%d M=%d T=%d msg=%d rf=%d strat=%d over=%d eps=%g htol=%g seed=%d topo=%d r=%d in=%s out=%s",
+	return fmt.Sprintf("extsort-v5 perf=%v B=%d M=%d T=%d msg=%d rf=%d strat=%d eps=%g htol=%g seed=%d topo=%d r=%d in=%s out=%s",
 		[]int(c.Perf), c.BlockKeys, c.MemoryKeys, c.Tapes, c.MessageKeys,
-		c.RunFormation, c.Strategy, c.OverFactor, c.QuantileEps, c.HistTolerance, c.Seed,
+		c.RunFormation, c.Strategy, c.QuantileEps, c.HistTolerance, c.Seed,
 		c.Topology, c.Radix, inputName, outputName)
 }
 
@@ -271,8 +268,7 @@ type Result struct {
 	// PivotSampleKeys counts the key-valued samples entering the
 	// step-2 collectives — the "samples shipped" axis of the
 	// histogram-vs-sampling tradeoff.  Per strategy: regular/random
-	// sampling and overpartitioning count every node's sampled keys
-	// (plus the agreed sublist sizes for overpartitioning);
+	// sampling count every node's sampled keys;
 	// QuantileSketch counts the exported (value, weight) pairs;
 	// Histogram counts the candidate splitters broadcast per round.
 	// Count vectors (integer metadata, not key samples) are excluded.

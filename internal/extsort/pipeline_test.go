@@ -53,7 +53,7 @@ func runOnce(t *testing.T, v perf.Vector, cfg Config, dist record.Distribution,
 func TestPipelineMatchesBarrierProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	vectors := []perf.Vector{{1, 1}, {1, 1, 4, 4}, {1, 2, 4}, {1, 1, 1, 1}, {1, 3}}
-	strategies := []Strategy{RegularSampling, Overpartitioning, RandomPivots, QuantileSketch}
+	strategies := []Strategy{RegularSampling, RandomPivots, QuantileSketch, Histogram}
 	messageSizes := []int{64, 256, 1024, 8192}
 	dists := []record.Distribution{record.Uniform, record.Zipf, record.Gaussian}
 

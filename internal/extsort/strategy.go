@@ -13,9 +13,9 @@ import (
 )
 
 // Strategy selects how step 2 chooses the partitioning pivots.  The
-// paper's Algorithm 1 uses heterogeneous regular sampling; the
-// companion overpartitioning scheme (Cérin & Gaudiot, Cluster 2000) and
-// a naive random-pivot baseline are provided for the ablation benches.
+// paper's Algorithm 1 uses heterogeneous regular sampling; a naive
+// random-pivot baseline, a quantile sketch and iterative histogram
+// refinement are provided for the ablation benches.
 type Strategy int
 
 const (
@@ -23,11 +23,6 @@ const (
 	// samples from the sorted files, perf-proportional counts,
 	// weighted pivot quantiles.
 	RegularSampling Strategy = iota
-	// Overpartitioning draws k*p random samples per unit of perf,
-	// cuts the data into k*p sublists and assigns consecutive
-	// sublists to processors in perf proportion (Li & Sevcik adapted
-	// to heterogeneous clusters).
-	Overpartitioning
 	// RandomPivots picks the p-1 pivots directly from random samples
 	// without the regular-position discipline — the strawman whose
 	// poor balance motivates sampling "in a regular way".
@@ -55,8 +50,6 @@ func (s Strategy) String() string {
 	switch s {
 	case RegularSampling:
 		return "regular-sampling"
-	case Overpartitioning:
-		return "overpartitioning"
 	case RandomPivots:
 		return "random-pivots"
 	case QuantileSketch:
@@ -81,16 +74,16 @@ func (s Strategy) String() string {
 // would cost the radix-p root O(p·S)), merging two sketches costs 8 ops
 // per tuple, adding two count vectors one op per counter.
 type pivotSelector struct {
-	// rounds is the number of reduce-then-broadcast rounds.  Zero means
-	// the strategy iterates until node 0 broadcasts nothing, and node 0
-	// then broadcasts what decide returns for the empty reduction.
-	rounds int
+	// oneShot strategies run one reduce-then-broadcast round.  The others
+	// iterate until node 0 broadcasts nothing, and node 0 then broadcasts
+	// what decide returns for the empty reduction.
+	oneShot bool
 	// contribute returns what this node sends up in the given round;
 	// down is the previous round's broadcast (nil in round 0).
 	contribute func(round int, down []record.Key) ([]record.Key, error)
-	combine    func(round int, acc, child []record.Key) ([]record.Key, error)
+	combine    func(acc, child []record.Key) ([]record.Key, error)
 	// decide runs on node 0 only, on the round's combined contributions.
-	decide func(round int, agg []record.Key) ([]record.Key, error)
+	decide func(agg []record.Key) ([]record.Key, error)
 }
 
 // pivotSelection implements step 2.  When resuming after any node
@@ -112,9 +105,9 @@ func (w *worker) pivotSelection() error {
 		return err
 	}
 	// announce is a round's second half: node 0 decides, everyone learns.
-	announce := func(round int, agg []record.Key) (down []record.Key, err error) {
+	announce := func(agg []record.Key) (down []record.Key, err error) {
 		if n.ID() == 0 {
-			if down, err = sel.decide(round, agg); err != nil {
+			if down, err = sel.decide(agg); err != nil {
 				return nil, err
 			}
 		}
@@ -126,24 +119,22 @@ func (w *worker) pivotSelection() error {
 		if err != nil {
 			return fmt.Errorf("strategy %s round %d: %w", w.cfg.Strategy, round, err)
 		}
-		agg, err := n.TreeReduce(w.radix, tagSamples, up, func(acc, child []record.Key) ([]record.Key, error) {
-			return sel.combine(round, acc, child)
-		})
+		agg, err := n.TreeReduce(w.radix, tagSamples, up, sel.combine)
 		if err != nil {
 			return err
 		}
-		if down, err = announce(round, agg); err != nil {
+		if down, err = announce(agg); err != nil {
 			return err
 		}
 		if len(down) > 0 {
 			w.pivotRounds++
 		}
-		if round+1 == sel.rounds {
+		if sel.oneShot {
 			break
 		}
-		if sel.rounds == 0 && len(down) == 0 {
+		if len(down) == 0 {
 			// Converged: the pivots follow the empty candidate broadcast.
-			if down, err = announce(round+1, nil); err != nil {
+			if down, err = announce(nil); err != nil {
 				return err
 			}
 			break
@@ -167,8 +158,6 @@ func (w *worker) selector(li int64) (pivotSelector, error) {
 		// pivots from them without any regular-position structure.
 		return w.sampled(func() ([]record.Key, error) { return w.sampleRandom(li, (p-1)*cfg.Perf[id], cfg.Seed+int64(id)*101) },
 			func(c []record.Key) ([]record.Key, error) { return sampling.SelectPivotsWeighted(c, cfg.Perf) }), nil
-	case Overpartitioning:
-		return w.overpartition(li), nil
 	case QuantileSketch:
 		return w.sketched(li)
 	case Histogram:
@@ -180,11 +169,11 @@ func (w *worker) selector(li int64) (pivotSelector, error) {
 // concat is the combine of key samples; addCounts that of count vectors
 // (exact 64-bit addition, associative and commutative, so the totals are
 // the same at every radix).
-func (w *worker) concat(_ int, acc, child []record.Key) ([]record.Key, error) {
+func (w *worker) concat(acc, child []record.Key) ([]record.Key, error) {
 	return append(acc, child...), nil
 }
 
-func (w *worker) addCounts(_ int, acc, child []record.Key) ([]record.Key, error) {
+func (w *worker) addCounts(acc, child []record.Key) ([]record.Key, error) {
 	w.n.ChargeCompute(int64(len(acc)) / 2) // a counter is two keys on the wire
 	return histsort.AddCounts(acc, child), nil
 }
@@ -195,14 +184,14 @@ func (w *worker) addCounts(_ int, acc, child []record.Key) ([]record.Key, error)
 // and the pickers depend only on the multiset anyway.
 func (w *worker) sampled(sample func() ([]record.Key, error), pick func([]record.Key) ([]record.Key, error)) pivotSelector {
 	return pivotSelector{
-		rounds: 1,
+		oneShot: true,
 		contribute: func(int, []record.Key) ([]record.Key, error) {
 			samples, err := sample()
 			w.sampleKeys += int64(len(samples))
 			return samples, err
 		},
 		combine: w.concat,
-		decide: func(_ int, cands []record.Key) ([]record.Key, error) {
+		decide: func(cands []record.Key) ([]record.Key, error) {
 			w.n.ChargeCompute(int64(len(cands)) * 16) // in-core sort of a small sample
 			return pick(cands)
 		},
@@ -261,63 +250,6 @@ func (w *worker) readKeysAt(indices []int64) ([]record.Key, error) {
 	return out, nil
 }
 
-// overpartition is the Overpartitioning strategy for the external
-// sorter.  Round 0 is a sampling round whose decision is k*p-1 fine
-// pivots defining k*p sublists; round 1 agrees on the global sublist
-// sizes (one scan of the sorted file each, sizes added up the tree) and
-// node 0 assigns consecutive sublists to processors weighted by perf.
-// The p-1 "processor pivots" it broadcasts are the fine pivots at the
-// assignment cuts, which keeps steps 3-5 identical across strategies.
-func (w *worker) overpartition(li int64) pivotSelector {
-	n, cfg := w.n, w.cfg
-	p, id := n.P(), n.ID()
-	k := cfg.OverFactor
-	if k <= 0 {
-		k = 4
-	}
-	sel := w.sampled(func() ([]record.Key, error) { return w.sampleRandom(li, k*p*cfg.Perf[id], cfg.Seed+int64(id)*211) },
-		func(c []record.Key) ([]record.Key, error) { return sampling.OverpartitionPivots(c, p, k) })
-	sample, pickFine := sel.contribute, sel.decide
-	var fine []record.Key
-	sel.rounds = 2
-	sel.contribute = func(round int, down []record.Key) ([]record.Key, error) {
-		if round == 0 {
-			return sample(round, down)
-		}
-		fine = down
-		sizes, err := w.countSublists(fine, n.Acct())
-		w.sampleKeys += int64(len(sizes))
-		return histsort.EncodeCounts(sizes), err
-	}
-	sel.combine = func(round int, acc, child []record.Key) ([]record.Key, error) {
-		if round == 0 {
-			return w.concat(round, acc, child)
-		}
-		return w.addCounts(round, acc, child)
-	}
-	sel.decide = func(round int, agg []record.Key) ([]record.Key, error) {
-		if round == 0 {
-			return pickFine(round, agg)
-		}
-		assign, err := sampling.AssignSublists(histsort.DecodeCounts(agg), cfg.Perf)
-		if err != nil {
-			return nil, err
-		}
-		pivots := make([]record.Key, p-1)
-		cut := 0
-		for proc := range pivots {
-			cut += len(assign[proc])
-			if cut-1 < len(fine) {
-				pivots[proc] = fine[cut-1]
-			} else {
-				pivots[proc] = ^record.Key(0)
-			}
-		}
-		return pivots, nil
-	}
-	return sel
-}
-
 // sketched is the QuantileSketch strategy: stream the sorted file
 // through an ε-sketch, merge the sketches pairwise up the tree — each
 // inner node folds its children's summaries into its own and forwards
@@ -337,7 +269,7 @@ func (w *worker) sketched(li int64) (pivotSelector, error) {
 		return pivotSelector{}, err
 	}
 	return pivotSelector{
-		rounds: 1,
+		oneShot: true,
 		contribute: func(int, []record.Key) ([]record.Key, error) {
 			if li > 0 {
 				err := w.scanSorted(n.Acct(), func(keys []record.Key) { sk.InsertAll(keys) })
@@ -348,7 +280,7 @@ func (w *worker) sketched(li int64) (pivotSelector, error) {
 			w.sampleKeys += 2 * int64(sk.TupleCount())
 			return encodeSketch(sk)
 		},
-		combine: func(_ int, acc, child []record.Key) ([]record.Key, error) {
+		combine: func(acc, child []record.Key) ([]record.Key, error) {
 			sa, err := decodeSketch(eps, acc)
 			if err != nil {
 				return nil, err
@@ -361,7 +293,7 @@ func (w *worker) sketched(li int64) (pivotSelector, error) {
 			sa.Merge(sc)
 			return encodeSketch(sa)
 		},
-		decide: func(_ int, agg []record.Key) ([]record.Key, error) {
+		decide: func(agg []record.Key) ([]record.Key, error) {
 			merged, err := decodeSketch(eps, agg)
 			if err != nil {
 				return nil, err
@@ -441,7 +373,7 @@ func (w *worker) histogram(li int64) pivotSelector {
 			return histsort.EncodeCounts(ranks), nil
 		},
 		combine: w.addCounts,
-		decide: func(_ int, agg []record.Key) (_ []record.Key, err error) {
+		decide: func(agg []record.Key) (_ []record.Key, err error) {
 			switch {
 			case ref == nil:
 				total := histsort.DecodeCounts(agg)[0]

@@ -14,7 +14,6 @@ import (
 
 func TestStrategyStrings(t *testing.T) {
 	if RegularSampling.String() != "regular-sampling" ||
-		Overpartitioning.String() != "overpartitioning" ||
 		RandomPivots.String() != "random-pivots" {
 		t.Fatal("strategy strings")
 	}
@@ -24,7 +23,7 @@ func TestStrategyStrings(t *testing.T) {
 }
 
 func TestAllStrategiesSortCorrectly(t *testing.T) {
-	for _, strat := range []Strategy{RegularSampling, Overpartitioning, RandomPivots} {
+	for _, strat := range []Strategy{RegularSampling, RandomPivots} {
 		for _, v := range []perf.Vector{perf.Homogeneous(4), {1, 1, 4, 4}} {
 			t.Run(strat.String()+"/"+v.String(), func(t *testing.T) {
 				c := newCluster(t, v)
@@ -70,39 +69,6 @@ func TestRegularBeatsRandomPivotsOnBalance(t *testing.T) {
 	}
 	if rnd <= reg {
 		t.Logf("note: random pivots happened to balance well this seed (%v vs %v)", rnd, reg)
-	}
-}
-
-func TestOverpartitioningBalancesHeterogeneous(t *testing.T) {
-	v := perf.Vector{1, 1, 4, 4}
-	c := newCluster(t, v)
-	cfg := testConfig(v)
-	cfg.Strategy = Overpartitioning
-	cfg.OverFactor = 8
-	cfg.Seed = 3
-	res := runSort(t, c, v, cfg, record.Uniform, v.NearestValidSize(40000), 5)
-	// Overpartitioning with a large k should keep the weighted
-	// expansion within the Li-Sevcik ~1.3 band.
-	if exp := res.SublistExpansion(v); exp > 1.6 {
-		t.Fatalf("overpartitioning expansion %v too high", exp)
-	}
-}
-
-func TestOverpartitioningStepTimesStillAccounted(t *testing.T) {
-	v := perf.Homogeneous(2)
-	c := newCluster(t, v)
-	cfg := testConfig(v)
-	cfg.Strategy = Overpartitioning
-	res := runSort(t, c, v, cfg, record.Uniform, 16000, 11)
-	// The extra sampling seeks and counting scan make step 2 pricier
-	// than under regular sampling (at tiny test sizes the seek costs
-	// even rival the sort), but it must not dominate the run.
-	if res.StepTimes[1] <= 0 {
-		t.Fatal("step 2 time missing")
-	}
-	if res.StepTimes[1] > res.Time/2 {
-		t.Fatalf("pivot selection (%v) dominates the whole run (%v)",
-			res.StepTimes[1], res.Time)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // per round) for O(r) fan-in per node per round, the multi-pass
 // all-to-all of Rahn/Sanders/Singler's distributed external sort.
 // The output is byte-identical to the flat run's for the exact pivot
-// strategies (regular sampling, random pivots, overpartitioning); the
+// strategies (regular sampling, random pivots); the
 // QuantileSketch strategy's GK merge is not associative, so its tree
 // aggregation keeps the global sorted output identical while per-node
 // partition boundaries may differ from the flat run's.

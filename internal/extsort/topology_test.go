@@ -211,7 +211,7 @@ func TestTopologyByteEquivalence(t *testing.T) {
 func TestTopologyStrategyEquivalence(t *testing.T) {
 	v := perf.Vector{1, 1, 4, 4}
 	n := v.NearestValidSize(16000)
-	for _, strat := range []Strategy{RegularSampling, RandomPivots, Overpartitioning, QuantileSketch} {
+	for _, strat := range []Strategy{RegularSampling, RandomPivots, QuantileSketch} {
 		t.Run(strat.String(), func(t *testing.T) {
 			base := testConfig(v)
 			base.Strategy = strat
@@ -582,7 +582,7 @@ func TestFlatIsRadixPTree(t *testing.T) {
 		if flat, tree := PeakFanIn(p, TopologyFlat, 4), PeakFanIn(p, TopologyTree, p); flat != p || tree != p {
 			t.Errorf("p=%d: PeakFanIn flat %d, radix-p tree %d, want %d", p, flat, tree, p)
 		}
-		for _, strat := range []Strategy{RegularSampling, Overpartitioning, RandomPivots, QuantileSketch, Histogram} {
+		for _, strat := range []Strategy{RegularSampling, RandomPivots, QuantileSketch, Histogram} {
 			for _, pipe := range []bool{false, true} {
 				for _, mode := range []string{"plain", "checkpoint", "crash-resume"} {
 					t.Run(fmt.Sprintf("p%d-%v-pipeline=%v-%s", p, strat, pipe, mode), func(t *testing.T) {

@@ -1,8 +1,7 @@
 // Package sampling implements the pivot-selection machinery of the
 // paper: regular sampling (PSRS, Shi & Schaeffer) generalized to
-// heterogeneous performance vectors, the Li–Sevcik overpartitioning
-// alternative, partition-boundary computation, and the sublist-expansion
-// load-balance metric reported in Table 3.
+// heterogeneous performance vectors, random sample positions, and the
+// sublist-expansion load-balance metric reported in Table 3.
 package sampling
 
 import (
@@ -11,7 +10,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"hetsort/internal/perf"
 	"hetsort/internal/record"
@@ -96,14 +94,6 @@ func CombineSorted(a, b []record.Key) []record.Key {
 	}
 	out = append(out, a[i:]...)
 	return append(out, b[j:]...)
-}
-
-// SelectPivots sorts the gathered candidates and picks p-1 pivots "in a
-// regular way": the candidates at positions j*len/p for j = 1..p-1.
-// This is step 2's final act on the designated node in the homogeneous
-// case.
-func SelectPivots(candidates []record.Key, p int) ([]record.Key, error) {
-	return SelectPivotsWeighted(candidates, perf.Homogeneous(p))
 }
 
 // SelectPivotsRegular picks the p-1 pivots from candidates produced by
@@ -226,32 +216,6 @@ func RandomSampleIndices(n int64, count int, seed int64) []int64 {
 	}
 	slices.Sort(out)
 	return out
-}
-
-// Boundaries returns the p-1 cut points that split the sorted slice by
-// the pivots: cut[j] is the index of the first key greater than
-// pivots[j], so segment j is sorted[cut[j-1]:cut[j]] (with implicit
-// cut[-1]=0 and cut[p-1]=len).  Keys equal to a pivot go to the lower
-// segment, the convention of the PSRS papers.
-func Boundaries(sorted []record.Key, pivots []record.Key) []int {
-	cuts := make([]int, len(pivots))
-	for j, pv := range pivots {
-		cuts[j] = sort.Search(len(sorted), func(i int) bool { return sorted[i] > pv })
-	}
-	return cuts
-}
-
-// SegmentSizes converts cut points over a portion of length n into the
-// p segment lengths.
-func SegmentSizes(cuts []int, n int) []int64 {
-	sizes := make([]int64, len(cuts)+1)
-	prev := 0
-	for j, c := range cuts {
-		sizes[j] = int64(c - prev)
-		prev = c
-	}
-	sizes[len(cuts)] = int64(n - prev)
-	return sizes
 }
 
 // SublistExpansion is the load-balance metric of Blelloch et al. used in

@@ -127,7 +127,7 @@ func TestRegularSamplesValues(t *testing.T) {
 
 func TestSelectPivots(t *testing.T) {
 	cands := []record.Key{90, 10, 50, 30, 70, 20, 80, 40, 60, 100, 0, 55}
-	pv, err := SelectPivots(cands, 4)
+	pv, err := SelectPivotsWeighted(cands, perf.Homogeneous(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,25 +149,25 @@ func TestSelectPivots(t *testing.T) {
 }
 
 func TestSelectPivotsEdge(t *testing.T) {
-	if pv, err := SelectPivots([]record.Key{1}, 1); err != nil || pv != nil {
+	if pv, err := SelectPivotsWeighted([]record.Key{1}, perf.Homogeneous(1)); err != nil || pv != nil {
 		t.Error("p=1 should give no pivots")
 	}
 	// Fewer candidates than pivots degrades gracefully (repeated picks).
-	if pv, err := SelectPivots([]record.Key{7}, 3); err != nil || len(pv) != 2 {
+	if pv, err := SelectPivotsWeighted([]record.Key{7}, perf.Homogeneous(3)); err != nil || len(pv) != 2 {
 		t.Errorf("tiny candidate set: %v, %v", pv, err)
 	}
 	// No candidates at all: zero pivots route everything to the last node.
-	if pv, err := SelectPivots(nil, 3); err != nil || len(pv) != 2 || pv[0] != 0 {
+	if pv, err := SelectPivotsWeighted(nil, perf.Homogeneous(3)); err != nil || len(pv) != 2 || pv[0] != 0 {
 		t.Errorf("empty candidate set: %v, %v", pv, err)
 	}
-	if _, err := SelectPivots(nil, 0); err == nil {
+	if _, err := SelectPivotsWeighted(nil, perf.Homogeneous(0)); err == nil {
 		t.Error("p=0 accepted")
 	}
 }
 
 func TestSelectPivotsDoesNotMutateInput(t *testing.T) {
 	cands := []record.Key{3, 1, 2}
-	if _, err := SelectPivots(cands, 2); err != nil {
+	if _, err := SelectPivotsWeighted(cands, perf.Homogeneous(2)); err != nil {
 		t.Fatal(err)
 	}
 	if cands[0] != 3 || cands[1] != 1 || cands[2] != 2 {
@@ -211,56 +211,6 @@ func TestRandomSampleIndicesClamp(t *testing.T) {
 	}
 }
 
-func TestBoundariesAndSegments(t *testing.T) {
-	sorted := []record.Key{1, 2, 2, 3, 5, 5, 5, 9}
-	cuts := Boundaries(sorted, []record.Key{2, 5})
-	// keys <= 2 -> first 3; keys <= 5 -> first 7.
-	if cuts[0] != 3 || cuts[1] != 7 {
-		t.Fatalf("cuts=%v", cuts)
-	}
-	sizes := SegmentSizes(cuts, len(sorted))
-	want := []int64{3, 4, 1}
-	for i := range want {
-		if sizes[i] != want[i] {
-			t.Fatalf("sizes=%v want %v", sizes, want)
-		}
-	}
-}
-
-func TestBoundariesExtremes(t *testing.T) {
-	sorted := []record.Key{5, 6, 7}
-	cuts := Boundaries(sorted, []record.Key{0, 100})
-	if cuts[0] != 0 || cuts[1] != 3 {
-		t.Fatalf("cuts=%v", cuts)
-	}
-	sizes := SegmentSizes(cuts, 3)
-	if sizes[0] != 0 || sizes[1] != 3 || sizes[2] != 0 {
-		t.Fatalf("sizes=%v", sizes)
-	}
-}
-
-func TestSegmentSizesSumProperty(t *testing.T) {
-	f := func(keys []record.Key, pivotsRaw []record.Key) bool {
-		sorted := append([]record.Key(nil), keys...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		pivots := append([]record.Key(nil), pivotsRaw...)
-		sort.Slice(pivots, func(i, j int) bool { return pivots[i] < pivots[j] })
-		cuts := Boundaries(sorted, pivots)
-		sizes := SegmentSizes(cuts, len(sorted))
-		var sum int64
-		for _, s := range sizes {
-			if s < 0 {
-				return false
-			}
-			sum += s
-		}
-		return sum == int64(len(sorted))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSublistExpansion(t *testing.T) {
 	if got := SublistExpansion([]int64{4, 4, 4, 4}); got != 1.0 {
 		t.Fatalf("perfect balance expansion=%v", got)
@@ -300,80 +250,6 @@ func TestTheoreticalBound(t *testing.T) {
 	}
 	if got := TheoreticalBound(100, v, 0, 7); got != 107 {
 		t.Fatalf("bound with duplicates=%v want 107", got)
-	}
-}
-
-func TestOverpartitionPivots(t *testing.T) {
-	cands := record.Uniform.Generate(100, 3, 1)
-	pv, err := OverpartitionPivots(cands, 4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pv) != 11 { // k*p-1
-		t.Fatalf("pivot count=%d", len(pv))
-	}
-	if !record.IsSorted(pv) {
-		t.Fatal("pivots unsorted")
-	}
-	if _, err := OverpartitionPivots(cands, 0, 3); err == nil {
-		t.Fatal("p=0 accepted")
-	}
-}
-
-func TestAssignSublistsCoversAllOnce(t *testing.T) {
-	sizes := []int64{5, 9, 2, 7, 7, 1, 3, 8, 4, 6, 2, 5}
-	v := perf.Vector{1, 2, 1}
-	assign, err := AssignSublists(sizes, v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make([]bool, len(sizes))
-	prevEnd := 0
-	for i, idxs := range assign {
-		for _, j := range idxs {
-			if seen[j] {
-				t.Fatalf("sublist %d assigned twice", j)
-			}
-			seen[j] = true
-			if j < prevEnd {
-				t.Fatalf("processor %d got non-consecutive sublist %d", i, j)
-			}
-		}
-		prevEnd += len(idxs)
-	}
-	for j, s := range seen {
-		if !s {
-			t.Fatalf("sublist %d unassigned", j)
-		}
-	}
-}
-
-func TestAssignSublistsRespectsSpeed(t *testing.T) {
-	sizes := make([]int64, 40)
-	for i := range sizes {
-		sizes[i] = 10
-	}
-	v := perf.Vector{1, 3}
-	assign, err := AssignSublists(sizes, v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loads := LoadsOf(assign, sizes)
-	if loads[1] <= loads[0] {
-		t.Fatalf("fast node should carry more: %v", loads)
-	}
-	ratio := float64(loads[1]) / float64(loads[0])
-	if ratio < 2 || ratio > 4.5 {
-		t.Fatalf("load ratio %v far from speed ratio 3", ratio)
-	}
-}
-
-func TestAssignSublistsErrors(t *testing.T) {
-	if _, err := AssignSublists([]int64{1}, perf.Vector{1, 1}); err == nil {
-		t.Fatal("fewer sublists than processors accepted")
-	}
-	if _, err := AssignSublists([]int64{1, 2}, perf.Vector{0, 1}); err == nil {
-		t.Fatal("invalid vector accepted")
 	}
 }
 
