@@ -151,7 +151,8 @@ func TestStepIOInvariantTeeth(t *testing.T) {
 	cfg := hetsort.Config{Nodes: 2, BlockKeys: 16, MemoryKeys: 256, Tapes: 4}
 	c := &Case{Name: "synthetic", Keys: keys, Config: cfg}
 	rep := &hetsort.Report{PartitionSizes: []int64{2000, 2000}}
-	// Step 3 is one scan of the l_i/B = 125 blocks...
+	// On 16-key blocks one seek prices above a scan of the l_i/B = 125
+	// blocks, so step 3 is that scan...
 	rep.StepIO[2] = []pdm.IOStats{{Reads: 125}, {Reads: 125}}
 	o := &Outcome{Case: c, Runs: []Run{{Label: "base", Config: cfg, Output: keys, Report: rep}}}
 	if err := inv.Check(o); err != nil {
@@ -165,6 +166,26 @@ func TestStepIOInvariantTeeth(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "3:partitioning") {
 		t.Fatalf("violation does not name the step: %v", err)
+	}
+	// On 64-key blocks one probe (a seek and a block) prices below a scan
+	// of l_i/B = 256 blocks: the pivot's rank costs one read, and the scan
+	// step 3 used to do is over budget.  Regular sampling reads nothing in
+	// step 2, so a step 2 that reads the portion is over budget too.
+	big := make([]hetsort.Key, 32768)
+	pcfg := hetsort.Config{Nodes: 2, BlockKeys: 64, MemoryKeys: 1024, Tapes: 6}
+	prep := &hetsort.Report{PartitionSizes: []int64{16384, 16384}}
+	prep.StepIO[2] = []pdm.IOStats{{Reads: 1, Seeks: 1}, {Reads: 1, Seeks: 1}}
+	po := &Outcome{Case: &Case{Name: "probe", Keys: big, Config: pcfg},
+		Runs: []Run{{Label: "base", Config: pcfg, Output: big, Report: prep}}}
+	if err := inv.Check(po); err != nil {
+		t.Fatalf("step-io invariant rejected a one-probe step 3: %v", err)
+	}
+	for _, s := range []int{1, 2} {
+		prep.StepIO[s] = []pdm.IOStats{{Reads: 256}, {Reads: 256}}
+		if err := inv.Check(po); err == nil || !strings.Contains(err.Error(), stepName(s)) {
+			t.Fatalf("step-io invariant accepted a scan in step %s: %v", stepName(s), err)
+		}
+		prep.StepIO[s] = nil
 	}
 	// Resumed runs are exempt: recovery redoes committed work.
 	o.Runs[0].Resumed = true

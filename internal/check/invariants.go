@@ -100,7 +100,7 @@ func Registry() []Invariant {
 		},
 		{
 			Name:    "step-io",
-			Doc:     "each Algorithm-1 step stays within its PDM block-I/O budget (DESIGN.md step bounds, with a fixed documented slack)",
+			Doc:     "each Algorithm-1 step stays within its PDM block-I/O budget (DESIGN.md step bounds, with a fixed documented slack): step 2 reads nothing under regular or random sampling, and a rank query — a histogram round, step 3's cuts — reads one block per query where probing prices below a scan",
 			Applies: appliesPSRS,
 			Check:   eachRun(checkStepIO),
 		},
@@ -309,32 +309,41 @@ func checkStepIO(c *Case, r *Run) error {
 // the paper's step costs (DESIGN.md §1) in checkable form:
 //
 //	step 1  2·(l_i/B)·(1+passes)      polyphase sort of the portion
-//	step 2  l_i/B + samples           pivot sampling (sketch = full scan)
-//	step 3  l_i/B                     one scan locating the p+1 cuts
+//	step 2  0 / l_i/B / rounds·r(p−1) regular or random / sketch / histogram
+//	step 3  r(p−1)                    the p−1 pivots' ranks
 //	step 4  l_i/B + q_i/B + 2p        read what is sent, write what lands
 //	step 5  merge budget of q_i       p-file external merge (0 if fused)
 //
-// each plus ioSlack.  Step 4 reads the l_i − s_ii keys it sends and
-// writes the q_i − s_ii it receives (the own bucket s_ii stays on disk),
-// or, fused, reads all of l_i and writes the q_i output; only a fused run
-// under Checkpoint also spills its incoming streams, one more q_i/B.
-// Polyphase passes are bounded with fan-in 2 — the loosest tape count —
-// so the budget is valid for every Tapes setting.
-// The histogram strategy re-scans the sorted file once per refinement
-// round, so its step-2 budget is rounds full passes (rounds comes from
-// the report's PivotRounds; the other strategies report 1).
+// each plus ioSlack.  r(p−1), what p−1 rank queries read, is p−1 blocks
+// (and as many seeks, not counted) where p−1 probes price below a scan on
+// the default cost model and the fences fit in M − T·B, else the scan's
+// l_i/B.  Step 4 reads the l_i − s_ii keys it sends and writes the
+// q_i − s_ii it receives (the own bucket s_ii stays on disk), or, fused,
+// reads all of l_i and writes the q_i output; only a fused run under
+// Checkpoint also spills its incoming streams, one more q_i/B.  Polyphase
+// passes are bounded with fan-in 2 — the loosest tape count — so the
+// budget is valid for every Tapes setting.  rounds is PivotRounds.
 func stepBudgets(pp pdm.Params, cfg hetsort.Config, p int, li, qi int64, rounds int) [5]int64 {
 	lb := ceilDiv(li, pp.B)
 	qb := ceilDiv(qi, pp.B)
 	runs := ceilDiv(maxInt64(li, 1), int64(cfg.MemoryKeys))
 	passes := pdm.LogCeil(runs, 2)
+	cm, ranks := vtime.DefaultCostModel(), lb // r(p−1)
+	block := float64(pp.B) * cm.IOBlockSecPerKey
+	fit := lb+int64(p*vectorOf(cfg).Max()) <= pp.M-int64(cfg.Tapes)*pp.B // samples < p·perf_i
+	if fit && float64(p-1)*(cm.SeekSec+block) < float64(lb)*block {
+		ranks = int64(p - 1)
+	}
 	var b [5]int64
 	b[0] = 2*lb*(2+passes) + ioSlack
-	b[1] = lb + int64(8*p*vectorOf(cfg).Max()) + ioSlack
-	if cfg.PivotStrategy == hetsort.PivotHistogram && rounds > 1 {
-		b[1] = lb*int64(rounds) + ioSlack
+	b[1] = ioSlack // regular and random sampling: step 1 kept the samples
+	switch cfg.PivotStrategy {
+	case hetsort.PivotQuantileSketch:
+		b[1] += lb
+	case hetsort.PivotHistogram:
+		b[1] += int64(rounds) * ranks
 	}
-	b[2] = lb + ioSlack
+	b[2] = ranks + ioSlack
 	b[3] = lb + qb + int64(2*p) + ioSlack
 	if cfg.Pipeline && cfg.Checkpoint.Enabled {
 		b[3] += qb

@@ -706,6 +706,9 @@ func (n *Node) FS() diskio.FS { return n.fs }
 // Slowdown returns the node's load factor (1 = fastest class).
 func (n *Node) Slowdown() float64 { return n.slowdown }
 
+// Cost returns the cost model the node charges by.
+func (n *Node) Cost() vtime.CostModel { return n.cost }
+
 // Clock returns the node's virtual time in seconds.
 func (n *Node) Clock() float64 { return n.clock }
 

@@ -13,8 +13,9 @@ import (
 // redistribution rounds (1 for flat, ⌈log_r p⌉ for the tree, 2 for the
 // grid) and links created, for the flat baseline, the radix-4 tree and
 // the 2-round grid, with ~512 keys per node.  It fails unless the
-// outputs are byte-identical across topologies at every p and, at
-// p ≥ 64, the tree holds strictly fewer streams open than flat.
+// outputs are byte-identical across topologies at every p, at p ≥ 64 the
+// tree holds strictly fewer streams open than flat, and no topology's vsec
+// falls as p grows (at fixed per-node load the work never shrinks).
 func ScalingSweep(o Options) ([]Row, error) {
 	o = o.withDefaults()
 	var pts []point
@@ -47,6 +48,11 @@ func ScalingSweep(o Options) ([]Row, error) {
 		flat, tree := g[0].Metrics["peak_open_streams"], g[1].Metrics["peak_open_streams"]
 		if flat >= 64 && tree >= flat {
 			return nil, fmt.Errorf("%s holds %v streams open, not below flat's %v", g[1].Key(), tree, flat)
+		}
+	}
+	for i := 3; i < len(rows); i++ { // rows[i-3]: the same topology, one p down
+		if r, q := rows[i], rows[i-3]; r.Metrics["vsec"] < q.Metrics["vsec"] {
+			return nil, fmt.Errorf("%s takes %v vsec, less than %s's %v", r.Key(), r.Metrics["vsec"], q.Key(), q.Metrics["vsec"])
 		}
 	}
 	return rows, nil

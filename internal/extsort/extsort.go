@@ -3,13 +3,13 @@
 // owns a disk-resident portion sized by the perf vector; the five steps
 // are
 //
-//  1. sequential external sort of the portion (polyphase merge sort);
-//  2. regularly spaced pivot candidates read from the sorted file
-//     (perf-proportional counts), gathered on node 0, which selects and
-//     broadcasts p-1 pivots;
-//  3. partitioning of the sorted file at the pivots: one scan locates
-//     the p+1 cut offsets, and bucket j is the section between cuts j
-//     and j+1 — the file is already in bucket order, so nothing is copied;
+//  1. sequential external sort of the portion (polyphase merge sort),
+//     indexing the sorted file as it writes it (sortedIndex);
+//  2. regularly spaced pivot candidates (perf-proportional counts) kept
+//     by the index, gathered on node 0, which picks and broadcasts p-1 pivots;
+//  3. partitioning at the pivots: the p+1 cut offsets are their local
+//     ranks, and bucket j is the section between cuts j and j+1 — the
+//     sorted file is already in bucket order, so nothing is copied;
 //  4. redistribution: bucket j travels to node j in fixed-size
 //     messages (a multiple of the block size), read straight from its
 //     section of the sorted file;
@@ -468,6 +468,7 @@ type worker struct {
 	// are still those sections (see bucket).
 	cuts      []int64
 	ownRounds int
+	index     *sortedIndex // step 1's by-product (sortedIndex)
 
 	// This node's step-2 accounting (Result.PivotRounds, PivotSampleKeys).
 	pivotRounds int
@@ -727,25 +728,26 @@ func (w *worker) polyCfg(prefix string) polyphase.Config {
 	}
 }
 
-func (w *worker) sequentialSort() error {
-	_, err := polyphase.Sort(w.polyCfg("hetsort.s1."), w.input, sortedName)
+// sequentialSort implements step 1, indexing the sorted file as written.
+func (w *worker) sequentialSort() (err error) {
+	if w.index, err = w.newIndex(w.input); err == nil {
+		_, err = polyphase.SortObserved(w.polyCfg("hetsort.s1."), w.input, sortedName, w.index.observe)
+	}
 	return err
 }
 
-// locateCuts implements step 3: one scan of the sorted file against the
-// pivots, whose sublist sizes' prefix sums are the cut offsets.  The
-// paper's ≤ 2·l_i/B also copies the buckets out, which nothing downstream
-// needs.  A resumed node past phase 3 adopted its manifest's cuts instead.
+// locateCuts implements step 3: cut j+1 is how many keys are ≤ pivot j.
+// The paper's ≤ 2·l_i/B also copies the buckets out, which nothing
+// downstream needs.  A resumed node past phase 3 adopted its manifest's
+// cuts instead.
 func (w *worker) locateCuts() error {
-	sizes, err := w.countSublists(w.pivots, w.acct())
+	x, err := w.sortedIndex()
 	if err != nil {
 		return err
 	}
-	w.cuts = make([]int64, len(sizes)+1)
-	for j, size := range sizes {
-		w.cuts[j+1] = w.cuts[j] + size
-	}
-	return nil
+	ranks, err := w.ranks(w.pivots, w.acct())
+	w.cuts = append(append([]int64{0}, ranks...), x.keys)
+	return err
 }
 
 // The intermediates: step 1's sorted file and the name prefix of step

@@ -152,14 +152,15 @@ func TestIOBudgetsPerStep(t *testing.T) {
 		if got, budget := res.StepIO[0][i].Total(), params.SequentialSortIOs(li); got > 2*budget {
 			t.Errorf("node %d step 1: %d I/Os > 2x budget %d", i, got, budget)
 		}
-		// Step 2 reads only the samples: p*perf-1 = 1 key... tiny.
-		if got := res.StepIO[1][i].Total(); got > 16 {
-			t.Errorf("node %d step 2: %d I/Os for sampling", i, got)
+		// Step 2 reads nothing: step 1 kept the p*perf-1 = 1 sample key.
+		if got := res.StepIO[1][i]; got != (pdm.IOStats{}) {
+			t.Errorf("node %d step 2: I/O %+v for sampling, want none", i, got)
 		}
-		// Step 3: read everything once to locate the cuts, write nothing
-		// (half the paper's partitioning bound, which copies).
-		if got, want := res.StepIO[2][i], (pdm.IOStats{Reads: params.PartitionIOs(li) / 2}); got != want {
-			t.Errorf("node %d step 3: I/O %+v, want exactly %+v", i, got, want)
+		// Step 3: the one pivot's rank is a fence lookup and one probed
+		// block — a seek and a read, where the paper's partitioning pass
+		// reads and writes all PartitionIOs(l_i) blocks.
+		if got, want := res.StepIO[2][i], (pdm.IOStats{Reads: 1, Seeks: 1}); got != want {
+			t.Errorf("node %d step 3: I/O %+v, want exactly %+v (paper: %d)", i, got, want, params.PartitionIOs(li))
 		}
 		// Step 4: read sender side + write receiver side ~ 2*l/B.
 		if got, budget := res.StepIO[3][i].Total(), params.RedistributionIOs(2*li); got > budget+8 {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -123,7 +124,8 @@ func TestCrashAtEveryPhaseResumesIdentically(t *testing.T) {
 	}
 	refCfg := base
 	refCfg.InputSum = refSum
-	if _, err := Sort(refC, refCfg, "input", "output"); err != nil {
+	ref, err := Sort(refC, refCfg, "input", "output")
+	if err != nil {
 		t.Fatal(err)
 	}
 	want := collectOutput(t, refC, base.BlockKeys)
@@ -178,6 +180,13 @@ func TestCrashAtEveryPhaseResumesIdentically(t *testing.T) {
 					t.Fatalf("resumed output diverges from the uninterrupted run at key %d: %d != %d",
 						i, out[i], want[i])
 				}
+			}
+			// A node resumed past step 1 rebuilt its index by a scan; the
+			// pivots and the cuts (hence the partitions) are the captured
+			// index's.
+			if !slices.Equal(res.Pivots, ref.Pivots) || !slices.Equal(res.PartitionSizes, ref.PartitionSizes) {
+				t.Errorf("resumed pivots %v partitions %v, uninterrupted %v %v",
+					res.Pivots, res.PartitionSizes, ref.Pivots, ref.PartitionSizes)
 			}
 			// The redone work is real, accounted I/O.  The one point
 			// with nothing to redo is a crash after the final commit:

@@ -1,11 +1,11 @@
 package extsort
 
 import (
-	"errors"
 	"fmt"
 
 	"hetsort/internal/diskio"
 	"hetsort/internal/histsort"
+	"hetsort/internal/perf"
 	"hetsort/internal/quantile"
 	"hetsort/internal/record"
 	"hetsort/internal/sampling"
@@ -20,7 +20,7 @@ type Strategy int
 
 const (
 	// RegularSampling is Algorithm 1's scheme: regularly spaced
-	// samples from the sorted files, perf-proportional counts,
+	// samples of the sorted files, perf-proportional counts,
 	// weighted pivot quantiles.
 	RegularSampling Strategy = iota
 	// RandomPivots picks the p-1 pivots directly from random samples
@@ -36,13 +36,13 @@ const (
 	QuantileSketch
 	// Histogram is iterative splitter refinement (Harsh, Kale &
 	// Solomonik's Histogram Sort with Sampling): node 0 broadcasts
-	// candidate splitters each round, every node histograms its sorted
-	// file against them in one scan, the counts reduce up the
-	// collective tree, and the candidates narrow until every pivot's
-	// global rank is within HistTolerance of its perf-share target —
-	// provable balance on adversarial and duplicate-heavy inputs where
-	// one-shot sampling degrades, with only O(p) keys shipped per
-	// round instead of O(p²) samples (see internal/histsort).
+	// candidate splitters each round, every node ranks them in its
+	// sorted file, the counts reduce up the collective tree, and the
+	// candidates narrow until every pivot's global rank is within
+	// HistTolerance of its perf-share target — provable balance on
+	// adversarial and duplicate-heavy inputs where one-shot sampling
+	// degrades, with only O(p) keys shipped per round instead of O(p²)
+	// samples (see internal/histsort).
 	Histogram
 )
 
@@ -96,11 +96,10 @@ func (w *worker) pivotSelection() error {
 		n.TraceEvent(trace.Recovery, StepNames[1], "pivots adopted from a peer's manifest")
 		return nil
 	}
-	li, err := diskio.CountKeys(n.FS(), sortedName)
-	if err != nil || n.P() == 1 {
-		return err
+	if n.P() == 1 {
+		return nil
 	}
-	sel, err := w.selector(li)
+	sel, err := w.selector()
 	if err != nil {
 		return err
 	}
@@ -144,26 +143,19 @@ func (w *worker) pivotSelection() error {
 	return nil
 }
 
-// selector builds the configured strategy's selector for this node,
-// whose sorted file holds li keys.
-func (w *worker) selector(li int64) (pivotSelector, error) {
-	n, cfg := w.n, w.cfg
-	p, id := n.P(), n.ID()
-	switch cfg.Strategy {
+// selector builds the configured strategy's selector for this node.
+func (w *worker) selector() (pivotSelector, error) {
+	switch w.cfg.Strategy {
 	case RegularSampling:
-		return w.sampled(func() ([]record.Key, error) { return w.sampleRegular(li) },
-			func(c []record.Key) ([]record.Key, error) { return sampling.SelectPivotsRegular(c, cfg.Perf) }), nil
+		return w.sampled(sampling.SelectPivotsRegular), nil
 	case RandomPivots:
-		// Perf-proportional random samples; node 0 picks the weighted
-		// pivots from them without any regular-position structure.
-		return w.sampled(func() ([]record.Key, error) { return w.sampleRandom(li, (p-1)*cfg.Perf[id], cfg.Seed+int64(id)*101) },
-			func(c []record.Key) ([]record.Key, error) { return sampling.SelectPivotsWeighted(c, cfg.Perf) }), nil
+		return w.sampled(sampling.SelectPivotsWeighted), nil
 	case QuantileSketch:
-		return w.sketched(li)
+		return w.sketched()
 	case Histogram:
-		return w.histogram(li), nil
+		return w.histogram(), nil
 	}
-	return pivotSelector{}, fmt.Errorf("unknown strategy %d", cfg.Strategy)
+	return pivotSelector{}, fmt.Errorf("unknown strategy %d", w.cfg.Strategy)
 }
 
 // concat is the combine of key samples; addCounts that of count vectors
@@ -178,76 +170,27 @@ func (w *worker) addCounts(acc, child []record.Key) ([]record.Key, error) {
 	return histsort.AddCounts(acc, child), nil
 }
 
-// sampled is a one-shot sampling strategy: every node contributes keys
-// sampled from its sorted file, node 0 sorts the lot in core and picks
+// sampled is a one-shot sampling strategy: every node contributes the
+// sample its index kept (no I/O), node 0 sorts the lot in core and picks
 // the pivots.  The candidates reach node 0 in rank order at every radix,
 // and the pickers depend only on the multiset anyway.
-func (w *worker) sampled(sample func() ([]record.Key, error), pick func([]record.Key) ([]record.Key, error)) pivotSelector {
+func (w *worker) sampled(pick func([]record.Key, perf.Vector) ([]record.Key, error)) pivotSelector {
 	return pivotSelector{
 		oneShot: true,
 		contribute: func(int, []record.Key) ([]record.Key, error) {
-			samples, err := sample()
-			w.sampleKeys += int64(len(samples))
-			return samples, err
+			x, err := w.sortedIndex()
+			if err != nil {
+				return nil, err
+			}
+			w.sampleKeys += int64(len(x.samples))
+			return x.samples, nil
 		},
 		combine: w.concat,
 		decide: func(cands []record.Key) ([]record.Key, error) {
 			w.n.ChargeCompute(int64(len(cands)) * 16) // in-core sort of a small sample
-			return pick(cands)
+			return pick(cands, w.cfg.Perf)
 		},
 	}
-}
-
-// sampleRegular is Algorithm 1's sampler: the sorted file read at
-// regular positions, perf-proportional count.
-func (w *worker) sampleRegular(li int64) ([]record.Key, error) {
-	n, cfg := w.n, w.cfg
-	if li <= 0 {
-		return nil, nil
-	}
-	spacing, _, err := sampling.HeteroSpacing(n.ID(), li, cfg.Perf[n.ID()], n.P())
-	if err != nil {
-		var spErr *sampling.SpacingError
-		if !errors.As(err, &spErr) {
-			return nil, err
-		}
-		// Portion too small for regular spacing: sample everything.
-		samples, err := diskio.ReadFileAll(n.FS(), sortedName, cfg.BlockKeys, n.Acct())
-		if err != nil {
-			return nil, fmt.Errorf("small-portion fallback (%v): %w", spErr, err)
-		}
-		return samples, nil
-	}
-	return w.readKeysAt(sampling.RegularSampleIndices(li, spacing))
-}
-
-// sampleRandom reads `count` keys at distinct random positions of the
-// node's sorted file.
-func (w *worker) sampleRandom(li int64, count int, seed int64) ([]record.Key, error) {
-	if li <= 0 || count <= 0 {
-		return nil, nil
-	}
-	return w.readKeysAt(sampling.RandomSampleIndices(li, count, seed))
-}
-
-// readKeysAt reads the sorted file at the given key indices, charging a
-// seek + block read each.
-func (w *worker) readKeysAt(indices []int64) ([]record.Key, error) {
-	n := w.n
-	f, err := n.FS().Open(sortedName)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	out := make([]record.Key, 0, len(indices))
-	for _, idx := range indices {
-		k, err := diskio.ReadKeyAt(f, idx, n.Acct())
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, k)
-	}
-	return out, nil
 }
 
 // sketched is the QuantileSketch strategy: stream the sorted file
@@ -258,7 +201,7 @@ func (w *worker) readKeysAt(indices []int64) ([]record.Key, error) {
 // radix: the topology is an outcome parameter for this strategy (every
 // partitioning satisfies the sketch error bound, and the global sorted
 // output is identical either way).
-func (w *worker) sketched(li int64) (pivotSelector, error) {
+func (w *worker) sketched() (pivotSelector, error) {
 	n, cfg := w.n, w.cfg
 	eps := cfg.QuantileEps
 	if eps <= 0 {
@@ -271,11 +214,8 @@ func (w *worker) sketched(li int64) (pivotSelector, error) {
 	return pivotSelector{
 		oneShot: true,
 		contribute: func(int, []record.Key) ([]record.Key, error) {
-			if li > 0 {
-				err := w.scanSorted(n.Acct(), func(keys []record.Key) { sk.InsertAll(keys) })
-				if err != nil {
-					return nil, err
-				}
+			if err := w.scanSorted(n.Acct(), func(keys []record.Key) { sk.InsertAll(keys) }); err != nil {
+				return nil, err
 			}
 			w.sampleKeys += 2 * int64(sk.TupleCount())
 			return encodeSketch(sk)
@@ -344,31 +284,27 @@ func decodeSketch(eps float64, enc []record.Key) (*quantile.Summary, error) {
 // (Histogram Sort with Sampling).  Round 0 agrees on the global key
 // count so node 0 can set the rank targets of its histsort.Refiner; in
 // every later round node 0's candidate splitters come down, every node
-// histograms its sorted file against them in one scan (the counting
-// charged to compute, the scan to the PDM counters), the per-candidate
-// global ranks add up the tree, and the refinement narrows until every
-// pivot's rank is within the tolerance of its heterogeneous perf-share
-// target.  Per-link traffic is O(p) encoded counters per round and no
-// node's fan-in exceeds the radix, so the strategy holds up at p=1024
-// where a flat sample gather's O(p²) keys collapse.
-func (w *worker) histogram(li int64) pivotSelector {
+// ranks them in its sorted file (ranks: block probes or one scan), the
+// per-candidate global ranks add up the tree, and the refinement narrows
+// until every pivot's rank is within the tolerance of its heterogeneous
+// perf-share target.  Per-link traffic is O(p) encoded counters per round
+// and no node's fan-in exceeds the radix, so the strategy holds up at
+// p=1024 where a flat sample gather's O(p²) keys collapse.
+func (w *worker) histogram() pivotSelector {
 	cfg, p := w.cfg, w.n.P()
 	var ref *histsort.Refiner // node 0 only
 	var cands []record.Key
 	return pivotSelector{
 		contribute: func(round int, down []record.Key) ([]record.Key, error) {
 			if round == 0 {
-				return histsort.EncodeCounts([]int64{li}), nil
+				li, err := diskio.CountKeys(w.n.FS(), sortedName)
+				return histsort.EncodeCounts([]int64{li}), err
 			}
-			// One scan of the sorted file: the sublist sizes' prefix sums
-			// are exactly the local ranks rank(c_j) = |{k : k <= c_j}|.
-			sizes, err := w.countSublists(down, w.n.Acct())
+			// The local ranks rank(c_j) = |{k : k <= c_j}|: a probe per
+			// block the candidates land in, or one scan.
+			ranks, err := w.ranks(down, w.n.Acct())
 			if err != nil {
 				return nil, err
-			}
-			ranks := sizes[:len(down)]
-			for j := 1; j < len(ranks); j++ {
-				ranks[j] += ranks[j-1]
 			}
 			return histsort.EncodeCounts(ranks), nil
 		},

@@ -141,11 +141,12 @@ func (t *tape) close() {
 // tapes following the generalized-Fibonacci perfect distribution with a
 // largest-deficit placement policy, and tracking the dummy-run deficit.
 type distributor struct {
-	tapes  []*tape // the T-1 input tapes
-	target []int64 // a[i]: perfect-distribution target at current level
-	placed []int64 // real runs placed on tape i
-	cur    int     // tape receiving the current run
-	curLen int64
+	tapes   []*tape // the T-1 input tapes
+	target  []int64 // a[i]: perfect-distribution target at current level
+	placed  []int64 // real runs placed on tape i
+	cur     int     // tape receiving the current run
+	curLen  int64
+	observe func(off int64, keys []record.Key) // SortObserved's, or nil
 }
 
 func newDistributor(inputs []*tape) *distributor {
@@ -201,6 +202,9 @@ func (d *distributor) beginRun() (int, error) {
 }
 
 func (d *distributor) emitKeys(keys []record.Key) error {
+	if d.observe != nil {
+		d.observe(d.curLen, keys)
+	}
 	d.curLen += int64(len(keys))
 	return d.tapes[d.cur].w.WriteKeys(keys)
 }
@@ -223,6 +227,15 @@ func (d *distributor) finalize() {
 // polyphase merge sort.  The input file is left untouched; tape files
 // are created under cfg.TempPrefix and removed on success.
 func Sort(cfg Config, inputName, outputName string) (Stats, error) {
+	return SortObserved(cfg, inputName, outputName, nil)
+}
+
+// SortObserved is Sort showing observe, chunk by chunk with each chunk's
+// offset in its run, every run formed (one run or many is known only at
+// the input's end) and the merge step writing the output.  That is the
+// last run written, so an index observe fills by position holds the
+// output's keys.  observe must not retain a chunk.
+func SortObserved(cfg Config, inputName, outputName string, observe func(off int64, keys []record.Key)) (Stats, error) {
 	if err := cfg.Validate(); err != nil {
 		return Stats{}, err
 	}
@@ -250,6 +263,7 @@ func Sort(cfg Config, inputName, outputName string) (Stats, error) {
 		}
 	}
 	dist := newDistributor(inputs)
+	dist.observe = observe
 	runs, keys, err := formRuns(cfg.FS, inputName, cfg.BlockKeys, cfg.MemoryKeys,
 		cfg.RunFormation, cfg.Acct, dist)
 	if err != nil {
@@ -290,7 +304,7 @@ func Sort(cfg Config, inputName, outputName string) (Stats, error) {
 			}
 			return stats, nil
 		}
-		steps, merr := mergePhase(tapes, out, cfg)
+		steps, merr := mergePhase(tapes, out, cfg, observe, keys)
 		if merr != nil {
 			return stats, fmt.Errorf("polyphase: merge phase %d: %w", stats.Phases+1, merr)
 		}
@@ -337,7 +351,7 @@ func finalTape(tapes []*tape) (*tape, error) {
 
 // mergePhase merges runs from every non-output tape into out until one
 // input tape is exhausted, returning the number of merge steps.
-func mergePhase(tapes []*tape, out *tape, cfg Config) (int64, error) {
+func mergePhase(tapes []*tape, out *tape, cfg Config, observe func(int64, []record.Key), keys int64) (int64, error) {
 	var inputs []*tape
 	for _, t := range tapes {
 		if t != out {
@@ -358,7 +372,7 @@ func mergePhase(tapes []*tape, out *tape, cfg Config) (int64, error) {
 		}
 	}
 	for s := int64(0); s < phaseLen; s++ {
-		if err := mergeStep(inputs, out, cfg); err != nil {
+		if err := mergeStep(inputs, out, cfg, observe, keys); err != nil {
 			return steps, err
 		}
 		steps++
@@ -401,9 +415,10 @@ func (s *runSource) Fill() error {
 }
 
 // mergeStep consumes one run (real or dummy) from every input tape and
-// appends the merged result to out.
-func mergeStep(inputs []*tape, out *tape, cfg Config) error {
+// appends the merged result to out, shown to observe if it has all keys.
+func mergeStep(inputs []*tape, out *tape, cfg Config, observe func(int64, []record.Key), keys int64) error {
 	var srcs []MergeSource
+	var runKeys int64
 	for _, t := range inputs {
 		if t.dummies > 0 {
 			t.dummies--
@@ -414,6 +429,7 @@ func mergeStep(inputs []*tape, out *tape, cfg Config) error {
 		}
 		length := t.runs[0]
 		t.runs = t.runs[1:]
+		runKeys += length
 		srcs = append(srcs, &runSource{t: t, remaining: length})
 	}
 	if len(srcs) == 0 {
@@ -423,6 +439,9 @@ func mergeStep(inputs []*tape, out *tape, cfg Config) error {
 	}
 	var outLen int64
 	emit := func(chunk []record.Key) error {
+		if observe != nil && runKeys == keys {
+			observe(outLen, chunk)
+		}
 		outLen += int64(len(chunk))
 		return out.w.WriteKeys(chunk)
 	}

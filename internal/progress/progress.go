@@ -193,17 +193,18 @@ func (t *Tracker) Snapshot() *Snapshot {
 // expectedBlocks is the perf-model estimate of a node's total accounted
 // block transfers across Algorithm 1: run formation streams the
 // l_i-key portion through disk twice (4·l/B transfers), locating the
-// cuts scans it once (l/B), redistribution writes the received partition
-// (≈l/B at perfect balance), and the final merge streams it once more
-// (2·l/B) — ≈8·l/B.  The constant is the same for every node, so
-// Fraction is comparable across nodes; pipelined or hierarchical runs
-// shift the true total a little, which only skews the advisory ETA.
+// cuts probes a block per pivot (≈0), redistribution writes the received
+// partition (≈l/B at perfect balance), and the final merge streams it
+// once more (2·l/B) — ≈7·l/B.  The constant is the same for every node,
+// so Fraction is comparable across nodes; pipelined, hierarchical and
+// small-block runs (which scan for the cuts) shift the true total a
+// little, which only skews the advisory ETA.
 func expectedBlocks(share int64, blockKeys int) int64 {
 	if blockKeys <= 0 {
 		return 0
 	}
 	b := int64(blockKeys)
-	return 8 * ((share + b - 1) / b)
+	return 7 * ((share + b - 1) / b)
 }
 
 // Table renders the snapshot as an aligned text table, one row per
