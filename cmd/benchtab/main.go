@@ -32,7 +32,9 @@
 //
 // -cpuprofile/-memprofile write pprof profiles of the selected
 // experiments, and every run ends with a host-side cost table (wall
-// clock, allocations, allocs per sorted key).
+// clock, allocations, allocs per sorted key, and the process's peak
+// resident set so far — getrusage's maxrss, so a one-experiment run
+// reads that experiment's peak).
 package main
 
 import (
@@ -41,6 +43,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"syscall"
 	"time"
 
 	"hetsort/internal/experiments"
@@ -87,7 +90,7 @@ func main() {
 
 	cost := &stats.Table{
 		Title:   "Host cost per experiment",
-		Headers: []string{"Experiment", "Wall", "Allocs", "Allocs/op"},
+		Headers: []string{"Experiment", "Wall", "Allocs", "Allocs/op", "Peak RSS"},
 	}
 	run := func(name string, f func() error) {
 		if *which != "all" && *which != name {
@@ -104,8 +107,11 @@ func main() {
 		runtime.ReadMemStats(&after)
 		allocs := after.Mallocs - before.Mallocs
 		opKeys := float64(int64(1<<22) >> *shift) // the suite's reference sort size
+		var ru syscall.Rusage
+		_ = syscall.Getrusage(syscall.RUSAGE_SELF, &ru)
 		cost.AddRow(name, wall.Round(time.Millisecond).String(),
-			fmt.Sprintf("%d", allocs), fmt.Sprintf("%.2f", float64(allocs)/opKeys))
+			fmt.Sprintf("%d", allocs), fmt.Sprintf("%.2f", float64(allocs)/opKeys),
+			fmt.Sprintf("%.0f MB", float64(ru.Maxrss)*1024/1e6)) // maxrss is in KiB on Linux
 		fmt.Println()
 	}
 

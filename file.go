@@ -25,6 +25,10 @@ func SortFile(inputPath, outputPath string, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	ecfg, err := cfg.extsortConfig(v)
+	if err != nil {
+		return nil, err
+	}
 	c, tl, err := cfg.newCluster(v)
 	if err != nil {
 		return nil, err
@@ -86,7 +90,7 @@ func SortFile(inputPath, outputPath string, cfg Config) (*Report, error) {
 		}
 	}
 
-	res, err := cfg.sortOnCluster(c, v, want)
+	res, err := cfg.sortOnCluster(c, v, ecfg, want)
 	if err != nil {
 		return nil, err
 	}

@@ -252,19 +252,6 @@ func (c Config) vector() (perf.Vector, error) {
 	return perf.Homogeneous(n), nil
 }
 
-func (c Config) network() (cluster.NetModel, error) {
-	switch c.Network {
-	case "", NetworkFastEthernet:
-		return cluster.FastEthernet(), nil
-	case NetworkMyrinet:
-		return cluster.Myrinet(), nil
-	case NetworkIdeal:
-		return cluster.Ideal(), nil
-	default:
-		return cluster.NetModel{}, fmt.Errorf("hetsort: unknown network %q", c.Network)
-	}
-}
-
 func (c Config) runFormation() (polyphase.RunFormation, error) {
 	switch c.RunFormation {
 	case "", RunReplacementSelection:
@@ -299,9 +286,9 @@ func (c Config) blockKeys() int {
 // newCluster assembles the simulated machine for this configuration,
 // returning the optional trace log alongside it.
 func (c Config) newCluster(v perf.Vector) (*cluster.Cluster, *trace.Log, error) {
-	net, err := c.network()
+	net, err := cluster.NetByName(c.Network)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("hetsort: %w", err)
 	}
 	access, err := c.diskAccess()
 	if err != nil {
@@ -369,6 +356,10 @@ func (c Config) pivotStrategy() (extsort.Strategy, error) {
 	}
 }
 
+// extsortConfig builds the Algorithm-1 configuration, with defaults
+// applied and validated for the cluster v describes.  Every entry point
+// builds it before any data moves, whatever the algorithm, so a bad
+// value fails fast.
 func (c Config) extsortConfig(v perf.Vector) (extsort.Config, error) {
 	rf, err := c.runFormation()
 	if err != nil {
@@ -382,16 +373,7 @@ func (c Config) extsortConfig(v perf.Vector) (extsort.Config, error) {
 	if err != nil {
 		return extsort.Config{}, fmt.Errorf("hetsort: %w", err)
 	}
-	// NaN-rejecting range checks (every comparison against NaN is
-	// false, so the conditions are negated in-range tests): a NaN eps
-	// used to slip past the zero-value defaulting and reach the sketch.
-	if c.QuantileEps != 0 && !(c.QuantileEps > 0 && c.QuantileEps < 1) {
-		return extsort.Config{}, fmt.Errorf("hetsort: QuantileEps=%v must be a finite value in (0, 1)", c.QuantileEps)
-	}
-	if c.HistTolerance != 0 && !(c.HistTolerance > 0 && c.HistTolerance < 1) {
-		return extsort.Config{}, fmt.Errorf("hetsort: HistTolerance=%v must be a finite value in (0, 1)", c.HistTolerance)
-	}
-	return extsort.Config{
+	ecfg := extsort.Config{
 		Perf:          v,
 		BlockKeys:     c.blockKeys(),
 		MemoryKeys:    c.MemoryKeys,
@@ -407,7 +389,9 @@ func (c Config) extsortConfig(v perf.Vector) (extsort.Config, error) {
 		Topology:      topo,
 		Radix:         c.Radix,
 		Progress:      c.Progress,
-	}, nil
+	}
+	ecfg.ApplyDefaults(len(v))
+	return ecfg, ecfg.Validate(len(v))
 }
 
 // Sort sorts keys out of core on the configured simulated cluster and
@@ -419,6 +403,10 @@ func Sort(keys []Key, cfg Config) ([]Key, *Report, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	ecfg, err := cfg.extsortConfig(v)
+	if err != nil {
+		return nil, nil, err
+	}
 	c, tl, err := cfg.newCluster(v)
 	if err != nil {
 		return nil, nil, err
@@ -427,7 +415,7 @@ func Sort(keys []Key, cfg Config) ([]Key, *Report, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := cfg.sortOnCluster(c, v, want)
+	res, err := cfg.sortOnCluster(c, v, ecfg, want)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -454,9 +442,10 @@ func Sort(keys []Key, cfg Config) ([]Key, *Report, error) {
 
 // sortOnCluster runs the selected algorithm on an already-loaded
 // cluster (every node holds "input") and verifies the "output" files
-// against the expected checksum.  The result is normalised to an
-// extsort.Result (the DeWitt baseline reports no per-step breakdown).
-func (c Config) sortOnCluster(cl *cluster.Cluster, v perf.Vector, want record.Checksum) (*extsort.Result, error) {
+// against the expected checksum.  ecfg is extsortConfig's result.  The
+// result is normalised to an extsort.Result (the DeWitt baseline
+// reports no per-step breakdown).
+func (c Config) sortOnCluster(cl *cluster.Cluster, v perf.Vector, ecfg extsort.Config, want record.Checksum) (*extsort.Result, error) {
 	if ph := c.Checkpoint.CrashPhase; ph != 0 {
 		if ph < 1 || ph > 5 {
 			return nil, fmt.Errorf("hetsort: Checkpoint.CrashPhase %d out of range 1..5", ph)
@@ -467,10 +456,6 @@ func (c Config) sortOnCluster(cl *cluster.Cluster, v perf.Vector, want record.Ch
 	}
 	switch c.Algorithm {
 	case "", AlgorithmExternalPSRS:
-		ecfg, err := c.extsortConfig(v)
-		if err != nil {
-			return nil, err
-		}
 		ecfg.Checkpoint = c.Checkpoint.Enabled
 		ecfg.InputSum = want
 		res, err := extsort.Sort(cl, ecfg, "input", "output")
@@ -569,7 +554,6 @@ func CalibrateReport(cfg Config, perNodeKeys int64) (*Calibration, error) {
 	if err != nil {
 		return nil, err
 	}
-	ecfg.ApplyDefaults(c.P())
 	for i := 0; i < c.P(); i++ {
 		keys := record.Uniform.Generate(int(perNodeKeys), cfg.Seed+int64(i), 1)
 		if err := diskio.WriteFile(c.Node(i).FS(), "calinput", keys, cfg.blockKeys(), diskio.Accounting{}); err != nil {

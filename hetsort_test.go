@@ -183,6 +183,11 @@ func TestSortConfigErrors(t *testing.T) {
 	if _, _, err := Sort(keys, Config{Network: "token-ring"}); err == nil {
 		t.Fatal("bad network accepted")
 	}
+	for _, net := range []string{NetworkFastEthernet, NetworkMyrinet, NetworkIdeal} {
+		if _, _, err := Sort(keys, Config{Network: net}); err != nil {
+			t.Errorf("network %q rejected: %v", net, err)
+		}
+	}
 	if _, _, err := Sort(keys, Config{RunFormation: "bogosort"}); err == nil {
 		t.Fatal("bad run formation accepted")
 	}

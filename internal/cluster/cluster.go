@@ -73,31 +73,59 @@ type Config struct {
 	// a virtual-time effect, so outputs stay byte-identical at any
 	// multiprogramming level.  nil means a dedicated machine.
 	Contention func() float64
-	// LinkBuffer is the per-link message queue capacity (default 4096
-	// messages) for clusters whose users never declare a bound.  The
-	// sorts' send-all-then-receive-all exchange can queue a whole
-	// segment per link, so a sort declares its own bound —
-	// ceil(l_i/MessageKeys) messages for the largest portion l_i,
-	// plus the end-of-stream sentinel — via EnsureLinkCapacity before
-	// Run (extsort and dewitt do; see LinkBound).  A declared bound
-	// replaces this default: at scale the default is the dominant
-	// memory cost (4096 slots on each of p² links), while the
-	// in-flight *data* volume is bounded by the dataset either way.
-	LinkBuffer int
 	// Trace, when non-nil, receives message and phase events with
 	// virtual timestamps.
 	Trace *trace.Log
 }
 
-// linkState is one directed link: a lazily created message channel
-// plus queue-depth accounting.  Channels materialize on first use, so
-// an idle link costs one small struct rather than a buffered channel —
-// a flat all-to-all still touches all p² links, but tree and grid
-// topologies touch O(p·r·log_r p) and the rest stay unallocated.
+// linkState is one directed link: an unbounded FIFO of messages, so a
+// send never blocks and never fails, and a send-all-then-receive-all
+// exchange needs no capacity plan.  Only the link's sender appends and
+// only its receiver pops.  A link materializes on its first send or
+// receive, so an idle link costs one pointer — a flat all-to-all still
+// touches all p² links, but tree and grid topologies touch
+// O(p·r·log_r p) and the rest stay unallocated.
 type linkState struct {
-	ch     atomic.Pointer[chan message]
-	queued atomic.Int64 // messages in flight (incremented by the sender before enqueue)
-	hwm    atomic.Int64 // high-water mark of queued since the last Run started
+	mu   sync.Mutex
+	msgs []message // queued from head on; the array is reused once drained
+	head int
+	hwm  atomic.Int64 // peak queue depth since the last Run started; written under mu
+}
+
+// push appends msg for the receiving node to and reports whether the
+// link went from empty to non-empty.  That 0→1 transition counts the
+// link into to's fan-in; it pairs with exactly one 1→0 transition in
+// pop, under the same lock, so fan-in never undershoots.
+func (l *linkState) push(msg message, to *Node) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.msgs = append(l.msgs, msg)
+	depth := len(l.msgs) - l.head
+	if int64(depth) > l.hwm.Load() {
+		l.hwm.Store(int64(depth))
+	}
+	if depth == 1 {
+		casMax(&to.faninHWM, to.fanin.Add(1))
+	}
+	return depth == 1
+}
+
+// pop removes the oldest message for the receiving node to; ok is false
+// when the link is empty.
+func (l *linkState) pop(to *Node) (msg message, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.head == len(l.msgs) {
+		return message{}, false
+	}
+	msg = l.msgs[l.head]
+	l.msgs[l.head] = message{}
+	l.head++
+	if l.head == len(l.msgs) {
+		l.msgs, l.head = l.msgs[:0], 0
+		to.fanin.Add(-1)
+	}
+	return msg, true
 }
 
 // casMax raises a to at least v.
@@ -116,11 +144,7 @@ type Cluster struct {
 	net   NetModel
 	trace *trace.Log
 
-	links    []linkState            // row-major [from*p+to], channels created lazily
-	linkMu   sync.Mutex             // guards channel creation and capacity growth
-	linkDef  int                    // Config.LinkBuffer: capacity for links with no hint
-	linkCap  int                    // uniform minimum set by EnsureLinkCapacity
-	linkCapF func(from, to int) int // per-link hint set by EnsureLinkCapacityFunc
+	links []atomic.Pointer[linkState] // row-major [from*p+to], created on first use
 
 	// payloads recycles message payload buffers across the whole
 	// cluster (senders acquire, receivers release), eliminating the
@@ -148,144 +172,31 @@ func (c *Cluster) Interrupt() {
 	c.abortOnce.Do(func() { close(c.abort) })
 }
 
-// LinkBound returns the per-link queue capacity a send-all-then-
-// receive-all exchange needs so sends never block: one message per
-// MessageKeys-sized packet of the largest per-node portion (maxKeys),
-// the zero-length end-of-stream sentinel, and a small margin for
-// control traffic and collectives.  Sorts pass the result to
-// EnsureLinkCapacity before Run.
-func LinkBound(maxKeys int64, messageKeys int) int {
-	if messageKeys <= 0 {
-		messageKeys = 1
+// LinkBound is a no-op kept for bench/replay.go's one call until that
+// call goes: links are unbounded, so there is no capacity to compute.
+func LinkBound(maxKeys int64, messageKeys int) int { return 0 }
+
+// EnsureLinkCapacity is a no-op kept for bench/replay.go's one call
+// until that call goes: links are unbounded, so there is nothing to size.
+func (c *Cluster) EnsureLinkCapacity(msgs int) {}
+
+// link returns the link from→to, creating it on first use.  Safe to
+// call from any node goroutine.
+func (c *Cluster) link(from, to int) *linkState {
+	lp := &c.links[from*len(c.nodes)+to]
+	if l := lp.Load(); l != nil {
+		return l
 	}
-	b := int((maxKeys+int64(messageKeys)-1)/int64(messageKeys)) + 1 + 16
-	// A low floor matters at scale: the bound applies per link, and a
-	// flat exchange touches all p² of them, so every slot of floor here
-	// is p²·sizeof(message) bytes of resident buffer at p=1024.
-	if b < 16 {
-		b = 16
-	}
-	return b
+	lp.CompareAndSwap(nil, new(linkState))
+	return lp.Load()
 }
 
-// EnsureLinkCapacity declares msgs as the uniform queue capacity for
-// every link, replacing the Config.LinkBuffer default (calls keep the
-// largest bound declared so far; a small floor leaves room for control
-// traffic).  Channels created later are sized to the bound, and
-// already-created channels are grown in place (never shrunk), with
-// queued messages preserved.  Must not be called while Run is
-// executing.
-func (c *Cluster) EnsureLinkCapacity(msgs int) {
-	c.linkMu.Lock()
-	defer c.linkMu.Unlock()
-	if msgs > c.linkCap {
-		c.linkCap = msgs
-	}
-	c.growCreatedLocked()
-}
-
-// EnsureLinkCapacityFunc installs a per-link capacity hint: the
-// channel for from→to is created with f(from, to) messages of
-// capacity (replacing the Config.LinkBuffer default, subject to the
-// EnsureLinkCapacity uniform minimum and a small control-traffic
-// floor).  The hint is evaluated lazily, so only links that actually
-// carry traffic pay for their bound — this is what keeps a tree
-// topology's resident buffer memory O(p·r·log_r p) instead of the
-// flat path's O(p²).  Already-created channels are grown to their
-// hint immediately (never shrunk).  Pass nil to restore the default.
-// Must not be called while Run is executing.
-func (c *Cluster) EnsureLinkCapacityFunc(f func(from, to int) int) {
-	c.linkMu.Lock()
-	defer c.linkMu.Unlock()
-	c.linkCapF = f
-	c.growCreatedLocked()
-}
-
-// growCreatedLocked grows every already-created channel to the current
-// capacity bound for its link.  Caller holds linkMu.
-func (c *Cluster) growCreatedLocked() {
-	p := len(c.nodes)
-	for i := range c.links {
-		ls := &c.links[i]
-		chp := ls.ch.Load()
-		if chp == nil {
-			continue
-		}
-		want := c.linkCapLocked(i/p, i%p)
-		if cap(*chp) >= want {
-			continue
-		}
-		grown := make(chan message, want)
-		for len(*chp) > 0 {
-			grown <- <-*chp
-		}
-		ls.ch.Store(&grown)
-	}
-}
-
-// linkCapLocked returns the creation capacity for link from→to.  With
-// a hint function installed the hint replaces the Config.LinkBuffer
-// default (that is the point: the default is sized for arbitrary flat
-// traffic, far above what a structured topology needs per link), while
-// the uniform minimum from EnsureLinkCapacity still applies, and a
-// small floor keeps room for stray control traffic.  Caller holds
-// linkMu.
-func (c *Cluster) linkCapLocked(from, to int) int {
-	if c.linkCapF != nil {
-		capMsgs := c.linkCapF(from, to)
-		if c.linkCap > capMsgs {
-			capMsgs = c.linkCap
-		}
-		if capMsgs < 16 {
-			capMsgs = 16
-		}
-		return capMsgs
-	}
-	// A declared bound replaces the Config.LinkBuffer default rather
-	// than raising it: the default is sized for arbitrary traffic from
-	// callers that never declare anything, and letting it win would
-	// keep every link at 4096 slots (~190 KiB of buffer) when the
-	// sort's own bound is a couple dozen.  A flat exchange at p=1024
-	// touches all 2^20 links, so that is the difference between ~1 GiB
-	// and ~200 GiB of resident channel buffers.
-	if c.linkCap > 0 {
-		capMsgs := c.linkCap
-		if capMsgs < 16 {
-			capMsgs = 16
-		}
-		return capMsgs
-	}
-	return c.linkDef
-}
-
-// linkAt returns the link state for from→to.
-func (c *Cluster) linkAt(from, to int) *linkState {
-	return &c.links[from*len(c.nodes)+to]
-}
-
-// link returns the channel for from→to, creating it on first use at
-// the capacity bound in force.  Safe to call from any node goroutine.
-func (c *Cluster) link(from, to int) chan message {
-	ls := c.linkAt(from, to)
-	if chp := ls.ch.Load(); chp != nil {
-		return *chp
-	}
-	c.linkMu.Lock()
-	defer c.linkMu.Unlock()
-	if chp := ls.ch.Load(); chp != nil {
-		return *chp
-	}
-	ch := make(chan message, c.linkCapLocked(from, to))
-	ls.ch.Store(&ch)
-	return ch
-}
-
-// LinksCreated returns the number of links whose channel has been
-// materialized — the measure of resident link-buffer state.
+// LinksCreated returns the number of links that have materialized —
+// the measure of resident link state.
 func (c *Cluster) LinksCreated() int {
 	created := 0
 	for i := range c.links {
-		if c.links[i].ch.Load() != nil {
+		if c.links[i].Load() != nil {
 			created++
 		}
 	}
@@ -301,9 +212,9 @@ func (c *Cluster) FanInHWM(id int) int64 { return c.nodes[id].faninHWM.Load() }
 // node id's incoming links during the last Run.
 func (c *Cluster) LinkQueueHWM(id int) int64 {
 	var m int64
-	for from := 0; from < len(c.nodes); from++ {
-		if h := c.linkAt(from, id).hwm.Load(); h > m {
-			m = h
+	for from := range c.nodes {
+		if l := c.links[from*len(c.nodes)+id].Load(); l != nil {
+			m = max(m, l.hwm.Load())
 		}
 	}
 	return m
@@ -383,14 +294,11 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Disks == nil {
 		cfg.Disks = func(int) diskio.FS { return diskio.NewMemFS() }
 	}
-	if cfg.LinkBuffer <= 0 {
-		cfg.LinkBuffer = 1 << 12
-	}
 	if cfg.DisksPerNode <= 0 {
 		cfg.DisksPerNode = 1
 	}
-	c := &Cluster{net: cfg.Net, trace: cfg.Trace, linkDef: cfg.LinkBuffer}
-	c.links = make([]linkState, p*p)
+	c := &Cluster{net: cfg.Net, trace: cfg.Trace}
+	c.links = make([]atomic.Pointer[linkState], p*p)
 	c.nodes = make([]*Node, p)
 	for i := 0; i < p; i++ {
 		n := &Node{
@@ -404,9 +312,10 @@ func New(cfg Config) (*Cluster, error) {
 			fs:       cfg.Disks(i),
 			contend:  cfg.Contention,
 			metrics:  metrics.NewRegistry(),
+			wake:     make(chan struct{}, 1),
 		}
 		n.initDiskQueues()
-		n.initMetricHandles(p)
+		n.initMetricHandles()
 		c.nodes[i] = n
 	}
 	return c, nil
@@ -468,18 +377,15 @@ func (c *Cluster) Run(fn func(*Node) error) error {
 	c.abort = make(chan struct{})
 	c.abortOnce = new(sync.Once)
 	c.abortMu.Unlock()
-	// Drain any messages a previous aborted run left in the links, so
+	// Drop any messages a previous aborted run left in the links, so
 	// the cluster is reusable after a failure, and zero the per-run
-	// queue accounting.
+	// queue accounting.  No node goroutine is running yet.
 	for i := range c.links {
-		ls := &c.links[i]
-		if chp := ls.ch.Load(); chp != nil {
-			for len(*chp) > 0 {
-				<-*chp
-			}
+		if l := c.links[i].Load(); l != nil {
+			clear(l.msgs)
+			l.msgs, l.head = l.msgs[:0], 0
+			l.hwm.Store(0)
 		}
-		ls.queued.Store(0)
-		ls.hwm.Store(0)
 	}
 	for _, n := range c.nodes {
 		n.fanin.Store(0)
@@ -591,14 +497,11 @@ type Node struct {
 	// metrics is the node's registry; the typed handles below cache the
 	// hot-path metrics so sends and receives never take the registry
 	// lock.
-	metrics    *metrics.Registry
-	mSentMsgs  *metrics.Counter
-	mSentKeys  *metrics.Counter
-	mRecvMsgs  *metrics.Counter
-	mRecvKeys  *metrics.Counter
-	mSentTo    []*metrics.Counter // keys sent per outgoing link
-	mQueueHist *metrics.Histogram // queue depth sampled after each send
-	mQueueLast *metrics.Gauge
+	metrics   *metrics.Registry
+	mSentMsgs *metrics.Counter
+	mSentKeys *metrics.Counter
+	mRecvMsgs *metrics.Counter
+	mRecvKeys *metrics.Counter
 	// The overlap counters are registered by the first overlapped
 	// charge, so synchronous runs report none of them.
 	mPrefetch, mPrefetchHits, mPrefetchStalls, mWriteBehind *metrics.Counter
@@ -620,16 +523,17 @@ type Node struct {
 	fanin    atomic.Int64
 	faninHWM atomic.Int64
 
+	// wake carries one token per in-link 0→1 transition (dropped when a
+	// token is already pending), so a Recv blocked on an empty link can
+	// wait on it and on the cluster abort at once.  A token says only
+	// "some in-link became non-empty": the receiver rechecks its link.
+	wake chan struct{}
+
 	// Scheduled fault injection (see Cluster.ScheduleCrash).
 	crashArmed bool
 	crashClock float64
 	crashPoint string
 }
-
-// FanInHWM returns the node's peak count of in-links with queued
-// messages so far — readable mid-run by the node's own goroutine for
-// per-round snapshots, or after Run for the whole-run peak.
-func (n *Node) FanInHWM() int64 { return n.faninHWM.Load() }
 
 // MaxInQueueHWM returns the worst queue high-water mark over the node's
 // incoming links so far.
@@ -653,24 +557,13 @@ func (n *Node) initDiskQueues() {
 	}
 }
 
-// initMetricHandles pre-registers the hot-path metrics for a p-node
-// cluster, so Send/Recv only touch atomics.
-func (n *Node) initMetricHandles(p int) {
+// initMetricHandles pre-registers the hot-path metrics, so Send/Recv
+// only touch atomics.
+func (n *Node) initMetricHandles() {
 	n.mSentMsgs = n.metrics.Counter("net.sent.msgs")
 	n.mSentKeys = n.metrics.Counter("net.sent.keys")
 	n.mRecvMsgs = n.metrics.Counter("net.recv.msgs")
 	n.mRecvKeys = n.metrics.Counter("net.recv.keys")
-	// Per-peer traffic counters are p entries per node — p² strings and
-	// atomics cluster-wide — so they stay off above the sizes where
-	// anyone reads them one by one.
-	if p <= 128 {
-		n.mSentTo = make([]*metrics.Counter, p)
-		for j := 0; j < p; j++ {
-			n.mSentTo[j] = n.metrics.Counter(fmt.Sprintf("net.sent.keys.to.%d", j))
-		}
-	}
-	n.mQueueHist = n.metrics.Histogram("net.queue.depth")
-	n.mQueueLast = n.metrics.Gauge("net.queue.depth.last")
 }
 
 // crashIfDue panics with a CrashError when the node's scheduled
@@ -1115,40 +1008,20 @@ func (n *Node) send(to, tag int, keys []record.Key, copyPayload bool) error {
 		n.ChargeTime(vtime.Network, occupancy*n.contention())
 		arrival = n.clock + n.cluster.net.LatencySec
 	}
-	ch := n.cluster.link(n.id, to)
-	ls := n.cluster.linkAt(n.id, to)
 	rn := n.cluster.nodes[to]
-	// Count the message before it enters the channel so the receiver's
-	// view of queued never undershoots; a failed enqueue backs the count
-	// out.  Only this node sends on this link, so a 0→1 transition here
-	// pairs with exactly one 1→0 transition at the receiver (or with the
-	// back-out below).
-	q := ls.queued.Add(1)
-	if q == 1 {
-		casMax(&rn.faninHWM, rn.fanin.Add(1))
+	if n.cluster.link(n.id, to).push(message{tag: tag, keys: payload, arrival: arrival, remote: remote}, rn) {
+		select {
+		case rn.wake <- struct{}{}:
+		default: // a token is already pending
+		}
 	}
-	select {
-	case ch <- message{tag: tag, keys: payload, arrival: arrival, remote: remote}:
-		casMax(&ls.hwm, q)
-		n.mSentMsgs.Inc()
-		n.mSentKeys.Add(int64(len(keys)))
-		if n.mSentTo != nil {
-			n.mSentTo[to].Add(int64(len(keys)))
-		}
-		depth := float64(len(ch))
-		n.mQueueHist.Observe(depth)
-		n.mQueueLast.Set(depth)
-		if tl := n.cluster.trace; tl != nil {
-			tl.Add(trace.Event{Node: n.id, Clock: n.clock, Kind: trace.MessageSent,
-				Label: fmt.Sprintf("tag%d", tag), Detail: fmt.Sprintf("to:%d keys:%d", to, len(keys))})
-		}
-		return nil
-	default:
-		if ls.queued.Add(-1) == 0 && q == 1 {
-			rn.fanin.Add(-1)
-		}
-		return fmt.Errorf("cluster: link %d->%d full (deadlock-prone receive order?)", n.id, to)
+	n.mSentMsgs.Inc()
+	n.mSentKeys.Add(int64(len(keys)))
+	if tl := n.cluster.trace; tl != nil {
+		tl.Add(trace.Event{Node: n.id, Clock: n.clock, Kind: trace.MessageSent,
+			Label: fmt.Sprintf("tag%d", tag), Detail: fmt.Sprintf("to:%d keys:%d", to, len(keys))})
 	}
+	return nil
 }
 
 // Recv receives the next message from node `from`, asserting its tag.
@@ -1162,21 +1035,21 @@ func (n *Node) Recv(from, wantTag int) ([]record.Key, error) {
 	if from < 0 || from >= n.P() {
 		return nil, fmt.Errorf("cluster: node %d receiving from invalid rank %d", n.id, from)
 	}
-	ch := n.cluster.link(from, n.id)
-	var msg message
-	select {
-	case msg = <-ch:
-	default:
-		// Slow path: block on the message or on a cluster abort (a
-		// peer failed and will never send).
+	l := n.cluster.link(from, n.id)
+	msg, ok := l.pop(n)
+	for !ok {
+		// Wait for an in-link to fill or for a cluster abort (a peer
+		// failed and will never send); a message already queued is
+		// delivered even after an abort.
+		aborted := false
 		select {
-		case msg = <-ch:
+		case <-n.wake:
 		case <-n.cluster.abort:
+			aborted = true
+		}
+		if msg, ok = l.pop(n); !ok && aborted {
 			return nil, fmt.Errorf("cluster: node %d receive from %d aborted (peer failed)", n.id, from)
 		}
-	}
-	if n.cluster.linkAt(from, n.id).queued.Add(-1) == 0 {
-		n.fanin.Add(-1)
 	}
 	if msg.tag != wantTag {
 		return nil, fmt.Errorf("cluster: node %d expected tag %d from %d, got %d",

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -253,6 +254,20 @@ func TestNetModelTransfer(t *testing.T) {
 	}
 }
 
+func TestNetByName(t *testing.T) {
+	for _, m := range []NetModel{FastEthernet(), Myrinet(), Ideal()} {
+		if got, err := NetByName(m.Name); err != nil || got != m {
+			t.Errorf("NetByName(%q) = %v, %v", m.Name, got, err)
+		}
+	}
+	if got, err := NetByName(""); err != nil || got != FastEthernet() {
+		t.Errorf(`NetByName("") = %v, %v; want the default`, got, err)
+	}
+	if _, err := NetByName("token-ring"); err == nil {
+		t.Error("unknown network accepted")
+	}
+}
+
 func TestPresetsOrdering(t *testing.T) {
 	fe, my := FastEthernet(), Myrinet()
 	if my.LatencySec >= fe.LatencySec {
@@ -407,26 +422,124 @@ func TestAcctChargesNodeAndCounter(t *testing.T) {
 	}
 }
 
-func TestLinkBufferOverflowDetected(t *testing.T) {
-	c, err := New(Config{Slowdowns: []float64{1, 1}, LinkBuffer: 2})
+// TestLinksAreUnbounded: a node queues far more messages than any old
+// fixed link capacity on its self link and on a remote link before
+// anyone receives, and every send succeeds; both receivers then get
+// every message in send order.
+func TestLinksAreUnbounded(t *testing.T) {
+	const msgs = 10000
+	c := mustNew(t, 1, 1, 1)
+	drain := func(n *Node, from int) error {
+		for i := 0; i < msgs; i++ {
+			got, err := n.Recv(from, 1)
+			if err != nil {
+				return err
+			}
+			if len(got) != 1 || got[0] != record.Key(i) {
+				return fmt.Errorf("node %d: message %d from %d is %v", n.ID(), i, from, got)
+			}
+		}
+		return nil
+	}
+	err := c.Run(func(n *Node) error {
+		switch n.ID() {
+		case 1:
+			// The go-ahead comes only once all of node 0's sends are
+			// queued, relayed through node 2 (a link carries one tag
+			// order, so it cannot share node 0's link).
+			if _, err := n.Recv(2, 2); err != nil {
+				return err
+			}
+			return drain(n, 0)
+		case 2:
+			if _, err := n.Recv(0, 2); err != nil {
+				return err
+			}
+			return n.Send(1, 2, nil)
+		}
+		for i := 0; i < msgs; i++ {
+			for _, to := range []int{0, 1} {
+				if err := n.Send(to, 1, []record.Key{record.Key(i)}); err != nil {
+					return err
+				}
+			}
+		}
+		if err := n.Send(2, 2, nil); err != nil {
+			return err
+		}
+		return drain(n, 0)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = c.Run(func(n *Node) error {
-		if n.ID() != 0 {
-			return nil
+	for id := 0; id < 2; id++ {
+		if got := c.LinkQueueHWM(id); got != msgs {
+			t.Errorf("node %d: in-link queue high-water mark %d, want %d", id, got, msgs)
 		}
-		// Self-sends queue without a concurrent receiver, so the third
-		// enqueue deterministically overflows the 2-slot link.
-		for i := 0; i < 3; i++ {
-			if err := n.Send(0, 0, nil); err != nil {
+	}
+}
+
+// TestRecvWaitsOnItsOwnLink: a Recv blocked on one link keeps waiting
+// while another link floods the same node (every flood message can wake
+// the node's shared wake channel), and returns its own link's message
+// once that lands; the flood is then delivered intact.
+func TestRecvWaitsOnItsOwnLink(t *testing.T) {
+	const flood = 2000
+	c := mustNew(t, 1, 1, 1)
+	err := c.Run(func(n *Node) error {
+		switch n.ID() {
+		case 0: // link A: sends once node 1's flood is queued
+			if _, err := n.Recv(1, 9); err != nil {
 				return err
+			}
+			return n.Send(2, 1, []record.Key{42})
+		case 1: // link B: floods node 2, then lets node 0 go
+			for i := 0; i < flood; i++ {
+				if err := n.Send(2, 2, []record.Key{record.Key(i)}); err != nil {
+					return err
+				}
+			}
+			return n.Send(0, 9, nil)
+		}
+		got, err := n.Recv(0, 1)
+		if err != nil {
+			return err
+		}
+		if len(got) != 1 || got[0] != 42 {
+			return fmt.Errorf("link A delivered %v, want [42]", got)
+		}
+		for i := 0; i < flood; i++ {
+			got, err := n.Recv(1, 2)
+			if err != nil {
+				return err
+			}
+			if got[0] != record.Key(i) {
+				return fmt.Errorf("flood message %d is %v", i, got)
 			}
 		}
 		return nil
 	})
-	if err == nil || !strings.Contains(err.Error(), "full") {
-		t.Fatalf("want link-full error, got %v", err)
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecvMaterializesLink: a link that only a Recv touched counts as
+// created, exactly like one a Send touched.
+func TestRecvMaterializesLink(t *testing.T) {
+	c := mustNew(t, 1, 1)
+	err := c.Run(func(n *Node) error {
+		if n.ID() == 0 {
+			return errTest // node 1's Recv aborts; nothing is ever sent
+		}
+		_, err := n.Recv(0, 1)
+		return err
+	})
+	if err == nil || !strings.Contains(err.Error(), "aborted") {
+		t.Fatalf("want node 1's receive to abort, got %v", err)
+	}
+	if got := c.LinksCreated(); got != 1 {
+		t.Fatalf("LinksCreated = %d after one receive-only link, want 1", got)
 	}
 }
 

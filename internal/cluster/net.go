@@ -58,3 +58,17 @@ func Myrinet() NetModel {
 func Ideal() NetModel {
 	return NetModel{Name: "ideal", LatencySec: 0, BytesPerSec: 0}
 }
+
+// NetByName returns the preset whose Name is name; "" means
+// FastEthernet.
+func NetByName(name string) (NetModel, error) {
+	if name == "" {
+		return FastEthernet(), nil
+	}
+	for _, m := range []NetModel{FastEthernet(), Myrinet(), Ideal()} {
+		if m.Name == name {
+			return m, nil
+		}
+	}
+	return NetModel{}, fmt.Errorf("unknown network %q (want fast-ethernet, myrinet or ideal)", name)
+}

@@ -224,33 +224,3 @@ func TestTreeCollectivesBoundFanIn(t *testing.T) {
 		t.Fatalf("tree gather created %d links, expected well under %d", created, p*p)
 	}
 }
-
-// TestLazyLinkCapacityHints checks per-link hints apply at creation and
-// that EnsureLinkCapacity grows already-created channels in place.
-func TestLazyLinkCapacityHints(t *testing.T) {
-	c := mustNew(t, 1, 1)
-	c.EnsureLinkCapacityFunc(func(from, to int) int {
-		if from == 0 && to == 1 {
-			return 9000
-		}
-		return 0
-	})
-	if got := cap(c.link(0, 1)); got != 9000 {
-		t.Fatalf("hinted link capacity %d, want 9000", got)
-	}
-	// With a hint function installed, the hint replaces the default for
-	// unhinted links too (clamped to the control-traffic floor).
-	if got := cap(c.link(1, 0)); got != 16 {
-		t.Fatalf("unhinted link capacity %d, want 16", got)
-	}
-	// Growth preserves queued messages (white-box: enqueue directly).
-	c.link(1, 0) <- message{tag: 5, keys: []record.Key{1, 2, 3}}
-	c.EnsureLinkCapacity(1 << 14)
-	if got := cap(c.link(1, 0)); got != 1<<14 {
-		t.Fatalf("grown link capacity %d, want %d", got, 1<<14)
-	}
-	msg := <-c.link(1, 0)
-	if msg.tag != 5 || len(msg.keys) != 3 {
-		t.Fatalf("message lost in growth: %+v", msg)
-	}
-}

@@ -105,15 +105,6 @@ func Sort(c *cluster.Cluster, cfg Config, inputName, outputName string) (*Result
 		return nil, fmt.Errorf("dewitt: perf length %d != cluster size %d", len(cfg.Perf), p)
 	}
 	splitOut := make([][]record.Key, p)
-	// One whole portion can queue on a link during the exchange; size
-	// the queues so sends never block (see cluster.LinkBound).
-	var maxPortion int64
-	for i := 0; i < p; i++ {
-		if li, err := diskio.CountKeys(c.Node(i).FS(), inputName); err == nil && li > maxPortion {
-			maxPortion = li
-		}
-	}
-	c.EnsureLinkCapacity(cluster.LinkBound(maxPortion, cfg.MessageKeys))
 	err := c.Run(func(n *cluster.Node) error {
 		s, err := nodeMain(n, cfg, inputName, outputName)
 		splitOut[n.ID()] = s

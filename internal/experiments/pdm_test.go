@@ -7,7 +7,7 @@ import (
 
 // TestPDMAblation runs A10 end to end at test scale.  The ablation is
 // self-checking (byte-identical outputs, equal block I/Os where the
-// change is timing- or compute-only, strict virtual-time improvements),
+// change is timing-only, strict virtual-time improvements),
 // so the test mostly asserts the row shape the BENCH_pdm.json baseline
 // and the regression gate rely on.
 func TestPDMAblation(t *testing.T) {
@@ -22,8 +22,8 @@ func TestPDMAblation(t *testing.T) {
 			t.Fatalf("row %s incomplete: %+v", r.Key(), r)
 		}
 	}
-	if parts["disks"] != 7 || parts["run-formation"] != 4 {
-		t.Fatalf("parts %v, want 7 disks variants and 4 run formers", parts)
+	if parts["disks"] != 7 || parts["run-formation"] != 3 {
+		t.Fatalf("parts %v, want 7 disks variants and 3 run formers", parts)
 	}
 	byVariant := map[string]map[string]string{}
 	for _, r := range rows {

@@ -251,7 +251,11 @@ type Result struct {
 	// DiskIO[i][d] is node i's I/O on member disk d; nil per node when
 	// the node has a single disk.  Summing over d reproduces NodeIO[i].
 	DiskIO [][]pdm.IOStats
-	// StepIO[s][i] is node i's I/O during step s.
+	// StepIO[s][i] is node i's I/O during step s, barrier to barrier:
+	// a checkpointed step's cell includes its manifest commit (one
+	// write, one seek, plus step 5's Merkle hashing under Merkle).  The
+	// node counter's phase cells are the view without manifests:
+	// commits are charged to phase 0.
 	StepIO [5][]pdm.IOStats
 	// NodeAttr[i] splits node i's final clock into compute, disk,
 	// network and idle-wait virtual time.  The categories sum to
@@ -377,23 +381,13 @@ func runWorkers(c *cluster.Cluster, cfg Config, inputName, outputName string, pl
 		res.StepAttr[s] = make([]vtime.Breakdown, p)
 	}
 	radix := resolveRadix(p, cfg.Topology, cfg.Radix)
-
-	// Size the link queues from the portions: each redistribution round
-	// is send-all-then-receive-all, so every link must hold whatever its
-	// sender can queue on it before the receiver starts draining — then
-	// sends never block and the exchange order cannot deadlock.  The
-	// bound is a lazily evaluated per-link hint (see linkBound), so only
-	// the links a topology actually uses are ever sized for bulk data.
-	portions := make([]int64, p)
-	var totalKeys int64
-	for i := range portions {
-		if li, err := diskio.CountKeys(c.Node(i).FS(), inputName); err == nil {
-			portions[i] = li
-			totalKeys += li
-		}
-	}
-	c.EnsureLinkCapacityFunc(linkBound(p, radix, cfg.MessageKeys, portions))
 	if cfg.Progress != nil {
+		var totalKeys int64
+		for i := 0; i < p; i++ {
+			if li, err := diskio.CountKeys(c.Node(i).FS(), inputName); err == nil {
+				totalKeys += li
+			}
+		}
 		cfg.Progress.Bind(c, cfg.Perf, totalKeys, cfg.BlockKeys)
 	}
 

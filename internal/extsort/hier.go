@@ -99,9 +99,9 @@ func (b *blockFile) Close() error {
 // (sub-blocks of 1) node d holds exactly partition d.  A node's own
 // bucket never travels: it stays on disk and is read once, by the merge
 // that consumes it.  Each round is send-all-then-receive-all on its own
-// tag; buffered links make sends non-blocking and per-link FIFO keeps
-// rounds ordered, so no inter-round barrier is needed and no node ever
-// holds more than its round in-degree of open streams.
+// tag; a link is an unbounded FIFO, so sends never block and per-link
+// order keeps rounds apart: no inter-round barrier is needed and no node
+// ever holds more than its round in-degree of open streams.
 //
 // All nodes run all rounds — on a resumed run the nodes already past
 // phase 4 act as pure forwarders, re-routing the needy destinations'

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"hetsort/internal/cluster"
 	"hetsort/internal/record"
 )
 
@@ -13,7 +12,7 @@ import (
 // samples and one p×p all-to-all round for the redistribution — the
 // radix-p case of the same routing algebra (topoLevels gives {p, 1}).
 // Both collapse long before p=1024 — the designated node's fan-in and
-// the per-link buffer memory grow with p and p² respectively — so the
+// the number of live links grow with p and p² respectively — so the
 // hierarchical structures trade extra rounds (and one extra disk pass
 // per round) for O(r) fan-in per node per round, the multi-pass
 // all-to-all of Rahn/Sanders/Singler's distributed external sort.
@@ -65,7 +64,7 @@ func ParseTopology(s string) (Topology, error) {
 
 // resolveRadix turns the topology into the one fan-in r the whole run
 // uses — the collective tree of step 2 and the barriers, the
-// redistribution levels, the link sizing: p for flat (a star is the
+// redistribution levels: p for flat (a star is the
 // radix-p tree), ⌈√p⌉ for the grid, the configured Radix for a tree.
 func resolveRadix(p int, topo Topology, radix int) int {
 	switch topo {
@@ -193,10 +192,11 @@ func PeakFanIn(p int, topo Topology, radix int) int {
 	return peak
 }
 
-// LinkMemoryBytes estimates the resident link-buffer memory a run of
-// this configuration pins across the cluster: every node buffers up to
-// its peak fan-in of concurrently open incoming streams, one
-// MessageKeys message each.  For the flat topology that is
+// LinkMemoryBytes estimates the in-flight message payload a run of this
+// configuration pins across the cluster: every node buffers up to its
+// peak fan-in of concurrently open incoming streams, one MessageKeys
+// message each.  It prices payloads, not queue slots (a link is an
+// unbounded FIFO).  For the flat topology that is
 // p²·MessageKeys·KeySize — the O(p²) scaling that turns into an OOM at
 // large p — while tree/grid stay at p·(r+1)·MessageKeys·KeySize.  The
 // hetsortd admission check charges this against the machine's memory
@@ -220,90 +220,4 @@ func satMulInt64(a, b int64) int64 {
 		return math.MaxInt64
 	}
 	return a * b
-}
-
-// collectiveEdgeBounds returns per-link message-capacity bounds for the
-// radix-rc collective tree rooted at node 0: an upward edge (child
-// leader → block leader) queues up to the child block's rank count per
-// barrier (TreeBarrier forwards one empty message per rank), and a
-// barrier back to back with a reduce can double that before the leader
-// drains; broadcast edges carry single messages.  Keys are from*p+to.
-func collectiveEdgeBounds(p, rc int) map[int]int {
-	edges := make(map[int]int)
-	bump := func(from, to, v int) {
-		if v > edges[from*p+to] {
-			edges[from*p+to] = v
-		}
-	}
-	var rec func(lo, hi int)
-	rec = func(lo, hi int) {
-		if hi-lo <= 1 {
-			return
-		}
-		sub := (hi - lo + rc - 1) / rc
-		for s := lo; s < hi; s += sub {
-			end := s + sub
-			if end > hi {
-				end = hi
-			}
-			if s != lo {
-				bump(s, lo, 2*(end-s)+16)
-				bump(lo, s, 16)
-			}
-			rec(s, end)
-		}
-	}
-	rec(0, p)
-	return edges
-}
-
-// linkBound builds the per-link capacity hint for a run, so that the
-// send-all-then-receive-all rounds never block on a full queue:
-// collective-tree edges get their block-size bounds, and each round edge
-// (sender → representative) gets cluster.LinkBound of the keys it can
-// carry, plus one more sentinel and one more partial message per further
-// destination in the target sub-block.  A round-0 edge carries only the
-// sender's own portion; a forwarding round can funnel the whole dataset
-// through one edge (an all-duplicate input sends every key to one
-// destination's sub-block), so there the dataset-sized bound is the only
-// statically safe one.  Both are charged per *used* link — the hint is
-// evaluated lazily — so a hierarchical run's resident capacity stays
-// O(p·r·log_r p) links, and the flat run's p² links each hold exactly
-// cluster.LinkBound(l_from, messageKeys) unless a star edge of the
-// collectives asks for a slot more.  radix is the resolved one.
-func linkBound(p, radix, messageKeys int, portions []int64) func(from, to int) int {
-	lv := topoLevels(p, radix)
-	coll := collectiveEdgeBounds(p, radix)
-	var totalKeys int64
-	for _, l := range portions {
-		totalKeys += l
-	}
-	return func(from, to int) int {
-		b := coll[from*p+to]
-		for t := 0; t+1 < len(lv); t++ {
-			s, sub := lv[t], lv[t+1]
-			if from == to || from/s != to/s {
-				continue
-			}
-			slo := to / sub * sub
-			if routeStep(from, slo, s, sub, p) != to {
-				continue
-			}
-			end := slo + sub
-			if bhi := from/s*s + s; end > bhi {
-				end = bhi
-			}
-			if end > p {
-				end = p
-			}
-			keys := totalKeys
-			if t == 0 {
-				keys = portions[from]
-			}
-			if v := cluster.LinkBound(keys, messageKeys) + 2*(end-slo-1); v > b {
-				b = v
-			}
-		}
-		return b
-	}
 }

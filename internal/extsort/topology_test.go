@@ -626,34 +626,3 @@ func TestFlatIsRadixPTree(t *testing.T) {
 		}
 	}
 }
-
-// TestLinkBoundSingleRound pins the link-sizing rule where it matters
-// most: at levels {p, 1} all p² − p links carry bulk data, and each must
-// be sized by its sender's own portion — cluster.LinkBound(l_from, msg)
-// — not by the dataset, or the flat p=1024 mesh would not fit in memory.
-func TestLinkBoundSingleRound(t *testing.T) {
-	const msg = 256
-	portions := []int64{0, 100, 256, 257, 5000, 70000, 1 << 20}
-	p := len(portions)
-	for name, bound := range map[string]func(from, to int) int{
-		"flat":         linkBound(p, resolveRadix(p, TopologyFlat, 4), msg, portions),
-		"radix-p tree": linkBound(p, resolveRadix(p, TopologyTree, p), msg, portions),
-	} {
-		for from := 0; from < p; from++ {
-			for to := 0; to < p; to++ {
-				if from == to {
-					continue
-				}
-				want := cluster.LinkBound(portions[from], msg)
-				// The collectives' star edges may ask for a slot more.
-				if cb := collectiveEdgeBounds(p, p)[from*p+to]; cb > want {
-					want = cb
-				}
-				if got := bound(from, to); got != want {
-					t.Errorf("%s link %d->%d: capacity %d, want cluster.LinkBound(%d, %d) = %d",
-						name, from, to, got, portions[from], msg, want)
-				}
-			}
-		}
-	}
-}

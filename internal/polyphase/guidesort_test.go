@@ -2,13 +2,14 @@ package polyphase
 
 import (
 	"bytes"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"hetsort/internal/diskio"
-	"hetsort/internal/pdm"
 	"hetsort/internal/record"
+	"hetsort/internal/vtime"
 )
 
 // bandedKeys builds bands of perBand keys with disjoint, ascending key
@@ -143,35 +144,26 @@ func TestAllFormersByteIdenticalOutput(t *testing.T) {
 	}
 }
 
-// TestGallopingIdentityAndCompute: disabling galloping must not change
-// one byte of output or one PDM I/O count, and galloping must charge
-// strictly less compute on gallop-friendly (banded) input.
+// TestGallopingIdentityAndCompute: on the runs load-sort forms from
+// banded input (disjoint ranges, so maximal galloping), the galloping
+// kernel emits the non-galloping reference's bytes with the same Fills
+// — the same block reads — and charges strictly less compute.
 func TestGallopingIdentityAndCompute(t *testing.T) {
-	keys := bandedKeys(12, 128, 41)
-	run := func(noGallop bool) ([]byte, pdm.IOStats, int64) {
-		var c pdm.Counter
-		var charged int64
-		cfg := testConfig(diskio.NewMemFS(), &c)
-		cfg.Acct.Meter = &captureMeter{compute: &charged}
-		cfg.RunFormation = LoadSort // disjoint runs -> maximal galloping
-		cfg.NoGallop = noGallop
-		sortAndVerify(t, cfg, keys)
-		out, err := diskio.ReadFileAll(cfg.FS, "output", cfg.BlockKeys, diskio.Accounting{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return record.EncodeKeys(nil, out), c.Snapshot(), charged
+	fs := newMemInput(t, bandedKeys(12, 128, 41))
+	var runs [][]record.Key
+	if _, _, err := formRuns(fs, "input", 16, 128, LoadSort, accounting(), &collectSink{runs: &runs}); err != nil {
+		t.Fatal(err)
 	}
-	gBytes, gIO, gCompute := run(false)
-	nBytes, nIO, nCompute := run(true)
-	if !bytes.Equal(gBytes, nBytes) {
+	got, gotEv, gotC := mergeTrace(t, runs, 16, Merge)
+	want, wantEv, wantC := mergeTrace(t, runs, 16, refMerge)
+	if !bytes.Equal(record.EncodeKeys(nil, got), record.EncodeKeys(nil, want)) {
 		t.Fatal("galloping changed the output bytes")
 	}
-	if gIO != nIO {
-		t.Fatalf("galloping changed I/O counts: %v vs %v", gIO, nIO)
+	if !slices.Equal(gotEv, wantEv) {
+		t.Fatal("galloping changed the Fill sequence")
 	}
-	if gCompute >= nCompute {
-		t.Fatalf("galloping charged %d compute ops, baseline %d; want strictly less", gCompute, nCompute)
+	if gotC >= wantC {
+		t.Fatalf("galloping charged %d compute ops, baseline %d; want strictly less", gotC, wantC)
 	}
 }
 
@@ -206,19 +198,19 @@ func TestMergeGallopSkipsReplays(t *testing.T) {
 		}
 		return srcs
 	}
-	run := func(opt MergeOptions) ([]record.Key, *obsMeter) {
+	run := func(kernel func([]MergeSource, vtime.Meter, func([]record.Key) error) error) ([]record.Key, *obsMeter) {
 		m := &obsMeter{}
 		var out []record.Key
-		if err := MergeOpt(mk(), m, func(c []record.Key) error {
+		if err := kernel(mk(), m, func(c []record.Key) error {
 			out = append(out, c...)
 			return nil
-		}, opt); err != nil {
+		}); err != nil {
 			t.Fatal(err)
 		}
 		return out, m
 	}
-	gOut, g := run(MergeOptions{})
-	nOut, n := run(MergeOptions{NoGallop: true})
+	gOut, g := run(Merge)
+	nOut, n := run(refMerge)
 	if len(gOut) != len(nOut) {
 		t.Fatalf("gallop emitted %d keys, baseline %d", len(gOut), len(nOut))
 	}
@@ -255,20 +247,20 @@ func TestMergeGallopKernelProperty(t *testing.T) {
 			}
 			return srcs
 		}
-		run := func(opt MergeOptions) ([]record.Key, int64) {
+		run := func(kernel func([]MergeSource, vtime.Meter, func([]record.Key) error) error) ([]record.Key, int64) {
 			var charged int64
 			m := &captureMeter{compute: &charged}
 			var out []record.Key
-			if err := MergeOpt(mk(), m, func(c []record.Key) error {
+			if err := kernel(mk(), m, func(c []record.Key) error {
 				out = append(out, c...)
 				return nil
-			}, opt); err != nil {
+			}); err != nil {
 				return nil, -1
 			}
 			return out, charged
 		}
-		gOut, gc := run(MergeOptions{})
-		nOut, nc := run(MergeOptions{NoGallop: true})
+		gOut, gc := run(Merge)
+		nOut, nc := run(refMerge)
 		if gc < 0 || nc < 0 || len(gOut) != len(nOut) || gc > nc {
 			return false
 		}

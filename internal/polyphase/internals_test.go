@@ -197,6 +197,220 @@ func (c *captureMeter) ChargeCompute(n int64) { *c.compute += n }
 func (c *captureMeter) ChargeIOBlocks(int64)  {}
 func (c *captureMeter) ChargeSeek(int64)      {}
 
+// refMerge is the merge kernel without multi-block galloping: after a
+// Fill the winner's fresh block goes back through the tree like any
+// other head, one chunk per replay.  It is the reference Merge is
+// compared with: the same bytes, the same Fill sequence, and never less
+// compute.
+func refMerge(srcs []MergeSource, meter vtime.Meter, emit func([]record.Key) error) error {
+	if meter == nil {
+		meter = vtime.Nop{}
+	}
+	k := len(srcs)
+	if k == 0 {
+		return nil
+	}
+	var oKeys, oChunks, oFast, oComps int64
+	if obs, ok := meter.(MergeObserver); ok {
+		defer func() { obs.ObserveMerge(oKeys, oChunks, oFast, oComps) }()
+	}
+	k2, levels := 1, 0
+	for k2 < k {
+		k2 *= 2
+		levels++
+	}
+	heads := make([]uint64, k2)
+	bases := make([][]record.Key, k)
+	pos := make([]int, k)
+	active := 0
+	for i := range heads {
+		heads[i] = exhausted
+		if i >= k {
+			continue
+		}
+		if len(srcs[i].Buffered()) == 0 {
+			switch err := srcs[i].Fill(); err {
+			case nil:
+			case io.EOF:
+				continue
+			default:
+				return err
+			}
+		}
+		if bases[i] = srcs[i].Buffered(); len(bases[i]) > 0 {
+			heads[i] = uint64(bases[i][0])
+			active++
+		}
+	}
+	if active == 0 {
+		return nil
+	}
+	winner := make([]int, 2*k2)
+	tree := make([]int, k2)
+	for i := 0; i < k2; i++ {
+		winner[k2+i] = i
+	}
+	for j := k2 - 1; j >= 1; j-- {
+		a, b := winner[2*j], winner[2*j+1]
+		if heads[a] <= heads[b] {
+			winner[j], tree[j] = a, b
+		} else {
+			winner[j], tree[j] = b, a
+		}
+	}
+	tree[0] = winner[1]
+	meter.ChargeCompute(int64(k2))
+	oComps += int64(k2 - 1)
+	var pending int64
+	for {
+		w := tree[0]
+		if heads[w] == exhausted {
+			meter.ChargeCompute(pending)
+			return nil
+		}
+		second := exhausted
+		for j := (k2 + w) >> 1; j >= 1; j >>= 1 {
+			second = min(second, heads[tree[j]])
+		}
+		buf := bases[w][pos[w]:]
+		cnt := 1
+		for cnt < len(buf) && uint64(buf[cnt]) <= second {
+			cnt++
+		}
+		if err := emit(buf[:cnt]); err != nil {
+			meter.ChargeCompute(pending)
+			return err
+		}
+		srcs[w].Discard(cnt)
+		pending += int64(cnt) + int64(2*levels) + 1
+		oKeys += int64(cnt)
+		oChunks++
+		if cnt > 1 {
+			oFast++
+		}
+		oComps += int64(2 * levels)
+		pos[w] += cnt
+		if pos[w] == len(bases[w]) {
+			meter.ChargeCompute(pending)
+			pending = 0
+			switch err := srcs[w].Fill(); err {
+			case nil:
+				if bases[w] = srcs[w].Buffered(); len(bases[w]) == 0 {
+					return errEmptyFill
+				}
+				pos[w] = 0
+			case io.EOF:
+			default:
+				return err
+			}
+		}
+		if pos[w] < len(bases[w]) {
+			heads[w] = uint64(bases[w][pos[w]])
+		} else {
+			heads[w] = exhausted
+		}
+		x := w
+		for j := (k2 + w) >> 1; j >= 1; j >>= 1 {
+			if heads[tree[j]] < heads[x] {
+				tree[j], x = x, tree[j]
+			}
+		}
+		tree[0] = x
+	}
+}
+
+// fillLog is a sliceSource that appends "f<src>" to a shared event log
+// on every Fill, so a merge's Fill order can be compared with its
+// compute charges interleaved.
+type fillLog struct {
+	sliceSource
+	id     int
+	events *[]string
+}
+
+func (s *fillLog) Fill() error {
+	*s.events = append(*s.events, fmt.Sprint("f", s.id))
+	return s.sliceSource.Fill()
+}
+
+// mergeTrace merges keys cut into runs by one of the two kernels over
+// B-key blocks and returns the emitted keys, every Fill and compute
+// charge in order (compute as a bare "c": galloping changes the
+// amounts, never where they fall), and the total compute charged.
+func mergeTrace(t *testing.T, runs [][]record.Key, blk int, kernel func([]MergeSource, vtime.Meter, func([]record.Key) error) error) ([]record.Key, []string, int64) {
+	t.Helper()
+	var events []string
+	var srcs []MergeSource
+	for i, r := range runs {
+		srcs = append(srcs, &fillLog{sliceSource: sliceSource{keys: r, blk: blk}, id: i, events: &events})
+	}
+	var out []record.Key
+	var compute int64
+	if err := kernel(srcs, &chargeLog{events: &events, compute: &compute}, func(c []record.Key) error {
+		out = append(out, c...)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out, events, compute
+}
+
+// chargeLog logs compute charges as "c" into the shared event log.
+type chargeLog struct {
+	events  *[]string
+	compute *int64
+}
+
+func (m *chargeLog) ChargeCompute(n int64) { *m.events = append(*m.events, "c"); *m.compute += n }
+func (m *chargeLog) ChargeIOBlocks(int64)  {}
+func (m *chargeLog) ChargeSeek(int64)      {}
+
+// TestMergeMatchesReference: over every generator, k of 1 to 17
+// sources and blocks of 1 to 64 keys, the galloping kernel emits the
+// reference kernel's bytes, issues the same Fills in the same order
+// between the same compute flushes, and never charges more compute.
+func TestMergeMatchesReference(t *testing.T) {
+	galloped := 0
+	for _, d := range record.Distributions() {
+		for _, k := range []int{1, 2, 3, 5, 16, 17} {
+			for _, blk := range []int{1, 3, 8, 64} {
+				keys := d.Generate(k*97, 13, 1)
+				runs := make([][]record.Key, k)
+				for i, key := range keys {
+					runs[i%k] = append(runs[i%k], key)
+				}
+				// Every other run is a band of its own, so gallops fire.
+				for i := range runs {
+					slices.Sort(runs[i])
+					if i%2 == 1 {
+						for j := range runs[i] {
+							runs[i][j] = record.Key(i)<<24 | runs[i][j]>>8
+						}
+					}
+				}
+				id := fmt.Sprintf("%v k=%d B=%d", d, k, blk)
+				got, gotEv, gotC := mergeTrace(t, runs, blk, Merge)
+				want, wantEv, wantC := mergeTrace(t, runs, blk, refMerge)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: emitted keys differ from the reference's", id)
+				}
+				if !slices.Equal(gotEv, wantEv) {
+					t.Fatalf("%s: Fill/charge sequence %v, reference %v", id, gotEv, wantEv)
+				}
+				if gotC > wantC {
+					t.Fatalf("%s: charged %d compute, reference %d", id, gotC, wantC)
+				}
+				if gotC < wantC {
+					galloped++
+				}
+			}
+		}
+	}
+	if galloped == 0 {
+		t.Fatal("galloping saved compute in no case: the comparison is vacuous")
+	}
+}
+
 func TestDistributorPlacesAllRunsWithinTargets(t *testing.T) {
 	for _, tapes := range []int{2, 3, 5} {
 		inputs := make([]*tape, tapes)

@@ -102,7 +102,7 @@ func mergeGroup(cfg Config, inputs []diskio.Section, out string) error {
 	w := diskio.NewWriter(of, cfg.BlockKeys, cfg.Acct)
 	defer w.Close()
 
-	if err := MergeOpt(srcs, cfg.Acct.Meter, w.WriteKeys, MergeOptions{NoGallop: cfg.NoGallop}); err != nil {
+	if err := Merge(srcs, cfg.Acct.Meter, w.WriteKeys); err != nil {
 		return err
 	}
 	if err := w.Close(); err != nil {

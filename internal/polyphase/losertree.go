@@ -59,25 +59,7 @@ var errEmptyFill = errors.New("polyphase: merge source Fill made no keys availab
 // plus one replayed path (~2 ops per level for compare+swap).  emit
 // receives chunks that alias the sources' buffers and must not retain
 // them.  A nil meter charges nothing.
-//
-// Merge runs with multi-block galloping enabled; use MergeOpt to turn
-// it off (e.g. as an ablation baseline).
 func Merge(srcs []MergeSource, meter vtime.Meter, emit func([]record.Key) error) error {
-	return MergeOpt(srcs, meter, emit, MergeOptions{})
-}
-
-// MergeOptions tunes the merge kernel without changing its output.
-type MergeOptions struct {
-	// NoGallop disables the multi-block galloping extension of the
-	// block-copy fast path.  The emitted byte stream and the PDM I/O
-	// schedule are identical either way; only the compute charge per
-	// winner run changes (galloping replaces one tree replay per extra
-	// block with a single guide comparison).
-	NoGallop bool
-}
-
-// MergeOpt is Merge with explicit kernel options.
-func MergeOpt(srcs []MergeSource, meter vtime.Meter, emit func([]record.Key) error, opt MergeOptions) error {
 	if meter == nil {
 		meter = vtime.Nop{}
 	}
@@ -220,7 +202,7 @@ func MergeOpt(srcs []MergeSource, meter vtime.Meter, emit func([]record.Key) err
 		// style winner run that moves several blocks per tree replay.
 		// The Fill sequence (and hence the PDM I/O schedule) is exactly
 		// what the chunk-at-a-time path would have issued.
-		for !opt.NoGallop && pos[w] < len(bases[w]) &&
+		for pos[w] < len(bases[w]) &&
 			uint64(bases[w][len(bases[w])-1]) <= second {
 			gbuf := bases[w][pos[w]:]
 			if err := emit(gbuf); err != nil {

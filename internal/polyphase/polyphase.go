@@ -25,11 +25,6 @@ type Config struct {
 	// RunFormation selects the initial run former (default
 	// ReplacementSelection).
 	RunFormation RunFormation
-	// NoGallop disables the merge kernel's multi-block galloping fast
-	// path (see MergeOptions).  Output bytes and PDM I/O counts are
-	// unchanged; only compute charges grow.  Used as the ablation
-	// baseline.
-	NoGallop bool
 	// Acct receives I/O counts and virtual-time charges.
 	Acct diskio.Accounting
 	// Overlap selects overlapped charging (the prefetch and
@@ -445,7 +440,7 @@ func mergeStep(inputs []*tape, out *tape, cfg Config, observe func(int64, []reco
 		outLen += int64(len(chunk))
 		return out.w.WriteKeys(chunk)
 	}
-	if err := MergeOpt(srcs, cfg.Acct.Meter, emit, MergeOptions{NoGallop: cfg.NoGallop}); err != nil {
+	if err := Merge(srcs, cfg.Acct.Meter, emit); err != nil {
 		return err
 	}
 	out.runs = append(out.runs, outLen)

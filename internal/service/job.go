@@ -329,16 +329,9 @@ func (s *Service) extsortConfig(spec *JobSpec) extsort.Config {
 func (s *Service) newJobCluster(id string) (*cluster.Cluster, *trace.Log, error) {
 	m := s.cfg.Machine
 	v := perf.Vector(m.Perf)
-	var net cluster.NetModel
-	switch m.Network {
-	case "", "fast-ethernet":
-		net = cluster.FastEthernet()
-	case "myrinet":
-		net = cluster.Myrinet()
-	case "ideal":
-		net = cluster.Ideal()
-	default:
-		return nil, nil, fmt.Errorf("service: unknown network %q", m.Network)
+	net, err := cluster.NetByName(m.Network)
+	if err != nil {
+		return nil, nil, fmt.Errorf("service: %w", err)
 	}
 	var ferr error
 	disks := func(i int) diskio.FS {

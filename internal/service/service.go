@@ -56,7 +56,7 @@ var (
 type MachineConfig struct {
 	// Perf is the machine's performance vector (default {1,1,1,1}).
 	Perf []int
-	// Network is the interconnect name as in hetsort.Config.Network
+	// Network is the interconnect name cluster.NetByName resolves
 	// (default fast-ethernet).
 	Network string
 	// BlockKeys is the disk block size B in keys (default 2048).

@@ -72,10 +72,14 @@ type Report struct {
 	// D > 1 disks (Config.Disks); nil per node at D = 1.  The per-disk
 	// entries of a node sum to its NodeIO entry.
 	DiskIO [][]pdm.IOStats
-	// StepIO[s][i] is node i's PDM I/O during step s of Algorithm 1
-	// (empty per-node entries for algorithms without a step structure).
-	// Checkpoint-manifest and setup I/O is attributed to no step, so
-	// the step cells sum to at most NodeIO.
+	// StepIO[s][i] is node i's PDM I/O during step s of Algorithm 1,
+	// barrier to barrier (empty per-node entries for algorithms without
+	// a step structure).  A checkpointed step's cell includes its
+	// manifest commit, one write and one seek; only a checkpointed
+	// run's start manifest falls before step 1, so the step cells sum
+	// to at most NodeIO.  The view without manifests is the PDM
+	// counter's phase cells (Config.Progress snapshots), which charge
+	// every commit to phase 0.
 	StepIO [5][]pdm.IOStats
 	// NodeClocks is each node's final virtual clock.
 	NodeClocks []float64
