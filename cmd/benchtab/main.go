@@ -7,15 +7,15 @@
 //	benchtab                     # whole suite at the default 1/64 scale
 //	benchtab -shift 0 -trials 30 # the paper's full input sizes and repetitions (slow)
 //	benchtab -experiment table3  # a single experiment
-//	benchtab -experiment pipeline -cpuprofile cpu.pprof
+//	benchtab -experiment pdm -cpuprofile cpu.pprof
 //
 // Experiments: table1, table2, calibration, packets, table3, speedups,
-// figure1, distributions, ablations, checkpoint, pipeline, overlap, pdm,
+// figure1, distributions, ablations, checkpoint, overlap, pdm,
 // attribution, scaling, histsort, regress, all.
 //
 // Every measured experiment prints rows of one shape (experiment,
-// labels, metrics, output SHA-256).  The baselined ones — pipeline
-// (A8), overlap (A9), pdm (A10), histsort and scaling — also write
+// labels, metrics, output SHA-256).  The baselined ones — overlap
+// (A9), pdm (A10), histsort and scaling — also write
 // their rows to BENCH_<name>.json, exactly the files the regress gate
 // reads; each is self-checking (byte-identical output across its
 // variants, and the inequalities its doc comment in
@@ -56,7 +56,7 @@ func main() {
 		trials  = flag.Int("trials", 5, "repetitions per measurement (paper: 30)")
 		onDisk  = flag.Bool("ondisk", false, "use real temporary directories for node disks")
 		tmp     = flag.String("tmpdir", "", "root directory for -ondisk")
-		which   = flag.String("experiment", "all", "experiment to run: table1, table2, calibration, packets, table3, speedups, figure1, distributions, ablations, checkpoint, pipeline, overlap, pdm, attribution, scaling, histsort, regress, all")
+		which   = flag.String("experiment", "all", "experiment to run: table1, table2, calibration, packets, table3, speedups, figure1, distributions, ablations, checkpoint, overlap, pdm, attribution, scaling, histsort, regress, all")
 		maxP    = flag.Int("maxp", 1024, "largest cluster size the scaling, histsort and regress experiments sweep to")
 		tolPct  = flag.Float64("tolerance", 5, "regress gate: allowed vsec increase in percent before failing")
 		benchD  = flag.String("bench-dir", ".", "regress gate: directory holding the committed BENCH_*.json baselines")

@@ -45,7 +45,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "seed for -gen")
 		pivot    = flag.String("pivot", "", "pivot strategy: regular-sampling (default), random-pivots, quantile-sketch, histogram")
 		histTol  = flag.Float64("hist-tol", 0, "histogram refinement tolerance as a fraction of the smallest share (default 0.05; -pivot histogram only)")
-		pipeline = flag.Bool("pipeline", false, "fuse steps 4+5: merge redistribution streams directly into the output")
 		topology = flag.String("topology", "flat", "redistribution topology: flat, tree, grid (tree/grid bound per-node fan-in at large p)")
 		radix    = flag.Int("radix", 0, "tree fan-in r for -topology tree (default 4)")
 		overlap  = flag.Bool("overlap", false, "overlap disk I/O with compute: reads charged as prefetched, writes as written behind (same I/O counts, lower virtual time)")
@@ -116,7 +115,6 @@ func main() {
 		Network:       *network,
 		WorkDir:       *workdir,
 		Trace:         *withGant || *traceOut != "" || *evtsOut != "",
-		Pipeline:      *pipeline,
 		Overlap:       *overlap,
 		Topology:      *topology,
 		Radix:         *radix,

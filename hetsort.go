@@ -157,10 +157,6 @@ type Config struct {
 	// PivotStrategy selects the step-2 pivot scheme by name (default
 	// PivotRegularSampling); only meaningful for AlgorithmExternalPSRS.
 	PivotStrategy string
-	// QuantileEps is the sketch error bound when PivotStrategy is
-	// PivotQuantileSketch (default 0.01).  Must be a finite value in
-	// (0, 1) when set.
-	QuantileEps float64
 	// HistTolerance is the refinement tolerance when PivotStrategy is
 	// PivotHistogram, as a fraction of the smallest perf share
 	// (default 0.05).  Must be a finite value in (0, 1) when set.
@@ -179,13 +175,8 @@ type Config struct {
 	// Trace, when true, records a virtual-time event trace of the run
 	// into Report.Timeline and Report.Gantt.
 	Trace bool
-	// Pipeline fuses Algorithm 1's steps 4 and 5: incoming
-	// redistribution streams are merged directly into each node's
-	// output file as messages arrive, skipping the received files'
-	// write and re-read.  Output is byte-identical to the barrier
-	// path.  Only meaningful for AlgorithmExternalPSRS; with
-	// Checkpoint enabled the streams are still spilled to durable
-	// receive files for the phase-4 manifest.
+	// Pipeline is ignored: steps 4 and 5 fuse whenever the final round
+	// fits MemoryKeys.  It stays until bench/ stops setting it.
 	Pipeline bool
 	// Overlap models asynchronous disk I/O: readers are charged as
 	// prefetching blocks ahead of the consumer and writers as flushing
@@ -381,10 +372,8 @@ func (c Config) extsortConfig(v perf.Vector) (extsort.Config, error) {
 		MessageKeys:   c.MessageKeys,
 		RunFormation:  rf,
 		Strategy:      strat,
-		QuantileEps:   c.QuantileEps,
 		HistTolerance: c.HistTolerance,
 		Seed:          c.Seed,
-		Pipeline:      c.Pipeline,
 		Overlap:       c.Overlap,
 		Topology:      topo,
 		Radix:         c.Radix,

@@ -125,7 +125,7 @@ func TestSortOverlapMetricsDeterministic(t *testing.T) {
 		keys[i] = Key(1664525*uint32(i) + 1013904223)
 	}
 	cfg := Config{Perf: []int{1, 1, 4, 4}, MemoryKeys: 4096, BlockKeys: 128, Tapes: 5, MessageKeys: 512,
-		Disks: 2, Overlap: true, Pipeline: true}
+		Disks: 2, Overlap: true}
 	_, a, err := Sort(keys, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -212,17 +212,10 @@ func TestRadixIgnoredUnlessTree(t *testing.T) {
 }
 
 func TestSortRejectsBadTuningValues(t *testing.T) {
-	// NaN compares false against everything, so a plain `eps <= 0`
+	// NaN compares false against everything, so a plain `tol <= 0`
 	// guard waves it through; the config validation must reject it
-	// before it reaches the sketch.
+	// before it reaches the refiner.
 	keys := []Key{3, 1, 2}
-	for _, eps := range []float64{math.NaN(), math.Inf(1), -0.5, 1, 2} {
-		if _, _, err := Sort(keys, Config{PivotStrategy: PivotQuantileSketch, QuantileEps: eps}); err == nil {
-			t.Errorf("QuantileEps=%v accepted", eps)
-		} else if !strings.Contains(err.Error(), "QuantileEps") {
-			t.Errorf("QuantileEps=%v error does not name the field: %v", eps, err)
-		}
-	}
 	for _, tol := range []float64{math.NaN(), math.Inf(1), -0.1, 1, 1.5} {
 		if _, _, err := Sort(keys, Config{PivotStrategy: PivotHistogram, HistTolerance: tol}); err == nil {
 			t.Errorf("HistTolerance=%v accepted", tol)

@@ -1,12 +1,12 @@
 // Package check is the repo's cross-configuration correctness harness:
 // a deterministic randomized sweeper that executes the full Config
-// cross-product (algorithm × pivot strategy × run formation × Pipeline ×
-// Overlap × checkpoint/crash-resume) against seeded inputs and verifies
-// a registry of machine-checked invariants on every run — the paper's
-// guarantees (the PSRS ≤2× load-balance theorem, the step I/O budgets of
-// Algorithm 1) plus the simulator's own contracts (permutation
-// checksums, byte-identity across execution strategies, the virtual-time
-// attribution identity).
+// cross-product (algorithm × pivot strategy × run formation × fused or
+// unfused steps 4+5 × Overlap × checkpoint/crash-resume) against seeded
+// inputs and verifies a registry of machine-checked invariants on every
+// run — the paper's guarantees (the PSRS ≤2× load-balance theorem, the
+// step I/O budgets of Algorithm 1) plus the simulator's own contracts
+// (permutation checksums, byte-identity across execution strategies, the
+// virtual-time attribution identity).
 //
 // A failing case is shrunk — keys first, then config axes toward the
 // zero value — and printed as a ready-to-paste Go reproduction, so every
@@ -36,9 +36,9 @@ type Case struct {
 	Seed int64
 	// Keys is the input.
 	Keys []hetsort.Key
-	// Config is the base configuration.  Pipeline, Overlap, Checkpoint
-	// and Topology are equivalence axes: the runner executes the base
-	// run plus variants toggling them, and the equivalence invariant
+	// Config is the base configuration.  Fusion, Overlap, Checkpoint,
+	// Topology and Disks are equivalence axes: the runner executes the
+	// base run plus variants toggling them, and the equivalence invariant
 	// demands identical output from all of them.
 	Config hetsort.Config
 }
@@ -46,9 +46,8 @@ type Case struct {
 // Run is one execution of a Case under one point of the equivalence
 // axes.
 type Run struct {
-	// Label names the axis point ("base", "pipeline", "overlap",
-	// "pipeline+overlap", "tree/r2", "grid", "checkpoint",
-	// "crash@3+resume").
+	// Label names the axis point ("base", "unfused", "overlap",
+	// "tree/r2", "grid", "disks/d4", "checkpoint", "crash@3+resume").
 	Label string
 	// Config is the exact configuration the run used.
 	Config hetsort.Config
@@ -97,9 +96,10 @@ type RunOptions struct {
 }
 
 // Execute runs the case: the base configuration first, then — unless
-// NoVariants — the equivalence variants along the Pipeline, Overlap and
-// checkpoint/crash-resume axes.  Run errors are recorded, not returned:
-// an error is itself an invariant violation ("error").
+// NoVariants — the equivalence variants along the fusion, Overlap,
+// Topology, Disks and checkpoint/crash-resume axes.  Run errors are
+// recorded, not returned: an error is itself an invariant violation
+// ("error").
 func Execute(c *Case, opts RunOptions) *Outcome {
 	o := &Outcome{Case: c}
 	base := c.Config
@@ -109,18 +109,15 @@ func Execute(c *Case, opts RunOptions) *Outcome {
 	}
 	psrs := base.Algorithm == "" || base.Algorithm == hetsort.AlgorithmExternalPSRS
 	if psrs {
-		for _, v := range []struct {
-			label             string
-			pipeline, overlap bool
-		}{
-			{"pipeline", !base.Pipeline, base.Overlap},
-			{"overlap", base.Pipeline, !base.Overlap},
-			{"pipeline+overlap", !base.Pipeline, !base.Overlap},
-		} {
-			cfg := base
-			cfg.Pipeline, cfg.Overlap = v.pipeline, v.overlap
-			o.Runs = append(o.Runs, execute(v.label, c.Keys, cfg))
-		}
+		// Fusing steps 4 and 5 is an execution strategy: messages as large
+		// as M fit no final round's buffers, so the unfused variant takes
+		// the barrier fallback wherever the base run fused.
+		unfused := base
+		unfused.MessageKeys = withDefaults(base).MemoryKeys
+		o.Runs = append(o.Runs, execute("unfused", c.Keys, unfused))
+		overlap := base
+		overlap.Overlap = !base.Overlap
+		o.Runs = append(o.Runs, execute("overlap", c.Keys, overlap))
 		// Topology is an equivalence axis too: hierarchical pivot
 		// aggregation and multi-round redistribution must reproduce the
 		// flat output byte for byte.  A flat base fans out across the

@@ -73,14 +73,14 @@ func TestEquivalenceInvariantTeeth(t *testing.T) {
 		Case: &Case{Name: "synthetic", Keys: []hetsort.Key{1, 2}},
 		Runs: []Run{
 			{Label: "base", Output: []hetsort.Key{1, 2}},
-			{Label: "pipeline", Output: []hetsort.Key{1, 3}},
+			{Label: "unfused", Output: []hetsort.Key{1, 3}},
 		},
 	}
 	err := inv.Check(o)
 	if err == nil {
 		t.Fatal("equivalence invariant accepted divergent outputs")
 	}
-	if !strings.Contains(err.Error(), "pipeline") {
+	if !strings.Contains(err.Error(), "unfused") {
 		t.Fatalf("violation does not name the divergent run: %v", err)
 	}
 }
@@ -186,6 +186,18 @@ func TestStepIOInvariantTeeth(t *testing.T) {
 			t.Fatalf("step-io invariant accepted a scan in step %s: %v", stepName(s), err)
 		}
 		prep.StepIO[s] = nil
+	}
+	// A fused run's step 5 only commits, so re-reading the final inputs
+	// there — what the fallback's merge does — is over budget; the same
+	// I/O passes once the final round no longer fits M.
+	prep.StepIO[4] = []pdm.IOStats{{Reads: 256, Writes: 256}, {Reads: 256, Writes: 256}}
+	po.Runs[0].Config.MessageKeys = 256 // (256+64)·1 + 2·64 ≤ 1024: fused
+	if err := inv.Check(po); err == nil || !strings.Contains(err.Error(), stepName(4)) {
+		t.Fatalf("step-io invariant accepted a fused run that merges again in step 5: %v", err)
+	}
+	po.Runs[0].Config.MessageKeys = 1024 // (1024+64)·1 + 2·64 > 1024: the fallback
+	if err := inv.Check(po); err != nil {
+		t.Fatalf("step-io invariant rejected the fallback's step-5 merge: %v", err)
 	}
 	// Resumed runs are exempt: recovery redoes committed work.
 	o.Runs[0].Resumed = true
@@ -352,7 +364,7 @@ func TestShrinkProducesMinimalRepro(t *testing.T) {
 			Nodes: 2, Loads: []float64{0.5, 1.0},
 			BlockKeys: 16, MemoryKeys: 256, Tapes: 4,
 			// Irrelevant axes the shrinker should drop.
-			Pipeline: true,
+			Overlap:  true,
 			Topology: hetsort.TopologyTree, Radix: 2,
 		},
 	}
@@ -367,8 +379,8 @@ func TestShrinkProducesMinimalRepro(t *testing.T) {
 	if shrunk.Config.Loads == nil {
 		t.Error("shrinker dropped the Loads axis that causes the failure")
 	}
-	if shrunk.Config.Pipeline {
-		t.Error("shrinker kept the irrelevant Pipeline axis")
+	if shrunk.Config.Overlap {
+		t.Error("shrinker kept the irrelevant Overlap axis")
 	}
 	if shrunk.Config.Topology != "" || shrunk.Config.Radix != 0 {
 		t.Errorf("shrinker kept the irrelevant topology axes (%q, r=%d)",

@@ -61,7 +61,7 @@ func Registry() []Invariant {
 		},
 		{
 			Name: "equivalence",
-			Doc:  "Pipeline, Overlap, Topology and checkpoint/crash-resume are execution strategies: all runs produce byte-identical output",
+			Doc:  "fused or unfused steps 4+5, Overlap, Topology, Disks and checkpoint/crash-resume are execution strategies: all runs produce byte-identical output",
 			Check: func(o *Outcome) error {
 				base := &o.Runs[0]
 				if base.Err != nil {
@@ -317,12 +317,15 @@ func checkStepIO(c *Case, r *Run) error {
 // each plus ioSlack.  r(p−1), what p−1 rank queries read, is p−1 blocks
 // (and as many seeks, not counted) where p−1 probes price below a scan on
 // the default cost model and the fences fit in M − T·B, else the scan's
-// l_i/B.  Step 4 reads the l_i − s_ii keys it sends and writes the
-// q_i − s_ii it receives (the own bucket s_ii stays on disk), or, fused,
-// reads all of l_i and writes the q_i output; only a fused run under
-// Checkpoint also spills its incoming streams, one more q_i/B.  Polyphase
-// passes are bounded with fan-in 2 — the loosest tape count — so the
-// budget is valid for every Tapes setting.  rounds is PivotRounds.
+// l_i/B.  A node fuses steps 4 and 5 exactly when its p−1 incoming
+// streams' message buffers and tee blocks fit in M beside two more
+// blocks, (msg+B)·(p−1)+2B ≤ M — extsort's rule for the flat final round.
+// Unfused, step 4 reads the l_i − s_ii keys it sends and writes the
+// q_i − s_ii it receives (the own bucket s_ii stays on disk); fused, it
+// reads all of l_i and writes the q_i output, plus, under Checkpoint, the
+// incoming streams' spill, one more q_i/B, and step 5 only commits.
+// Polyphase passes are bounded with fan-in 2 — the loosest tape count —
+// so the budget is valid for every Tapes setting.  rounds is PivotRounds.
 func stepBudgets(pp pdm.Params, cfg hetsort.Config, p int, li, qi int64, rounds int) [5]int64 {
 	lb := ceilDiv(li, pp.B)
 	qb := ceilDiv(qi, pp.B)
@@ -334,6 +337,7 @@ func stepBudgets(pp pdm.Params, cfg hetsort.Config, p int, li, qi int64, rounds 
 	if fit && float64(p-1)*(cm.SeekSec+block) < float64(lb)*block {
 		ranks = int64(p - 1)
 	}
+	fused := int64(cfg.MessageKeys+cfg.BlockKeys)*int64(p-1)+2*pp.B <= pp.M
 	var b [5]int64
 	b[0] = 2*lb*(2+passes) + ioSlack
 	b[1] = ioSlack // regular and random sampling: step 1 kept the samples
@@ -345,10 +349,13 @@ func stepBudgets(pp pdm.Params, cfg hetsort.Config, p int, li, qi int64, rounds 
 	}
 	b[2] = ranks + ioSlack
 	b[3] = lb + qb + int64(2*p) + ioSlack
-	if cfg.Pipeline && cfg.Checkpoint.Enabled {
+	b[4] = ioSlack
+	switch {
+	case fused && cfg.Checkpoint.Enabled:
 		b[3] += qb
+	case !fused:
+		b[4] += pp.MergeIOs(qi, int64(p), int64(cfg.Tapes))
 	}
-	b[4] = pp.MergeIOs(qi, int64(p), int64(cfg.Tapes)) + ioSlack
 	return b
 }
 
@@ -555,10 +562,8 @@ func maxMultiplicity(keys []hetsort.Key) int64 {
 	return most
 }
 
-func stepName(s int) string {
-	names := [5]string{"1:sequential-sort", "2:pivot-selection", "3:partitioning", "4:redistribution", "5:final-merge"}
-	return names[s]
-}
+// stepName labels step s (0-based): pdm's phase s+1.
+func stepName(s int) string { return pdm.PhaseNames[s+1] }
 
 func ceilDiv(a, b int64) int64 {
 	if b <= 0 {

@@ -55,7 +55,6 @@ func Shrink(c *Case, invariant string, opts RunOptions, maxRuns int) *Case {
 	transforms := []func(hetsort.Config) (hetsort.Config, bool){
 		axis("Trace", func(g *hetsort.Config) *bool { return &g.Trace }),
 		axis("Overlap", func(g *hetsort.Config) *bool { return &g.Overlap }),
-		axis("Pipeline", func(g *hetsort.Config) *bool { return &g.Pipeline }),
 		func(g hetsort.Config) (hetsort.Config, bool) {
 			if g.Checkpoint == (hetsort.CheckpointConfig{}) {
 				return g, false
@@ -80,13 +79,6 @@ func Shrink(c *Case, invariant string, opts RunOptions, maxRuns int) *Case {
 				return g, false
 			}
 			g.Loads = nil
-			return g, true
-		},
-		func(g hetsort.Config) (hetsort.Config, bool) {
-			if g.QuantileEps == 0 {
-				return g, false
-			}
-			g.QuantileEps = 0
 			return g, true
 		},
 		func(g hetsort.Config) (hetsort.Config, bool) {
@@ -252,9 +244,6 @@ func configLiteral(cfg hetsort.Config) string {
 	if cfg.Radix != 0 {
 		add("Radix: %d", cfg.Radix)
 	}
-	if cfg.QuantileEps != 0 {
-		add("QuantileEps: %g", cfg.QuantileEps)
-	}
 	if cfg.HistTolerance != 0 {
 		add("HistTolerance: %g", cfg.HistTolerance)
 	}
@@ -269,9 +258,6 @@ func configLiteral(cfg hetsort.Config) string {
 	}
 	if cfg.Trace {
 		add("Trace: true")
-	}
-	if cfg.Pipeline {
-		add("Pipeline: true")
 	}
 	if cfg.Overlap {
 		add("Overlap: true")

@@ -116,7 +116,7 @@ func runsPerCase(c *Case, ro RunOptions) int {
 	if c.Config.Algorithm != "" && c.Config.Algorithm != hetsort.AlgorithmExternalPSRS {
 		return 1
 	}
-	runs := 5 // base + pipeline + overlap + pipeline+overlap + cross-D disks
+	runs := 4 // base + unfused + overlap + cross-D disks
 	if flatTopology(c.Config) {
 		runs += 4 // tree/r2 + grid + tree/r4 + tree/r16
 		if ro.QuickTopology {

@@ -146,19 +146,21 @@ type Cluster struct {
 
 	links []atomic.Pointer[linkState] // row-major [from*p+to], created on first use
 
-	// payloads recycles message payload buffers across the whole
-	// cluster (senders acquire, receivers release), eliminating the
-	// per-message allocation of the redistribution exchange.
-	payloads sync.Pool
-
 	abortMu   sync.Mutex    // guards abort/abortOnce against Interrupt
-	abort     chan struct{} // closed when any node fails during Run
+	abort     chan struct{} // closed by Interrupt during Run
 	abortOnce *sync.Once
 }
 
+// payloads recycles message payload buffers (senders acquire, receivers
+// release) across every cluster in the process, as diskio's block pools
+// do: a receiver that merges in-stream holds its messages until the merge
+// reaches them, so one exchange can need a buffer for nearly every
+// message, and the next sort, or a concurrent tenant's, reuses them.
+var payloads sync.Pool
+
 // Interrupt aborts a Run in progress from outside the node goroutines:
 // every node blocked in a receive, collective or barrier returns an
-// error, exactly as if a peer had failed.  Interruption is best-effort
+// error, exactly as if its peer had failed.  Interruption is best-effort
 // — a node deep in a compute or disk phase notices only at its next
 // blocking receive.  Safe to call concurrently with Run; a no-op when
 // no Run is active.  The hetsortd service uses it to cancel running
@@ -221,7 +223,8 @@ func (c *Cluster) LinkQueueHWM(id int) int64 {
 }
 
 // CrashError is the failure a scheduled crash injects: the node stops
-// mid-run exactly as if its process had died, leaving peers to abort.
+// mid-run exactly as if its process had died, and the peers that wait on
+// it abort.
 type CrashError struct {
 	Node  int
 	Clock float64 // virtual time of death
@@ -370,7 +373,10 @@ func (c *Cluster) ResetClocks() {
 
 // Run executes fn concurrently on every node and waits for all to
 // finish.  Errors from all nodes are joined; the virtual clocks remain
-// readable afterwards.
+// readable afterwards.  A node that fails aborts only what depends on
+// it: a receive from a node that has returned fails once the link is
+// drained, so failures cascade along the waits in an order the
+// communication pattern fixes, not the host's scheduling.
 func (c *Cluster) Run(fn func(*Node) error) error {
 	errs := make([]error, len(c.nodes))
 	c.abortMu.Lock()
@@ -390,12 +396,16 @@ func (c *Cluster) Run(fn func(*Node) error) error {
 	for _, n := range c.nodes {
 		n.fanin.Store(0)
 		n.faninHWM.Store(0)
+		n.exited = make(chan struct{})
 	}
 	var wg sync.WaitGroup
 	for i, n := range c.nodes {
 		wg.Add(1)
 		go func(i int, n *Node) {
 			defer wg.Done()
+			// Runs after every send the node made: a peer that sees the
+			// close finds all of them queued.
+			defer close(n.exited)
 			defer func() {
 				if r := recover(); r != nil {
 					if ce, ok := r.(*CrashError); ok {
@@ -403,10 +413,6 @@ func (c *Cluster) Run(fn func(*Node) error) error {
 					} else {
 						errs[i] = fmt.Errorf("cluster: node %d panicked: %v", i, r)
 					}
-				}
-				if errs[i] != nil {
-					// Unblock peers waiting on this node forever.
-					c.abortOnce.Do(func() { close(c.abort) })
 				}
 			}()
 			errs[i] = fn(n)
@@ -525,9 +531,13 @@ type Node struct {
 
 	// wake carries one token per in-link 0→1 transition (dropped when a
 	// token is already pending), so a Recv blocked on an empty link can
-	// wait on it and on the cluster abort at once.  A token says only
-	// "some in-link became non-empty": the receiver rechecks its link.
+	// wait on it, on its sender's exit and on an Interrupt at once.  A
+	// token says only "some in-link became non-empty": the receiver
+	// rechecks its link.
 	wake chan struct{}
+	// exited is closed when the node's goroutine returns from the
+	// current Run (made afresh by every Run).
+	exited chan struct{}
 
 	// Scheduled fault injection (see Cluster.ScheduleCrash).
 	crashArmed bool
@@ -940,10 +950,10 @@ func (n *Node) ObserveMerge(keys, chunks, fastChunks, comparisons int64) {
 }
 
 // AcquireBuf returns a payload buffer of the given length from the
-// cluster-wide pool (allocating when the pool is empty).  Fill it and
+// process-wide pool (allocating when the pool is empty).  Fill it and
 // hand it to SendOwned; the receiver returns it with ReleaseBuf.
 func (n *Node) AcquireBuf(size int) []record.Key {
-	if v := n.cluster.payloads.Get(); v != nil {
+	if v := payloads.Get(); v != nil {
 		if b := v.([]record.Key); cap(b) >= size {
 			return b[:size]
 		}
@@ -957,7 +967,7 @@ func (n *Node) ReleaseBuf(buf []record.Key) {
 	if cap(buf) == 0 {
 		return
 	}
-	n.cluster.payloads.Put(buf[:0]) //nolint:staticcheck // slice header alloc is fine
+	payloads.Put(buf[:0]) //nolint:staticcheck // slice header alloc is fine
 }
 
 // Send transfers keys to node `to` with the given tag.  The payload is
@@ -1038,17 +1048,19 @@ func (n *Node) Recv(from, wantTag int) ([]record.Key, error) {
 	l := n.cluster.link(from, n.id)
 	msg, ok := l.pop(n)
 	for !ok {
-		// Wait for an in-link to fill or for a cluster abort (a peer
-		// failed and will never send); a message already queued is
-		// delivered even after an abort.
+		// Wait for an in-link to fill, for the sender to return (it
+		// will never send again) or for an Interrupt; a message already
+		// queued is delivered even then.
 		aborted := false
 		select {
 		case <-n.wake:
+		case <-n.cluster.nodes[from].exited:
+			aborted = true
 		case <-n.cluster.abort:
 			aborted = true
 		}
 		if msg, ok = l.pop(n); !ok && aborted {
-			return nil, fmt.Errorf("cluster: node %d receive from %d aborted (peer failed)", n.id, from)
+			return nil, fmt.Errorf("cluster: node %d receive from %d aborted (peer exited or run interrupted)", n.id, from)
 		}
 	}
 	if msg.tag != wantTag {

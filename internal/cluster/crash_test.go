@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"hetsort/internal/record"
 )
@@ -114,6 +115,45 @@ func TestCrashAbortsBlockedPeer(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "aborted") {
 		t.Fatalf("peer abort not surfaced: %v", err)
+	}
+}
+
+// TestCrashAbortsOnlyItsDependents: a crash aborts the receives that
+// wait on the dead node, not one waiting on a live peer.  Node 0 waits on
+// node 1, which sends only after node 2 — the node it waits on — has
+// died; node 0 must get that message instead of giving up when node 2
+// dies.  The pause before the send gives a cluster-wide abort time to
+// reach node 0 first.
+func TestCrashAbortsOnlyItsDependents(t *testing.T) {
+	c := mustNew(t, 1, 1, 1)
+	if err := c.ScheduleCrash(2, -1, "die"); err != nil {
+		t.Fatal(err)
+	}
+	var got []record.Key
+	err := c.Run(func(n *Node) error {
+		switch n.ID() {
+		case 0:
+			keys, err := n.Recv(1, 7)
+			got = keys
+			return err
+		case 1:
+			if _, err := n.Recv(2, 3); err == nil {
+				return errors.New("node 1 received from a dead node")
+			}
+			time.Sleep(10 * time.Millisecond)
+			return n.Send(0, 7, []record.Key{42})
+		}
+		n.CrashPoint("die") // never sends
+		return nil
+	})
+	if !IsCrash(err) {
+		t.Fatalf("crash not surfaced: %v", err)
+	}
+	if strings.Contains(err.Error(), "node 0:") {
+		t.Fatalf("node 0 failed although its sender lived: %v", err)
+	}
+	if len(got) != 1 || got[0] != 42 {
+		t.Fatalf("node 0 received %v, want [42]", got)
 	}
 }
 

@@ -324,23 +324,9 @@ func TestDistributionSweep(t *testing.T) {
 	}
 }
 
-// The three execution ablations assert their own claims (byte-identical
+// The execution ablations assert their own claims (byte-identical
 // output, the block I/O and virtual-time inequalities); the tests pin
 // the row shape the baselines and the regress gate rely on.
-func TestPipelineAblation(t *testing.T) {
-	rows, err := PipelineAblation(fastOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows=%d", len(rows))
-	}
-	for _, v := range []string{"barrier", "pipelined", "pipelined+ckpt"} {
-		metricOf(t, rows, "pipeline", v, "vsec")
-		metricOf(t, rows, "pipeline", v, "block_ios")
-	}
-}
-
 func TestOverlapAblation(t *testing.T) {
 	rows, err := OverlapAblation(fastOptions())
 	if err != nil {

@@ -16,7 +16,7 @@ import (
 // Part 1 (disks) sweeps the PDM D parameter over the full parallel sort
 // on the paper's loaded cluster: D=1, D=2, D=4 striped, D=4 under the
 // independent access model, and D=4 under each execution strategy
-// (Pipeline, Overlap, and a checkpointed crash+resume).  D is
+// (Overlap, and a checkpointed crash+resume).  D is
 // timing-only, so the ablation fails unless the base variants move
 // exactly the same number of blocks, every variant's output hashes
 // identically, and every multi-disk variant finishes in strictly less
@@ -54,14 +54,13 @@ func pdmDisks(o Options) ([]Row, error) {
 		disks("d2", point{disks: 2}),
 		disks("d4", point{disks: 4}),
 		disks("d4-independent", point{disks: 4, access: pdm.Independent}),
-		disks("d4-pipeline", point{disks: 4, cfg: extsort.Config{Pipeline: true}}),
 		disks("d4-overlap", point{disks: 4, cfg: extsort.Config{Overlap: true}}),
 		disks("d4-crash-resume", point{disks: 4, crash: true})))
 	if err != nil {
 		return nil, err
 	}
 	// The base variants move identical blocks (D and the access model are
-	// timing-only; Pipeline/Overlap/resume legitimately change the count),
+	// timing-only; Overlap/resume legitimately change the count),
 	// every output hashes identically, and more disks are strictly faster.
 	d1 := rows[0].Metrics
 	for _, r := range rows[1:4] {

@@ -22,8 +22,8 @@ func TestPDMAblation(t *testing.T) {
 			t.Fatalf("row %s incomplete: %+v", r.Key(), r)
 		}
 	}
-	if parts["disks"] != 7 || parts["run-formation"] != 3 {
-		t.Fatalf("parts %v, want 7 disks variants and 3 run formers", parts)
+	if parts["disks"] != 6 || parts["run-formation"] != 3 {
+		t.Fatalf("parts %v, want 6 disks variants and 3 run formers", parts)
 	}
 	byVariant := map[string]map[string]string{}
 	for _, r := range rows {

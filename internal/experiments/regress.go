@@ -26,7 +26,6 @@ var Baselined = []struct {
 	Name, Title string
 	Run         func(Options) ([]Row, error)
 }{
-	{"pipeline", "A8: fused redistribution→merge pipeline vs the barrier path", PipelineAblation},
 	{"overlap", "A9: overlapped disk I/O vs the synchronous path", OverlapAblation},
 	{"pdm", "A10: per-node PDM saturation (multi-disk striping + sequential-phase kernels)", PDMAblation},
 	{"histsort", "Adversarial pivot ablation: histogram refinement vs one-shot strategies, {1,1,4,4} repeated", HistsortAblation},

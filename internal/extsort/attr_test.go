@@ -75,18 +75,23 @@ func TestAttributionRandomConfigs(t *testing.T) {
 		}
 		block := 16 << rng.Intn(3) // 16, 32, 64
 		tapes := 4 + rng.Intn(4)
+		memory := tapes*block + (1+rng.Intn(8))*block*4
+		msg := block * (1 + rng.Intn(4))
+		pipe := rng.Intn(2) == 1 // false forces the unfused fallback
 		cfg := Config{
 			Perf:        v,
 			BlockKeys:   block,
 			Tapes:       tapes,
-			MemoryKeys:  tapes*block + (1+rng.Intn(8))*block*4,
-			MessageKeys: block * (1 + rng.Intn(4)),
-			Pipeline:    rng.Intn(2) == 1,
+			MemoryKeys:  memory,
+			MessageKeys: msg,
 			Checkpoint:  rng.Intn(2) == 1,
 			Seed:        int64(trial),
 		}
+		if !pipe {
+			cfg = unfuse(cfg)
+		}
 		n := v.NearestValidSize(int64(4000 + rng.Intn(20000)))
-		name := fmt.Sprintf("trial%d_p%d_B%d_pipe%v_ckpt%v", trial, p, block, cfg.Pipeline, cfg.Checkpoint)
+		name := fmt.Sprintf("trial%d_p%d_B%d_pipe%v_ckpt%v", trial, p, block, pipe, cfg.Checkpoint)
 		t.Run(name, func(t *testing.T) {
 			c := newCluster(t, v)
 			res := runSort(t, c, v, cfg, record.Uniform, n, int64(100+trial))

@@ -12,9 +12,11 @@
 //     sorted file is already in bucket order, so nothing is copied;
 //  4. redistribution: bucket j travels to node j in fixed-size
 //     messages (a multiple of the block size), read straight from its
-//     section of the sorted file;
-//  5. final merge of the node's own bucket and the received sorted files
-//     with the external merge of step 1's sorter.
+//     section of the sorted file — and wherever the final round's
+//     message buffers fit memory, merged in-stream with the node's own
+//     bucket into its output (fusedFits);
+//  5. otherwise, final merge of the node's own bucket and the received
+//     sorted files with the external merge of step 1's sorter.
 //
 // The concatenation of the nodes' output files in rank order is the
 // globally sorted sequence, and the PSRS theorem bounds every node's
@@ -47,14 +49,8 @@ const (
 	tagBarrierBase = 300 // barriers use tagBarrierBase + 2*step
 )
 
-// Step names index the per-step metrics in Result.
-var StepNames = [5]string{
-	"1:sequential-sort",
-	"2:pivot-selection",
-	"3:partitioning",
-	"4:redistribution",
-	"5:final-merge",
-}
+// Step names index the per-step metrics in Result: pdm's phases 1..5.
+var StepNames = [5]string(pdm.PhaseNames[1:])
 
 // Config parameterises Algorithm 1.
 type Config struct {
@@ -77,9 +73,6 @@ type Config struct {
 	// Strategy selects the pivot scheme for step 2 (default
 	// RegularSampling, the paper's Algorithm 1).
 	Strategy Strategy
-	// QuantileEps is the sketch error bound for QuantileSketch
-	// (default 0.01).
-	QuantileEps float64
 	// HistTolerance is the Histogram strategy's convergence tolerance
 	// as a fraction of the smallest perf share (default 0.05): the
 	// refinement stops once every pivot's global rank is within
@@ -87,19 +80,8 @@ type Config struct {
 	HistTolerance float64
 	// Seed feeds the random samplers of the non-regular strategies.
 	Seed int64
-	// Pipeline fuses steps 4 and 5: each node merges its own bucket and
-	// the final round's incoming streams directly into its output file
-	// as messages arrive, never materialising the received files —
-	// saving their write and re-read.  The output is byte-identical to
-	// the barrier path.  When the final round's message buffers do not
-	// fit in MemoryKeys (fusedFits) the node falls back to the barrier
-	// path (traced as a Pipeline "fallback" event); when Checkpoint is
-	// set the streams are additionally teed to the receive files, which
-	// the phase-4 manifest needs durable — that still saves the
-	// re-read.  Pipeline is an execution
-	// strategy, not an outcome parameter: it is deliberately excluded
-	// from the resume fingerprint, so an interrupted run may be
-	// resumed with either setting.
+	// Pipeline is ignored: step 4 fuses step 5 whenever the final round
+	// fits memory (fusedFits).  It stays until bench/ stops setting it.
 	Pipeline bool
 	// Overlap charges disk I/O as asynchronous: readers are modelled as
 	// prefetching ahead of the consumer and writers as flushing behind
@@ -107,9 +89,8 @@ type Config struct {
 	// the stream's in-flight depth, max(2, the node's D)
 	// (vtime.OverlapMeter's windowed model).  The PDM I/O *counts* and
 	// the output bytes are identical to the synchronous mode — only
-	// virtual time changes — and like Pipeline and the cluster's
-	// DisksPerNode it is an execution strategy excluded from the resume
-	// fingerprint.
+	// virtual time changes — and like the cluster's DisksPerNode it is
+	// an execution strategy excluded from the resume fingerprint.
 	Overlap bool
 	// Checkpoint makes the five phase boundaries durable commit points:
 	// each node writes a manifest (see internal/checkpoint) to its
@@ -128,12 +109,11 @@ type Config struct {
 	// TopologyTree and TopologyGrid bound every node's fan-in at O(r)
 	// per round by aggregating samples up an r-ary reduction tree and
 	// routing partitions through ⌈log_r p⌉ rounds of r-way exchanges (2
-	// rounds for the √p×√p grid).  Unlike
-	// Pipeline/Overlap, the topology is an outcome parameter for the
-	// QuantileSketch strategy (its sketch merge is order-sensitive, so
-	// per-node partitions may differ from the flat run's even though
-	// the global sorted output is identical) and the phase-4 artifacts
-	// differ, so it is part of the resume fingerprint.
+	// rounds for the √p×√p grid).  Unlike Overlap, the topology is an
+	// outcome parameter for the QuantileSketch strategy (its sketch merge
+	// is order-sensitive, so per-node partitions may differ from the flat
+	// run's even though the global sorted output is identical) and the
+	// phase-4 artifacts differ, so it is part of the resume fingerprint.
 	Topology Topology
 	// Radix is the tree fan-in r (default 4).  Flat and grid derive
 	// theirs from p (p and ⌈√p⌉) and ignore this.
@@ -142,28 +122,26 @@ type Config struct {
 	// one: each node hashes the artifacts its phase-5 manifest depends on
 	// and records a Merkle root over them, so the run's outputs verify
 	// against one 32-byte value (hetsortd anchors every job this way).
-	// The hashing re-reads the output once, charged as phase-0 I/O.  Like
-	// Pipeline and Overlap it is an execution strategy excluded from the
-	// resume fingerprint — it changes no output byte.  Requires
-	// Checkpoint.
+	// The hashing re-reads the output once, charged as phase-0 I/O.  It
+	// is an execution strategy excluded from the resume fingerprint — it
+	// changes no output byte.  Requires Checkpoint.
 	Merkle bool
 	// Progress, when set, is bound to the cluster at the start of the
 	// run so other goroutines can sample live per-node, per-step
 	// snapshots while Algorithm 1 executes (see internal/progress).  It
 	// is a pure observation channel: sampling reads only atomics and
-	// changes no virtual-time charge, no output byte, and — like
-	// Pipeline/Overlap/Merkle — it is excluded from the resume
-	// fingerprint.  The same tracker may span Sort and a later Resume;
-	// rebinding keeps its snapshot sequence monotonic.
+	// changes no virtual-time charge, no output byte, and it is excluded
+	// from the resume fingerprint.  The same tracker may span Sort and a
+	// later Resume; rebinding keeps its snapshot sequence monotonic.
 	Progress *progress.Tracker
 }
 
 // sig fingerprints the parameters that must match between an
 // interrupted run and its resume.
 func (c Config) sig(inputName, outputName string) string {
-	return fmt.Sprintf("extsort-v5 perf=%v B=%d M=%d T=%d msg=%d rf=%d strat=%d eps=%g htol=%g seed=%d topo=%d r=%d in=%s out=%s",
+	return fmt.Sprintf("extsort-v6 perf=%v B=%d M=%d T=%d msg=%d rf=%d strat=%d htol=%g seed=%d topo=%d r=%d in=%s out=%s",
 		[]int(c.Perf), c.BlockKeys, c.MemoryKeys, c.Tapes, c.MessageKeys,
-		c.RunFormation, c.Strategy, c.QuantileEps, c.HistTolerance, c.Seed,
+		c.RunFormation, c.Strategy, c.HistTolerance, c.Seed,
 		c.Topology, c.Radix, inputName, outputName)
 }
 
@@ -220,12 +198,9 @@ func (c Config) Validate(p int) error {
 	if c.Topology == TopologyTree && c.Radix < 2 {
 		return fmt.Errorf("extsort: Radix=%d must be >= 2", c.Radix)
 	}
-	// Written as negated in-range checks so NaN — for which every
+	// Written as a negated in-range check so NaN — for which every
 	// comparison is false — is rejected instead of slipping through to
-	// the sketch or refiner.
-	if c.QuantileEps != 0 && !(c.QuantileEps > 0 && c.QuantileEps < 1) {
-		return fmt.Errorf("extsort: QuantileEps=%v must be in (0, 1)", c.QuantileEps)
-	}
+	// the refiner.
 	if c.HistTolerance != 0 && !(c.HistTolerance > 0 && c.HistTolerance < 1) {
 		return fmt.Errorf("extsort: HistTolerance=%v must be in (0, 1)", c.HistTolerance)
 	}
@@ -468,8 +443,9 @@ type worker struct {
 	pivotRounds int
 	sampleKeys  int64
 
-	// merged records that the pipelined step 4 already merged the
-	// output in-stream.
+	// merged records that a fused step 4 — this run's or, on a resumed
+	// node past phase 4, the interrupted run's — merged the output
+	// in-stream.
 	merged bool
 
 	// Per-step measurements, barrier to barrier, read after the run:
@@ -656,13 +632,17 @@ func (w *worker) sortedFile() ([]checkpoint.FileInfo, error) { return w.fileInfo
 func (w *worker) outputFile() ([]checkpoint.FileInfo, error) { return w.fileInfo(w.output) }
 
 // redistributed lists what phase 4 depends on: the sorted file, then the
-// final-merge inputs that are files of their own.
+// final-merge inputs that are files of their own, then — fused — the
+// output, which a resumed node then keeps instead of merging again.
 func (w *worker) redistributed() ([]checkpoint.FileInfo, error) {
 	names := []string{sortedName}
 	for _, in := range w.finalInputs() {
 		if in.Name != sortedName {
 			names = append(names, in.Name)
 		}
+	}
+	if w.merged {
+		names = append(names, w.output)
 	}
 	return w.fileInfo(names...)
 }
@@ -754,7 +734,7 @@ const (
 func (w *worker) recvName(i int) string { return fmt.Sprintf("%s%d", recvPrefix, i) }
 
 // finalMerge implements step 5: external merge of the final-round
-// inputs (the own bucket and the received files) — unless the pipelined
+// inputs (the own bucket and the received files) — unless the fused
 // step 4 already merged them in-stream, when this step's window only
 // holds the commit.
 func (w *worker) finalMerge() error {

@@ -387,16 +387,17 @@ func TestTransientReadFaultNeverLosesKeys(t *testing.T) {
 }
 
 // TestIntermediateFilesCleaned: a run leaves only its input and output
-// behind — also when the pipelined final round merged the node's own
-// bucket in-stream, which no step-5 merge then consumes and removes (a
-// fused run used to leak it).
+// behind — also when the fused final round merged the node's own bucket
+// in-stream, which no step-5 merge then consumes and removes (a fused
+// run used to leak it).
 func TestIntermediateFilesCleaned(t *testing.T) {
 	v := perf.Homogeneous(4)
 	for _, fused := range []bool{false, true} {
 		c := newCluster(t, v)
-		cfg := testConfig(v)
+		cfg := unfuse(testConfig(v))
 		if fused {
-			cfg.Pipeline, cfg.Topology, cfg.Radix = true, TopologyTree, 2
+			cfg = testConfig(v)
+			cfg.Topology, cfg.Radix = TopologyTree, 2 // fan-in 1 fits M
 		}
 		runSort(t, c, v, cfg, record.Uniform, 8192, 29)
 		for i := range v {
@@ -441,9 +442,12 @@ func TestBucketsAreNotFiles(t *testing.T) {
 		for _, topo := range []Topology{TopologyFlat, TopologyTree, TopologyGrid} {
 			for mode := 0; mode < 4; mode++ {
 				cfg := testConfig(v)
+				if mode&1 != 0 {
+					cfg = unfuse(cfg)
+				}
 				cfg.Strategy, cfg.Seed, cfg.Topology, cfg.Radix = strat, 5, topo, 3
-				cfg.Pipeline, cfg.Checkpoint = mode&1 != 0, mode&2 != 0
-				name := fmt.Sprintf("%v-%v-pipeline=%v-checkpoint=%v", strat, topo, cfg.Pipeline, cfg.Checkpoint)
+				cfg.Checkpoint = mode&2 != 0
+				name := fmt.Sprintf("%v-%v-unfused=%v-checkpoint=%v", strat, topo, mode&1 != 0, cfg.Checkpoint)
 				logs := make([]*createLog, p)
 				c, err := cluster.New(cluster.Config{Slowdowns: v.Slowdowns(), BlockKeys: 64,
 					Disks: func(id int) diskio.FS {

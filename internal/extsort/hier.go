@@ -116,21 +116,22 @@ func (w *worker) redistribute() error {
 	for j := range needy {
 		needy[j] = w.plan == nil || w.plan.Done[j] < 4
 	}
-	// With Pipeline, a needy node fuses step 5 into this step: the final
-	// round's streams are merged straight into the output file while the
-	// messages arrive.  The fused work (receive, merge compute, output
-	// writes) is all attributed to step 4's window; step 5 then only
-	// commits.  The fallback keeps the barrier path when the final
-	// round's fan-in — p at radix p, O(r) below — would not fit its
-	// message buffers in memory.
-	fused := w.cfg.Pipeline && needy[id]
-	if fused {
-		if nbrs := len(w.finalInNeighbors()); !w.cfg.fusedFits(nbrs) {
-			fused = false
-			n.TraceEvent(trace.Pipeline, "fallback",
-				fmt.Sprintf("fan-in %d x %d-key messages exceeds MemoryKeys=%d", nbrs+1, w.cfg.MessageKeys, w.cfg.MemoryKeys))
-		}
+	// A needy node fuses step 5 into this step whenever it fits: the
+	// final round's streams are merged straight into the output file
+	// while the messages arrive.  The fused work (receive, merge compute,
+	// output writes) is all attributed to step 4's window; step 5 then
+	// only commits.  The barrier path is the fallback for a final round
+	// whose fan-in — p at radix p, O(r) below — would not fit its message
+	// buffers in memory.  The rule reads only fingerprinted parameters,
+	// so a node past phase 4 — needy when it committed it — knows that
+	// it already merged its output whenever the rule holds.
+	streams := len(w.finalInNeighbors())
+	fused := w.cfg.fusedFits(streams)
+	if !fused && needy[id] {
+		n.TraceEvent(trace.Pipeline, "fallback",
+			fmt.Sprintf("fan-in %d x %d-key messages exceeds MemoryKeys=%d", streams+1, w.cfg.MessageKeys, w.cfg.MemoryKeys))
 	}
+	w.merged = fused && !needy[id]
 	lv := w.lv
 	T := len(lv) - 1
 	n.Metrics().Gauge("redist.rounds").Set(float64(T))
@@ -195,7 +196,7 @@ func (w *worker) redistribute() error {
 			} else {
 				// Final round: the destination is the node itself.
 				err = w.landFinal(t, tag, nbrs, fused)
-				w.merged = fused && err == nil
+				w.merged = fused
 			}
 			if err != nil {
 				endRound()
@@ -324,10 +325,10 @@ func (w *worker) advanceBucket(t, tag, d int, nbrs []int) error {
 	return w.dropBucket(old)
 }
 
-// landFinal is the final round at a needy node.  Fused (Pipeline), the
-// own bucket and the in-neighbors' streams merge straight into the
-// output file, teed to durable receive files when checkpointing so the
-// phase-4 manifest has its inputs; otherwise each stream spools to its
+// landFinal is the final round at a needy node.  Fused, the own bucket
+// and the in-neighbors' streams merge straight into the output file,
+// teed to durable receive files when checkpointing so the phase-4
+// manifest has its inputs; in the fallback each stream spools to its
 // receive file and step 5 merges them with the own bucket, which stays
 // on disk either way.
 func (w *worker) landFinal(t, tag int, nbrs []int, fused bool) error {

@@ -138,8 +138,8 @@ func TestHistogramDegenerateInputs(t *testing.T) {
 		mut   func(*Config)
 	}{
 		{"histogram", false, func(c *Config) { c.Strategy = Histogram }},
-		{"barrier", false, func(*Config) {}},
-		{"pipeline", false, func(c *Config) { c.Pipeline = true }},
+		{"barrier", false, func(c *Config) { *c = unfuse(*c) }},
+		{"fused", false, func(c *Config) { c.MemoryKeys = 8192 }},
 		{"tree-checkpoint-resume", true, func(c *Config) { c.Topology, c.Radix, c.Checkpoint = TopologyTree, 2, true }},
 	}
 	for _, tc := range cases {

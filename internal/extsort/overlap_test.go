@@ -69,8 +69,7 @@ func TestOverlapMatchesSynchronousProperty(t *testing.T) {
 		cfg := testConfig(v)
 		cfg.Strategy = strat
 		if trial%3 == 0 {
-			cfg.Pipeline = true // overlap must compose with the fused merge
-			cfg.MemoryKeys = 8192
+			cfg.MemoryKeys = 8192 // overlap must compose with the fused merge at every p
 		}
 		// Every fourth trial runs on D-disk nodes, D in 1..4: the
 		// overlap depth is max(2, D).

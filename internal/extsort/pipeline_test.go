@@ -44,11 +44,19 @@ func runOnce(t *testing.T, v perf.Vector, cfg Config, dist record.Distribution,
 	return outs, totalIO(c)
 }
 
+// unfuse forces the barrier fallback: messages as large as M leave no
+// final round's buffers room in memory (fusedFits).  The message size
+// moves no block, so I/O counts compare across the two paths.
+func unfuse(cfg Config) Config {
+	cfg.MessageKeys = cfg.MemoryKeys
+	return cfg
+}
+
 // TestPipelineMatchesBarrierProperty is the acceptance property of the
 // fused steps 4+5: for random perf vectors, pivot strategies, message
-// sizes and distributions, the pipelined run's per-node output files are
-// byte-identical to the barrier run's, and — whenever the fan-in fits in
-// memory so the pipeline actually engages — the pipelined run performs
+// sizes and distributions, the fused run's per-node output files are
+// byte-identical to the barrier fallback's, and — whenever the fan-in
+// fits in memory so fusion actually engages — the fused run performs
 // strictly fewer total block I/Os.
 func TestPipelineMatchesBarrierProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -72,24 +80,22 @@ func TestPipelineMatchesBarrierProperty(t *testing.T) {
 
 		name := fmt.Sprintf("p%d_strat%d_msg%d_%v", len(v), strat, msg, dist)
 		t.Run(name, func(t *testing.T) {
-			barrier, barrierIO := runOnce(t, v, cfg, dist, n, seed)
-			pcfg := cfg
-			pcfg.Pipeline = true
-			piped, pipedIO := runOnce(t, v, pcfg, dist, n, seed)
+			barrier, barrierIO := runOnce(t, v, unfuse(cfg), dist, n, seed)
+			piped, pipedIO := runOnce(t, v, cfg, dist, n, seed)
 
 			for i := range barrier {
 				if len(barrier[i]) != len(piped[i]) {
-					t.Fatalf("node %d: %d keys pipelined vs %d barrier", i, len(piped[i]), len(barrier[i]))
+					t.Fatalf("node %d: %d keys fused vs %d barrier", i, len(piped[i]), len(barrier[i]))
 				}
 				for j := range barrier[i] {
 					if barrier[i][j] != piped[i][j] {
-						t.Fatalf("node %d key %d: pipelined %d != barrier %d", i, j, piped[i][j], barrier[i][j])
+						t.Fatalf("node %d key %d: fused %d != barrier %d", i, j, piped[i][j], barrier[i][j])
 					}
 				}
 			}
 			if cfg.fusedFits(len(v) - 1) {
 				if pipedIO >= barrierIO {
-					t.Errorf("pipelined I/O %d not strictly below barrier %d", pipedIO, barrierIO)
+					t.Errorf("fused I/O %d not strictly below barrier %d", pipedIO, barrierIO)
 				}
 			} else if pipedIO != barrierIO {
 				t.Errorf("fallback path I/O %d differs from barrier %d", pipedIO, barrierIO)
@@ -107,8 +113,7 @@ func TestPipelineFallbackTraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig(v) // MemoryKeys 1024 < 3*(256+64)+2*64: cannot pipeline
-	cfg.Pipeline = true
+	cfg := testConfig(v) // MemoryKeys 1024 < 3*(256+64)+2*64: cannot fuse
 	sum, err := DistributeInput(c, v, record.Uniform, v.NearestValidSize(1<<12), 3, cfg.BlockKeys, "input")
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +136,7 @@ func TestPipelineFallbackTraced(t *testing.T) {
 		}
 	}
 	if fallbacks == 0 {
-		t.Error("no Pipeline fallback events traced for an oversized fan-in")
+		t.Error("no fallback events traced for an oversized fan-in")
 	}
 	if fused != 0 {
 		t.Errorf("%d nodes fused despite the memory bound", fused)
@@ -139,22 +144,23 @@ func TestPipelineFallbackTraced(t *testing.T) {
 }
 
 // TestPipelineCheckpointCrashResume is the crash property of the
-// spill-while-merging fallback: with Pipeline and Checkpoint both on,
-// kill a node at every phase boundary (before and after each commit)
-// and the resumed run must produce output byte-identical to an
-// uninterrupted *barrier* checkpointed run — the strongest form of the
-// byte-identity claim, since recovery replays mix pipelined and barrier
-// merges over the spilled receive files.
+// spill-while-merging path: with Checkpoint on, kill a node at every
+// phase boundary (before and after each commit) and the resumed run must
+// produce output byte-identical to an uninterrupted checkpointed
+// *barrier* run — the strongest form of the byte-identity claim.  The
+// points alternate between a configuration that fuses (the streams spill
+// to receive files while they merge) and one forced onto the fallback,
+// so recovery is exercised over both paths' phase-4 artifacts.
 func TestPipelineCheckpointCrashResume(t *testing.T) {
 	v := perf.Vector{1, 1, 4, 4}
 	n := v.NearestValidSize(1 << 14)
 	base := testConfig(v)
-	base.MemoryKeys = 8192 // let the pipeline engage (spill mode under Checkpoint)
+	base.MemoryKeys = 8192 // let fusion engage (spill mode under Checkpoint)
 	base.Checkpoint = true
 	const seed = 42
 
 	// Reference: an uninterrupted checkpointed *barrier* run.
-	want, _ := runOnce(t, v, base, record.Uniform, n, seed)
+	want, _ := runOnce(t, v, unfuse(base), record.Uniform, n, seed)
 
 	var points []string
 	for _, s := range StepNames {
@@ -172,8 +178,11 @@ func TestPipelineCheckpointCrashResume(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Even-numbered points fuse, odd ones take the fallback.
 			cfg := base
-			cfg.Pipeline = true
+			if pi%2 == 1 {
+				cfg = unfuse(base)
+			}
 			cfg.InputSum = sum
 			if err := c.ScheduleCrash(crashNode, -1, point); err != nil {
 				t.Fatal(err)
@@ -181,15 +190,18 @@ func TestPipelineCheckpointCrashResume(t *testing.T) {
 			if _, err := Sort(c, cfg, "input", "output"); !cluster.IsCrash(err) {
 				t.Fatalf("crash at %q did not surface: %v", point, err)
 			}
-			// Resume alternates the mode to prove Pipeline is a pure
-			// execution strategy: even-numbered points resume pipelined,
-			// odd ones resume through the barrier path.
-			rcfg := cfg
-			rcfg.Pipeline = pi%2 == 0
-			if _, got, err := Resume(c, rcfg, "input", "output"); err != nil {
+			res, got, err := Resume(c, cfg, "input", "output")
+			if err != nil {
 				t.Fatalf("resume after crash at %q: %v", point, err)
 			} else if !got.Equal(sum) {
 				t.Error("manifest input checksum differs from the distributed input's")
+			}
+			// Fused, step 5 only commits — also on a node resumed past
+			// phase 4, which keeps the output it merged then.
+			for i, io := range res.StepIO[4] {
+				if pi%2 == 0 && io.Reads != 0 {
+					t.Errorf("node %d merged again in step 5: %v", i, io)
+				}
 			}
 			if err := VerifyOutput(c, "output", cfg.BlockKeys, sum); err != nil {
 				t.Fatalf("resumed output: %v", err)

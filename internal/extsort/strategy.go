@@ -193,6 +193,9 @@ func (w *worker) sampled(pick func([]record.Key, perf.Vector) ([]record.Key, err
 	}
 }
 
+// quantileEps is the QuantileSketch strategy's rank error bound.
+const quantileEps = 0.01
+
 // sketched is the QuantileSketch strategy: stream the sorted file
 // through an ε-sketch, merge the sketches pairwise up the tree — each
 // inner node folds its children's summaries into its own and forwards
@@ -203,11 +206,7 @@ func (w *worker) sampled(pick func([]record.Key, perf.Vector) ([]record.Key, err
 // output is identical either way).
 func (w *worker) sketched() (pivotSelector, error) {
 	n, cfg := w.n, w.cfg
-	eps := cfg.QuantileEps
-	if eps <= 0 {
-		eps = 0.01
-	}
-	sk, err := quantile.New(eps)
+	sk, err := quantile.New(quantileEps)
 	if err != nil {
 		return pivotSelector{}, err
 	}
@@ -221,11 +220,11 @@ func (w *worker) sketched() (pivotSelector, error) {
 			return encodeSketch(sk)
 		},
 		combine: func(acc, child []record.Key) ([]record.Key, error) {
-			sa, err := decodeSketch(eps, acc)
+			sa, err := decodeSketch(acc)
 			if err != nil {
 				return nil, err
 			}
-			sc, err := decodeSketch(eps, child)
+			sc, err := decodeSketch(child)
 			if err != nil {
 				return nil, err
 			}
@@ -234,7 +233,7 @@ func (w *worker) sketched() (pivotSelector, error) {
 			return encodeSketch(sa)
 		},
 		decide: func(agg []record.Key) ([]record.Key, error) {
-			merged, err := decodeSketch(eps, agg)
+			merged, err := decodeSketch(agg)
 			if err != nil {
 				return nil, err
 			}
@@ -270,14 +269,14 @@ func encodeSketch(sk *quantile.Summary) ([]record.Key, error) {
 	return out, nil
 }
 
-func decodeSketch(eps float64, enc []record.Key) (*quantile.Summary, error) {
+func decodeSketch(enc []record.Key) (*quantile.Summary, error) {
 	vals := make([]record.Key, 0, len(enc)/2)
 	weights := make([]int64, 0, len(enc)/2)
 	for i := 0; i+1 < len(enc); i += 2 {
 		vals = append(vals, enc[i])
 		weights = append(weights, int64(enc[i+1]))
 	}
-	return quantile.FromExport(eps, vals, weights)
+	return quantile.FromExport(quantileEps, vals, weights)
 }
 
 // histogram is the Histogram strategy: iterative splitter refinement

@@ -78,7 +78,6 @@ func TestQuantileSketchStrategy(t *testing.T) {
 			c := newCluster(t, v)
 			cfg := testConfig(v)
 			cfg.Strategy = QuantileSketch
-			cfg.QuantileEps = 0.005
 			res := runSort(t, c, v, cfg, record.Uniform, v.NearestValidSize(40000), 17)
 			// Sketch pivots are not grid-limited: heterogeneous balance
 			// should beat the regular-sampling quantization band.

@@ -206,13 +206,14 @@ func (c Config) LinkMemoryBytes(p int) int64 {
 	cc := c
 	cc.ApplyDefaults(p)
 	fan := int64(PeakFanIn(p, cc.Topology, cc.Radix))
-	per := satMulInt64(int64(cc.MessageKeys), record.KeySize)
-	return satMulInt64(int64(p), satMulInt64(fan, per))
+	per := SatMul(int64(cc.MessageKeys), record.KeySize)
+	return SatMul(int64(p), SatMul(fan, per))
 }
 
-// satMulInt64 multiplies non-negative operands, saturating at MaxInt64
-// so admission estimates never overflow into a small value.
-func satMulInt64(a, b int64) int64 {
+// SatMul returns a·b for non-negative operands, saturating at MaxInt64
+// instead of wrapping, so an admission estimate never overflows into a
+// small (or negative) value that slips past a budget.
+func SatMul(a, b int64) int64 {
 	if a == 0 || b == 0 {
 		return 0
 	}

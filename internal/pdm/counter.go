@@ -10,6 +10,17 @@ import (
 // recovery), phases 1..5 map to Algorithm 1's five steps.
 const PhaseCount = 6
 
+// PhaseNames labels the phases: the one spelling of Algorithm 1's step
+// names, which extsort, progress and the check harness all read.
+var PhaseNames = [PhaseCount]string{
+	"0:setup",
+	"1:sequential-sort",
+	"2:pivot-selection",
+	"3:partitioning",
+	"4:redistribution",
+	"5:final-merge",
+}
+
 // Counter accumulates I/O operations in PDM units (block transfers).  It
 // is safe for concurrent use; the disk layer charges it from every node
 // goroutine.  The zero value is ready to use.

@@ -23,24 +23,13 @@ import (
 	"hetsort/internal/perf"
 )
 
-// stepNames labels pdm phases: phase 0 collects setup/checkpoint I/O,
-// phases 1..5 mirror extsort.StepNames (Algorithm 1's five steps).
-var stepNames = [pdm.PhaseCount]string{
-	"0:setup",
-	"1:sequential-sort",
-	"2:pivot-selection",
-	"3:partitioning",
-	"4:redistribution",
-	"5:final-merge",
-}
-
 // StepName returns the label for a pdm phase (0 = setup/checkpoint,
 // 1..5 = Algorithm-1 steps).
 func StepName(phase int) string {
 	if phase < 0 || phase >= pdm.PhaseCount {
 		return fmt.Sprintf("%d:?", phase)
 	}
-	return stepNames[phase]
+	return pdm.PhaseNames[phase]
 }
 
 // Tracker samples progress from a running cluster.  Create one, set it
@@ -193,10 +182,11 @@ func (t *Tracker) Snapshot() *Snapshot {
 // expectedBlocks is the perf-model estimate of a node's total accounted
 // block transfers across Algorithm 1: run formation streams the
 // l_i-key portion through disk twice (4·l/B transfers), locating the
-// cuts probes a block per pivot (≈0), redistribution writes the received
-// partition (≈l/B at perfect balance), and the final merge streams it
-// once more (2·l/B) — ≈7·l/B.  The constant is the same for every node,
-// so Fraction is comparable across nodes; pipelined, hierarchical and
+// cuts probes a block per pivot (≈0), redistribution reads the portion's
+// buckets (l/B) and its fused final merge writes the q-key output (≈l/B
+// at perfect balance), and step 5 moves nothing — ≈6·l/B.  The constant
+// is the same for every node, so Fraction is comparable across nodes;
+// hierarchical, unfused (the final round does not fit memory) and
 // small-block runs (which scan for the cuts) shift the true total a
 // little, which only skews the advisory ETA.
 func expectedBlocks(share int64, blockKeys int) int64 {
@@ -204,7 +194,7 @@ func expectedBlocks(share int64, blockKeys int) int64 {
 		return 0
 	}
 	b := int64(blockKeys)
-	return 7 * ((share + b - 1) / b)
+	return 6 * ((share + b - 1) / b)
 }
 
 // Table renders the snapshot as an aligned text table, one row per

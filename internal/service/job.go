@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"sync"
 
@@ -55,7 +54,6 @@ type JobSpec struct {
 	MemoryKeys  int   `json:"memory_keys,omitempty"`
 	Tapes       int   `json:"tapes,omitempty"`
 	MessageKeys int   `json:"message_keys,omitempty"`
-	Pipeline    bool  `json:"pipeline,omitempty"`
 	Overlap     bool  `json:"overlap,omitempty"`
 	Seed        int64 `json:"seed,omitempty"`
 	// Topology selects the redistribution structure ("flat", "tree" or
@@ -79,24 +77,11 @@ type JobSpec struct {
 	CrashPhase int `json:"crash_phase,omitempty"`
 }
 
-// satMul returns a·b for non-negative operands, saturating at MaxInt64
-// instead of wrapping — demand estimates must never overflow into a
-// small (or negative) value that slips past the admission budgets.
-func satMul(a, b int64) int64 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	if a > math.MaxInt64/b {
-		return math.MaxInt64
-	}
-	return a * b
-}
-
 // inputBytes estimates the input size for admission (0 when unknown —
 // validate rejects those specs anyway).
 func (sp *JobSpec) inputBytes(store storage.Backend) int64 {
 	if sp.Gen != nil {
-		return satMul(sp.Gen.Count, record.KeySize)
+		return extsort.SatMul(sp.Gen.Count, record.KeySize)
 	}
 	if sp.Input != "" {
 		if n, err := store.Stat(sp.Input); err == nil {
@@ -313,7 +298,6 @@ func (s *Service) extsortConfig(spec *JobSpec) extsort.Config {
 		Tapes:       spec.Tapes,
 		MessageKeys: spec.MessageKeys,
 		Seed:        spec.Seed,
-		Pipeline:    spec.Pipeline,
 		Overlap:     spec.Overlap,
 		Topology:    spec.topology(),
 		Radix:       spec.Radix,

@@ -263,7 +263,7 @@ func (s *Service) demand(spec *JobSpec) (mem, disk int64) {
 	if mk <= 0 {
 		mk = 1 << 16
 	}
-	mem = satMul(satMul(int64(p), int64(mk)), record.KeySize)
+	mem = extsort.SatMul(extsort.SatMul(int64(p), int64(mk)), record.KeySize)
 	links := extsort.Config{
 		MessageKeys: spec.MessageKeys,
 		Topology:    spec.topology(),
@@ -272,7 +272,7 @@ func (s *Service) demand(spec *JobSpec) (mem, disk int64) {
 	if mem += links; mem < 0 {
 		mem = math.MaxInt64 // saturate the sum like the products
 	}
-	disk = satMul(4, spec.inputBytes(s.store))
+	disk = extsort.SatMul(4, spec.inputBytes(s.store))
 	return mem, disk
 }
 
@@ -345,8 +345,10 @@ func (s *Service) start(j *job) {
 		s.tenants.Add(1)
 		s.execute(j)
 		s.tenants.Add(-1)
-		close(j.done)
+		// Settle the accounting before Wait returns, so a client that
+		// reads the counters right after sees the job finished.
 		s.finish(j)
+		close(j.done)
 	}()
 }
 

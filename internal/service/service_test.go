@@ -502,3 +502,29 @@ func TestFaultyBackendFailsJob(t *testing.T) {
 		t.Fatal("job completed against a dead object store")
 	}
 }
+
+// TestWaitSeesTheJobCounted: Wait returns only after the job's executor
+// has settled its accounting, so the counters a client reads right after
+// (as /metrics does) already include the job.  The done channel used to
+// close before the counters moved, and a client that woke in between
+// read the job as still running.
+func TestWaitSeesTheJobCounted(t *testing.T) {
+	s, err := New(testConfig(), storage.NewObject())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	for i := int64(1); i <= 30; i++ {
+		id, err := s.Submit(testSpec(4000, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Wait(id)
+		s.mu.Lock()
+		running := s.running
+		s.mu.Unlock()
+		if done := s.nDone.Load(); done != i || running != 0 {
+			t.Fatalf("after Wait on job %d: %d done, %d running", i, done, running)
+		}
+	}
+}
