@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"sort"
@@ -203,12 +204,41 @@ type MemFS struct {
 	files map[string]*memData
 }
 
-// memData is one file's bytes.  Handles hold the *memData, so a Create
-// or Install that replaces the name-table entry leaves handles opened
-// before it on the old bytes.
+// A MemFS file is held in pages that double in size: page 0 holds the
+// bytes [0, memPage), page i ≥ 1 the bytes [memPage·2^(i−1),
+// memPage·2^i), up to memPageMax, after which every page is memPageMax.
+// A growing file adds pages and never moves the bytes it has, in a
+// handful of allocations.  Page 0 alone grows in place, so a small file
+// takes no more than it holds.
+const (
+	memPage          = 32 << 10
+	memPageDoublings = 5
+	memPageMax       = memPage << memPageDoublings
+)
+
+// memPageAt returns the page holding byte off, the offset at which the
+// page starts and its size.
+func memPageAt(off int64) (i int, start, size int64) {
+	switch {
+	case off < memPage:
+		return 0, 0, memPage
+	case off < memPageMax:
+		i = bits.Len64(uint64(off / memPage))
+		start = memPage << (i - 1)
+		return i, start, start
+	}
+	q := off / memPageMax
+	return int(q) + memPageDoublings, q * memPageMax, memPageMax
+}
+
+// memData is one file's bytes, in the pages above; every page but the
+// last is full.  Handles hold the *memData, so a Create or Install that
+// replaces the name-table entry leaves handles opened before it on the
+// old bytes.
 type memData struct {
-	mu sync.RWMutex
-	b  []byte
+	mu    sync.RWMutex
+	pages [][]byte
+	n     int64 // size in bytes
 }
 
 // NewMemFS returns an empty in-memory filesystem.
@@ -224,7 +254,8 @@ func (m *MemFS) Install(name string, data []byte) (File, error) {
 	if name == "" {
 		return nil, errors.New("diskio: empty file name")
 	}
-	d := &memData{b: append([]byte(nil), data...)}
+	d := &memData{}
+	d.writeAt(0, data)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.files[name] = d
@@ -296,7 +327,50 @@ func (m *MemFS) TotalBytes() int64 {
 func (d *memData) size() int64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return int64(len(d.b))
+	return d.n
+}
+
+// readAt copies the bytes from off on into p and returns how many it
+// copied.  The caller holds d.mu.
+func (d *memData) readAt(off int64, p []byte) int {
+	n := 0
+	for n < len(p) && off < d.n {
+		i, start, _ := memPageAt(off)
+		c := copy(p[n:], d.pages[i][off-start:])
+		n += c
+		off += int64(c)
+	}
+	return n
+}
+
+// writeAt stores p at offset off ≤ d.n.  The caller holds d.mu, or is
+// the only one to know d.
+func (d *memData) writeAt(off int64, p []byte) {
+	for len(p) > 0 {
+		i, start, size := memPageAt(off)
+		if i == len(d.pages) {
+			c := size
+			if i == 0 {
+				c = min(int64(len(p)), size)
+			}
+			d.pages = append(d.pages, make([]byte, 0, c))
+		}
+		pg, in := d.pages[i], int(off-start)
+		c := min(len(p), int(size)-in)
+		if end := in + c; end > len(pg) {
+			if end > cap(pg) {
+				grown := make([]byte, len(pg), min(max(end, 2*cap(pg)), int(size)))
+				copy(grown, pg)
+				pg = grown
+			}
+			pg = pg[:end]
+			d.pages[i] = pg
+		}
+		copy(pg[in:], p[:c])
+		p = p[c:]
+		off += int64(c)
+		d.n = max(d.n, off)
+	}
 }
 
 // memFile is a handle on one memData; the offset is the handle's own
@@ -317,10 +391,10 @@ func (f *memFile) Read(p []byte) (int, error) {
 	}
 	f.data.mu.RLock()
 	defer f.data.mu.RUnlock()
-	if f.off >= int64(len(f.data.b)) {
+	if f.off >= f.data.n {
 		return 0, io.EOF
 	}
-	n := copy(p, f.data.b[f.off:])
+	n := f.data.readAt(f.off, p)
 	f.off += int64(n)
 	return n, nil
 }
@@ -334,16 +408,11 @@ func (f *memFile) Write(p []byte) (int, error) {
 	}
 	f.data.mu.Lock()
 	defer f.data.mu.Unlock()
-	b := f.data.b
-	// A seek past EOF leaves a gap that must read back as zeros, and
-	// append's spare capacity is not guaranteed to be.
-	if gap := f.off - int64(len(b)); gap > 0 {
-		b = append(b, make([]byte, gap)...)
+	// A seek past EOF leaves a gap that must read back as zeros.
+	if gap := f.off - f.data.n; gap > 0 {
+		f.data.writeAt(f.data.n, make([]byte, gap))
 	}
-	// Overwrite what exists from off, append the rest: amortised growth,
-	// so a file written block by block copies O(n) bytes, not O(n²).
-	n := copy(b[f.off:], p)
-	f.data.b = append(b, p[n:]...)
+	f.data.writeAt(f.off, p)
 	f.off += int64(len(p))
 	return len(p), nil
 }

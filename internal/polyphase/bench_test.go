@@ -2,6 +2,7 @@ package polyphase
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"hetsort/internal/diskio"
@@ -68,6 +69,45 @@ type discardSink struct{}
 func (discardSink) beginRun() (int, error)      { return 0, nil }
 func (discardSink) emitKeys([]record.Key) error { return nil }
 func (discardSink) endRun() error               { return nil }
+
+// BenchmarkMerge times the kernel merging k interleaved uniform runs read
+// in B-key blocks into a block writer on an in-memory file: a polyphase
+// merge step at wide64-tree's shape (T 8, B 128) and at het4-mem's
+// (T 15, B 2048).
+func BenchmarkMerge(b *testing.B) {
+	const n = 1 << 20
+	for _, sh := range []struct{ k, block int }{{7, 128}, {14, 2048}} {
+		keys := record.Uniform.Generate(n, 1, 1)
+		runs := make([][]record.Key, sh.k)
+		for i, key := range keys {
+			runs[i%sh.k] = append(runs[i%sh.k], key)
+		}
+		for _, r := range runs {
+			slices.Sort(r)
+		}
+		b.Run(fmt.Sprintf("k=%d/B=%d", sh.k, sh.block), func(b *testing.B) {
+			b.SetBytes(n * record.KeySize)
+			for i := 0; i < b.N; i++ {
+				srcs := make([]MergeSource, sh.k)
+				for j, r := range runs {
+					srcs[j] = &sliceSource{keys: r, blk: sh.block}
+				}
+				f, err := diskio.NewMemFS().Create("out")
+				if err != nil {
+					b.Fatal(err)
+				}
+				w := diskio.NewWriter(f, sh.block, diskio.Accounting{})
+				if err := Merge(srcs, nil, w.WriteKeys); err != nil {
+					b.Fatal(err)
+				}
+				if err := w.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/key")
+		})
+	}
+}
 
 func BenchmarkMergeFiles(b *testing.B) {
 	fs := diskio.NewMemFS()

@@ -116,23 +116,40 @@ func TestLoserTreeProperty(t *testing.T) {
 }
 
 func TestLoserTreeChunkedEmit(t *testing.T) {
-	// Non-overlapping sources must be emitted block-at-a-time, not
-	// key-at-a-time: source 0's whole buffer is below source 1's head.
-	srcs := []MergeSource{
-		&sliceSource{keys: []record.Key{1, 2, 3, 4, 5, 6, 7, 8}, blk: 4},
-		&sliceSource{keys: []record.Key{100, 101, 102, 103}, blk: 4},
+	var odd, even []record.Key
+	for i := record.Key(0); i < 256; i += 2 {
+		even, odd = append(even, i), append(odd, i+1)
 	}
-	var chunks int
-	if err := Merge(srcs, nil, func(chunk []record.Key) error {
-		chunks++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// 2 blocks from source 0, 1 block from source 1 (plus at most one
-	// extra boundary chunk): far fewer than the 12 per-key emits.
-	if chunks > 4 {
-		t.Fatalf("expected block-copy fast path, got %d chunks for 12 keys", chunks)
+	for _, c := range []struct {
+		name string
+		srcs []MergeSource
+		max  int
+	}{
+		// Non-overlapping sources go out block by block, not key by
+		// key: source 0's whole buffer is below source 1's head.
+		{"disjoint", []MergeSource{
+			&sliceSource{keys: []record.Key{1, 2, 3, 4, 5, 6, 7, 8}, blk: 4},
+			&sliceSource{keys: []record.Key{100, 101, 102, 103}, blk: 4},
+		}, 4},
+		// Keys that alternate between the sources are one-key chunks,
+		// handed to emit in one batch per Fill (4 blocks), not one call
+		// per key (256).
+		{"interleaved", []MergeSource{
+			&sliceSource{keys: even, blk: 64},
+			&sliceSource{keys: odd, blk: 64},
+		}, 4},
+	} {
+		calls, keys := 0, 0
+		if err := Merge(c.srcs, nil, func(chunk []record.Key) error {
+			calls++
+			keys += len(chunk)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if calls > c.max {
+			t.Errorf("%s: %d keys emitted in %d calls, want at most %d", c.name, keys, calls, c.max)
+		}
 	}
 }
 
@@ -319,35 +336,40 @@ func refMerge(srcs []MergeSource, meter vtime.Meter, emit func([]record.Key) err
 	}
 }
 
-// fillLog is a sliceSource that appends "f<src>" to a shared event log
-// on every Fill, so a merge's Fill order can be compared with its
-// compute charges interleaved.
+// fillLog is a sliceSource that appends "f<src>@<keys emitted so far>"
+// to a shared event log on every Fill, so a merge's Fill order can be
+// compared with its compute charges interleaved, and with what emit had
+// received by then.
 type fillLog struct {
 	sliceSource
-	id     int
-	events *[]string
+	id      int
+	events  *[]string
+	emitted *int
 }
 
 func (s *fillLog) Fill() error {
-	*s.events = append(*s.events, fmt.Sprint("f", s.id))
+	*s.events = append(*s.events, fmt.Sprint("f", s.id, "@", *s.emitted))
 	return s.sliceSource.Fill()
 }
 
 // mergeTrace merges keys cut into runs by one of the two kernels over
 // B-key blocks and returns the emitted keys, every Fill and compute
-// charge in order (compute as a bare "c": galloping changes the
-// amounts, never where they fall), and the total compute charged.
+// charge in order (compute as "c": galloping changes the amounts, never
+// where they fall) with the keys emitted before it, and the total
+// compute charged.
 func mergeTrace(t *testing.T, runs [][]record.Key, blk int, kernel func([]MergeSource, vtime.Meter, func([]record.Key) error) error) ([]record.Key, []string, int64) {
 	t.Helper()
 	var events []string
+	var out []record.Key
+	emitted := 0
 	var srcs []MergeSource
 	for i, r := range runs {
-		srcs = append(srcs, &fillLog{sliceSource: sliceSource{keys: r, blk: blk}, id: i, events: &events})
+		srcs = append(srcs, &fillLog{sliceSource: sliceSource{keys: r, blk: blk}, id: i, events: &events, emitted: &emitted})
 	}
-	var out []record.Key
 	var compute int64
-	if err := kernel(srcs, &chargeLog{events: &events, compute: &compute}, func(c []record.Key) error {
+	if err := kernel(srcs, &chargeLog{events: &events, compute: &compute, emitted: &emitted}, func(c []record.Key) error {
 		out = append(out, c...)
+		emitted = len(out)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -355,20 +377,26 @@ func mergeTrace(t *testing.T, runs [][]record.Key, blk int, kernel func([]MergeS
 	return out, events, compute
 }
 
-// chargeLog logs compute charges as "c" into the shared event log.
+// chargeLog logs compute charges as "c@<keys emitted so far>" into the
+// shared event log.
 type chargeLog struct {
 	events  *[]string
 	compute *int64
+	emitted *int
 }
 
-func (m *chargeLog) ChargeCompute(n int64) { *m.events = append(*m.events, "c"); *m.compute += n }
-func (m *chargeLog) ChargeIOBlocks(int64)  {}
-func (m *chargeLog) ChargeSeek(int64)      {}
+func (m *chargeLog) ChargeCompute(n int64) {
+	*m.events = append(*m.events, fmt.Sprint("c@", *m.emitted))
+	*m.compute += n
+}
+func (m *chargeLog) ChargeIOBlocks(int64) {}
+func (m *chargeLog) ChargeSeek(int64)     {}
 
 // TestMergeMatchesReference: over every generator, k of 1 to 17
-// sources and blocks of 1 to 64 keys, the galloping kernel emits the
-// reference kernel's bytes, issues the same Fills in the same order
-// between the same compute flushes, and never charges more compute.
+// sources and blocks of 1 to 64 keys, the galloping, batching kernel
+// emits the reference kernel's bytes, issues the same Fills in the same
+// order between the same compute flushes, has emitted the same keys at
+// each of them, and never charges more compute.
 func TestMergeMatchesReference(t *testing.T) {
 	galloped := 0
 	for _, d := range record.Distributions() {

@@ -42,6 +42,9 @@ const exhausted = ^uint64(0)
 
 var errEmptyFill = errors.New("polyphase: merge source Fill made no keys available")
 
+// batchKeys is the capacity of Merge's output batch.
+const batchKeys = 1024
+
 // Merge streams the sorted sources into emit in ascending key order
 // using a tournament ("loser") tree: tree[j] holds the loser of the
 // match at internal node j, tree[0] the overall winner, so advancing
@@ -56,9 +59,17 @@ var errEmptyFill = errors.New("polyphase: merge source Fill made no keys availab
 // per-key heap traffic into per-chunk traffic.
 //
 // Compute is charged per chunk: the emitted keys (the copy/scan work)
-// plus one replayed path (~2 ops per level for compare+swap).  emit
-// receives chunks that alias the sources' buffers and must not retain
-// them.  A nil meter charges nothing.
+// plus one replayed path (~2 ops per level for compare+swap).
+//
+// emit receives the output in batches, not chunks: on interleaved input
+// a chunk is a key or two, and a call per chunk cost more than the tree
+// work.  Chunks are copied into a batch that is flushed before every
+// Fill and on return, so between any two Fills emit receives exactly
+// the keys it would have chunk by chunk, and what it charges (block
+// writes) falls between the same compute charges.  A chunk larger than
+// the batch goes out as it is.  A source hears what was consumed in one
+// Discard, before its next Fill.  emit must not retain what it
+// receives.  A nil meter charges nothing.
 func Merge(srcs []MergeSource, meter vtime.Meter, emit func([]record.Key) error) error {
 	if meter == nil {
 		meter = vtime.Nop{}
@@ -135,11 +146,13 @@ func Merge(srcs []MergeSource, meter vtime.Meter, emit func([]record.Key) error)
 	// those interaction points (Fill may Recv or do charged I/O), so
 	// batching between them cannot change any cross-node timing.
 	var pending int64
+	out := &batcher{emit: emit}
 	for {
 		w := tree[0]
 		if heads[w] == exhausted {
+			err := out.flush()
 			meter.ChargeCompute(pending)
-			return nil
+			return err
 		}
 		// The runner-up is the least head among the losers stored on
 		// the winner's root path (it lost directly to the winner).
@@ -169,11 +182,10 @@ func Merge(srcs []MergeSource, meter vtime.Meter, emit func([]record.Key) error)
 			}
 			cnt = lo
 		}
-		if err := emit(buf[:cnt]); err != nil {
+		if err := out.put(buf[:cnt]); err != nil {
 			meter.ChargeCompute(pending)
 			return err
 		}
-		srcs[w].Discard(cnt)
 		pending += int64(cnt) + int64(2*levels) + 1
 		oKeys += int64(cnt)
 		oChunks++
@@ -182,52 +194,45 @@ func Merge(srcs []MergeSource, meter vtime.Meter, emit func([]record.Key) error)
 		}
 		oComps += int64(2 * levels) // runner-up scan + path replay
 		pos[w] += cnt
-		if pos[w] == len(bases[w]) {
+		// A used-up buffer goes back to its source, after the batch and
+		// the compute so far, and the next is fetched.  Multi-block
+		// galloping: while the fresh block still sits entirely at or
+		// below the runner-up, it is emitted whole for a single guide
+		// comparison — an exponential-search style winner run that moves
+		// several blocks per tree replay.  The Fill sequence (and hence
+		// the PDM I/O schedule) is exactly what the chunk-at-a-time path
+		// would have issued.
+		for pos[w] == len(bases[w]) {
+			err := out.flush()
 			meter.ChargeCompute(pending)
 			pending = 0
+			if err != nil {
+				return err
+			}
+			srcs[w].Discard(pos[w])
+			bases[w], pos[w] = nil, 0
 			switch err := srcs[w].Fill(); err {
 			case nil:
 				if bases[w] = srcs[w].Buffered(); len(bases[w]) == 0 {
 					return errEmptyFill
 				}
-				pos[w] = 0
 			case io.EOF:
 			default:
 				return err
 			}
-		}
-		// Multi-block galloping: while the freshly filled block still
-		// sits entirely at or below the runner-up, it can be emitted
-		// whole for a single guide comparison — an exponential-search
-		// style winner run that moves several blocks per tree replay.
-		// The Fill sequence (and hence the PDM I/O schedule) is exactly
-		// what the chunk-at-a-time path would have issued.
-		for pos[w] < len(bases[w]) &&
-			uint64(bases[w][len(bases[w])-1]) <= second {
-			gbuf := bases[w][pos[w]:]
-			if err := emit(gbuf); err != nil {
-				meter.ChargeCompute(pending)
+			b := bases[w]
+			if len(b) == 0 || uint64(b[len(b)-1]) > second {
+				break
+			}
+			if err := out.put(b); err != nil {
 				return err
 			}
-			srcs[w].Discard(len(gbuf))
-			pending += int64(len(gbuf)) + 1 // copy work + the guide comparison
-			oKeys += int64(len(gbuf))
+			pending += int64(len(b)) + 1 // copy work + the guide comparison
+			oKeys += int64(len(b))
 			oChunks++
 			oFast++
 			oComps++
-			pos[w] += len(gbuf)
-			meter.ChargeCompute(pending)
-			pending = 0
-			switch err := srcs[w].Fill(); err {
-			case nil:
-				if bases[w] = srcs[w].Buffered(); len(bases[w]) == 0 {
-					return errEmptyFill
-				}
-				pos[w] = 0
-			case io.EOF:
-			default:
-				return err
-			}
+			pos[w] = len(b)
 		}
 		if pos[w] < len(bases[w]) {
 			heads[w] = uint64(bases[w][pos[w]])
@@ -243,4 +248,36 @@ func Merge(srcs []MergeSource, meter vtime.Meter, emit func([]record.Key) error)
 		}
 		tree[0] = x
 	}
+}
+
+// batcher is Merge's output batch.
+type batcher struct {
+	keys [batchKeys]record.Key
+	n    int
+	emit func([]record.Key) error
+}
+
+// put passes on a chunk of a source's buffer: copied into the batch, or,
+// when it is larger than the batch, emitted as it is after the batch.
+func (b *batcher) put(c []record.Key) error {
+	if b.n+len(c) > batchKeys {
+		if err := b.flush(); err != nil {
+			return err
+		}
+		if len(c) > batchKeys {
+			return b.emit(c)
+		}
+	}
+	b.n += copy(b.keys[b.n:], c)
+	return nil
+}
+
+// flush hands the batch to emit.
+func (b *batcher) flush() error {
+	if b.n == 0 {
+		return nil
+	}
+	err := b.emit(b.keys[:b.n])
+	b.n = 0
+	return err
 }
