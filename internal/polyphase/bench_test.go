@@ -73,10 +73,11 @@ func (discardSink) endRun() error               { return nil }
 // BenchmarkMerge times the kernel merging k interleaved uniform runs read
 // in B-key blocks into a block writer on an in-memory file: a polyphase
 // merge step at wide64-tree's shape (T 8, B 128) and at het4-mem's
-// (T 15, B 2048).
+// (T 15, B 2048), and wide64-tree's radix-4 redistribution merge (a
+// node's own bucket and 3 streams, B 128).
 func BenchmarkMerge(b *testing.B) {
 	const n = 1 << 20
-	for _, sh := range []struct{ k, block int }{{7, 128}, {14, 2048}} {
+	for _, sh := range []struct{ k, block int }{{7, 128}, {14, 2048}, {4, 128}} {
 		keys := record.Uniform.Generate(n, 1, 1)
 		runs := make([][]record.Key, sh.k)
 		for i, key := range keys {

@@ -214,6 +214,168 @@ func (c *captureMeter) ChargeCompute(n int64) { *c.compute += n }
 func (c *captureMeter) ChargeIOBlocks(int64)  {}
 func (c *captureMeter) ChargeSeek(int64)      {}
 
+// exhausted is the reference kernels' head for a drained source: above
+// every 32-bit key.
+const exhausted = ^uint64(0)
+
+// indexMerge is Merge as it was before the tree was packed: heads in
+// their own array, tree slots holding source indices into it, and the
+// replay a branch on heads[tree[j]] < heads[x].  It is the exact
+// reference for the packed kernel: the same bytes, the same emit
+// batches, the same Fills and compute charges (amounts included) in the
+// same order, and the same observer counters.
+func indexMerge(srcs []MergeSource, meter vtime.Meter, emit func([]record.Key) error) error {
+	if meter == nil {
+		meter = vtime.Nop{}
+	}
+	k := len(srcs)
+	if k == 0 {
+		return nil
+	}
+	var oKeys, oChunks, oFast, oComps int64
+	if obs, ok := meter.(MergeObserver); ok {
+		defer func() { obs.ObserveMerge(oKeys, oChunks, oFast, oComps) }()
+	}
+	k2, levels := 1, 0
+	for k2 < k {
+		k2 *= 2
+		levels++
+	}
+	heads := make([]uint64, k2)
+	bases := make([][]record.Key, k)
+	pos := make([]int, k)
+	active := 0
+	for i := range heads {
+		heads[i] = exhausted
+		if i >= k {
+			continue
+		}
+		if len(srcs[i].Buffered()) == 0 {
+			switch err := srcs[i].Fill(); err {
+			case nil:
+			case io.EOF:
+				continue
+			default:
+				return err
+			}
+		}
+		if bases[i] = srcs[i].Buffered(); len(bases[i]) > 0 {
+			heads[i] = uint64(bases[i][0])
+			active++
+		}
+	}
+	if active == 0 {
+		return nil
+	}
+	winner := make([]int, 2*k2)
+	tree := make([]int, k2)
+	for i := 0; i < k2; i++ {
+		winner[k2+i] = i
+	}
+	for j := k2 - 1; j >= 1; j-- {
+		a, b := winner[2*j], winner[2*j+1]
+		if heads[a] <= heads[b] {
+			winner[j], tree[j] = a, b
+		} else {
+			winner[j], tree[j] = b, a
+		}
+	}
+	tree[0] = winner[1]
+	meter.ChargeCompute(int64(k2))
+	oComps += int64(k2 - 1)
+	var pending int64
+	out := &batcher{emit: emit}
+	for {
+		w := tree[0]
+		if heads[w] == exhausted {
+			err := out.flush()
+			meter.ChargeCompute(pending)
+			return err
+		}
+		second := exhausted
+		for j := (k2 + w) >> 1; j >= 1; j >>= 1 {
+			if h := heads[tree[j]]; h < second {
+				second = h
+			}
+		}
+		buf := bases[w][pos[w]:]
+		var cnt int
+		switch {
+		case len(buf) == 1 || uint64(buf[1]) > second:
+			cnt = 1
+		case uint64(buf[len(buf)-1]) <= second:
+			cnt = len(buf)
+		default:
+			lo, hi := 2, len(buf)-1
+			for lo < hi {
+				mid := int(uint(lo+hi) >> 1)
+				if uint64(buf[mid]) <= second {
+					lo = mid + 1
+				} else {
+					hi = mid
+				}
+			}
+			cnt = lo
+		}
+		if err := out.put(buf[:cnt]); err != nil {
+			meter.ChargeCompute(pending)
+			return err
+		}
+		pending += int64(cnt) + int64(2*levels) + 1
+		oKeys += int64(cnt)
+		oChunks++
+		if cnt > 1 {
+			oFast++
+		}
+		oComps += int64(2 * levels)
+		pos[w] += cnt
+		for pos[w] == len(bases[w]) {
+			err := out.flush()
+			meter.ChargeCompute(pending)
+			pending = 0
+			if err != nil {
+				return err
+			}
+			srcs[w].Discard(pos[w])
+			bases[w], pos[w] = nil, 0
+			switch err := srcs[w].Fill(); err {
+			case nil:
+				if bases[w] = srcs[w].Buffered(); len(bases[w]) == 0 {
+					return errEmptyFill
+				}
+			case io.EOF:
+			default:
+				return err
+			}
+			b := bases[w]
+			if len(b) == 0 || uint64(b[len(b)-1]) > second {
+				break
+			}
+			if err := out.put(b); err != nil {
+				return err
+			}
+			pending += int64(len(b)) + 1
+			oKeys += int64(len(b))
+			oChunks++
+			oFast++
+			oComps++
+			pos[w] = len(b)
+		}
+		if pos[w] < len(bases[w]) {
+			heads[w] = uint64(bases[w][pos[w]])
+		} else {
+			heads[w] = exhausted
+		}
+		x := w
+		for j := (k2 + w) >> 1; j >= 1; j >>= 1 {
+			if heads[tree[j]] < heads[x] {
+				tree[j], x = x, tree[j]
+			}
+		}
+		tree[0] = x
+	}
+}
+
 // refMerge is the merge kernel without multi-block galloping: after a
 // Fill the winner's fresh block goes back through the tree like any
 // other head, one chunk per replay.  It is the reference Merge is
@@ -359,38 +521,129 @@ func (s *fillLog) Fill() error {
 // compute charged.
 func mergeTrace(t *testing.T, runs [][]record.Key, blk int, kernel func([]MergeSource, vtime.Meter, func([]record.Key) error) error) ([]record.Key, []string, int64) {
 	t.Helper()
-	var events []string
-	var out []record.Key
+	r := recordMerge(t, runs, blk, kernel, false)
+	return r.out, r.events, r.compute
+}
+
+// firstDiff is the first index at which a and b differ, or -1.
+func firstDiff(a, b []string) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	return -1
+}
+
+// mergeRecord is what recordMerge saw of one merge.
+type mergeRecord struct {
+	out      []record.Key
+	events   []string
+	compute  int64
+	counters [4]int64 // ObserveMerge's keys, chunks, fast chunks, comparisons
+}
+
+// recordMerge runs kernel over runs cut into B-key blocks.  Its event
+// log holds every Fill and compute charge in order, with the keys
+// emitted before it; exact adds each charge's amount and every emit
+// call with its length.
+func recordMerge(t *testing.T, runs [][]record.Key, blk int, kernel func([]MergeSource, vtime.Meter, func([]record.Key) error) error, exact bool) mergeRecord {
+	t.Helper()
+	var r mergeRecord
 	emitted := 0
 	var srcs []MergeSource
-	for i, r := range runs {
-		srcs = append(srcs, &fillLog{sliceSource: sliceSource{keys: r, blk: blk}, id: i, events: &events, emitted: &emitted})
+	for i, run := range runs {
+		srcs = append(srcs, &fillLog{sliceSource: sliceSource{keys: run, blk: blk}, id: i, events: &r.events, emitted: &emitted})
 	}
-	var compute int64
-	if err := kernel(srcs, &chargeLog{events: &events, compute: &compute, emitted: &emitted}, func(c []record.Key) error {
-		out = append(out, c...)
-		emitted = len(out)
+	m := &chargeLog{events: &r.events, compute: &r.compute, emitted: &emitted, exact: exact, counters: &r.counters}
+	if err := kernel(srcs, m, func(c []record.Key) error {
+		if exact {
+			r.events = append(r.events, fmt.Sprint("e", len(c)))
+		}
+		r.out = append(r.out, c...)
+		emitted = len(r.out)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	return out, events, compute
+	return r
 }
 
-// chargeLog logs compute charges as "c@<keys emitted so far>" into the
-// shared event log.
+// chargeLog logs compute charges as "c@<keys emitted so far>" (with
+// exact, "c<amount>@<keys emitted so far>") into the shared event log
+// and keeps the kernel's observer counters.
 type chargeLog struct {
-	events  *[]string
-	compute *int64
-	emitted *int
+	events   *[]string
+	compute  *int64
+	emitted  *int
+	exact    bool
+	counters *[4]int64
 }
 
 func (m *chargeLog) ChargeCompute(n int64) {
-	*m.events = append(*m.events, fmt.Sprint("c@", *m.emitted))
+	if m.exact {
+		*m.events = append(*m.events, fmt.Sprint("c", n, "@", *m.emitted))
+	} else {
+		*m.events = append(*m.events, fmt.Sprint("c@", *m.emitted))
+	}
 	*m.compute += n
 }
 func (m *chargeLog) ChargeIOBlocks(int64) {}
 func (m *chargeLog) ChargeSeek(int64)     {}
+func (m *chargeLog) ObserveMerge(keys, chunks, fastChunks, comparisons int64) {
+	*m.counters = [4]int64{keys, chunks, fastChunks, comparisons}
+}
+
+// TestPackedMergeMatchesIndexedKernel: over every generator, k of 1 to
+// 64 sources and blocks of 1 to 128 keys, the packed-tree kernel emits
+// the indexed kernel's bytes in the same emit batches, makes the same
+// Fills and compute charges (amounts included) in the same order with
+// the same keys emitted at each, and reports the same observer
+// counters.  Every other run is a band of its own, so gallops fire, and
+// every third ends in 0xFFFFFFFF keys, which tie each other and sit
+// just below the drained head: a replay that broke head ties by source
+// index, or a sentinel that tied the top key, would show here.
+func TestPackedMergeMatchesIndexedKernel(t *testing.T) {
+	for _, d := range record.Distributions() {
+		for _, k := range []int{1, 2, 3, 4, 5, 7, 16, 17, 64} {
+			for _, blk := range []int{1, 3, 8, 64, 128} {
+				keys := d.Generate(k*97, 13, 1)
+				runs := make([][]record.Key, k)
+				for i, key := range keys {
+					runs[i%k] = append(runs[i%k], key)
+				}
+				for i := range runs {
+					slices.Sort(runs[i])
+					if i%2 == 1 {
+						for j := range runs[i] {
+							runs[i][j] = record.Key(i)<<24 | runs[i][j]>>8
+						}
+					}
+					if i%3 == 0 {
+						for j := 0; j <= i%5; j++ {
+							runs[i] = append(runs[i], 0xFFFFFFFF)
+						}
+					}
+				}
+				id := fmt.Sprintf("%v k=%d B=%d", d, k, blk)
+				got := recordMerge(t, runs, blk, Merge, true)
+				want := recordMerge(t, runs, blk, indexMerge, true)
+				if !slices.Equal(got.out, want.out) {
+					t.Fatalf("%s: emitted keys differ from the indexed kernel's", id)
+				}
+				if i := firstDiff(got.events, want.events); i >= 0 {
+					t.Fatalf("%s: event %d of the emit/Fill/charge log: %v, indexed kernel %v", id, i, got.events[i:min(i+8, len(got.events))], want.events[i:min(i+8, len(want.events))])
+				}
+				if got.counters != want.counters {
+					t.Fatalf("%s: observer counters %v, indexed kernel %v", id, got.counters, want.counters)
+				}
+			}
+		}
+	}
+}
 
 // TestMergeMatchesReference: over every generator, k of 1 to 17
 // sources and blocks of 1 to 64 keys, the galloping, batching kernel

@@ -36,9 +36,23 @@ type MergeObserver interface {
 	ObserveMerge(keys, chunks, fastChunks, comparisons int64)
 }
 
-// exhausted is the sentinel head for a drained source; it compares
-// greater than any 32-bit key, so a drained source never wins a match.
-const exhausted = ^uint64(0)
+// A tree slot is one word, head<<srcBits | src: a 33-bit head over a
+// 31-bit source index.  A drained source's head is drained, above every
+// 32-bit key (0xFFFFFFFF included), so it never wins a match.
+const (
+	srcBits = 31
+	srcMask = 1<<srcBits - 1
+	drained = 1 << 32
+)
+
+// slot is the tree word of source i whose buffer b is consumed up to p.
+func slot(b []record.Key, p, i int) uint64 {
+	h := uint64(drained)
+	if p < len(b) {
+		h = uint64(b[p])
+	}
+	return h<<srcBits | uint64(i)
+}
 
 var errEmptyFill = errors.New("polyphase: merge source Fill made no keys available")
 
@@ -46,10 +60,13 @@ var errEmptyFill = errors.New("polyphase: merge source Fill made no keys availab
 const batchKeys = 1024
 
 // Merge streams the sorted sources into emit in ascending key order
-// using a tournament ("loser") tree: tree[j] holds the loser of the
-// match at internal node j, tree[0] the overall winner, so advancing
-// the winner replays exactly one leaf-to-root path — ceil(log2 k)
-// comparisons, against ~2·log2 k for a binary heap's sift.
+// using a tournament ("loser") tree: tree[j] holds the slot word of the
+// loser of the match at internal node j, tree[0] the overall winner's,
+// so advancing the winner replays exactly one leaf-to-root path —
+// ceil(log2 k) comparisons, against ~2·log2 k for a binary heap's sift.
+// A slot carries its head, so neither the runner-up scan nor the replay
+// looks anything up.  The replay swaps only when a stored loser's head
+// is strictly below the climber's: a tie keeps the climber.
 //
 // The kernel also has a block-copy fast path.  In a min-tournament the
 // runner-up must have lost its match directly against the winner, so it
@@ -86,7 +103,7 @@ func Merge(srcs []MergeSource, meter vtime.Meter, emit func([]record.Key) error)
 	}
 
 	// k2 leaves, the smallest power of two ≥ k; padding leaves are
-	// permanently exhausted ghosts.
+	// permanently drained ghosts.
 	k2, levels := 1, 0
 	for k2 < k {
 		k2 *= 2
@@ -96,48 +113,34 @@ func Merge(srcs []MergeSource, meter vtime.Meter, emit func([]record.Key) error)
 	// only rewritten after a Fill, and per-chunk consumption advances
 	// the integer pos[i] — an int store, so the hot loop never writes a
 	// pointer (no GC write barriers).
-	heads := make([]uint64, k2)
-	bases := make([][]record.Key, k)
-	pos := make([]int, k)
-	active := 0
-	for i := range heads {
-		heads[i] = exhausted
-		if i >= k {
-			continue
-		}
-		if len(srcs[i].Buffered()) == 0 {
-			switch err := srcs[i].Fill(); err {
-			case nil:
-			case io.EOF:
-				continue
-			default:
+	bases := make([][]record.Key, k2)
+	pos := make([]int, k2)
+	for i, src := range srcs {
+		if len(src.Buffered()) == 0 {
+			if err := src.Fill(); err != nil && err != io.EOF {
 				return err
 			}
 		}
-		if bases[i] = srcs[i].Buffered(); len(bases[i]) > 0 {
-			heads[i] = uint64(bases[i][0])
-			active++
-		}
-	}
-	if active == 0 {
-		return nil
+		bases[i] = src.Buffered() // empty after io.EOF
 	}
 
-	// Build: play every match once, recording losers.
-	winner := make([]int, 2*k2)
-	tree := make([]int, k2) // tree[j]: loser at node j; tree[0]: winner
-	for i := 0; i < k2; i++ {
-		winner[k2+i] = i
+	// Build: play every match once, on whole words (a tie goes to the
+	// left source).  Leaf i is tree[k2+i]; the bottom-up pass leaves each
+	// node's winner in tree[j], the top-down pass its loser.
+	tree := make([]uint64, 2*k2)
+	for i := range k2 {
+		tree[k2+i] = slot(bases[i], 0, i)
 	}
 	for j := k2 - 1; j >= 1; j-- {
-		a, b := winner[2*j], winner[2*j+1]
-		if heads[a] <= heads[b] {
-			winner[j], tree[j] = a, b
-		} else {
-			winner[j], tree[j] = b, a
-		}
+		tree[j] = min(tree[2*j], tree[2*j+1])
 	}
-	tree[0] = winner[1]
+	tree[0] = tree[1]
+	for j := 1; j < k2; j++ {
+		tree[j] = max(tree[2*j], tree[2*j+1])
+	}
+	if tree[0]>>srcBits == drained {
+		return nil // every source was empty
+	}
 	meter.ChargeCompute(int64(k2))
 	oComps += int64(k2 - 1) // one match per internal node to build
 
@@ -148,20 +151,19 @@ func Merge(srcs []MergeSource, meter vtime.Meter, emit func([]record.Key) error)
 	var pending int64
 	out := &batcher{emit: emit}
 	for {
-		w := tree[0]
-		if heads[w] == exhausted {
+		if tree[0]>>srcBits == drained {
 			err := out.flush()
 			meter.ChargeCompute(pending)
 			return err
 		}
+		w := int(tree[0] & srcMask)
 		// The runner-up is the least head among the losers stored on
 		// the winner's root path (it lost directly to the winner).
-		second := exhausted
+		second := ^uint64(0)
 		for j := (k2 + w) >> 1; j >= 1; j >>= 1 {
-			if h := heads[tree[j]]; h < second {
-				second = h
-			}
+			second = min(second, tree[j])
 		}
+		second >>= srcBits
 		buf := bases[w][pos[w]:]
 		var cnt int
 		switch {
@@ -234,17 +236,15 @@ func Merge(srcs []MergeSource, meter vtime.Meter, emit func([]record.Key) error)
 			oComps++
 			pos[w] = len(b)
 		}
-		if pos[w] < len(bases[w]) {
-			heads[w] = uint64(bases[w][pos[w]])
-		} else {
-			heads[w] = exhausted
-		}
-		// Replay the winner's path with its new head.
-		x := w
+		// Replay the winner's path with its new head: the test is
+		// t>>srcBits < x>>srcBits, a select compiled to CMOVs.
+		x := slot(bases[w], pos[w], w)
 		for j := (k2 + w) >> 1; j >= 1; j >>= 1 {
-			if heads[tree[j]] < heads[x] {
-				tree[j], x = x, tree[j]
+			t := tree[j]
+			if t|srcMask < x&^srcMask {
+				t, x = x, t
 			}
+			tree[j] = t
 		}
 		tree[0] = x
 	}

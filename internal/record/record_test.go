@@ -189,7 +189,7 @@ func TestChecksumPermutationInvariant(t *testing.T) {
 		a := ChecksumOf(keys)
 		shuffled := append([]Key(nil), keys...)
 		for i := len(shuffled) - 1; i > 0; i-- {
-			j := int(shuffled[i]) % (i + 1)
+			j := int(uint64(shuffled[i]) % uint64(i+1))
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		}
 		return a.Equal(ChecksumOf(shuffled))
