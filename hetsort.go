@@ -423,10 +423,24 @@ func Sort(keys []Key, cfg Config) ([]Key, *Report, error) {
 		}
 		slot = slot[size:]
 	}
+	if cfg.WorkDir == "" {
+		for i := range v {
+			clearDisk(c.Node(i).FS())
+		}
+	}
 	rep := newReport(res, v)
 	rep.attachTrace(tl)
 	rep.attachMetrics(c)
 	return out, rep, nil
+}
+
+// clearDisk removes every file on an in-memory node disk once the sort
+// is done with it, so its pages go back to the pool for the next sort.
+func clearDisk(fs diskio.FS) {
+	names, _ := fs.Names() // a MemFS lists and removes without failing
+	for _, n := range names {
+		fs.Remove(n)
+	}
 }
 
 // sortOnCluster runs the selected algorithm on an already-loaded

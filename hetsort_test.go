@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"hetsort/internal/diskio"
 )
 
 func TestSortDefaultConfig(t *testing.T) {
@@ -450,6 +452,37 @@ func TestParseLoads(t *testing.T) {
 	for _, bad := range []string{"x", "0.5", "1,0.99"} {
 		if _, err := ParseLoads(bad); err == nil {
 			t.Errorf("ParseLoads(%q) accepted", bad)
+		}
+	}
+}
+
+// TestSortGivesItsPagesBack is the leak check of the MemFS page pool:
+// Sort on in-memory node disks removes every file it leaves there and
+// every handle it opened is closed, so each page its disks took from the
+// pool is back when it returns.  A handle left open on a hot path fails
+// here instead of silently allocating fresh pages on every sort.
+func TestSortGivesItsPagesBack(t *testing.T) {
+	perfV := []int{1, 1, 4, 4}
+	n, err := ValidSize(perfV, 40000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]Key, n)
+	for i := range keys {
+		keys[i] = Key(2654435761 * uint32(i+1))
+	}
+	for _, cfg := range []Config{
+		{Perf: perfV, MemoryKeys: 4096, BlockKeys: 128, Tapes: 15, MessageKeys: 512},
+		{Perf: perfV, MemoryKeys: 1024, BlockKeys: 64, Tapes: 4, MessageKeys: 128,
+			RunFormation: RunGuidesort, PivotStrategy: PivotHistogram,
+			Topology: TopologyTree, Radix: 2, Overlap: true, Checkpoint: CheckpointConfig{Enabled: true}},
+	} {
+		before := diskio.MemFSPages()
+		if _, _, err := Sort(keys, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if after := diskio.MemFSPages(); after != before {
+			t.Errorf("%+v: MemFS held %d pages before Sort and %d after", cfg, before, after)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package diskio
 
 import (
+	"fmt"
 	"io"
 	"testing"
 
@@ -72,5 +73,32 @@ func BenchmarkReadKeyAt(b *testing.B) {
 		if _, err := ReadKeyAt(f, int64(i%(1<<16)), Accounting{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkMemFSChurn is a node disk's life between passes: create a
+// file, write it in blocks, close and remove it.  The pages of one cycle
+// serve the next, so past the first cycle B/op reads close to 0.
+func BenchmarkMemFSChurn(b *testing.B) {
+	block := make([]byte, 8<<10)
+	for _, size := range []int{16 << 10, 16 << 20} {
+		b.Run(fmt.Sprintf("%dKiB", size>>10), func(b *testing.B) {
+			fs := NewMemFS()
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f, err := fs.Create("churn")
+				if err != nil {
+					b.Fatal(err)
+				}
+				for n := 0; n < size; n += len(block) {
+					f.Write(block)
+				}
+				f.Close()
+				if err := fs.Remove("churn"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -125,6 +125,16 @@ func get(t *testing.T, fs diskio.FS, name string) []byte {
 	return data
 }
 
+// pattern returns n bytes that start at seed and count up, so that two
+// seeds give different bytes at every offset.
+func pattern(seed byte, n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = seed + byte(i)
+	}
+	return b
+}
+
 // firstDiff returns the first index at which a and b differ.
 func firstDiff(a, b []byte) int {
 	i := 0
@@ -293,6 +303,77 @@ func testFSConformance(t *testing.T, impl fsImpl) {
 			}
 			if got := get(t, fs, "f"); string(got) != "v2" {
 				t.Fatalf("new content %q", got)
+			}
+		}},
+		// A file's pages may be recycled once its name is gone, but not
+		// while a handle is open on it: each replacement below frees the
+		// name, then other files of other patterns are written, and the
+		// handle opened before still reads every old byte.
+		{"a handle outlives Remove, Create over and Rename onto its name", func(t *testing.T, fs diskio.FS) {
+			replace := []struct {
+				name string
+				do   func() error
+			}{
+				{"Remove", func() error { return fs.Remove("f") }},
+				{"Create over", func() error { put(t, fs, "f", []byte("new")); return nil }},
+				{"Rename onto", func() error { put(t, fs, "g", []byte("new")); return fs.Rename("g", "f") }},
+			}
+			for i, rp := range replace {
+				if rp.name == "Create over" && !impl.inMemory {
+					continue // a directory-backed Create truncates the open inode
+				}
+				old := pattern(byte(2*i+1), 300_000)
+				put(t, fs, "f", old)
+				r, err := fs.Open("f")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := rp.do(); err != nil {
+					t.Fatal(err)
+				}
+				for j := 0; j < 4; j++ {
+					put(t, fs, "other", pattern(byte(2*i+2), 300_000))
+					if err := fs.Remove("other"); err != nil {
+						t.Fatal(err)
+					}
+				}
+				put(t, fs, "other", pattern(0xEE, 300_000))
+				got, err := io.ReadAll(r)
+				r.Close()
+				if err != nil || !bytes.Equal(got, old) {
+					t.Fatalf("after %s: the open handle read %d bytes, %v, first difference at %d", rp.name, len(got), err, firstDiff(got, old))
+				}
+			}
+		}},
+		{"a gap over recycled pages reads as zeros", func(t *testing.T, fs diskio.FS) {
+			put(t, fs, "f", bytes.Repeat([]byte{0xFF}, 300_000))
+			if err := fs.Remove("f"); err != nil {
+				t.Fatal(err)
+			}
+			f, _ := fs.Create("g")
+			f.Write([]byte("ab"))
+			if _, err := f.Seek(200_000, io.SeekCurrent); err != nil {
+				t.Fatal(err)
+			}
+			f.Write([]byte("z"))
+			f.Close()
+			want := append(append([]byte("ab"), make([]byte, 200_000)...), 'z')
+			if got := get(t, fs, "g"); !bytes.Equal(got, want) {
+				t.Fatalf("read back %d bytes, want %d (first difference at %d)", len(got), len(want), firstDiff(got, want))
+			}
+		}},
+		{"a second Close gives nothing back", func(t *testing.T, fs diskio.FS) {
+			f, _ := fs.Create("f")
+			f.Write(pattern(1, 300_000))
+			f.Close()
+			f.Close() // a directory-backed handle reports the second Close; either way it is a no-op
+			want := map[string][]byte{"f": pattern(1, 300_000), "a": pattern(2, 300_000), "b": pattern(3, 300_000)}
+			put(t, fs, "a", want["a"])
+			put(t, fs, "b", want["b"])
+			for _, name := range []string{"f", "a", "b"} {
+				if got := get(t, fs, name); !bytes.Equal(got, want[name]) {
+					t.Fatalf("file %s differs from what was written at %d: it shares a page with another", name, firstDiff(got, want[name]))
+				}
 			}
 		}},
 		{"Rename replaces", func(t *testing.T, fs diskio.FS) {

@@ -1,10 +1,13 @@
 package diskio
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -550,19 +553,110 @@ func TestPoolStatsCountReuse(t *testing.T) {
 	// A fresh block size misses; round-tripping the same buffer through
 	// the pool should then hit (sync.Pool may drop entries under GC
 	// pressure, so only the miss side is asserted exactly).
-	b := getByteBuf(1 << 12)
+	b := getPage(1 << 12)
 	_, misses0 := PoolStats()
 	if misses0 == 0 {
 		t.Fatal("first allocation did not count as a miss")
 	}
-	putByteBuf(b)
-	getByteBuf(1 << 12)
+	putPage(b)
+	getPage(1 << 12)
 	hits, misses := PoolStats()
 	if hits+misses <= misses0 {
 		t.Fatalf("second acquisition unaccounted: hits=%d misses=%d", hits, misses)
 	}
+	// MemFS pages come from the same pool: 100 KiB is pages 0, 1 and 2.
+	f, _ := NewMemFS().Create("f")
+	f.Write(make([]byte, 100<<10))
+	if h, m := PoolStats(); h+m != hits+misses+3 {
+		t.Fatalf("a 3-page file counted %d acquisitions", h+m-hits-misses)
+	}
 	ResetPoolStats()
 	if h, m := PoolStats(); h != 0 || m != 0 {
 		t.Fatalf("reset left hits=%d misses=%d", h, m)
+	}
+}
+
+// TestMemFSSmallFileFootprint guards page 0's growth: a k-byte file
+// holds at most max(512, 2k) bytes of pages however it was written,
+// even with the pool full of 32 KiB pages.  Handing every small file a
+// full page 0 from the pool would triple the peak memory of runs with
+// thousands of tiny files (manifests, buckets of a few keys).
+func TestMemFSSmallFileFootprint(t *testing.T) {
+	fs := NewMemFS()
+	for i := 0; i < 64; i++ {
+		name := fmt.Sprint("big", i)
+		f, _ := fs.Create(name)
+		f.Write(make([]byte, memPage))
+		f.Close()
+	}
+	for i := 0; i < 64; i++ {
+		fs.Remove(fmt.Sprint("big", i))
+	}
+	for _, k := range []int{0, 1, 100, 511, 512, 513, 1000, 4096, 5000, 20_000, memPage - 1, memPage, memPage + 1, 100_000} {
+		for _, chunk := range []int{k, 7, 300} {
+			f, _ := fs.Create("f")
+			for left := k; left > 0; left -= chunk {
+				f.Write(make([]byte, min(chunk, left)))
+			}
+			f.Close()
+			held := 0
+			for _, pg := range fs.files["f"].pages {
+				held += cap(pg)
+			}
+			if held > max(512, 2*k) {
+				t.Errorf("a %d-byte file written %d bytes at a time holds %d bytes of pages", k, chunk, held)
+			}
+		}
+	}
+}
+
+// TestMemFSRecyclesUnderConcurrency races the two sides of a page
+// handoff: writers replace and remove a multi-page file while readers
+// open, read and close it.  Every read must see one whole version, and
+// once the last name is removed every page is back in the pool.
+func TestMemFSRecyclesUnderConcurrency(t *testing.T) {
+	fs := NewMemFS()
+	before := MemFSPages()
+	const size = 100 << 10 // pages 0, 1 and 2
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				f, err := fs.Install("f", bytes.Repeat([]byte{byte(2*i + w)}, size))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				f.Close()
+				if i%10 == 9 {
+					fs.Remove("f") // may lose the race to the other writer
+				}
+			}
+		}()
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				f, err := fs.Open("f")
+				if err != nil {
+					continue // removed just now
+				}
+				data, err := io.ReadAll(f)
+				f.Close()
+				if err != nil || len(data) != size || bytes.Count(data, data[:1]) != size {
+					t.Errorf("a reader saw a torn file: %d bytes, %v", len(data), err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	fs.Remove("f")
+	if after := MemFSPages(); after != before {
+		t.Fatalf("MemFS held %d pages before and %d after every file was removed", before, after)
 	}
 }

@@ -18,6 +18,8 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 )
 
 // File is the handle the sorters use: sequential read/write plus seek.
@@ -208,13 +210,58 @@ type MemFS struct {
 // bytes [0, memPage), page i ≥ 1 the bytes [memPage·2^(i−1),
 // memPage·2^i), up to memPageMax, after which every page is memPageMax.
 // A growing file adds pages and never moves the bytes it has, in a
-// handful of allocations.  Page 0 alone grows in place, so a small file
-// takes no more than it holds.
+// handful of allocations.  Page 0 alone grows in place, doubling, so a
+// small file takes no more than twice what it holds.
 const (
 	memPage          = 32 << 10
 	memPageDoublings = 5
 	memPageMax       = memPage << memPageDoublings
 )
+
+// Every page buffer comes from one process-wide pool per power-of-two
+// size, 512 B … memPageMax, and goes back when its file is gone, so a
+// node disk reuses what earlier passes freed; the Readers' and Writers'
+// block buffers share the pool.  A pool holds a page as a pointer to
+// its first byte, which an interface holds without allocating.
+const minPageShift = 9
+
+var (
+	pagePools [12]sync.Pool // 512 B << i
+	memPages  atomic.Int64  // pages MemFS files hold
+)
+
+// pageClass returns the index of the smallest pool size ≥ n (n = 0
+// maps past the pools).
+func pageClass(n int) int { return max(0, bits.Len(uint(n-1))-minPageShift) }
+
+// getPage returns a buffer of length n whose capacity is its pool size.
+// Its bytes are whatever the last holder left: callers expose only what
+// they write.
+func getPage(n int) []byte {
+	c, size := pageClass(n), n
+	if c < len(pagePools) {
+		size = 1 << (minPageShift + c)
+		if p := pagePools[c].Get(); p != nil {
+			poolHits.Add(1)
+			return unsafe.Slice((*byte)(p.(unsafe.Pointer)), size)[:n]
+		}
+	}
+	poolMisses.Add(1)
+	return make([]byte, n, size)
+}
+
+// putPage gives b back to its pool; a buffer of any other capacity is
+// left to the garbage collector.
+func putPage(b []byte) {
+	if c := pageClass(cap(b)); c < len(pagePools) && cap(b) == 1<<(minPageShift+c) {
+		pagePools[c].Put(unsafe.Pointer(unsafe.SliceData(b)))
+	}
+}
+
+// MemFSPages returns how many pages MemFS files hold, process-wide.  A
+// file gives its pages back when its name has left the table and its
+// last handle is closed: a count that stays up points at a leaked handle.
+func MemFSPages() int64 { return memPages.Load() }
 
 // memPageAt returns the page holding byte off, the offset at which the
 // page starts and its size.
@@ -234,11 +281,13 @@ func memPageAt(off int64) (i int, start, size int64) {
 // memData is one file's bytes, in the pages above; every page but the
 // last is full.  Handles hold the *memData, so a Create or Install that
 // replaces the name-table entry leaves handles opened before it on the
-// old bytes.
+// old bytes.  The name table and every open handle each hold one
+// reference; the last to go gives the pages back.
 type memData struct {
 	mu    sync.RWMutex
 	pages [][]byte
 	n     int64 // size in bytes
+	refs  atomic.Int32
 }
 
 // NewMemFS returns an empty in-memory filesystem.
@@ -255,9 +304,13 @@ func (m *MemFS) Install(name string, data []byte) (File, error) {
 		return nil, errors.New("diskio: empty file name")
 	}
 	d := &memData{}
+	d.refs.Store(2) // the table's and the returned handle's
 	d.writeAt(0, data)
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if old := m.files[name]; old != nil {
+		old.unref()
+	}
 	m.files[name] = d
 	return &memFile{name: name, data: d, writable: true}, nil
 }
@@ -270,6 +323,7 @@ func (m *MemFS) Open(name string) (File, error) {
 	if !ok {
 		return nil, fmt.Errorf("diskio: open %s: %w", name, os.ErrNotExist)
 	}
+	d.refs.Add(1) // the table's reference keeps d whole meanwhile
 	return &memFile{name: name, data: d}, nil
 }
 
@@ -277,10 +331,12 @@ func (m *MemFS) Open(name string) (File, error) {
 func (m *MemFS) Remove(name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.files[name]; !ok {
+	d, ok := m.files[name]
+	if !ok {
 		return fmt.Errorf("diskio: remove %s: %w", name, os.ErrNotExist)
 	}
 	delete(m.files, name)
+	d.unref()
 	return nil
 }
 
@@ -294,6 +350,9 @@ func (m *MemFS) Rename(oldName, newName string) error {
 	}
 	if newName == "" {
 		return errors.New("diskio: empty target name")
+	}
+	if old := m.files[newName]; old != nil && old != d {
+		old.unref()
 	}
 	delete(m.files, oldName)
 	m.files[newName] = d
@@ -324,6 +383,18 @@ func (m *MemFS) TotalBytes() int64 {
 	return total
 }
 
+// unref drops one reference to d; the last gives its pages back.  The
+// atomic count orders every write to d before the release.
+func (d *memData) unref() {
+	if d.refs.Add(-1) == 0 {
+		for _, pg := range d.pages {
+			putPage(pg)
+		}
+		memPages.Add(-int64(len(d.pages)))
+		d.pages = nil
+	}
+}
+
 func (d *memData) size() int64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -344,7 +415,8 @@ func (d *memData) readAt(off int64, p []byte) int {
 }
 
 // writeAt stores p at offset off ≤ d.n.  The caller holds d.mu, or is
-// the only one to know d.
+// the only one to know d.  A page from the pool holds stale bytes, but
+// only [0, d.n) is ever read, and every byte there was copied in here.
 func (d *memData) writeAt(off int64, p []byte) {
 	for len(p) > 0 {
 		i, start, size := memPageAt(off)
@@ -353,14 +425,16 @@ func (d *memData) writeAt(off int64, p []byte) {
 			if i == 0 {
 				c = min(int64(len(p)), size)
 			}
-			d.pages = append(d.pages, make([]byte, 0, c))
+			d.pages = append(d.pages, getPage(int(c))[:0])
+			memPages.Add(1)
 		}
 		pg, in := d.pages[i], int(off-start)
 		c := min(len(p), int(size)-in)
 		if end := in + c; end > len(pg) {
 			if end > cap(pg) {
-				grown := make([]byte, len(pg), min(max(end, 2*cap(pg)), int(size)))
+				grown := getPage(min(max(end, 2*cap(pg)), int(size)))[:len(pg)]
 				copy(grown, pg)
+				putPage(pg)
 				pg = grown
 			}
 			pg = pg[:end]
@@ -440,7 +514,12 @@ func (f *memFile) Seek(offset int64, whence int) (int64, error) {
 	return np, nil
 }
 
+// Close drops the handle's reference to the bytes; closing again does
+// nothing.
 func (f *memFile) Close() error {
-	f.closed = true
+	if !f.closed {
+		f.closed = true
+		f.data.unref()
+	}
 	return nil
 }

@@ -14,22 +14,20 @@ import (
 // Block buffers are recycled across Readers and Writers: a sort opens
 // and closes thousands of short-lived block streams (one per run, per
 // tape, per segment), and the per-stream block allocations dominated the
-// allocation profile.  The pools hand back any buffer with enough
-// capacity; block sizes within one run are uniform, so hit rates are
-// high.
+// allocation profile.  Byte buffers come from the page pool (getPage);
+// keyBufPool hands back any decode buffer with enough capacity.
 var (
-	byteBufPool sync.Pool // []byte block buffers
-	keyBufPool  sync.Pool // []record.Key decode buffers
+	keyBufPool sync.Pool // []record.Key decode buffers
 
 	poolHits   atomic.Int64 // buffers served from a pool
 	poolMisses atomic.Int64 // fresh allocations (empty pool or too small)
 )
 
-// PoolStats reports the process-wide block-buffer pool behaviour: hits
-// (a pooled buffer with enough capacity was reused) and misses (a fresh
-// buffer had to be allocated).  The pools are shared by every simulated
-// node, so these are process-level observability numbers, not per-node
-// virtual-time quantities.
+// PoolStats reports the process-wide buffer pool behaviour, over MemFS
+// pages, block buffers and decode buffers alike: hits (a pooled buffer
+// was reused) and misses (a fresh buffer had to be allocated).  The
+// pools are shared by every simulated node, so these are process-level
+// observability numbers, not per-node virtual-time quantities.
 func PoolStats() (hits, misses int64) {
 	return poolHits.Load(), poolMisses.Load()
 }
@@ -38,23 +36,6 @@ func PoolStats() (hits, misses int64) {
 func ResetPoolStats() {
 	poolHits.Store(0)
 	poolMisses.Store(0)
-}
-
-func getByteBuf(n int) []byte {
-	if v := byteBufPool.Get(); v != nil {
-		if b := v.([]byte); cap(b) >= n {
-			poolHits.Add(1)
-			return b[:n]
-		}
-	}
-	poolMisses.Add(1)
-	return make([]byte, n)
-}
-
-func putByteBuf(b []byte) {
-	if cap(b) > 0 {
-		byteBufPool.Put(b[:0]) //nolint:staticcheck // slice header alloc is fine
-	}
 }
 
 func getKeyBuf(n int) []record.Key {
@@ -215,7 +196,7 @@ func NewWriter(f File, blockKeys int, acct Accounting) *Writer {
 		f:     f,
 		acct:  acct,
 		block: blockKeys,
-		buf:   getByteBuf(blockKeys * record.KeySize)[:0],
+		buf:   getPage(blockKeys * record.KeySize)[:0],
 		om:    acct.openWindow(),
 		off:   acct.startOffset(f),
 	}
@@ -297,7 +278,7 @@ func (w *Writer) Close() error {
 		err = w.flushBlock()
 	}
 	w.closed = true
-	putByteBuf(w.buf)
+	putPage(w.buf)
 	w.buf = nil
 	if w.om != nil {
 		w.om.EndOverlap()
@@ -331,7 +312,7 @@ func NewReader(f File, blockKeys int, acct Accounting) *Reader {
 		f:     f,
 		acct:  acct,
 		block: blockKeys,
-		buf:   getByteBuf(blockKeys * record.KeySize),
+		buf:   getPage(blockKeys * record.KeySize),
 		keys:  getKeyBuf(blockKeys),
 		om:    acct.openWindow(),
 		off:   acct.startOffset(f),
@@ -430,7 +411,7 @@ func (r *Reader) Fill() error {
 // buffers to the pool.  The Reader must not be used afterwards; further
 // reads fail cleanly.  Release is idempotent.
 func (r *Reader) Release() {
-	putByteBuf(r.buf)
+	putPage(r.buf)
 	putKeyBuf(r.keys)
 	r.buf, r.keys, r.pos = nil, nil, 0
 	if r.err == nil {

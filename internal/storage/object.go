@@ -29,12 +29,16 @@ func (o *Object) Put(name string, data []byte) error {
 	if err := ValidName(name); err != nil {
 		return err
 	}
-	_, err := o.fs.Install(name, data)
-	return err
+	f, err := o.fs.Install(name, data)
+	if err != nil {
+		return err
+	}
+	return f.Close()
 }
 
 // open returns a read handle on the named object, positioned at its
-// start, and the object's size.
+// start, and the object's size.  The caller closes the handle: until
+// then the object's pages cannot be recycled.
 func (o *Object) open(op, name string) (diskio.File, int64, error) {
 	if err := ValidName(name); err != nil {
 		return nil, 0, err
@@ -56,6 +60,7 @@ func (o *Object) Get(name string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer f.Close()
 	data := make([]byte, size)
 	_, err = io.ReadFull(f, data)
 	return data, err
@@ -63,8 +68,11 @@ func (o *Object) Get(name string) ([]byte, error) {
 
 // Stat implements Backend.
 func (o *Object) Stat(name string) (int64, error) {
-	_, size, err := o.open("stat", name)
-	return size, err
+	f, size, err := o.open("stat", name)
+	if err != nil {
+		return 0, err
+	}
+	return size, f.Close()
 }
 
 // List implements Backend.

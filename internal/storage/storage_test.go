@@ -188,6 +188,31 @@ func TestObjectPutIsolatesOpenReaders(t *testing.T) {
 	}
 }
 
+// TestObjectDeleteRecyclesPages: Put, Get and Stat close the MemFS
+// handles they open, so a replaced or deleted object's pages go back to
+// the pool instead of being left to the garbage collector.
+func TestObjectDeleteRecyclesPages(t *testing.T) {
+	o := NewObject()
+	before := diskio.MemFSPages()
+	for v := byte(0); v < 3; v++ {
+		if err := o.Put("ns/f", bytes.Repeat([]byte{v}, 100<<10)); err != nil {
+			t.Fatal(err)
+		}
+		if data, err := o.Get("ns/f"); err != nil || data[0] != v {
+			t.Fatalf("Get: %v", err)
+		}
+		if _, err := o.Stat("ns/f"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := o.Delete("ns/f"); err != nil {
+		t.Fatal(err)
+	}
+	if after := diskio.MemFSPages(); after != before {
+		t.Fatalf("MemFS held %d pages before and %d after the object was deleted", before, after)
+	}
+}
+
 func TestDirPutAtomicOnDisk(t *testing.T) {
 	root := t.TempDir()
 	d, err := NewDir(root)
