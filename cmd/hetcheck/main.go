@@ -1,9 +1,11 @@
 // Command hetcheck runs the cross-configuration correctness harness:
 // a deterministic randomized sweep of the Config cross-product that
 // checks every registered invariant (sortedness, permutation checksum,
-// execution-strategy equivalence, the Theorem-1 balance bound, per-step
-// PDM I/O budgets, virtual-time attribution) and shrinks any failure to
-// a minimal ready-to-paste repro.
+// execution-strategy equivalence, the Theorem-1 balance bound, the
+// histogram refinement's balance and round bounds, per-step PDM I/O
+// budgets, virtual-time attribution) and shrinks any failure to a
+// minimal ready-to-paste repro.  Every histogram case's rounds print
+// beside its sample_keys and its round bound.
 //
 // Usage:
 //
@@ -78,6 +80,12 @@ func main() {
 			os.Exit(2)
 		}
 	} else {
+		if len(sum.Rounds) > 0 {
+			fmt.Printf("%-44s %5s %7s %6s %11s %5s\n", "histogram case", "p", "n", "rounds", "sample_keys", "bound")
+			for _, r := range sum.Rounds {
+				fmt.Printf("%-44s %5d %7d %6d %11d %5d\n", r.Case, r.P, r.N, r.Rounds, r.SampleKeys, r.Bound)
+			}
+		}
 		fmt.Printf("hetcheck: %d cases, %d runs, %d failure(s)\n", sum.Cases, sum.Runs, sum.FailCount)
 	}
 	for _, f := range sum.Failures {

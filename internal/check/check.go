@@ -306,9 +306,16 @@ func (f Failure) String() string {
 // Check executes a case and evaluates the selected invariants (all of
 // them for an empty filter).  Scratch enables the crash/resume variant.
 func Check(c *Case, opts RunOptions, filter string) []Failure {
+	fails, _ := check(c, opts, filter)
+	return fails
+}
+
+// check is Check returning the outcome too (nil when no invariant is
+// selected).
+func check(c *Case, opts RunOptions, filter string) ([]Failure, *Outcome) {
 	invs := Select(filter)
 	if len(invs) == 0 {
-		return nil
+		return nil, nil
 	}
 	if !selected(invs, "equivalence") && !selected(invs, "error") && !selected(invs, "disk") {
 		// Variants exist to be compared (equivalence, the cross-D half
@@ -326,7 +333,7 @@ func Check(c *Case, opts RunOptions, filter string) []Failure {
 			fails = append(fails, Failure{Case: c, Invariant: inv.Name, Err: err})
 		}
 	}
-	return fails
+	return fails, o
 }
 
 // Recheck is the entry point repro snippets call: it rebuilds a case

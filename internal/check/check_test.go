@@ -95,16 +95,21 @@ func TestBalanceInvariantTeeth(t *testing.T) {
 	if inv.Applies != nil && !inv.Applies(c) {
 		t.Fatal("balance should apply to 100 distinct keys on 2 homogeneous nodes")
 	}
-	// One node holding everything violates 2*share+maxdup = 2*50+1.
+	// One node holding everything violates 2*share = 2*50, with no
+	// duplicate term.
 	rep := &hetsort.Report{PartitionSizes: []int64{200, 0}}
 	o := &Outcome{Case: c, Runs: []Run{{Label: "base", Config: c.Config, Output: keys, Report: rep}}}
 	if err := inv.Check(o); err == nil {
 		t.Fatal("balance invariant accepted a partition of 2x+ the share")
 	}
-	// The boundary itself is legal.
-	rep.PartitionSizes = []int64{101, 0}
+	// The boundary itself is legal, one key past it is not.
+	rep.PartitionSizes = []int64{100, 0}
 	if err := inv.Check(o); err != nil {
 		t.Fatalf("balance invariant rejected the exact Theorem-1 bound: %v", err)
+	}
+	rep.PartitionSizes = []int64{101, 0}
+	if err := inv.Check(o); err == nil {
+		t.Fatal("balance invariant accepted one key past 2*share")
 	}
 }
 
@@ -122,23 +127,50 @@ func TestHistBalanceInvariantTeeth(t *testing.T) {
 	if !inv.Applies(c) {
 		t.Fatal("hist-balance should apply to the histogram strategy")
 	}
-	// share=50, default tol=max(1, 0.05*50)=2, maxdup=1, p=2:
-	// bound = 50 + 2*(2+1) + 2 = 58 — far below Theorem 1's 101.
-	rep := &hetsort.Report{PartitionSizes: []int64{59, 41}}
+	// share=50, default tol = 2*max(1, 0.05*50/2) = 2: bound = 52 — far
+	// below Theorem 1's 100.
+	rep := &hetsort.Report{PartitionSizes: []int64{53, 47}}
 	o := &Outcome{Case: c, Runs: []Run{{Label: "base", Config: c.Config, Output: keys, Report: rep}}}
 	if err := inv.Check(o); err == nil {
 		t.Fatal("hist-balance accepted a partition outside the refinement band")
 	}
-	rep.PartitionSizes = []int64{58, 42}
+	rep.PartitionSizes = []int64{52, 48}
 	if err := inv.Check(o); err != nil {
 		t.Fatalf("hist-balance rejected the exact bound: %v", err)
 	}
 	// A looser configured tolerance widens the band.
-	c.Config.HistTolerance = 0.5 // tol = 25
+	c.Config.HistTolerance = 0.5 // tol = 2*12 = 24
 	o.Runs[0].Config = c.Config
-	rep.PartitionSizes = []int64{59, 41}
+	rep.PartitionSizes = []int64{74, 26}
 	if err := inv.Check(o); err != nil {
 		t.Fatalf("hist-balance ignored the configured tolerance: %v", err)
+	}
+}
+
+func TestHistRoundsInvariantTeeth(t *testing.T) {
+	inv := invariantByName(t, "hist-rounds")
+	keys := make([]hetsort.Key, 100)
+	for i := range keys {
+		keys[i] = hetsort.Key(i)
+	}
+	c := &Case{Name: "synthetic", Keys: keys, Config: hetsort.Config{Nodes: 2, PivotStrategy: hetsort.PivotHistogram}}
+	// p=2, n=100, tol=2 (1 a cut): log* 2 = 1, seven halvings take 1
+	// past 100, and the tie round: 9.
+	if b := HistRoundBound(2, 100, 2); b != 9 {
+		t.Fatalf("HistRoundBound(2, 100, 2) = %d, want 9", b)
+	}
+	rep := &hetsort.Report{PartitionSizes: []int64{50, 50}, PivotRounds: 9, PivotSampleKeys: 36}
+	o := &Outcome{Case: c, Runs: []Run{{Label: "base", Config: c.Config, Output: keys, Report: rep}}}
+	if err := inv.Check(o); err != nil {
+		t.Fatalf("hist-rounds rejected the exact bound: %v", err)
+	}
+	rep.PivotRounds = 10
+	if err := inv.Check(o); err == nil {
+		t.Fatal("hist-rounds accepted a round past the bound")
+	}
+	rep.PivotRounds, rep.PivotSampleKeys = 9, 37
+	if err := inv.Check(o); err == nil {
+		t.Fatal("hist-rounds accepted more than 4(p-1) candidates a round")
 	}
 }
 

@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"hetsort"
@@ -88,15 +89,21 @@ func Registry() []Invariant {
 		},
 		{
 			Name:    "balance",
-			Doc:     "Theorem 1: with regular sampling, node i's final partition holds at most 2*share_i keys (+ the worst duplicate multiplicity, which ties route to one node)",
+			Doc:     "Theorem 1: with regular sampling, node i's final partition holds at most 2*share_i keys — on duplicates too: a pivot key repeated in the sample cuts at its sample's position",
 			Applies: appliesBalance,
 			Check:   eachRun(checkBalance),
 		},
 		{
 			Name:    "hist-balance",
-			Doc:     "histogram refinement: node i's final partition holds at most share_i + 2*(tol + maxdup) + p keys — a tighter band than Theorem 1's 2*share_i regular-sampling bound",
+			Doc:     "histogram refinement: node i's final partition holds at most share_i + tol keys, tol = HistTolerance*min_share (at least 2) — ties split at their target, so no duplicate term",
 			Applies: appliesHistBalance,
 			Check:   eachRun(checkHistBalance),
+		},
+		{
+			Name:    "hist-rounds",
+			Doc:     "histogram refinement: at most 4(p-1) candidates a round, and rounds <= ceil(log* p) + ceil(log2(2n/tol)) + 1 (HistRoundBound)",
+			Applies: appliesHistBalance,
+			Check:   eachRun(checkHistRounds),
 		},
 		{
 			Name:    "step-io",
@@ -213,14 +220,10 @@ func checkBalance(c *Case, r *Run) error {
 	if r.Report == nil {
 		return nil
 	}
-	v := vectorOf(r.Config)
-	shares := v.Shares(int64(len(c.Keys)))
-	mult := maxMultiplicity(c.Keys)
+	shares := vectorOf(r.Config).Shares(int64(len(c.Keys)))
 	for i, got := range r.Report.PartitionSizes {
-		bound := 2*shares[i] + mult
-		if got > bound {
-			return fmt.Errorf("node %d holds %d keys > 2*share(%d)+maxdup(%d)=%d (Theorem 1 violated)",
-				i, got, shares[i], mult, bound)
+		if bound := 2 * shares[i]; got > bound {
+			return fmt.Errorf("node %d holds %d keys > 2*share(%d)=%d (Theorem 1 violated)", i, got, shares[i], bound)
 		}
 	}
 	return nil
@@ -234,39 +237,72 @@ func appliesHistBalance(c *Case) bool {
 	return appliesPSRS(c) && c.Config.PivotStrategy == hetsort.PivotHistogram
 }
 
-// checkHistBalance verifies the refinement contract: every pivot's
-// global rank ends within tol of its cumulative share target (or, on a
-// duplicate plateau, within the worst multiplicity of it), so node i's
-// partition — the difference of two adjacent ranks — stays within
-// share_i + 2*(tol + maxdup), plus p for the largest-remainder
-// rounding of the targets themselves.
+// histTolerance is the refinement's partition tolerance in keys:
+// HistTolerance·min_share, each cut holding half of it (at least one
+// key), as extsort's histogram strategy sets it.
+func histTolerance(cfg hetsort.Config, shares []int64) int64 {
+	minShare := shares[0]
+	for _, s := range shares {
+		minShare = min(minShare, s)
+	}
+	htol := cfg.HistTolerance
+	if htol == 0 {
+		htol = 0.05 // extsort's applyDefaults value
+	}
+	return 2 * max(int64(htol*float64(minShare))/2, 1)
+}
+
+// checkHistBalance verifies the refinement contract: every cut ends
+// within half the tolerance of its cumulative share target, or exactly on
+// it where it splits a run of equal keys, so node i's partition — the
+// difference of two adjacent cuts — stays within share_i + tol.
 func checkHistBalance(c *Case, r *Run) error {
 	if r.Report == nil {
 		return nil
 	}
-	v := vectorOf(r.Config)
-	shares := v.Shares(int64(len(c.Keys)))
-	minShare := int64(0)
-	for i, s := range shares {
-		if i == 0 || s < minShare {
-			minShare = s
-		}
-	}
-	htol := r.Config.HistTolerance
-	if htol == 0 {
-		htol = 0.05 // extsort's applyDefaults value
-	}
-	tol := int64(htol * float64(minShare))
-	if tol < 1 {
-		tol = 1
-	}
-	mult := maxMultiplicity(c.Keys)
+	shares := vectorOf(r.Config).Shares(int64(len(c.Keys)))
+	tol := histTolerance(r.Config, shares)
 	for i, got := range r.Report.PartitionSizes {
-		bound := shares[i] + 2*(tol+mult) + int64(len(v))
-		if got > bound {
-			return fmt.Errorf("node %d holds %d keys > share(%d)+2*(tol(%d)+maxdup(%d))+p(%d)=%d (histogram refinement bound violated)",
-				i, got, shares[i], tol, mult, len(v), bound)
+		if bound := shares[i] + tol; got > bound {
+			return fmt.Errorf("node %d holds %d keys > share(%d)+tol(%d)=%d (histogram refinement bound violated)",
+				i, got, shares[i], tol, bound)
 		}
+	}
+	return nil
+}
+
+// HistRoundBound is the round count the histogram refinement may take on
+// p nodes, n keys and partition tolerance tol: ⌈log* p⌉ rounds, what
+// Yang, Harsh & Solomonik (Optimal Round and Sample-Size Complexity for
+// Partitioning in Parallel Sorting) prove necessary and sufficient at
+// O(p) samples per round for a constant imbalance; ⌈log₂(2n/tol)⌉ more
+// to narrow every splitter's rank interval from n to its cut's half of
+// tol at one halving per round; and the round that settles ties.
+func HistRoundBound(p int, n, tol int64) int {
+	logStar := 0
+	for x := float64(p); x > 1; x = math.Log2(x) {
+		logStar++
+	}
+	halvings := 0
+	for r := max(tol/2, 1); r < n; r *= 2 {
+		halvings++
+	}
+	return logStar + halvings + 1
+}
+
+// checkHistRounds holds a histogram run to HistRoundBound for its sample
+// size: at most 4(p−1) candidates a round (one interpolation point and a
+// three-point ladder per splitter), the O(p) regime the bound is for.
+func checkHistRounds(c *Case, r *Run) error {
+	if r.Report == nil {
+		return nil
+	}
+	p, n := len(r.Report.PartitionSizes), int64(len(c.Keys))
+	tol := histTolerance(r.Config, vectorOf(r.Config).Shares(n))
+	rounds, samples := r.Report.PivotRounds, r.Report.PivotSampleKeys
+	if bound := HistRoundBound(p, n, tol); rounds > bound || samples > int64(4*(p-1)*max(rounds, 1)) {
+		return fmt.Errorf("%d rounds shipping %d sample keys; bound %d rounds of at most 4(p-1)=%d candidates (p=%d n=%d tol=%d)",
+			rounds, samples, bound, 4*(p-1), p, n, tol)
 	}
 	return nil
 }
@@ -309,15 +345,17 @@ func checkStepIO(c *Case, r *Run) error {
 // the paper's step costs (DESIGN.md §1) in checkable form:
 //
 //	step 1  2·(l_i/B)·(1+passes)      polyphase sort of the portion
-//	step 2  0 / l_i/B / rounds·r(p−1) regular or random / sketch / histogram
-//	step 3  r(p−1)                    the p−1 pivots' ranks
+//	step 2  0 / l_i/B / rounds·r(4(p−1)) regular or random / sketch / histogram
+//	step 3  r(p−1)                    the p−1 cuts' ranks
 //	step 4  l_i/B + q_i/B + 2p        read what is sent, write what lands
 //	step 5  merge budget of q_i       p-file external merge (0 if fused)
 //
-// each plus ioSlack.  r(p−1), what p−1 rank queries read, is p−1 blocks
-// (and as many seeks, not counted) where p−1 probes price below a scan on
-// the default cost model and the fences fit in M − T·B, else the scan's
-// l_i/B.  A node fuses steps 4 and 5 exactly when its p−1 incoming
+// each plus ioSlack.  r(q), what q rank queries read, is q blocks (and as
+// many seeks, not counted) where q probes price below a scan on the
+// default cost model and the fences fit in M − T·B, else the scan's
+// l_i/B.  A histogram round ranks at most four candidates per splitter,
+// and the round that settles ties two queries per tied key; a tied cut
+// is still one rank query in step 3.  A node fuses steps 4 and 5 exactly when its p−1 incoming
 // streams' message buffers and tee blocks fit in M beside two more
 // blocks, (msg+B)·(p−1)+2B ≤ M — extsort's rule for the flat final round.
 // Unfused, step 4 reads the l_i − s_ii keys it sends and writes the
@@ -331,11 +369,15 @@ func stepBudgets(pp pdm.Params, cfg hetsort.Config, p int, li, qi int64, rounds 
 	qb := ceilDiv(qi, pp.B)
 	runs := ceilDiv(maxInt64(li, 1), int64(cfg.MemoryKeys))
 	passes := pdm.LogCeil(runs, 2)
-	cm, ranks := vtime.DefaultCostModel(), lb // r(p−1)
+	cm := vtime.DefaultCostModel()
 	block := float64(pp.B) * cm.IOBlockSecPerKey
 	fit := lb+int64(p*vectorOf(cfg).Max()) <= pp.M-int64(cfg.Tapes)*pp.B // samples < p·perf_i
-	if fit && float64(p-1)*(cm.SeekSec+block) < float64(lb)*block {
-		ranks = int64(p - 1)
+	// r(q): what q rank queries read.
+	ranks := func(q int64) int64 {
+		if fit && float64(q)*(cm.SeekSec+block) < float64(lb)*block {
+			return q
+		}
+		return lb
 	}
 	fused := int64(cfg.MessageKeys+cfg.BlockKeys)*int64(p-1)+2*pp.B <= pp.M
 	var b [5]int64
@@ -345,9 +387,9 @@ func stepBudgets(pp pdm.Params, cfg hetsort.Config, p int, li, qi int64, rounds 
 	case hetsort.PivotQuantileSketch:
 		b[1] += lb
 	case hetsort.PivotHistogram:
-		b[1] += int64(rounds) * ranks
+		b[1] += int64(rounds) * ranks(int64(4*(p-1)))
 	}
-	b[2] = ranks + ioSlack
+	b[2] = ranks(int64(p-1)) + ioSlack
 	b[3] = lb + qb + int64(2*p) + ioSlack
 	b[4] = ioSlack
 	switch {
@@ -541,25 +583,6 @@ func withDefaults(cfg hetsort.Config) hetsort.Config {
 		cfg.MessageKeys = 8192
 	}
 	return cfg
-}
-
-// maxMultiplicity returns the count of the most frequent key (0 for an
-// empty input).  Keys equal to a pivot all land in one partition, so the
-// Theorem-1 bound relaxes by exactly this much under duplicates (the
-// paper's §3.1 duplicates discussion).
-func maxMultiplicity(keys []hetsort.Key) int64 {
-	if len(keys) == 0 {
-		return 0
-	}
-	counts := make(map[hetsort.Key]int64, len(keys))
-	var most int64
-	for _, k := range keys {
-		counts[k]++
-		if counts[k] > most {
-			most = counts[k]
-		}
-	}
-	return most
 }
 
 // stepName labels step s (0-based): pdm's phase s+1.

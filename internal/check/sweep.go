@@ -44,6 +44,19 @@ type Summary struct {
 	// FailureText carries the rendered failures (message + shrunk
 	// repro) for the JSON summary.
 	FailureText []string `json:"failure_text,omitempty"`
+	// Rounds lists every histogram base run's refinement rounds beside
+	// the sample it shipped and its HistRoundBound.
+	Rounds []HistRounds `json:"hist_rounds,omitempty"`
+}
+
+// HistRounds is one histogram run's round count against its bound.
+type HistRounds struct {
+	Case       string `json:"case"`
+	P          int    `json:"p"`
+	N          int    `json:"n"`
+	Rounds     int    `json:"rounds"`
+	SampleKeys int64  `json:"sample_keys"`
+	Bound      int    `json:"bound"`
 }
 
 // Sweep runs the deterministic corner cases plus opts.Seeds randomized
@@ -77,7 +90,14 @@ func Sweep(opts Options) *Summary {
 			// two runs).
 			ro.Scratch = ""
 		}
-		fails := Check(c, ro, opts.Invariants)
+		fails, o := check(c, ro, opts.Invariants)
+		if o != nil && appliesHistBalance(c) && o.Runs[0].Report != nil {
+			rep := o.Runs[0].Report
+			p, n := len(rep.PartitionSizes), int64(len(c.Keys))
+			sum.Rounds = append(sum.Rounds, HistRounds{Case: c.Name, P: p, N: len(c.Keys),
+				Rounds: rep.PivotRounds, SampleKeys: rep.PivotSampleKeys,
+				Bound: HistRoundBound(p, n, histTolerance(c.Config, vectorOf(c.Config).Shares(n)))})
+		}
 		sum.Cases++
 		if variants {
 			sum.Runs += runsPerCase(c, ro)

@@ -85,6 +85,10 @@ type Manifest struct {
 	// hands them to nodes that died before receiving the broadcast,
 	// sparing a re-gather.
 	Pivots []record.Key `json:"pivots,omitempty"`
+	// Ties, recorded with the pivots, lists the pivots whose cut falls
+	// inside their key's run of copies; like the pivots they are the
+	// same on every node.
+	Ties []Tie `json:"ties,omitempty"`
 	// Cuts, recorded at phases 3 and 4, holds the P+1 key offsets at which
 	// the pivots cut the sorted file Files[0]: keys Cuts[j]..Cuts[j+1] are
 	// the bucket bound for node j, and exist nowhere else.
@@ -97,6 +101,17 @@ type Manifest struct {
 	// depends on.  Optional — plain checkpointed runs leave it empty and
 	// skip the hashing I/O.
 	Root string `json:"root,omitempty"`
+}
+
+// Tie places a pivot's cut inside the run of its key's copies, in the
+// total order (key, node, offset): nodes before Node cut after all
+// their copies, nodes after it before all of them, and Node after Take
+// of its own — copies, or for a sampled pivot sampled copies (extsort's
+// cut positions).
+type Tie struct {
+	Pivot int   `json:"pivot"`
+	Node  int   `json:"node"`
+	Take  int64 `json:"take"`
 }
 
 // HashFile computes the SHA-256 of the named file's content, charging
@@ -297,12 +312,29 @@ func (m *Manifest) validateCuts(fs diskio.FS) error {
 	return nil
 }
 
+// validateTies checks that every tie names a pivot, a node and a
+// non-negative take, in pivot order.
+func (m *Manifest) validateTies() error {
+	for i, t := range m.Ties {
+		if t.Pivot < 0 || t.Pivot >= len(m.Pivots) || t.Node < 0 || t.Node >= m.P || t.Take < 0 ||
+			(i > 0 && t.Pivot <= m.Ties[i-1].Pivot) {
+			return fmt.Errorf("%w: node %d phase %d: tie %+v does not place one of %d pivots on one of %d nodes",
+				ErrCorrupt, m.Node, m.Phase, t, len(m.Pivots), m.P)
+		}
+	}
+	return nil
+}
+
 // Validate checks that every file the manifest depends on exists on fs
-// with the recorded length, that the phase's cuts span the sorted file,
-// and — for Merkle-anchored manifests — that every file's content
-// re-hashes to the recorded leaf and the leaves still produce the root.
+// with the recorded length, that the phase's cuts span the sorted file
+// and its ties place pivots, and — for Merkle-anchored manifests — that
+// every file's content re-hashes to the recorded leaf and the leaves
+// still produce the root.
 func (m *Manifest) Validate(fs diskio.FS) error {
 	if err := m.validateCuts(fs); err != nil {
+		return err
+	}
+	if err := m.validateTies(); err != nil {
 		return err
 	}
 	for _, fi := range m.Files {
@@ -340,6 +372,8 @@ type Recovery struct {
 	// phase 2 (pivot selection is a collective, so one survivor's copy
 	// is everyone's copy).
 	Pivots []record.Key
+	// Ties are the pivots' ties, from the same manifest as Pivots.
+	Ties []Tie
 	// Input is the global input checksum recorded at the start of the
 	// original run.
 	Input record.Checksum
@@ -407,6 +441,7 @@ func Plan(disks []diskio.FS, sig string) (*Recovery, error) {
 		r.Cuts[i] = m.Cuts
 		if m.Phase >= 2 && r.Pivots == nil {
 			r.Pivots = append([]record.Key(nil), m.Pivots...)
+			r.Ties = m.Ties
 		}
 	}
 	return r, nil

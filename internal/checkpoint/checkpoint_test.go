@@ -259,6 +259,49 @@ func TestValidateCuts(t *testing.T) {
 	}
 }
 
+// TestValidateTies: a tie must name one of the manifest's pivots, one of
+// the cluster's nodes and a non-negative take, in pivot order — and
+// survive a save and a load.
+func TestValidateTies(t *testing.T) {
+	fs := diskio.NewMemFS()
+	for _, tc := range []struct {
+		name string
+		ties []Tie
+		ok   bool
+	}{
+		{"none", nil, true},
+		{"two", []Tie{{Pivot: 0, Node: 1, Take: 5}, {Pivot: 2, Node: 0, Take: 0}}, true},
+		{"pivot past the pivots", []Tie{{Pivot: 3, Node: 0, Take: 1}}, false},
+		{"negative pivot", []Tie{{Pivot: -1, Node: 0, Take: 1}}, false},
+		{"node past the cluster", []Tie{{Pivot: 0, Node: 2, Take: 1}}, false},
+		{"negative take", []Tie{{Pivot: 0, Node: 0, Take: -1}}, false},
+		{"out of pivot order", []Tie{{Pivot: 1, Node: 0, Take: 1}, {Pivot: 1, Node: 1, Take: 1}}, false},
+	} {
+		m := sampleManifest(0, 2, 2)
+		m.Ties = tc.ties
+		err := m.Validate(fs)
+		if tc.ok && err != nil {
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		}
+		if !tc.ok && !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrCorrupt", tc.name, err)
+		}
+		if !tc.ok {
+			continue
+		}
+		if err := Save(fs, m, diskio.Accounting{}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Load(fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got.Ties) != fmt.Sprint(tc.ties) {
+			t.Errorf("%s: ties %v after a round trip, want %v", tc.name, got.Ties, tc.ties)
+		}
+	}
+}
+
 func TestPlanComplete(t *testing.T) {
 	r, err := Plan(planDisks(t, 5, 5), "test-sig")
 	if err != nil {

@@ -52,8 +52,10 @@ const histsortTolerance = 0.02
 //     sample keys than regular sampling — candidate broadcasts replace
 //     the p*sum(perf) sample gather (which degrades to shipping whole
 //     portions when they are too small for the regular spacing);
-//   - the one-shot strategies report exactly one pivot round, the
-//     histogram strategy at least one.
+//   - the one-shot strategies report one pivot round — two where a
+//     sampled pivot's key repeats in the sample and its ties are settled
+//     (quantile-sketch cuts are key cuts: always one) — the histogram
+//     strategy at least one.
 func HistsortAblation(o Options) ([]Row, error) {
 	o = o.withDefaults()
 	generators := []record.Distribution{record.HeavyDup, record.ZipfS2, record.Staircase, record.SamplerKiller}
@@ -105,8 +107,12 @@ func HistsortAblation(o Options) ([]Row, error) {
 			return nil, fmt.Errorf("%s reports %v rounds", g[len(g)-1].Key(), hist["rounds"])
 		}
 		for _, r := range g[:len(g)-1] {
-			if r.Metrics["rounds"] != 1 {
-				return nil, fmt.Errorf("one-shot strategy %s reports %v rounds", r.Key(), r.Metrics["rounds"])
+			most := 2.0
+			if r.Labels["strategy"] == extsort.QuantileSketch.String() {
+				most = 1
+			}
+			if got := r.Metrics["rounds"]; got < 1 || got > most {
+				return nil, fmt.Errorf("one-shot strategy %s reports %v rounds", r.Key(), got)
 			}
 		}
 		w := worst[g[0].Labels["generator"]]

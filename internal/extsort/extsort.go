@@ -8,8 +8,10 @@
 //  2. regularly spaced pivot candidates (perf-proportional counts) kept
 //     by the index, gathered on node 0, which picks and broadcasts p-1 pivots;
 //  3. partitioning at the pivots: the p+1 cut offsets are their local
-//     ranks, and bucket j is the section between cuts j and j+1 — the
-//     sorted file is already in bucket order, so nothing is copied;
+//     positions — cuts in the total order (key, node, offset), so equal
+//     keys may straddle a cut — and bucket j is the section between cuts
+//     j and j+1: the sorted file is already in bucket order, so nothing
+//     is copied;
 //  4. redistribution: bucket j travels to node j in fixed-size
 //     messages (a multiple of the block size), read straight from its
 //     section of the sorted file — and wherever the final round's
@@ -75,8 +77,9 @@ type Config struct {
 	Strategy Strategy
 	// HistTolerance is the Histogram strategy's convergence tolerance
 	// as a fraction of the smallest perf share (default 0.05): the
-	// refinement stops once every pivot's global rank is within
-	// HistTolerance·min_share keys of its target.
+	// refinement stops once every node's partition is within
+	// HistTolerance·min_share keys of its share — every cut within half
+	// that of its target.
 	HistTolerance float64
 	// Seed feeds the random samplers of the non-regular strategies.
 	Seed int64
@@ -139,7 +142,7 @@ type Config struct {
 // sig fingerprints the parameters that must match between an
 // interrupted run and its resume.
 func (c Config) sig(inputName, outputName string) string {
-	return fmt.Sprintf("extsort-v6 perf=%v B=%d M=%d T=%d msg=%d rf=%d strat=%d htol=%g seed=%d topo=%d r=%d in=%s out=%s",
+	return fmt.Sprintf("extsort-v7 perf=%v B=%d M=%d T=%d msg=%d rf=%d strat=%d htol=%g seed=%d topo=%d r=%d in=%s out=%s",
 		[]int(c.Perf), c.BlockKeys, c.MemoryKeys, c.Tapes, c.MessageKeys,
 		c.RunFormation, c.Strategy, c.HistTolerance, c.Seed,
 		c.Topology, c.Radix, inputName, outputName)
@@ -242,7 +245,8 @@ type Result struct {
 	// Pivots are the broadcast pivots (diagnostics).
 	Pivots []record.Key
 	// PivotRounds is the number of step-2 collective rounds: 1 for the
-	// one-shot strategies, the refinement round count for Histogram.
+	// one-shot strategies, the refinement round count for Histogram, plus
+	// one for settleTies where some pivot is tied.
 	PivotRounds int
 	// PivotSampleKeys counts the key-valued samples entering the
 	// step-2 collectives — the "samples shipped" axis of the
@@ -425,11 +429,12 @@ type worker struct {
 	output string
 
 	// Checkpoint state: plan is non-nil when resuming, sig fingerprints
-	// the configuration, pivots carries the agreed pivots from phase 2
-	// on so every later manifest re-records them.
+	// the configuration, pivots and ties carry the agreed cuts from phase
+	// 2 on so every later manifest re-records them.
 	plan   *checkpoint.Recovery
 	sig    string
 	pivots []record.Key
+	ties   []checkpoint.Tie // the pivots cut inside their key's copies (settleTies)
 
 	// cuts is step 3's whole result: the p+1 key offsets at which the
 	// pivots cut the sorted file, bucket j being keys cuts[j]..cuts[j+1].
@@ -478,6 +483,7 @@ func (w *worker) commit(phase int, files []checkpoint.FileInfo) error {
 		Sig:    w.sig,
 		Input:  w.cfg.InputSum,
 		Pivots: w.pivots,
+		Ties:   w.ties,
 		Files:  files,
 	}
 	if phase == 3 || phase == 4 {
@@ -553,7 +559,7 @@ func (w *worker) run() error {
 		// Replay the clock to the last commit, so a resumed run reports
 		// the honest virtual completion time of the whole sort.
 		n.AdvanceClock(w.plan.Clocks[id])
-		w.pivots, w.cuts = w.plan.Pivots, w.plan.Cuts[id]
+		w.pivots, w.ties, w.cuts = w.plan.Pivots, w.plan.Ties, w.plan.Cuts[id]
 		n.TraceEvent(trace.Recovery, "resume", fmt.Sprintf("phases-done:%d clock:%.6f", w.done(), w.plan.Clocks[id]))
 	} else if w.cfg.Checkpoint {
 		// Phase-0 manifest: the run exists and the input is durable.
@@ -710,18 +716,67 @@ func (w *worker) sequentialSort() (err error) {
 	return err
 }
 
-// locateCuts implements step 3: cut j+1 is how many keys are ≤ pivot j.
-// The paper's ≤ 2·l_i/B also copies the buckets out, which nothing
-// downstream needs.  A resumed node past phase 3 adopted its manifest's
-// cuts instead.
+// locateCuts implements step 3: cut j+1 is pivot j's position in the
+// sorted file.  For a key cut that is how many keys are ≤ pivot j; a
+// tied pivot cuts after all of this node's copies of its key on nodes
+// before the tie's node, before all of them on nodes after it, and on
+// the tie's node after its Take copies (tieCut).  The paper's ≤ 2·l_i/B
+// also copies the buckets out, which nothing downstream needs.  A
+// resumed node past phase 3 adopted its manifest's cuts instead.
 func (w *worker) locateCuts() error {
 	x, err := w.sortedIndex()
 	if err != nil {
 		return err
 	}
-	ranks, err := w.ranks(w.pivots, w.acct())
-	w.cuts = append(append([]int64{0}, ranks...), x.keys)
-	return err
+	id := w.n.ID()
+	// below[j]: cut j starts from the keys < pivot j, not ≤ it.
+	below := make([]bool, len(w.pivots))
+	for _, t := range w.ties {
+		below[t.Pivot] = id >= t.Node
+	}
+	qs := make([]record.Key, 0, len(w.pivots)) // one rank query per cut, k−1 for "< k" (none for "< 0")
+	for j, k := range w.pivots {
+		if !below[j] {
+			qs = append(qs, k)
+		} else if k > 0 {
+			qs = append(qs, k-1)
+		}
+	}
+	counts, err := w.ranks(qs, w.acct())
+	if err != nil {
+		return err
+	}
+	w.cuts = make([]int64, 1, len(w.pivots)+2)
+	for j, k := range w.pivots {
+		var cut int64
+		if !below[j] || k > 0 {
+			cut, counts = counts[0].N, counts[1:]
+		}
+		w.cuts = append(w.cuts, cut)
+	}
+	for _, t := range w.ties {
+		if t.Node == id {
+			if w.cuts[t.Pivot+1], err = w.tieCut(x, w.pivots[t.Pivot], w.cuts[t.Pivot+1], t.Take); err != nil {
+				return err
+			}
+		}
+	}
+	w.cuts = append(w.cuts, x.keys)
+	return nil
+}
+
+// tieCut is the cut on a tie's own node: after take copies of key, whose
+// first copy sits at offset lt.  A sampled pivot counts sampled copies:
+// its cut is just after the take-th sample equal to key.
+func (w *worker) tieCut(x *sortedIndex, key record.Key, lt, take int64) (int64, error) {
+	if w.cfg.Strategy == Histogram || take == 0 {
+		return lt + take, nil
+	}
+	lo, hi := sampleRun(x.samples, key)
+	if take > int64(hi-lo) {
+		return 0, fmt.Errorf("tie takes %d of %d sampled copies of key %d", take, hi-lo, key)
+	}
+	return x.at[lo+int(take)-1] + 1, nil
 }
 
 // The intermediates: step 1's sorted file and the name prefix of step

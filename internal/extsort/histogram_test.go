@@ -1,6 +1,7 @@
 package extsort
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -40,8 +41,43 @@ func TestHistogramAllDistributions(t *testing.T) {
 			c := newCluster(t, v)
 			cfg := testConfig(v)
 			cfg.Strategy = Histogram
-			runSort(t, c, v, cfg, d, v.NearestValidSize(12000), 23)
+			res := runSort(t, c, v, cfg, d, v.NearestValidSize(12000), 23)
+			if exp := res.SublistExpansion(v); exp > 1.05 {
+				t.Fatalf("expansion %v > 1 + the default tolerance", exp)
+			}
 		})
+	}
+}
+
+// TestHistogramExpansionWithinTolerance: on every generator, with the
+// paper's vector repeated to p = 16 (flat), 64 and 256 (radix-4 tree) on
+// BENCH_histsort's small machine, no node ends more than the tolerance
+// above its share — duplicate plateaus included, which key cuts left at
+// up to 388× on zipf-s2.
+func TestHistogramExpansionWithinTolerance(t *testing.T) {
+	const tol = 0.02
+	for _, m := range []struct {
+		p    int
+		topo Topology
+	}{{16, TopologyFlat}, {64, TopologyTree}, {256, TopologyTree}} {
+		v := make(perf.Vector, 0, m.p)
+		for len(v) < m.p {
+			v = append(v, 1, 1, 4, 4)
+		}
+		for _, d := range record.Distributions() {
+			t.Run(fmt.Sprintf("p%d/%s", m.p, d), func(t *testing.T) {
+				c, err := cluster.New(cluster.Config{Slowdowns: v.Slowdowns(), BlockKeys: 64})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := Config{Perf: v, BlockKeys: 64, MemoryKeys: 4096, Tapes: 4, MessageKeys: 1024,
+					Topology: m.topo, Radix: 4, Strategy: Histogram, HistTolerance: tol}
+				res := runSort(t, c, v, cfg, d, v.NearestValidSize(int64(512*m.p)), 1)
+				if exp := res.SublistExpansion(v); exp > 1+tol {
+					t.Fatalf("expansion %v > 1 + %v after %d rounds", exp, tol, res.PivotRounds)
+				}
+			})
+		}
 	}
 }
 

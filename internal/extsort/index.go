@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"hetsort/internal/diskio"
+	"hetsort/internal/histsort"
 	"hetsort/internal/record"
 	"hetsort/internal/sampling"
 )
@@ -89,24 +90,25 @@ func (w *worker) sortedIndex() (*sortedIndex, error) {
 	return x, err
 }
 
-// ranks answers local rank queries: for each ascending query, how many
-// keys of the sorted file are ≤ it — the prefix sums of countSublists(qs).
-// From the fences it is a binary search, then a seek and a block read per
-// distinct block the ranks end in, synchronously charged (one compute op
-// per key read, as a scan charges).  It scans the file instead, on acct,
-// without fences or when those probes price at least the scan on the
-// node's cost model, read from no clock: overlap and D never change it.
-func (w *worker) ranks(qs []record.Key, acct diskio.Accounting) ([]int64, error) {
-	out := make([]int64, len(qs))
+// ranks answers local rank queries: for each ascending query q, how
+// many keys of the sorted file are ≤ q, the largest of them and the
+// smallest key above q (histsort.Count; a side with no key reports the
+// neutral 0, resp. the top key).  From the fences it is a binary search,
+// then a seek and a block read per distinct block the ranks end in,
+// synchronously charged (one compute op per key read, as a scan
+// charges).  It scans the file instead (scanRanks), on acct, without
+// fences or when those probes price at least the scan on the node's cost
+// model, read from no clock: overlap and D never change it.
+func (w *worker) ranks(qs []record.Key, acct diskio.Accounting) ([]histsort.Count, error) {
 	if len(qs) == 0 {
-		return out, nil
+		return nil, nil
 	}
 	x, err := w.sortedIndex()
 	if err != nil {
 		return nil, err
 	}
 	// blk[j] is the block query j's rank ends in, -1 below the first key.
-	// Like countSublists, the queries are read as their running maximum.
+	// Like scanRanks, the queries are read as their running maximum.
 	blk := make([]int64, len(qs))
 	probes, q := 0.0, record.Key(0)
 	for j := range qs {
@@ -119,23 +121,24 @@ func (w *worker) ranks(qs []record.Key, acct diskio.Accounting) ([]int64, error)
 	cm := w.n.Cost()
 	block := float64(x.block) * cm.IOBlockSecPerKey
 	if x.fences == nil || probes*(cm.SeekSec+block) >= float64(len(x.fences))*block {
-		sizes, err := w.countSublists(qs, acct)
-		var rank int64
-		for j := 0; err == nil && j < len(out); j++ {
-			rank += sizes[j]
-			out[j] = rank
-		}
-		return out, err
+		return w.scanRanks(qs, acct)
 	}
 	f, err := w.n.FS().Open(sortedName)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	out := make([]histsort.Count, len(qs))
 	acct, raw, keys := w.n.Acct(), make([]byte, x.block*record.KeySize), make([]record.Key, 0, x.block)
 	q = 0
 	for j, b := range blk {
-		if q = max(q, qs[j]); b < 0 {
+		q = max(q, qs[j])
+		// The smallest key above q opens the block after the rank's.
+		out[j].Succ = noKey
+		if int(b+1) < len(x.fences) {
+			out[j].Succ = x.fences[b+1]
+		}
+		if b < 0 {
 			continue
 		}
 		if j == 0 || b != blk[j-1] { // probe block b: a seek and a block read
@@ -151,7 +154,15 @@ func (w *worker) ranks(qs []record.Key, acct diskio.Accounting) ([]int64, error)
 			w.n.ChargeCompute(cnt)
 			keys = record.DecodeKeys(keys[:0], raw[:cnt*record.KeySize])
 		}
-		out[j] = b*x.block + int64(sort.Search(len(keys), func(i int) bool { return keys[i] > q }))
+		i := sort.Search(len(keys), func(i int) bool { return keys[i] > q }) // ≥ 1: the fence is ≤ q
+		out[j].N, out[j].Pred = b*x.block+int64(i), keys[i-1]
+		if i < len(keys) {
+			out[j].Succ = keys[i]
+		}
 	}
 	return out, nil
 }
+
+// noKey is what a rank query reports as the key above it when there is
+// none: the top key, neutral under the histogram's min.
+const noKey = ^record.Key(0)

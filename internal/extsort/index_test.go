@@ -142,11 +142,11 @@ func TestIndexMemoryBound(t *testing.T) {
 }
 
 // TestRanksMatchCountSublists holds ranks, on its probe path and on its
-// scan fallback, to countSublists' prefix sums over every generator and
-// the degenerate files, for queries below the first key, above the last,
-// equal to a fence, equal to stored keys and in between.  A probe costs
-// exactly one seek and one block read per distinct block the ranks land
-// in.
+// scan fallback, to scanRanks' answers — rank and neighbouring keys —
+// over every generator and the degenerate files, for queries below the
+// first key, above the last, equal to a fence, equal to stored keys and
+// in between.  A probe costs exactly one seek and one block read per
+// distinct block the ranks land in.
 func TestRanksMatchCountSublists(t *testing.T) {
 	const block = 8
 	files := map[string][]record.Key{
@@ -191,7 +191,7 @@ func TestRanksMatchCountSublists(t *testing.T) {
 				}
 				slices.Sort(qs)
 				w := &worker{n: n, cfg: Config{Perf: perf.Homogeneous(1), BlockKeys: block, MemoryKeys: 1 << 16, Tapes: 3}}
-				sizes, err := w.countSublists(qs, diskio.Accounting{})
+				want, err := w.scanRanks(qs, diskio.Accounting{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -204,26 +204,24 @@ func TestRanksMatchCountSublists(t *testing.T) {
 					t.Fatal(err)
 				}
 				io := n.IOStats().Sub(before)
-				var rank int64
 				blocks := map[int64]bool{}
 				for j, q := range qs {
-					rank += sizes[j]
-					if got[j] != rank {
-						t.Fatalf("rank(%d) = %d, countSublists says %d", q, got[j], rank)
+					if got[j] != want[j] {
+						t.Fatalf("ranks(%d) = %+v, scanRanks says %+v", q, got[j], want[j])
 					}
-					if rank > 0 {
+					if rank := want[j].N; rank > 0 {
 						blocks[(rank-1)/block] = true
 					}
 				}
 				// With free seeks a probe prices below the scan while it
 				// reads fewer blocks than the file holds.
 				d, lb := int64(len(blocks)), (int64(len(keys))+block-1)/block
-				want := pdm.IOStats{Reads: d, Seeks: d}
+				wantIO := pdm.IOStats{Reads: d, Seeks: d}
 				if mname == "scan" || d >= lb {
-					want = pdm.IOStats{Reads: lb}
+					wantIO = pdm.IOStats{Reads: lb}
 				}
-				if io != want {
-					t.Fatalf("%d queries over %d keys did I/O %+v, want %+v", len(qs), len(keys), io, want)
+				if io != wantIO {
+					t.Fatalf("%d queries over %d keys did I/O %+v, want %+v", len(qs), len(keys), io, wantIO)
 				}
 			})
 		}

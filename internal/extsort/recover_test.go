@@ -334,14 +334,17 @@ func crashedPair(t *testing.T, point string) (*cluster.Cluster, Config) {
 // files where v4 keeps cut offsets; extsort-v4 recorded over=, the factor
 // of a pivot strategy v5 no longer has (and numbered the strategies with
 // it in the enum); extsort-v5 recorded eps=, the sketch error bound v6
-// fixes as a constant — is refused by fingerprint, with the error that
-// names both configurations, never by a missing file.
+// fixes as a constant; extsort-v6 has v7's fields, but its cuts were key
+// cuts, where v7's tied pivots cut inside a run of equal keys — is
+// refused by fingerprint, with the error that names both configurations,
+// never by a missing file.
 func TestResumeRefusesV2Manifest(t *testing.T) {
 	for _, old := range []struct{ version, extra string }{
 		{"extsort-v2 ", " d=1 in="},
 		{"extsort-v3 ", " in="},
 		{"extsort-v4 ", " over=0 in="},
 		{"extsort-v5 ", " eps=0.01 in="},
+		{"extsort-v6 ", " in="},
 	} {
 		t.Run(strings.TrimSpace(old.version), func(t *testing.T) {
 			c, cfg := crashedPair(t, StepNames[2])
@@ -352,7 +355,7 @@ func TestResumeRefusesV2Manifest(t *testing.T) {
 					t.Fatal(err)
 				}
 				cur := m.Sig
-				m.Sig = strings.Replace(strings.Replace(cur, "extsort-v6 ", old.version, 1), " in=", old.extra, 1)
+				m.Sig = strings.Replace(strings.Replace(cur, "extsort-v7 ", old.version, 1), " in=", old.extra, 1)
 				if m.Sig == cur || !strings.HasPrefix(m.Sig, old.version) {
 					t.Fatalf("could not age fingerprint %q", cur)
 				}
@@ -364,7 +367,7 @@ func TestResumeRefusesV2Manifest(t *testing.T) {
 			if err == nil {
 				t.Fatalf("resume from %smanifests accepted", old.version)
 			}
-			for _, want := range []string{"different configuration", old.version, "extsort-v6 "} {
+			for _, want := range []string{"different configuration", old.version, "extsort-v7 "} {
 				if !strings.Contains(err.Error(), want) {
 					t.Fatalf("error does not mention %q: %v", want, err)
 				}

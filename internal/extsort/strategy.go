@@ -2,7 +2,10 @@ package extsort
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
+	"hetsort/internal/checkpoint"
 	"hetsort/internal/diskio"
 	"hetsort/internal/histsort"
 	"hetsort/internal/perf"
@@ -89,7 +92,9 @@ type pivotSelector struct {
 // pivotSelection implements step 2.  When resuming after any node
 // committed phase 2, the pivots were already selected and broadcast (the
 // collective completed), so every node adopts the manifest copy without
-// a re-gather; otherwise all nodes run the strategy's rounds.
+// a re-gather; otherwise all nodes run the strategy's rounds.  The last
+// broadcast is the p−1 pivot keys, followed — when some cut must fall
+// inside a run of equal keys — by the ties to settle (settleTies).
 func (w *worker) pivotSelection() error {
 	n := w.n
 	if w.plan != nil && w.plan.Pivots != nil {
@@ -139,17 +144,127 @@ func (w *worker) pivotSelection() error {
 			break
 		}
 	}
-	w.pivots = down
+	p := n.P()
+	w.pivots = down[:p-1]
+	if tied := histsort.DecodeCounts(down[p-1:]); len(tied) > 0 {
+		return w.settleTies(tied)
+	}
 	return nil
+}
+
+// withTies is a final broadcast: the pivot keys, then the tied pivots as
+// (pivot, take) count pairs — take counted over the whole cluster in
+// node order, in copies (histogram) or sampled copies (sampling).
+func withTies(pivots []record.Key, tied []int64) []record.Key {
+	if len(tied) == 0 {
+		return pivots
+	}
+	return append(pivots, histsort.EncodeCounts(tied)...)
+}
+
+// settleTies is step 2's last round, run only when some pivot is tied:
+// every node reports how many copies of each tied key it holds (in the
+// strategy's unit), the counts gather up the tree in node order, and
+// node 0 finds the node each tied cut falls on and how many of that
+// node's copies lie below it.  The result is w.ties, which step 3 reads
+// and the manifests carry.
+func (w *worker) settleTies(tied []int64) error {
+	n, p := w.n, w.n.P()
+	var keys []record.Key // the distinct tied keys, ascending
+	for i := 0; i < len(tied); i += 2 {
+		if k := w.pivots[tied[i]]; len(keys) == 0 || keys[len(keys)-1] != k {
+			keys = append(keys, k)
+		}
+	}
+	mine, err := w.copiesOf(keys)
+	if err != nil {
+		return err
+	}
+	agg, err := n.TreeReduce(w.radix, tagSamples, histsort.EncodeCounts(mine), w.concat)
+	if err != nil {
+		return err
+	}
+	var down []record.Key
+	if n.ID() == 0 {
+		counts := histsort.DecodeCounts(agg) // node-major: node i's count of keys[u] is counts[i*len(keys)+u]
+		n.ChargeCompute(int64(len(counts)))
+		placed := make([]int64, 0, len(tied))
+		u := 0
+		for i := 0; i < len(tied); i += 2 {
+			for keys[u] != w.pivots[tied[i]] {
+				u++
+			}
+			node, take := 0, tied[i+1]
+			for ; node < p-1 && take > counts[node*len(keys)+u]; node++ {
+				take -= counts[node*len(keys)+u]
+			}
+			placed = append(placed, int64(node), min(take, counts[node*len(keys)+u]))
+		}
+		down = histsort.EncodeCounts(placed)
+	}
+	if down, err = n.TreeBcast(w.radix, tagPivots, down); err != nil {
+		return err
+	}
+	placed := histsort.DecodeCounts(down)
+	w.ties = make([]checkpoint.Tie, 0, len(tied)/2)
+	for i := 0; i < len(tied); i += 2 {
+		w.ties = append(w.ties, checkpoint.Tie{Pivot: int(tied[i]), Node: int(placed[i]), Take: placed[i+1]})
+	}
+	w.pivotRounds++
+	return nil
+}
+
+// copiesOf counts this node's copies of each key in the strategy's unit:
+// the histogram's from two rank queries a key (block probes or a scan),
+// the sampling strategies' among the samples the index kept (no I/O).
+func (w *worker) copiesOf(keys []record.Key) ([]int64, error) {
+	out := make([]int64, len(keys))
+	if w.cfg.Strategy != Histogram {
+		x, err := w.sortedIndex()
+		if err != nil {
+			return nil, err
+		}
+		for u, k := range keys {
+			lo, hi := sampleRun(x.samples, k)
+			out[u] = int64(hi - lo)
+		}
+		return out, nil
+	}
+	var qs []record.Key // k−1 then k, so rank_≤ − rank_< counts the copies
+	for _, k := range keys {
+		if k > 0 {
+			qs = append(qs, k-1)
+		}
+		qs = append(qs, k)
+	}
+	counts, err := w.ranks(qs, w.n.Acct())
+	if err != nil {
+		return nil, err
+	}
+	for u, k := range keys {
+		var lt int64
+		if k > 0 {
+			lt, counts = counts[0].N, counts[1:]
+		}
+		out[u], counts = counts[0].N-lt, counts[1:]
+	}
+	return out, nil
+}
+
+// sampleRun returns the index range [lo, hi) of key k in ascending samples.
+func sampleRun(samples []record.Key, k record.Key) (lo, hi int) {
+	lo = sort.Search(len(samples), func(i int) bool { return samples[i] >= k })
+	hi = sort.Search(len(samples), func(i int) bool { return samples[i] > k })
+	return lo, hi
 }
 
 // selector builds the configured strategy's selector for this node.
 func (w *worker) selector() (pivotSelector, error) {
 	switch w.cfg.Strategy {
 	case RegularSampling:
-		return w.sampled(sampling.SelectPivotsRegular), nil
+		return w.sampled(sampling.RegularPivotRanks), nil
 	case RandomPivots:
-		return w.sampled(sampling.SelectPivotsWeighted), nil
+		return w.sampled(sampling.WeightedPivotRanks), nil
 	case QuantileSketch:
 		return w.sketched()
 	case Histogram:
@@ -158,23 +273,29 @@ func (w *worker) selector() (pivotSelector, error) {
 	return pivotSelector{}, fmt.Errorf("unknown strategy %d", w.cfg.Strategy)
 }
 
-// concat is the combine of key samples; addCounts that of count vectors
-// (exact 64-bit addition, associative and commutative, so the totals are
-// the same at every radix).
+// concat is the combine of key samples and of per-node count vectors;
+// addHistograms that of histogram entries (exact 64-bit addition and
+// max/min, associative and commutative, so the totals are the same at
+// every radix).
 func (w *worker) concat(acc, child []record.Key) ([]record.Key, error) {
 	return append(acc, child...), nil
 }
 
-func (w *worker) addCounts(acc, child []record.Key) ([]record.Key, error) {
-	w.n.ChargeCompute(int64(len(acc)) / 2) // a counter is two keys on the wire
-	return histsort.AddCounts(acc, child), nil
+func (w *worker) addHistograms(acc, child []record.Key) ([]record.Key, error) {
+	w.n.ChargeCompute(int64(len(acc)) / 4) // an entry is four keys on the wire
+	return histsort.AddHistograms(acc, child), nil
 }
 
 // sampled is a one-shot sampling strategy: every node contributes the
 // sample its index kept (no I/O), node 0 sorts the lot in core and picks
-// the pivots.  The candidates reach node 0 in rank order at every radix,
-// and the pickers depend only on the multiset anyway.
-func (w *worker) sampled(pick func([]record.Key, perf.Vector) ([]record.Key, error)) pivotSelector {
+// the pivots at the ranks rule gives.  The candidates reach node 0 in
+// rank order at every radix, and the pickers depend only on the multiset
+// anyway.  A pivot whose key occurs more than once in the sample is
+// tied: its cut is the sample it was picked as, a position in the total
+// order (key, node, offset), the copies of its key in the sample counted
+// in node order.  A pivot key seen once keeps the key cut, which already
+// meets Theorem 1 (DESIGN.md §13, "Cut positions").
+func (w *worker) sampled(rule func(int, perf.Vector) ([]int, error)) pivotSelector {
 	return pivotSelector{
 		oneShot: true,
 		contribute: func(int, []record.Key) ([]record.Key, error) {
@@ -188,7 +309,20 @@ func (w *worker) sampled(pick func([]record.Key, perf.Vector) ([]record.Key, err
 		combine: w.concat,
 		decide: func(cands []record.Key) ([]record.Key, error) {
 			w.n.ChargeCompute(int64(len(cands)) * 16) // in-core sort of a small sample
-			return pick(cands, w.cfg.Perf)
+			at, err := rule(len(cands), w.cfg.Perf)
+			if err != nil {
+				return nil, err
+			}
+			slices.Sort(cands)
+			pivots := make([]record.Key, w.n.P()-1) // zeros without candidates
+			var tied []int64
+			for j, i := range at {
+				pivots[j] = cands[i]
+				if lo, hi := sampleRun(cands, cands[i]); hi-lo > 1 {
+					tied = append(tied, int64(j), int64(i-lo+1))
+				}
+			}
+			return withTies(pivots, tied), nil
 		},
 	}
 }
@@ -283,12 +417,13 @@ func decodeSketch(enc []record.Key) (*quantile.Summary, error) {
 // (Histogram Sort with Sampling).  Round 0 agrees on the global key
 // count so node 0 can set the rank targets of its histsort.Refiner; in
 // every later round node 0's candidate splitters come down, every node
-// ranks them in its sorted file (ranks: block probes or one scan), the
-// per-candidate global ranks add up the tree, and the refinement narrows
-// until every pivot's rank is within the tolerance of its heterogeneous
-// perf-share target.  Per-link traffic is O(p) encoded counters per round
-// and no node's fan-in exceeds the radix, so the strategy holds up at
-// p=1024 where a flat sample gather's O(p²) keys collapse.
+// answers each with its histogram entry (ranks: block probes or one
+// scan), the entries combine up the tree, and the refinement narrows
+// until every cut is within the tolerance of its heterogeneous
+// perf-share target — or, on a run of equal keys, exactly on it, tied.
+// Per-link traffic is O(p) encoded entries per round and no node's
+// fan-in exceeds the radix, so the strategy holds up at p=1024 where a
+// flat sample gather's O(p²) keys collapse.
 func (w *worker) histogram() pivotSelector {
 	cfg, p := w.cfg, w.n.P()
 	var ref *histsort.Refiner // node 0 only
@@ -297,21 +432,19 @@ func (w *worker) histogram() pivotSelector {
 		contribute: func(round int, down []record.Key) ([]record.Key, error) {
 			if round == 0 {
 				li, err := diskio.CountKeys(w.n.FS(), sortedName)
-				return histsort.EncodeCounts([]int64{li}), err
+				return histsort.EncodeHistogram([]histsort.Count{{N: li, Succ: noKey}}), err
 			}
-			// The local ranks rank(c_j) = |{k : k <= c_j}|: a probe per
-			// block the candidates land in, or one scan.
-			ranks, err := w.ranks(down, w.n.Acct())
+			counts, err := w.ranks(down, w.n.Acct())
 			if err != nil {
 				return nil, err
 			}
-			return histsort.EncodeCounts(ranks), nil
+			return histsort.EncodeHistogram(counts), nil
 		},
-		combine: w.addCounts,
+		combine: w.addHistograms,
 		decide: func(agg []record.Key) (_ []record.Key, err error) {
 			switch {
 			case ref == nil:
-				total := histsort.DecodeCounts(agg)[0]
+				total := histsort.DecodeHistogram(agg)[0].N
 				shares := cfg.Perf.Shares(total)
 				minShare := shares[0]
 				targets := make([]int64, p-1)
@@ -325,15 +458,22 @@ func (w *worker) histogram() pivotSelector {
 						targets[i] = cum
 					}
 				}
-				tol := int64(cfg.HistTolerance * float64(minShare))
-				if tol < 1 {
-					tol = 1
-				}
+				// A partition errs by its two cuts' errors: half each.
+				tol := max(int64(cfg.HistTolerance*float64(minShare))/2, 1)
 				ref, err = histsort.NewRefiner(histsort.Config{Targets: targets, Total: total, Tolerance: tol})
-			case len(cands) == 0: // converged last round: these are the pivots
-				return ref.Pivots(), nil
+			case len(cands) == 0: // converged last round: these are the cuts
+				cuts := ref.Pivots()
+				pivots := make([]record.Key, len(cuts))
+				var tied []int64
+				for j, c := range cuts {
+					pivots[j] = c.Key
+					if c.Tied() {
+						tied = append(tied, int64(j), c.Take)
+					}
+				}
+				return withTies(pivots, tied), nil
 			default:
-				err = ref.Observe(cands, histsort.DecodeCounts(agg))
+				err = ref.Observe(cands, histsort.DecodeHistogram(agg))
 			}
 			if err != nil {
 				return nil, err
@@ -368,26 +508,34 @@ func (w *worker) scanSorted(acct diskio.Accounting, visit func([]record.Key)) er
 	}
 }
 
-// countSublists scans the sorted file once and counts how many keys
-// fall in each of the len(fine)+1 sublists: sublist j holds the keys k
-// with fine[j-1] < k <= fine[j].  A block that ends inside the current
-// sublist is booked whole; only blocks a pivot cuts are walked key by key.
-func (w *worker) countSublists(fine []record.Key, acct diskio.Accounting) ([]int64, error) {
-	sizes := make([]int64, len(fine)+1)
-	seg := 0
+// scanRanks answers ranks' queries with one scan of the sorted file: for
+// each query q, the keys ≤ q, the largest of them and the smallest key
+// above q.  A block that ends at or below the current query is booked
+// whole; only blocks a query cuts are walked key by key.
+func (w *worker) scanRanks(qs []record.Key, acct diskio.Accounting) ([]histsort.Count, error) {
+	out := make([]histsort.Count, len(qs))
+	var n int64
+	var last record.Key // the largest key so far: 0, the neutral, before any
+	j := 0
 	err := w.scanSorted(acct, func(keys []record.Key) {
-		s := seg // a register for the hot loop; seg itself lives in the closure
-		if s == len(fine) || keys[len(keys)-1] <= fine[s] {
-			sizes[s] += int64(len(keys))
+		jj := j // a register for the hot loop; j itself lives in the closure
+		if jj == len(qs) || keys[len(keys)-1] <= qs[jj] {
+			n += int64(len(keys))
+			last = keys[len(keys)-1]
 			return
 		}
 		for _, key := range keys {
-			for s < len(fine) && key > fine[s] {
-				s++
+			for jj < len(qs) && key > qs[jj] {
+				out[jj] = histsort.Count{N: n, Pred: last, Succ: key}
+				jj++
 			}
-			sizes[s]++
+			n++
+			last = key
 		}
-		seg = s
+		j = jj
 	})
-	return sizes, err
+	for ; j < len(qs); j++ {
+		out[j] = histsort.Count{N: n, Pred: last, Succ: noKey}
+	}
+	return out, err
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hetsort/internal/diskio"
+	"hetsort/internal/histsort"
 	"hetsort/internal/perf"
 	"hetsort/internal/record"
 	"hetsort/internal/vtime"
@@ -118,13 +119,14 @@ func TestQuantileSketchAllDistributions(t *testing.T) {
 	}
 }
 
-// TestCountSublistsBlockFastPath compares countSublists, which books a
-// whole block when its last key is still inside the current sublist, with
-// the per-key definition (sublist j holds fine[j-1] < k <= fine[j]) at the
-// places where the two could part: a pivot equal to a block's last key,
-// duplicates straddling a block edge, no pivots at all, every key above
-// the last pivot, and a final block of one key.  The compute charge must
-// stay one op per key whichever path a block takes.
+// TestCountSublistsBlockFastPath compares scanRanks, which books a whole
+// block when its last key is still at or below the current query, with
+// the per-key definition (query j counts the keys k <= fine[j], the
+// largest of them and the smallest key above) at the places where the
+// two could part: a pivot equal to a block's last key, duplicates
+// straddling a block edge, no pivots at all, every key above the last
+// pivot, and a final block of one key.  The compute charge must stay one
+// op per key whichever path a block takes.
 func TestCountSublistsBlockFastPath(t *testing.T) {
 	const block = 4
 	type sublistCase struct {
@@ -154,21 +156,25 @@ func TestCountSublistsBlockFastPath(t *testing.T) {
 			if err := diskio.WriteFile(n.FS(), sortedName, tc.keys, block, diskio.Accounting{}); err != nil {
 				t.Fatal(err)
 			}
-			want := make([]int64, len(tc.fine)+1)
-			for _, k := range tc.keys {
-				j := 0
-				for j < len(tc.fine) && k > tc.fine[j] {
-					j++
+			want := make([]histsort.Count, len(tc.fine))
+			for j, q := range tc.fine {
+				want[j].Succ = noKey
+				for _, k := range tc.keys {
+					if k <= q {
+						want[j].N++
+						want[j].Pred = k
+					} else if k < want[j].Succ {
+						want[j].Succ = k
+					}
 				}
-				want[j]++
 			}
 			w := &worker{n: n, cfg: Config{BlockKeys: block}}
-			got, err := w.countSublists(tc.fine, diskio.Accounting{})
+			got, err := w.scanRanks(tc.fine, diskio.Accounting{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !slices.Equal(got, want) {
-				t.Fatalf("countSublists = %v, per-key loop = %v", got, want)
+				t.Fatalf("scanRanks = %v, per-key loop = %v", got, want)
 			}
 			// The scan's reads went to no meter, so the clock is its compute.
 			if ops := n.Clock() / vtime.DefaultCostModel().ComputeSec; math.Abs(ops-float64(len(tc.keys))) > 1e-6 {

@@ -9,8 +9,8 @@ import (
 )
 
 // drive runs the full protocol against an in-memory sorted key slice,
-// returning the pivots and the round count.
-func drive(t *testing.T, keys []record.Key, targets []int64, tol int64) ([]record.Key, int) {
+// returning the cuts and the round count.
+func drive(t *testing.T, keys []record.Key, targets []int64, tol int64) ([]Cut, int) {
 	t.Helper()
 	r, err := NewRefiner(Config{Targets: targets, Total: int64(len(keys)), Tolerance: tol})
 	if err != nil {
@@ -21,11 +21,7 @@ func drive(t *testing.T, keys []record.Key, targets []int64, tol int64) ([]recor
 		if cands == nil {
 			break
 		}
-		ranks := make([]int64, len(cands))
-		for j, c := range cands {
-			ranks[j] = int64(sort.Search(len(keys), func(i int) bool { return keys[i] > c }))
-		}
-		if err := r.Observe(cands, ranks); err != nil {
+		if err := r.Observe(cands, histogram(keys, cands)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -35,37 +31,48 @@ func drive(t *testing.T, keys []record.Key, targets []int64, tol int64) ([]recor
 	return r.Pivots(), r.Rounds()
 }
 
+// histogram is what the cluster reports for cands over sorted keys.
+func histogram(keys []record.Key, cands []record.Key) []Count {
+	out := make([]Count, len(cands))
+	for j, c := range cands {
+		n := rank(keys, c)
+		out[j] = Count{N: n, Succ: record.Key(maxKey)}
+		if n > 0 {
+			out[j].Pred = keys[n-1]
+		}
+		if n < int64(len(keys)) {
+			out[j].Succ = keys[n]
+		}
+	}
+	return out
+}
+
 // rank returns |{k in keys : k <= c}|.
 func rank(keys []record.Key, c record.Key) int64 {
 	return int64(sort.Search(len(keys), func(i int) bool { return keys[i] > c }))
 }
 
-// maxMult returns the largest key multiplicity.
-func maxMult(keys []record.Key) int64 {
-	var best, run int64
-	for i := range keys {
-		if i > 0 && keys[i] == keys[i-1] {
-			run++
-		} else {
-			run = 1
-		}
-		if run > best {
-			best = run
-		}
-	}
-	return best
+// below returns |{k in keys : k < c}|.
+func below(keys []record.Key, c record.Key) int64 {
+	return int64(sort.Search(len(keys), func(i int) bool { return keys[i] >= c }))
 }
 
-// checkBound asserts every pivot's achieved rank is within
-// tolerance + multiplicity of its target — the refinement guarantee.
-func checkBound(t *testing.T, keys []record.Key, targets []int64, pivots []record.Key, tol int64) {
+// checkBound asserts every cut is a consistent position — Rank keys
+// below it, of which Take copies of its key (all when Take < 0) — within
+// the tolerance of its target: no multiplicity term.
+func checkBound(t *testing.T, keys []record.Key, targets []int64, cuts []Cut, tol int64) {
 	t.Helper()
-	dup := maxMult(keys)
-	for j, pv := range pivots {
-		got := rank(keys, pv)
-		if d := got - targets[j]; d > tol+dup || d < -(tol+dup) {
-			t.Fatalf("pivot %d rank %d misses target %d by %d (tol %d, dup %d)",
-				j, got, targets[j], d, tol, dup)
+	for j, c := range cuts {
+		lt, le := below(keys, c.Key), rank(keys, c.Key)
+		want := le
+		if c.Tied() {
+			want = lt + c.Take
+		}
+		if c.Rank != want || c.Rank < lt || c.Rank > le {
+			t.Fatalf("cut %d %+v is not a position of key %d (copies at ranks (%d, %d])", j, c, c.Key, lt, le)
+		}
+		if d := c.Rank - targets[j]; d > tol || d < -tol {
+			t.Fatalf("cut %d rank %d misses target %d by %d (tol %d)", j, c.Rank, targets[j], d, tol)
 		}
 	}
 }
@@ -91,8 +98,8 @@ func evenTargets(n int64, p int) []int64 {
 func TestUniformConverges(t *testing.T) {
 	keys := uniformKeys(100000, 1)
 	targets := evenTargets(int64(len(keys)), 16)
-	pivots, rounds := drive(t, keys, targets, 100)
-	checkBound(t, keys, targets, pivots, 100)
+	cuts, rounds := drive(t, keys, targets, 100)
+	checkBound(t, keys, targets, cuts, 100)
 	if rounds == 0 || rounds > DefaultMaxRounds {
 		t.Fatalf("rounds = %d", rounds)
 	}
@@ -107,8 +114,8 @@ func TestHeterogeneousTargets(t *testing.T) {
 	// Perf {1,1,4,4}: cumulative shares 1/10, 2/10, 6/10.
 	n := int64(len(keys))
 	targets := []int64{n / 10, 2 * n / 10, 6 * n / 10}
-	pivots, _ := drive(t, keys, targets, 50)
-	checkBound(t, keys, targets, pivots, 50)
+	cuts, _ := drive(t, keys, targets, 50)
+	checkBound(t, keys, targets, cuts, 50)
 }
 
 func TestAllDuplicatesCollapses(t *testing.T) {
@@ -117,30 +124,68 @@ func TestAllDuplicatesCollapses(t *testing.T) {
 		keys[i] = 42
 	}
 	targets := evenTargets(5000, 8)
-	pivots, rounds := drive(t, keys, targets, 1)
-	if rounds > DefaultMaxRounds {
-		t.Fatalf("rounds = %d", rounds)
+	cuts, rounds := drive(t, keys, targets, 1)
+	if rounds > 2 {
+		t.Fatalf("rounds = %d: one snap per side is all a single key needs", rounds)
 	}
-	// Every pivot must be 41 or 42: the single key's rank jumps from 0
-	// to 5000, so each bracket collapses to an endpoint.
-	for j, pv := range pivots {
-		if pv != 41 && pv != 42 {
-			t.Fatalf("pivot %d = %d; want the duplicate plateau boundary", j, pv)
+	// The single key's rank jumps from 0 to 5000, so every cut splits
+	// its copies exactly at the target.
+	checkBound(t, keys, targets, cuts, 0)
+	for j, c := range cuts {
+		if c.Key != 42 || c.Take != targets[j] {
+			t.Fatalf("cut %d = %+v; want %d copies of 42", j, c, targets[j])
 		}
 	}
 }
 
+// TestOneKeyPlateauResolvesInOneRound: once a bracket's upper end has
+// snapped onto a plateau key whose copies straddle the target, the next
+// round snaps the lower end next to it and the bracket settles — it no
+// longer halves key space around the plateau.
+func TestOneKeyPlateauResolvesInOneRound(t *testing.T) {
+	var keys []record.Key
+	for _, run := range []struct {
+		key record.Key
+		n   int
+	}{{7, 1000}, {1 << 20, 3000}, {1 << 30, 1000}} {
+		for i := 0; i < run.n; i++ {
+			keys = append(keys, run.key)
+		}
+	}
+	r, err := NewRefiner(Config{Targets: []int64{2500}, Total: int64(len(keys)), Tolerance: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	landed := -1
+	for cands := r.Candidates(); cands != nil; cands = r.Candidates() {
+		if err := r.Observe(cands, histogram(keys, cands)); err != nil {
+			t.Fatal(err)
+		}
+		if b := r.brackets[0]; landed < 0 && b.hi == 1<<20 {
+			landed = r.Rounds()
+		}
+	}
+	// Interpolation lands on the plateau in round 2: each candidate's
+	// nearest keys snap hi from 2^31 to 2^30, then to 2^20.
+	if landed < 0 || landed > 2 || r.Rounds() > landed+1 {
+		t.Fatalf("landed on the plateau in round %d, settled after round %d", landed, r.Rounds())
+	}
+	if got := r.Pivots()[0]; got != (Cut{Key: 1 << 20, Rank: 2500, Take: 1500}) {
+		t.Fatalf("cut %+v; want 1500 of the plateau's 3000 copies", got)
+	}
+}
+
 func TestDuplicatePlateauBound(t *testing.T) {
-	// Half the mass on one key, the rest uniform: the plateau pivot's
-	// error is bounded by the multiplicity, everything else is tight.
+	// Half the mass on one key, the rest uniform: the plateau's cuts
+	// split it, so every cut is as tight as on distinct keys.
 	keys := uniformKeys(20000, 3)
 	for i := 0; i < 20000; i++ {
 		keys = append(keys, 1<<30)
 	}
 	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
 	targets := evenTargets(int64(len(keys)), 16)
-	pivots, _ := drive(t, keys, targets, 40)
-	checkBound(t, keys, targets, pivots, 40)
+	cuts, _ := drive(t, keys, targets, 40)
+	checkBound(t, keys, targets, cuts, 40)
 }
 
 func TestEmptyInput(t *testing.T) {
@@ -151,9 +196,9 @@ func TestEmptyInput(t *testing.T) {
 	if !r.Done() || r.Candidates() != nil || r.Rounds() != 0 {
 		t.Fatal("empty input should resolve in zero rounds")
 	}
-	for _, pv := range r.Pivots() {
-		if pv != 0 {
-			t.Fatalf("empty-input pivot %d", pv)
+	for _, c := range r.Pivots() {
+		if c != (Cut{Take: -1}) {
+			t.Fatalf("empty-input cut %+v", c)
 		}
 	}
 }
@@ -171,19 +216,20 @@ func TestSingleNode(t *testing.T) {
 func TestPivotsMonotone(t *testing.T) {
 	keys := make([]record.Key, 0, 30000)
 	rng := rand.New(rand.NewSource(7))
-	// Staircase-ish: a few fat plateaus force endpoint collapses whose
-	// raw brackets can cross within tolerance.
+	// Staircase-ish: a few fat plateaus whose brackets settle by key
+	// cut and by tie can cross within tolerance.
 	for i := 0; i < 30000; i++ {
 		keys = append(keys, record.Key(rng.Intn(4)*1000))
 	}
 	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
 	targets := evenTargets(int64(len(keys)), 64)
-	pivots, _ := drive(t, keys, targets, 5)
-	for j := 1; j < len(pivots); j++ {
-		if pivots[j] < pivots[j-1] {
-			t.Fatalf("pivots not monotone at %d: %d < %d", j, pivots[j], pivots[j-1])
+	cuts, _ := drive(t, keys, targets, 5)
+	for j := 1; j < len(cuts); j++ {
+		if cuts[j].Rank < cuts[j-1].Rank || cuts[j].Key < cuts[j-1].Key {
+			t.Fatalf("cuts not monotone at %d: %+v < %+v", j, cuts[j], cuts[j-1])
 		}
 	}
+	checkBound(t, keys, targets, cuts, 5)
 }
 
 func TestRejectsBadConfig(t *testing.T) {
@@ -205,9 +251,9 @@ func TestObserveValidation(t *testing.T) {
 	}
 	cands := r.Candidates()
 	if err := r.Observe(cands, nil); err == nil {
-		t.Fatal("mismatched rank slice accepted")
+		t.Fatal("mismatched count slice accepted")
 	}
-	if err := r.Observe([]record.Key{^record.Key(0) - 1}, []int64{10}); err == nil {
+	if err := r.Observe([]record.Key{^record.Key(0) - 1}, []Count{{N: 10}}); err == nil {
 		t.Fatal("ranks for the wrong candidates accepted")
 	}
 }
@@ -223,9 +269,15 @@ func TestCountCodecRoundTrip(t *testing.T) {
 			t.Fatalf("vals[%d]: %d != %d", i, got[i], vals[i])
 		}
 	}
-	sum := DecodeCounts(AddCounts(EncodeCounts([]int64{1 << 33, 7}), EncodeCounts([]int64{1 << 33, 5})))
-	if sum[0] != 1<<34 || sum[1] != 12 {
-		t.Fatalf("AddCounts = %v", sum)
+	h := []Count{{N: 1 << 40, Pred: 3, Succ: 9}, {N: 0, Pred: 0, Succ: ^record.Key(0)}}
+	if rt := DecodeHistogram(EncodeHistogram(h)); len(rt) != 2 || rt[0] != h[0] || rt[1] != h[1] {
+		t.Fatalf("histogram codec round trip = %+v", rt)
+	}
+	// A node with nothing on a side reports the neutral key there.
+	other := []Count{{N: 5, Pred: 0, Succ: ^record.Key(0)}, {N: 2, Pred: 8, Succ: 11}}
+	added := DecodeHistogram(AddHistograms(EncodeHistogram(h), EncodeHistogram(other)))
+	if added[0] != (Count{N: 1<<40 + 5, Pred: 3, Succ: 9}) || added[1] != (Count{N: 2, Pred: 8, Succ: 11}) {
+		t.Fatalf("AddHistograms = %+v", added)
 	}
 }
 

@@ -98,32 +98,34 @@ func CombineSorted(a, b []record.Key) []record.Key {
 
 // SelectPivotsRegular picks the p-1 pivots from candidates produced by
 // the *regular* sampling scheme (node i contributes p*perf[i]-1 samples
-// at local quantiles k/(p*perf[i])).  The target quantile for pivot j
-// is the cumulative performance fraction cum_j/Σperf; when that target
-// is not on any node's sample grid, the largest grid point below it is
+// at local quantiles k/(p*perf[i])): the candidates at RegularPivotRanks
+// in sorted order.
+func SelectPivotsRegular(candidates []record.Key, v perf.Vector) ([]record.Key, error) {
+	return pickAt(candidates, v, RegularPivotRanks)
+}
+
+// RegularPivotRanks returns where SelectPivotsRegular's pivots sit in the
+// sorted multiset of m candidates.  The target quantile for pivot j is
+// the cumulative performance fraction cum_j/Σperf; when that target is
+// not on any node's sample grid, the largest grid point below it is
 // chosen.  Rounding *down* under-fills the slow nodes and lets the
 // excess land on the fast ones — exactly the behaviour visible in the
 // paper's Table 3, where the fast nodes run ~9% above their optimum
 // (S(max)=1.094) while the loaded nodes sit below theirs.  Since the
 // fast nodes have spare capacity, this direction also minimises the
-// makespan.
-func SelectPivotsRegular(candidates []record.Key, v perf.Vector) ([]record.Key, error) {
+// makespan.  With no candidates there are no positions (nil).
+func RegularPivotRanks(m int, v perf.Vector) ([]int, error) {
 	if err := v.Validate(); err != nil {
 		return nil, err
 	}
 	p := len(v)
-	if p == 1 {
+	if p == 1 || m == 0 {
 		return nil, nil
 	}
-	if len(candidates) == 0 {
-		return make([]record.Key, p-1), nil
-	}
-	sorted := append([]record.Key(nil), candidates...)
-	slices.Sort(sorted)
 	sum := float64(v.Sum())
-	pivots := make([]record.Key, p-1)
+	at := make([]int, p-1)
 	var cum int64
-	for j := 0; j < p-1; j++ {
+	for j := range at {
 		cum += int64(v[j])
 		q := float64(cum) / sum
 		// Largest sample-grid quantile <= q over the node grids.
@@ -140,16 +142,9 @@ func SelectPivotsRegular(candidates []record.Key, v perf.Vector) ([]record.Key, 
 			g := float64(p * pf)
 			rank += int64(math.Floor(qLower*g + 1e-9))
 		}
-		idx := int(rank) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(sorted) {
-			idx = len(sorted) - 1
-		}
-		pivots[j] = sorted[idx]
+		at[j] = min(max(int(rank)-1, 0), m-1)
 	}
-	return pivots, nil
+	return at, nil
 }
 
 // SelectPivotsWeighted generalizes pivot selection to a perf vector: the
@@ -159,38 +154,48 @@ func SelectPivotsRegular(candidates []record.Key, v perf.Vector) ([]record.Key, 
 // share.  With an all-ones vector this is exactly homogeneous PSRS pivot
 // selection.
 func SelectPivotsWeighted(candidates []record.Key, v perf.Vector) ([]record.Key, error) {
+	return pickAt(candidates, v, WeightedPivotRanks)
+}
+
+// WeightedPivotRanks returns where SelectPivotsWeighted's pivots sit in
+// the sorted multiset of m candidates (nil when m is 0).
+func WeightedPivotRanks(m int, v perf.Vector) ([]int, error) {
 	if err := v.Validate(); err != nil {
 		return nil, err
 	}
 	p := len(v)
-	if p == 1 {
+	if p == 1 || m == 0 {
 		return nil, nil
 	}
-	if len(candidates) == 0 {
-		// Degenerate inputs (near-empty data): any pivots are correct,
-		// if unbalanced; zeros route everything to the last node.
-		return make([]record.Key, p-1), nil
-	}
-	sorted := append([]record.Key(nil), candidates...)
-	slices.Sort(sorted)
 	sum := v.Sum()
-	pivots := make([]record.Key, p-1)
+	at := make([]int, p-1)
 	var cum int64
-	for j := 0; j < p-1; j++ {
+	for j := range at {
 		cum += int64(v[j])
 		// With the regular-sampling scheme, node i contributes
 		// p*perf[i]-1 candidates at equal global gaps of s keys, so
 		// candidate rank r sits near global rank (r+1)*s and the total
 		// satisfies T+p = n/s.  The pivot for cumulative share cum/Σ
 		// therefore sits at rank cum*(T+p)/Σ - 1.
-		idx := int(cum*int64(len(sorted)+p)/sum) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(sorted) {
-			idx = len(sorted) - 1
-		}
-		pivots[j] = sorted[idx]
+		at[j] = min(max(int(cum*int64(m+p)/sum)-1, 0), m-1)
+	}
+	return at, nil
+}
+
+// pickAt sorts a copy of the candidates and returns the ones at the
+// ranks rule picks.  Degenerate inputs (near-empty data) have no
+// candidates: any pivots are correct, if unbalanced, and zeros route
+// everything to the last node.
+func pickAt(candidates []record.Key, v perf.Vector, rule func(int, perf.Vector) ([]int, error)) ([]record.Key, error) {
+	at, err := rule(len(candidates), v)
+	if err != nil || len(v) == 1 {
+		return nil, err
+	}
+	sorted := append([]record.Key(nil), candidates...)
+	slices.Sort(sorted)
+	pivots := make([]record.Key, len(v)-1)
+	for j, i := range at {
+		pivots[j] = sorted[i]
 	}
 	return pivots, nil
 }
@@ -271,9 +276,9 @@ func WeightedExpansion(sizes []int64, v perf.Vector) (float64, error) {
 
 // TheoreticalBound returns the PSRS guarantee for the largest final
 // partition on node i: twice its optimal share (the "PSRS Theorem" the
-// paper invokes for step 5), plus d for inputs with d duplicates of the
-// worst key (section 3.1's U+d bound).
-func TheoreticalBound(total int64, v perf.Vector, i int, duplicates int64) float64 {
-	opt := float64(total) * float64(v[i]) / float64(v.Sum())
-	return 2*opt + float64(duplicates)
+// paper invokes for step 5).  It holds on duplicate-heavy inputs too,
+// because the cuts are positions in the total order (key, node,
+// offset), not keys.
+func TheoreticalBound(total int64, v perf.Vector, i int) float64 {
+	return 2 * float64(total) * float64(v[i]) / float64(v.Sum())
 }

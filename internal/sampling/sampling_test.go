@@ -245,11 +245,11 @@ func TestWeightedExpansion(t *testing.T) {
 
 func TestTheoreticalBound(t *testing.T) {
 	v := perf.Vector{1, 1}
-	if got := TheoreticalBound(100, v, 0, 0); got != 100 {
+	if got := TheoreticalBound(100, v, 0); got != 100 {
 		t.Fatalf("bound=%v want 100 (2*50)", got)
 	}
-	if got := TheoreticalBound(100, v, 0, 7); got != 107 {
-		t.Fatalf("bound with duplicates=%v want 107", got)
+	if got := TheoreticalBound(100, perf.Vector{1, 4}, 1); got != 160 {
+		t.Fatalf("bound=%v want 160 (2*80)", got)
 	}
 }
 

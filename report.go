@@ -94,7 +94,7 @@ type Report struct {
 	StepBreakdown [5][]TimeBreakdown
 	// PivotRounds is the number of step-2 collective rounds (1 for the
 	// one-shot pivot strategies, the refinement round count for
-	// PivotHistogram).
+	// PivotHistogram, plus one where tied cuts were settled).
 	PivotRounds int
 	// PivotSampleKeys is the number of key-valued samples shipped
 	// through the step-2 collectives (see extsort.Result).
