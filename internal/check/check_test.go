@@ -245,6 +245,41 @@ func TestStepIOInvariantTeeth(t *testing.T) {
 	}
 }
 
+// TestStepIOFusedRunsTeeth holds the budgets of a node whose step 1
+// stops one merge short to hand-computed numbers, each at its edge: a
+// step one block over its budget fails.  Two nodes of 40 000 keys on
+// 64-key blocks, M = 20 480, T = 4: two runs each (R = 2), one sample,
+// 625 blocks a portion, one merge pass at fan-in 2.  Step 1 is
+// 2·625·3 − 2·625 + 4·R·1 = 2508 (+ slack), 1242 below the unfused
+// budget; step 3 probes both runs, R·(p−1) = 2, one over the unfused
+// r(p−1) = 1; step 4 reads a section of each run per bucket, 625 + 625
+// + (R+1)·p = 1256.  Steps 1–4 come to 1239 below the unfused sum.
+func TestStepIOFusedRunsTeeth(t *testing.T) {
+	inv := invariantByName(t, "step-io")
+	keys := make([]hetsort.Key, 80000)
+	cfg := hetsort.Config{Nodes: 2, BlockKeys: 64, MemoryKeys: 20480, Tapes: 4, MessageKeys: 256}
+	if !fuseRuns(withDefaults(cfg), 40000, 0) {
+		t.Fatal("verdict refuses the case built to fuse")
+	}
+	budgets := [5]int64{2508 + ioSlack, ioSlack, 2 + ioSlack, 1256 + ioSlack, ioSlack}
+	rep := &hetsort.Report{PartitionSizes: []int64{40000, 40000}}
+	for s, b := range budgets {
+		rep.StepIO[s] = []pdm.IOStats{{Reads: b}, {Reads: b}}
+	}
+	o := &Outcome{Case: &Case{Name: "fused", Keys: keys, Config: cfg},
+		Runs: []Run{{Label: "base", Config: cfg, Output: keys, Report: rep}}}
+	if err := inv.Check(o); err != nil {
+		t.Fatalf("step-io invariant rejected a fused run at its budgets: %v", err)
+	}
+	for s := range budgets {
+		rep.StepIO[s][1].Reads++
+		if err := inv.Check(o); err == nil || !strings.Contains(err.Error(), stepName(s)) {
+			t.Fatalf("step-io invariant accepted step %s one block over its fused budget: %v", stepName(s), err)
+		}
+		rep.StepIO[s][1].Reads--
+	}
+}
+
 // TestTopologyVariants checks the topology equivalence axis: a flat base
 // fans out across tree radixes and the grid, a hierarchical base gets
 // the flat reference run, and runsPerCase stays in sync with Execute.

@@ -325,7 +325,7 @@ func checkStepIO(c *Case, r *Run) error {
 	pp := pdm.Params{N: maxInt64(n, 1), M: int64(cfg.MemoryKeys), B: int64(cfg.BlockKeys), D: 1, P: int64(p)}
 	for i := 0; i < p; i++ {
 		li, qi := shares[i], r.Report.PartitionSizes[i]
-		budgets := stepBudgets(pp, cfg, p, li, qi, r.Report.PivotRounds)
+		budgets := stepBudgets(pp, cfg, i, li, qi, r.Report.PivotRounds)
 		for s := 0; s < 5; s++ {
 			if len(r.Report.StepIO[s]) <= i {
 				continue
@@ -355,23 +355,36 @@ func checkStepIO(c *Case, r *Run) error {
 // default cost model and the fences fit in M − T·B, else the scan's
 // l_i/B.  A histogram round ranks at most four candidates per splitter,
 // and the round that settles ties two queries per tied key; a tied cut
-// is still one rank query in step 3.  A node fuses steps 4 and 5 exactly when its p−1 incoming
-// streams' message buffers and tee blocks fit in M beside two more
-// blocks, (msg+B)·(p−1)+2B ≤ M — extsort's rule for the flat final round.
-// Unfused, step 4 reads the l_i − s_ii keys it sends and writes the
-// q_i − s_ii it receives (the own bucket s_ii stays on disk); fused, it
-// reads all of l_i and writes the q_i output, plus, under Checkpoint, the
-// incoming streams' spill, one more q_i/B, and step 5 only commits.
-// Polyphase passes are bounded with fan-in 2 — the loosest tape count —
-// so the budget is valid for every Tapes setting.  rounds is PivotRounds.
-func stepBudgets(pp pdm.Params, cfg hetsort.Config, p int, li, qi int64, rounds int) [5]int64 {
+// is still one rank query in step 3.
+//
+// Where extsort's verdict stops step 1 one merge short (fuseRuns,
+// mirrored here), it leaves R ≤ min(T−1, ⌈l_i/M⌉) runs: step 1 loses its
+// last pass and gains the selection of its s samples, fewer than 4R
+// probes a sample; step 3 probes each run, R·(p−1); step 4 reads a
+// section of every run per bucket, l_i/B + R·p, beside the q_i/B it
+// writes.  The verdict prices 2s + p−1 probes a run, each at least two
+// blocks' time, below the 2·l_i/B the last pass moves, so steps 1–4 are
+// tighter than unfused.
+//
+// A node fuses steps 4 and 5 exactly when its p−1 incoming streams'
+// message buffers and blocks fit in M beside a block per run and the
+// output's, (msg+B)·(p−1)+(R+1)·B ≤ M — extsort's rule for the flat
+// final round.  Unfused, step 4 reads the l_i − s_ii keys it sends and
+// writes the q_i − s_ii it receives (the own bucket s_ii stays on disk);
+// fused, it reads all of l_i and writes the q_i output, and step 5 only
+// commits.  Polyphase passes are bounded with fan-in 2 — the loosest
+// tape count — so the budget is valid for every Tapes setting.  rounds
+// is PivotRounds.
+func stepBudgets(pp pdm.Params, cfg hetsort.Config, i int, li, qi int64, rounds int) [5]int64 {
+	v := vectorOf(cfg)
+	p := len(v)
 	lb := ceilDiv(li, pp.B)
 	qb := ceilDiv(qi, pp.B)
 	runs := ceilDiv(maxInt64(li, 1), int64(cfg.MemoryKeys))
 	passes := pdm.LogCeil(runs, 2)
 	cm := vtime.DefaultCostModel()
 	block := float64(pp.B) * cm.IOBlockSecPerKey
-	fit := lb+int64(p*vectorOf(cfg).Max()) <= pp.M-int64(cfg.Tapes)*pp.B // samples < p·perf_i
+	fit := lb+int64(p*v.Max()) <= pp.M-int64(cfg.Tapes)*pp.B // samples < p·perf_i
 	// r(q): what q rank queries read.
 	ranks := func(q int64) int64 {
 		if fit && float64(q)*(cm.SeekSec+block) < float64(lb)*block {
@@ -379,9 +392,15 @@ func stepBudgets(pp pdm.Params, cfg hetsort.Config, p int, li, qi int64, rounds 
 		}
 		return lb
 	}
-	fused := int64(cfg.MessageKeys+cfg.BlockKeys)*int64(p-1)+2*pp.B <= pp.M
+	r := int64(1) // step 1's runs
 	var b [5]int64
 	b[0] = 2*lb*(2+passes) + ioSlack
+	b[2] = ranks(int64(p-1)) + ioSlack
+	if fuseRuns(cfg, li, i) {
+		r = min(int64(cfg.Tapes-1), runs)
+		b[0] += samplesOf(cfg, p, v[i])*4*r - 2*lb
+		b[2] = max(b[2], r*int64(p-1)+ioSlack)
+	}
 	b[1] = ioSlack // regular and random sampling: step 1 kept the samples
 	switch cfg.PivotStrategy {
 	case hetsort.PivotQuantileSketch:
@@ -389,16 +408,45 @@ func stepBudgets(pp pdm.Params, cfg hetsort.Config, p int, li, qi int64, rounds 
 	case hetsort.PivotHistogram:
 		b[1] += int64(rounds) * ranks(int64(4*(p-1)))
 	}
-	b[2] = ranks(int64(p-1)) + ioSlack
-	b[3] = lb + qb + int64(2*p) + ioSlack
+	b[3] = lb + qb + (r+1)*int64(p) + ioSlack
 	b[4] = ioSlack
-	switch {
-	case fused && cfg.Checkpoint.Enabled:
-		b[3] += qb
-	case !fused:
-		b[4] += pp.MergeIOs(qi, int64(p), int64(cfg.Tapes))
+	if int64(cfg.MessageKeys+cfg.BlockKeys)*int64(p-1)+(r+1)*pp.B > pp.M {
+		b[4] += pp.MergeIOs(qi, int64(p)+r-1, int64(cfg.Tapes))
 	}
 	return b
+}
+
+// fuseRuns mirrors extsort's verdict on stopping step 1 one merge short
+// (Config.fuseRuns there): every perf class j, at share
+// l_j = l_i·perf_j/perf_i and at most min(T−1, ⌈l_j/M⌉) ≥ 2 runs, must
+// price its probes, (2·s_j + p−1)·R_j·(seek + block) on the default cost
+// model, below the 2·l_j/B transfers of the last pass, with its fences
+// and samples in M − T·B.  Only regular and random sampling fuse.
+func fuseRuns(cfg hetsort.Config, li int64, i int) bool {
+	v := vectorOf(cfg)
+	if li <= 0 || cfg.PivotStrategy != "" && cfg.PivotStrategy != hetsort.PivotRegularSampling && cfg.PivotStrategy != hetsort.PivotRandom {
+		return false
+	}
+	cm := vtime.DefaultCostModel()
+	block := float64(cfg.BlockKeys) * cm.IOBlockSecPerKey
+	m, bk, t := int64(cfg.MemoryKeys), int64(cfg.BlockKeys), int64(cfg.Tapes)
+	for _, perf := range v {
+		lj := li * int64(perf) / int64(v[i])
+		runs, s, blocks := min(t-1, ceilDiv(lj, m)), samplesOf(cfg, len(v), perf), ceilDiv(lj, bk)
+		if runs < 2 || blocks+t-1+s > m-t*bk ||
+			float64((2*s+int64(len(v)-1))*runs)*(cm.SeekSec+block) >= float64(2*blocks)*block {
+			return false
+		}
+	}
+	return true
+}
+
+// samplesOf is the one-shot sample count of a node of the given perf.
+func samplesOf(cfg hetsort.Config, p, perf int) int64 {
+	if cfg.PivotStrategy == hetsort.PivotRandom {
+		return int64((p - 1) * perf)
+	}
+	return int64(p*perf - 1)
 }
 
 // checkDisk verifies the multi-disk accounting contract on every run

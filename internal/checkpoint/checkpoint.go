@@ -89,9 +89,14 @@ type Manifest struct {
 	// inside their key's run of copies; like the pivots they are the
 	// same on every node.
 	Ties []Tie `json:"ties,omitempty"`
-	// Cuts, recorded at phases 3 and 4, holds the P+1 key offsets at which
-	// the pivots cut the sorted file Files[0]: keys Cuts[j]..Cuts[j+1] are
-	// the bucket bound for node j, and exist nowhere else.
+	// Runs, from phase 1 to 4, lists the sorted runs step 1 left, each a
+	// section of one of Files, when it stopped one merge step short; left
+	// out, the one run is the sorted file Files[0] whole.
+	Runs []diskio.Section `json:"runs,omitempty"`
+	// Cuts, recorded at phases 3 and 4, holds per run the P+1 key offsets
+	// at which the pivots cut it, run after run: run r's keys
+	// Cuts[r·(P+1)+j]..Cuts[r·(P+1)+j+1] are its part of the bucket bound
+	// for node j, and exist nowhere else.
 	Cuts []int64 `json:"cuts,omitempty"`
 	// Files lists the durable files this phase depends on.
 	Files []FileInfo `json:"files,omitempty"`
@@ -292,21 +297,42 @@ func Remove(fs diskio.FS) error {
 	return err
 }
 
-// validateCuts checks a phase-3 or phase-4 manifest's cuts: P+1 offsets,
-// 0 = Cuts[0] ≤ … ≤ Cuts[P] = the length of the sorted file Files[0], as
-// recorded and as found on fs.  Other phases do not depend on cuts.
-func (m *Manifest) validateCuts(fs diskio.FS) error {
-	if m.Phase != 3 && m.Phase != 4 {
+// runs returns the manifest's runs: Runs, or the sorted file Files[0]
+// whole.
+func (m *Manifest) runs() []diskio.Section {
+	if len(m.Runs) > 0 || len(m.Files) == 0 {
+		return m.Runs
+	}
+	return []diskio.Section{{Name: m.Files[0].Name, Keys: m.Files[0].Keys}}
+}
+
+// validateRuns checks the runs and cuts of a manifest from phase 1 to 4:
+// every run is a section of one of its files and, at phases 3 and 4, has
+// P+1 cuts ascending from 0 to its length and lies within its file as
+// found on fs.
+func (m *Manifest) validateRuns(fs diskio.FS) error {
+	if m.Phase < 1 || m.Phase > 4 {
 		return nil
 	}
-	ok := len(m.Cuts) == m.P+1 && len(m.Files) > 0 && m.Cuts[0] == 0 &&
-		slices.IsSorted(m.Cuts) && m.Cuts[m.P] == m.Files[0].Keys
-	if ok {
-		n, err := diskio.CountKeys(fs, m.Files[0].Name)
-		ok = err == nil && n == m.Cuts[m.P]
+	runs, ok := m.runs(), true
+	for _, run := range runs {
+		i := slices.IndexFunc(m.Files, func(f FileInfo) bool { return f.Name == run.Name })
+		ok = ok && i >= 0 && run.Off >= 0 && run.Keys >= 0 && run.Off+run.Keys <= m.Files[i].Keys
 	}
 	if !ok {
-		return fmt.Errorf("%w: node %d phase %d: cuts %v are not %d offsets ascending from 0 to the length of the sorted file",
+		return fmt.Errorf("%w: node %d phase %d: runs %v are not sections of its files", ErrCorrupt, m.Node, m.Phase, runs)
+	}
+	if m.Phase < 3 {
+		return nil
+	}
+	ok = len(runs) > 0 && len(m.Cuts) == len(runs)*(m.P+1)
+	for r := 0; ok && r < len(runs); r++ {
+		row := m.Cuts[r*(m.P+1) : (r+1)*(m.P+1)]
+		n, err := diskio.CountKeys(fs, runs[r].Name)
+		ok = row[0] == 0 && slices.IsSorted(row) && row[m.P] == runs[r].Keys && err == nil && n >= runs[r].Off+runs[r].Keys
+	}
+	if !ok {
+		return fmt.Errorf("%w: node %d phase %d: cuts %v are not %d offsets a run ascending from 0 to the length of a run on disk",
 			ErrCorrupt, m.Node, m.Phase, m.Cuts, m.P+1)
 	}
 	return nil
@@ -326,12 +352,12 @@ func (m *Manifest) validateTies() error {
 }
 
 // Validate checks that every file the manifest depends on exists on fs
-// with the recorded length, that the phase's cuts span the sorted file
-// and its ties place pivots, and — for Merkle-anchored manifests — that
-// every file's content re-hashes to the recorded leaf and the leaves
-// still produce the root.
+// with the recorded length, that its runs are sections of those files,
+// that the phase's cuts span every run and its ties place pivots, and —
+// for Merkle-anchored manifests — that every file's content re-hashes to
+// the recorded leaf and the leaves still produce the root.
 func (m *Manifest) Validate(fs diskio.FS) error {
-	if err := m.validateCuts(fs); err != nil {
+	if err := m.validateRuns(fs); err != nil {
 		return err
 	}
 	if err := m.validateTies(); err != nil {
@@ -377,8 +403,10 @@ type Recovery struct {
 	// Input is the global input checksum recorded at the start of the
 	// original run.
 	Input record.Checksum
-	// Cuts[i] is node i's own cuts (nil unless it stands at phase 3 or 4);
-	// unlike the pivots, every node's sorted file is cut elsewhere.
+	// Runs[i] is node i's sorted runs (nil unless it stands at phase 1
+	// to 4) and Cuts[i] its cuts (nil unless at phase 3 or 4); unlike the
+	// pivots, every node's runs are cut elsewhere.
+	Runs [][]diskio.Section
 	Cuts [][]int64
 }
 
@@ -406,6 +434,7 @@ func Plan(disks []diskio.FS, sig string) (*Recovery, error) {
 	r := &Recovery{
 		Done:   make([]int, p),
 		Clocks: make([]float64, p),
+		Runs:   make([][]diskio.Section, p),
 		Cuts:   make([][]int64, p),
 	}
 	for i, fs := range disks {
@@ -439,6 +468,9 @@ func Plan(disks []diskio.FS, sig string) (*Recovery, error) {
 		r.Done[i] = m.Phase
 		r.Clocks[i] = m.Clock
 		r.Cuts[i] = m.Cuts
+		if m.Phase >= 1 && m.Phase <= 4 {
+			r.Runs[i] = m.runs()
+		}
 		if m.Phase >= 2 && r.Pivots == nil {
 			r.Pivots = append([]record.Key(nil), m.Pivots...)
 			r.Ties = m.Ties

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"hetsort/internal/diskio"
 	"hetsort/internal/metrics"
@@ -156,7 +158,9 @@ type Cluster struct {
 // do: a receiver that merges in-stream holds its messages until the merge
 // reaches them, so one exchange can need a buffer for nearly every
 // message, and the next sort, or a concurrent tenant's, reuses them.
-var payloads sync.Pool
+// There is one pool per power-of-two capacity, holding a buffer as the
+// pointer to its first key, so that a release allocates nothing.
+var payloads [40]sync.Pool
 
 // Interrupt aborts a Run in progress from outside the node goroutines:
 // every node blocked in a receive, collective or barrier returns an
@@ -953,21 +957,20 @@ func (n *Node) ObserveMerge(keys, chunks, fastChunks, comparisons int64) {
 // process-wide pool (allocating when the pool is empty).  Fill it and
 // hand it to SendOwned; the receiver returns it with ReleaseBuf.
 func (n *Node) AcquireBuf(size int) []record.Key {
-	if v := payloads.Get(); v != nil {
-		if b := v.([]record.Key); cap(b) >= size {
-			return b[:size]
-		}
+	c := bits.Len(uint(max(size, 1) - 1)) // the capacity class, 1<<c ≥ size
+	if p := payloads[c].Get(); p != nil {
+		return unsafe.Slice((*record.Key)(p.(unsafe.Pointer)), 1<<c)[:size]
 	}
-	return make([]record.Key, size)
+	return make([]record.Key, size, 1<<c)
 }
 
-// ReleaseBuf returns a payload buffer to the pool.  Release a buffer at
-// most once, and do not touch it afterwards.
+// ReleaseBuf returns a payload buffer to the pool; one whose capacity is
+// not a power of two is left to the garbage collector.  Release a buffer
+// at most once, and do not touch it afterwards.
 func (n *Node) ReleaseBuf(buf []record.Key) {
-	if cap(buf) == 0 {
-		return
+	if c := bits.Len(uint(cap(buf) - 1)); cap(buf) > 0 && cap(buf) == 1<<c {
+		payloads[c].Put(unsafe.Pointer(unsafe.SliceData(buf)))
 	}
-	payloads.Put(buf[:0]) //nolint:staticcheck // slice header alloc is fine
 }
 
 // Send transfers keys to node `to` with the given tag.  The payload is

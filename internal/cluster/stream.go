@@ -25,12 +25,6 @@ type Stream struct {
 	pos      int
 	done     bool
 	received int64
-
-	// Tee, when non-nil, observes every message payload on arrival,
-	// before any of it is consumed.  The extsort checkpoint fallback
-	// uses it to spill the stream to a durable receive file while the
-	// in-memory merge proceeds.
-	Tee func([]record.Key) error
 }
 
 // OpenStream starts consuming messages with the given tag from peer
@@ -59,12 +53,6 @@ func (s *Stream) Fill() error {
 	if err != nil {
 		return err
 	}
-	if s.Tee != nil && len(keys) > 0 {
-		if err := s.Tee(keys); err != nil {
-			s.n.ReleaseBuf(keys)
-			return err
-		}
-	}
 	if len(keys) == 0 {
 		s.done = true
 		return io.EOF
@@ -89,4 +77,41 @@ func (s *Stream) release() {
 		s.n.ReleaseBuf(s.buf)
 		s.buf = nil
 	}
+}
+
+// A Packer is a Stream's sending side for keys that arrive in pieces: it
+// packs them into pooled messages of Size keys to one peer (SendOwned),
+// the last one short.  Close sends what is left, not the sentinel.
+type Packer struct {
+	N       *Node
+	To, Tag int
+	Size    int
+	Sent    int64 // keys sent so far
+	msg     []record.Key
+}
+
+// Write appends keys to the stream.
+func (p *Packer) Write(keys []record.Key) error {
+	for len(keys) > 0 {
+		if p.msg == nil {
+			p.msg = p.N.AcquireBuf(p.Size)[:0]
+		}
+		c := min(len(keys), p.Size-len(p.msg))
+		if p.msg, keys = append(p.msg, keys[:c]...), keys[c:]; len(p.msg) == p.Size {
+			if err := p.Close(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// Close sends the message being packed, if any.
+func (p *Packer) Close() error {
+	if len(p.msg) == 0 {
+		return nil
+	}
+	msg := p.msg
+	p.msg, p.Sent = nil, p.Sent+int64(len(msg))
+	return p.N.SendOwned(p.To, p.Tag, msg)
 }

@@ -324,8 +324,9 @@ func NewReader(f File, blockKeys int, acct Accounting) *Reader {
 // Name from key index Off on, or the whole file when Keys is negative.  A
 // sorted file cut at p−1 pivots is p sections, none of which needs a copy.
 type Section struct {
-	Name      string
-	Off, Keys int64
+	Name string `json:"name"`
+	Off  int64  `json:"off"`
+	Keys int64  `json:"keys"`
 }
 
 // Open opens the section's file on fs and returns it with a Reader that
@@ -341,12 +342,110 @@ func (s Section) Open(fs FS, blockKeys int, acct Accounting) (File, *Reader, err
 	}
 	r := NewReader(f, blockKeys, acct)
 	if s.Keys >= 0 {
-		r.off, r.left = s.Off*record.KeySize, s.Keys
-		if _, err := f.Seek(r.off, io.SeekStart); err != nil {
-			r.err = fmt.Errorf("diskio: seek to key %d of %s: %w", s.Off, s.Name, err)
-		}
+		r.position(s)
 	}
 	return f, r, nil
+}
+
+// Seek repositions r onto section s of the file it reads, as Open would
+// position a fresh Reader: the keys buffered are dropped and the section's
+// blocks are counted from its start.  Under Overlap the section gets a
+// window of its own, the one before closed first.  One handle then serves
+// every section of a file.
+func (r *Reader) Seek(s Section) {
+	r.Idle()
+	r.om = r.acct.openWindow()
+	r.keys, r.pos, r.err = r.keys[:0], 0, nil
+	r.position(s)
+}
+
+// Idle closes r's overlap window, as Release does, keeping the Reader for
+// a later Seek.
+func (r *Reader) Idle() {
+	if r.om != nil {
+		r.om.EndOverlap()
+		r.om = nil
+	}
+}
+
+// Readers keeps each file of FS open once, with one Reader: a section of
+// a file already open is read by repositioning its Reader (Seek).  A
+// caller idles a Reader once its section is read, so that it holds an
+// overlap window only while it reads one, and a sequence of sections
+// costs exactly what a Reader opened per section would.
+type Readers struct {
+	FS        FS
+	BlockKeys int
+	Acct      Accounting
+	open      map[string]*readerFile
+}
+
+type readerFile struct {
+	f File
+	r *Reader // nil until a section is read
+}
+
+// File returns the named file, opened once.  Reading it directly (a
+// probe) moves the file position, which its Reader's next Seek resets.
+func (rs *Readers) File(name string) (File, error) {
+	if h, ok := rs.open[name]; ok {
+		return h.f, nil
+	}
+	f, err := rs.FS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	if rs.open == nil {
+		rs.open = map[string]*readerFile{}
+	}
+	rs.open[name] = &readerFile{f: f}
+	return f, nil
+}
+
+// Section returns the Reader of s's file positioned on s.
+func (rs *Readers) Section(s Section) (*Reader, error) {
+	f, err := rs.File(s.Name)
+	if err != nil {
+		return nil, err
+	}
+	h := rs.open[s.Name]
+	if h.r == nil {
+		h.r = NewReader(f, rs.BlockKeys, rs.Acct)
+		h.r.position(s)
+	} else {
+		h.r.Seek(s)
+	}
+	return h.r, nil
+}
+
+// Drop releases the named file's Reader and closes the file, if open.
+func (rs *Readers) Drop(name string) error {
+	h, ok := rs.open[name]
+	if !ok {
+		return nil
+	}
+	delete(rs.open, name)
+	if h.r != nil {
+		h.r.Release()
+	}
+	return h.f.Close()
+}
+
+// Close drops every file; the first error wins.
+func (rs *Readers) Close() (err error) {
+	for name := range rs.open {
+		if cerr := rs.Drop(name); err == nil {
+			err = cerr
+		}
+	}
+	return err
+}
+
+func (r *Reader) position(s Section) {
+	r.off, r.left = max(s.Off, 0)*record.KeySize, s.Keys
+	if _, err := r.f.Seek(r.off, io.SeekStart); err != nil {
+		r.err = fmt.Errorf("diskio: seek to key %d of %s: %w", s.Off, s.Name, err)
+	}
 }
 
 func (r *Reader) fill() error {
@@ -417,10 +516,7 @@ func (r *Reader) Release() {
 	if r.err == nil {
 		r.err = fmt.Errorf("diskio: read on released Reader")
 	}
-	if r.om != nil {
-		r.om.EndOverlap()
-		r.om = nil
-	}
+	r.Idle()
 }
 
 // ReadKey returns the next key, or io.EOF when the stream is exhausted.
@@ -484,6 +580,26 @@ func ReadKeyAt(f File, idx int64, acct Accounting) (record.Key, error) {
 	}
 	acct.ChargeRead(idx*record.KeySize, 1)
 	return record.GetKey(buf[:]), nil
+}
+
+// ReadBlockAt decodes into keys (reused) the cnt ≤ B keys of f from
+// index idx on, read as one block: one seek and one block read charged,
+// at the block's offset.  raw, when at least cnt keys long, is the byte
+// buffer read into.  The file position afterwards is undefined.
+func ReadBlockAt(f File, idx, cnt int64, acct Accounting, raw []byte, keys []record.Key) ([]record.Key, error) {
+	off := idx * record.KeySize
+	if int64(len(raw)) < cnt*record.KeySize {
+		raw = make([]byte, cnt*record.KeySize)
+	}
+	if _, err := f.Seek(off, io.SeekStart); err != nil {
+		return nil, fmt.Errorf("diskio: seek to key %d: %w", idx, err)
+	}
+	if _, err := io.ReadFull(f, raw[:cnt*record.KeySize]); err != nil {
+		return nil, fmt.Errorf("diskio: read %d keys at %d: %w", cnt, idx, err)
+	}
+	acct.ChargeSeek(off, 1)
+	acct.ChargeRead(off, 1)
+	return record.DecodeKeys(keys[:0], raw[:cnt*record.KeySize]), nil
 }
 
 // WriteFile creates name on fs and writes all keys to it in blocks.

@@ -3,6 +3,7 @@ package diskio
 import (
 	"bytes"
 	"io"
+	"slices"
 	"testing"
 
 	"hetsort/internal/pdm"
@@ -236,5 +237,71 @@ func TestOverlapDefaultDepth(t *testing.T) {
 	// A plain meter without a disk count still double-buffers.
 	if got := (Overlap{}).DepthFor(vtime.Nop{}); got != 2 {
 		t.Fatalf("DepthFor(Nop) = %d, want 2", got)
+	}
+}
+
+// TestReadersMatchReaderPerSection: reading sections through one Reader
+// per file (Readers, Reader.Seek, Reader.Idle) yields the keys, the
+// block charges and the overlap windows — one per section, each closed
+// before the next opens — that a Reader opened per section yields, and
+// opens each file once.
+func TestReadersMatchReaderPerSection(t *testing.T) {
+	fs := NewMemFS()
+	keys := record.Uniform.Generate(1000, 9, 1)
+	for _, name := range []string{"a", "b"} {
+		if err := WriteFile(fs, name, keys, 64, Accounting{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	secs := []Section{{"a", 0, 100}, {"b", 30, 0}, {"a", 100, 333}, {"b", 500, 500}, {"a", 999, 1}, {"a", 0, -1}}
+	type result struct {
+		keys  []record.Key
+		ctr   pdm.IOStats
+		meter overlapMeter
+	}
+	run := func(open func(Section, Accounting) (*Reader, func())) result {
+		var ctr pdm.Counter
+		m := &overlapMeter{disks: 2}
+		acct := Accounting{Counter: &ctr, Meter: m, Overlap: Overlap{Enabled: true}}
+		var got []record.Key
+		for _, s := range secs {
+			r, done := open(s, acct)
+			k, err := readAll(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, k...)
+			done()
+			if m.begins != m.ends {
+				t.Fatalf("section %+v left %d windows open", s, m.begins-m.ends)
+			}
+		}
+		return result{got, ctr.Snapshot(), *m}
+	}
+	want := run(func(s Section, acct Accounting) (*Reader, func()) {
+		f, r, err := s.Open(fs, 64, acct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, func() { r.Release(); f.Close() }
+	})
+	rs := &Readers{FS: fs, BlockKeys: 64}
+	got := run(func(s Section, acct Accounting) (*Reader, func()) {
+		rs.Acct = acct
+		r, err := rs.Section(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, r.Idle
+	})
+	if len(rs.open) != 2 {
+		t.Fatalf("%d files open, want 2", len(rs.open))
+	}
+	if err := rs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.keys, want.keys) || got.ctr != want.ctr || got.meter != want.meter {
+		t.Fatalf("one Reader a file: %d keys, %+v, %+v; a Reader a section: %d keys, %+v, %+v",
+			len(got.keys), got.ctr, got.meter, len(want.keys), want.ctr, want.meter)
 	}
 }

@@ -4,19 +4,19 @@
 // are
 //
 //  1. sequential external sort of the portion (polyphase merge sort),
-//     indexing the sorted file as it writes it (sortedIndex);
+//     indexing its runs as it writes them (sortedIndex): the sorted file,
+//     or the ≤ T−1 runs left one merge short where that pays (fuseRuns);
 //  2. regularly spaced pivot candidates (perf-proportional counts) kept
 //     by the index, gathered on node 0, which picks and broadcasts p-1 pivots;
-//  3. partitioning at the pivots: the p+1 cut offsets are their local
-//     positions — cuts in the total order (key, node, offset), so equal
-//     keys may straddle a cut — and bucket j is the section between cuts
-//     j and j+1: the sorted file is already in bucket order, so nothing
-//     is copied;
+//  3. partitioning at the pivots: the p+1 cut offsets of each run are
+//     their local positions — cuts in the total order (key, node,
+//     offset), so equal keys may straddle a cut — and bucket j is the
+//     sections between cuts j and j+1: nothing is copied;
 //  4. redistribution: bucket j travels to node j in fixed-size
-//     messages (a multiple of the block size), read straight from its
-//     section of the sorted file — and wherever the final round's
-//     message buffers fit memory, merged in-stream with the node's own
-//     bucket into its output (fusedFits);
+//     messages (a multiple of the block size), read or merged straight
+//     from its sections — and wherever the final round's message buffers
+//     fit memory, merged in-stream with the node's own bucket into its
+//     output (fusedFits);
 //  5. otherwise, final merge of the node's own bucket and the received
 //     sorted files with the external merge of step 1's sorter.
 //
@@ -34,6 +34,7 @@ import (
 	"hetsort/internal/checkpoint"
 	"hetsort/internal/cluster"
 	"hetsort/internal/diskio"
+	"hetsort/internal/histsort"
 	"hetsort/internal/pdm"
 	"hetsort/internal/perf"
 	"hetsort/internal/polyphase"
@@ -97,8 +98,9 @@ type Config struct {
 	Overlap bool
 	// Checkpoint makes the five phase boundaries durable commit points:
 	// each node writes a manifest (see internal/checkpoint) to its
-	// private FS after every phase — from phase 3 on with the cut offsets
-	// of its sorted file, which stays on disk until phase 5 commits so a
+	// private FS after every phase — listing step 1's runs when it
+	// stopped one merge short, from phase 3 on with the cut offsets of its
+	// sorted file or runs, which stay on disk until phase 5 commits so a
 	// recovered peer can be sent its bucket again — and an interrupted run
 	// can be continued with Resume.
 	Checkpoint bool
@@ -142,7 +144,7 @@ type Config struct {
 // sig fingerprints the parameters that must match between an
 // interrupted run and its resume.
 func (c Config) sig(inputName, outputName string) string {
-	return fmt.Sprintf("extsort-v7 perf=%v B=%d M=%d T=%d msg=%d rf=%d strat=%d htol=%g seed=%d topo=%d r=%d in=%s out=%s",
+	return fmt.Sprintf("extsort-v8 perf=%v B=%d M=%d T=%d msg=%d rf=%d strat=%d htol=%g seed=%d topo=%d r=%d in=%s out=%s",
 		[]int(c.Perf), c.BlockKeys, c.MemoryKeys, c.Tapes, c.MessageKeys,
 		c.RunFormation, c.Strategy, c.HistTolerance, c.Seed,
 		c.Topology, c.Radix, inputName, outputName)
@@ -436,13 +438,23 @@ type worker struct {
 	pivots []record.Key
 	ties   []checkpoint.Tie // the pivots cut inside their key's copies (settleTies)
 
-	// cuts is step 3's whole result: the p+1 key offsets at which the
-	// pivots cut the sorted file, bucket j being keys cuts[j]..cuts[j+1].
-	// Through the first ownRounds redistribution rounds the node's buckets
-	// are still those sections (see bucket).
+	// runs is what step 1 left (the sorted file as one section, or the
+	// runs of the merge step it stopped short of); cuts is step 3's whole
+	// result: run r's p+1 cut offsets are cuts[r·(p+1):].  Through the
+	// first ownRounds redistribution rounds the node's buckets are still
+	// sections between them (see bucket).
+	runs      []diskio.Section
 	cuts      []int64
 	ownRounds int
 	index     *sortedIndex // step 1's by-product (sortedIndex)
+	raw       []byte       // a block's bytes, for probes
+
+	// Every file read once open and, in step 4, one loser tree; secs backs
+	// the buckets, srcs the merges' sources.
+	files  diskio.Readers
+	merger polyphase.Merger
+	secs   []diskio.Section
+	srcs   []polyphase.MergeSource
 
 	// This node's step-2 accounting (Result.PivotRounds, PivotSampleKeys).
 	pivotRounds int
@@ -486,8 +498,11 @@ func (w *worker) commit(phase int, files []checkpoint.FileInfo) error {
 		Ties:   w.ties,
 		Files:  files,
 	}
+	if phase >= 1 && phase <= 4 && w.runs[0].Name != sortedName { // step 1 stopped one merge short
+		m.Runs = w.runs
+	}
 	if phase == 3 || phase == 4 {
-		// The phases whose state is the sorted file cut into buckets.
+		// The phases whose state is step 1's runs cut into buckets.
 		m.Cuts = w.cuts
 	}
 	// Manifest I/O is charged to phase 0 (checkpointing is bookkeeping,
@@ -552,14 +567,20 @@ var steps = [len(StepNames)]step{
 // the barrier counts as the step's idle time; a fresh step runs, passes
 // its crash point and commits its manifest, an already committed one is
 // skipped (traced as a recovery event).
-func (w *worker) run() error {
+func (w *worker) run() (err error) {
 	n := w.n
 	id := n.ID()
+	w.files = diskio.Readers{FS: n.FS(), BlockKeys: w.cfg.BlockKeys, Acct: w.acct()}
+	defer func() {
+		if cerr := w.files.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	if w.plan != nil {
 		// Replay the clock to the last commit, so a resumed run reports
 		// the honest virtual completion time of the whole sort.
 		n.AdvanceClock(w.plan.Clocks[id])
-		w.pivots, w.ties, w.cuts = w.plan.Pivots, w.plan.Ties, w.plan.Cuts[id]
+		w.pivots, w.ties, w.runs, w.cuts = w.plan.Pivots, w.plan.Ties, w.plan.Runs[id], w.plan.Cuts[id]
 		n.TraceEvent(trace.Recovery, "resume", fmt.Sprintf("phases-done:%d clock:%.6f", w.done(), w.plan.Clocks[id]))
 	} else if w.cfg.Checkpoint {
 		// Phase-0 manifest: the run exists and the input is durable.
@@ -634,21 +655,29 @@ func (w *worker) fileInfo(names ...string) ([]checkpoint.FileInfo, error) {
 	return files, nil
 }
 
-func (w *worker) sortedFile() ([]checkpoint.FileInfo, error) { return w.fileInfo(sortedName) }
 func (w *worker) outputFile() ([]checkpoint.FileInfo, error) { return w.fileInfo(w.output) }
 
-// redistributed lists what phase 4 depends on: the sorted file, then the
-// final-merge inputs that are files of their own, then — fused — the
-// output, which a resumed node then keeps instead of merging again.
-func (w *worker) redistributed() ([]checkpoint.FileInfo, error) {
-	names := []string{sortedName}
-	for _, in := range w.finalInputs() {
-		if in.Name != sortedName {
-			names = append(names, in.Name)
-		}
+// sortedFile lists step 1's files: the sorted file, or its runs' tapes.
+func (w *worker) sortedFile() ([]checkpoint.FileInfo, error) { return w.fileInfo(w.runNames()...) }
+
+func (w *worker) runNames() (names []string) {
+	for _, run := range w.runs {
+		names = append(names, run.Name)
 	}
+	return names
+}
+
+// redistributed lists what phase 4 depends on: step 1's files, then
+// either the output, merged in-stream — a resumed node then keeps it
+// instead of merging again — or the receive files step 5 merges.
+func (w *worker) redistributed() ([]checkpoint.FileInfo, error) {
+	names := w.runNames()
 	if w.merged {
 		names = append(names, w.output)
+	} else {
+		for _, nb := range w.finalInNeighbors() {
+			names = append(names, w.recvName(nb))
+		}
 	}
 	return w.fileInfo(names...)
 }
@@ -662,7 +691,7 @@ func (w *worker) remove(name string) error {
 }
 
 // cleanup is step 5's tidy: once phase 5 is committed no recovery can
-// need the sorted file, the received files or the round buckets — a peer
+// need step 1's files, the received files or the round buckets — a peer
 // at phase 5 implies every node committed phase 4 (the barrier ordering
 // guarantees it).  A crashed multi-round run can orphan buckets for
 // destinations that were no longer needy on the retry, so the sweep
@@ -673,7 +702,7 @@ func (w *worker) cleanup() error {
 		return err
 	}
 	for _, name := range names {
-		for _, prefix := range []string{sortedName, recvPrefix, roundPrefix} {
+		for _, prefix := range []string{sortedName, runPrefix, recvPrefix, roundPrefix} {
 			if !strings.HasPrefix(name, prefix) {
 				continue
 			}
@@ -708,27 +737,47 @@ func (w *worker) polyCfg(prefix string) polyphase.Config {
 	}
 }
 
-// sequentialSort implements step 1, indexing the sorted file as written.
-func (w *worker) sequentialSort() (err error) {
-	if w.index, err = w.newIndex(w.input); err == nil {
-		_, err = polyphase.SortObserved(w.polyCfg("hetsort.s1."), w.input, sortedName, w.index.observe)
+// sequentialSort implements step 1, indexing its runs as written: the
+// sorted file or, where fuseRuns holds, the runs its last merge step would
+// merge, over which the samples are then selected.
+func (w *worker) sequentialSort() error {
+	li, err := diskio.CountKeys(w.n.FS(), w.input)
+	fuse := err == nil && w.cfg.fuseRuns(li, w.n.ID())
+	if err == nil {
+		w.index, err = w.newIndex(li, fuse)
 	}
-	return err
+	switch {
+	case err != nil:
+		return err
+	case fuse:
+		w.runs, _, err = polyphase.Runs(w.polyCfg(runPrefix), w.input, w.index.observe)
+		w.n.TraceEvent(trace.Pipeline, "runs", fmt.Sprintf("step 1 stops one merge short: %d runs", len(w.runs)))
+	default:
+		w.runs = []diskio.Section{{Name: sortedName, Keys: li}}
+		_, err = polyphase.SortObserved(w.polyCfg(runPrefix), w.input, sortedName, w.index.observe)
+	}
+	if err != nil {
+		return err
+	}
+	w.n.Metrics().Gauge("step1.runs").Set(float64(len(w.runs)))
+	w.index.settle(w.runs)
+	return w.selectSamples(w.index)
 }
 
-// locateCuts implements step 3: cut j+1 is pivot j's position in the
-// sorted file.  For a key cut that is how many keys are ≤ pivot j; a
+// locateCuts implements step 3: cut j+1 of a run is pivot j's position
+// in it.  For a key cut that is how many of its keys are ≤ pivot j; a
 // tied pivot cuts after all of this node's copies of its key on nodes
 // before the tie's node, before all of them on nodes after it, and on
-// the tie's node after its Take copies (tieCut).  The paper's ≤ 2·l_i/B
-// also copies the buckets out, which nothing downstream needs.  A
-// resumed node past phase 3 adopted its manifest's cuts instead.
+// the tie's node after its Take copies (tieCut), which go to the runs in
+// the last merge's source order.  The paper's ≤ 2·l_i/B also copies the
+// buckets out, which nothing downstream needs.  A resumed node past
+// phase 3 adopted its manifest's cuts instead.
 func (w *worker) locateCuts() error {
 	x, err := w.sortedIndex()
 	if err != nil {
 		return err
 	}
-	id := w.n.ID()
+	id, p := w.n.ID(), w.n.P()
 	// below[j]: cut j starts from the keys < pivot j, not ≤ it.
 	below := make([]bool, len(w.pivots))
 	for _, t := range w.ties {
@@ -742,47 +791,69 @@ func (w *worker) locateCuts() error {
 			qs = append(qs, k-1)
 		}
 	}
-	counts, err := w.ranks(qs, w.acct())
+	per, err := w.runRanks(qs, w.acct())
 	if err != nil {
 		return err
 	}
-	w.cuts = make([]int64, 1, len(w.pivots)+2)
-	for j, k := range w.pivots {
-		var cut int64
-		if !below[j] || k > 0 {
-			cut, counts = counts[0].N, counts[1:]
+	w.cuts = make([]int64, 0, len(x.runs)*(p+1))
+	for r, run := range x.runs {
+		w.cuts = append(w.cuts, 0)
+		q := 0
+		for j, k := range w.pivots {
+			var cut int64
+			if !below[j] || k > 0 {
+				cut, q = per[r][q].N, q+1
+			}
+			w.cuts = append(w.cuts, cut)
 		}
-		w.cuts = append(w.cuts, cut)
+		w.cuts = append(w.cuts, run.Keys)
 	}
 	for _, t := range w.ties {
 		if t.Node == id {
-			if w.cuts[t.Pivot+1], err = w.tieCut(x, w.pivots[t.Pivot], w.cuts[t.Pivot+1], t.Take); err != nil {
+			if err := w.tieCut(x, t); err != nil {
 				return err
 			}
 		}
 	}
-	w.cuts = append(w.cuts, x.keys)
 	return nil
 }
 
-// tieCut is the cut on a tie's own node: after take copies of key, whose
-// first copy sits at offset lt.  A sampled pivot counts sampled copies:
-// its cut is just after the take-th sample equal to key.
-func (w *worker) tieCut(x *sortedIndex, key record.Key, lt, take int64) (int64, error) {
-	if w.cfg.Strategy == Histogram || take == 0 {
-		return lt + take, nil
+// tieCut places a tie on its own node, whose cuts stand before the key's
+// copies: after take copies, or for a sampled pivot just after the
+// take-th sample equal to the key.  Over several runs the copies below
+// the cut go to the runs in order, each run's that it has.
+func (w *worker) tieCut(x *sortedIndex, t checkpoint.Tie) (err error) {
+	key, p, extra := w.pivots[t.Pivot], w.n.P(), t.Take
+	if w.cfg.Strategy != Histogram && t.Take > 0 {
+		lo, hi := sampleRun(x.samples, key)
+		if t.Take > int64(hi-lo) {
+			return fmt.Errorf("tie takes %d of %d sampled copies of key %d", t.Take, hi-lo, key)
+		}
+		extra = x.at[lo+int(t.Take)-1] + 1
+		for r := range x.runs {
+			extra -= w.cuts[r*(p+1)+t.Pivot+1]
+		}
 	}
-	lo, hi := sampleRun(x.samples, key)
-	if take > int64(hi-lo) {
-		return 0, fmt.Errorf("tie takes %d of %d sampled copies of key %d", take, hi-lo, key)
+	var le [][]histsort.Count
+	if len(x.runs) > 1 {
+		le, err = w.runRanks([]record.Key{key}, w.acct())
 	}
-	return x.at[lo+int(take)-1] + 1, nil
+	for r := 0; r < len(x.runs) && err == nil; r++ {
+		c, take := &w.cuts[r*(p+1)+t.Pivot+1], extra
+		if le != nil {
+			take = min(extra, le[r][0].N-*c)
+		}
+		*c, extra = *c+take, extra-take
+	}
+	return err
 }
 
-// The intermediates: step 1's sorted file and the name prefix of step
+// The intermediates: step 1's sorted file, the name prefix of its tapes
+// (which hold its runs when it stops one merge short) and that of step
 // 4's received files (round buckets: hier.go).
 const (
 	sortedName = "hetsort.sorted"
+	runPrefix  = "hetsort.s1."
 	recvPrefix = "hetsort.recv"
 )
 

@@ -2,10 +2,11 @@ package extsort
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"hetsort/internal/cluster"
 	"hetsort/internal/diskio"
-	"hetsort/internal/polyphase"
 	"hetsort/internal/trace"
 )
 
@@ -17,26 +18,37 @@ const tagRoundBase = 400
 // roundPrefix prefixes every intermediate bucket file (swept by cleanup).
 const roundPrefix = "hetsort.rt"
 
-// bucket is this node's round-t bucket for destination d: the section of
-// the sorted file between cuts d and d+1 in round 0 — and for as long as no
-// round has merged a peer's keys into it (ownRounds) — then the merged
+// bucket is this node's round-t bucket for destination d: one section per
+// step-1 run, between its cuts d and d+1, in round 0 — and for as long as
+// no round has merged a peer's keys into it (ownRounds) — then the merged
 // intermediate of the round before.  Which of the two follows from the
-// routing alone, so a resumed node finds the buckets it left.
-func (w *worker) bucket(t, d int) diskio.Section {
-	if t <= w.ownRounds {
-		return diskio.Section{Name: sortedName, Off: w.cuts[d], Keys: w.cuts[d+1] - w.cuts[d]}
+// routing alone, so a resumed node finds the buckets it left.  It lives
+// in w.secs, which only grows during a step.
+func (w *worker) bucket(t, d int) []diskio.Section {
+	lo := len(w.secs)
+	if t > w.ownRounds {
+		w.secs = append(w.secs, diskio.Section{Name: fmt.Sprintf("%s%d.d%d", roundPrefix, t, d), Keys: -1})
+	} else {
+		p := w.n.P()
+		for r, run := range w.runs {
+			c := w.cuts[r*(p+1)+d:]
+			w.secs = append(w.secs, diskio.Section{Name: run.Name, Off: run.Off + c[0], Keys: c[1] - c[0]})
+		}
 	}
-	return diskio.Section{Name: fmt.Sprintf("%s%d.d%d", roundPrefix, t, d), Keys: -1}
+	return w.secs[lo:len(w.secs):len(w.secs)]
 }
 
 // dropBucket removes a consumed bucket (sent or merged forward) unless it
-// is a section of the sorted file, which stays whole until step 5's
-// cleanup so that a recovered peer can be sent any bucket again.
-func (w *worker) dropBucket(b diskio.Section) error {
-	if b.Name == sortedName {
+// is made of step 1's runs, which stay whole until step 5's cleanup so
+// that a recovered peer can be sent any bucket again.
+func (w *worker) dropBucket(b []diskio.Section) error {
+	if !strings.HasPrefix(b[0].Name, roundPrefix) {
 		return nil
 	}
-	return w.remove(b.Name)
+	if err := w.files.Drop(b[0].Name); err != nil {
+		return err
+	}
+	return w.remove(b[0].Name)
 }
 
 // finalInNeighbors returns the peers that stream to this node in the
@@ -50,7 +62,7 @@ func (w *worker) finalInNeighbors() []int {
 // from the routing alone, so a resumed node that already committed phase
 // 4 finds the durable inputs its manifest listed.
 func (w *worker) finalInputs() []diskio.Section {
-	ins := []diskio.Section{w.bucket(len(w.lv)-2, w.n.ID())}
+	ins := w.bucket(len(w.lv)-2, w.n.ID())
 	for _, i := range w.finalInNeighbors() {
 		ins = append(ins, diskio.Section{Name: w.recvName(i), Keys: -1})
 	}
@@ -58,12 +70,11 @@ func (w *worker) finalInputs() []diskio.Section {
 }
 
 // fusedFits reports whether a fused final round fed by the given number
-// of in-neighbor streams fits memory: one message buffer and one
-// tee-writer block per stream (the tee only runs under Checkpoint, but
-// is budgeted either way), plus the own-bucket reader's and the output
-// writer's blocks.
-func (c Config) fusedFits(streams int) bool {
-	return (c.MessageKeys+c.BlockKeys)*streams+2*c.BlockKeys <= c.MemoryKeys
+// of in-neighbor streams, beside the given number of own runs, fits
+// memory: one message buffer and a block per stream, plus a reader's
+// block per run and the output writer's.
+func (c Config) fusedFits(streams, runs int) bool {
+	return (c.MessageKeys+c.BlockKeys)*streams+(runs+1)*c.BlockKeys <= c.MemoryKeys
 }
 
 // blockFile is a block writer together with the file it writes.
@@ -126,7 +137,7 @@ func (w *worker) redistribute() error {
 	// so a node past phase 4 — needy when it committed it — knows that
 	// it already merged its output whenever the rule holds.
 	streams := len(w.finalInNeighbors())
-	fused := w.cfg.fusedFits(streams)
+	fused := w.cfg.fusedFits(streams, len(w.runs))
 	if !fused && needy[id] {
 		n.TraceEvent(trace.Pipeline, "fallback",
 			fmt.Sprintf("fan-in %d x %d-key messages exceeds MemoryKeys=%d", streams+1, w.cfg.MessageKeys, w.cfg.MemoryKeys))
@@ -212,30 +223,41 @@ func (w *worker) redistribute() error {
 
 // sendBucket streams bucket b, this node's keys for destination d, to
 // node `to` in MessageKeys-sized messages, terminated by the zero-length
-// sentinel, and returns the key count sent.  An empty section (most
-// buckets of a small portion at large p) opens nothing.  Payloads are
-// pooled buffers whose ownership transfers with the message (SendOwned),
-// so redistribution allocates nothing steady-state.  On a resumed run a
-// node already past phase 4 is re-sending retained data to a peer whose
+// sentinel, and returns the key count sent.  Several sections merge into
+// the messages; an empty one (most buckets of a small portion at large
+// p) reads nothing.  Payloads are pooled buffers whose ownership
+// transfers with the message (SendOwned), so redistribution allocates
+// nothing steady-state.  On a resumed run a node
+// already past phase 4 is re-sending retained data to a peer whose
 // in-flight messages died with the crash; that is traced as a "resend"
 // recovery event.
-func (w *worker) sendBucket(to, tag int, b diskio.Section, d int) (sent int64, err error) {
-	n, cfg := w.n, w.cfg
+func (w *worker) sendBucket(to, tag int, b []diskio.Section, d int) (sent int64, err error) {
+	n := w.n
 	if w.done() >= 4 {
-		label := b.Name
-		if b.Keys >= 0 {
-			label = fmt.Sprintf("%s[%d:+%d]", b.Name, b.Off, b.Keys)
+		label := b[0].Name
+		if b[0].Keys >= 0 {
+			label = fmt.Sprintf("%s[%d:+%d]", b[0].Name, b[0].Off, b[0].Keys)
 		}
 		n.TraceEvent(trace.Recovery, "resend", fmt.Sprintf("%s for node %d -> node %d", label, d, to))
 	}
-	if b.Keys != 0 {
-		var f diskio.File
-		var r *diskio.Reader
-		if f, r, err = b.Open(n.FS(), cfg.BlockKeys, w.acct()); err != nil {
+	srcs := w.srcs[:0]
+	for _, s := range b {
+		if s.Keys == 0 {
+			continue
+		}
+		r, err := w.files.Section(s)
+		if err != nil {
 			return 0, err
 		}
+		srcs = append(srcs, r)
+	}
+	w.srcs = srcs
+	switch len(srcs) {
+	case 0:
+	case 1:
+		r := srcs[0].(*diskio.Reader)
 		for err == nil {
-			buf := n.AcquireBuf(cfg.MessageKeys)
+			buf := n.AcquireBuf(w.cfg.MessageKeys)
 			var cnt int
 			if cnt, err = diskio.ReadChunk(r, buf); err != nil || cnt == 0 {
 				n.ReleaseBuf(buf)
@@ -244,13 +266,18 @@ func (w *worker) sendBucket(to, tag int, b diskio.Section, d int) (sent int64, e
 			err = n.SendOwned(to, tag, buf[:cnt])
 			sent += int64(cnt)
 		}
-		r.Release()
-		if cerr := f.Close(); err == nil {
-			err = cerr
+	default: // the runs' sections merge into the messages
+		pk := &cluster.Packer{N: n, To: to, Tag: tag, Size: w.cfg.MessageKeys}
+		if err = w.merger.Merge(srcs, n, pk.Write); err == nil {
+			err = pk.Close()
 		}
-		if err != nil {
-			return sent, err
-		}
+		sent = pk.Sent
+	}
+	for _, r := range srcs {
+		r.(*diskio.Reader).Idle()
+	}
+	if err != nil {
+		return sent, err
 	}
 	if err := n.SendOwned(to, tag, nil); err != nil {
 		return sent, err
@@ -258,49 +285,37 @@ func (w *worker) sendBucket(to, tag int, b diskio.Section, d int) (sent int64, e
 	return sent, w.dropBucket(b)
 }
 
-// mergeBucket merges this node's bucket own with the in-neighbors'
-// streams into the file outName — own-bucket reader and streams into one
-// loser tree into one block writer.  With tee set, every stream is also
-// written to its hetsort.recv<i> file as it arrives.
-func (w *worker) mergeBucket(own diskio.Section, tag int, nbrs []int, outName string, tee bool) (err error) {
+// mergeBucket merges this node's bucket own — one reader per section —
+// with the in-neighbors' streams into the file outName: one loser tree
+// into one block writer.
+func (w *worker) mergeBucket(own []diskio.Section, tag int, nbrs []int, outName string) (err error) {
 	n := w.n
-	f, r, err := own.Open(n.FS(), w.cfg.BlockKeys, w.acct())
-	if err != nil {
-		return err
-	}
-	srcs := []polyphase.MergeSource{r}
-	streams := make([]*cluster.Stream, 0, len(nbrs))
-	var tees []*blockFile
+	srcs := w.srcs[:0]
 	defer func() {
-		for _, s := range streams {
-			s.Close()
-		}
-		r.Release()
-		f.Close()
-		for _, b := range tees {
-			if cerr := b.Close(); err == nil {
-				err = cerr
+		for _, s := range srcs {
+			if r, ok := s.(*diskio.Reader); ok {
+				r.Idle()
+			} else {
+				s.(*cluster.Stream).Close()
 			}
 		}
 	}()
-	for _, nb := range nbrs {
-		s := n.OpenStream(nb, tag)
-		streams = append(streams, s)
-		srcs = append(srcs, s)
-		if tee {
-			b, err := w.createBlockFile(w.recvName(nb))
-			if err != nil {
-				return err
-			}
-			tees = append(tees, b)
-			s.Tee = b.WriteKeys
+	for _, s := range own {
+		r, err := w.files.Section(s)
+		if err != nil {
+			return err
 		}
+		srcs = append(srcs, r)
 	}
+	for _, nb := range nbrs {
+		srcs = append(srcs, n.OpenStream(nb, tag))
+	}
+	w.srcs = srcs
 	out, err := w.createBlockFile(outName)
 	if err != nil {
 		return err
 	}
-	err = polyphase.Merge(srcs, n, out.WriteKeys)
+	err = w.merger.Merge(srcs, n, out.WriteKeys)
 	if cerr := out.Close(); err == nil {
 		err = cerr
 	}
@@ -314,12 +329,12 @@ func (w *worker) mergeBucket(own diskio.Section, tag int, nbrs []int, outName st
 func (w *worker) advanceBucket(t, tag, d int, nbrs []int) error {
 	old, next := w.bucket(t, d), w.bucket(t+1, d)
 	if len(nbrs) == 0 {
-		if old == next {
+		if slices.Equal(old, next) {
 			return nil
 		}
-		return w.n.FS().Rename(old.Name, next.Name)
+		return w.n.FS().Rename(old[0].Name, next[0].Name)
 	}
-	if err := w.mergeBucket(old, tag, nbrs, next.Name, false); err != nil {
+	if err := w.mergeBucket(old, tag, nbrs, next[0].Name); err != nil {
 		return err
 	}
 	return w.dropBucket(old)
@@ -327,19 +342,14 @@ func (w *worker) advanceBucket(t, tag, d int, nbrs []int) error {
 
 // landFinal is the final round at a needy node.  Fused, the own bucket
 // and the in-neighbors' streams merge straight into the output file,
-// teed to durable receive files when checkpointing so the phase-4
-// manifest has its inputs; in the fallback each stream spools to its
-// receive file and step 5 merges them with the own bucket, which stays
-// on disk either way.
+// which the phase-4 manifest lists; in the fallback each stream spools to
+// its receive file and step 5 merges them with the own bucket, which
+// stays on disk either way.
 func (w *worker) landFinal(t, tag int, nbrs []int, fused bool) error {
 	n := w.n
 	if fused {
-		mode := "fused"
-		if w.cfg.Checkpoint {
-			mode = "spill"
-		}
-		n.TraceEvent(trace.Pipeline, mode, fmt.Sprintf("fan-in:%d msg:%d", len(nbrs)+1, w.cfg.MessageKeys))
-		return w.mergeBucket(w.bucket(t, n.ID()), tag, nbrs, w.output, w.cfg.Checkpoint)
+		n.TraceEvent(trace.Pipeline, "fused", fmt.Sprintf("fan-in:%d msg:%d", len(nbrs)+len(w.runs), w.cfg.MessageKeys))
+		return w.mergeBucket(w.bucket(t, n.ID()), tag, nbrs, w.output)
 	}
 	for _, nb := range nbrs {
 		if err := w.spool(nb, tag); err != nil {

@@ -55,7 +55,7 @@ func TestIndexCapturedEqualsRebuilt(t *testing.T) {
 						t.Fatal(err)
 					}
 					w := &worker{n: n, cfg: Config{Perf: v, BlockKeys: block, MemoryKeys: mem, Tapes: tapes, Strategy: strat, Seed: 5}}
-					x, err := w.newIndex("input")
+					x, err := w.newIndex(int64(len(keys)), false)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -64,6 +64,8 @@ func TestIndexCapturedEqualsRebuilt(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					w.runs = []diskio.Section{{Name: sortedName, Keys: int64(len(keys))}}
+					x.settle(w.runs)
 					if stats.Runs != int64(runs) {
 						t.Fatalf("formed %d runs, want %d", stats.Runs, runs)
 					}
@@ -79,7 +81,7 @@ func TestIndexCapturedEqualsRebuilt(t *testing.T) {
 							t.Fatalf("sample %d at %d is %d, the file holds %d", j, at, x.samples[j], sorted[at])
 						}
 					}
-					for b, f := range x.fences {
+					for b, f := range x.fences[0] {
 						if f != sorted[b*block] {
 							t.Fatalf("fence %d is %d, the file holds %d", b, f, sorted[b*block])
 						}
@@ -112,14 +114,18 @@ func TestIndexMemoryBound(t *testing.T) {
 			if err := diskio.WriteFile(n.FS(), sortedName, keys, 64, diskio.Accounting{}); err != nil {
 				t.Fatal(err)
 			}
-			w := &worker{n: n, cfg: Config{Perf: v, BlockKeys: 64, MemoryKeys: mem, Tapes: 6}}
+			w := &worker{n: n, cfg: Config{Perf: v, BlockKeys: 64, MemoryKeys: mem, Tapes: 6},
+				runs: []diskio.Section{{Name: sortedName, Keys: int64(len(keys))}}, files: diskio.Readers{FS: n.FS()}}
 			x, err := w.sortedIndex()
 			if err != nil {
 				t.Fatal(err)
 			}
 			free := mem - 6*64
 			lb := int64(len(keys)+63) / 64
-			kept := len(x.samples) + len(x.fences)
+			kept := len(x.samples)
+			if x.fences != nil {
+				kept += len(x.fences[0])
+			}
 			switch {
 			case x.fences != nil && kept > free:
 				t.Fatalf("index holds %d keys, more than M − T·B = %d", kept, free)
@@ -190,8 +196,9 @@ func TestRanksMatchCountSublists(t *testing.T) {
 					qs = append(qs, k, k+1, k-1)
 				}
 				slices.Sort(qs)
-				w := &worker{n: n, cfg: Config{Perf: perf.Homogeneous(1), BlockKeys: block, MemoryKeys: 1 << 16, Tapes: 3}}
-				want, err := w.scanRanks(qs, diskio.Accounting{})
+				w := &worker{n: n, cfg: Config{Perf: perf.Homogeneous(1), BlockKeys: block, MemoryKeys: 1 << 16, Tapes: 3},
+					runs: []diskio.Section{{Name: sortedName, Keys: int64(len(keys))}}, files: diskio.Readers{FS: n.FS()}}
+				want, err := w.scanRanks(w.runs[0], qs, diskio.Accounting{})
 				if err != nil {
 					t.Fatal(err)
 				}

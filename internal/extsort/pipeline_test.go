@@ -3,6 +3,7 @@ package extsort
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"hetsort/internal/cluster"
@@ -93,7 +94,7 @@ func TestPipelineMatchesBarrierProperty(t *testing.T) {
 					}
 				}
 			}
-			if cfg.fusedFits(len(v) - 1) {
+			if cfg.fusedFits(len(v)-1, 1) {
 				if pipedIO >= barrierIO {
 					t.Errorf("fused I/O %d not strictly below barrier %d", pipedIO, barrierIO)
 				}
@@ -130,7 +131,7 @@ func TestPipelineFallbackTraced(t *testing.T) {
 			switch e.Label {
 			case "fallback":
 				fallbacks++
-			case "fused", "spill":
+			case "fused":
 				fused++
 			}
 		}
@@ -143,19 +144,20 @@ func TestPipelineFallbackTraced(t *testing.T) {
 	}
 }
 
-// TestPipelineCheckpointCrashResume is the crash property of the
-// spill-while-merging path: with Checkpoint on, kill a node at every
+// TestPipelineCheckpointCrashResume is the crash property of the fused
+// final round: with Checkpoint on, kill a node at every
 // phase boundary (before and after each commit) and the resumed run must
 // produce output byte-identical to an uninterrupted checkpointed
 // *barrier* run — the strongest form of the byte-identity claim.  The
-// points alternate between a configuration that fuses (the streams spill
-// to receive files while they merge) and one forced onto the fallback,
+// points alternate between a configuration that fuses (the streams merge
+// into the output and no receive file is written: the phase-4 manifest
+// lists the output) and one forced onto the fallback,
 // so recovery is exercised over both paths' phase-4 artifacts.
 func TestPipelineCheckpointCrashResume(t *testing.T) {
 	v := perf.Vector{1, 1, 4, 4}
 	n := v.NearestValidSize(1 << 14)
 	base := testConfig(v)
-	base.MemoryKeys = 8192 // let fusion engage (spill mode under Checkpoint)
+	base.MemoryKeys = 8192 // let fusion engage
 	base.Checkpoint = true
 	const seed = 42
 
@@ -189,6 +191,17 @@ func TestPipelineCheckpointCrashResume(t *testing.T) {
 			}
 			if _, err := Sort(c, cfg, "input", "output"); !cluster.IsCrash(err) {
 				t.Fatalf("crash at %q did not surface: %v", point, err)
+			}
+			for i := 0; pi%2 == 0 && i < c.P(); i++ {
+				names, err := c.Node(i).FS().Names()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, name := range names {
+					if strings.HasPrefix(name, recvPrefix) {
+						t.Fatalf("node %d of a fused run wrote %s", i, name)
+					}
+				}
 			}
 			res, got, err := Resume(c, cfg, "input", "output")
 			if err != nil {

@@ -335,7 +335,9 @@ func crashedPair(t *testing.T, point string) (*cluster.Cluster, Config) {
 // of a pivot strategy v5 no longer has (and numbered the strategies with
 // it in the enum); extsort-v5 recorded eps=, the sketch error bound v6
 // fixes as a constant; extsort-v6 has v7's fields, but its cuts were key
-// cuts, where v7's tied pivots cut inside a run of equal keys — is
+// cuts, where v7's tied pivots cut inside a run of equal keys; extsort-v7
+// has v8's fields, but its step 1 always wrote the sorted file, where
+// v8's may leave runs with a row of cuts each — is
 // refused by fingerprint, with the error that names both configurations,
 // never by a missing file.
 func TestResumeRefusesV2Manifest(t *testing.T) {
@@ -345,6 +347,7 @@ func TestResumeRefusesV2Manifest(t *testing.T) {
 		{"extsort-v4 ", " over=0 in="},
 		{"extsort-v5 ", " eps=0.01 in="},
 		{"extsort-v6 ", " in="},
+		{"extsort-v7 ", " in="},
 	} {
 		t.Run(strings.TrimSpace(old.version), func(t *testing.T) {
 			c, cfg := crashedPair(t, StepNames[2])
@@ -355,7 +358,7 @@ func TestResumeRefusesV2Manifest(t *testing.T) {
 					t.Fatal(err)
 				}
 				cur := m.Sig
-				m.Sig = strings.Replace(strings.Replace(cur, "extsort-v7 ", old.version, 1), " in=", old.extra, 1)
+				m.Sig = strings.Replace(strings.Replace(cur, "extsort-v8 ", old.version, 1), " in=", old.extra, 1)
 				if m.Sig == cur || !strings.HasPrefix(m.Sig, old.version) {
 					t.Fatalf("could not age fingerprint %q", cur)
 				}
@@ -367,7 +370,7 @@ func TestResumeRefusesV2Manifest(t *testing.T) {
 			if err == nil {
 				t.Fatalf("resume from %smanifests accepted", old.version)
 			}
-			for _, want := range []string{"different configuration", old.version, "extsort-v7 "} {
+			for _, want := range []string{"different configuration", old.version, "extsort-v8 "} {
 				if !strings.Contains(err.Error(), want) {
 					t.Fatalf("error does not mention %q: %v", want, err)
 				}

@@ -347,7 +347,7 @@ func (w *worker) sketched() (pivotSelector, error) {
 	return pivotSelector{
 		oneShot: true,
 		contribute: func(int, []record.Key) ([]record.Key, error) {
-			if err := w.scanSorted(n.Acct(), func(keys []record.Key) { sk.InsertAll(keys) }); err != nil {
+			if err := w.scanRun(w.runs[0], n.Acct(), func(keys []record.Key) { sk.InsertAll(keys) }); err != nil {
 				return nil, err
 			}
 			w.sampleKeys += 2 * int64(sk.TupleCount())
@@ -487,11 +487,11 @@ func (w *worker) histogram() pivotSelector {
 	}
 }
 
-// scanSorted streams the node's sorted file through visit, one block at
-// a time, charging the block reads to acct and one comparison per key.
-func (w *worker) scanSorted(acct diskio.Accounting, visit func([]record.Key)) error {
+// scanRun streams a run of step 1 through visit, one block at a time,
+// charging the block reads to acct and one comparison per key.
+func (w *worker) scanRun(run diskio.Section, acct diskio.Accounting, visit func([]record.Key)) error {
 	n, cfg := w.n, w.cfg
-	f, r, err := diskio.Section{Name: sortedName, Keys: -1}.Open(n.FS(), cfg.BlockKeys, acct)
+	f, r, err := run.Open(n.FS(), cfg.BlockKeys, acct)
 	if err != nil {
 		return err
 	}
@@ -508,16 +508,16 @@ func (w *worker) scanSorted(acct diskio.Accounting, visit func([]record.Key)) er
 	}
 }
 
-// scanRanks answers ranks' queries with one scan of the sorted file: for
-// each query q, the keys ≤ q, the largest of them and the smallest key
-// above q.  A block that ends at or below the current query is booked
-// whole; only blocks a query cuts are walked key by key.
-func (w *worker) scanRanks(qs []record.Key, acct diskio.Accounting) ([]histsort.Count, error) {
+// scanRanks answers ranks' queries with one scan of a run: for each query
+// q, the keys ≤ q, the largest of them and the smallest key above q.  A
+// block that ends at or below the current query is booked whole; only
+// blocks a query cuts are walked key by key.
+func (w *worker) scanRanks(run diskio.Section, qs []record.Key, acct diskio.Accounting) ([]histsort.Count, error) {
 	out := make([]histsort.Count, len(qs))
 	var n int64
 	var last record.Key // the largest key so far: 0, the neutral, before any
 	j := 0
-	err := w.scanSorted(acct, func(keys []record.Key) {
+	err := w.scanRun(run, acct, func(keys []record.Key) {
 		jj := j // a register for the hot loop; j itself lives in the closure
 		if jj == len(qs) || keys[len(keys)-1] <= qs[jj] {
 			n += int64(len(keys))

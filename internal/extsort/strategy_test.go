@@ -169,7 +169,7 @@ func TestCountSublistsBlockFastPath(t *testing.T) {
 				}
 			}
 			w := &worker{n: n, cfg: Config{BlockKeys: block}}
-			got, err := w.scanRanks(tc.fine, diskio.Accounting{})
+			got, err := w.scanRanks(diskio.Section{Name: sortedName, Keys: int64(len(tc.keys))}, tc.fine, diskio.Accounting{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -477,8 +477,8 @@ func TestBucketWithNoInNeighborsAdvancesFree(t *testing.T) {
 		t.Fatalf("rounds without in-neighbors %v, want [0 1 1 1 0]", own)
 	}
 	n := v.NearestValidSize(20000)
-	// On the fallback: a fused final round spills its streams under
-	// Checkpoint, the one legitimate difference between the two runs.
+	// On the fallback path, so that both runs spool to receive files and
+	// the manifest commits are the one difference between them.
 	cfg := unfuse(testConfig(v))
 	cfg.Topology, cfg.Radix = TopologyTree, 2
 	_, plain := runTopo(t, v, cfg, n, 61)

@@ -52,12 +52,8 @@ func MergeSections(cfg Config, inputs []diskio.Section, outputName string) error
 	for len(current) > fan {
 		var next []diskio.Section
 		for i := 0; i < len(current); i += fan {
-			end := i + fan
-			if end > len(current) {
-				end = len(current)
-			}
 			name := fmt.Sprintf("%smerge%d_%d", cfg.TempPrefix, level, i/fan)
-			if err := mergeGroup(cfg, current[i:end], name); err != nil {
+			if err := mergeGroup(cfg, current[i:min(i+fan, len(current))], name); err != nil {
 				return err
 			}
 			scratch = append(scratch, name)
@@ -72,27 +68,15 @@ func MergeSections(cfg Config, inputs []diskio.Section, outputName string) error
 // mergeGroup streams a single k-way merge of the sorted inputs into out
 // through the loser-tree kernel.
 func mergeGroup(cfg Config, inputs []diskio.Section, out string) error {
-	files := make([]diskio.File, len(inputs))
-	srcs := make([]MergeSource, len(inputs))
-	readers := make([]*diskio.Reader, len(inputs))
-	defer func() {
-		for _, r := range readers {
-			if r != nil {
-				r.Release()
-			}
-		}
-		for _, f := range files {
-			if f != nil {
-				f.Close()
-			}
-		}
-	}()
-	for i, in := range inputs {
-		var err error
-		if files[i], readers[i], err = in.Open(cfg.FS, cfg.BlockKeys, cfg.Acct); err != nil {
+	srcs := make([]MergeSource, 0, len(inputs))
+	for _, in := range inputs {
+		f, r, err := in.Open(cfg.FS, cfg.BlockKeys, cfg.Acct)
+		if err != nil {
 			return fmt.Errorf("polyphase: merge open %s: %w", in.Name, err)
 		}
-		srcs[i] = readers[i]
+		defer f.Close()
+		defer r.Release()
+		srcs = append(srcs, r)
 	}
 	of, err := cfg.FS.Create(out)
 	if err != nil {

@@ -88,6 +88,20 @@ const batchKeys = 1024
 // Discard, before its next Fill.  emit must not retain what it
 // receives.  A nil meter charges nothing.
 func Merge(srcs []MergeSource, meter vtime.Meter, emit func([]record.Key) error) error {
+	return new(Merger).Merge(srcs, meter, emit)
+}
+
+// A Merger is Merge keeping its tree and batch for the next call, for a
+// caller that merges many times.
+type Merger struct {
+	bases [][]record.Key
+	pos   []int
+	tree  []uint64
+	out   batcher
+}
+
+// Merge is the package's Merge on m's buffers.
+func (m *Merger) Merge(srcs []MergeSource, meter vtime.Meter, emit func([]record.Key) error) error {
 	if meter == nil {
 		meter = vtime.Nop{}
 	}
@@ -113,8 +127,12 @@ func Merge(srcs []MergeSource, meter vtime.Meter, emit func([]record.Key) error)
 	// only rewritten after a Fill, and per-chunk consumption advances
 	// the integer pos[i] — an int store, so the hot loop never writes a
 	// pointer (no GC write barriers).
-	bases := make([][]record.Key, k2)
-	pos := make([]int, k2)
+	if len(m.pos) < k2 {
+		m.bases, m.pos, m.tree = make([][]record.Key, k2), make([]int, k2), make([]uint64, 2*k2)
+	}
+	bases, pos, tree := m.bases[:k2], m.pos[:k2], m.tree[:2*k2]
+	clear(bases)
+	clear(pos)
 	for i, src := range srcs {
 		if len(src.Buffered()) == 0 {
 			if err := src.Fill(); err != nil && err != io.EOF {
@@ -127,7 +145,6 @@ func Merge(srcs []MergeSource, meter vtime.Meter, emit func([]record.Key) error)
 	// Build: play every match once, on whole words (a tie goes to the
 	// left source).  Leaf i is tree[k2+i]; the bottom-up pass leaves each
 	// node's winner in tree[j], the top-down pass its loser.
-	tree := make([]uint64, 2*k2)
 	for i := range k2 {
 		tree[k2+i] = slot(bases[i], 0, i)
 	}
@@ -149,7 +166,8 @@ func Merge(srcs []MergeSource, meter vtime.Meter, emit func([]record.Key) error)
 	// those interaction points (Fill may Recv or do charged I/O), so
 	// batching between them cannot change any cross-node timing.
 	var pending int64
-	out := &batcher{emit: emit}
+	out := &m.out
+	out.emit, out.n = emit, 0
 	for {
 		if tree[0]>>srcBits == drained {
 			err := out.flush()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"hetsort/internal/diskio"
 	"hetsort/internal/record"
@@ -55,10 +56,9 @@ func (c Config) Validate() error {
 
 // Stats reports what a Sort did.
 type Stats struct {
-	Keys       int64 // keys sorted
-	Runs       int64 // initial runs formed
-	Phases     int64 // polyphase merge phases
-	MergeSteps int64 // individual run merges performed
+	Keys   int64 // keys sorted
+	Runs   int64 // initial runs formed
+	Phases int64 // polyphase merge phases
 }
 
 // tape is one of the T files, with in-memory run-boundary metadata.
@@ -72,6 +72,7 @@ type tape struct {
 
 	runs    []int64 // FIFO of run lengths in keys
 	dummies int64
+	keys    int64 // keys in the file, once written
 
 	rf diskio.File
 	r  *diskio.Reader
@@ -82,13 +83,7 @@ type tape struct {
 func (t *tape) total() int64 { return int64(len(t.runs)) + t.dummies }
 
 func (t *tape) becomeOutput() error {
-	if t.rf != nil {
-		t.r.Release()
-		if err := t.rf.Close(); err != nil {
-			return err
-		}
-		t.rf, t.r = nil, nil
-	}
+	t.close()
 	f, err := t.fs.Create(t.name)
 	if err != nil {
 		return err
@@ -103,6 +98,7 @@ func (t *tape) finishOutput() error {
 	if t.w == nil {
 		return nil
 	}
+	t.keys = t.w.KeysWritten()
 	if err := t.w.Close(); err != nil {
 		return err
 	}
@@ -140,16 +136,13 @@ type distributor struct {
 	target  []int64 // a[i]: perfect-distribution target at current level
 	placed  []int64 // real runs placed on tape i
 	cur     int     // tape receiving the current run
+	start   int64   // and where the run starts on it
 	curLen  int64
-	observe func(off int64, keys []record.Key) // SortObserved's, or nil
+	observe Observer // or nil
 }
 
 func newDistributor(inputs []*tape) *distributor {
-	d := &distributor{
-		tapes:  inputs,
-		target: make([]int64, len(inputs)),
-		placed: make([]int64, len(inputs)),
-	}
+	d := &distributor{tapes: inputs, target: make([]int64, len(inputs)), placed: make([]int64, len(inputs))}
 	for i := range d.target {
 		d.target[i] = 1
 	}
@@ -159,15 +152,9 @@ func newDistributor(inputs []*tape) *distributor {
 // levelUp advances the perfect distribution one level:
 // a'[i] = a[0] + a[i+1] (with a[k] = 0).
 func (d *distributor) levelUp() {
-	k := len(d.target)
-	a0 := d.target[0]
-	next := make([]int64, k)
-	for i := 0; i < k; i++ {
-		if i+1 < k {
-			next[i] = a0 + d.target[i+1]
-		} else {
-			next[i] = a0
-		}
+	next := append(slices.Clone(d.target[1:]), 0)
+	for i := range next {
+		next[i] += d.target[0]
 	}
 	d.target = next
 }
@@ -191,14 +178,14 @@ func (d *distributor) pick() int {
 
 func (d *distributor) beginRun() (int, error) {
 	d.cur = d.pick()
-	d.curLen = 0
 	t := d.tapes[d.cur]
+	d.start, d.curLen = t.w.KeysWritten(), 0
 	return t.block - int(t.w.KeysWritten()%int64(t.block)), nil
 }
 
 func (d *distributor) emitKeys(keys []record.Key) error {
 	if d.observe != nil {
-		d.observe(d.curLen, keys)
+		d.observe(d.tapes[d.cur].name, d.start, d.curLen, keys)
 	}
 	d.curLen += int64(len(keys))
 	return d.tapes[d.cur].w.WriteKeys(keys)
@@ -218,6 +205,13 @@ func (d *distributor) finalize() {
 	}
 }
 
+// An Observer is shown every run a sort writes, formed or merged, chunk
+// by chunk in order: the run starts at key start of the tape file, the
+// chunk at key off of the run.  A tape is rewritten only once its runs
+// are consumed, so a run at start 0 ends every run the tape held before.
+// It must not retain a chunk.
+type Observer func(tape string, start, off int64, keys []record.Key)
+
 // Sort externally sorts the keys in inputName into outputName using
 // polyphase merge sort.  The input file is left untouched; tape files
 // are created under cfg.TempPrefix and removed on success.
@@ -225,154 +219,159 @@ func Sort(cfg Config, inputName, outputName string) (Stats, error) {
 	return SortObserved(cfg, inputName, outputName, nil)
 }
 
-// SortObserved is Sort showing observe, chunk by chunk with each chunk's
-// offset in its run, every run formed (one run or many is known only at
-// the input's end) and the merge step writing the output.  That is the
-// last run written, so an index observe fills by position holds the
-// output's keys.  observe must not retain a chunk.
-func SortObserved(cfg Config, inputName, outputName string, observe func(off int64, keys []record.Key)) (Stats, error) {
+// SortObserved is Sort showing observe every run it writes; the output
+// is the last.
+func SortObserved(cfg Config, inputName, outputName string, observe Observer) (Stats, error) {
+	_, stats, err := sortTapes(cfg, inputName, outputName, observe)
+	return stats, err
+}
+
+// Runs is the sort stopped one merge step short: it returns the runs the
+// last step would merge — at most Tapes−1, in that step's source order —
+// as sections of tape files the caller removes; the other tapes are gone.
+// Stats count the phases completed.
+func Runs(cfg Config, inputName string, observe Observer) ([]diskio.Section, Stats, error) {
+	return sortTapes(cfg, inputName, "", observe)
+}
+
+// sortTapes forms the runs and merges them polyphase, step by step, to
+// the end (renaming the tape that holds the last run to outputName) or,
+// for an empty outputName, until the next step would be the last.
+func sortTapes(cfg Config, inputName, outputName string, observe Observer) (runs []diskio.Section, stats Stats, err error) {
 	if err := cfg.Validate(); err != nil {
-		return Stats{}, err
+		return nil, Stats{}, err
 	}
 	cfg.Acct.Overlap = cfg.Overlap
 	tapes := make([]*tape, cfg.Tapes)
 	for i := range tapes {
-		tapes[i] = &tape{
-			fs:    cfg.FS,
-			name:  fmt.Sprintf("%stape%d", cfg.TempPrefix, i),
-			block: cfg.BlockKeys,
-			acct:  cfg.Acct,
-		}
+		tapes[i] = &tape{fs: cfg.FS, name: fmt.Sprintf("%stape%d", cfg.TempPrefix, i), block: cfg.BlockKeys, acct: cfg.Acct}
 	}
 	defer func() {
 		for _, t := range tapes {
 			t.close()
-			cfg.FS.Remove(t.name) // best effort; may not exist
+			if err != nil || !slices.ContainsFunc(runs, func(s diskio.Section) bool { return s.Name == t.name }) {
+				cfg.FS.Remove(t.name) // best effort; may not exist
+			}
 		}
 	}()
 
-	inputs := tapes[:cfg.Tapes-1]
-	for _, t := range inputs {
+	for _, t := range tapes[:cfg.Tapes-1] {
 		if err := t.becomeOutput(); err != nil {
-			return Stats{}, err
+			return nil, Stats{}, err
 		}
 	}
-	dist := newDistributor(inputs)
+	dist := newDistributor(tapes[:cfg.Tapes-1])
 	dist.observe = observe
-	runs, keys, err := formRuns(cfg.FS, inputName, cfg.BlockKeys, cfg.MemoryKeys,
+	formed, keys, err := formRuns(cfg.FS, inputName, cfg.BlockKeys, cfg.MemoryKeys,
 		cfg.RunFormation, cfg.Acct, dist)
 	if err != nil {
-		return Stats{}, fmt.Errorf("polyphase: run formation: %w", err)
+		return nil, Stats{}, fmt.Errorf("polyphase: run formation: %w", err)
 	}
 	dist.finalize()
-	for _, t := range inputs {
+	for _, t := range dist.tapes {
 		if err := t.finishOutput(); err != nil {
-			return Stats{}, err
+			return nil, Stats{}, err
 		}
 	}
-	stats := Stats{Keys: keys, Runs: runs}
-
-	if runs == 0 {
-		// Empty input: produce an empty output file.
-		f, err := cfg.FS.Create(outputName)
-		if err != nil {
-			return stats, err
-		}
-		return stats, f.Close()
+	stats = Stats{Keys: keys, Runs: formed}
+	if formed == 0 && outputName != "" { // empty input: an empty output file
+		return nil, stats, diskio.WriteFile(cfg.FS, outputName, nil, cfg.BlockKeys, diskio.Accounting{})
 	}
 
 	out := tapes[cfg.Tapes-1]
 	if err := out.becomeOutput(); err != nil {
-		return stats, err
+		return nil, stats, err
 	}
-
-	for {
-		final, err := finalTape(tapes)
-		if err == nil {
-			// Exactly one real run left: it is the sorted output.
-			final.close()
-			for _, t := range tapes {
-				t.close()
+	var inputs []*tape // the phase's
+	for left := int64(0); ; left-- {
+		if left == 0 { // a phase boundary
+			if inputs != nil { // a phase ran: its emptied input tape becomes the next output
+				stats.Phases++
+				if out, err = nextOutput(tapes, out); err != nil {
+					return nil, stats, err
+				}
 			}
-			if rerr := cfg.FS.Rename(final.name, outputName); rerr != nil {
-				return stats, rerr
+			if holder := lastRun(tapes); holder != nil && outputName != "" {
+				// Exactly one real run left: it is the sorted output.
+				for _, t := range tapes {
+					t.close()
+				}
+				return nil, stats, cfg.FS.Rename(holder.name, outputName)
 			}
-			return stats, nil
-		}
-		steps, merr := mergePhase(tapes, out, cfg, observe, keys)
-		if merr != nil {
-			return stats, fmt.Errorf("polyphase: merge phase %d: %w", stats.Phases+1, merr)
-		}
-		stats.Phases++
-		stats.MergeSteps += steps
-		// The emptied input tape becomes the next output.
-		if err := out.finishOutput(); err != nil {
-			return stats, err
-		}
-		next := -1
-		for i, t := range tapes {
-			if t != out && t.total() == 0 {
-				next = i
-				break
+			if inputs, left = phase(tapes, out); left == 0 {
+				return nil, stats, errors.New("polyphase: input tape empty at phase start")
 			}
 		}
-		if next < 0 {
-			return stats, errors.New("polyphase: internal error: no tape emptied during phase")
+		if outputName == "" && lastStep(tapes, out) {
+			return heads(inputs), stats, nil
 		}
-		newOut := tapes[next]
-		if err := newOut.becomeOutput(); err != nil {
-			return stats, err
+		if err := mergeStep(inputs, out, cfg, observe); err != nil {
+			return nil, stats, fmt.Errorf("polyphase: merge phase %d: %w", stats.Phases+1, err)
 		}
-		out = newOut
 	}
 }
 
-// finalTape returns the tape holding the single remaining real run, or
-// an error if the merge is not finished.
-func finalTape(tapes []*tape) (*tape, error) {
-	var holder *tape
-	var realRuns int64
+// nextOutput ends out's phase: out becomes an input and the input tape
+// the phase emptied the next output.
+func nextOutput(tapes []*tape, out *tape) (*tape, error) {
+	if err := out.finishOutput(); err != nil {
+		return nil, err
+	}
 	for _, t := range tapes {
-		if len(t.runs) > 0 {
-			realRuns += int64(len(t.runs))
+		if t != out && t.total() == 0 {
+			return t, t.becomeOutput()
+		}
+	}
+	return nil, errors.New("polyphase: internal error: no tape emptied during phase")
+}
+
+// lastRun returns the tape holding the single remaining real run, or nil
+// if more runs remain.
+func lastRun(tapes []*tape) (holder *tape) {
+	for _, t := range tapes {
+		if len(t.runs) > 1 || len(t.runs) == 1 && holder != nil {
+			return nil
+		} else if len(t.runs) == 1 {
 			holder = t
 		}
 	}
-	if realRuns == 1 {
-		return holder, nil
-	}
-	return nil, fmt.Errorf("polyphase: %d runs remain", realRuns)
+	return holder
 }
 
-// mergePhase merges runs from every non-output tape into out until one
-// input tape is exhausted, returning the number of merge steps.
-func mergePhase(tapes []*tape, out *tape, cfg Config, observe func(int64, []record.Key), keys int64) (int64, error) {
-	var inputs []*tape
+// phase returns the tapes a merge phase reads, every tape but out, and
+// its length: the run count of the shallowest.
+func phase(tapes []*tape, out *tape) (inputs []*tape, steps int64) {
+	steps = -1
 	for _, t := range tapes {
 		if t != out {
 			inputs = append(inputs, t)
+			if steps < 0 || t.total() < steps {
+				steps = t.total()
+			}
 		}
 	}
-	steps := int64(0)
+	return inputs, steps
+}
+
+// lastStep reports whether the next merge step leaves one run: every real
+// run left heads an input tape, with no dummy ahead of it.
+func lastStep(tapes []*tape, out *tape) bool {
+	for _, t := range tapes {
+		if n := len(t.runs); n > 1 || n == 1 && (t == out || t.dummies > 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// heads returns the real runs heading the input tapes, in tape order.
+func heads(inputs []*tape) (runs []diskio.Section) {
 	for _, t := range inputs {
-		if t.total() == 0 {
-			return 0, errors.New("polyphase: input tape empty at phase start")
+		if len(t.runs) == 1 {
+			runs = append(runs, diskio.Section{Name: t.name, Off: t.keys - t.runs[0], Keys: t.runs[0]})
 		}
 	}
-	// The phase length is the run count of the shallowest input tape.
-	phaseLen := inputs[0].total()
-	for _, t := range inputs[1:] {
-		if tt := t.total(); tt < phaseLen {
-			phaseLen = tt
-		}
-	}
-	for s := int64(0); s < phaseLen; s++ {
-		if err := mergeStep(inputs, out, cfg, observe, keys); err != nil {
-			return steps, err
-		}
-		steps++
-	}
-	return steps, nil
+	return runs
 }
 
 // runSource adapts one scheduled run on a tape to the merge kernel: it
@@ -410,10 +409,9 @@ func (s *runSource) Fill() error {
 }
 
 // mergeStep consumes one run (real or dummy) from every input tape and
-// appends the merged result to out, shown to observe if it has all keys.
-func mergeStep(inputs []*tape, out *tape, cfg Config, observe func(int64, []record.Key), keys int64) error {
+// appends the merged result to out, shown to observe.
+func mergeStep(inputs []*tape, out *tape, cfg Config, observe Observer) error {
 	var srcs []MergeSource
-	var runKeys int64
 	for _, t := range inputs {
 		if t.dummies > 0 {
 			t.dummies--
@@ -422,20 +420,18 @@ func mergeStep(inputs []*tape, out *tape, cfg Config, observe func(int64, []reco
 		if len(t.runs) == 0 {
 			return errors.New("polyphase: input tape under-ran its schedule")
 		}
-		length := t.runs[0]
+		srcs = append(srcs, &runSource{t: t, remaining: t.runs[0]})
 		t.runs = t.runs[1:]
-		runKeys += length
-		srcs = append(srcs, &runSource{t: t, remaining: length})
 	}
 	if len(srcs) == 0 {
 		// All contributions were dummies: the output gets a dummy.
 		out.dummies++
 		return nil
 	}
-	var outLen int64
+	start, outLen := out.w.KeysWritten(), int64(0)
 	emit := func(chunk []record.Key) error {
-		if observe != nil && runKeys == keys {
-			observe(outLen, chunk)
+		if observe != nil {
+			observe(out.name, start, outLen, chunk)
 		}
 		outLen += int64(len(chunk))
 		return out.w.WriteKeys(chunk)

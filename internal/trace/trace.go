@@ -33,10 +33,10 @@ const (
 	// skipped (already committed) phase, a clock replay, or a re-sent
 	// redistribution segment.
 	Recovery
-	// Pipeline records a fused redistribution→merge decision: the node
-	// merged incoming streams directly into its output ("fused"), teed
-	// them to durable receive files for the checkpoint manifest
-	// ("spill"), or fell back to the barrier path ("fallback").
+	// Pipeline records a fused-pass decision: step 1 stopped one merge
+	// short and left its runs ("runs"), the node merged incoming streams
+	// directly into its output ("fused"), or it fell back to the barrier
+	// path ("fallback").
 	Pipeline
 )
 
