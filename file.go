@@ -21,19 +21,12 @@ import (
 // in memory, so the input must fit in RAM; set WorkDir for genuinely
 // out-of-core runs.
 func SortFile(inputPath, outputPath string, cfg Config) (*Report, error) {
-	v, err := cfg.vector()
+	m, err := cfg.resolve()
 	if err != nil {
 		return nil, err
 	}
-	ecfg, err := cfg.extsortConfig(v)
-	if err != nil {
-		return nil, err
-	}
-	c, tl, err := cfg.newCluster(v)
-	if err != nil {
-		return nil, err
-	}
-	block := cfg.blockKeys()
+	defer m.release()
+	c, block := m.c, m.ecfg.BlockKeys
 
 	in, err := os.Open(inputPath)
 	if err != nil {
@@ -48,7 +41,7 @@ func SortFile(inputPath, outputPath string, cfg Config) (*Report, error) {
 		return nil, fmt.Errorf("hetsort: input size %d is not a multiple of %d bytes", st.Size(), record.KeySize)
 	}
 	total := st.Size() / record.KeySize
-	shares := v.Shares(total)
+	shares := m.ecfg.Perf.Shares(total)
 
 	// Stream each node's contiguous portion onto its disk, folding the
 	// checksum as we go.
@@ -90,17 +83,13 @@ func SortFile(inputPath, outputPath string, cfg Config) (*Report, error) {
 		}
 	}
 
-	res, err := cfg.sortOnCluster(c, v, ecfg, want)
+	rep, err := m.sort(want)
 	if err != nil {
 		return nil, err
 	}
-
 	if err := concatOutput(c, block, outputPath); err != nil {
 		return nil, err
 	}
-	rep := newReport(res, v)
-	rep.attachTrace(tl)
-	rep.attachMetrics(c)
 	return rep, nil
 }
 
@@ -161,32 +150,22 @@ func Resume(outputPath string, cfg Config) (*Report, error) {
 	if cfg.Algorithm != "" && cfg.Algorithm != AlgorithmExternalPSRS {
 		return nil, fmt.Errorf("hetsort: cannot resume algorithm %q (checkpointing is external-psrs only)", cfg.Algorithm)
 	}
-	v, err := cfg.vector()
+	m, err := cfg.resolve()
 	if err != nil {
 		return nil, err
 	}
-	c, tl, err := cfg.newCluster(v)
+	m.ecfg.Checkpoint = true
+	res, want, err := extsort.Resume(m.c, m.ecfg, "input", "output")
 	if err != nil {
 		return nil, err
 	}
-	ecfg, err := cfg.extsortConfig(v)
+	rep, err := m.report(res, want)
 	if err != nil {
 		return nil, err
 	}
-	ecfg.Checkpoint = true
-	res, want, err := extsort.Resume(c, ecfg, "input", "output")
-	if err != nil {
+	if err := concatOutput(m.c, m.ecfg.BlockKeys, outputPath); err != nil {
 		return nil, err
 	}
-	if err := extsort.VerifyOutput(c, "output", cfg.blockKeys(), want); err != nil {
-		return nil, err
-	}
-	if err := concatOutput(c, cfg.blockKeys(), outputPath); err != nil {
-		return nil, err
-	}
-	rep := newReport(res, v)
-	rep.attachTrace(tl)
-	rep.attachMetrics(c)
 	return rep, nil
 }
 

@@ -35,7 +35,6 @@ import (
 	"hetsort/internal/progress"
 	"hetsort/internal/record"
 	"hetsort/internal/trace"
-	"hetsort/internal/vtime"
 )
 
 // Key is the record type the library sorts: a 32-bit unsigned integer,
@@ -231,156 +230,128 @@ type CheckpointConfig struct {
 	CrashNode int
 }
 
-func (c Config) vector() (perf.Vector, error) {
-	if len(c.Perf) > 0 {
-		v := perf.Vector(c.Perf)
-		return v, v.Validate()
-	}
-	n := c.Nodes
-	if n <= 0 {
-		n = 4
-	}
-	return perf.Homogeneous(n), nil
+// machine is a Config resolved: the defaulted and validated Algorithm-1
+// configuration (perf vector included) and the simulated cluster with
+// its optional trace log.
+type machine struct {
+	cfg  Config
+	ecfg extsort.Config
+	c    *cluster.Cluster
+	tl   *trace.Log
 }
 
-func (c Config) runFormation() (polyphase.RunFormation, error) {
-	switch c.RunFormation {
-	case "", RunReplacementSelection:
-		return polyphase.ReplacementSelection, nil
-	case RunLoadSort:
-		return polyphase.LoadSort, nil
-	case RunGuidesort:
-		return polyphase.Guidesort, nil
+// resolve is the one place a Config becomes a machine.  It checks every
+// value, whatever the algorithm, before it builds the cluster, so a bad
+// Config fails before a node directory is created or any data moves.
+func (cfg Config) resolve() (*machine, error) {
+	v := perf.Vector(cfg.Perf)
+	if len(v) > 0 {
+		if err := v.Validate(); err != nil {
+			return nil, err
+		}
+	} else if cfg.Nodes > 0 {
+		v = perf.Homogeneous(cfg.Nodes)
+	} else {
+		v = perf.Homogeneous(4)
+	}
+	switch cfg.Algorithm {
+	case "", AlgorithmExternalPSRS:
+	case AlgorithmDeWitt:
+		if cfg.Checkpoint.Enabled {
+			return nil, errors.New("hetsort: checkpointing is only implemented for the external-psrs algorithm")
+		}
 	default:
-		return 0, fmt.Errorf("hetsort: unknown run formation %q", c.RunFormation)
+		return nil, fmt.Errorf("hetsort: unknown algorithm %q", cfg.Algorithm)
 	}
-}
-
-func (c Config) diskAccess() (pdm.AccessMode, error) {
-	switch c.DiskAccess {
-	case "", DiskAccessStriped:
-		return pdm.Striped, nil
-	case DiskAccessIndependent:
-		return pdm.Independent, nil
-	default:
-		return 0, fmt.Errorf("hetsort: unknown disk access mode %q", c.DiskAccess)
+	if ph := cfg.Checkpoint.CrashPhase; ph < 0 || ph > 5 {
+		return nil, fmt.Errorf("hetsort: Checkpoint.CrashPhase %d out of range 1..5", ph)
 	}
-}
-
-func (c Config) blockKeys() int {
-	if c.BlockKeys > 0 {
-		return c.BlockKeys
+	if id := cfg.Checkpoint.CrashNode; cfg.Checkpoint.CrashPhase != 0 && (id < 0 || id >= len(v)) {
+		return nil, fmt.Errorf("hetsort: Checkpoint.CrashNode %d out of range 0..%d", id, len(v)-1)
 	}
-	return 2048
-}
-
-// newCluster assembles the simulated machine for this configuration,
-// returning the optional trace log alongside it.
-func (c Config) newCluster(v perf.Vector) (*cluster.Cluster, *trace.Log, error) {
-	net, err := cluster.NetByName(c.Network)
-	if err != nil {
-		return nil, nil, fmt.Errorf("hetsort: %w", err)
+	rf, rfErr := polyphase.ParseRunFormation(cfg.RunFormation)
+	strat, stratErr := extsort.ParseStrategy(cfg.PivotStrategy)
+	topo, topoErr := extsort.ParseTopology(cfg.Topology)
+	access, accessErr := pdm.ParseAccessMode(cfg.DiskAccess)
+	net, netErr := cluster.NetByName(cfg.Network)
+	if err := errors.Join(rfErr, stratErr, topoErr, accessErr, netErr); err != nil {
+		return nil, fmt.Errorf("hetsort: %w", err)
 	}
-	access, err := c.diskAccess()
-	if err != nil {
-		return nil, nil, err
-	}
-	var tl *trace.Log
-	if c.Trace {
-		tl = new(trace.Log)
-	}
-	loads := c.Loads
+	loads := cfg.Loads
 	if loads == nil {
 		loads = v.Slowdowns()
 	} else if err := perf.ValidateLoads(loads); err != nil {
-		return nil, nil, fmt.Errorf("hetsort: %w", err)
+		return nil, fmt.Errorf("hetsort: %w", err)
 	}
 	if len(loads) != len(v) {
-		return nil, nil, fmt.Errorf("hetsort: %d loads for %d nodes", len(loads), len(v))
+		return nil, fmt.Errorf("hetsort: %d loads for %d nodes", len(loads), len(v))
 	}
-	var disks func(int) diskio.FS
-	var derr error
-	if c.WorkDir != "" {
-		disks = func(id int) diskio.FS {
-			fs, e := diskio.NewDirFS(fmt.Sprintf("%s/node%d", c.WorkDir, id))
-			if e != nil {
-				// Remember the failure; newCluster surfaces it below.
-				// The placeholder MemFS is never used.
-				if derr == nil {
-					derr = e
-				}
-				return diskio.NewMemFS()
-			}
-			return fs
-		}
-	}
-	cl, err := cluster.New(cluster.Config{
-		Slowdowns:    loads,
-		Net:          net,
-		BlockKeys:    c.blockKeys(),
-		Disks:        disks,
-		DisksPerNode: c.Disks,
-		DiskAccess:   access,
-		Trace:        tl,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if derr != nil {
-		return nil, nil, fmt.Errorf("hetsort: work dir %q: %w", c.WorkDir, derr)
-	}
-	return cl, tl, err
-}
-
-func (c Config) pivotStrategy() (extsort.Strategy, error) {
-	switch c.PivotStrategy {
-	case "", PivotRegularSampling:
-		return extsort.RegularSampling, nil
-	case PivotRandom:
-		return extsort.RandomPivots, nil
-	case PivotQuantileSketch:
-		return extsort.QuantileSketch, nil
-	case PivotHistogram:
-		return extsort.Histogram, nil
-	default:
-		return 0, fmt.Errorf("hetsort: unknown pivot strategy %q", c.PivotStrategy)
-	}
-}
-
-// extsortConfig builds the Algorithm-1 configuration, with defaults
-// applied and validated for the cluster v describes.  Every entry point
-// builds it before any data moves, whatever the algorithm, so a bad
-// value fails fast.
-func (c Config) extsortConfig(v perf.Vector) (extsort.Config, error) {
-	rf, err := c.runFormation()
-	if err != nil {
-		return extsort.Config{}, err
-	}
-	strat, err := c.pivotStrategy()
-	if err != nil {
-		return extsort.Config{}, err
-	}
-	topo, err := extsort.ParseTopology(c.Topology)
-	if err != nil {
-		return extsort.Config{}, fmt.Errorf("hetsort: %w", err)
-	}
-	ecfg := extsort.Config{
+	m := &machine{cfg: cfg, ecfg: extsort.Config{
 		Perf:          v,
-		BlockKeys:     c.blockKeys(),
-		MemoryKeys:    c.MemoryKeys,
-		Tapes:         c.Tapes,
-		MessageKeys:   c.MessageKeys,
+		BlockKeys:     cfg.BlockKeys,
+		MemoryKeys:    cfg.MemoryKeys,
+		Tapes:         cfg.Tapes,
+		MessageKeys:   cfg.MessageKeys,
 		RunFormation:  rf,
 		Strategy:      strat,
-		HistTolerance: c.HistTolerance,
-		Seed:          c.Seed,
-		Overlap:       c.Overlap,
+		HistTolerance: cfg.HistTolerance,
+		Seed:          cfg.Seed,
+		Overlap:       cfg.Overlap,
 		Topology:      topo,
-		Radix:         c.Radix,
-		Progress:      c.Progress,
+		Radix:         cfg.Radix,
+		Checkpoint:    cfg.Checkpoint.Enabled,
+		Progress:      cfg.Progress,
+	}}
+	m.ecfg.ApplyDefaults(len(v))
+	if err := m.ecfg.Validate(len(v)); err != nil {
+		return nil, err
 	}
-	ecfg.ApplyDefaults(len(v))
-	return ecfg, ecfg.Validate(len(v))
+	if cfg.Trace {
+		m.tl = new(trace.Log)
+	}
+	var disks func(int) diskio.FS
+	if cfg.WorkDir != "" {
+		dirs := make([]diskio.FS, len(v))
+		for i := range dirs {
+			fs, err := diskio.NewDirFS(fmt.Sprintf("%s/node%d", cfg.WorkDir, i))
+			if err != nil {
+				return nil, fmt.Errorf("hetsort: work dir %q: %w", cfg.WorkDir, err)
+			}
+			dirs[i] = fs
+		}
+		disks = func(id int) diskio.FS { return dirs[id] }
+	}
+	var err error
+	m.c, err = cluster.New(cluster.Config{
+		Slowdowns:    loads,
+		Net:          net,
+		BlockKeys:    m.ecfg.BlockKeys,
+		Disks:        disks,
+		DisksPerNode: cfg.Disks,
+		DiskAccess:   access,
+		Trace:        m.tl,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// release hands the in-memory node disks back: it removes every file
+// on them, so their pages return to the pool for the next sort.  Node
+// directories under WorkDir are left alone, since their manifests must
+// outlive a crash.
+func (m *machine) release() {
+	if m.cfg.WorkDir != "" {
+		return
+	}
+	for i := 0; i < m.c.P(); i++ {
+		fs := m.c.Node(i).FS()
+		names, _ := fs.Names() // a MemFS lists and removes without failing
+		for _, n := range names {
+			fs.Remove(n)
+		}
+	}
 }
 
 // Sort sorts keys out of core on the configured simulated cluster and
@@ -388,31 +359,24 @@ func (c Config) extsortConfig(v perf.Vector) (extsort.Config, error) {
 // modified.  Data still flows through real (node-private) files in
 // blocks; only the orchestration is in-process.
 func Sort(keys []Key, cfg Config) ([]Key, *Report, error) {
-	v, err := cfg.vector()
+	m, err := cfg.resolve()
 	if err != nil {
 		return nil, nil, err
 	}
-	ecfg, err := cfg.extsortConfig(v)
+	defer m.release()
+	want, err := extsort.StageInput(m.c, m.ecfg.Perf, keys, m.ecfg.BlockKeys, "input")
 	if err != nil {
 		return nil, nil, err
 	}
-	c, tl, err := cfg.newCluster(v)
-	if err != nil {
-		return nil, nil, err
-	}
-	want, err := extsort.StageInput(c, v, keys, cfg.blockKeys(), "input")
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := cfg.sortOnCluster(c, v, ecfg, want)
+	rep, err := m.sort(want)
 	if err != nil {
 		return nil, nil, err
 	}
 	// Each node's output is read straight into its slot of the result.
 	out := make([]Key, len(keys))
 	slot := out
-	for i, size := range res.PartitionSizes {
-		f, r, err := diskio.Section{Name: "output", Keys: size}.Open(c.Node(i).FS(), cfg.blockKeys(), diskio.Accounting{})
+	for i, size := range rep.PartitionSizes {
+		f, r, err := diskio.Section{Name: "output", Keys: size}.Open(m.c.Node(i).FS(), m.ecfg.BlockKeys, diskio.Accounting{})
 		if err == nil {
 			_, err = r.ReadKeys(slot[:size])
 			r.Release()
@@ -423,85 +387,29 @@ func Sort(keys []Key, cfg Config) ([]Key, *Report, error) {
 		}
 		slot = slot[size:]
 	}
-	if cfg.WorkDir == "" {
-		for i := range v {
-			clearDisk(c.Node(i).FS())
-		}
-	}
-	rep := newReport(res, v)
-	rep.attachTrace(tl)
-	rep.attachMetrics(c)
 	return out, rep, nil
 }
 
-// clearDisk removes every file on an in-memory node disk once the sort
-// is done with it, so its pages go back to the pool for the next sort.
-func clearDisk(fs diskio.FS) {
-	names, _ := fs.Names() // a MemFS lists and removes without failing
-	for _, n := range names {
-		fs.Remove(n)
-	}
-}
-
-// sortOnCluster runs the selected algorithm on an already-loaded
-// cluster (every node holds "input") and verifies the "output" files
-// against the expected checksum.  ecfg is extsortConfig's result.  The
-// result is normalised to an extsort.Result (the DeWitt baseline
-// reports no per-step breakdown).
-func (c Config) sortOnCluster(cl *cluster.Cluster, v perf.Vector, ecfg extsort.Config, want record.Checksum) (*extsort.Result, error) {
-	if ph := c.Checkpoint.CrashPhase; ph != 0 {
-		if ph < 1 || ph > 5 {
-			return nil, fmt.Errorf("hetsort: Checkpoint.CrashPhase %d out of range 1..5", ph)
-		}
-		if err := cl.ScheduleCrash(c.Checkpoint.CrashNode, -1, extsort.StepNames[ph-1]); err != nil {
+// sort runs the configured algorithm on the staged "input" files, whose
+// checksum is want, with the injected crash armed, and reports it.
+func (m *machine) sort(want record.Checksum) (*Report, error) {
+	if ph := m.cfg.Checkpoint.CrashPhase; ph != 0 {
+		if err := m.c.ScheduleCrash(m.cfg.Checkpoint.CrashNode, -1, extsort.StepNames[ph-1]); err != nil {
 			return nil, err
 		}
 	}
-	switch c.Algorithm {
-	case "", AlgorithmExternalPSRS:
-		ecfg.Checkpoint = c.Checkpoint.Enabled
-		ecfg.InputSum = want
-		res, err := extsort.Sort(cl, ecfg, "input", "output")
-		if err != nil {
-			return nil, err
-		}
-		if err := extsort.VerifyOutput(cl, "output", c.blockKeys(), want); err != nil {
-			return nil, err
-		}
-		return res, nil
-	case AlgorithmDeWitt:
-		if c.Checkpoint.Enabled {
-			return nil, errors.New("hetsort: checkpointing is only implemented for the external-psrs algorithm")
-		}
-		res, err := dewitt.Sort(cl, dewitt.Config{
-			Perf:        v,
-			BlockKeys:   c.blockKeys(),
-			MemoryKeys:  c.MemoryKeys,
-			Tapes:       c.Tapes,
-			MessageKeys: c.MessageKeys,
-			Seed:        c.Seed,
-		}, "input", "output")
-		if err != nil {
-			return nil, err
-		}
-		if err := extsort.VerifyOutput(cl, "output", c.blockKeys(), want); err != nil {
-			return nil, err
-		}
-		attr := make([]vtime.Breakdown, cl.P())
-		for i := range attr {
-			attr[i] = cl.Node(i).Attribution()
-		}
-		return &extsort.Result{
-			Time:           res.Time,
-			NodeClocks:     res.NodeClocks,
-			PartitionSizes: res.PartitionSizes,
-			NodeIO:         res.NodeIO,
-			NodeAttr:       attr,
-			Pivots:         res.Splitters,
-		}, nil
-	default:
-		return nil, fmt.Errorf("hetsort: unknown algorithm %q", c.Algorithm)
+	var res *extsort.Result
+	var err error
+	if m.cfg.Algorithm == AlgorithmDeWitt {
+		res, err = dewitt.Sort(m.c, dewitt.Config{Config: m.ecfg}, "input", "output")
+	} else {
+		m.ecfg.InputSum = want
+		res, err = extsort.Sort(m.c, m.ecfg, "input", "output")
 	}
+	if err != nil {
+		return nil, err
+	}
+	return m.report(res, want)
 }
 
 // Calibration reports one run of the paper's perf-vector calibration
@@ -545,21 +453,15 @@ func CalibrateReport(cfg Config, perNodeKeys int64) (*Calibration, error) {
 	if perNodeKeys <= 0 {
 		return nil, errors.New("hetsort: perNodeKeys must be positive")
 	}
-	v, err := cfg.vector()
+	m, err := cfg.resolve()
 	if err != nil {
 		return nil, err
 	}
-	c, tl, err := cfg.newCluster(v)
-	if err != nil {
-		return nil, err
-	}
-	ecfg, err := cfg.extsortConfig(v)
-	if err != nil {
-		return nil, err
-	}
+	defer m.release()
+	c, ecfg := m.c, m.ecfg
 	for i := 0; i < c.P(); i++ {
 		keys := record.Uniform.Generate(int(perNodeKeys), cfg.Seed+int64(i), 1)
-		if err := diskio.WriteFile(c.Node(i).FS(), "calinput", keys, cfg.blockKeys(), diskio.Accounting{}); err != nil {
+		if err := diskio.WriteFile(c.Node(i).FS(), "calinput", keys, ecfg.BlockKeys, diskio.Accounting{}); err != nil {
 			return nil, err
 		}
 	}
@@ -589,7 +491,7 @@ func CalibrateReport(cfg Config, perNodeKeys int64) (*Calibration, error) {
 		return nil, err
 	}
 	cal := &Calibration{Perf: []int(vec), Times: times}
-	if tl != nil {
+	if tl := m.tl; tl != nil {
 		cal.TraceLog = tl
 		cal.Timeline = tl.Timeline()
 		cal.Gantt = tl.Gantt(60)

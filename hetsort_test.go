@@ -3,6 +3,7 @@ package hetsort
 import (
 	"bufio"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,7 +12,11 @@ import (
 	"testing"
 	"testing/quick"
 
+	"hetsort/internal/cluster"
 	"hetsort/internal/diskio"
+	"hetsort/internal/extsort"
+	"hetsort/internal/pdm"
+	"hetsort/internal/polyphase"
 )
 
 func TestSortDefaultConfig(t *testing.T) {
@@ -457,10 +462,11 @@ func TestParseLoads(t *testing.T) {
 }
 
 // TestSortGivesItsPagesBack is the leak check of the MemFS page pool:
-// Sort on in-memory node disks removes every file it leaves there and
-// every handle it opened is closed, so each page its disks took from the
-// pool is back when it returns.  A handle left open on a hot path fails
-// here instead of silently allocating fresh pages on every sort.
+// every entry point on in-memory node disks removes every file it leaves
+// there and closes every handle it opened, on every return path, so each
+// page its disks took from the pool is back when it returns.  A handle
+// left open on a hot path fails here instead of silently allocating
+// fresh pages on every sort.
 func TestSortGivesItsPagesBack(t *testing.T) {
 	perfV := []int{1, 1, 4, 4}
 	n, err := ValidSize(perfV, 40000)
@@ -471,18 +477,104 @@ func TestSortGivesItsPagesBack(t *testing.T) {
 	for i := range keys {
 		keys[i] = Key(2654435761 * uint32(i+1))
 	}
-	for _, cfg := range []Config{
-		{Perf: perfV, MemoryKeys: 4096, BlockKeys: 128, Tapes: 15, MessageKeys: 512},
-		{Perf: perfV, MemoryKeys: 1024, BlockKeys: 64, Tapes: 4, MessageKeys: 128,
-			RunFormation: RunGuidesort, PivotStrategy: PivotHistogram,
-			Topology: TopologyTree, Radix: 2, Overlap: true, Checkpoint: CheckpointConfig{Enabled: true}},
+	dir := t.TempDir()
+	in, out := filepath.Join(dir, "in.u32"), filepath.Join(dir, "out.u32")
+	writeKeyFile(t, in, int(n))
+	base := Config{Perf: perfV, MemoryKeys: 4096, BlockKeys: 128, Tapes: 15, MessageKeys: 512}
+	wide := Config{Perf: perfV, MemoryKeys: 1024, BlockKeys: 64, Tapes: 4, MessageKeys: 128,
+		RunFormation: RunGuidesort, PivotStrategy: PivotHistogram,
+		Topology: TopologyTree, Radix: 2, Overlap: true, Checkpoint: CheckpointConfig{Enabled: true}}
+	crash := base
+	crash.Checkpoint = CheckpointConfig{Enabled: true, CrashPhase: 3, CrashNode: 2}
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Sort", func() error { _, _, err := Sort(keys, base); return err }},
+		{"Sort wide", func() error { _, _, err := Sort(keys, wide); return err }},
+		{"SortFile", func() error { _, err := SortFile(in, out, base); return err }},
+		{"CalibrateReport", func() error { _, err := CalibrateReport(base, 10000); return err }},
+		{"Sort crashed at phase 3", func() error {
+			if _, _, err := Sort(keys, crash); !IsCrash(err) {
+				return fmt.Errorf("want the injected crash, got %v", err)
+			}
+			return nil
+		}},
 	} {
 		before := diskio.MemFSPages()
-		if _, _, err := Sort(keys, cfg); err != nil {
-			t.Fatal(err)
+		if err := tc.run(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if after := diskio.MemFSPages(); after != before {
-			t.Errorf("%+v: MemFS held %d pages before Sort and %d after", cfg, before, after)
+			t.Errorf("%s: MemFS held %d pages before and %d after", tc.name, before, after)
+		}
+	}
+}
+
+// TestBadConfigFailsBeforeDataMoves: every configuration error is
+// reported before a node directory is created or the input is opened,
+// so a missing input path does not mask it.
+func TestBadConfigFailsBeforeDataMoves(t *testing.T) {
+	dir := t.TempDir()
+	two := []int{1, 1}
+	for i, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Perf: two, Checkpoint: CheckpointConfig{Enabled: true, CrashPhase: 6}}, "CrashPhase"},
+		{Config{Perf: two, Checkpoint: CheckpointConfig{Enabled: true, CrashPhase: 2, CrashNode: 7}}, "CrashNode"},
+		{Config{Perf: two, Algorithm: "bogus"}, "unknown algorithm"},
+		{Config{Perf: two, Algorithm: AlgorithmDeWitt, Checkpoint: CheckpointConfig{Enabled: true}}, "checkpointing"},
+	} {
+		tc.cfg.WorkDir = filepath.Join(dir, fmt.Sprintf("work%d", i))
+		_, err := SortFile(filepath.Join(dir, "missing"), filepath.Join(dir, "out"), tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("case %d: got %v, want the configuration error naming %q", i, err, tc.want)
+		}
+		if _, err := os.Stat(tc.cfg.WorkDir); !os.IsNotExist(err) {
+			t.Errorf("case %d: the work directory was created before the configuration was checked", i)
+		}
+	}
+}
+
+// TestNameTablesRoundTrip holds every facade name constant to the table
+// its enum parses and prints: each name round-trips, "" is the default,
+// and an unknown name is rejected with an error listing the accepted
+// ones.
+func TestNameTablesRoundTrip(t *testing.T) {
+	// roundTrip parses a name and prints the value it parsed to.
+	for _, tc := range []struct {
+		kind      string
+		names     []string
+		roundTrip func(string) (string, error)
+	}{
+		{"run formation", []string{RunReplacementSelection, RunLoadSort, RunGuidesort},
+			func(s string) (string, error) { v, err := polyphase.ParseRunFormation(s); return v.String(), err }},
+		{"pivot strategy", []string{PivotRegularSampling, PivotRandom, PivotQuantileSketch, PivotHistogram},
+			func(s string) (string, error) { v, err := extsort.ParseStrategy(s); return v.String(), err }},
+		{"topology", []string{TopologyFlat, TopologyTree, TopologyGrid},
+			func(s string) (string, error) { v, err := extsort.ParseTopology(s); return v.String(), err }},
+		{"disk access mode", []string{DiskAccessStriped, DiskAccessIndependent},
+			func(s string) (string, error) { v, err := pdm.ParseAccessMode(s); return v.String(), err }},
+		{"network", []string{NetworkFastEthernet, NetworkMyrinet, NetworkIdeal},
+			func(s string) (string, error) { v, err := cluster.NetByName(s); return v.Name, err }},
+	} {
+		for _, name := range tc.names {
+			if got, err := tc.roundTrip(name); err != nil || got != name {
+				t.Errorf("%s %q parses to %q, %v", tc.kind, name, got, err)
+			}
+		}
+		if got, err := tc.roundTrip(""); err != nil || got != tc.names[0] {
+			t.Errorf(`%s "" parses to %v, %v; want the default %q`, tc.kind, got, err, tc.names[0])
+		}
+		_, err := tc.roundTrip("bogus")
+		if err == nil {
+			t.Fatalf("%s: unknown name accepted", tc.kind)
+		}
+		for _, name := range tc.names {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("%s: error %q does not list %q", tc.kind, err, name)
+			}
 		}
 	}
 }

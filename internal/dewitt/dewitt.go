@@ -27,11 +27,12 @@ import (
 
 	"hetsort/internal/cluster"
 	"hetsort/internal/diskio"
+	"hetsort/internal/extsort"
 	"hetsort/internal/pdm"
-	"hetsort/internal/perf"
 	"hetsort/internal/polyphase"
 	"hetsort/internal/record"
 	"hetsort/internal/sampling"
+	"hetsort/internal/vtime"
 )
 
 // Message tags.
@@ -42,60 +43,32 @@ const (
 	tagBarrier
 )
 
-// Config parameterises the baseline.
+// Config parameterises the baseline.  It runs on Algorithm 1's machine:
+// the perf vector (all ones = the original homogeneous algorithm), B, M,
+// T, the message size (the routing batch per destination) and the seed
+// of the samplers come from the embedded extsort.Config, whose pivot,
+// topology and checkpoint fields the baseline ignores.
 type Config struct {
-	// Perf is the performance vector (all ones = the original
-	// homogeneous algorithm).
-	Perf perf.Vector
-	// BlockKeys, MemoryKeys and Tapes mirror extsort.Config.
-	BlockKeys  int
-	MemoryKeys int
-	Tapes      int
-	// MessageKeys is the routing batch size per destination.
-	MessageKeys int
+	extsort.Config
 	// SampleFactor scales the per-node sample: node i draws
 	// SampleFactor*p*perf[i] random keys (default 32, the "sufficient
 	// number of random pivots" knob of the probabilistic splitting).
 	SampleFactor int
-	// Seed feeds the samplers.
-	Seed int64
 }
 
 func (c *Config) applyDefaults(p int) {
-	if len(c.Perf) == 0 {
-		c.Perf = perf.Homogeneous(p)
-	}
-	if c.BlockKeys <= 0 {
-		c.BlockKeys = 2048
-	}
-	if c.MemoryKeys <= 0 {
-		c.MemoryKeys = 1 << 16
-	}
-	if c.Tapes <= 0 {
-		c.Tapes = 15
-	}
-	if c.MessageKeys <= 0 {
-		c.MessageKeys = 8192
-	}
+	c.ApplyDefaults(p)
 	if c.SampleFactor <= 0 {
 		c.SampleFactor = 32
 	}
 }
 
-// Result reports one run.
-type Result struct {
-	Time           float64
-	PartitionSizes []int64
-	NodeClocks     []float64
-	NodeIO         []pdm.IOStats
-	Splitters      []record.Key
-}
-
 // Sort runs the two-step distribution sort.  Every node must hold its
 // unsorted portion in inputName on its private FS; on success every
 // node holds its sorted bucket in outputName (concatenation in rank
-// order is globally sorted).
-func Sort(c *cluster.Cluster, cfg Config, inputName, outputName string) (*Result, error) {
+// order is globally sorted).  The result has no per-step breakdown;
+// its Pivots are the splitters.
+func Sort(c *cluster.Cluster, cfg Config, inputName, outputName string) (*extsort.Result, error) {
 	p := c.P()
 	cfg.applyDefaults(p)
 	if err := cfg.Perf.Validate(); err != nil {
@@ -113,16 +86,18 @@ func Sort(c *cluster.Cluster, cfg Config, inputName, outputName string) (*Result
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
+	res := &extsort.Result{
 		PartitionSizes: make([]int64, p),
 		NodeClocks:     make([]float64, p),
 		NodeIO:         make([]pdm.IOStats, p),
-		Splitters:      splitOut[0],
+		NodeAttr:       make([]vtime.Breakdown, p),
+		Pivots:         splitOut[0],
 		Time:           c.MaxClock(),
 	}
 	for i := 0; i < p; i++ {
 		res.NodeClocks[i] = c.Node(i).Clock()
 		res.NodeIO[i] = c.Node(i).IOStats()
+		res.NodeAttr[i] = c.Node(i).Attribution()
 		sz, err := diskio.CountKeys(c.Node(i).FS(), outputName)
 		if err != nil {
 			return nil, err

@@ -11,14 +11,14 @@ import (
 )
 
 func testConfig(v perf.Vector) Config {
-	return Config{
+	return Config{Config: extsort.Config{
 		Perf:        v,
 		BlockKeys:   64,
 		MemoryKeys:  1024,
 		Tapes:       6,
 		MessageKeys: 256,
 		Seed:        5,
-	}
+	}}
 }
 
 func newCluster(t *testing.T, v perf.Vector) *cluster.Cluster {
@@ -31,7 +31,7 @@ func newCluster(t *testing.T, v perf.Vector) *cluster.Cluster {
 }
 
 func runSort(t *testing.T, c *cluster.Cluster, v perf.Vector, cfg Config,
-	dist record.Distribution, n int64, seed int64) *Result {
+	dist record.Distribution, n int64, seed int64) *extsort.Result {
 	t.Helper()
 	sum, err := extsort.DistributeInput(c, v, dist, n, seed, cfg.BlockKeys, "input")
 	if err != nil {
@@ -61,8 +61,8 @@ func TestHomogeneousSort(t *testing.T) {
 	if total != 40000 {
 		t.Fatalf("partitions sum %d", total)
 	}
-	if len(res.Splitters) != 3 {
-		t.Fatalf("splitters %v", res.Splitters)
+	if len(res.Pivots) != 3 {
+		t.Fatalf("splitters %v", res.Pivots)
 	}
 }
 
@@ -99,10 +99,10 @@ func TestSingleNode(t *testing.T) {
 func TestConfigErrors(t *testing.T) {
 	v := perf.Homogeneous(2)
 	c := newCluster(t, v)
-	if _, err := Sort(c, Config{Perf: perf.Vector{1}}, "in", "out"); err == nil {
+	if _, err := Sort(c, Config{Config: extsort.Config{Perf: perf.Vector{1}}}, "in", "out"); err == nil {
 		t.Fatal("perf length mismatch accepted")
 	}
-	if _, err := Sort(c, Config{Perf: perf.Vector{0, 1}}, "in", "out"); err == nil {
+	if _, err := Sort(c, Config{Config: extsort.Config{Perf: perf.Vector{0, 1}}}, "in", "out"); err == nil {
 		t.Fatal("invalid perf accepted")
 	}
 	if _, err := Sort(c, testConfig(v), "missing", "out"); err == nil {
@@ -186,7 +186,7 @@ func TestWorseBalanceThanRegularSampling(t *testing.T) {
 
 func TestDeterministic(t *testing.T) {
 	v := perf.Vector{1, 3}
-	run := func() *Result {
+	run := func() *extsort.Result {
 		c := newCluster(t, v)
 		return runSort(t, c, v, testConfig(v), record.Uniform, v.NearestValidSize(16000), 11)
 	}

@@ -79,15 +79,7 @@ func Ablations(o Options) ([]Row, error) {
 // dewittSort adapts the DeWitt et al. baseline to the point runner.
 func dewittSort(seed int64) func(*cluster.Cluster, extsort.Config) (*extsort.Result, error) {
 	return func(c *cluster.Cluster, cfg extsort.Config) (*extsort.Result, error) {
-		res, err := dewitt.Sort(c, dewitt.Config{
-			Perf: cfg.Perf, BlockKeys: cfg.BlockKeys, MemoryKeys: cfg.MemoryKeys,
-			Tapes: cfg.Tapes, MessageKeys: cfg.MessageKeys,
-			SampleFactor: 8, Seed: seed,
-		}, "input", "output")
-		if err != nil {
-			return nil, err
-		}
-		return &extsort.Result{Time: res.Time, NodeClocks: res.NodeClocks,
-			PartitionSizes: res.PartitionSizes, NodeIO: res.NodeIO}, nil
+		cfg.Seed = seed
+		return dewitt.Sort(c, dewitt.Config{Config: cfg, SampleFactor: 8}, "input", "output")
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"hetsort/internal/checkpoint"
 	"hetsort/internal/diskio"
+	"hetsort/internal/enum"
 	"hetsort/internal/histsort"
 	"hetsort/internal/perf"
 	"hetsort/internal/quantile"
@@ -49,19 +50,14 @@ const (
 	Histogram
 )
 
-func (s Strategy) String() string {
-	switch s {
-	case RegularSampling:
-		return "regular-sampling"
-	case RandomPivots:
-		return "random-pivots"
-	case QuantileSketch:
-		return "quantile-sketch"
-	case Histogram:
-		return "histogram"
-	default:
-		return fmt.Sprintf("strategy(%d)", int(s))
-	}
+// strategyNames is indexed by Strategy.
+var strategyNames = []string{"regular-sampling", "random-pivots", "quantile-sketch", "histogram"}
+
+func (s Strategy) String() string { return enum.Name(strategyNames, "pivot strategy", s) }
+
+// ParseStrategy maps a name onto the strategy ("" = RegularSampling).
+func ParseStrategy(s string) (Strategy, error) {
+	return enum.Parse[Strategy](strategyNames, "pivot strategy", s)
 }
 
 // pivotSelector is a pivot strategy's part of step 2.  Step 2 has one

@@ -1,9 +1,9 @@
 package extsort
 
 import (
-	"fmt"
 	"math"
 
+	"hetsort/internal/enum"
 	"hetsort/internal/record"
 )
 
@@ -36,30 +36,14 @@ const (
 	TopologyGrid
 )
 
-func (t Topology) String() string {
-	switch t {
-	case TopologyFlat:
-		return "flat"
-	case TopologyTree:
-		return "tree"
-	case TopologyGrid:
-		return "grid"
-	default:
-		return fmt.Sprintf("topology(%d)", int(t))
-	}
-}
+// topologyNames is indexed by Topology.
+var topologyNames = []string{"flat", "tree", "grid"}
 
-// ParseTopology maps the public string names onto the enum ("" = flat).
+func (t Topology) String() string { return enum.Name(topologyNames, "topology", t) }
+
+// ParseTopology maps a name onto the topology ("" = TopologyFlat).
 func ParseTopology(s string) (Topology, error) {
-	switch s {
-	case "", "flat":
-		return TopologyFlat, nil
-	case "tree":
-		return TopologyTree, nil
-	case "grid":
-		return TopologyGrid, nil
-	}
-	return TopologyFlat, fmt.Errorf("extsort: unknown topology %q (want flat, tree or grid)", s)
+	return enum.Parse[Topology](topologyNames, "topology", s)
 }
 
 // resolveRadix turns the topology into the one fan-in r the whole run

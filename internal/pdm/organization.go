@@ -1,5 +1,7 @@
 package pdm
 
+import "hetsort/internal/enum"
+
 // This file models Figure 1 of the paper: the two canonical PDM
 // organisations.  In organisation (a) a single CPU drives all D disks; in
 // organisation (b) each of the D disks is attached to its own processor
@@ -41,11 +43,14 @@ const (
 	Independent
 )
 
-func (a AccessMode) String() string {
-	if a == Striped {
-		return "striped"
-	}
-	return "independent"
+// accessModeNames is indexed by AccessMode.
+var accessModeNames = []string{"striped", "independent"}
+
+func (a AccessMode) String() string { return enum.Name(accessModeNames, "disk access mode", a) }
+
+// ParseAccessMode maps a name onto the mode ("" = Striped).
+func ParseAccessMode(s string) (AccessMode, error) {
+	return enum.Parse[AccessMode](accessModeNames, "disk access mode", s)
 }
 
 // SortIOs returns the number of parallel I/O steps an optimal sort needs

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"hetsort/internal/diskio"
+	"hetsort/internal/enum"
 	"hetsort/internal/record"
 	"hetsort/internal/vtime"
 )
@@ -31,15 +32,15 @@ const (
 	Guidesort
 )
 
-func (rf RunFormation) String() string {
-	switch rf {
-	case ReplacementSelection:
-		return "replacement-selection"
-	case Guidesort:
-		return "guidesort"
-	default:
-		return "load-sort"
-	}
+// runFormationNames is indexed by RunFormation.
+var runFormationNames = []string{"replacement-selection", "load-sort", "guidesort"}
+
+func (rf RunFormation) String() string { return enum.Name(runFormationNames, "run formation", rf) }
+
+// ParseRunFormation maps a name onto the former ("" =
+// ReplacementSelection).
+func ParseRunFormation(s string) (RunFormation, error) {
+	return enum.Parse[RunFormation](runFormationNames, "run formation", s)
 }
 
 // runSink receives the formed runs, each as beginRun, its keys in order

@@ -4,11 +4,10 @@ import (
 	"fmt"
 	"strings"
 
-	"hetsort/internal/cluster"
 	"hetsort/internal/extsort"
 	"hetsort/internal/pdm"
-	"hetsort/internal/perf"
 	"hetsort/internal/progress"
+	"hetsort/internal/record"
 	"hetsort/internal/sampling"
 	"hetsort/internal/trace"
 	"hetsort/internal/vtime"
@@ -112,37 +111,34 @@ type Report struct {
 	TraceLog *trace.Log `json:"-"`
 }
 
-// attachTrace renders tl into the report (no-op for nil).
-func (r *Report) attachTrace(tl *trace.Log) {
-	if tl == nil {
-		return
+// report is the tail every sort shares: it verifies the nodes' "output"
+// files against want, the input's checksum, and builds the Report of
+// res, with the machine's trace and every node's metrics snapshot.
+func (m *machine) report(res *extsort.Result, want record.Checksum) (*Report, error) {
+	if err := extsort.VerifyOutput(m.c, "output", m.ecfg.BlockKeys, want); err != nil {
+		return nil, err
 	}
-	r.TraceLog = tl
-	r.Timeline = tl.Timeline()
-	r.Gantt = tl.Gantt(60)
-}
-
-// attachMetrics snapshots every node's metrics registry into the report.
-func (r *Report) attachMetrics(c *cluster.Cluster) {
-	r.NodeMetrics = make([]map[string]float64, c.P())
-	for i := 0; i < c.P(); i++ {
-		r.NodeMetrics[i] = c.Node(i).Metrics().Snapshot()
-	}
-}
-
-func newReport(res *extsort.Result, v perf.Vector) *Report {
 	r := &Report{
 		Time:            res.Time,
 		StepTimes:       res.StepTimes,
 		StepNames:       extsort.StepNames,
 		PartitionSizes:  res.PartitionSizes,
 		NodeClocks:      res.NodeClocks,
-		Perf:            append([]int(nil), v...),
+		Perf:            append([]int(nil), m.ecfg.Perf...),
 		PivotRounds:     res.PivotRounds,
 		PivotSampleKeys: res.PivotSampleKeys,
+		NodeMetrics:     make([]map[string]float64, m.c.P()),
 	}
-	if e, err := sampling.WeightedExpansion(res.PartitionSizes, v); err == nil {
+	if e, err := sampling.WeightedExpansion(res.PartitionSizes, m.ecfg.Perf); err == nil {
 		r.SublistExpansion = e
+	}
+	for i := range r.NodeMetrics {
+		r.NodeMetrics[i] = m.c.Node(i).Metrics().Snapshot()
+	}
+	if m.tl != nil {
+		r.TraceLog = m.tl
+		r.Timeline = m.tl.Timeline()
+		r.Gantt = m.tl.Gantt(60)
 	}
 	for _, io := range res.NodeIO {
 		r.ReadBlocks += io.Reads
@@ -173,7 +169,7 @@ func newReport(res *extsort.Result, v perf.Vector) *Report {
 			r.StepBreakdown[s][i] = toBreakdown(b)
 		}
 	}
-	return r
+	return r, nil
 }
 
 // Stragglers runs the perf-model divergence analysis over the report:
