@@ -474,3 +474,21 @@ func TestCornerCasesPass(t *testing.T) {
 		})
 	}
 }
+
+// TestCornerCasesFuse: the quick corner list holds a case whose step 1
+// stops one merge short on every node, so `hetcheck -quick` holds the
+// fused step budgets — and, in its unfused variant, step 5 with the own
+// runs as one leaf — on real runs.
+func TestCornerCasesFuse(t *testing.T) {
+	for _, c := range CornerCases(true) {
+		cfg := withDefaults(c.Config)
+		fused := len(c.Keys) > 0
+		for i, li := range vectorOf(cfg).Shares(int64(len(c.Keys))) {
+			fused = fused && fuseRuns(cfg, li, i)
+		}
+		if fused {
+			return
+		}
+	}
+	t.Fatal("no quick corner case stops step 1 one merge short")
+}

@@ -411,7 +411,7 @@ func stepBudgets(pp pdm.Params, cfg hetsort.Config, i int, li, qi int64, rounds 
 	b[3] = lb + qb + (r+1)*int64(p) + ioSlack
 	b[4] = ioSlack
 	if int64(cfg.MessageKeys+cfg.BlockKeys)*int64(p-1)+(r+1)*pp.B > pp.M {
-		b[4] += pp.MergeIOs(qi, int64(p)+r-1, int64(cfg.Tapes))
+		b[4] += pp.MergeIOs(qi, int64(p), int64(cfg.Tapes))
 	}
 	return b
 }

@@ -235,6 +235,14 @@ func CornerCases(quick bool) []*Case {
 		cfg.Disks = 2
 		cfg.DiskAccess = hetsort.DiskAccessIndependent
 	})
+	// Large enough for step 1 to stop one merge short (a probe costs
+	// ≈ 140 blocks of 256 keys): three runs a node, so the fused budgets
+	// hold on real runs, and the unfused variant's step 5 merges the own
+	// runs as one leaf beside the receive file.
+	add("fused-runs", record.Uniform.Generate(1<<17, 19, 2), func(cfg *hetsort.Config) {
+		cfg.Perf = []int{1, 1}
+		cfg.BlockKeys, cfg.MemoryKeys, cfg.MessageKeys = 256, 4096, 512
+	})
 	if !quick {
 		add("off-quantum/tree-r4", record.Uniform.Generate(1009, 13, 8), func(cfg *hetsort.Config) {
 			cfg.Perf = []int{1, 1, 4, 4, 1, 1, 4, 4}

@@ -449,10 +449,11 @@ type worker struct {
 	index     *sortedIndex // step 1's by-product (sortedIndex)
 	raw       []byte       // a block's bytes, for probes
 
-	// Every file read once open and, in step 4, one loser tree; secs backs
-	// the buckets, srcs the merges' sources.
+	// Every file read once open and, in step 4, two loser trees (mergeBucket);
+	// secs backs the buckets, srcs the merges' sources.
 	files  diskio.Readers
 	merger polyphase.Merger
+	own    polyphase.Merger
 	secs   []diskio.Section
 	srcs   []polyphase.MergeSource
 

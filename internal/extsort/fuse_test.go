@@ -2,6 +2,7 @@ package extsort
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -26,6 +27,7 @@ type fuseCase struct {
 	topo  Topology
 	disks int
 	mem   int
+	msg   int // MessageKeys (default 1024)
 	runs  int // the runs each node's step 1 leaves
 }
 
@@ -34,7 +36,11 @@ func (fc fuseCase) config() Config {
 	if fc.runs == 1 { // a sorted portion is one replacement-selection run
 		rf = polyphase.ReplacementSelection
 	}
-	return Config{Perf: fc.v, BlockKeys: 64, MemoryKeys: fc.mem, Tapes: 3, MessageKeys: 1024,
+	msg := fc.msg
+	if msg == 0 {
+		msg = 1024
+	}
+	return Config{Perf: fc.v, BlockKeys: 64, MemoryKeys: fc.mem, Tapes: 3, MessageKeys: msg,
 		RunFormation: rf, Strategy: fc.strat, Topology: fc.topo, Radix: 4, Seed: 7}
 }
 
@@ -146,6 +152,45 @@ func TestFusedRunsMatchReference(t *testing.T) {
 				t.Fatal("the tie-heavy case settled no tie")
 			}
 		})
+	}
+}
+
+// TestFusedRunsFallBack: where step 1 stops one merge short but the
+// final round's messages do not fit memory, step 5 merges the own runs
+// as one leaf beside the receive file.  Its fan-in is p = 2 = T−1, so it
+// makes one pass — every block read and written once, at most a partial
+// block per section over — where R + p − 1 = 3 leaves would take two;
+// and its output equals the unfused reference's.
+func TestFusedRunsFallBack(t *testing.T) {
+	fc := fuseCases[0] // flat: two runs a node, three tapes
+	fc.msg = fc.mem
+	if fc.config().fusedFits(1, fc.runs) {
+		t.Fatal("the final round fuses")
+	}
+	res, out, _ := fc.run(t, false)
+	_, refOut, _ := fc.run(t, true)
+	if !slices.Equal(out, refOut) {
+		t.Fatal("the fallback's output differs from the unfused reference's")
+	}
+	for i, q := range res.PartitionSizes {
+		pass := 2*((q+63)/64) + int64(fc.runs+len(fc.v)-1)
+		if got := res.StepIO[4][i].Total(); got == 0 || got > pass {
+			t.Errorf("node %d: step 5 moved %d blocks of %d keys, one pass is at most %d", i, got, q, pass)
+		}
+	}
+}
+
+// TestFusedReceiveTreeHasPLeaves pins step 4's compute on the flat
+// fused case.  Its receive merge takes the own runs as one leaf, merged
+// on a tree of their own, beside the one stream; the own runs as R leaves
+// of the receive tree (R + p − 1 = 3) charged 0.066002880 and 0.083227200
+// vsec.
+func TestFusedReceiveTreeHasPLeaves(t *testing.T) {
+	res, _, _ := fuseCases[0].run(t, false)
+	for i, want := range []float64{0.062609760, 0.079134400} {
+		if got := res.StepAttr[3][i].Compute; math.Abs(got-want) > 1e-9 {
+			t.Errorf("node %d: step 4 charged %.9f vsec of compute, want %.9f", i, got, want)
+		}
 	}
 }
 

@@ -58,13 +58,14 @@ func (w *worker) finalInNeighbors() []int {
 }
 
 // finalInputs lists the final-merge inputs — the node's own last-round
-// bucket plus one receive file per final-round in-neighbor.  They follow
-// from the routing alone, so a resumed node that already committed phase
-// 4 finds the durable inputs its manifest listed.
-func (w *worker) finalInputs() []diskio.Section {
-	ins := w.bucket(len(w.lv)-2, w.n.ID())
+// bucket as one input, plus one receive file per final-round in-neighbor.
+// They follow from the routing alone, so a resumed node that already
+// committed phase 4 finds the durable inputs its manifest listed.
+func (w *worker) finalInputs() [][]diskio.Section {
+	ins := [][]diskio.Section{w.bucket(len(w.lv)-2, w.n.ID())}
 	for _, i := range w.finalInNeighbors() {
-		ins = append(ins, diskio.Section{Name: w.recvName(i), Keys: -1})
+		w.secs = append(w.secs, diskio.Section{Name: w.recvName(i), Keys: -1})
+		ins = append(ins, w.secs[len(w.secs)-1:])
 	}
 	return ins
 }
@@ -287,7 +288,8 @@ func (w *worker) sendBucket(to, tag int, b []diskio.Section, d int) (sent int64,
 
 // mergeBucket merges this node's bucket own — one reader per section —
 // with the in-neighbors' streams into the file outName: one loser tree
-// into one block writer.
+// into one block writer.  Beside streams, several sections (step 1's
+// runs) are one leaf of that tree, w.own: a tree of their own.
 func (w *worker) mergeBucket(own []diskio.Section, tag int, nbrs []int, outName string) (err error) {
 	n := w.n
 	srcs := w.srcs[:0]
@@ -295,8 +297,8 @@ func (w *worker) mergeBucket(own []diskio.Section, tag int, nbrs []int, outName 
 		for _, s := range srcs {
 			if r, ok := s.(*diskio.Reader); ok {
 				r.Idle()
-			} else {
-				s.(*cluster.Stream).Close()
+			} else if st, ok := s.(*cluster.Stream); ok {
+				st.Close()
 			}
 		}
 	}()
@@ -307,6 +309,13 @@ func (w *worker) mergeBucket(own []diskio.Section, tag int, nbrs []int, outName 
 		}
 		srcs = append(srcs, r)
 	}
+	leaves := 0 // where the tree's leaves start in srcs
+	if len(own) > 1 && len(nbrs) > 0 {
+		if err := w.own.Reset(srcs, n); err != nil {
+			return err
+		}
+		leaves, srcs = len(srcs), append(srcs, &w.own)
+	}
 	for _, nb := range nbrs {
 		srcs = append(srcs, n.OpenStream(nb, tag))
 	}
@@ -315,7 +324,7 @@ func (w *worker) mergeBucket(own []diskio.Section, tag int, nbrs []int, outName 
 	if err != nil {
 		return err
 	}
-	err = w.merger.Merge(srcs, n, out.WriteKeys)
+	err = w.merger.Merge(srcs[leaves:], n, out.WriteKeys)
 	if cerr := out.Close(); err == nil {
 		err = cerr
 	}
@@ -348,7 +357,7 @@ func (w *worker) advanceBucket(t, tag, d int, nbrs []int) error {
 func (w *worker) landFinal(t, tag int, nbrs []int, fused bool) error {
 	n := w.n
 	if fused {
-		n.TraceEvent(trace.Pipeline, "fused", fmt.Sprintf("fan-in:%d msg:%d", len(nbrs)+len(w.runs), w.cfg.MessageKeys))
+		n.TraceEvent(trace.Pipeline, "fused", fmt.Sprintf("fan-in:%d msg:%d", len(nbrs)+1, w.cfg.MessageKeys))
 		return w.mergeBucket(w.bucket(t, n.ID()), tag, nbrs, w.output)
 	}
 	for _, nb := range nbrs {

@@ -597,6 +597,32 @@ func (m *chargeLog) ObserveMerge(keys, chunks, fastChunks, comparisons int64) {
 	*m.counters = [4]int64{keys, chunks, fastChunks, comparisons}
 }
 
+// testRuns cuts 97·k keys of d into k sorted runs.  Every other run is a
+// band of its own, so gallops fire; with tails, every third ends in
+// 0xFFFFFFFF keys, which tie each other and sit just below the drained
+// head.
+func testRuns(d record.Distribution, k int, tails bool) [][]record.Key {
+	keys := d.Generate(k*97, 13, 1)
+	runs := make([][]record.Key, k)
+	for i, key := range keys {
+		runs[i%k] = append(runs[i%k], key)
+	}
+	for i := range runs {
+		slices.Sort(runs[i])
+		if i%2 == 1 {
+			for j := range runs[i] {
+				runs[i][j] = record.Key(i)<<24 | runs[i][j]>>8
+			}
+		}
+		if tails && i%3 == 0 {
+			for j := 0; j <= i%5; j++ {
+				runs[i] = append(runs[i], 0xFFFFFFFF)
+			}
+		}
+	}
+	return runs
+}
+
 // TestPackedMergeMatchesIndexedKernel: over every generator, k of 1 to
 // 64 sources and blocks of 1 to 128 keys, the packed-tree kernel emits
 // the indexed kernel's bytes in the same emit batches, makes the same
@@ -610,24 +636,7 @@ func TestPackedMergeMatchesIndexedKernel(t *testing.T) {
 	for _, d := range record.Distributions() {
 		for _, k := range []int{1, 2, 3, 4, 5, 7, 16, 17, 64} {
 			for _, blk := range []int{1, 3, 8, 64, 128} {
-				keys := d.Generate(k*97, 13, 1)
-				runs := make([][]record.Key, k)
-				for i, key := range keys {
-					runs[i%k] = append(runs[i%k], key)
-				}
-				for i := range runs {
-					slices.Sort(runs[i])
-					if i%2 == 1 {
-						for j := range runs[i] {
-							runs[i][j] = record.Key(i)<<24 | runs[i][j]>>8
-						}
-					}
-					if i%3 == 0 {
-						for j := 0; j <= i%5; j++ {
-							runs[i] = append(runs[i], 0xFFFFFFFF)
-						}
-					}
-				}
+				runs := testRuns(d, k, true)
 				id := fmt.Sprintf("%v k=%d B=%d", d, k, blk)
 				got := recordMerge(t, runs, blk, Merge, true)
 				want := recordMerge(t, runs, blk, indexMerge, true)
@@ -655,20 +664,7 @@ func TestMergeMatchesReference(t *testing.T) {
 	for _, d := range record.Distributions() {
 		for _, k := range []int{1, 2, 3, 5, 16, 17} {
 			for _, blk := range []int{1, 3, 8, 64} {
-				keys := d.Generate(k*97, 13, 1)
-				runs := make([][]record.Key, k)
-				for i, key := range keys {
-					runs[i%k] = append(runs[i%k], key)
-				}
-				// Every other run is a band of its own, so gallops fire.
-				for i := range runs {
-					slices.Sort(runs[i])
-					if i%2 == 1 {
-						for j := range runs[i] {
-							runs[i][j] = record.Key(i)<<24 | runs[i][j]>>8
-						}
-					}
-				}
+				runs := testRuns(d, k, false)
 				id := fmt.Sprintf("%v k=%d B=%d", d, k, blk)
 				got, gotEv, gotC := mergeTrace(t, runs, blk, Merge)
 				want, wantEv, wantC := mergeTrace(t, runs, blk, refMerge)
@@ -1085,5 +1081,110 @@ func TestReplacementSelectionMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// batcher is the reference kernels' output batch, as Merge's was before
+// it had a pull form.
+type batcher struct {
+	keys [batchKeys]record.Key
+	n    int
+	emit func([]record.Key) error
+}
+
+// put passes on a chunk of a source's buffer: copied into the batch, or,
+// when it is larger than the batch, emitted as it is after the batch.
+func (b *batcher) put(c []record.Key) error {
+	if b.n+len(c) > batchKeys {
+		if err := b.flush(); err != nil {
+			return err
+		}
+		if len(c) > batchKeys {
+			return b.emit(c)
+		}
+	}
+	b.n += copy(b.keys[b.n:], c)
+	return nil
+}
+
+// flush hands the batch to emit.
+func (b *batcher) flush() error {
+	if b.n == 0 {
+		return nil
+	}
+	err := b.emit(b.keys[:b.n])
+	b.n = 0
+	return err
+}
+
+// pullMerge drains a Merger's pull form the way a merge drains a leaf:
+// Fill on an empty buffer, then the buffered keys in pieces of 1 to 7.
+func pullMerge(srcs []MergeSource, meter vtime.Meter, emit func([]record.Key) error) error {
+	var m Merger
+	if err := m.Reset(srcs, meter); err != nil {
+		return err
+	}
+	for piece := 1; ; piece = piece%7 + 1 {
+		if len(m.Buffered()) == 0 {
+			if err := m.Fill(); err == io.EOF {
+				return nil
+			} else if err != nil {
+				return err
+			}
+		}
+		c := m.Buffered()[:min(piece, len(m.Buffered()))]
+		if err := emit(c); err != nil {
+			return err
+		}
+		m.Discard(len(c))
+	}
+}
+
+// TestPullFormMatchesMerge: over every generator, k of 1 to 17 sources
+// and blocks of 1 to 128 keys, a Merger drained as a MergeSource yields
+// Merge's bytes, charges the same compute in total and reports the same
+// observer counters.
+func TestPullFormMatchesMerge(t *testing.T) {
+	for _, d := range record.Distributions() {
+		for _, k := range []int{1, 2, 3, 5, 16, 17} {
+			for _, blk := range []int{1, 8, 128} {
+				runs := testRuns(d, k, true)
+				got := recordMerge(t, runs, blk, pullMerge, false)
+				want := recordMerge(t, runs, blk, Merge, false)
+				id := fmt.Sprintf("%v k=%d B=%d", d, k, blk)
+				if !slices.Equal(got.out, want.out) {
+					t.Fatalf("%s: the pull form's keys differ from Merge's", id)
+				}
+				if got.compute != want.compute || got.counters != want.counters {
+					t.Fatalf("%s: the pull form charged %d compute with counters %v, Merge %d with %v", id, got.compute, got.counters, want.compute, want.counters)
+				}
+			}
+		}
+	}
+}
+
+// TestPullFillAllocatesNothing: a steady-state Fill of the pull form
+// allocates nothing.
+func TestPullFillAllocatesNothing(t *testing.T) {
+	var srcs []MergeSource
+	for _, run := range testRuns(record.Uniform, 5, false) {
+		for range 10 { // 97·2¹⁰ keys a run
+			run = append(run, run...)
+		}
+		slices.Sort(run)
+		srcs = append(srcs, &sliceSource{keys: run, blk: 64})
+	}
+	var m Merger
+	if err := m.Reset(srcs, nil); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		m.Discard(len(m.Buffered()))
+		if err := m.Fill(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a Fill allocated %.1f objects", allocs)
 	}
 }

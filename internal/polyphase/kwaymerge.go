@@ -13,32 +13,34 @@ import (
 // the p partition files it received).  Inputs are left untouched;
 // intermediate files are created under cfg.TempPrefix and removed.
 func MergeFiles(cfg Config, inputs []string, outputName string) error {
-	secs := make([]diskio.Section, len(inputs))
+	secs, flat := make([][]diskio.Section, len(inputs)), make([]diskio.Section, len(inputs))
 	for i, name := range inputs {
-		secs[i] = diskio.Section{Name: name, Keys: -1}
+		flat[i] = diskio.Section{Name: name, Keys: -1}
+		secs[i] = flat[i : i+1]
 	}
 	return MergeSections(cfg, secs, outputName)
 }
 
 // MergeSections is MergeFiles over sections of files: an input may be a
 // sorted range of a larger file (a bucket of Algorithm 1's sorted file),
-// read in place with the block charges of a file of its own.
-func MergeSections(cfg Config, inputs []diskio.Section, outputName string) error {
+// read in place with the block charges of a file of its own.  An input of
+// several sections (a bucket of step 1's runs) is one leaf, a Merger.
+func MergeSections(cfg Config, inputs [][]diskio.Section, outputName string) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	cfg.Acct.Overlap = cfg.Overlap
-	switch len(inputs) {
-	case 0:
+	switch {
+	case len(inputs) == 0:
 		f, err := cfg.FS.Create(outputName)
 		if err != nil {
 			return err
 		}
 		return f.Close()
-	case 1:
+	case len(inputs) == 1 && len(inputs[0]) == 1:
 		// Single input: one counted copy pass (the file may be needed
 		// again by the caller, so do not rename it away).
-		return copyFile(cfg, inputs[0], outputName)
+		return copyFile(cfg, inputs[0][0], outputName)
 	}
 	fan := cfg.Tapes - 1
 	level := 0
@@ -50,14 +52,14 @@ func MergeSections(cfg Config, inputs []diskio.Section, outputName string) error
 		}
 	}()
 	for len(current) > fan {
-		var next []diskio.Section
+		var next [][]diskio.Section
 		for i := 0; i < len(current); i += fan {
 			name := fmt.Sprintf("%smerge%d_%d", cfg.TempPrefix, level, i/fan)
 			if err := mergeGroup(cfg, current[i:min(i+fan, len(current))], name); err != nil {
 				return err
 			}
 			scratch = append(scratch, name)
-			next = append(next, diskio.Section{Name: name, Keys: -1})
+			next = append(next, []diskio.Section{{Name: name, Keys: -1}})
 		}
 		current = next
 		level++
@@ -67,16 +69,26 @@ func MergeSections(cfg Config, inputs []diskio.Section, outputName string) error
 
 // mergeGroup streams a single k-way merge of the sorted inputs into out
 // through the loser-tree kernel.
-func mergeGroup(cfg Config, inputs []diskio.Section, out string) error {
+func mergeGroup(cfg Config, inputs [][]diskio.Section, out string) error {
 	srcs := make([]MergeSource, 0, len(inputs))
 	for _, in := range inputs {
-		f, r, err := in.Open(cfg.FS, cfg.BlockKeys, cfg.Acct)
-		if err != nil {
-			return fmt.Errorf("polyphase: merge open %s: %w", in.Name, err)
+		leaf := len(srcs)
+		for _, s := range in {
+			f, r, err := s.Open(cfg.FS, cfg.BlockKeys, cfg.Acct)
+			if err != nil {
+				return fmt.Errorf("polyphase: merge open %s: %w", s.Name, err)
+			}
+			defer f.Close()
+			defer r.Release()
+			srcs = append(srcs, r)
 		}
-		defer f.Close()
-		defer r.Release()
-		srcs = append(srcs, r)
+		if len(in) > 1 { // the sections become one leaf, a Merger over them
+			m := new(Merger)
+			if err := m.Reset(srcs[leaf:], cfg.Acct.Meter); err != nil {
+				return err
+			}
+			srcs = append(srcs[:leaf], m)
+		}
 	}
 	of, err := cfg.FS.Create(out)
 	if err != nil {

@@ -3,6 +3,7 @@ package polyphase
 import (
 	"errors"
 	"io"
+	"math/bits"
 
 	"hetsort/internal/record"
 	"hetsort/internal/vtime"
@@ -26,8 +27,8 @@ type MergeSource interface {
 }
 
 // MergeObserver is an optional extension of vtime.Meter: a meter that
-// also implements it receives the merge kernel's counters when a Merge
-// finishes — emitted keys, emitted chunks, chunks that took the
+// also implements it receives the merge kernel's counters when a merge
+// drains — emitted keys, emitted chunks, chunks that took the
 // block-copy fast path (more than one key moved per tree replay), and
 // tournament-tree comparisons.  cluster.Node implements it to feed the
 // per-node metrics registry; the int64-only signature keeps this package
@@ -92,47 +93,74 @@ func Merge(srcs []MergeSource, meter vtime.Meter, emit func([]record.Key) error)
 }
 
 // A Merger is Merge keeping its tree and batch for the next call, for a
-// caller that merges many times.
+// caller that merges many times.  After Reset it is Merge's pull form, a
+// MergeSource whose Fill runs the kernel to the batch Merge would emit
+// next: one Merger can be a single leaf of another's tree.
 type Merger struct {
+	srcs  []MergeSource
+	meter vtime.Meter
 	bases [][]record.Key
 	pos   []int
 	tree  []uint64
-	out   batcher
+
+	at      int      // where next resumes
+	w       int      // the winner in play
+	second  uint64   // its runner-up's head
+	pending int64    // compute not yet charged
+	obs     [4]int64 // the observer's counters: keys, chunks, fast chunks, comparisons
+
+	keys [batchKeys]record.Key // the batch, keys[:n]
+	n    int
+	cur  []record.Key // the pull form's batch, not yet discarded
 }
 
-// Merge is the package's Merge on m's buffers.
+// next's resume points.
+const (
+	atTop    = iota // play the next chunk
+	atPlay          // replay the winner's path, then play the next chunk
+	atRefill        // the winner's buffer is used up and the batch before it out
+	atEnd           // every source is drained and the batch out
+)
+
+// Merge is the package's Merge on m's buffers: the pull form drained
+// into emit.
 func (m *Merger) Merge(srcs []MergeSource, meter vtime.Meter, emit func([]record.Key) error) error {
+	err := m.Reset(srcs, meter)
+	for b := []record.Key(nil); err == nil; {
+		if b, err = m.next(); err == nil {
+			err = emit(b)
+		} else if err == io.EOF {
+			return nil
+		}
+	}
+	return err
+}
+
+// Reset starts a merge of srcs on meter: it fills the sources and plays
+// the tree's first matches.  A nil meter charges nothing.
+func (m *Merger) Reset(srcs []MergeSource, meter vtime.Meter) error {
 	if meter == nil {
 		meter = vtime.Nop{}
 	}
-	k := len(srcs)
-	if k == 0 {
+	m.srcs, m.meter, m.at = append(m.srcs[:0], srcs...), meter, atEnd
+	m.pending, m.obs, m.n, m.cur = 0, [4]int64{}, 0, nil
+	if len(srcs) == 0 {
 		return nil
 	}
-	// Kernel statistics, flushed once per Merge to the optional
-	// observer (no per-chunk interface calls on the hot path).
-	var oKeys, oChunks, oFast, oComps int64
-	if obs, ok := meter.(MergeObserver); ok {
-		defer func() { obs.ObserveMerge(oKeys, oChunks, oFast, oComps) }()
-	}
-
 	// k2 leaves, the smallest power of two ≥ k; padding leaves are
 	// permanently drained ghosts.
-	k2, levels := 1, 0
-	for k2 < k {
-		k2 *= 2
-		levels++
-	}
+	k2 := 1 << bits.Len(uint(len(srcs)-1))
 	// bases/pos mirror each source's Buffered() locally: bases[i] is
 	// only rewritten after a Fill, and per-chunk consumption advances
 	// the integer pos[i] — an int store, so the hot loop never writes a
 	// pointer (no GC write barriers).
-	if len(m.pos) < k2 {
+	if cap(m.pos) < k2 {
 		m.bases, m.pos, m.tree = make([][]record.Key, k2), make([]int, k2), make([]uint64, 2*k2)
 	}
-	bases, pos, tree := m.bases[:k2], m.pos[:k2], m.tree[:2*k2]
+	m.bases, m.pos, m.tree = m.bases[:k2], m.pos[:k2], m.tree[:2*k2]
+	bases, tree := m.bases, m.tree
 	clear(bases)
-	clear(pos)
+	clear(m.pos)
 	for i, src := range srcs {
 		if len(src.Buffered()) == 0 {
 			if err := src.Fill(); err != nil && err != io.EOF {
@@ -159,25 +187,111 @@ func (m *Merger) Merge(srcs []MergeSource, meter vtime.Meter, emit func([]record
 		return nil // every source was empty
 	}
 	meter.ChargeCompute(int64(k2))
-	oComps += int64(k2 - 1) // one match per internal node to build
+	m.obs[3] = int64(k2 - 1) // one match per internal node to build
+	m.at = atTop
+	return nil
+}
 
-	// Compute charges are batched in pending and flushed before every
-	// Fill call and on return: the virtual clock is only observed at
-	// those interaction points (Fill may Recv or do charged I/O), so
-	// batching between them cannot change any cross-node timing.
-	var pending int64
-	out := &m.out
-	out.emit, out.n = emit, 0
-	for {
-		if tree[0]>>srcBits == drained {
-			err := out.flush()
-			meter.ChargeCompute(pending)
-			return err
+// Buffered returns the pull form's batch not yet discarded.
+func (m *Merger) Buffered() []record.Key { return m.cur }
+
+// Discard consumes the first n keys of the batch.
+func (m *Merger) Discard(n int) { m.cur = m.cur[n:] }
+
+// Fill runs the merge to its next batch and charges the compute spent on
+// it before handing it out, so what the caller does next (a Recv) sees
+// the clock Merge would have left.  It returns io.EOF after the last.
+func (m *Merger) Fill() error {
+	b, err := m.next()
+	m.meter.ChargeCompute(m.pending)
+	m.pending, m.cur = 0, b
+	return err
+}
+
+// next runs the kernel to the next batch Merge emits, or to io.EOF.
+//
+// Compute charges are batched in pending and flushed before every
+// source's Fill and at the end: the virtual clock is only observed at
+// those interaction points (Fill may Recv or do charged I/O), so
+// batching between them cannot change any cross-node timing.
+func (m *Merger) next() (out []record.Key, err error) {
+	for out == nil && err == nil {
+		switch w := m.w; m.at {
+		case atTop, atPlay:
+			out = m.play()
+		case atRefill:
+			// A used-up buffer goes back to its source, after the batch
+			// and the compute so far, and the next is fetched.
+			m.meter.ChargeCompute(m.pending)
+			m.pending = 0
+			m.srcs[w].Discard(m.pos[w])
+			m.bases[w], m.pos[w] = nil, 0
+			switch err = m.srcs[w].Fill(); err {
+			case nil:
+				if m.bases[w] = m.srcs[w].Buffered(); len(m.bases[w]) == 0 {
+					err = errEmptyFill
+				}
+			case io.EOF:
+				err = nil
+			}
+			// Multi-block galloping: while the fresh block still sits
+			// entirely at or below the runner-up, it is emitted whole for
+			// a single guide comparison — an exponential-search style
+			// winner run that moves several blocks per tree replay.  The
+			// Fill sequence (and hence the PDM I/O schedule) is exactly
+			// what the chunk-at-a-time path would have issued.  The batch
+			// is empty, so the block goes out as it is.
+			b := m.bases[w]
+			switch {
+			case err != nil:
+			case len(b) > 0 && uint64(b[len(b)-1]) <= m.second:
+				m.pending += int64(len(b)) + 1 // copy work + the guide comparison
+				m.obs = [4]int64{m.obs[0] + int64(len(b)), m.obs[1] + 1, m.obs[2] + 1, m.obs[3] + 1}
+				m.pos[w], out = len(b), b
+			default:
+				out = m.play()
+			}
+		case atEnd: // again after io.EOF, with nothing left to charge or count
+			m.meter.ChargeCompute(m.pending)
+			if o, ok := m.meter.(MergeObserver); ok {
+				o.ObserveMerge(m.obs[0], m.obs[1], m.obs[2], m.obs[3])
+			}
+			m.pending, m.obs, err = 0, [4]int64{}, io.EOF
 		}
-		w := int(tree[0] & srcMask)
-		// The runner-up is the least head among the losers stored on
-		// the winner's root path (it lost directly to the winner).
-		second := ^uint64(0)
+	}
+	return out, err
+}
+
+// play is the kernel's hot loop: it replays the winner's path with its
+// new head (but at atTop) and plays the next chunk, until there is a
+// batch to hand out, and leaves m.at where next resumes.  The hot state
+// lives in locals and goes back to m on the way out.
+func (m *Merger) play() (out []record.Key) {
+	bases, pos, tree, k2, w, second, n := m.bases, m.pos, m.tree, len(m.bases), m.w, m.second, m.n
+	var keys, chunks, fast int64 // what this call plays; its compute and comparisons follow
+	for replay := m.at != atTop; ; replay = true {
+		if replay { // t>>srcBits < x>>srcBits: a select, compiled to CMOVs
+			x := slot(bases[w], pos[w], w)
+			for j := (k2 + w) >> 1; j >= 1; j >>= 1 {
+				t := tree[j]
+				if t|srcMask < x&^srcMask {
+					t, x = x, t
+				}
+				tree[j] = t
+			}
+			tree[0] = x
+		}
+		if tree[0]>>srcBits == drained {
+			m.at = atEnd
+			if n > 0 {
+				out, n = m.keys[:n], 0
+			}
+			break
+		}
+		w = int(tree[0] & srcMask)
+		// The runner-up is the least head among the losers stored on the
+		// winner's root path (it lost directly to the winner).
+		second = ^uint64(0)
 		for j := (k2 + w) >> 1; j >= 1; j >>= 1 {
 			second = min(second, tree[j])
 		}
@@ -202,100 +316,44 @@ func (m *Merger) Merge(srcs []MergeSource, meter vtime.Meter, emit func([]record
 			}
 			cnt = lo
 		}
-		if err := out.put(buf[:cnt]); err != nil {
-			meter.ChargeCompute(pending)
-			return err
+		if n > 0 && n+cnt > batchKeys {
+			// The batch goes out first; the chunk is played again into
+			// the empty one (the tree has not moved).
+			m.at, out, n = atTop, m.keys[:n], 0
+			break
 		}
-		pending += int64(cnt) + int64(2*levels) + 1
-		oKeys += int64(cnt)
-		oChunks++
+		keys += int64(cnt)
+		chunks++
 		if cnt > 1 {
-			oFast++ // block-copy fast path: a multi-key chunk per replay
+			fast++ // block-copy fast path: a multi-key chunk per replay
 		}
-		oComps += int64(2 * levels) // runner-up scan + path replay
 		pos[w] += cnt
-		// A used-up buffer goes back to its source, after the batch and
-		// the compute so far, and the next is fetched.  Multi-block
-		// galloping: while the fresh block still sits entirely at or
-		// below the runner-up, it is emitted whole for a single guide
-		// comparison — an exponential-search style winner run that moves
-		// several blocks per tree replay.  The Fill sequence (and hence
-		// the PDM I/O schedule) is exactly what the chunk-at-a-time path
-		// would have issued.
-		for pos[w] == len(bases[w]) {
-			err := out.flush()
-			meter.ChargeCompute(pending)
-			pending = 0
-			if err != nil {
-				return err
-			}
-			srcs[w].Discard(pos[w])
-			bases[w], pos[w] = nil, 0
-			switch err := srcs[w].Fill(); err {
-			case nil:
-				if bases[w] = srcs[w].Buffered(); len(bases[w]) == 0 {
-					return errEmptyFill
-				}
-			case io.EOF:
-			default:
-				return err
-			}
-			b := bases[w]
-			if len(b) == 0 || uint64(b[len(b)-1]) > second {
-				break
-			}
-			if err := out.put(b); err != nil {
-				return err
-			}
-			pending += int64(len(b)) + 1 // copy work + the guide comparison
-			oKeys += int64(len(b))
-			oChunks++
-			oFast++
-			oComps++
-			pos[w] = len(b)
+		switch {
+		case cnt == 1: // most chunks: no copy call
+			m.keys[n] = buf[0]
+			n++
+		case cnt > batchKeys:
+			out = buf[:cnt] // larger than the batch: it goes out as it is
+		default:
+			n += copy(m.keys[n:], buf[:cnt])
 		}
-		// Replay the winner's path with its new head: the test is
-		// t>>srcBits < x>>srcBits, a select compiled to CMOVs.
-		x := slot(bases[w], pos[w], w)
-		for j := (k2 + w) >> 1; j >= 1; j >>= 1 {
-			t := tree[j]
-			if t|srcMask < x&^srcMask {
-				t, x = x, t
+		if pos[w] == len(bases[w]) {
+			// A used-up buffer: the batch goes out before its Fill.
+			m.at = atRefill
+			if out == nil {
+				out, n = m.keys[:n], 0
 			}
-			tree[j] = t
+			break
 		}
-		tree[0] = x
-	}
-}
-
-// batcher is Merge's output batch.
-type batcher struct {
-	keys [batchKeys]record.Key
-	n    int
-	emit func([]record.Key) error
-}
-
-// put passes on a chunk of a source's buffer: copied into the batch, or,
-// when it is larger than the batch, emitted as it is after the batch.
-func (b *batcher) put(c []record.Key) error {
-	if b.n+len(c) > batchKeys {
-		if err := b.flush(); err != nil {
-			return err
-		}
-		if len(c) > batchKeys {
-			return b.emit(c)
+		if out != nil {
+			m.at = atPlay
+			break
 		}
 	}
-	b.n += copy(b.keys[b.n:], c)
-	return nil
-}
-
-// flush hands the batch to emit.
-func (b *batcher) flush() error {
-	if b.n == 0 {
-		return nil
-	}
-	err := b.emit(b.keys[:b.n])
-	b.n = 0
-	return err
+	// A chunk's compute is its keys and one replayed path, ~2 ops per
+	// level for the runner-up scan and the replay, plus one.
+	levels := int64(bits.Len(uint(k2 - 1)))
+	m.w, m.second, m.n, m.pending = w, second, n, m.pending+keys+(2*levels+1)*chunks
+	m.obs[0], m.obs[1], m.obs[2], m.obs[3] = m.obs[0]+keys, m.obs[1]+chunks, m.obs[2]+fast, m.obs[3]+2*levels*chunks
+	return out
 }
