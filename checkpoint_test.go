@@ -146,3 +146,24 @@ func TestSortCheckpointInMemory(t *testing.T) {
 		}
 	}
 }
+
+// TestResumeDoesNotRunTheCrashAgain: Resume given the crashed run's own
+// Config, Checkpoint.CrashPhase still set, finishes the sort instead of
+// dying at the same point again.
+func TestResumeDoesNotRunTheCrashAgain(t *testing.T) {
+	dir := t.TempDir()
+	inPath := filepath.Join(dir, "in.u32")
+	writeKeyFile(t, inPath, 8000)
+	cfg := Config{
+		Perf: []int{1, 1, 4, 4}, MemoryKeys: 4096, BlockKeys: 128, Tapes: 5, MessageKeys: 512,
+		WorkDir:    filepath.Join(dir, "work"),
+		Checkpoint: CheckpointConfig{Enabled: true, CrashPhase: 3, CrashNode: 1},
+	}
+	outPath := filepath.Join(dir, "out.u32")
+	if _, err := SortFile(inPath, outPath, cfg); !IsCrash(err) {
+		t.Fatalf("want an injected crash, got %v", err)
+	}
+	if _, err := Resume(outPath, cfg); err != nil {
+		t.Fatalf("Resume with CrashPhase set: %v", err)
+	}
+}

@@ -26,7 +26,7 @@ func main() {
 		loadsStr  = flag.String("loads", "4,4,1,1", "comma-separated node slowdown factors (>= 1)")
 		keys      = flag.Int64("keys", 262144, "keys each node sorts during calibration (paper: N/P = 2^22)")
 		block     = flag.Int("block", 2048, "disk block size in keys")
-		memory    = flag.Int("memory", 1<<16, "per-node memory in keys")
+		memory    = flag.Int("memory", 0, "per-node memory in keys (0 = the library default, 65536)")
 		tapes     = flag.Int("tapes", 15, "polyphase file count")
 		showGantt = flag.Bool("trace", false, "print a virtual-time Gantt chart of the calibration sorts")
 	)

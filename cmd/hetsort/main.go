@@ -33,7 +33,7 @@ func main() {
 		perfStr  = flag.String("perf", "1,1,1,1", "comma-separated perf vector (relative node speeds)")
 		workdir  = flag.String("workdir", "", "directory for node disks (empty = in-memory)")
 		block    = flag.Int("block", 2048, "disk block size B in keys")
-		memory   = flag.Int("memory", 1<<16, "per-node memory M in keys")
+		memory   = flag.Int("memory", 0, "per-node memory M in keys (0 = the library default, 65536)")
 		tapes    = flag.Int("tapes", 15, "polyphase merge file count")
 		msg      = flag.Int("msg", 8192, "redistribution message size in keys")
 		disks    = flag.Int("disks", 1, "PDM disks per node D: models D member disks, block u of a file on disk u mod D (timing only)")

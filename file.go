@@ -26,7 +26,7 @@ func SortFile(inputPath, outputPath string, cfg Config) (*Report, error) {
 		return nil, err
 	}
 	defer m.release()
-	c, block := m.c, m.ecfg.BlockKeys
+	c, block := m.c, m.BlockKeys
 
 	in, err := os.Open(inputPath)
 	if err != nil {
@@ -41,7 +41,7 @@ func SortFile(inputPath, outputPath string, cfg Config) (*Report, error) {
 		return nil, fmt.Errorf("hetsort: input size %d is not a multiple of %d bytes", st.Size(), record.KeySize)
 	}
 	total := st.Size() / record.KeySize
-	shares := m.ecfg.Perf.Shares(total)
+	shares := m.Perf.Shares(total)
 
 	// Stream each node's contiguous portion onto its disk, folding the
 	// checksum as we go.
@@ -154,8 +154,9 @@ func Resume(outputPath string, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.ecfg.Checkpoint = true
-	res, want, err := extsort.Resume(m.c, m.ecfg, "input", "output")
+	m.c.ClearCrashes() // a resumed run never runs the injected crash again
+	m.Checkpoint = true
+	res, want, err := extsort.Resume(m.c, m.Config, "input", "output")
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +164,7 @@ func Resume(outputPath string, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := concatOutput(m.c, m.ecfg.BlockKeys, outputPath); err != nil {
+	if err := concatOutput(m.c, m.BlockKeys, outputPath); err != nil {
 		return nil, err
 	}
 	return rep, nil

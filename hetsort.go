@@ -230,29 +230,25 @@ type CheckpointConfig struct {
 	CrashNode int
 }
 
-// machine is a Config resolved: the defaulted and validated Algorithm-1
-// configuration (perf vector included) and the simulated cluster with
-// its optional trace log.
+// machine is a Config resolved: the built extsort.Machine and its
+// simulated cluster.
 type machine struct {
-	cfg  Config
-	ecfg extsort.Config
-	c    *cluster.Cluster
-	tl   *trace.Log
+	cfg Config
+	extsort.Machine
+	c *cluster.Cluster
 }
 
-// resolve is the one place a Config becomes a machine.  It checks every
-// value, whatever the algorithm, before it builds the cluster, so a bad
-// Config fails before a node directory is created or any data moves.
+// resolve parses the Config's names and builds its extsort.Machine, so
+// a bad Config fails before a node directory is created or any data
+// moves.  The injected crash is armed; Resume and CalibrateReport
+// disarm it.
 func (cfg Config) resolve() (*machine, error) {
 	v := perf.Vector(cfg.Perf)
-	if len(v) > 0 {
-		if err := v.Validate(); err != nil {
-			return nil, err
-		}
-	} else if cfg.Nodes > 0 {
-		v = perf.Homogeneous(cfg.Nodes)
-	} else {
+	if len(v) == 0 {
 		v = perf.Homogeneous(4)
+		if cfg.Nodes > 0 {
+			v = perf.Homogeneous(cfg.Nodes)
+		}
 	}
 	switch cfg.Algorithm {
 	case "", AlgorithmExternalPSRS:
@@ -263,12 +259,6 @@ func (cfg Config) resolve() (*machine, error) {
 	default:
 		return nil, fmt.Errorf("hetsort: unknown algorithm %q", cfg.Algorithm)
 	}
-	if ph := cfg.Checkpoint.CrashPhase; ph < 0 || ph > 5 {
-		return nil, fmt.Errorf("hetsort: Checkpoint.CrashPhase %d out of range 1..5", ph)
-	}
-	if id := cfg.Checkpoint.CrashNode; cfg.Checkpoint.CrashPhase != 0 && (id < 0 || id >= len(v)) {
-		return nil, fmt.Errorf("hetsort: Checkpoint.CrashNode %d out of range 0..%d", id, len(v)-1)
-	}
 	rf, rfErr := polyphase.ParseRunFormation(cfg.RunFormation)
 	strat, stratErr := extsort.ParseStrategy(cfg.PivotStrategy)
 	topo, topoErr := extsort.ParseTopology(cfg.Topology)
@@ -277,61 +267,38 @@ func (cfg Config) resolve() (*machine, error) {
 	if err := errors.Join(rfErr, stratErr, topoErr, accessErr, netErr); err != nil {
 		return nil, fmt.Errorf("hetsort: %w", err)
 	}
-	loads := cfg.Loads
-	if loads == nil {
-		loads = v.Slowdowns()
-	} else if err := perf.ValidateLoads(loads); err != nil {
-		return nil, fmt.Errorf("hetsort: %w", err)
-	}
-	if len(loads) != len(v) {
-		return nil, fmt.Errorf("hetsort: %d loads for %d nodes", len(loads), len(v))
-	}
-	m := &machine{cfg: cfg, ecfg: extsort.Config{
-		Perf:          v,
-		BlockKeys:     cfg.BlockKeys,
-		MemoryKeys:    cfg.MemoryKeys,
-		Tapes:         cfg.Tapes,
-		MessageKeys:   cfg.MessageKeys,
-		RunFormation:  rf,
-		Strategy:      strat,
-		HistTolerance: cfg.HistTolerance,
-		Seed:          cfg.Seed,
-		Overlap:       cfg.Overlap,
-		Topology:      topo,
-		Radix:         cfg.Radix,
-		Checkpoint:    cfg.Checkpoint.Enabled,
-		Progress:      cfg.Progress,
-	}}
-	m.ecfg.ApplyDefaults(len(v))
-	if err := m.ecfg.Validate(len(v)); err != nil {
-		return nil, err
-	}
-	if cfg.Trace {
-		m.tl = new(trace.Log)
-	}
-	var disks func(int) diskio.FS
-	if cfg.WorkDir != "" {
-		dirs := make([]diskio.FS, len(v))
-		for i := range dirs {
-			fs, err := diskio.NewDirFS(fmt.Sprintf("%s/node%d", cfg.WorkDir, i))
-			if err != nil {
-				return nil, fmt.Errorf("hetsort: work dir %q: %w", cfg.WorkDir, err)
-			}
-			dirs[i] = fs
-		}
-		disks = func(id int) diskio.FS { return dirs[id] }
-	}
-	var err error
-	m.c, err = cluster.New(cluster.Config{
-		Slowdowns:    loads,
+	m := &machine{cfg: cfg, Machine: extsort.Machine{
+		Config: extsort.Config{
+			Perf:          v,
+			BlockKeys:     cfg.BlockKeys,
+			MemoryKeys:    cfg.MemoryKeys,
+			Tapes:         cfg.Tapes,
+			MessageKeys:   cfg.MessageKeys,
+			RunFormation:  rf,
+			Strategy:      strat,
+			HistTolerance: cfg.HistTolerance,
+			Seed:          cfg.Seed,
+			Overlap:       cfg.Overlap,
+			Topology:      topo,
+			Radix:         cfg.Radix,
+			Checkpoint:    cfg.Checkpoint.Enabled,
+			Progress:      cfg.Progress,
+		},
+		Loads:        cfg.Loads,
 		Net:          net,
-		BlockKeys:    m.ecfg.BlockKeys,
-		Disks:        disks,
 		DisksPerNode: cfg.Disks,
 		DiskAccess:   access,
-		Trace:        m.tl,
-	})
-	if err != nil {
+		CrashPhase:   cfg.Checkpoint.CrashPhase,
+		CrashNode:    cfg.Checkpoint.CrashNode,
+	}}
+	if cfg.Trace {
+		m.Trace = new(trace.Log)
+	}
+	if cfg.WorkDir != "" {
+		m.Disks = diskio.NodeDirs(cfg.WorkDir)
+	}
+	var err error
+	if m.c, err = m.Build(); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -364,7 +331,7 @@ func Sort(keys []Key, cfg Config) ([]Key, *Report, error) {
 		return nil, nil, err
 	}
 	defer m.release()
-	want, err := extsort.StageInput(m.c, m.ecfg.Perf, keys, m.ecfg.BlockKeys, "input")
+	want, err := extsort.StageInput(m.c, m.Perf, keys, m.BlockKeys, "input")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -376,7 +343,7 @@ func Sort(keys []Key, cfg Config) ([]Key, *Report, error) {
 	out := make([]Key, len(keys))
 	slot := out
 	for i, size := range rep.PartitionSizes {
-		f, r, err := diskio.Section{Name: "output", Keys: size}.Open(m.c.Node(i).FS(), m.ecfg.BlockKeys, diskio.Accounting{})
+		f, r, err := diskio.Section{Name: "output", Keys: size}.Open(m.c.Node(i).FS(), m.BlockKeys, diskio.Accounting{})
 		if err == nil {
 			_, err = r.ReadKeys(slot[:size])
 			r.Release()
@@ -391,20 +358,15 @@ func Sort(keys []Key, cfg Config) ([]Key, *Report, error) {
 }
 
 // sort runs the configured algorithm on the staged "input" files, whose
-// checksum is want, with the injected crash armed, and reports it.
+// checksum is want, and reports it.
 func (m *machine) sort(want record.Checksum) (*Report, error) {
-	if ph := m.cfg.Checkpoint.CrashPhase; ph != 0 {
-		if err := m.c.ScheduleCrash(m.cfg.Checkpoint.CrashNode, -1, extsort.StepNames[ph-1]); err != nil {
-			return nil, err
-		}
-	}
 	var res *extsort.Result
 	var err error
 	if m.cfg.Algorithm == AlgorithmDeWitt {
-		res, err = dewitt.Sort(m.c, dewitt.Config{Config: m.ecfg}, "input", "output")
+		res, err = dewitt.Sort(m.c, dewitt.Config{Config: m.Config}, "input", "output")
 	} else {
-		m.ecfg.InputSum = want
-		res, err = extsort.Sort(m.c, m.ecfg, "input", "output")
+		m.InputSum = want
+		res, err = extsort.Sort(m.c, m.Config, "input", "output")
 	}
 	if err != nil {
 		return nil, err
@@ -458,21 +420,21 @@ func CalibrateReport(cfg Config, perNodeKeys int64) (*Calibration, error) {
 		return nil, err
 	}
 	defer m.release()
-	c, ecfg := m.c, m.ecfg
-	for i := 0; i < c.P(); i++ {
+	m.c.ClearCrashes() // a calibration never runs the injected crash
+	for i := 0; i < m.c.P(); i++ {
 		keys := record.Uniform.Generate(int(perNodeKeys), cfg.Seed+int64(i), 1)
-		if err := diskio.WriteFile(c.Node(i).FS(), "calinput", keys, ecfg.BlockKeys, diskio.Accounting{}); err != nil {
+		if err := diskio.WriteFile(m.c.Node(i).FS(), "calinput", keys, m.BlockKeys, diskio.Accounting{}); err != nil {
 			return nil, err
 		}
 	}
-	err = c.Run(func(n *cluster.Node) error {
+	err = m.c.Run(func(n *cluster.Node) error {
 		endPhase := n.TracePhase("calibrate")
 		defer endPhase()
 		pcfg := polyphase.Config{
 			FS:         n.FS(),
-			BlockKeys:  ecfg.BlockKeys,
-			MemoryKeys: ecfg.MemoryKeys,
-			Tapes:      ecfg.Tapes,
+			BlockKeys:  m.BlockKeys,
+			MemoryKeys: m.MemoryKeys,
+			Tapes:      m.Tapes,
 			Acct:       n.Acct(),
 			TempPrefix: "cal.",
 		}
@@ -482,16 +444,16 @@ func CalibrateReport(cfg Config, perNodeKeys int64) (*Calibration, error) {
 	if err != nil {
 		return nil, err
 	}
-	times := make([]float64, c.P())
+	times := make([]float64, m.c.P())
 	for i := range times {
-		times[i] = c.Node(i).Clock()
+		times[i] = m.c.Node(i).Clock()
 	}
 	vec, err := perf.FromTimes(times)
 	if err != nil {
 		return nil, err
 	}
 	cal := &Calibration{Perf: []int(vec), Times: times}
-	if tl := m.tl; tl != nil {
+	if tl := m.Trace; tl != nil {
 		cal.TraceLog = tl
 		cal.Timeline = tl.Timeline()
 		cal.Gantt = tl.Gantt(60)

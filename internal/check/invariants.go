@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"hetsort"
+	"hetsort/internal/extsort"
 	"hetsort/internal/pdm"
 	"hetsort/internal/perf"
 	"hetsort/internal/progress"
@@ -616,20 +617,11 @@ func vectorOf(cfg hetsort.Config) perf.Vector {
 	return perf.Homogeneous(n)
 }
 
-// withDefaults fills the machine parameters the way extsort does.
+// withDefaults fills the machine parameters with extsort's defaults.
 func withDefaults(cfg hetsort.Config) hetsort.Config {
-	if cfg.BlockKeys <= 0 {
-		cfg.BlockKeys = 2048
-	}
-	if cfg.MemoryKeys <= 0 {
-		cfg.MemoryKeys = 1 << 16
-	}
-	if cfg.Tapes <= 0 {
-		cfg.Tapes = 15
-	}
-	if cfg.MessageKeys <= 0 {
-		cfg.MessageKeys = 8192
-	}
+	e := extsort.Config{BlockKeys: cfg.BlockKeys, MemoryKeys: cfg.MemoryKeys, Tapes: cfg.Tapes, MessageKeys: cfg.MessageKeys}
+	e.ApplyDefaults(1)
+	cfg.BlockKeys, cfg.MemoryKeys, cfg.Tapes, cfg.MessageKeys = e.BlockKeys, e.MemoryKeys, e.Tapes, e.MessageKeys
 	return cfg
 }
 

@@ -64,6 +64,17 @@ func NewDirFS(dir string) (*DirFS, error) {
 	return &DirFS{root: dir}, nil
 }
 
+// NodeDirs opens node id's disk as the DirFS root/node<id>.
+func NodeDirs(root string) func(id int) (FS, error) {
+	return func(id int) (FS, error) {
+		d, err := NewDirFS(fmt.Sprintf("%s/node%d", root, id))
+		if err != nil {
+			return nil, fmt.Errorf("diskio: work dir %q: %w", root, err)
+		}
+		return d, nil
+	}
+}
+
 // Root returns the directory backing the filesystem.
 func (d *DirFS) Root() string { return d.root }
 

@@ -12,7 +12,7 @@
 package experiments
 
 import (
-	"fmt"
+	"cmp"
 
 	"hetsort/internal/diskio"
 	"hetsort/internal/perf"
@@ -97,22 +97,12 @@ func (o Options) scale(paperSize int64) int64 {
 	return s
 }
 
-// disks returns the per-node FS factory.
-func (o Options) disks() func(int) diskio.FS {
+// disks returns the node-disk opener: nil (in-memory disks) unless OnDisk.
+func (o Options) disks() func(int) (diskio.FS, error) {
 	if !o.OnDisk {
-		return func(int) diskio.FS { return diskio.NewMemFS() }
+		return nil
 	}
-	root := o.TempDir
-	if root == "" {
-		root = "hetsort-experiments"
-	}
-	return func(id int) diskio.FS {
-		fs, err := diskio.NewDirFS(fmt.Sprintf("%s/node%d", root, id))
-		if err != nil {
-			panic(err)
-		}
-		return fs
-	}
+	return diskio.NodeDirs(cmp.Or(o.TempDir, "hetsort-experiments"))
 }
 
 // trialSummary repeats a measured quantity over Options.Trials seeds.

@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"hetsort/internal/record"
 )
 
 // fastOptions shrinks everything so the whole suite runs in seconds.
@@ -377,5 +381,26 @@ func TestRunAttribution(t *testing.T) {
 		if !strings.Contains(out, frag) {
 			t.Fatalf("report missing %q:\n%s", frag, out)
 		}
+	}
+}
+
+// TestOnDiskUnusableTempDirFails: OnDisk node directories that cannot
+// be created fail the measurement with an error, parallel and
+// sequential points alike, instead of panicking.
+func TestOnDiskUnusableTempDirFails(t *testing.T) {
+	blocker := filepath.Join(t.TempDir(), "blocker")
+	if err := os.WriteFile(blocker, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o := fastOptions()
+	o.OnDisk, o.TempDir = true, filepath.Join(blocker, "work")
+	o = o.withDefaults()
+	pt := point{perf: PaperVector, n: 1000, dist: record.Uniform, seed: 1}
+	if _, _, err := o.run("ondisk", pt, []metric{vsec}); err == nil || !strings.Contains(err.Error(), "not a directory") {
+		t.Errorf("parallel point: %v, want the node directory's error", err)
+	}
+	keys := record.Uniform.Generate(1000, 1, 1)
+	if _, err := o.runSequential("ondisk", nil, []metric{vsec}, 1, keys, nil); err == nil || !strings.Contains(err.Error(), "not a directory") {
+		t.Errorf("sequential point: %v, want the node directory's error", err)
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -194,41 +195,27 @@ func (o Options) run(exp string, pt point, cols []metric) (Row, *extsort.Result,
 	fail := func(err error) (Row, *extsort.Result, error) {
 		return Row{}, nil, fmt.Errorf("%s: %w", Row{Experiment: exp, Labels: pt.labels}.Key(), err)
 	}
-	cfg := pt.cfg
-	cfg.Perf = pt.perf
-	if cfg.BlockKeys == 0 {
-		cfg.BlockKeys = o.BlockKeys
+	m := extsort.Machine{Config: pt.cfg, Loads: pt.slowdowns, Net: pt.net,
+		DisksPerNode: pt.disks, DiskAccess: pt.access, Disks: o.disks()}
+	m.Perf = pt.perf
+	m.BlockKeys = cmp.Or(m.BlockKeys, o.BlockKeys)
+	m.MemoryKeys = cmp.Or(m.MemoryKeys, o.MemoryKeys)
+	m.Tapes = cmp.Or(m.Tapes, o.Tapes)
+	m.MessageKeys = cmp.Or(m.MessageKeys, o.MessageKeys)
+	if pt.crash {
+		m.Checkpoint, m.CrashPhase, m.CrashNode = true, 4, 1
 	}
-	if cfg.MemoryKeys == 0 {
-		cfg.MemoryKeys = o.MemoryKeys
-	}
-	if cfg.Tapes == 0 {
-		cfg.Tapes = o.Tapes
-	}
-	if cfg.MessageKeys == 0 {
-		cfg.MessageKeys = o.MessageKeys
-	}
-	slowdowns := pt.slowdowns
-	if slowdowns == nil {
-		slowdowns = pt.perf.Slowdowns()
-	}
-	c, err := cluster.New(cluster.Config{
-		Slowdowns: slowdowns, Net: pt.net, BlockKeys: cfg.BlockKeys, Disks: o.disks(),
-		DisksPerNode: pt.disks, DiskAccess: pt.access,
-	})
+	c, err := m.Build()
 	if err != nil {
 		return fail(err)
 	}
+	cfg := m.Config
 	if cfg.InputSum, err = extsort.DistributeInput(c, pt.perf, pt.dist, pt.n, pt.seed, cfg.BlockKeys, "input"); err != nil {
 		return fail(err)
 	}
 	out := &outcome{pt: pt, c: c}
 	switch {
 	case pt.crash:
-		cfg.Checkpoint = true
-		if err := c.ScheduleCrash(1, -1, extsort.StepNames[3]); err != nil {
-			return fail(err)
-		}
 		if _, err := extsort.Sort(c, cfg, "input", "output"); err == nil {
 			return fail(fmt.Errorf("injected crash did not interrupt the sort"))
 		} else if !cluster.IsCrash(err) {
@@ -237,7 +224,6 @@ func (o Options) run(exp string, pt point, cols []metric) (Row, *extsort.Result,
 		for i := 0; i < c.P(); i++ {
 			out.blockIOs += c.Node(i).IOStats().Total()
 		}
-		c.ClearCrashes()
 		out.res, _, err = extsort.Resume(c, cfg, "input", "output")
 	case pt.algo != nil:
 		out.res, err = pt.algo(c, cfg)
@@ -292,7 +278,9 @@ func (o Options) table(exp string, cols []metric, pts []point) ([]Row, error) {
 // node with the given load factor; tune adjusts the sort configuration.
 func (o Options) runSequential(exp string, labels map[string]string, cols []metric,
 	slowdown float64, keys []record.Key, tune func(*polyphase.Config)) (Row, error) {
-	c, err := cluster.New(cluster.Config{Slowdowns: []float64{slowdown}, BlockKeys: o.BlockKeys, Disks: o.disks()})
+	m := extsort.Machine{Config: extsort.Config{Perf: perf.Vector{1}, BlockKeys: o.BlockKeys,
+		MemoryKeys: o.MemoryKeys, Tapes: o.Tapes}, Loads: []float64{slowdown}, Disks: o.disks()}
+	c, err := m.Build()
 	if err != nil {
 		return Row{}, err
 	}

@@ -1,0 +1,86 @@
+package extsort
+
+import (
+	"fmt"
+
+	"hetsort/internal/cluster"
+	"hetsort/internal/diskio"
+	"hetsort/internal/pdm"
+	"hetsort/internal/perf"
+	"hetsort/internal/trace"
+)
+
+// Machine is one run's whole description: the Algorithm-1 Config and
+// the simulated hardware (cluster.Config's fields) it runs on.  The
+// facade, the experiments runner and the service each describe a
+// Machine and Build it, so its defaults and checks are every run's.
+type Machine struct {
+	Config
+	Loads        []float64 // the nodes' slowdowns (default Perf.Slowdowns())
+	Net          cluster.NetModel
+	DisksPerNode int
+	DiskAccess   pdm.AccessMode
+	Contention   func() float64
+	Trace        *trace.Log
+	// Disks opens node id's private disk (default: a fresh MemFS).
+	Disks func(id int) (diskio.FS, error)
+	// CrashPhase, when 1..5, kills node CrashNode at the end of that
+	// phase, just before its commit, in the cluster's first run.
+	CrashPhase, CrashNode int
+}
+
+// Resolve fills in the defaults and checks every value: the perf
+// vector, the loads, the injected crash, then the Config.  It opens
+// nothing, and resolving twice changes nothing.
+func (m *Machine) Resolve() error {
+	if err := m.Perf.Validate(); err != nil {
+		return err
+	}
+	p := len(m.Perf)
+	if m.Loads == nil {
+		m.Loads = m.Perf.Slowdowns()
+	} else if err := perf.ValidateLoads(m.Loads); err != nil {
+		return fmt.Errorf("extsort: %w", err)
+	}
+	if len(m.Loads) != p {
+		return fmt.Errorf("extsort: %d loads for %d nodes", len(m.Loads), p)
+	}
+	if m.CrashPhase < 0 || m.CrashPhase > len(StepNames) {
+		return fmt.Errorf("extsort: CrashPhase %d out of range 1..%d", m.CrashPhase, len(StepNames))
+	}
+	if m.CrashPhase != 0 && (m.CrashNode < 0 || m.CrashNode >= p) {
+		return fmt.Errorf("extsort: CrashNode %d out of range 0..%d", m.CrashNode, p-1)
+	}
+	m.ApplyDefaults(p)
+	return m.Validate(p)
+}
+
+// Build resolves the machine, then opens the node disks, builds the
+// cluster and arms the injected crash: nothing is opened unless every
+// check passes.
+func (m *Machine) Build() (*cluster.Cluster, error) {
+	if err := m.Resolve(); err != nil {
+		return nil, err
+	}
+	var disks func(int) diskio.FS
+	if m.Disks != nil {
+		fss := make([]diskio.FS, len(m.Perf))
+		for i := range fss {
+			var err error
+			if fss[i], err = m.Disks(i); err != nil {
+				return nil, err
+			}
+		}
+		disks = func(id int) diskio.FS { return fss[id] }
+	}
+	c, err := cluster.New(cluster.Config{Slowdowns: m.Loads, Net: m.Net, BlockKeys: m.BlockKeys,
+		Disks: disks, DisksPerNode: m.DisksPerNode, DiskAccess: m.DiskAccess,
+		Contention: m.Contention, Trace: m.Trace})
+	if err == nil && m.CrashPhase != 0 {
+		err = c.ScheduleCrash(m.CrashNode, -1, StepNames[m.CrashPhase-1])
+	}
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
+}

@@ -9,7 +9,6 @@ import (
 	"os"
 	"sync"
 
-	"hetsort/internal/checkpoint"
 	"hetsort/internal/cluster"
 	"hetsort/internal/diskio"
 	"hetsort/internal/extsort"
@@ -123,22 +122,11 @@ func (sp *JobSpec) validate(store storage.Backend, m *MachineConfig) error {
 			return fmt.Errorf("service: input object %s is %d bytes, not a positive multiple of %d", sp.Input, n, record.KeySize)
 		}
 	}
-	if sp.CrashPhase < 0 || sp.CrashPhase > checkpoint.Phases {
-		return fmt.Errorf("service: crash_phase %d out of range 0..%d", sp.CrashPhase, checkpoint.Phases)
-	}
-	if _, err := extsort.ParseTopology(sp.Topology); err != nil {
-		return fmt.Errorf("service: %w", err)
-	}
+	// ApplyDefaults would silently turn a negative radix into the default.
 	if sp.Radix < 0 {
 		return fmt.Errorf("service: radix %d must be non-negative", sp.Radix)
 	}
 	return nil
-}
-
-// topology parses the spec's (already validated) topology name.
-func (sp *JobSpec) topology() extsort.Topology {
-	t, _ := extsort.ParseTopology(sp.Topology)
-	return t
 }
 
 // JobStatus is the durable and API-visible record of one job.
@@ -289,63 +277,38 @@ func (sp *JobSpec) loadInput(store storage.Backend, parts int) ([]record.Key, er
 	return record.DecodeKeys(nil, body), nil
 }
 
-// extsortConfig maps a job onto the shared machine's sort parameters.
-func (s *Service) extsortConfig(spec *JobSpec) extsort.Config {
-	return extsort.Config{
-		Perf:        perf.Vector(s.cfg.Machine.Perf),
-		BlockKeys:   s.cfg.Machine.BlockKeys,
-		MemoryKeys:  spec.MemoryKeys,
-		Tapes:       spec.Tapes,
-		MessageKeys: spec.MessageKeys,
-		Seed:        spec.Seed,
-		Overlap:     spec.Overlap,
-		Topology:    spec.topology(),
-		Radix:       spec.Radix,
-		Checkpoint:  true,
-		Merkle:      true,
-	}
-}
-
-// newJobCluster assembles a tenant's view of the shared machine: the
-// machine's perf vector and network, the job's node trees on the
-// storage backend, and the service-wide contention hook that stretches
-// disk and network charges by the number of running tenants.
-func (s *Service) newJobCluster(id string) (*cluster.Cluster, *trace.Log, error) {
-	m := s.cfg.Machine
-	v := perf.Vector(m.Perf)
-	net, err := cluster.NetByName(m.Network)
+// machine resolves a job's run on the shared machine: the machine's
+// perf vector, network and B, the job's sort parameters and crash, and
+// the contention hook that stretches disk and network charges by the
+// number of running tenants.
+func (s *Service) machine(sp *JobSpec) (*extsort.Machine, error) {
+	topo, err := extsort.ParseTopology(sp.Topology)
 	if err != nil {
-		return nil, nil, fmt.Errorf("service: %w", err)
+		return nil, fmt.Errorf("service: %w", err)
 	}
-	var ferr error
-	disks := func(i int) diskio.FS {
-		fs, err := s.store.FS(nodePrefix(id, i))
-		if err != nil {
-			if ferr == nil {
-				ferr = err
-			}
-			return diskio.NewMemFS()
-		}
-		return fs
-	}
-	tl := new(trace.Log)
-	cl, err := cluster.New(cluster.Config{
-		Slowdowns: v.Slowdowns(),
-		Net:       net,
-		BlockKeys: m.BlockKeys,
-		Disks:     disks,
-		Contention: func() float64 {
-			return float64(s.tenants.Load())
+	m := &extsort.Machine{
+		Config: extsort.Config{
+			Perf:        perf.Vector(s.cfg.Machine.Perf),
+			BlockKeys:   s.cfg.Machine.BlockKeys,
+			MemoryKeys:  sp.MemoryKeys,
+			Tapes:       sp.Tapes,
+			MessageKeys: sp.MessageKeys,
+			Seed:        sp.Seed,
+			Overlap:     sp.Overlap,
+			Topology:    topo,
+			Radix:       sp.Radix,
+			Checkpoint:  true,
+			Merkle:      true,
 		},
-		Trace: tl,
-	})
-	if err != nil {
-		return nil, nil, err
+		Net:        s.net,
+		Contention: func() float64 { return float64(s.tenants.Load()) },
+		CrashPhase: sp.CrashPhase,
+		CrashNode:  sp.CrashNode,
 	}
-	if ferr != nil {
-		return nil, nil, ferr
+	if err := m.Resolve(); err != nil {
+		return nil, fmt.Errorf("service: %w", err)
 	}
-	return cl, tl, nil
+	return m, nil
 }
 
 // execute runs one job to a terminal state.  Crash-injected failures
@@ -393,14 +356,19 @@ func (s *Service) execute(j *job) {
 }
 
 func (s *Service) run(j *job) error {
-	cl, tl, err := s.newJobCluster(j.id)
+	m, err := s.machine(&j.spec)
 	if err != nil {
 		return err
 	}
-	tr := progress.NewTracker()
+	m.Trace, m.Progress = new(trace.Log), progress.NewTracker()
+	m.Disks = func(i int) (diskio.FS, error) { return s.store.FS(nodePrefix(j.id, i)) }
+	cl, err := m.Build()
+	if err != nil {
+		return err
+	}
 	j.statusMu.Lock()
 	j.cl = cl
-	j.prog = tr
+	j.prog = m.Progress
 	j.status.State = StateRunning
 	resume := j.resume
 	canceled := j.canceled
@@ -417,18 +385,16 @@ func (s *Service) run(j *job) error {
 		return err
 	}
 
-	ecfg := s.extsortConfig(&j.spec)
-	ecfg.Progress = tr
 	var res *extsort.Result
 	var want record.Checksum
 	if resume {
-		res, want, err = extsort.Resume(cl, ecfg, "input", "output")
+		res, want, err = extsort.Resume(cl, m.Config, "input", "output")
 		if err != nil && errors.Is(err, os.ErrNotExist) {
 			// The daemon died before the first commit: no manifests to
 			// resume from, but the spec regenerates the input — run
 			// fresh.
 			s.nResumedFallback.Add(1)
-			res, want, err = s.runFresh(cl, j, ecfg)
+			res, want, err = s.runFresh(cl, j, m.Config)
 		} else if err == nil {
 			s.nResumed.Add(1)
 		}
@@ -438,12 +404,12 @@ func (s *Service) run(j *job) error {
 			j.statusMu.Unlock()
 		}
 	} else {
-		res, want, err = s.runFresh(cl, j, ecfg)
+		res, want, err = s.runFresh(cl, j, m.Config)
 	}
 	if err != nil {
 		return err
 	}
-	if err := extsort.VerifyOutput(cl, "output", s.cfg.Machine.BlockKeys, want); err != nil {
+	if err := extsort.VerifyOutput(cl, "output", m.BlockKeys, want); err != nil {
 		return err
 	}
 	for i := 0; i < cl.P(); i++ {
@@ -452,7 +418,7 @@ func (s *Service) run(j *job) error {
 			return fmt.Errorf("service: job %s node %d: %w", j.id, i, err)
 		}
 	}
-	if err := s.saveTrace(j.id, tl); err != nil {
+	if err := s.saveTrace(j.id, m.Trace); err != nil {
 		return err
 	}
 	root, err := JobRoot(s.store, j.id, cl.P())
@@ -474,22 +440,17 @@ func (s *Service) run(j *job) error {
 }
 
 // runFresh loads the input, distributes perf-proportional shares onto
-// the job's node trees, arms any injected crash, and sorts.
+// the job's node trees, and sorts.
 func (s *Service) runFresh(cl *cluster.Cluster, j *job, ecfg extsort.Config) (*extsort.Result, record.Checksum, error) {
 	keys, err := j.spec.loadInput(s.store, cl.P())
 	if err != nil {
 		return nil, record.Checksum{}, err
 	}
-	want, err := extsort.StageInput(cl, perf.Vector(s.cfg.Machine.Perf), keys, s.cfg.Machine.BlockKeys, "input")
+	want, err := extsort.StageInput(cl, ecfg.Perf, keys, ecfg.BlockKeys, "input")
 	if err != nil {
 		return nil, record.Checksum{}, err
 	}
 	ecfg.InputSum = want
-	if ph := j.spec.CrashPhase; ph >= 1 && ph <= checkpoint.Phases {
-		if err := cl.ScheduleCrash(j.spec.CrashNode, -1, extsort.StepNames[ph-1]); err != nil {
-			return nil, record.Checksum{}, err
-		}
-	}
 	res, err := extsort.Sort(cl, ecfg, "input", "output")
 	if err != nil {
 		return nil, record.Checksum{}, err

@@ -33,6 +33,7 @@ import (
 	"hetsort/internal/cluster"
 	"hetsort/internal/extsort"
 	"hetsort/internal/metrics"
+	"hetsort/internal/perf"
 	"hetsort/internal/record"
 	"hetsort/internal/storage"
 )
@@ -73,9 +74,6 @@ func (m *MachineConfig) applyDefaults() {
 	if len(m.Perf) == 0 {
 		m.Perf = []int{1, 1, 1, 1}
 	}
-	if m.BlockKeys <= 0 {
-		m.BlockKeys = 2048
-	}
 	if m.MemoryBytes <= 0 {
 		m.MemoryBytes = 256 << 20
 	}
@@ -100,6 +98,7 @@ type Config struct {
 type Service struct {
 	cfg   Config
 	store storage.Backend
+	net   cluster.NetModel // the machine's Network, parsed
 
 	// tenants counts the currently running jobs; every tenant's
 	// cluster samples it as the contention factor on each disk and
@@ -129,16 +128,27 @@ type Service struct {
 
 // New builds a service over the given backend and recovers every job
 // the backend says was queued or in flight when the previous daemon
-// died (see Recover).
+// died (see Recover).  It refuses a machine no job could run on: a bad
+// perf vector, an unknown network or a negative B.
 func New(cfg Config, store storage.Backend) (*Service, error) {
 	cfg.Machine.applyDefaults()
+	net, err := cluster.NetByName(cfg.Machine.Network)
+	if err != nil {
+		return nil, fmt.Errorf("service: %w", err)
+	}
+	if err := perf.Vector(cfg.Machine.Perf).Validate(); err != nil {
+		return nil, fmt.Errorf("service: %w", err)
+	}
+	if cfg.Machine.BlockKeys < 0 {
+		return nil, fmt.Errorf("service: block size %d is negative", cfg.Machine.BlockKeys)
+	}
 	if cfg.MaxJobs <= 0 {
 		cfg.MaxJobs = 2
 	}
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 8
 	}
-	s := &Service{cfg: cfg, store: store, jobs: make(map[string]*job), nextID: 1}
+	s := &Service{cfg: cfg, store: store, net: net, jobs: make(map[string]*job), nextID: 1}
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
@@ -170,9 +180,6 @@ func (s *Service) runningJobs() []*job {
 	}
 	return out
 }
-
-// Machine returns the shared machine configuration.
-func (s *Service) Machine() MachineConfig { return s.cfg.Machine }
 
 // recover scans the backend for jobs a previous daemon left behind and
 // re-admits them: durable state "queued" restarts fresh, "running"
@@ -211,7 +218,8 @@ func (s *Service) recover() error {
 		if spec, err := loadSpec(s.store, id); err == nil {
 			j.spec = *spec
 		}
-		j.memBytes, j.diskBytes = s.demand(&j.spec)
+		// A spec that does not resolve reserves no memory; its run fails.
+		j.memBytes, j.diskBytes, _ = s.demand(&j.spec)
 		switch st.State {
 		case StateQueued:
 			s.adopt(j, false)
@@ -247,38 +255,34 @@ func (s *Service) adopt(j *job, resume bool) {
 	}
 }
 
-// demand estimates a job's machine footprint for admission: memory is
-// each node's sort workspace plus the topology's resident link-buffer
-// footprint — every node buffers up to its peak redistribution fan-in
-// of in-flight messages, p per node for the flat all-to-all versus
-// O(r) for tree/grid, so a flat job at large p or message size is
-// rejected with 422 here instead of OOM-ing the host mid-run — and
-// disk is 4× the input (input + initial runs + received segments +
-// output).  Products saturate at MaxInt64 so an absurd spec reads as
-// an infinite demand, not an overflowed small (or negative) one that
-// slips past the budget check.
-func (s *Service) demand(spec *JobSpec) (mem, disk int64) {
-	p := len(s.cfg.Machine.Perf)
-	mk := spec.MemoryKeys
-	if mk <= 0 {
-		mk = 1 << 16
+// demand resolves a job's machine and estimates its footprint for
+// admission: memory is each node's sort workspace plus the topology's
+// resident link-buffer footprint — every node buffers up to its peak
+// redistribution fan-in of in-flight messages, p per node for the flat
+// all-to-all versus O(r) for tree/grid, so a flat job at large p or
+// message size is rejected with 422 here instead of OOM-ing the host
+// mid-run — and disk is 4× the input (input + initial runs + received
+// segments + output).  Products saturate at MaxInt64 so an absurd spec
+// reads as an infinite demand, not an overflowed small (or negative)
+// one that slips past the budget check.
+func (s *Service) demand(spec *JobSpec) (mem, disk int64, err error) {
+	disk = extsort.SatMul(4, spec.inputBytes(s.store))
+	m, err := s.machine(spec)
+	if err != nil {
+		return 0, disk, err
 	}
-	mem = extsort.SatMul(extsort.SatMul(int64(p), int64(mk)), record.KeySize)
-	links := extsort.Config{
-		MessageKeys: spec.MessageKeys,
-		Topology:    spec.topology(),
-		Radix:       spec.Radix,
-	}.LinkMemoryBytes(p)
-	if mem += links; mem < 0 {
+	p := len(m.Perf)
+	mem = extsort.SatMul(extsort.SatMul(int64(p), int64(m.MemoryKeys)), record.KeySize)
+	if mem += m.LinkMemoryBytes(p); mem < 0 {
 		mem = math.MaxInt64 // saturate the sum like the products
 	}
-	disk = extsort.SatMul(4, spec.inputBytes(s.store))
-	return mem, disk
+	return mem, disk, nil
 }
 
 // Submit validates and admits a job, returning its ID.  The job starts
 // immediately when a running slot is free, otherwise waits in the
-// queue; ErrQueueFull and ErrBudget reject it outright.
+// queue.  ErrQueueFull, ErrBudget and a spec whose machine does not
+// resolve (M < T·B, say) reject it before anything is written or reserved.
 func (s *Service) Submit(spec JobSpec) (string, error) {
 	if err := spec.validate(s.store, &s.cfg.Machine); err != nil {
 		if errors.Is(err, ErrBudget) {
@@ -286,7 +290,10 @@ func (s *Service) Submit(spec JobSpec) (string, error) {
 		}
 		return "", err
 	}
-	mem, disk := s.demand(&spec)
+	mem, disk, err := s.demand(&spec)
+	if err != nil {
+		return "", err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {

@@ -214,6 +214,67 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
+// TestNewRejectsBadMachine: a machine no job could run on is refused
+// when the service is built, not job by job at run time; a block size
+// only a large memory_keys can serve is not such a machine.
+func TestNewRejectsBadMachine(t *testing.T) {
+	for _, m := range []MachineConfig{
+		{Network: "bogus"},
+		{Perf: []int{1, 0}},
+		{BlockKeys: -1},
+	} {
+		if _, err := New(Config{Machine: m}, storage.NewObject()); err == nil {
+			t.Errorf("machine %+v accepted", m)
+		}
+	}
+	s, err := New(Config{Machine: MachineConfig{BlockKeys: 8192}}, storage.NewObject())
+	if err != nil {
+		t.Fatalf("B = 8192 refused: %v", err)
+	}
+	s.Stop()
+}
+
+// TestSubmitRejectsUnrunnableSpec: a spec whose run would fail its
+// configuration checks is refused by Submit with 400: no job id, nothing
+// written to the backend, no budget reserved.
+func TestSubmitRejectsUnrunnableSpec(t *testing.T) {
+	store := storage.NewObject()
+	s, err := New(testConfig(), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	for _, edit := range []func(*JobSpec){
+		func(sp *JobSpec) { sp.MemoryKeys = 100 },
+		func(sp *JobSpec) { sp.Tapes = 2 },
+		func(sp *JobSpec) { sp.Topology, sp.Radix = "tree", 1 },
+		func(sp *JobSpec) { sp.CrashPhase, sp.CrashNode = 2, 9 },
+	} {
+		spec := testSpec(2000, 1)
+		edit(&spec)
+		if id, err := s.Submit(spec); err == nil || id != "" || errors.Is(err, ErrBudget) {
+			t.Errorf("spec %+v: id %q, err %v; want a refusal", spec, id, err)
+		}
+		body, _ := json.Marshal(spec)
+		resp, err := http.Post(srv.URL+"/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("spec %+v: POST /jobs answered %s, want 400", spec, resp.Status)
+		}
+	}
+	if names, _ := store.List("jobs/"); len(names) != 0 {
+		t.Errorf("refused specs left backend objects: %v", names)
+	}
+	if s.resMem != 0 || s.resDisk != 0 || len(s.List()) != 0 {
+		t.Errorf("refused specs reserved %d B memory, %d B disk, listed %d jobs", s.resMem, s.resDisk, len(s.List()))
+	}
+}
+
 func TestCancelQueuedJob(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxJobs = 1

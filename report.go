@@ -115,7 +115,7 @@ type Report struct {
 // files against want, the input's checksum, and builds the Report of
 // res, with the machine's trace and every node's metrics snapshot.
 func (m *machine) report(res *extsort.Result, want record.Checksum) (*Report, error) {
-	if err := extsort.VerifyOutput(m.c, "output", m.ecfg.BlockKeys, want); err != nil {
+	if err := extsort.VerifyOutput(m.c, "output", m.BlockKeys, want); err != nil {
 		return nil, err
 	}
 	r := &Report{
@@ -124,21 +124,21 @@ func (m *machine) report(res *extsort.Result, want record.Checksum) (*Report, er
 		StepNames:       extsort.StepNames,
 		PartitionSizes:  res.PartitionSizes,
 		NodeClocks:      res.NodeClocks,
-		Perf:            append([]int(nil), m.ecfg.Perf...),
+		Perf:            append([]int(nil), m.Perf...),
 		PivotRounds:     res.PivotRounds,
 		PivotSampleKeys: res.PivotSampleKeys,
 		NodeMetrics:     make([]map[string]float64, m.c.P()),
 	}
-	if e, err := sampling.WeightedExpansion(res.PartitionSizes, m.ecfg.Perf); err == nil {
+	if e, err := sampling.WeightedExpansion(res.PartitionSizes, m.Perf); err == nil {
 		r.SublistExpansion = e
 	}
 	for i := range r.NodeMetrics {
 		r.NodeMetrics[i] = m.c.Node(i).Metrics().Snapshot()
 	}
-	if m.tl != nil {
-		r.TraceLog = m.tl
-		r.Timeline = m.tl.Timeline()
-		r.Gantt = m.tl.Gantt(60)
+	if m.Trace != nil {
+		r.TraceLog = m.Trace
+		r.Timeline = m.Trace.Timeline()
+		r.Gantt = m.Trace.Gantt(60)
 	}
 	for _, io := range res.NodeIO {
 		r.ReadBlocks += io.Reads
