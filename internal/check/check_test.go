@@ -492,3 +492,37 @@ func TestCornerCasesFuse(t *testing.T) {
 	}
 	t.Fatal("no quick corner case stops step 1 one merge short")
 }
+
+// TestFuseVerdictMirror: the mirror of extsort's verdict, at R + 1 probes
+// a sample, fuses the het4-dir (2^24 keys on {1,1,4,4}, the paper's B, M
+// and T) and het4-mem (2^22) shapes on every node, and refuses the
+// wide64-tree shape (a 128-key block's probe costs ≈ 70 blocks) and
+// histogram pivots.
+func TestFuseVerdictMirror(t *testing.T) {
+	wide := make([]int, 64)
+	for i := range wide {
+		wide[i] = 1 + 3*(i%2)
+	}
+	paper := hetsort.Config{Perf: []int{1, 1, 4, 4}, BlockKeys: 2048, MemoryKeys: 65536, Tapes: 15, MessageKeys: 8192}
+	hist := paper
+	hist.PivotStrategy = hetsort.PivotHistogram
+	for _, tc := range []struct {
+		name string
+		cfg  hetsort.Config
+		n    int64
+		want bool
+	}{
+		{"het4-dir", paper, 1 << 24, true},
+		{"het4-mem", paper, 1 << 22, true},
+		{"het4-mem/histogram", hist, 1 << 22, false},
+		{"wide64-tree", hetsort.Config{Perf: wide, BlockKeys: 128, MemoryKeys: 4096, Tapes: 8, MessageKeys: 8192,
+			Topology: hetsort.TopologyTree, Radix: 4}, 1 << 22, false},
+	} {
+		v := vectorOf(tc.cfg)
+		for i, li := range v.Shares(v.NearestValidSize(tc.n)) {
+			if got := fuseRuns(tc.cfg, li, i); got != tc.want {
+				t.Errorf("%s: node %d (l_i = %d): verdict %v, want %v", tc.name, i, li, got, tc.want)
+			}
+		}
+	}
+}

@@ -363,9 +363,9 @@ func checkStepIO(c *Case, r *Run) error {
 // last pass and gains the selection of its s samples, fewer than 4R
 // probes a sample; step 3 probes each run, R·(p−1); step 4 reads a
 // section of every run per bucket, l_i/B + R·p, beside the q_i/B it
-// writes.  The verdict prices 2s + p−1 probes a run, each at least two
-// blocks' time, below the 2·l_i/B the last pass moves, so steps 1–4 are
-// tighter than unfused.
+// writes.  The verdict prices s·(R+1) + (p−1)·R probes — R+1 a sample,
+// the selection's expected cost — each at least two blocks' time, below
+// the 2·l_i/B the last pass moves.
 //
 // A node fuses steps 4 and 5 exactly when its p−1 incoming streams'
 // message buffers and blocks fit in M beside a block per run and the
@@ -420,9 +420,10 @@ func stepBudgets(pp pdm.Params, cfg hetsort.Config, i int, li, qi int64, rounds 
 // fuseRuns mirrors extsort's verdict on stopping step 1 one merge short
 // (Config.fuseRuns there): every perf class j, at share
 // l_j = l_i·perf_j/perf_i and at most min(T−1, ⌈l_j/M⌉) ≥ 2 runs, must
-// price its probes, (2·s_j + p−1)·R_j·(seek + block) on the default cost
-// model, below the 2·l_j/B transfers of the last pass, with its fences
-// and samples in M − T·B.  Only regular and random sampling fuse.
+// price its probes, (s_j·(R_j + 1) + (p−1)·R_j)·(seek + block) on the
+// default cost model, below the 2·l_j/B transfers of the last pass, with
+// its fences and samples in M − T·B.  Only regular and random sampling
+// fuse.
 func fuseRuns(cfg hetsort.Config, li int64, i int) bool {
 	v := vectorOf(cfg)
 	if li <= 0 || cfg.PivotStrategy != "" && cfg.PivotStrategy != hetsort.PivotRegularSampling && cfg.PivotStrategy != hetsort.PivotRandom {
@@ -435,7 +436,7 @@ func fuseRuns(cfg hetsort.Config, li int64, i int) bool {
 		lj := li * int64(perf) / int64(v[i])
 		runs, s, blocks := min(t-1, ceilDiv(lj, m)), samplesOf(cfg, len(v), perf), ceilDiv(lj, bk)
 		if runs < 2 || blocks+t-1+s > m-t*bk ||
-			float64((2*s+int64(len(v)-1))*runs)*(cm.SeekSec+block) >= float64(2*blocks)*block {
+			float64(s*(runs+1)+int64(len(v)-1)*runs)*(cm.SeekSec+block) >= float64(2*blocks)*block {
 			return false
 		}
 	}

@@ -548,6 +548,45 @@ func TestNewWriterReaderPanicOnBadBlock(t *testing.T) {
 	}
 }
 
+// TestReleaseAllocatesNothing: once the pools are warm, a Reader's read
+// and Release allocate nothing — Release returns its buffers to the page
+// pool unboxed, and a read after it reports a preallocated error — so a
+// NewReader/read/Release cycle allocates the Reader alone.
+func TestReleaseAllocatesNothing(t *testing.T) {
+	fs := NewMemFS()
+	if err := WriteFile(fs, "f", record.Uniform.Generate(256, 1, 1), 64, Accounting{}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := fs.Open("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	const runs = 100
+	NewReader(f, 64, Accounting{}).Release() // warm the pools
+	readers := make([]*Reader, runs+1)       // AllocsPerRun calls its function once more
+	for i := range readers {
+		readers[i] = NewReader(f, 64, Accounting{})
+	}
+	allocs := testing.AllocsPerRun(runs, func() {
+		r := readers[0]
+		readers = readers[1:]
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.ReadKey(); err != nil {
+			t.Fatal(err)
+		}
+		r.Release()
+		if _, err := r.ReadKey(); err == nil {
+			t.Fatal("read on released Reader succeeded")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a read and Release allocate %.1f times, want 0", allocs)
+	}
+}
+
 func TestPoolStatsCountReuse(t *testing.T) {
 	ResetPoolStats()
 	// A fresh block size misses; round-tripping the same buffer through

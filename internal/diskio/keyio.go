@@ -1,10 +1,11 @@
 package diskio
 
 import (
+	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"hetsort/internal/pdm"
 	"hetsort/internal/record"
@@ -14,11 +15,9 @@ import (
 // Block buffers are recycled across Readers and Writers: a sort opens
 // and closes thousands of short-lived block streams (one per run, per
 // tape, per segment), and the per-stream block allocations dominated the
-// allocation profile.  Byte buffers come from the page pool (getPage);
-// keyBufPool hands back any decode buffer with enough capacity.
+// allocation profile.  Byte buffers and decode buffers alike come from
+// the page pool (getPage), which pools them without allocating.
 var (
-	keyBufPool sync.Pool // []record.Key decode buffers
-
 	poolHits   atomic.Int64 // buffers served from a pool
 	poolMisses atomic.Int64 // fresh allocations (empty pool or too small)
 )
@@ -38,21 +37,15 @@ func ResetPoolStats() {
 	poolMisses.Store(0)
 }
 
+// getKeyBuf returns an empty decode buffer of capacity ≥ n: a page.
 func getKeyBuf(n int) []record.Key {
-	if v := keyBufPool.Get(); v != nil {
-		if b := v.([]record.Key); cap(b) >= n {
-			poolHits.Add(1)
-			return b[:0]
-		}
-	}
-	poolMisses.Add(1)
-	return make([]record.Key, 0, n)
+	b := getPage(n * record.KeySize)
+	return unsafe.Slice((*record.Key)(unsafe.Pointer(unsafe.SliceData(b))), cap(b)/record.KeySize)[:0]
 }
 
+// putKeyBuf gives a decode buffer back to the page pool.
 func putKeyBuf(b []record.Key) {
-	if cap(b) > 0 {
-		keyBufPool.Put(b[:0]) //nolint:staticcheck
-	}
+	putPage(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(b))), cap(b)*record.KeySize))
 }
 
 // Accounting bundles the sinks every block transfer reports to — the
@@ -185,7 +178,10 @@ type Writer struct {
 	err    error
 }
 
-var errWriterClosed = fmt.Errorf("diskio: write on closed Writer")
+var (
+	errWriterClosed = errors.New("diskio: write on closed Writer")
+	errReleased     = errors.New("diskio: read on released Reader")
+)
 
 // NewWriter returns a Writer on f with the given block size in keys.
 func NewWriter(f File, blockKeys int, acct Accounting) *Writer {
@@ -514,7 +510,7 @@ func (r *Reader) Release() {
 	putKeyBuf(r.keys)
 	r.buf, r.keys, r.pos = nil, nil, 0
 	if r.err == nil {
-		r.err = fmt.Errorf("diskio: read on released Reader")
+		r.err = errReleased
 	}
 	r.Idle()
 }

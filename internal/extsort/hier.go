@@ -147,6 +147,8 @@ func (w *worker) redistribute() error {
 	lv := w.lv
 	T := len(lv) - 1
 	n.Metrics().Gauge("redist.rounds").Set(float64(T))
+	// A flat round's p buckets, a section a run, and its receives fit without growing.
+	w.secs, w.srcs = slices.Grow(w.secs, len(w.runs)*(p+1)), slices.Grow(w.srcs, len(w.runs)*(p+1))
 	maxFan := 1
 	for t := 0; t < T; t++ {
 		s, sub := lv[t], lv[t+1]

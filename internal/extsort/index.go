@@ -28,11 +28,18 @@ type sortedIndex struct {
 	fences [][]record.Key
 	fit    bool
 	// While step 1 writes, arena holds the fences of the run being
-	// written or, with live set, of every run, from where live says.
+	// written or, with live set, of every run, from where live says: the
+	// last entry of a run (its tape and start) wins.
 	arena []record.Key
-	live  map[diskio.Section]int
+	live  []liveRun
 	fence int64 // the next fence position the run being written reaches
 	next  int   // and the next sample
+}
+
+// liveRun is where the fences of the run at a tape's start sit in the arena.
+type liveRun struct {
+	run diskio.Section
+	at  int
 }
 
 // newIndex sizes the index of li sorted keys: the one-shot sampler's
@@ -58,7 +65,7 @@ func (w *worker) newIndex(li int64, runs bool) (*sortedIndex, error) {
 	fences := (li + x.block - 1) / x.block
 	arena := fences
 	if runs { // the arena holds the fences of the formed runs and of the merged ones
-		x.live, arena = make(map[diskio.Section]int, 8*cfg.Tapes), 2*fences
+		x.live, arena = make([]liveRun, 0, 8*cfg.Tapes), 2*fences
 		fences += int64(cfg.Tapes - 1)
 	}
 	if x.fit = fences+int64(len(x.at)) <= int64(cfg.MemoryKeys-cfg.Tapes*cfg.BlockKeys); x.fit {
@@ -76,7 +83,7 @@ func (x *sortedIndex) observe(tape string, start, off int64, keys []record.Key) 
 		if x.live == nil {
 			x.arena = x.arena[:0]
 		} else {
-			x.live[diskio.Section{Name: tape, Off: start}] = len(x.arena)
+			x.live = append(x.live, liveRun{diskio.Section{Name: tape, Off: start}, len(x.arena)})
 		}
 	}
 	end := off + int64(len(keys))
@@ -96,7 +103,12 @@ func (x *sortedIndex) settle(runs []diskio.Section) {
 	}
 	x.fences = make([][]record.Key, len(runs))
 	for r, run := range runs {
-		lo := x.live[diskio.Section{Name: run.Name, Off: run.Off}] // 0 for the sorted file
+		lo := 0 // the sorted file's
+		for _, l := range x.live {
+			if l.run == (diskio.Section{Name: run.Name, Off: run.Off}) {
+				lo = l.at
+			}
+		}
 		x.fences[r] = x.arena[lo : lo+int((run.Keys+x.block-1)/x.block)]
 	}
 }
@@ -135,9 +147,10 @@ func (w *worker) sortedIndex() (*sortedIndex, error) {
 // fuseRuns is the verdict on stopping step 1 one merge short, the same
 // on every node and with no message (DESIGN.md §10): every perf class j,
 // at share l_j = l_i·perf_j/perf_i with R_j = min(T−1, ⌈l_j/M⌉) ≥ 2 runs,
-// must fit its fences and price its probes, (2·samples_j + p−1)·R_j·(seek
-// + block) on the default cost model, below the 2·l_j/B transfers of the
-// last pass.  The histogram and the sketch keep the sorted file.
+// must fit its fences and price its probes, (samples_j·(R_j + 1) +
+// (p−1)·R_j)·(seek + block) on the default cost model — R_j + 1 a sample
+// (sampling.MultiwaySelect), R_j a cut — below the 2·l_j/B transfers of
+// the last pass.  The histogram and the sketch keep the sorted file.
 func (c Config) fuseRuns(li int64, id int) bool {
 	if li <= 0 || c.Strategy != RegularSampling && c.Strategy != RandomPivots {
 		return false
@@ -152,7 +165,7 @@ func (c Config) fuseRuns(li int64, id int) bool {
 			samples = int64((p - 1) * perf)
 		}
 		if runs < 2 || blocks+t-1+samples > m-t*b ||
-			float64((2*samples+int64(p-1))*runs)*(cm.SeekSec+block) >= float64(2*blocks)*block {
+			float64(samples*(runs+1)+int64(p-1)*runs)*(cm.SeekSec+block) >= float64(2*blocks)*block {
 			return false
 		}
 	}
