@@ -43,7 +43,7 @@ func main() {
 		gen      = flag.Int64("gen", 0, "generate this many keys into -input instead of sorting")
 		dist     = flag.String("dist", "uniform", "distribution for -gen (uniform, gaussian, zipf, sorted, reverse, nearly-sorted, bucket, staggered, heavy-dup, zipf-s2, staircase, sampler-killer)")
 		seed     = flag.Int64("seed", 1, "seed for -gen")
-		pivot    = flag.String("pivot", "", "pivot strategy: regular-sampling (default), random-pivots, quantile-sketch, histogram")
+		pivot    = flag.String("pivot", "", "pivot strategy: regular-sampling (default), random-pivots, histogram")
 		histTol  = flag.Float64("hist-tol", 0, "histogram refinement tolerance as a fraction of the smallest share (default 0.05; -pivot histogram only)")
 		topology = flag.String("topology", "flat", "redistribution topology: flat, tree, grid (tree/grid bound per-node fan-in at large p)")
 		radix    = flag.Int("radix", 0, "tree fan-in r for -topology tree (default 4)")

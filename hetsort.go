@@ -87,10 +87,6 @@ const (
 	// PivotRandom picks pivots from unstructured random samples (the
 	// strawman the regular-position discipline improves on).
 	PivotRandom = "random-pivots"
-	// PivotQuantileSketch answers the pivot quantiles from merged
-	// ε-approximate sketches (the variant of the paper's reference
-	// [29]): one extra read pass, grid-free balance.
-	PivotQuantileSketch = "quantile-sketch"
 	// PivotHistogram iteratively refines candidate splitters against
 	// exact global histogram counts (Harsh, Kale & Solomonik's
 	// Histogram Sort with Sampling): provable balance within
@@ -188,10 +184,8 @@ type Config struct {
 	// aggregation and redistribution: TopologyFlat (default),
 	// TopologyTree or TopologyGrid.  The hierarchical topologies keep
 	// every node's fan-in at O(Radix) per round instead of O(p), at the
-	// cost of ⌈log_r p⌉ redistribution rounds; output is byte-identical
-	// to flat except under PivotQuantileSketch, where per-node
-	// partition boundaries may shift (the global sorted sequence is
-	// identical either way).  Only meaningful for AlgorithmExternalPSRS.
+	// cost of ⌈log_r p⌉ redistribution rounds; every node's output is
+	// byte-identical to flat.  Only meaningful for AlgorithmExternalPSRS.
 	Topology string
 	// Radix is the tree fan-in r (default 4); ignored for flat and grid.
 	Radix int

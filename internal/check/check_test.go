@@ -83,6 +83,12 @@ func TestEquivalenceInvariantTeeth(t *testing.T) {
 	if !strings.Contains(err.Error(), "unfused") {
 		t.Fatalf("violation does not name the divergent run: %v", err)
 	}
+	// Equal bytes cut at other places are a different partition.
+	o.Runs[1] = Run{Label: "tree/r2", Output: []hetsort.Key{1, 2}, Report: &hetsort.Report{PartitionSizes: []int64{0, 2}}}
+	o.Runs[0].Report = &hetsort.Report{PartitionSizes: []int64{1, 1}}
+	if err := inv.Check(o); err == nil || !strings.Contains(err.Error(), "tree/r2") {
+		t.Fatalf("equivalence invariant accepted divergent partitions: %v", err)
+	}
 }
 
 func TestBalanceInvariantTeeth(t *testing.T) {

@@ -3,6 +3,7 @@ package check
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"hetsort"
@@ -63,7 +64,7 @@ func Registry() []Invariant {
 		},
 		{
 			Name: "equivalence",
-			Doc:  "fused or unfused steps 4+5, Overlap, Topology, Disks and checkpoint/crash-resume are execution strategies: all runs produce byte-identical output",
+			Doc:  "fused or unfused steps 4+5, Overlap, Topology, Disks and checkpoint/crash-resume are execution strategies: all runs produce byte-identical output and the same partition on every node",
 			Check: func(o *Outcome) error {
 				base := &o.Runs[0]
 				if base.Err != nil {
@@ -77,6 +78,10 @@ func Registry() []Invariant {
 					if !equalKeys(base.Output, r.Output) {
 						return fmt.Errorf("run %q output differs from %q: lengths %d vs %d, first diff at %d",
 							r.Label, base.Label, len(r.Output), len(base.Output), firstDiff(base.Output, r.Output))
+					}
+					if base.Report != nil && r.Report != nil && !slices.Equal(base.Report.PartitionSizes, r.Report.PartitionSizes) {
+						return fmt.Errorf("run %q partitions %v differ from %q's %v",
+							r.Label, r.Report.PartitionSizes, base.Label, base.Report.PartitionSizes)
 					}
 				}
 				return nil
@@ -346,7 +351,7 @@ func checkStepIO(c *Case, r *Run) error {
 // the paper's step costs (DESIGN.md §1) in checkable form:
 //
 //	step 1  2·(l_i/B)·(1+passes)      polyphase sort of the portion
-//	step 2  0 / l_i/B / rounds·r(4(p−1)) regular or random / sketch / histogram
+//	step 2  0 / rounds·r(4(p−1))      regular or random / histogram
 //	step 3  r(p−1)                    the p−1 cuts' ranks
 //	step 4  l_i/B + q_i/B + 2p        read what is sent, write what lands
 //	step 5  merge budget of q_i       p-file external merge (0 if fused)
@@ -403,10 +408,7 @@ func stepBudgets(pp pdm.Params, cfg hetsort.Config, i int, li, qi int64, rounds 
 		b[2] = max(b[2], r*int64(p-1)+ioSlack)
 	}
 	b[1] = ioSlack // regular and random sampling: step 1 kept the samples
-	switch cfg.PivotStrategy {
-	case hetsort.PivotQuantileSketch:
-		b[1] += lb
-	case hetsort.PivotHistogram:
+	if cfg.PivotStrategy == hetsort.PivotHistogram {
 		b[1] += int64(rounds) * ranks(int64(4*(p-1)))
 	}
 	b[3] = lb + qb + (r+1)*int64(p) + ioSlack

@@ -211,7 +211,7 @@ func CornerCases(quick bool) []*Case {
 		cfg.Perf = []int{1, 1, 4, 4}
 	})
 	// The degenerate sizes again under each non-default pivot strategy.
-	for _, strat := range []string{hetsort.PivotRandom, hetsort.PivotQuantileSketch, hetsort.PivotHistogram} {
+	for _, strat := range []string{hetsort.PivotRandom, hetsort.PivotHistogram} {
 		strat := strat
 		add("empty/"+strat, nil, func(cfg *hetsort.Config) { cfg.PivotStrategy = strat })
 		add("n<p/"+strat, []hetsort.Key{9, 1}, func(cfg *hetsort.Config) { cfg.PivotStrategy = strat })
@@ -286,7 +286,7 @@ func GenerateCase(seed int64, quick bool) *Case {
 		cfg.Nodes = 4
 	}
 
-	strategies := []string{"", hetsort.PivotRandom, hetsort.PivotQuantileSketch, hetsort.PivotHistogram}
+	strategies := []string{"", hetsort.PivotRandom, hetsort.PivotHistogram}
 	cfg.PivotStrategy = strategies[r.Intn(len(strategies))]
 	if cfg.PivotStrategy == hetsort.PivotHistogram && r.Intn(2) == 0 {
 		cfg.HistTolerance = []float64{0.01, 0.1, 0.5}[r.Intn(3)]

@@ -18,13 +18,12 @@ import (
 // it to the cluster's pool when the next Fill replaces it; callers must
 // Close the stream to release the final buffer.
 type Stream struct {
-	n        *Node
-	from     int
-	tag      int
-	buf      []record.Key
-	pos      int
-	done     bool
-	received int64
+	n    *Node
+	from int
+	tag  int
+	buf  []record.Key
+	pos  int
+	done bool
 }
 
 // OpenStream starts consuming messages with the given tag from peer
@@ -58,13 +57,8 @@ func (s *Stream) Fill() error {
 		return io.EOF
 	}
 	s.buf, s.pos = keys, 0
-	s.received += int64(len(keys))
 	return nil
 }
-
-// Received returns the number of keys delivered so far (sentinel
-// excluded).
-func (s *Stream) Received() int64 { return s.received }
 
 // Close releases the stream's current buffer back to the pool.
 func (s *Stream) Close() {

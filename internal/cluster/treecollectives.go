@@ -144,10 +144,10 @@ func (n *Node) TreeBarrier(radix, tag int) error {
 // sub-leaders' contributions in ascending rank order, so one merged
 // message crosses each tree edge instead of the flat Gather's one per
 // rank.  combine must be associative over this bracketing for the
-// result to be topology-independent; non-associative combines (the GK
-// quantile merge) still give a deterministic result, just not the flat
-// one.  Node 0 returns the fold; others return nil.  combine may
-// charge virtual compute time via the node it closes over.
+// result to be topology-independent; a non-associative combine still
+// gives a deterministic result, just not the flat one.  Node 0 returns
+// the fold; others return nil.  combine may charge virtual compute time
+// via the node it closes over.
 func (n *Node) TreeReduce(radix, tag int, keys []record.Key, combine func(acc, child []record.Key) ([]record.Key, error)) ([]record.Key, error) {
 	r := treeRadix(radix)
 	var rec func(lo, hi int) ([]record.Key, error)

@@ -12,9 +12,9 @@ import (
 	"hetsort/internal/record"
 )
 
-// Ablations runs the design-choice studies A1-A6 from DESIGN.md.  These
-// are the experiments the paper argues qualitatively (balance bought
-// with samples or with rounds, duplicates, file counts, quantiles,
+// Ablations runs the design-choice studies A1-A6 from DESIGN.md (A4 is
+// retired).  These are the experiments the paper argues qualitatively
+// (balance bought with samples or with rounds, duplicates, file counts,
 // multiple disks, the DeWitt baseline) backed by measurements on the
 // simulator.
 func Ablations(o Options) ([]Row, error) {
@@ -42,8 +42,6 @@ func Ablations(o Options) ([]Row, error) {
 		{"A2", []metric{expansion}, paperRun(o,
 			point{labels: variant("uniform")},
 			point{labels: variant("zipf"), dist: record.Zipf})},
-		// A4: quantile pivots vs regular sampling, perf {1,1,4,4}.
-		{"A4", balance, pivots(PaperVector, extsort.RegularSampling, extsort.QuantileSketch)},
 		// A5: disks per node.
 		{"A5", []metric{vsec}, []point{
 			{labels: variant("D=1"), perf: perf.Homogeneous(4), n: n, seed: o.Seed, disks: 1},

@@ -275,7 +275,7 @@ func TestAblations(t *testing.T) {
 			t.Fatalf("%s: no output hash", r.Key())
 		}
 	}
-	for id, want := range map[string]int{"A1": 2, "A2": 2, "A3": 4, "A4": 2, "A5": 3, "A6": 2} {
+	for id, want := range map[string]int{"A1": 2, "A2": 2, "A3": 4, "A5": 3, "A6": 2} {
 		if count[id] != want {
 			t.Fatalf("ablation %s has %d rows, want %d", id, count[id], want)
 		}
@@ -293,7 +293,7 @@ func TestAblations(t *testing.T) {
 	if dw, a1 := metricOf(t, rows, "A6", "dewitt", "block_ios"), metricOf(t, rows, "A6", "algorithm1", "block_ios"); dw >= a1 {
 		t.Fatalf("A6: dewitt I/O %v >= algorithm1 %v", dw, a1)
 	}
-	if out := RowsString("Ablations", rows); !strings.Contains(out, "A4") || !strings.Contains(out, "quantile-sketch") {
+	if out := RowsString("Ablations", rows); !strings.Contains(out, "A1") || !strings.Contains(out, "histogram") {
 		t.Fatalf("render:\n%s", out)
 	}
 }

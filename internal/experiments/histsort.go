@@ -34,12 +34,12 @@ const histsortTolerance = 0.02
 
 // HistsortAblation runs the adversarial pivot-strategy ablation behind
 // BENCH_histsort.json: the four hostile generators (heavy-dup, zipf-s2,
-// staircase, sampler-killer) crossed with the four pivot strategies
-// (regular sampling, random pivots, quantile sketch, histogram
-// refinement) at p = 16 (flat), 64 and 256 (tree), on the paper's
-// loaded vector repeated.  Each point records virtual time, the S(max)
-// sublist expansion, the number of key-valued samples shipped through
-// the step-2 collectives, and the refinement round count.
+// staircase, sampler-killer) crossed with the three pivot strategies
+// (regular sampling, random pivots, histogram refinement) at p = 16
+// (flat), 64 and 256 (tree), on the paper's loaded vector repeated.
+// Each point records virtual time, the S(max) sublist expansion, the
+// number of key-valued samples shipped through the step-2 collectives,
+// and the refinement round count.
 //
 // The experiment is self-checking:
 //
@@ -53,13 +53,12 @@ const histsortTolerance = 0.02
 //     the p*sum(perf) sample gather (which degrades to shipping whole
 //     portions when they are too small for the regular spacing);
 //   - the one-shot strategies report one pivot round — two where a
-//     sampled pivot's key repeats in the sample and its ties are settled
-//     (quantile-sketch cuts are key cuts: always one) — the histogram
-//     strategy at least one.
+//     sampled pivot's key repeats in the sample and its ties are
+//     settled — the histogram strategy at least one.
 func HistsortAblation(o Options) ([]Row, error) {
 	o = o.withDefaults()
 	generators := []record.Distribution{record.HeavyDup, record.ZipfS2, record.Staircase, record.SamplerKiller}
-	strategies := []extsort.Strategy{extsort.RegularSampling, extsort.RandomPivots, extsort.QuantileSketch, extsort.Histogram}
+	strategies := []extsort.Strategy{extsort.RegularSampling, extsort.RandomPivots, extsort.Histogram}
 	var pts []point
 	capped := false
 	for _, m := range []struct {
@@ -107,11 +106,7 @@ func HistsortAblation(o Options) ([]Row, error) {
 			return nil, fmt.Errorf("%s reports %v rounds", g[len(g)-1].Key(), hist["rounds"])
 		}
 		for _, r := range g[:len(g)-1] {
-			most := 2.0
-			if r.Labels["strategy"] == extsort.QuantileSketch.String() {
-				most = 1
-			}
-			if got := r.Metrics["rounds"]; got < 1 || got > most {
+			if got := r.Metrics["rounds"]; got < 1 || got > 2 {
 				return nil, fmt.Errorf("one-shot strategy %s reports %v rounds", r.Key(), got)
 			}
 		}

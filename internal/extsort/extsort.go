@@ -114,11 +114,9 @@ type Config struct {
 	// TopologyTree and TopologyGrid bound every node's fan-in at O(r)
 	// per round by aggregating samples up an r-ary reduction tree and
 	// routing partitions through ⌈log_r p⌉ rounds of r-way exchanges (2
-	// rounds for the √p×√p grid).  Unlike Overlap, the topology is an
-	// outcome parameter for the QuantileSketch strategy (its sketch merge
-	// is order-sensitive, so per-node partitions may differ from the flat
-	// run's even though the global sorted output is identical) and the
-	// phase-4 artifacts differ, so it is part of the resume fingerprint.
+	// rounds for the √p×√p grid).  Every topology gives the same
+	// partitions, but unlike Overlap the phase-4 artifacts differ, so
+	// it is part of the resume fingerprint.
 	Topology Topology
 	// Radix is the tree fan-in r (default 4).  Flat and grid derive
 	// theirs from p (p and ⌈√p⌉) and ignore this.
@@ -146,8 +144,18 @@ type Config struct {
 func (c Config) sig(inputName, outputName string) string {
 	return fmt.Sprintf("extsort-v8 perf=%v B=%d M=%d T=%d msg=%d rf=%d strat=%d htol=%g seed=%d topo=%d r=%d in=%s out=%s",
 		[]int(c.Perf), c.BlockKeys, c.MemoryKeys, c.Tapes, c.MessageKeys,
-		c.RunFormation, c.Strategy, c.HistTolerance, c.Seed,
+		c.RunFormation, c.Strategy.sigCode(), c.HistTolerance, c.Seed,
 		c.Topology, c.Radix, inputName, outputName)
+}
+
+// sigCode numbers the strategy in the resume fingerprint.  Histogram
+// keeps the 3 it had while the retired quantile sketch held 2, so the
+// checkpoints written then still resume.
+func (s Strategy) sigCode() int {
+	if s == Histogram {
+		return 3
+	}
+	return int(s)
 }
 
 // ApplyDefaults fills zero-valued fields with the paper's defaults for
@@ -254,7 +262,6 @@ type Result struct {
 	// step-2 collectives — the "samples shipped" axis of the
 	// histogram-vs-sampling tradeoff.  Per strategy: regular/random
 	// sampling count every node's sampled keys;
-	// QuantileSketch counts the exported (value, weight) pairs;
 	// Histogram counts the candidate splitters broadcast per round.
 	// Count vectors (integer metadata, not key samples) are excluded.
 	PivotSampleKeys int64

@@ -438,7 +438,7 @@ func TestBucketsAreNotFiles(t *testing.T) {
 		v[i] = []int{1, 1, 4, 4}[i%4]
 	}
 	n := v.NearestValidSize(2500 * p)
-	for _, strat := range []Strategy{RegularSampling, RandomPivots, QuantileSketch, Histogram} {
+	for _, strat := range []Strategy{RegularSampling, RandomPivots, Histogram} {
 		for _, topo := range []Topology{TopologyFlat, TopologyTree, TopologyGrid} {
 			for mode := 0; mode < 4; mode++ {
 				cfg := testConfig(v)

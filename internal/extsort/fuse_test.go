@@ -266,9 +266,9 @@ func TestFusedCrashResume(t *testing.T) {
 // paper's B, M and T) and the het4-mem shape (2^22, where R + 1 probes a
 // sample price at 2.63 vsec against the pass's 3.02 on a fast node) stop
 // step 1 one merge short on every node; the wide64-tree shape (128-key
-// blocks make a probe ≈ 70 blocks) does not, nor does any histogram or
-// sketch run; and every node of a configuration reaches the same verdict
-// from its own share alone.
+// blocks make a probe ≈ 70 blocks) does not, nor does any histogram
+// run; and every node of a configuration reaches the same verdict from
+// its own share alone.
 func TestFuseVerdict(t *testing.T) {
 	het := perf.Vector{1, 1, 4, 4}
 	wide := make(perf.Vector, 64)
@@ -285,7 +285,6 @@ func TestFuseVerdict(t *testing.T) {
 		{"het4-dir", paper, 1 << 24, true},
 		{"het4-dir/random", func() Config { c := paper; c.Strategy = RandomPivots; return c }(), 1 << 24, true},
 		{"het4-dir/histogram", func() Config { c := paper; c.Strategy = Histogram; return c }(), 1 << 24, false},
-		{"het4-dir/sketch", func() Config { c := paper; c.Strategy = QuantileSketch; return c }(), 1 << 24, false},
 		{"het4-mem", paper, 1 << 22, true},
 		{"wide64-tree", Config{Perf: wide, BlockKeys: 128, MemoryKeys: 4096, Tapes: 8, MessageKeys: 8192,
 			Topology: TopologyTree, Radix: 4}, 1 << 22, false},

@@ -43,8 +43,8 @@ type liveRun struct {
 }
 
 // newIndex sizes the index of li sorted keys: the one-shot sampler's
-// positions (none for the sketch and the histogram) and, memory
-// permitting, one fence per block, and one more per run over runs.
+// positions (none for the histogram) and, memory permitting, one fence
+// per block, and one more per run over runs.
 func (w *worker) newIndex(li int64, runs bool) (*sortedIndex, error) {
 	cfg, id, p := w.cfg, w.n.ID(), w.n.P()
 	x := &sortedIndex{block: int64(cfg.BlockKeys)}
@@ -150,7 +150,7 @@ func (w *worker) sortedIndex() (*sortedIndex, error) {
 // must fit its fences and price its probes, (samples_j·(R_j + 1) +
 // (p−1)·R_j)·(seek + block) on the default cost model — R_j + 1 a sample
 // (sampling.MultiwaySelect), R_j a cut — below the 2·l_j/B transfers of
-// the last pass.  The histogram and the sketch keep the sorted file.
+// the last pass.  The histogram keeps the sorted file.
 func (c Config) fuseRuns(li int64, id int) bool {
 	if li <= 0 || c.Strategy != RegularSampling && c.Strategy != RandomPivots {
 		return false

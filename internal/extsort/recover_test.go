@@ -328,6 +328,22 @@ func crashedPair(t *testing.T, point string) (*cluster.Cluster, Config) {
 	return c, cfg
 }
 
+// TestStrategyFingerprintStaysPut pins the resume fingerprint of every
+// strategy.  The histogram printed strat=3 while the retired quantile
+// sketch held 2; it keeps 3, so the extsort-v8 checkpoints written then
+// still resume.
+func TestStrategyFingerprintStaysPut(t *testing.T) {
+	cfg := Config{Perf: perf.Vector{1, 1, 4, 4}, HistTolerance: 0.05}
+	cfg.ApplyDefaults(4)
+	for strat, code := range map[Strategy]int{RegularSampling: 0, RandomPivots: 1, Histogram: 3} {
+		cfg.Strategy = strat
+		want := fmt.Sprintf("extsort-v8 perf=[1 1 4 4] B=2048 M=65536 T=15 msg=8192 rf=0 strat=%d htol=0.05 seed=0 topo=0 r=4 in=input out=output", code)
+		if got := cfg.sig("input", "output"); got != want {
+			t.Errorf("%v fingerprint\n got %s\nwant %s", strat, got, want)
+		}
+	}
+}
+
 // TestResumeRefusesV2Manifest: a checkpoint written under an older
 // fingerprint — extsort-v2 recorded d=, the disk count its node files
 // were physically striped over; extsort-v3 kept its buckets in p segment

@@ -10,7 +10,6 @@ import (
 	"hetsort/internal/enum"
 	"hetsort/internal/histsort"
 	"hetsort/internal/perf"
-	"hetsort/internal/quantile"
 	"hetsort/internal/record"
 	"hetsort/internal/sampling"
 	"hetsort/internal/trace"
@@ -18,8 +17,10 @@ import (
 
 // Strategy selects how step 2 chooses the partitioning pivots.  The
 // paper's Algorithm 1 uses heterogeneous regular sampling; a naive
-// random-pivot baseline, a quantile sketch and iterative histogram
-// refinement are provided for the ablation benches.
+// random-pivot baseline and iterative histogram refinement are provided
+// for the ablation benches.  Every strategy cuts at positions in the
+// total order (key, node, offset), so its partitions are the same at
+// every radix.
 type Strategy int
 
 const (
@@ -31,13 +32,6 @@ const (
 	// without the regular-position discipline — the strawman whose
 	// poor balance motivates sampling "in a regular way".
 	RandomPivots
-	// QuantileSketch streams each sorted file through a
-	// Greenwald-Khanna summary and picks pivots from the merged
-	// sketches (the variant of the paper's reference [29]): one extra
-	// sequential read pass, but the designated node receives compact
-	// sketches instead of p^2 samples, and the pivots are not limited
-	// to the regular-sample grid.
-	QuantileSketch
 	// Histogram is iterative splitter refinement (Harsh, Kale &
 	// Solomonik's Histogram Sort with Sampling): node 0 broadcasts
 	// candidate splitters each round, every node ranks them in its
@@ -51,7 +45,7 @@ const (
 )
 
 // strategyNames is indexed by Strategy.
-var strategyNames = []string{"regular-sampling", "random-pivots", "quantile-sketch", "histogram"}
+var strategyNames = []string{"regular-sampling", "random-pivots", "histogram"}
 
 func (s Strategy) String() string { return enum.Name(strategyNames, "pivot strategy", s) }
 
@@ -70,8 +64,8 @@ func ParseStrategy(s string) (Strategy, error) {
 //
 // combine is charged by one rule at every radix: concatenating key
 // samples is free (decide sorts them anyway, and a sorted pairwise merge
-// would cost the radix-p root O(p·S)), merging two sketches costs 8 ops
-// per tuple, adding two count vectors one op per counter.
+// would cost the radix-p root O(p·S)), adding two count vectors one op
+// per counter.
 type pivotSelector struct {
 	// oneShot strategies run one reduce-then-broadcast round.  The others
 	// iterate until node 0 broadcasts nothing, and node 0 then broadcasts
@@ -261,8 +255,6 @@ func (w *worker) selector() (pivotSelector, error) {
 		return w.sampled(sampling.RegularPivotRanks), nil
 	case RandomPivots:
 		return w.sampled(sampling.WeightedPivotRanks), nil
-	case QuantileSketch:
-		return w.sketched()
 	case Histogram:
 		return w.histogram(), nil
 	}
@@ -321,92 +313,6 @@ func (w *worker) sampled(rule func(int, perf.Vector) ([]int, error)) pivotSelect
 			return withTies(pivots, tied), nil
 		},
 	}
-}
-
-// quantileEps is the QuantileSketch strategy's rank error bound.
-const quantileEps = 0.01
-
-// sketched is the QuantileSketch strategy: stream the sorted file
-// through an ε-sketch, merge the sketches pairwise up the tree — each
-// inner node folds its children's summaries into its own and forwards
-// one ε-sketch — and answer the pivot quantiles from node 0's merged
-// sketch.  GK merging is order-sensitive, so the pivots depend on the
-// radix: the topology is an outcome parameter for this strategy (every
-// partitioning satisfies the sketch error bound, and the global sorted
-// output is identical either way).
-func (w *worker) sketched() (pivotSelector, error) {
-	n, cfg := w.n, w.cfg
-	sk, err := quantile.New(quantileEps)
-	if err != nil {
-		return pivotSelector{}, err
-	}
-	return pivotSelector{
-		oneShot: true,
-		contribute: func(int, []record.Key) ([]record.Key, error) {
-			if err := w.scanRun(w.runs[0], n.Acct(), func(keys []record.Key) { sk.InsertAll(keys) }); err != nil {
-				return nil, err
-			}
-			w.sampleKeys += 2 * int64(sk.TupleCount())
-			return encodeSketch(sk)
-		},
-		combine: func(acc, child []record.Key) ([]record.Key, error) {
-			sa, err := decodeSketch(acc)
-			if err != nil {
-				return nil, err
-			}
-			sc, err := decodeSketch(child)
-			if err != nil {
-				return nil, err
-			}
-			n.ChargeCompute(int64(sa.TupleCount()+sc.TupleCount()) * 8)
-			sa.Merge(sc)
-			return encodeSketch(sa)
-		},
-		decide: func(agg []record.Key) ([]record.Key, error) {
-			merged, err := decodeSketch(agg)
-			if err != nil {
-				return nil, err
-			}
-			n.ChargeCompute(int64(merged.TupleCount()) * 8)
-			// The p-1 perf-weighted pivot quantiles.
-			pivots := make([]record.Key, n.P()-1)
-			var cum int64
-			sum := float64(cfg.Perf.Sum())
-			for j := range pivots {
-				cum += int64(cfg.Perf[j])
-				// An empty global input answers no query: zero pivots are valid.
-				pivots[j], _ = merged.Query(float64(cum) / sum)
-			}
-			return pivots, nil
-		},
-	}, nil
-}
-
-// encodeSketch flattens a sketch into one key slice for the reduction
-// tree — (value, weight) pairs interleaved.  Weights normally fit a Key
-// because they never exceed the (32-bit-keyed) dataset size, but a wider
-// weight is surfaced as an error rather than truncated.
-func encodeSketch(sk *quantile.Summary) ([]record.Key, error) {
-	vals, weights := sk.Export()
-	wk, err := quantile.WeightsToKeys(weights)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]record.Key, 0, 2*len(vals))
-	for i, v := range vals {
-		out = append(out, v, wk[i])
-	}
-	return out, nil
-}
-
-func decodeSketch(enc []record.Key) (*quantile.Summary, error) {
-	vals := make([]record.Key, 0, len(enc)/2)
-	weights := make([]int64, 0, len(enc)/2)
-	for i := 0; i+1 < len(enc); i += 2 {
-		vals = append(vals, enc[i])
-		weights = append(weights, int64(enc[i+1]))
-	}
-	return quantile.FromExport(quantileEps, vals, weights)
 }
 
 // histogram is the Histogram strategy: iterative splitter refinement

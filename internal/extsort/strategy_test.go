@@ -73,52 +73,6 @@ func TestRegularBeatsRandomPivotsOnBalance(t *testing.T) {
 	}
 }
 
-func TestQuantileSketchStrategy(t *testing.T) {
-	for _, v := range []perf.Vector{perf.Homogeneous(4), {1, 1, 4, 4}} {
-		t.Run(v.String(), func(t *testing.T) {
-			c := newCluster(t, v)
-			cfg := testConfig(v)
-			cfg.Strategy = QuantileSketch
-			res := runSort(t, c, v, cfg, record.Uniform, v.NearestValidSize(40000), 17)
-			// Sketch pivots are not grid-limited: heterogeneous balance
-			// should beat the regular-sampling quantization band.
-			if exp := res.SublistExpansion(v); exp > 1.12 {
-				t.Fatalf("quantile-sketch expansion %v too high", exp)
-			}
-		})
-	}
-}
-
-func TestQuantileSketchExtraPassAccounted(t *testing.T) {
-	// The sketch pass reads the sorted file once more: step 2 reads
-	// ~l/B blocks instead of a handful of sampled keys.
-	v := perf.Homogeneous(2)
-	c := newCluster(t, v)
-	cfg := testConfig(v)
-	cfg.Strategy = QuantileSketch
-	const n = 32768
-	res := runSort(t, c, v, cfg, record.Uniform, n, 19)
-	blocks := int64(n/2) / int64(cfg.BlockKeys)
-	for i := 0; i < 2; i++ {
-		got := res.StepIO[1][i].Reads
-		if got < blocks || got > blocks+4 {
-			t.Fatalf("node %d step-2 reads %d want ~%d (full sketch pass)", i, got, blocks)
-		}
-	}
-}
-
-func TestQuantileSketchAllDistributions(t *testing.T) {
-	v := perf.Vector{1, 2}
-	for _, d := range record.Distributions() {
-		t.Run(d.String(), func(t *testing.T) {
-			c := newCluster(t, v)
-			cfg := testConfig(v)
-			cfg.Strategy = QuantileSketch
-			runSort(t, c, v, cfg, d, v.NearestValidSize(12000), 23)
-		})
-	}
-}
-
 // TestCountSublistsBlockFastPath compares scanRanks, which books a whole
 // block when its last key is still at or below the current query, with
 // the per-key definition (query j counts the keys k <= fine[j], the

@@ -16,11 +16,8 @@ import (
 // hierarchical structures trade extra rounds (and one extra disk pass
 // per round) for O(r) fan-in per node per round, the multi-pass
 // all-to-all of Rahn/Sanders/Singler's distributed external sort.
-// The output is byte-identical to the flat run's for the exact pivot
-// strategies (regular sampling, random pivots); the
-// QuantileSketch strategy's GK merge is not associative, so its tree
-// aggregation keeps the global sorted output identical while per-node
-// partition boundaries may differ from the flat run's.
+// Every node's output is byte-identical to the flat run's: each pivot
+// strategy cuts at positions that do not depend on the radix.
 type Topology int
 
 const (

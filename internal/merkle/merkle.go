@@ -116,9 +116,6 @@ func (t *Tree) Root() Sum {
 	return t.levels[len(t.levels)-1][0]
 }
 
-// Leaves returns the leaves in tree (name) order.
-func (t *Tree) Leaves() []Leaf { return t.leaves }
-
 // ProofStep is one sibling on the audit path from a leaf to the root.
 type ProofStep struct {
 	// Sum is the sibling subtree hash to combine with.

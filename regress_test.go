@@ -150,7 +150,7 @@ func withTrace(cfg Config) Config {
 // the same ground; this keeps the guarantee even with the harness
 // filtered out).
 func TestDegenerateInputs(t *testing.T) {
-	strategies := []string{"", PivotRandom, PivotQuantileSketch}
+	strategies := []string{"", PivotRandom, PivotHistogram}
 	inputs := []struct {
 		name string
 		keys []Key
