@@ -133,7 +133,7 @@ func main() {
 			return err
 		}
 		fmt.Printf("Calibration (paper section 5 protocol):\n  per-node times: %.3f s\n  derived perf vector: %v (paper: [1 1 4 4])\n",
-			cal.Times, cal.Vector)
+			cal.Times, cal.Perf)
 		return nil
 	})
 	run("packets", func() error {

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"hetsort"
 	"hetsort/internal/record"
@@ -155,7 +156,7 @@ func main() {
 			if jsonMode {
 				os.Stdout.Write(resultJSON(nil, err, *ckptDir))
 			} else {
-				fmt.Fprintf(os.Stderr, "hetsort: %v\nhetsort: checkpoints are intact; rerun with -resume -checkpoint-dir %s to continue\n", err, *ckptDir)
+				fmt.Fprintf(os.Stderr, "%s\nhetsort: checkpoints are intact; rerun with -resume -checkpoint-dir %s to continue\n", errLine(err), *ckptDir)
 			}
 			os.Exit(1)
 		}
@@ -316,7 +317,14 @@ func fatal(err error) {
 	if jsonMode {
 		os.Stdout.Write(resultJSON(nil, err, ""))
 	} else {
-		fmt.Fprintln(os.Stderr, "hetsort:", err)
+		fmt.Fprintln(os.Stderr, errLine(err))
 	}
 	os.Exit(1)
+}
+
+// errLine renders err for stderr behind exactly one "hetsort:" prefix:
+// the library's errors carry it already, the command's own do not.
+func errLine(err error) string {
+	msg, _ := strings.CutPrefix(err.Error(), "hetsort: ")
+	return "hetsort: " + msg
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 
 	"hetsort"
@@ -55,5 +56,26 @@ func TestResultJSONSuccess(t *testing.T) {
 	}
 	if !r.OK || r.Error != "" || r.Time != rep.Time || len(r.Partitions) != 4 {
 		t.Fatalf("success object: %+v", r)
+	}
+}
+
+// TestErrLineOnePrefix: an error the library made, which carries the
+// "hetsort:" prefix already, and one the command makes itself both
+// print behind exactly one prefix.
+func TestErrLineOnePrefix(t *testing.T) {
+	_, _, facadeErr := hetsort.Sort(nil, hetsort.Config{PivotStrategy: "bogus"})
+	if facadeErr == nil {
+		t.Fatal("unknown pivot strategy accepted")
+	}
+	for _, tc := range []struct {
+		err  error
+		want string
+	}{
+		{facadeErr, "hetsort: unknown pivot strategy"},
+		{errors.New("-gen requires -input"), "hetsort: -gen requires -input"},
+	} {
+		if got := errLine(tc.err); !strings.HasPrefix(got, tc.want) {
+			t.Errorf("errLine(%q) = %q, want it to start %q", tc.err, got, tc.want)
+		}
 	}
 }

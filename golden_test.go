@@ -33,7 +33,8 @@ func (g golden) literal() string {
 	}
 	b.WriteString("\t},\n\tBreakdown: []TimeBreakdown{\n")
 	for _, t := range g.Breakdown {
-		fmt.Fprintf(&b, "\t\t{%v, %v, %v, %v, %v},\n", t.Compute, t.Disk, t.Network, t.Idle, t.Overlapped)
+		fmt.Fprintf(&b, "\t\t{Compute: %v, Disk: %v, Network: %v, Idle: %v, Overlapped: %v},\n",
+			t.Compute, t.Disk, t.Network, t.Idle, t.Overlapped)
 	}
 	b.WriteString("\t},\n}")
 	return b.String()
@@ -125,10 +126,10 @@ var goldenD4Striped = golden{
 		{{129, 100, 0}, {125, 97, 0}, {124, 96, 0}, {124, 95, 0}},
 	},
 	Breakdown: []TimeBreakdown{
-		{0.07437056000000275, 0.017971200000000027, 0.007966909090909097, 0.054115665454524814, 0},
-		{0.08173056000000282, 0.021196800000000106, 0.00547345454545455, 0.046023519999979154, 0},
-		{0.09083423999998344, 0.04596479999999996, 0.01036181818181819, 0.007383476363636468, 0},
-		{0.0926735999999835, 0.046886400000000036, 0.010238181818181829, 0.0048661527272726435, 0},
+		{Compute: 0.07437056000000275, Disk: 0.017971200000000027, Network: 0.007966909090909097, Idle: 0.054115665454524814, Overlapped: 0},
+		{Compute: 0.08173056000000282, Disk: 0.021196800000000106, Network: 0.00547345454545455, Idle: 0.046023519999979154, Overlapped: 0},
+		{Compute: 0.09083423999998344, Disk: 0.04596479999999996, Network: 0.01036181818181819, Idle: 0.007383476363636468, Overlapped: 0},
+		{Compute: 0.0926735999999835, Disk: 0.046886400000000036, Network: 0.010238181818181829, Idle: 0.0048661527272726435, Overlapped: 0},
 	},
 }
 
@@ -142,10 +143,10 @@ var goldenD3IndependentOverlap = golden{
 		{{170, 132, 0}, {168, 129, 0}, {164, 127, 0}},
 	},
 	Breakdown: []TimeBreakdown{
-		{0.07437056000000275, 0.009418880000000008, 0.007966909090909097, 0.023153221818161873, 0.013313919999999986},
-		{0.08173056000000282, 0.010364160000000008, 0.00547345454545455, 0.017341396363616188, 0.01544063999999999},
-		{0.09083423999998344, 0.005447040000000005, 0.01036181818181819, 0.008386472727272443, 0.027999360000000063},
-		{0.0926735999999835, 0.005139840000000005, 0.010238181818181829, 0.007097949090908731, 0.02903616000000009},
+		{Compute: 0.07437056000000275, Disk: 0.009418880000000008, Network: 0.007966909090909097, Idle: 0.023153221818161873, Overlapped: 0.013313919999999986},
+		{Compute: 0.08173056000000282, Disk: 0.010364160000000008, Network: 0.00547345454545455, Idle: 0.017341396363616188, Overlapped: 0.01544063999999999},
+		{Compute: 0.09083423999998344, Disk: 0.005447040000000005, Network: 0.01036181818181819, Idle: 0.008386472727272443, Overlapped: 0.027999360000000063},
+		{Compute: 0.0926735999999835, Disk: 0.005139840000000005, Network: 0.010238181818181829, Idle: 0.007097949090908731, Overlapped: 0.02903616000000009},
 	},
 }
 
@@ -159,9 +160,9 @@ var goldenD2OverlapCheckpointHistogram = golden{
 		{{318, 196, 6}, {310, 186, 0}},
 	},
 	Breakdown: []TimeBreakdown{
-		{0.08111168000000271, 0.21959231999999998, 0.009596363636363644, 0.0018743709090910943, 0.019870079999999977},
-		{0.08126464000000282, 0.21962496000000004, 0.005995272727272733, 0.00528986181818214, 0.019837439999999977},
-		{0.09415455999998379, 0.06621248000000068, 0.011056363636363647, 0.14087133090912218, 0.040424319999999875},
-		{0.09410223999998386, 0.06626096000000066, 0.011056727272727282, 0.14099480727275876, 0.04031823999999988},
+		{Compute: 0.08111168000000271, Disk: 0.21959231999999998, Network: 0.009596363636363644, Idle: 0.0018743709090910943, Overlapped: 0.019870079999999977},
+		{Compute: 0.08126464000000282, Disk: 0.21962496000000004, Network: 0.005995272727272733, Idle: 0.00528986181818214, Overlapped: 0.019837439999999977},
+		{Compute: 0.09415455999998379, Disk: 0.06621248000000068, Network: 0.011056363636363647, Idle: 0.14087133090912218, Overlapped: 0.040424319999999875},
+		{Compute: 0.09410223999998386, Disk: 0.06626096000000066, Network: 0.011056727272727282, Idle: 0.14099480727275876, Overlapped: 0.04031823999999988},
 	},
 }

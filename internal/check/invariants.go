@@ -201,10 +201,10 @@ func appliesPSRS(c *Case) bool {
 }
 
 // appliesBalance gates the Theorem-1 bound to its hypotheses: external
-// PSRS with the regular-sampling pivot rule, on portions large enough
-// for the regular sample spacing to exist on every node (the paper's
-// operating regime; tiny portions fall back to exhaustive sampling,
-// where the bound is trivially tighter but the shares round away).
+// PSRS with the regular-sampling pivot rule, on portions of at least
+// p·perf_i keys on every node (the paper's operating regime; tiny
+// portions fall back to exhaustive sampling, where the bound is
+// trivially tighter but the shares round away).
 func appliesBalance(c *Case) bool {
 	if !appliesPSRS(c) {
 		return false
@@ -328,7 +328,7 @@ func checkStepIO(c *Case, r *Run) error {
 	p := len(v)
 	n := int64(len(c.Keys))
 	shares := v.Shares(n)
-	pp := pdm.Params{N: maxInt64(n, 1), M: int64(cfg.MemoryKeys), B: int64(cfg.BlockKeys), D: 1, P: int64(p)}
+	pp := pdm.Params{N: max(n, 1), M: int64(cfg.MemoryKeys), B: int64(cfg.BlockKeys), D: 1, P: int64(p)}
 	for i := 0; i < p; i++ {
 		li, qi := shares[i], r.Report.PartitionSizes[i]
 		budgets := stepBudgets(pp, cfg, i, li, qi, r.Report.PivotRounds)
@@ -386,7 +386,7 @@ func stepBudgets(pp pdm.Params, cfg hetsort.Config, i int, li, qi int64, rounds 
 	p := len(v)
 	lb := ceilDiv(li, pp.B)
 	qb := ceilDiv(qi, pp.B)
-	runs := ceilDiv(maxInt64(li, 1), int64(cfg.MemoryKeys))
+	runs := ceilDiv(max(li, 1), int64(cfg.MemoryKeys))
 	passes := pdm.LogCeil(runs, 2)
 	cm := vtime.DefaultCostModel()
 	block := float64(pp.B) * cm.IOBlockSecPerKey
@@ -516,9 +516,7 @@ func checkAttribution(_ *Case, r *Run) error {
 	if r.Report == nil {
 		return nil
 	}
-	for i, tb := range r.Report.NodeBreakdown {
-		b := vtime.Breakdown{Compute: tb.Compute, Disk: tb.Disk, Network: tb.Network,
-			Idle: tb.Idle, Overlapped: tb.Overlapped}
+	for i, b := range r.Report.NodeBreakdown {
 		if err := b.Validate(); err != nil {
 			return fmt.Errorf("node %d: %w", i, err)
 		}
@@ -527,9 +525,7 @@ func checkAttribution(_ *Case, r *Run) error {
 		}
 	}
 	for s := range r.Report.StepBreakdown {
-		for i, tb := range r.Report.StepBreakdown[s] {
-			b := vtime.Breakdown{Compute: tb.Compute, Disk: tb.Disk, Network: tb.Network,
-				Idle: tb.Idle, Overlapped: tb.Overlapped}
+		for i, b := range r.Report.StepBreakdown[s] {
 			if err := b.Validate(); err != nil {
 				return fmt.Errorf("node %d step %s: %w", i, stepName(s), err)
 			}
@@ -636,11 +632,4 @@ func ceilDiv(a, b int64) int64 {
 		return a
 	}
 	return (a + b - 1) / b
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -287,16 +287,6 @@ func Load(fs diskio.FS) (*Manifest, error) {
 	return &m, nil
 }
 
-// Remove deletes the manifest (after a fully completed run, or to start
-// over).  Missing manifests are not an error.
-func Remove(fs diskio.FS) error {
-	err := fs.Remove(ManifestName)
-	if err != nil && errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	return err
-}
-
 // runs returns the manifest's runs: Runs, or the sorted file Files[0]
 // whole.
 func (m *Manifest) runs() []diskio.Section {
@@ -409,21 +399,6 @@ type Recovery struct {
 	Runs [][]diskio.Section
 	Cuts [][]int64
 }
-
-// MinDone returns the least-advanced node's committed phase.
-func (r *Recovery) MinDone() int {
-	m := Phases
-	for _, d := range r.Done {
-		if d < m {
-			m = d
-		}
-	}
-	return m
-}
-
-// Complete reports whether every node already committed all phases (the
-// crashed run died after the work was done).
-func (r *Recovery) Complete() bool { return r.MinDone() >= Phases }
 
 // Plan loads, verifies and cross-checks the manifests of all nodes and
 // returns the resume plan.  sig must match the fingerprint recorded by

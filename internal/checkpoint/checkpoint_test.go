@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -136,22 +137,6 @@ func TestLoadBadMagic(t *testing.T) {
 	}
 }
 
-func TestRemoveIdempotent(t *testing.T) {
-	fs := diskio.NewMemFS()
-	if err := Remove(fs); err != nil {
-		t.Fatalf("removing absent manifest: %v", err)
-	}
-	if err := Save(fs, sampleManifest(0, 1, 1), diskio.Accounting{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := Remove(fs); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(fs); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("manifest survived Remove: %v", err)
-	}
-}
-
 func TestValidateFileDeps(t *testing.T) {
 	fs := diskio.NewMemFS()
 	if err := diskio.WriteFile(fs, "sorted", []record.Key{1, 2, 3}, 2, diskio.Accounting{}); err != nil {
@@ -201,11 +186,8 @@ func TestPlanAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.MinDone() != 1 {
-		t.Fatalf("MinDone = %d", r.MinDone())
-	}
-	if r.Complete() {
-		t.Fatal("plan claims completion at phase 1")
+	if !slices.Equal(r.Done, []int{1, 3, 2, 5}) {
+		t.Fatalf("Done = %v", r.Done)
 	}
 	// A node at phase >= 2 carried the pivots.
 	if len(r.Pivots) != 3 {
@@ -307,8 +289,8 @@ func TestPlanComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Complete() {
-		t.Fatal("all phases committed but Complete() is false")
+	if !slices.Equal(r.Done, []int{Phases, Phases}) {
+		t.Fatalf("all phases committed but Done = %v", r.Done)
 	}
 }
 

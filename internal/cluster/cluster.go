@@ -209,11 +209,6 @@ func (c *Cluster) LinksCreated() int {
 	return created
 }
 
-// FanInHWM returns node id's peak count of distinct in-links with
-// queued messages during the last Run — the peak number of concurrently
-// open incoming streams the node had to buffer.
-func (c *Cluster) FanInHWM(id int) int64 { return c.nodes[id].faninHWM.Load() }
-
 // LinkQueueHWM returns the worst per-link queue high-water mark over
 // node id's incoming links during the last Run.
 func (c *Cluster) LinkQueueHWM(id int) int64 {
@@ -333,9 +328,6 @@ func (c *Cluster) P() int { return len(c.nodes) }
 
 // Node returns node id (for inspection after a run).
 func (c *Cluster) Node(id int) *Node { return c.nodes[id] }
-
-// Net returns the interconnect model.
-func (c *Cluster) Net() NetModel { return c.net }
 
 // MaxClock returns the makespan: the maximum node clock, i.e. the
 // virtual execution time of the last parallel section run.
@@ -610,9 +602,6 @@ func (n *Node) P() int { return len(n.cluster.nodes) }
 // FS returns the node's private disk.
 func (n *Node) FS() diskio.FS { return n.fs }
 
-// Slowdown returns the node's load factor (1 = fastest class).
-func (n *Node) Slowdown() float64 { return n.slowdown }
-
 // Cost returns the cost model the node charges by.
 func (n *Node) Cost() vtime.CostModel { return n.cost }
 
@@ -784,9 +773,6 @@ func (n *Node) ChargeOverlappedIOBlocks(blocks int64, write bool) {
 // Disks returns the node's PDM D parameter.
 func (n *Node) Disks() int { return n.disks }
 
-// DiskAccess returns the node's disk access discipline.
-func (n *Node) DiskAccess() pdm.AccessMode { return n.access }
-
 // DiskIO returns one I/O snapshot per member disk (nil at D=1, where
 // the node counter is the only drive).  The per-disk counts always sum
 // exactly to the node counter: the disk layer bumps both on every
@@ -801,23 +787,6 @@ func (n *Node) DiskIO() []pdm.IOStats {
 	}
 	return out
 }
-
-// DiskBusySec returns each member disk's busy seconds through the
-// queue model (nil at D=1).
-func (n *Node) DiskBusySec() []float64 {
-	if n.disks <= 1 {
-		return nil
-	}
-	out := make([]float64, n.disks)
-	copy(out, n.diskBusy)
-	return out
-}
-
-// IOSteps returns the number of parallel I/O steps issued and the
-// blocks they carried; blocks/steps is the achieved step width in
-// [1, D] — the queue-depth measure of how well the access pattern kept
-// the member disks busy.  Zero at D=1.
-func (n *Node) IOSteps() (steps, blocks int64) { return n.ioSteps, n.stepBlocks }
 
 // SetIOPhase selects the PDM phase subsequent block transfers are
 // attributed to, on the node counter and every per-disk counter (so
@@ -1013,11 +982,7 @@ func (n *Node) send(to, tag int, keys []record.Key, copyPayload bool) error {
 		// bandwidth (and per-message software processing) divides among
 		// the running jobs, so occupancy stretches; the wire's
 		// propagation delay does not.
-		bytes := int64(len(keys)) * record.KeySize
-		occupancy := n.cluster.net.LatencySec
-		if n.cluster.net.BytesPerSec > 0 {
-			occupancy += float64(bytes) / n.cluster.net.BytesPerSec
-		}
+		occupancy := n.cluster.net.TransferSec(int64(len(keys)) * record.KeySize)
 		n.ChargeTime(vtime.Network, occupancy*n.contention())
 		arrival = n.clock + n.cluster.net.LatencySec
 	}
@@ -1099,11 +1064,6 @@ func (n *Node) TracePhase(label string) func() {
 	return func() {
 		tl.Add(trace.Event{Node: n.id, Clock: n.clock, Kind: trace.PhaseEnd, Label: label})
 	}
-}
-
-// TraceMark records a free-form annotation (no-op without a trace log).
-func (n *Node) TraceMark(label, detail string) {
-	n.TraceEvent(trace.Mark, label, detail)
 }
 
 // TraceEvent records an event of an arbitrary kind at the node's current

@@ -32,9 +32,6 @@ func TestDefaults(t *testing.T) {
 	if c.P() != 2 {
 		t.Fatalf("P=%d", c.P())
 	}
-	if c.Net().Name != "fast-ethernet" {
-		t.Fatalf("default net %q", c.Net().Name)
-	}
 	if c.Node(0).FS() == nil {
 		t.Fatal("default disks missing")
 	}
@@ -173,12 +170,13 @@ func TestClockAdvancesOnTransfer(t *testing.T) {
 		t.Fatal(err)
 	}
 	bytes := int64(keys) * record.KeySize
-	wantMin := c.Net().TransferSec(bytes)
-	if got := c.Node(1).Clock(); got < wantMin {
-		t.Fatalf("receiver clock %v < transfer time %v", got, wantMin)
+	// The default interconnect prices the sender's occupancy.
+	occupancy := FastEthernet().TransferSec(bytes)
+	if got := c.Node(0).Clock(); got != occupancy {
+		t.Fatalf("sender clock %v, want the transmit occupancy %v", got, occupancy)
 	}
-	if got := c.Node(0).Clock(); got <= 0 {
-		t.Fatal("sender clock did not advance for transmit occupancy")
+	if got := c.Node(1).Clock(); got < occupancy {
+		t.Fatalf("receiver clock %v < transfer time %v", got, occupancy)
 	}
 }
 
@@ -305,10 +303,13 @@ func TestBcast(t *testing.T) {
 	c := mustNew(t, 1, 1, 1)
 	err := c.Run(func(n *Node) error {
 		var in []record.Key
-		if n.ID() == 2 {
+		if n.ID() == 0 {
 			in = []record.Key{5, 6}
 		}
-		got, err := n.Bcast(2, 1, in)
+		if _, err := n.Bcast(2, 1, in); err == nil {
+			t.Errorf("node %d: broadcast from root 2 accepted", n.ID())
+		}
+		got, err := n.Bcast(0, 1, in)
 		if err != nil {
 			return err
 		}

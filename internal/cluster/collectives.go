@@ -1,46 +1,32 @@
 package cluster
 
-import "hetsort/internal/record"
+import (
+	"fmt"
 
-// Collectives built on Send/Recv.  All nodes must call the same
-// collective with consistent arguments (the usual SPMD contract).  Each
-// uses fixed peer ordering, so the virtual clocks are deterministic.
+	"hetsort/internal/record"
+)
 
-// Gather sends each node's keys to root; root returns the per-node
-// slices indexed by rank (its own contribution included), others return
-// nil.
+// Flat collectives: the star, in which node 0 talks to every other node
+// directly.  A tree of radix p has exactly one level, so these are the
+// tree collectives at radix p, message for message.  All nodes must call
+// the same collective with consistent arguments (the usual SPMD
+// contract); only root 0 is supported.
+
+// Gather sends each node's keys to root 0; the root returns the
+// per-node slices indexed by rank (its own contribution included),
+// others return nil.
 func (n *Node) Gather(root, tag int, keys []record.Key) ([][]record.Key, error) {
-	if n.id != root {
-		return nil, n.Send(root, tag, keys)
+	if root != 0 {
+		return nil, fmt.Errorf("cluster: gather to root %d: only root 0 is supported", root)
 	}
-	out := make([][]record.Key, n.P())
-	out[root] = append([]record.Key(nil), keys...)
-	for from := 0; from < n.P(); from++ {
-		if from == root {
-			continue
-		}
-		got, err := n.Recv(from, tag)
-		if err != nil {
-			return nil, err
-		}
-		out[from] = got
-	}
-	return out, nil
+	return n.TreeGather(n.P(), tag, keys)
 }
 
-// Bcast distributes keys from root to every node; every node returns
+// Bcast distributes keys from root 0 to every node; every node returns
 // the broadcast payload.
 func (n *Node) Bcast(root, tag int, keys []record.Key) ([]record.Key, error) {
-	if n.id == root {
-		for to := 0; to < n.P(); to++ {
-			if to == root {
-				continue
-			}
-			if err := n.Send(to, tag, keys); err != nil {
-				return nil, err
-			}
-		}
-		return append([]record.Key(nil), keys...), nil
+	if root != 0 {
+		return nil, fmt.Errorf("cluster: broadcast from root %d: only root 0 is supported", root)
 	}
-	return n.Recv(root, tag)
+	return n.TreeBcast(n.P(), tag, keys)
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -46,13 +47,12 @@ func TestDiskQueueParallelStep(t *testing.T) {
 	if got, want := c.MaxClock(), 2*2.0; got != want {
 		t.Fatalf("8-block scan over 4 disks took %v, want %v (2 steps)", got, want)
 	}
-	n := c.Node(0)
-	steps, blocks := n.IOSteps()
-	if steps != 2 || blocks != 8 {
-		t.Fatalf("steps=%d blocks=%d, want 2 and 8", steps, blocks)
+	m := c.Node(0).Metrics().Snapshot()
+	if steps, width := m["disk.parallel.steps"], m["disk.step.width.avg"]; steps != 2 || width != 4 {
+		t.Fatalf("steps=%v width=%v, want 2 and 4", steps, width)
 	}
-	for d, busy := range n.DiskBusySec() {
-		if busy != 4 { // 2 blocks * blockSec each
+	for d := 0; d < 4; d++ {
+		if busy := m[fmt.Sprintf("disk.%d.busy.sec", d)]; busy != 4 { // 2 blocks * blockSec each
 			t.Fatalf("disk %d busy %v, want 4", d, busy)
 		}
 	}
@@ -210,8 +210,7 @@ func TestDiskQueueEndToEnd(t *testing.T) {
 	if sum != n4.IOStats() {
 		t.Fatalf("per-disk sum %v != node %v", sum, n4.IOStats())
 	}
-	steps, blocks := n4.IOSteps()
-	if width := float64(blocks) / float64(steps); width < 3.9 {
+	if width := n4.Metrics().Snapshot()["disk.step.width.avg"]; width < 3.9 {
 		t.Fatalf("step width %v, want ~4 for a sequential scan", width)
 	}
 }

@@ -28,8 +28,9 @@ type NetModel struct {
 	BytesPerSec float64
 }
 
-// TransferSec returns the virtual time to move a message of n bytes
-// from send start to arrival.
+// TransferSec returns the sender's occupancy for a message of n bytes:
+// one latency of per-message software overhead plus the transmit time.
+// The message arrives one wire latency after that.
 func (m NetModel) TransferSec(n int64) float64 {
 	if m.BytesPerSec <= 0 {
 		return m.LatencySec

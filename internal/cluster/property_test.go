@@ -35,7 +35,7 @@ func TestConservativeClockProperty(t *testing.T) {
 			return false
 		}
 		// Receiver must be at or past the arrival time.
-		return c.Node(1).Clock() >= sendClock+c.Net().LatencySec
+		return c.Node(1).Clock() >= sendClock+FastEthernet().LatencySec
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

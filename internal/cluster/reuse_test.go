@@ -124,7 +124,7 @@ func TestTracePhaseAndMark(t *testing.T) {
 		end := n.TracePhase("work")
 		n.AdvanceClock(2)
 		end()
-		n.TraceMark("checkpoint", "detail")
+		n.TraceEvent(trace.Mark, "checkpoint", "detail")
 		return nil
 	})
 	spans := tl.Spans()
@@ -141,7 +141,7 @@ func TestTraceNilIsFree(t *testing.T) {
 	err := c.Run(func(n *Node) error {
 		end := n.TracePhase("x") // must not panic
 		end()
-		n.TraceMark("y", "z")
+		n.TraceEvent(trace.Mark, "y", "z")
 		return n.Send(0, 1, nil)
 	})
 	if err != nil {

@@ -207,17 +207,18 @@ func TestTreeCollectivesBoundFanIn(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if flat.FanInHWM(0) != p-1 {
-		t.Fatalf("flat root fan-in HWM = %d, want %d", flat.FanInHWM(0), p-1)
+	faninHWM := func(c *Cluster, id int) float64 {
+		return c.Node(id).Metrics().Snapshot()["net.fanin.hwm"]
 	}
-	var treeMax int64
+	if got := faninHWM(flat, 0); got != p-1 {
+		t.Fatalf("flat root fan-in HWM = %v, want %d", got, p-1)
+	}
+	var treeMax float64
 	for i := 0; i < p; i++ {
-		if h := tree.FanInHWM(i); h > treeMax {
-			treeMax = h
-		}
+		treeMax = max(treeMax, faninHWM(tree, i))
 	}
-	if treeMax >= flat.FanInHWM(0) {
-		t.Fatalf("tree fan-in HWM %d not below flat %d", treeMax, flat.FanInHWM(0))
+	if treeMax >= faninHWM(flat, 0) {
+		t.Fatalf("tree fan-in HWM %v not below flat %v", treeMax, faninHWM(flat, 0))
 	}
 	// Lazy links: the tree run must materialize far fewer than p² links.
 	if created := tree.LinksCreated(); created >= p*p/2 {

@@ -242,7 +242,7 @@ func receiveRuns(n *cluster.Node, cfg Config) ([]string, error) {
 			return nil
 		}
 		record.SortKeys(load, scratch)
-		n.ChargeCompute(nLogN(int64(len(load))))
+		n.ChargeCompute(polyphase.NLogN(int64(len(load))))
 		name := fmt.Sprintf("dewitt.run%d", len(runs))
 		if err := diskio.WriteFile(n.FS(), name, load, cfg.BlockKeys, n.Acct()); err != nil {
 			return err
@@ -280,15 +280,4 @@ func receiveRuns(n *cluster.Node, cfg Config) ([]string, error) {
 		return nil, err
 	}
 	return runs, nil
-}
-
-func nLogN(n int64) int64 {
-	if n <= 1 {
-		return n
-	}
-	var lg int64
-	for v := n; v > 1; v >>= 1 {
-		lg++
-	}
-	return n * lg
 }

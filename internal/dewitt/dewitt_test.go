@@ -7,7 +7,6 @@ import (
 	"hetsort/internal/extsort"
 	"hetsort/internal/perf"
 	"hetsort/internal/record"
-	"hetsort/internal/sampling"
 )
 
 func testConfig(v perf.Vector) Config {
@@ -160,7 +159,7 @@ func TestWorseBalanceThanRegularSampling(t *testing.T) {
 		cfg.SampleFactor = 4 // modest sample, as in the original paper
 		cfg.Seed = s * 131
 		resD := runSort(t, cD, v, cfg, record.Uniform, n, 100+s)
-		dSum += sampling.SublistExpansion(resD.PartitionSizes)
+		dSum += resD.SublistExpansion(v)
 
 		cA := newCluster(t, v)
 		sum, err := extsort.DistributeInput(cA, v, record.Uniform, n, 100+s, 64, "input")
@@ -176,7 +175,7 @@ func TestWorseBalanceThanRegularSampling(t *testing.T) {
 		if err := extsort.VerifyOutput(cA, "output", 64, sum); err != nil {
 			t.Fatal(err)
 		}
-		aSum += sampling.SublistExpansion(resA.PartitionSizes)
+		aSum += resA.SublistExpansion(v)
 	}
 	if dSum/trials < aSum/trials-0.02 {
 		t.Fatalf("probabilistic splitting (%v) implausibly beat regular sampling (%v)",

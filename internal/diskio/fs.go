@@ -382,18 +382,6 @@ func (m *MemFS) Names() ([]string, error) {
 	return names, nil
 }
 
-// TotalBytes returns the sum of all file sizes (for tests asserting
-// linear-space usage).
-func (m *MemFS) TotalBytes() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var total int64
-	for _, d := range m.files {
-		total += d.size()
-	}
-	return total
-}
-
 // unref drops one reference to d; the last gives its pages back.  The
 // atomic count orders every write to d before the release.
 func (d *memData) unref() {

@@ -31,12 +31,6 @@ func PoolStats() (hits, misses int64) {
 	return poolHits.Load(), poolMisses.Load()
 }
 
-// ResetPoolStats zeroes the pool counters (between benchmark runs).
-func ResetPoolStats() {
-	poolHits.Store(0)
-	poolMisses.Store(0)
-}
-
 // getKeyBuf returns an empty decode buffer of capacity ≥ n: a page.
 func getKeyBuf(n int) []record.Key {
 	b := getPage(n * record.KeySize)
@@ -221,25 +215,6 @@ func (w *Writer) WriteKeys(keys []record.Key) error {
 				return err
 			}
 		}
-	}
-	return nil
-}
-
-// WriteKey appends a single key.
-func (w *Writer) WriteKey(k record.Key) error {
-	if w.err != nil {
-		return w.err
-	}
-	if w.closed {
-		return errWriterClosed
-	}
-	end := len(w.buf) + record.KeySize
-	w.buf = w.buf[:end]
-	record.PutKey(w.buf[end-record.KeySize:], k)
-	w.n++
-	w.total++
-	if w.n == w.block {
-		return w.flushBlock()
 	}
 	return nil
 }

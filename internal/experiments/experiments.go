@@ -102,8 +102,11 @@ func (o Options) disks() func(int) (diskio.FS, error) {
 	if !o.OnDisk {
 		return nil
 	}
-	return diskio.NodeDirs(cmp.Or(o.TempDir, "hetsort-experiments"))
+	return diskio.NodeDirs(o.tempDir())
 }
+
+// tempDir is the root of the node directories in OnDisk mode.
+func (o Options) tempDir() string { return cmp.Or(o.TempDir, "hetsort-experiments") }
 
 // trialSummary repeats a measured quantity over Options.Trials seeds.
 func (o Options) trialSummary(f func(seed int64) (float64, error)) (stats.Summary, error) {

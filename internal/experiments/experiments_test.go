@@ -3,6 +3,7 @@ package experiments
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -93,14 +94,8 @@ func TestCalibrationRecoversPaperVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := PaperVector
-	if len(cal.Vector) != len(want) {
-		t.Fatalf("vector %v", cal.Vector)
-	}
-	for i := range want {
-		if cal.Vector[i] != want[i] {
-			t.Fatalf("calibrated %v want %v (times %v)", cal.Vector, want, cal.Times)
-		}
+	if !slices.Equal(cal.Perf, []int(PaperVector)) {
+		t.Fatalf("calibrated %v want %v (times %v)", cal.Perf, PaperVector, cal.Times)
 	}
 }
 

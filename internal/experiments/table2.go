@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"hetsort/internal/perf"
+	"hetsort"
 	"hetsort/internal/record"
 	"hetsort/internal/stats"
 )
@@ -79,34 +79,20 @@ func sequentialSortTime(o Options, slowdown float64, n int64, seed int64) (float
 	return row.Metrics["vsec"], err
 }
 
-// Calibration reproduces the paper's protocol for filling the perf
-// vector (E3): time the sequential external sort of N/P keys on every
-// node, take ratios to the slowest.  The paper concludes {1,1,4,4}.
-type Calibration struct {
-	Times  []float64   // per node, virtual seconds
-	Vector perf.Vector // derived perf vector
-}
-
-// Calibrate runs the calibration at the paper's N=2^24 (scaled), using
-// the cluster's node order (nodes 0,1 loaded, 2,3 fast) so the derived
-// vector reads {1,1,4,4} exactly as the paper configures it.
-func Calibrate(o Options) (*Calibration, error) {
+// Calibrate reproduces the paper's protocol for filling the perf vector
+// (E3) through hetsort.CalibrateReport: every node sorts N/P keys of
+// the paper's N=2^24 (scaled) sequentially, and the ratios to the
+// slowest time make the vector.  The nodes keep the cluster's order
+// (nodes 0,1 loaded, 2,3 fast), so the derived vector reads {1,1,4,4}
+// exactly as the paper configures it.
+func Calibrate(o Options) (*hetsort.Calibration, error) {
 	o = o.withDefaults()
-	nPerNode := o.scale(1 << 24 / 4)
-	slowdowns := PaperVector.Slowdowns()
-	times := make([]float64, len(slowdowns))
-	for i, sd := range slowdowns {
-		t, err := sequentialSortTime(o, sd, nPerNode, o.Seed+int64(i))
-		if err != nil {
-			return nil, err
-		}
-		times[i] = t
+	cfg := hetsort.Config{Loads: PaperVector.Slowdowns(), BlockKeys: o.BlockKeys,
+		MemoryKeys: o.MemoryKeys, Tapes: o.Tapes, MessageKeys: o.MessageKeys, Seed: o.Seed}
+	if o.OnDisk {
+		cfg.WorkDir = o.tempDir()
 	}
-	v, err := perf.FromTimes(times)
-	if err != nil {
-		return nil, err
-	}
-	return &Calibration{Times: times, Vector: v}, nil
+	return hetsort.CalibrateReport(cfg, o.scale(1<<24/4))
 }
 
 // Table2String renders rows in the paper's layout.

@@ -752,7 +752,7 @@ func (w *worker) sequentialSort() error {
 	li, err := diskio.CountKeys(w.n.FS(), w.input)
 	fuse := err == nil && w.cfg.fuseRuns(li, w.n.ID())
 	if err == nil {
-		w.index, err = w.newIndex(li, fuse)
+		w.index = w.newIndex(li, fuse)
 	}
 	switch {
 	case err != nil:

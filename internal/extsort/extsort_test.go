@@ -544,3 +544,37 @@ func TestResultHelpers(t *testing.T) {
 		t.Fatal("mismatched vector should give 0")
 	}
 }
+
+// TestVerifyOutputFailures: verification reads two-key blocks and names
+// the first descent, whether it falls inside a block, across two blocks
+// of one node or across two nodes.
+func TestVerifyOutputFailures(t *testing.T) {
+	for _, tc := range []struct {
+		outs [][]record.Key
+		want string // "" = passes
+	}{
+		{[][]record.Key{{1, 2, 3}, {3, 4}}, ""},
+		{[][]record.Key{{2, 1, 3}, {4}}, "node 0 output not sorted (1 after 2)"},
+		{[][]record.Key{{1, 3, 2}, {4}}, "node 0 output not sorted (2 after 3)"},
+		{[][]record.Key{{1, 5}, {3, 4}}, "boundary violation: node 1 starts at 3 below node 0's last 5"},
+		{[][]record.Key{{}, {3, 4}}, ""},
+	} {
+		c := newCluster(t, perf.Homogeneous(len(tc.outs)))
+		var all []record.Key
+		for i, keys := range tc.outs {
+			if err := diskio.WriteFile(c.Node(i).FS(), "output", keys, 2, diskio.Accounting{}); err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, keys...)
+		}
+		err := VerifyOutput(c, "output", 2, record.ChecksumOf(all))
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%v: got %v, want %q", tc.outs, err, tc.want)
+		}
+		if tc.want == "" {
+			if err := VerifyOutput(c, "output", 2, record.ChecksumOf(all[1:])); err == nil {
+				t.Errorf("%v: a lost key went unnoticed", tc.outs)
+			}
+		}
+	}
+}

@@ -101,11 +101,7 @@ func memoryPivots(t *testing.T, fc fuseCase, c *cluster.Cluster) ([]record.Key, 
 		off += li
 		slices.Sort(portion)
 		w := &worker{n: c.Node(i), cfg: fc.config()}
-		x, err := w.newIndex(li, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, a := range x.at {
+		for _, a := range w.newIndex(li, false).at {
 			cands = append(cands, portion[a])
 		}
 	}

@@ -282,9 +282,9 @@ func TestHistogramCrashResumeByteIdentical(t *testing.T) {
 }
 
 func TestTinyPortionsAtWideScaleFallBack(t *testing.T) {
-	// p=1024 with two keys per node: the regular-sampling spacing is
-	// zero on every node, so step 2 must take the sample-everything
-	// fallback (gated on the structured SpacingError) and still sort.
+	// p=1024 with two keys per node: every portion is shorter than
+	// p·perf_i, so regular sampling samples every key, and step 2 must
+	// still sort.
 	if testing.Short() {
 		t.Skip("p=1024 run in -short mode")
 	}

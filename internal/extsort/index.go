@@ -1,7 +1,6 @@
 package extsort
 
 import (
-	"errors"
 	"sort"
 
 	"hetsort/internal/diskio"
@@ -45,19 +44,13 @@ type liveRun struct {
 // newIndex sizes the index of li sorted keys: the one-shot sampler's
 // positions (none for the histogram) and, memory permitting, one fence
 // per block, and one more per run over runs.
-func (w *worker) newIndex(li int64, runs bool) (*sortedIndex, error) {
+func (w *worker) newIndex(li int64, runs bool) *sortedIndex {
 	cfg, id, p := w.cfg, w.n.ID(), w.n.P()
 	x := &sortedIndex{block: int64(cfg.BlockKeys)}
 	switch {
 	case li <= 0 || p == 1:
 	case cfg.Strategy == RegularSampling:
-		spacing, _, err := sampling.HeteroSpacing(id, li, cfg.Perf[id], p)
-		if spErr := (*sampling.SpacingError)(nil); errors.As(err, &spErr) {
-			spacing = 1 // portion too small for regular spacing: sample every key
-		} else if err != nil {
-			return nil, err
-		}
-		x.at = sampling.RegularSampleIndices(li, spacing)
+		x.at = sampling.RegularPositions(li, int64(p*cfg.Perf[id]))
 	case cfg.Strategy == RandomPivots:
 		x.at = sampling.RandomSampleIndices(li, (p-1)*cfg.Perf[id], cfg.Seed+int64(id)*101)
 	}
@@ -71,7 +64,7 @@ func (w *worker) newIndex(li int64, runs bool) (*sortedIndex, error) {
 	if x.fit = fences+int64(len(x.at)) <= int64(cfg.MemoryKeys-cfg.Tapes*cfg.BlockKeys); x.fit {
 		x.arena = make([]record.Key, 0, arena)
 	}
-	return x, nil
+	return x
 }
 
 // observe is step 1's polyphase.Observer: keys is a chunk of the run that
@@ -124,10 +117,7 @@ func (w *worker) sortedIndex() (*sortedIndex, error) {
 	for _, run := range w.runs {
 		li += run.Keys
 	}
-	x, err := w.newIndex(li, w.runs[0].Name != sortedName)
-	if err != nil {
-		return nil, err
-	}
+	x := w.newIndex(li, w.runs[0].Name != sortedName)
 	w.index = x // a failed rebuild fails the run
 	if len(x.at) > 0 || x.fit {
 		for _, run := range w.runs {

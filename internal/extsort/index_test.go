@@ -55,10 +55,7 @@ func TestIndexCapturedEqualsRebuilt(t *testing.T) {
 						t.Fatal(err)
 					}
 					w := &worker{n: n, cfg: Config{Perf: v, BlockKeys: block, MemoryKeys: mem, Tapes: tapes, Strategy: strat, Seed: 5}}
-					x, err := w.newIndex(int64(len(keys)), false)
-					if err != nil {
-						t.Fatal(err)
-					}
+					x := w.newIndex(int64(len(keys)), false)
 					pc := polyphase.Config{FS: n.FS(), BlockKeys: block, MemoryKeys: mem, Tapes: tapes, RunFormation: rf, TempPrefix: "t."}
 					stats, err := polyphase.SortObserved(pc, "input", sortedName, x.observe)
 					if err != nil {

@@ -2,7 +2,7 @@ package extsort
 
 import (
 	"fmt"
-	"io"
+	"slices"
 
 	"hetsort/internal/cluster"
 	"hetsort/internal/diskio"
@@ -48,45 +48,42 @@ func StageInput(c *cluster.Cluster, v perf.Vector, keys []record.Key,
 // Verification I/O is not charged to the clocks.
 func VerifyOutput(c *cluster.Cluster, name string, blockKeys int, want record.Checksum) error {
 	var got record.Checksum
-	prevLast := record.Key(0)
-	havePrev := false
+	var last record.Key // the last key verified, on any node
+	buf := make([]record.Key, blockKeys)
 	for i := 0; i < c.P(); i++ {
 		f, err := c.Node(i).FS().Open(name)
 		if err != nil {
 			return fmt.Errorf("extsort: node %d output: %w", i, err)
 		}
 		r := diskio.NewReader(f, blockKeys, diskio.Accounting{})
-		var prev record.Key
-		first := true
-		for {
-			k, err := r.ReadKey()
-			if err == io.EOF {
+		for first := true; err == nil; first = false {
+			var n int
+			if n, err = diskio.ReadChunk(r, buf); n == 0 {
 				break
 			}
-			if err != nil {
-				f.Close()
-				return err
-			}
-			if first {
-				if havePrev && k < prevLast {
-					f.Close()
-					return fmt.Errorf("extsort: boundary violation: node %d starts at %d below node %d's last %d",
-						i, k, i-1, prevLast)
+			chunk := buf[:n]
+			switch {
+			case first && got.Count > 0 && chunk[0] < last:
+				err = fmt.Errorf("extsort: boundary violation: node %d starts at %d below node %d's last %d",
+					i, chunk[0], i-1, last)
+			case !first && chunk[0] < last:
+				err = fmt.Errorf("extsort: node %d output not sorted (%d after %d)", i, chunk[0], last)
+			case !slices.IsSorted(chunk):
+				j := 1
+				for chunk[j] >= chunk[j-1] {
+					j++
 				}
-				first = false
-			} else if k < prev {
-				f.Close()
-				return fmt.Errorf("extsort: node %d output not sorted (%d after %d)", i, k, prev)
+				err = fmt.Errorf("extsort: node %d output not sorted (%d after %d)", i, chunk[j], chunk[j-1])
 			}
-			prev = k
-			got.Update([]record.Key{k})
+			got.Update(chunk)
+			last = chunk[n-1]
 		}
-		if err := f.Close(); err != nil {
+		r.Release()
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			return err
-		}
-		if !first {
-			prevLast = prev
-			havePrev = true
 		}
 	}
 	if !got.Equal(want) {

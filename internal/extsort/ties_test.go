@@ -12,7 +12,6 @@ import (
 	"hetsort/internal/perf"
 	"hetsort/internal/polyphase"
 	"hetsort/internal/record"
-	"hetsort/internal/sampling"
 )
 
 // skew4Config is skew4-hist's shape at test scale: {1,1,4,4}, 4 tapes,
@@ -55,7 +54,7 @@ func checkBalance(t *testing.T, cfg Config, v perf.Vector, sizes []int64) {
 	}
 	shares := v.Shares(n)
 	for i, got := range sizes {
-		bound := int64(sampling.TheoreticalBound(n, v, i))
+		bound := 2 * shares[i]
 		if cfg.Strategy == Histogram {
 			bound = shares[i] + histTol(cfg, shares)
 		}

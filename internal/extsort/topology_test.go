@@ -9,7 +9,6 @@ import (
 	"hetsort/internal/diskio"
 	"hetsort/internal/perf"
 	"hetsort/internal/record"
-	"hetsort/internal/sampling"
 )
 
 // TestTopoLevelsAndRouting checks the routing algebra the hierarchical
@@ -348,9 +347,10 @@ func TestTreePivotTheorem1(t *testing.T) {
 					if err := VerifyOutput(c, "output", cfg.BlockKeys, sum); err != nil {
 						t.Fatal(err)
 					}
+					shares := v.Shares(n)
 					for i, part := range nodeOutputs(t, c, cfg.BlockKeys) {
-						if bound := sampling.TheoreticalBound(n, v, i); float64(len(part)) > bound {
-							t.Errorf("node %d holds %d keys > 2*opt = %.1f (Theorem 1 violated)", i, len(part), bound)
+						if bound := 2 * shares[i]; int64(len(part)) > bound {
+							t.Errorf("node %d holds %d keys > 2*share = %d (Theorem 1 violated)", i, len(part), bound)
 						}
 					}
 				})

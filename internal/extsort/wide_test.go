@@ -2,6 +2,7 @@ package extsort
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -50,7 +51,7 @@ func TestPivotsReportedAndSorted(t *testing.T) {
 	if len(res.Pivots) != 3 {
 		t.Fatalf("pivots %v", res.Pivots)
 	}
-	if !record.IsSorted(res.Pivots) {
+	if !slices.IsSorted(res.Pivots) {
 		t.Fatal("pivots unsorted")
 	}
 }

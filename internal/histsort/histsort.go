@@ -157,9 +157,6 @@ func (r *Refiner) Done() bool {
 	return true
 }
 
-// Rounds returns the number of completed Candidates/Observe rounds.
-func (r *Refiner) Rounds() int { return r.rounds }
-
 // Candidates returns the next round's candidate splitters, sorted and
 // deduplicated (several brackets may propose the same key), or nil when
 // the refinement is done.

@@ -16,19 +16,17 @@ func drive(t *testing.T, keys []record.Key, targets []int64, tol int64) ([]Cut, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	for {
-		cands := r.Candidates()
-		if cands == nil {
-			break
-		}
+	rounds := 0
+	for cands := r.Candidates(); cands != nil; cands = r.Candidates() {
 		if err := r.Observe(cands, histogram(keys, cands)); err != nil {
 			t.Fatal(err)
 		}
+		rounds++
 	}
 	if !r.Done() {
 		t.Fatal("refiner stopped issuing candidates while not done")
 	}
-	return r.Pivots(), r.Rounds()
+	return r.Pivots(), rounds
 }
 
 // histogram is what the cluster reports for cands over sorted keys.
@@ -156,19 +154,20 @@ func TestOneKeyPlateauResolvesInOneRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	landed := -1
+	landed, rounds := -1, 0
 	for cands := r.Candidates(); cands != nil; cands = r.Candidates() {
 		if err := r.Observe(cands, histogram(keys, cands)); err != nil {
 			t.Fatal(err)
 		}
+		rounds++
 		if b := r.brackets[0]; landed < 0 && b.hi == 1<<20 {
-			landed = r.Rounds()
+			landed = rounds
 		}
 	}
 	// Interpolation lands on the plateau in round 2: each candidate's
 	// nearest keys snap hi from 2^31 to 2^30, then to 2^20.
-	if landed < 0 || landed > 2 || r.Rounds() > landed+1 {
-		t.Fatalf("landed on the plateau in round %d, settled after round %d", landed, r.Rounds())
+	if landed < 0 || landed > 2 || rounds > landed+1 {
+		t.Fatalf("landed on the plateau in round %d, settled after round %d", landed, rounds)
 	}
 	if got := r.Pivots()[0]; got != (Cut{Key: 1 << 20, Rank: 2500, Take: 1500}) {
 		t.Fatalf("cut %+v; want 1500 of the plateau's 3000 copies", got)
@@ -193,7 +192,7 @@ func TestEmptyInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Done() || r.Candidates() != nil || r.Rounds() != 0 {
+	if !r.Done() || r.Candidates() != nil {
 		t.Fatal("empty input should resolve in zero rounds")
 	}
 	for _, c := range r.Pivots() {

@@ -10,8 +10,7 @@
 // interior hashes are domain-separated (a leaf can never be confused
 // with an interior node), and an odd node is promoted unpaired to the
 // next level (never duplicated, avoiding the classic CVE-2012-2459
-// ambiguity).  Audit proofs allow verifying a single artifact against
-// the root without re-reading the others.
+// ambiguity).
 package merkle
 
 import (
@@ -72,8 +71,7 @@ func EmptyRoot() Sum { return sha256.Sum256([]byte{tagEmpty}) }
 
 // Tree is an immutable Merkle tree over a set of leaves.
 type Tree struct {
-	leaves []Leaf  // sorted by name
-	levels [][]Sum // levels[0] = leaf hashes, last = [root]
+	root Sum
 }
 
 // New builds the tree.  Leaves are copied and sorted by name; duplicate
@@ -86,14 +84,17 @@ func New(leaves []Leaf) (*Tree, error) {
 			return nil, fmt.Errorf("merkle: duplicate leaf name %q", ls[i].Name)
 		}
 	}
-	t := &Tree{leaves: ls}
+	if len(ls) == 0 {
+		return &Tree{root: EmptyRoot()}, nil
+	}
 	level := make([]Sum, len(ls))
 	for i, l := range ls {
 		level[i] = LeafHash(l)
 	}
-	t.levels = append(t.levels, level)
 	for len(level) > 1 {
-		next := make([]Sum, 0, (len(level)+1)/2)
+		// Each level overwrites the front of the one below: entry i/2
+		// is written only after entries i and i+1 are read.
+		next := level[:0]
 		for i := 0; i < len(level); i += 2 {
 			if i+1 < len(level) {
 				next = append(next, nodeHash(level[i], level[i+1]))
@@ -102,59 +103,10 @@ func New(leaves []Leaf) (*Tree, error) {
 				next = append(next, level[i])
 			}
 		}
-		t.levels = append(t.levels, next)
 		level = next
 	}
-	return t, nil
+	return &Tree{root: level[0]}, nil
 }
 
 // Root returns the root hash (EmptyRoot for a leafless tree).
-func (t *Tree) Root() Sum {
-	if len(t.leaves) == 0 {
-		return EmptyRoot()
-	}
-	return t.levels[len(t.levels)-1][0]
-}
-
-// ProofStep is one sibling on the audit path from a leaf to the root.
-type ProofStep struct {
-	// Sum is the sibling subtree hash to combine with.
-	Sum Sum
-	// Left reports whether the sibling sits to the left of the running
-	// hash (H(sibling || acc)) rather than to the right (H(acc || sibling)).
-	Left bool
-}
-
-// Proof returns the audit path for the named leaf.
-func (t *Tree) Proof(name string) ([]ProofStep, error) {
-	idx := sort.Search(len(t.leaves), func(i int) bool { return t.leaves[i].Name >= name })
-	if idx >= len(t.leaves) || t.leaves[idx].Name != name {
-		return nil, fmt.Errorf("merkle: no leaf named %q", name)
-	}
-	var proof []ProofStep
-	for lvl := 0; lvl < len(t.levels)-1; lvl++ {
-		level := t.levels[lvl]
-		sib := idx ^ 1
-		if sib < len(level) {
-			proof = append(proof, ProofStep{Sum: level[sib], Left: sib < idx})
-		}
-		// An odd promoted node keeps its hash and halves its index like
-		// everyone else; it just contributes no step at this level.
-		idx /= 2
-	}
-	return proof, nil
-}
-
-// VerifyProof replays an audit path: it recombines the leaf with the
-// proof steps and reports whether the result equals root.
-func VerifyProof(root Sum, leaf Leaf, proof []ProofStep) bool {
-	acc := LeafHash(leaf)
-	for _, st := range proof {
-		if st.Left {
-			acc = nodeHash(st.Sum, acc)
-		} else {
-			acc = nodeHash(acc, st.Sum)
-		}
-	}
-	return acc == root
-}
+func (t *Tree) Root() Sum { return t.root }

@@ -2,7 +2,6 @@ package merkle
 
 import (
 	"crypto/sha256"
-	"fmt"
 	"testing"
 )
 
@@ -77,34 +76,12 @@ func TestLeafVsInteriorDomainSeparation(t *testing.T) {
 	}
 }
 
-func TestProofsAllSizes(t *testing.T) {
-	for n := 1; n <= 17; n++ {
-		var leaves []Leaf
-		for i := 0; i < n; i++ {
-			leaves = append(leaves, leaf(fmt.Sprintf("f%03d", i), fmt.Sprintf("content-%d", i)))
-		}
-		tr := mustTree(t, leaves)
-		root := tr.Root()
-		for _, l := range leaves {
-			proof, err := tr.Proof(l.Name)
-			if err != nil {
-				t.Fatalf("n=%d proof(%s): %v", n, l.Name, err)
-			}
-			if !VerifyProof(root, l, proof) {
-				t.Fatalf("n=%d: valid proof for %s rejected", n, l.Name)
-			}
-			bad := l
-			bad.Sum[0] ^= 1
-			if VerifyProof(root, bad, proof) {
-				t.Fatalf("n=%d: corrupted leaf %s verified", n, l.Name)
-			}
-		}
-	}
-}
-
-func TestProofMissingLeaf(t *testing.T) {
-	tr := mustTree(t, []Leaf{leaf("a", "1")})
-	if _, err := tr.Proof("ghost"); err == nil {
-		t.Fatal("proof for missing leaf accepted")
+// TestOddNodePromoted pins the shape: an odd node rises unpaired, so
+// three leaves hash as H(H(a,b), c), never H(H(a,b), H(c,c)).
+func TestOddNodePromoted(t *testing.T) {
+	a, b, c := leaf("a", "1"), leaf("b", "2"), leaf("c", "3")
+	want := nodeHash(nodeHash(LeafHash(a), LeafHash(b)), LeafHash(c))
+	if got := mustTree(t, []Leaf{c, b, a}).Root(); got != want {
+		t.Fatal("three-leaf root is not H(H(a,b), c)")
 	}
 }

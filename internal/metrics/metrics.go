@@ -9,9 +9,7 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -150,15 +148,6 @@ func (h *Histogram) Max() float64 {
 	return math.Float64frombits(h.maxBits.Load())
 }
 
-// Mean returns the mean observation (0 before any Observe).
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / float64(n)
-}
-
 // Quantile returns an upper bound on the q-quantile (0 <= q <= 1) from
 // the power-of-two buckets — exact to within one bucket width.
 func (h *Histogram) Quantile(q float64) float64 {
@@ -284,25 +273,6 @@ func (r *Registry) Snapshot() map[string]float64 {
 	return out
 }
 
-// Names returns every registered metric name in lexical order (handle
-// names, not the flattened snapshot keys).
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Reset zeroes every registered metric in place; existing handles stay
 // valid (the experiment harness resets between repetitions).
 func (r *Registry) Reset() {
@@ -324,13 +294,4 @@ func (r *Registry) Reset() {
 			h.buckets[i].Store(0)
 		}
 	}
-}
-
-// FormatValue renders a snapshot value the way reports print it:
-// integers without a fraction, floats with six significant digits.
-func FormatValue(v float64) string {
-	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		return fmt.Sprintf("%d", int64(v))
-	}
-	return fmt.Sprintf("%.6g", v)
 }

@@ -122,12 +122,3 @@ func TestConcurrentUpdates(t *testing.T) {
 		t.Fatalf("hist count = %d, want %d", got, workers*perWorker)
 	}
 }
-
-func TestFormatValue(t *testing.T) {
-	if got := FormatValue(42); got != "42" {
-		t.Fatalf("FormatValue(42) = %q", got)
-	}
-	if got := FormatValue(0.125); got != "0.125" {
-		t.Fatalf("FormatValue(0.125) = %q", got)
-	}
-}

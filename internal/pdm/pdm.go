@@ -34,15 +34,6 @@ type Params struct {
 	P int64 // CPUs
 }
 
-// New builds a Params and validates it.
-func New(n, m, b, d, p int64) (Params, error) {
-	pr := Params{N: n, M: m, B: b, D: d, P: p}
-	if err := pr.Validate(); err != nil {
-		return Params{}, err
-	}
-	return pr, nil
-}
-
 // ErrInvalidParams wraps all parameter-validation failures.
 var ErrInvalidParams = errors.New("pdm: invalid parameters")
 

@@ -8,13 +8,10 @@ import (
 	"testing/quick"
 )
 
+// TestNewValid: a well-formed out-of-core parameter set validates.
 func TestNewValid(t *testing.T) {
-	p, err := New(1<<20, 1<<14, 1<<8, 1, 4)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if p.N != 1<<20 || p.M != 1<<14 || p.B != 1<<8 || p.D != 1 || p.P != 4 {
-		t.Fatalf("fields not stored: %+v", p)
+	if err := (Params{N: 1 << 20, M: 1 << 14, B: 1 << 8, D: 1, P: 4}).Validate(); err != nil {
+		t.Fatalf("valid parameters rejected: %v", err)
 	}
 }
 

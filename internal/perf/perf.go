@@ -40,16 +40,6 @@ func Homogeneous(p int) Vector {
 	return v
 }
 
-// IsHomogeneous reports whether all entries are equal.
-func (v Vector) IsHomogeneous() bool {
-	for _, s := range v[1:] {
-		if s != v[0] {
-			return false
-		}
-	}
-	return true
-}
-
 // Sum returns the total of the entries.
 func (v Vector) Sum() int64 {
 	var s int64
@@ -114,13 +104,6 @@ func (v Vector) InputSize(k int64) int64 { return k * v.Quantum() }
 // uses N=16777220 for perf={1,1,4,4}, which is a multiple of 20 (this
 // quantum) but not of 40 (the literal Equation-2 quantum).
 func (v Vector) PracticalQuantum() int64 { return LCM(v.Sum(), v.LCM()) }
-
-// ValidSize reports whether n is a positive multiple of the practical
-// quantum, i.e. whether shares come out exactly proportional.
-func (v Vector) ValidSize(n int64) bool {
-	q := v.PracticalQuantum()
-	return n > 0 && n%q == 0
-}
 
 // NearestValidSize returns the smallest valid size >= n (the way the
 // paper turned 2^24 into 16777220 for perf={1,1,4,4}).

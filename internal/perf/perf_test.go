@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -21,15 +22,8 @@ func TestValidate(t *testing.T) {
 }
 
 func TestHomogeneous(t *testing.T) {
-	v := Homogeneous(4)
-	if len(v) != 4 || !v.IsHomogeneous() {
+	if v := Homogeneous(4); !slices.Equal(v, Vector{1, 1, 1, 1}) {
 		t.Fatalf("Homogeneous(4)=%v", v)
-	}
-	if (Vector{2, 2, 2}).IsHomogeneous() != true {
-		t.Error("all-2 vector is homogeneous")
-	}
-	if (Vector{1, 2}).IsHomogeneous() {
-		t.Error("1,2 not homogeneous")
 	}
 }
 
@@ -68,11 +62,8 @@ func TestPaperTable3Sizes(t *testing.T) {
 	// the valid size near 2^24, with shares 1677722 (slow) and
 	// 6710888 (fast).
 	v := Vector{1, 1, 4, 4}
-	if !v.ValidSize(16777220) {
-		t.Fatal("16777220 should satisfy Equation 2")
-	}
-	if v.ValidSize(1 << 24) {
-		t.Fatal("2^24 should not satisfy Equation 2 for {1,1,4,4}")
+	if got := v.NearestValidSize(16777220); got != 16777220 {
+		t.Fatalf("NearestValidSize(16777220)=%d: it satisfies Equation 2", got)
 	}
 	if got := v.NearestValidSize(1 << 24); got != 16777220 {
 		t.Fatalf("NearestValidSize(2^24)=%d want 16777220", got)
@@ -180,7 +171,7 @@ func TestFromTimesHomogeneousNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !v.IsHomogeneous() || v[0] != 1 {
+	if !slices.Equal(v, Homogeneous(4)) {
 		t.Fatalf("noisy homogeneous calibration gave %v", v)
 	}
 }

@@ -66,7 +66,7 @@ func TestGuidesortCoalescesBandedLoads(t *testing.T) {
 	if len(gs) != 1 {
 		t.Fatalf("Guidesort formed %d runs on banded input, want 1", len(gs))
 	}
-	if !record.IsSorted(gs[0]) {
+	if !slices.IsSorted(gs[0]) {
 		t.Fatal("coalesced run not sorted")
 	}
 	if !record.ChecksumOf(gs[0]).Equal(record.ChecksumOf(keys)) {
@@ -88,7 +88,7 @@ func TestGuidesortRunsNeverExceedLoadSort(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, r := range runs {
-				if !record.IsSorted(r) {
+				if !slices.IsSorted(r) {
 					t.Fatalf("%v/%v produced an unsorted run", d, how)
 				}
 			}

@@ -753,7 +753,7 @@ func TestRunFormationEmitsSortedRuns(t *testing.T) {
 	}
 	var all []record.Key
 	for _, r := range runs {
-		if !record.IsSorted(r) {
+		if !slices.IsSorted(r) {
 			t.Fatal("run not sorted")
 		}
 		all = append(all, r...)
@@ -1007,7 +1007,7 @@ func formOnTapes(t *testing.T, keys []record.Key, block, memory int, reference b
 	if reference {
 		f.runs, f.total, err = refFormRunsReplacement(r, memory, meter, d, func(k record.Key) error {
 			d.curLen++
-			return d.tapes[d.cur].w.WriteKey(k)
+			return d.tapes[d.cur].w.WriteKeys([]record.Key{k})
 		})
 	} else {
 		f.runs, f.total, err = formRunsReplacement(r, block, memory, meter, d)

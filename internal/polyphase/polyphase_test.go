@@ -3,6 +3,7 @@ package polyphase
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -39,7 +40,7 @@ func sortAndVerify(t *testing.T, cfg Config, keys []record.Key) Stats {
 	if len(got) != len(keys) {
 		t.Fatalf("output has %d keys, want %d", len(got), len(keys))
 	}
-	if !record.IsSorted(got) {
+	if !slices.IsSorted(got) {
 		t.Fatal("output not sorted")
 	}
 	if !record.ChecksumOf(got).Equal(record.ChecksumOf(keys)) {
@@ -207,7 +208,7 @@ func TestSortPropertyRandomSizes(t *testing.T) {
 			return false
 		}
 		got, err := diskio.ReadFileAll(cfg.FS, "output", cfg.BlockKeys, cfg.Acct)
-		if err != nil || !record.IsSorted(got) {
+		if err != nil || !slices.IsSorted(got) {
 			return false
 		}
 		return record.ChecksumOf(got).Equal(record.ChecksumOf(keys))
@@ -304,7 +305,7 @@ func TestMergeFilesBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !record.IsSorted(got) {
+	if !slices.IsSorted(got) {
 		t.Fatal("merge output not sorted")
 	}
 	if !record.ChecksumOf(got).Equal(record.ChecksumOf(all)) {
@@ -328,7 +329,7 @@ func TestMergeFilesZeroAndOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ := diskio.ReadFileAll(fs, "copy", cfg.BlockKeys, cfg.Acct)
-	if len(got) != 3 || !record.IsSorted(got) {
+	if len(got) != 3 || !slices.IsSorted(got) {
 		t.Fatalf("single-input merge broken: %v", got)
 	}
 	// Original must survive.
@@ -356,7 +357,7 @@ func TestMergeFilesMultiPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ := diskio.ReadFileAll(fs, "merged", cfg.BlockKeys, cfg.Acct)
-	if !record.IsSorted(got) || !record.ChecksumOf(got).Equal(record.ChecksumOf(all)) {
+	if !slices.IsSorted(got) || !record.ChecksumOf(got).Equal(record.ChecksumOf(all)) {
 		t.Fatal("multi-pass merge incorrect")
 	}
 	// Scratch files cleaned up.
@@ -405,7 +406,7 @@ func TestSortInPlaceSameName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !record.IsSorted(got) || !record.ChecksumOf(got).Equal(record.ChecksumOf(keys)) {
+	if !slices.IsSorted(got) || !record.ChecksumOf(got).Equal(record.ChecksumOf(keys)) {
 		t.Fatal("in-place sort broken")
 	}
 }

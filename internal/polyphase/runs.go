@@ -208,7 +208,7 @@ func formRunsLoads(r *diskio.Reader, memoryKeys int, guide bool, meter vtime.Met
 		}
 		chunk := load[:n]
 		record.SortKeys(chunk, scratch)
-		meter.ChargeCompute(nLogN(int64(n)))
+		meter.ChargeCompute(NLogN(int64(n)))
 		if inRun && guide {
 			// The guide comparison: does this load extend the run?
 			meter.ChargeCompute(1)
@@ -234,8 +234,9 @@ func formRunsLoads(r *diskio.Reader, memoryKeys int, guide bool, meter vtime.Met
 	}
 }
 
-// nLogN approximates the comparison count of an in-core sort of n keys.
-func nLogN(n int64) int64 {
+// NLogN approximates the comparison count of an in-core sort of n keys,
+// n·⌊log₂ n⌋: the compute every in-core sort of a load is charged.
+func NLogN(n int64) int64 {
 	if n <= 1 {
 		return n
 	}

@@ -173,7 +173,7 @@ func (d Distribution) Generate(n int, seed int64, parts int) []Key {
 		width := uint64(math.MaxUint32) / uint64(parts)
 		for i := range out {
 			b := uint64(i * parts / max(n, 1))
-			out[i] = Key(b*width + uint64(r.Uint32())%max64(width, 1))
+			out[i] = Key(b*width + uint64(r.Uint32())%max(width, 1))
 		}
 	case Staggered:
 		// Li & Sevcik staggered: block i gets values from range
@@ -186,7 +186,7 @@ func (d Distribution) Generate(n int, seed int64, parts int) []Key {
 				blk = parts - 1
 			}
 			rangeIdx := uint64((2*blk + 1) % parts)
-			out[i] = Key(rangeIdx*width + uint64(r.Uint32())%max64(width, 1))
+			out[i] = Key(rangeIdx*width + uint64(r.Uint32())%max(width, 1))
 		}
 	case HeavyDup:
 		// Five distinct values spread over the range: ~n/5 copies
@@ -208,7 +208,7 @@ func (d Distribution) Generate(n int, seed int64, parts int) []Key {
 		// interpolating splitter search keeps landing in the gaps.
 		pp := max(parts, 2)
 		width := uint64(math.MaxUint32) / uint64(pp)
-		band := max64(width/4096, 1)
+		band := max(width/4096, 1)
 		for i := range out {
 			b := uint64(r.Intn(pp))
 			out[i] = Key(b*width + width/2 + uint64(r.Uint32())%band)
@@ -221,7 +221,7 @@ func (d Distribution) Generate(n int, seed int64, parts int) []Key {
 		// rank histograms see it exactly.
 		pp := max(parts, 2)
 		width := uint64(math.MaxUint32) / uint64(pp)
-		spike := max64(width/1024, 1)
+		spike := max(width/1024, 1)
 		for i := range out {
 			b := uint64(r.Intn(pp))
 			if i%2 == 0 {
@@ -234,18 +234,4 @@ func (d Distribution) Generate(n int, seed int64, parts int) []Key {
 		panic(fmt.Sprintf("record: unknown distribution %d", int(d)))
 	}
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

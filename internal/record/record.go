@@ -68,9 +68,6 @@ func DecodeKeys(dst []Key, buf []byte) []Key {
 	return dst
 }
 
-// IsSorted reports whether keys is non-decreasing.
-func IsSorted(keys []Key) bool { return slices.IsSorted(keys) }
-
 // sortCutoff is the length below which SortKeys sorts by insertion: four
 // counting passes cost more than the few hundred comparisons they save.
 const sortCutoff = 64
@@ -143,13 +140,6 @@ func (c *Checksum) Update(keys []Key) {
 		c.Sum += uint64(k)
 		c.Xor ^= k
 	}
-}
-
-// Combine merges another checksum into c (disjoint multiset union).
-func (c *Checksum) Combine(o Checksum) {
-	c.Count += o.Count
-	c.Sum += o.Sum
-	c.Xor ^= o.Xor
 }
 
 // Equal reports whether two checksums describe the same multiset

@@ -15,12 +15,13 @@ import (
 	"hetsort/internal/record"
 )
 
-// RegularSampleIndices returns the sample positions the paper's step 2
-// uses on a locally sorted portion of n keys: with spacing off, the
-// indices off-1, 2*off-1, ... while they fit (the fseek loop of
-// section 4).  For node i the caller passes off = l_i / (perf[i]*p),
-// which makes the spacing equal to unit/p on every node — "between any
-// two consecutive pivots there is the same number of sorted elements".
+// RegularSampleIndices returns the sample positions of the paper's fseek
+// loop (section 4) on a locally sorted portion of n keys: with spacing
+// off, the indices off-1, 2*off-1, ... while they fit.  For node i the
+// paper passes off = l_i / (perf[i]*p), which makes the spacing equal to
+// unit/p on every node — "between any two consecutive pivots there is
+// the same number of sorted elements" — where that division is exact;
+// step 2 samples at RegularPositions, which agree with it there.
 func RegularSampleIndices(n, spacing int64) []int64 {
 	if spacing <= 0 || n <= 0 {
 		return nil
@@ -30,6 +31,27 @@ func RegularSampleIndices(n, spacing int64) []int64 {
 		idx = append(idx, i)
 	}
 	return idx
+}
+
+// RegularPositions returns the positions of a node's regular samples in
+// its sorted portion of n keys, for m = p·perf_i: the m−1 positions
+// ⌈k·n/m⌉ − 1, k = 1 … m−1, each the last key of one of the first m−1
+// of m near-equal slices, so consecutive samples lie ⌊n/m⌋ or ⌈n/m⌉
+// keys apart on every node — what Theorem 1 needs of them.  Where m
+// divides n these are RegularSampleIndices(n, n/m), the paper's fseek
+// loop.  A portion of at most m keys samples every key.
+func RegularPositions(n, m int64) []int64 {
+	if n <= 0 || m <= 1 {
+		return nil
+	}
+	if n <= m {
+		return RegularSampleIndices(n, 1)
+	}
+	at := make([]int64, m-1)
+	for k := range at {
+		at[k] = ((int64(k)+1)*n+m-1)/m - 1
+	}
+	return at
 }
 
 // SpacingError reports that a node's portion cannot support regular
@@ -96,16 +118,8 @@ func CombineSorted(a, b []record.Key) []record.Key {
 	return append(out, b[j:]...)
 }
 
-// SelectPivotsRegular picks the p-1 pivots from candidates produced by
-// the *regular* sampling scheme (node i contributes p*perf[i]-1 samples
-// at local quantiles k/(p*perf[i])): the candidates at RegularPivotRanks
-// in sorted order.
-func SelectPivotsRegular(candidates []record.Key, v perf.Vector) ([]record.Key, error) {
-	return pickAt(candidates, v, RegularPivotRanks)
-}
-
-// RegularPivotRanks returns where SelectPivotsRegular's pivots sit in the
-// sorted multiset of m candidates.  The target quantile for pivot j is
+// RegularPivotRanks returns where the regular-sampling pivots sit in
+// the sorted multiset of m candidates.  The target quantile for pivot j is
 // the cumulative performance fraction cum_j/Σperf; when that target is
 // not on any node's sample grid, the largest grid point below it is
 // chosen.  Rounding *down* under-fills the slow nodes and lets the
@@ -152,9 +166,21 @@ func RegularPivotRanks(m int, v perf.Vector) ([]int, error) {
 // (perf[0]+...+perf[j]) / Σperf of the sorted candidates, so that
 // partition j holds ≈ perf[j]/Σperf of the data — processor j's optimal
 // share.  With an all-ones vector this is exactly homogeneous PSRS pivot
-// selection.
+// selection.  Degenerate inputs (near-empty data) have no candidates:
+// any pivots are correct, if unbalanced, and zeros route everything to
+// the last node.
 func SelectPivotsWeighted(candidates []record.Key, v perf.Vector) ([]record.Key, error) {
-	return pickAt(candidates, v, WeightedPivotRanks)
+	at, err := WeightedPivotRanks(len(candidates), v)
+	if err != nil || len(v) == 1 {
+		return nil, err
+	}
+	sorted := append([]record.Key(nil), candidates...)
+	slices.Sort(sorted)
+	pivots := make([]record.Key, len(v)-1)
+	for j, i := range at {
+		pivots[j] = sorted[i]
+	}
+	return pivots, nil
 }
 
 // WeightedPivotRanks returns where SelectPivotsWeighted's pivots sit in
@@ -182,24 +208,6 @@ func WeightedPivotRanks(m int, v perf.Vector) ([]int, error) {
 	return at, nil
 }
 
-// pickAt sorts a copy of the candidates and returns the ones at the
-// ranks rule picks.  Degenerate inputs (near-empty data) have no
-// candidates: any pivots are correct, if unbalanced, and zeros route
-// everything to the last node.
-func pickAt(candidates []record.Key, v perf.Vector, rule func(int, perf.Vector) ([]int, error)) ([]record.Key, error) {
-	at, err := rule(len(candidates), v)
-	if err != nil || len(v) == 1 {
-		return nil, err
-	}
-	sorted := append([]record.Key(nil), candidates...)
-	slices.Sort(sorted)
-	pivots := make([]record.Key, len(v)-1)
-	for j, i := range at {
-		pivots[j] = sorted[i]
-	}
-	return pivots, nil
-}
-
 // RandomSampleIndices returns count distinct random positions in [0,n),
 // sorted ascending — the Li–Sevcik alternative to regular positions.
 func RandomSampleIndices(n int64, count int, seed int64) []int64 {
@@ -221,27 +229,6 @@ func RandomSampleIndices(n int64, count int, seed int64) []int64 {
 	}
 	slices.Sort(out)
 	return out
-}
-
-// SublistExpansion is the load-balance metric of Blelloch et al. used in
-// Table 3: the ratio of the maximum partition size to the mean.  1.0 is
-// perfect balance.
-func SublistExpansion(sizes []int64) float64 {
-	if len(sizes) == 0 {
-		return 0
-	}
-	var sum, max int64
-	for _, s := range sizes {
-		sum += s
-		if s > max {
-			max = s
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	mean := float64(sum) / float64(len(sizes))
-	return float64(max) / mean
 }
 
 // WeightedExpansion generalizes sublist expansion to heterogeneous
@@ -272,13 +259,4 @@ func WeightedExpansion(sizes []int64, v perf.Vector) (float64, error) {
 		}
 	}
 	return worst, nil
-}
-
-// TheoreticalBound returns the PSRS guarantee for the largest final
-// partition on node i: twice its optimal share (the "PSRS Theorem" the
-// paper invokes for step 5).  It holds on duplicate-heavy inputs too,
-// because the cuts are positions in the total order (key, node,
-// offset), not keys.
-func TheoreticalBound(total int64, v perf.Vector, i int) float64 {
-	return 2 * float64(total) * float64(v[i]) / float64(v.Sum())
 }

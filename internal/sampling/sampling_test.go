@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -58,6 +59,36 @@ func TestRegularSampleIndicesEqualGaps(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRegularPositions: m−1 positions whose gaps differ by at most one
+// key, today's fseek positions where m divides n, and every key of a
+// portion of at most m keys.
+func TestRegularPositions(t *testing.T) {
+	f := func(nRaw uint16, mRaw uint8) bool {
+		n, m := int64(nRaw%5000)+1, int64(mRaw%64)+2
+		at := RegularPositions(n, m)
+		if n <= m {
+			return slices.Equal(at, RegularSampleIndices(n, 1))
+		}
+		if n%m == 0 && !slices.Equal(at, RegularSampleIndices(n, n/m)) || int64(len(at)) != m-1 {
+			return false
+		}
+		prev := int64(-1)
+		for _, i := range append(at, n-1) {
+			if gap := i - prev; gap != n/m && gap != (n+m-1)/m {
+				return false
+			}
+			prev = i
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := RegularPositions(23, 4); !slices.Equal(got, []int64{5, 11, 17}) {
+		t.Fatalf("RegularPositions(23, 4) = %v, want [5 11 17]", got)
 	}
 }
 
@@ -134,7 +165,7 @@ func TestSelectPivots(t *testing.T) {
 	if len(pv) != 3 {
 		t.Fatalf("pivots=%v", pv)
 	}
-	if !record.IsSorted(pv) {
+	if !slices.IsSorted(pv) {
 		t.Fatal("pivots must come out sorted")
 	}
 	// With T=12 candidates from p=4 (each node contributing p-1=3 at
@@ -211,21 +242,6 @@ func TestRandomSampleIndicesClamp(t *testing.T) {
 	}
 }
 
-func TestSublistExpansion(t *testing.T) {
-	if got := SublistExpansion([]int64{4, 4, 4, 4}); got != 1.0 {
-		t.Fatalf("perfect balance expansion=%v", got)
-	}
-	if got := SublistExpansion([]int64{8, 0, 0, 0}); got != 4.0 {
-		t.Fatalf("worst expansion=%v", got)
-	}
-	if got := SublistExpansion(nil); got != 0 {
-		t.Fatalf("empty expansion=%v", got)
-	}
-	if got := SublistExpansion([]int64{0, 0}); got != 0 {
-		t.Fatalf("zero expansion=%v", got)
-	}
-}
-
 func TestWeightedExpansion(t *testing.T) {
 	v := perf.Vector{1, 1, 4, 4}
 	// Perfectly proportional loads -> 1.0.
@@ -243,39 +259,26 @@ func TestWeightedExpansion(t *testing.T) {
 	}
 }
 
-func TestTheoreticalBound(t *testing.T) {
-	v := perf.Vector{1, 1}
-	if got := TheoreticalBound(100, v, 0); got != 100 {
-		t.Fatalf("bound=%v want 100 (2*50)", got)
-	}
-	if got := TheoreticalBound(100, perf.Vector{1, 4}, 1); got != 160 {
-		t.Fatalf("bound=%v want 160 (2*80)", got)
-	}
-}
-
 func TestSelectPivotsRegularHomogeneousMatchesWeighted(t *testing.T) {
-	// On homogeneous vectors (targets on-grid) the two selectors agree.
-	cands := record.Uniform.Generate(12, 3, 1)
+	// On homogeneous vectors (targets on-grid) the two rank rules agree.
 	v := perf.Homogeneous(4)
-	a, err := SelectPivotsRegular(cands, v)
+	a, err := RegularPivotRanks(12, v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SelectPivotsWeighted(cands, v)
+	b, err := WeightedPivotRanks(12, v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("regular %v != weighted %v", a, b)
-		}
+	if !slices.Equal(a, b) {
+		t.Fatalf("regular %v != weighted %v", a, b)
 	}
 }
 
 func TestSelectPivotsRegularFastBias(t *testing.T) {
 	// {1,1,4,4}: the target quantile 0.1 is off-grid; the regular
-	// selector must choose the lower grid point 1/16 (candidate rank
-	// 2, 0-based index 1), under-filling the slow nodes like the paper.
+	// rule must choose the lower grid point 1/16 (candidate rank 2,
+	// 0-based index 1), under-filling the slow nodes like the paper.
 	v := perf.Vector{1, 1, 4, 4}
 	// Synthesise the exact regular-sampling candidate multiset over a
 	// uniform [0, 160) key space: node grids 1/4 (x2) and 1/16 (x2).
@@ -286,7 +289,8 @@ func TestSelectPivotsRegularFastBias(t *testing.T) {
 			cands = append(cands, record.Key(k*160/g))
 		}
 	}
-	pivots, err := SelectPivotsRegular(cands, v)
+	slices.Sort(cands)
+	at, err := RegularPivotRanks(len(cands), v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,21 +298,20 @@ func TestSelectPivotsRegularFastBias(t *testing.T) {
 	// q*=0.6 -> 9/16 -> key 90.
 	want := []record.Key{10, 30, 90}
 	for i := range want {
-		if pivots[i] != want[i] {
-			t.Fatalf("pivots=%v want %v", pivots, want)
+		if cands[at[i]] != want[i] {
+			t.Fatalf("pivot ranks %v pick %d, want %v", at, cands[at[i]], want)
 		}
 	}
 }
 
 func TestSelectPivotsRegularDegenerate(t *testing.T) {
-	v := perf.Vector{1, 2}
-	if pv, err := SelectPivotsRegular(nil, v); err != nil || len(pv) != 1 {
-		t.Fatalf("empty candidates: %v %v", pv, err)
+	if at, err := RegularPivotRanks(0, perf.Vector{1, 2}); err != nil || at != nil {
+		t.Fatalf("empty candidates: %v %v", at, err)
 	}
-	if _, err := SelectPivotsRegular([]record.Key{1}, perf.Vector{0}); err == nil {
+	if _, err := RegularPivotRanks(1, perf.Vector{0}); err == nil {
 		t.Fatal("invalid vector accepted")
 	}
-	if pv, err := SelectPivotsRegular([]record.Key{5}, perf.Vector{3}); err != nil || pv != nil {
-		t.Fatalf("p=1: %v %v", pv, err)
+	if at, err := RegularPivotRanks(1, perf.Vector{3}); err != nil || at != nil {
+		t.Fatalf("p=1: %v %v", at, err)
 	}
 }

@@ -155,9 +155,6 @@ func New(cfg Config, store storage.Backend) (*Service, error) {
 	return s, nil
 }
 
-// Store returns the service's storage backend.
-func (s *Service) Store() storage.Backend { return s.store }
-
 // jobByID returns the in-memory job handle, if the id is known.
 func (s *Service) jobByID(id string) (*job, bool) {
 	s.mu.Lock()
@@ -502,7 +499,3 @@ func (s *Service) Stop() {
 	}
 	s.wg.Wait()
 }
-
-// Tenants returns the number of currently running jobs (the contention
-// factor co-tenants observe).
-func (s *Service) Tenants() int64 { return s.tenants.Load() }

@@ -41,7 +41,8 @@ func testSpec(count, seed int64) JobSpec {
 }
 
 func TestJobLifecycle(t *testing.T) {
-	s, err := New(testConfig(), storage.NewObject())
+	store := storage.NewObject()
+	s, err := New(testConfig(), store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestJobLifecycle(t *testing.T) {
 	if st.Keys != 2000 || st.Root == "" || st.Time <= 0 {
 		t.Fatalf("status: %+v", st)
 	}
-	if root, err := VerifyJob(s.Store(), id); err != nil || root != st.Root {
+	if root, err := VerifyJob(store, id); err != nil || root != st.Root {
 		t.Fatalf("verify: %q %v (want %q)", root, err, st.Root)
 	}
 	s.Stop()
@@ -160,7 +161,8 @@ func TestAdmissionLinkMemoryTopology(t *testing.T) {
 	// Workspace: 4 nodes × 1024 keys × 4 B = 16 KiB.  Flat links:
 	// 4·4·65536·4 B = 4 MiB > budget.  Tree links: 4·2·65536·4 = 2 MiB.
 	cfg.Machine.MemoryBytes = 3 << 20
-	s, err := New(cfg, storage.NewObject())
+	store := storage.NewObject()
+	s, err := New(cfg, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +185,7 @@ func TestAdmissionLinkMemoryTopology(t *testing.T) {
 	if st.State != StateDone {
 		t.Fatalf("tree job: %s (%s)", st.State, st.Error)
 	}
-	if root, err := VerifyJob(s.Store(), id); err != nil || root != st.Root {
+	if root, err := VerifyJob(store, id); err != nil || root != st.Root {
 		t.Fatalf("verify: %q %v (want %q)", root, err, st.Root)
 	}
 	// An unknown topology must be rejected at validation.

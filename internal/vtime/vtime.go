@@ -55,9 +55,6 @@ const (
 	// Idle is time spent waiting: blocking on a peer's message,
 	// retry-backoff delays, and replayed clock time on a resumed run.
 	Idle
-
-	// NumCategories counts the attribution categories.
-	NumCategories
 )
 
 func (c Category) String() string {
@@ -122,10 +119,20 @@ type OverlapMeter interface {
 // nothing, so it is reported as its own column and excluded from Total —
 // the four wall-clock categories alone sum to the clock.
 type Breakdown struct {
-	Compute    float64 `json:"compute"`
-	Disk       float64 `json:"disk"`
-	Network    float64 `json:"network"`
-	Idle       float64 `json:"idle"`
+	// Compute is time spent in local computation (sorting, merging,
+	// partitioning comparisons).
+	Compute float64 `json:"compute"`
+	// Disk is time spent in block transfers and seeks.
+	Disk float64 `json:"disk"`
+	// Network is time spent occupying links: send occupancy plus the
+	// receiver's share of message latency.
+	Network float64 `json:"network"`
+	// Idle is time spent waiting — blocked receives, barrier waits,
+	// retry backoff, and a resumed run's replayed clock.
+	Idle float64 `json:"idle"`
+	// Overlapped is disk transfer time hidden behind concurrent compute
+	// by an overlap window.  It advanced the clock by nothing, so it is
+	// informational and excluded from Total.
 	Overlapped float64 `json:"overlapped,omitempty"`
 }
 

@@ -2,6 +2,7 @@ package hetsort
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"hetsort/internal/extsort"
@@ -14,34 +15,10 @@ import (
 )
 
 // TimeBreakdown splits a node's virtual clock into the four activity
-// categories the simulator attributes every clock advance to.  The
-// categories sum to the node's clock.
-type TimeBreakdown struct {
-	// Compute is time spent in local computation (sorting, merging,
-	// partitioning comparisons).
-	Compute float64 `json:"compute"`
-	// Disk is time spent in block transfers and seeks.
-	Disk float64 `json:"disk"`
-	// Network is time spent occupying links: send occupancy plus the
-	// receiver's share of message latency.
-	Network float64 `json:"network"`
-	// Idle is time spent waiting — blocked receives, barrier waits,
-	// retry backoff, and a resumed run's replayed clock.
-	Idle float64 `json:"idle"`
-	// Overlapped is disk transfer time hidden behind concurrent compute
-	// by Config.Overlap.  It advanced the clock by nothing, so it is
-	// informational and excluded from Total.
-	Overlapped float64 `json:"overlapped,omitempty"`
-}
-
-// Total returns the sum of the four wall-clock categories (Overlapped
-// excluded: hidden disk time never advanced the clock).
-func (t TimeBreakdown) Total() float64 { return t.Compute + t.Disk + t.Network + t.Idle }
-
-func toBreakdown(b vtime.Breakdown) TimeBreakdown {
-	return TimeBreakdown{Compute: b.Compute, Disk: b.Disk, Network: b.Network, Idle: b.Idle,
-		Overlapped: b.Overlapped}
-}
+// categories the simulator attributes every clock advance to, plus the
+// disk time Config.Overlap hid.  The four categories sum to the node's
+// clock.
+type TimeBreakdown = vtime.Breakdown
 
 // Report describes one sort run: virtual time, per-step breakdown,
 // final load balance, and I/O counts — the quantities the paper's
@@ -124,6 +101,10 @@ func (m *machine) report(res *extsort.Result, want record.Checksum) (*Report, er
 		StepNames:       extsort.StepNames,
 		PartitionSizes:  res.PartitionSizes,
 		NodeClocks:      res.NodeClocks,
+		NodeIO:          res.NodeIO,
+		StepIO:          res.StepIO,
+		NodeBreakdown:   res.NodeAttr,
+		StepBreakdown:   res.StepAttr,
 		Perf:            append([]int(nil), m.Perf...),
 		PivotRounds:     res.PivotRounds,
 		PivotSampleKeys: res.PivotSampleKeys,
@@ -144,30 +125,9 @@ func (m *machine) report(res *extsort.Result, want record.Checksum) (*Report, er
 		r.ReadBlocks += io.Reads
 		r.WriteBlocks += io.Writes
 	}
-	r.NodeIO = append([]pdm.IOStats(nil), res.NodeIO...)
-	for _, dio := range res.DiskIO {
-		if dio != nil {
-			r.DiskIO = append([][]pdm.IOStats(nil), res.DiskIO...)
-			break
-		}
-	}
-	for s := range res.StepIO {
-		r.StepIO[s] = append([]pdm.IOStats(nil), res.StepIO[s]...)
-	}
-	if len(res.NodeAttr) > 0 {
-		r.NodeBreakdown = make([]TimeBreakdown, len(res.NodeAttr))
-		for i, b := range res.NodeAttr {
-			r.NodeBreakdown[i] = toBreakdown(b)
-		}
-	}
-	for s := range res.StepAttr {
-		if len(res.StepAttr[s]) == 0 {
-			continue
-		}
-		r.StepBreakdown[s] = make([]TimeBreakdown, len(res.StepAttr[s]))
-		for i, b := range res.StepAttr[s] {
-			r.StepBreakdown[s][i] = toBreakdown(b)
-		}
+	// At D = 1 every node's entry is nil, and so is DiskIO.
+	if slices.ContainsFunc(res.DiskIO, func(dio []pdm.IOStats) bool { return dio != nil }) {
+		r.DiskIO = res.DiskIO
 	}
 	return r, nil
 }
