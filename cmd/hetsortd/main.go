@@ -1,9 +1,9 @@
 // Command hetsortd runs the multi-tenant sort service: a long-running
 // daemon that accepts sort jobs over HTTP, admits them against the
 // simulated machine's memory and disk budgets, runs up to -max-jobs of
-// them concurrently on one shared virtual machine (tenants genuinely
-// contend for disk bandwidth and link capacity), and anchors every
-// completed job with a Merkle root over its artifacts.
+// them concurrently on one virtual machine (each priced as if it had
+// the machine to itself), and anchors every completed job with a
+// Merkle root over its artifacts.
 //
 // Serve:
 //

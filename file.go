@@ -9,7 +9,6 @@ import (
 
 	"hetsort/internal/cluster"
 	"hetsort/internal/diskio"
-	"hetsort/internal/extsort"
 	"hetsort/internal/record"
 )
 
@@ -154,20 +153,14 @@ func Resume(outputPath string, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.c.ClearCrashes() // a resumed run never runs the injected crash again
-	m.Checkpoint = true
-	res, want, err := extsort.Resume(m.c, m.Config, "input", "output")
-	if err != nil {
-		return nil, err
-	}
-	rep, err := m.report(res, want)
+	res, err := m.Run(m.c, nil, true)
 	if err != nil {
 		return nil, err
 	}
 	if err := concatOutput(m.c, m.BlockKeys, outputPath); err != nil {
 		return nil, err
 	}
-	return rep, nil
+	return m.report(res), nil
 }
 
 // IsCrash reports whether err was caused by an injected node crash (see

@@ -187,7 +187,8 @@ type Config struct {
 	// cost of ⌈log_r p⌉ redistribution rounds; every node's output is
 	// byte-identical to flat.  Only meaningful for AlgorithmExternalPSRS.
 	Topology string
-	// Radix is the tree fan-in r (default 4); ignored for flat and grid.
+	// Radix is the tree fan-in r (default 4); ignored for flat and grid,
+	// but refused when negative under every topology.
 	Radix int
 	// Checkpoint controls the fault-tolerance subsystem.
 	Checkpoint CheckpointConfig
@@ -354,18 +355,18 @@ func Sort(keys []Key, cfg Config) ([]Key, *Report, error) {
 // sort runs the configured algorithm on the staged "input" files, whose
 // checksum is want, and reports it.
 func (m *machine) sort(want record.Checksum) (*Report, error) {
-	var res *extsort.Result
-	var err error
+	var algo func(*cluster.Cluster, extsort.Config) (*extsort.Result, error)
 	if m.cfg.Algorithm == AlgorithmDeWitt {
-		res, err = dewitt.Sort(m.c, dewitt.Config{Config: m.Config}, "input", "output")
-	} else {
-		m.InputSum = want
-		res, err = extsort.Sort(m.c, m.Config, "input", "output")
+		algo = func(c *cluster.Cluster, cfg extsort.Config) (*extsort.Result, error) {
+			return dewitt.Sort(c, dewitt.Config{Config: cfg}, "input", "output")
+		}
 	}
+	m.InputSum = want
+	res, err := m.Run(m.c, algo, false)
 	if err != nil {
 		return nil, err
 	}
-	return m.report(res, want)
+	return m.report(res), nil
 }
 
 // Calibration reports one run of the paper's perf-vector calibration

@@ -531,6 +531,7 @@ func TestBadConfigFailsBeforeDataMoves(t *testing.T) {
 		{Config{Perf: two, Algorithm: "bogus"}, "unknown algorithm"},
 		{Config{Perf: two, PivotStrategy: retiredSketch}, "want regular-sampling, random-pivots or histogram"},
 		{Config{Perf: two, Algorithm: AlgorithmDeWitt, Checkpoint: CheckpointConfig{Enabled: true}}, "checkpointing"},
+		{Config{Perf: two, Topology: TopologyTree, Radix: -1}, "Radix"},
 	} {
 		tc.cfg.WorkDir = filepath.Join(dir, fmt.Sprintf("work%d", i))
 		_, err := SortFile(filepath.Join(dir, "missing"), filepath.Join(dir, "out"), tc.cfg)

@@ -64,17 +64,6 @@ type Config struct {
 	// parallelism; independent mode lets any set of distinct disks
 	// share a step.  Irrelevant at D=1.
 	DiskAccess pdm.AccessMode
-	// Contention, when non-nil, is sampled on every disk and network
-	// charge and multiplies the virtual time by the returned factor
-	// (values below 1, NaN, or Inf are treated as 1).  The hetsortd
-	// service shares one simulated machine between tenant jobs this
-	// way: with k jobs running, each sees its disk transfers, seeks and
-	// link occupancy stretched by k — fair time-slicing of the shared
-	// drives and links.  Message latency (the wire's propagation delay)
-	// is not stretched, and data is never touched: contention is purely
-	// a virtual-time effect, so outputs stay byte-identical at any
-	// multiprogramming level.  nil means a dedicated machine.
-	Contention func() float64
 	// Trace, when non-nil, receives message and phase events with
 	// virtual timestamps.
 	Trace *trace.Log
@@ -312,7 +301,6 @@ func New(cfg Config) (*Cluster, error) {
 			disks:    cfg.DisksPerNode,
 			access:   cfg.DiskAccess,
 			fs:       cfg.Disks(i),
-			contend:  cfg.Contention,
 			metrics:  metrics.NewRegistry(),
 			wake:     make(chan struct{}, 1),
 		}
@@ -456,7 +444,6 @@ type Node struct {
 	disks    int
 	access   pdm.AccessMode
 	fs       diskio.FS
-	contend  func() float64
 	clock    float64
 	counter  pdm.Counter
 
@@ -668,26 +655,12 @@ func (n *Node) ChargeCompute(ops int64) {
 	n.ChargeTime(vtime.Compute, sec)
 }
 
-// contention samples the cluster's tenancy factor (1 when dedicated or
-// when the hook returns a degenerate value).
-func (n *Node) contention() float64 {
-	if n.contend == nil {
-		return 1
-	}
-	f := n.contend()
-	if !(f >= 1) || math.IsInf(f, 1) { // NaN compares false: treated as 1
-		return 1
-	}
-	return f
-}
-
 // blockSec is the virtual transfer time of one block on a single member
-// drive of this node, stretched by the tenancy contention factor when
-// the machine is shared.  D no longer discounts this uniformly: at
+// drive of this node.  D no longer discounts this uniformly: at
 // D > 1 the per-disk queues decide how much of each block's time
 // overlaps with the other disks' (chargeDiskBlock).
 func (n *Node) blockSec() float64 {
-	return float64(n.block) * n.cost.IOBlockSecPerKey * n.slowdown * n.contention()
+	return float64(n.block) * n.cost.IOBlockSecPerKey * n.slowdown
 }
 
 // BeginOverlap implements vtime.OverlapMeter: it opens an overlap window
@@ -868,7 +841,7 @@ func (n *Node) ChargeDiskIOBlocks(disk int, blocks int64) {
 // pattern the step models — and occupies its member disk for the full
 // seek time.
 func (n *Node) ChargeDiskSeek(disk int, seeks int64) {
-	sec := float64(seeks) * n.cost.SeekSec * n.slowdown * n.contention()
+	sec := float64(seeks) * n.cost.SeekSec * n.slowdown
 	if n.disks == 1 {
 		n.ChargeTime(vtime.Disk, sec)
 		return
@@ -978,12 +951,7 @@ func (n *Node) send(to, tag int, keys []record.Key, copyPayload bool) error {
 		// plus the transmit occupancy; the wire adds another latency
 		// before arrival.  This is what makes tiny messages expensive
 		// and reproduces the paper's 8-int vs 8K-int packet finding.
-		// Under tenancy contention the shared link's effective
-		// bandwidth (and per-message software processing) divides among
-		// the running jobs, so occupancy stretches; the wire's
-		// propagation delay does not.
-		occupancy := n.cluster.net.TransferSec(int64(len(keys)) * record.KeySize)
-		n.ChargeTime(vtime.Network, occupancy*n.contention())
+		n.ChargeTime(vtime.Network, n.cluster.net.TransferSec(int64(len(keys))*record.KeySize))
 		arrival = n.clock + n.cluster.net.LatencySec
 	}
 	rn := n.cluster.nodes[to]
@@ -1041,8 +1009,8 @@ func (n *Node) Recv(from, wantTag int) ([]record.Key, error) {
 		n.ChargeTime(vtime.Idle, msg.arrival-n.clock)
 	}
 	if msg.remote {
-		// Receive-side protocol processing (shared with co-tenants).
-		n.ChargeTime(vtime.Network, n.cluster.net.LatencySec*n.contention())
+		// Receive-side protocol processing.
+		n.ChargeTime(vtime.Network, n.cluster.net.LatencySec)
 	}
 	n.mRecvMsgs.Inc()
 	n.mRecvKeys.Add(int64(len(msg.keys)))

@@ -215,3 +215,38 @@ func TestClusterReusableAfterCrash(t *testing.T) {
 		t.Fatalf("third run: want crash + abort, got %v", err)
 	}
 }
+
+// TestInterruptAbortsRun: an external Interrupt unblocks a node stuck
+// in a receive, and the cluster is reusable afterwards.
+func TestInterruptAbortsRun(t *testing.T) {
+	c, err := New(Config{Slowdowns: []float64{1, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := make(chan struct{})
+	errc := make(chan error, 1)
+	go func() {
+		errc <- c.Run(func(n *Node) error {
+			if n.ID() == 0 {
+				close(started)
+				_, rerr := n.Recv(1, 1) // node 1 never sends
+				return rerr
+			}
+			<-started
+			return nil
+		})
+	}()
+	<-started
+	c.Interrupt()
+	if err := <-errc; err == nil {
+		t.Fatal("interrupted run returned nil")
+	}
+	// Interrupt with no active run is a no-op...
+	var idle Cluster
+	idle.Interrupt()
+	// ...and the cluster still runs fine after an interrupt.
+	c.ClearCrashes()
+	if err := c.Run(func(n *Node) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -16,7 +16,6 @@ import (
 	"hetsort/internal/polyphase"
 	"hetsort/internal/record"
 	"hetsort/internal/stats"
-	"hetsort/internal/vtime"
 )
 
 // An experiment is a table of points.  A point names an input, a
@@ -188,9 +187,9 @@ func (o *outcome) row(exp string, cols []metric, name string, blockKeys int) (Ro
 }
 
 // run measures one point: a fresh cluster, a fresh input, one sort
-// (crashed and resumed if the point says so), the output verified
-// against the input checksum, every node's time attribution checked to
-// sum to its clock and its per-disk counters to its node counters.
+// (crashed and resumed if the point says so) through Machine.Run, which
+// verifies the output and every node's time attribution, and every
+// node's per-disk counters checked to sum to its node counters.
 func (o Options) run(exp string, pt point, cols []metric) (Row, *extsort.Result, error) {
 	fail := func(err error) (Row, *extsort.Result, error) {
 		return Row{}, nil, fmt.Errorf("%s: %w", Row{Experiment: exp, Labels: pt.labels}.Key(), err)
@@ -209,14 +208,12 @@ func (o Options) run(exp string, pt point, cols []metric) (Row, *extsort.Result,
 	if err != nil {
 		return fail(err)
 	}
-	cfg := m.Config
-	if cfg.InputSum, err = extsort.DistributeInput(c, pt.perf, pt.dist, pt.n, pt.seed, cfg.BlockKeys, "input"); err != nil {
+	if m.InputSum, err = extsort.DistributeInput(c, pt.perf, pt.dist, pt.n, pt.seed, m.BlockKeys, "input"); err != nil {
 		return fail(err)
 	}
 	out := &outcome{pt: pt, c: c}
-	switch {
-	case pt.crash:
-		if _, err := extsort.Sort(c, cfg, "input", "output"); err == nil {
+	if pt.crash {
+		if _, err := m.Run(c, nil, false); err == nil {
 			return fail(fmt.Errorf("injected crash did not interrupt the sort"))
 		} else if !cluster.IsCrash(err) {
 			return fail(fmt.Errorf("sort failed for a non-crash reason: %w", err))
@@ -224,25 +221,12 @@ func (o Options) run(exp string, pt point, cols []metric) (Row, *extsort.Result,
 		for i := 0; i < c.P(); i++ {
 			out.blockIOs += c.Node(i).IOStats().Total()
 		}
-		out.res, _, err = extsort.Resume(c, cfg, "input", "output")
-	case pt.algo != nil:
-		out.res, err = pt.algo(c, cfg)
-	default:
-		out.res, err = extsort.Sort(c, cfg, "input", "output")
 	}
-	if err != nil {
-		return fail(err)
-	}
-	if err := extsort.VerifyOutput(c, "output", cfg.BlockKeys, cfg.InputSum); err != nil {
+	if out.res, err = m.Run(c, pt.algo, pt.crash); err != nil {
 		return fail(err)
 	}
 	for i, s := range out.res.NodeIO {
 		out.blockIOs += s.Total()
-		if out.res.NodeAttr != nil {
-			if err := vtime.CheckAttribution(out.res.NodeClocks[i], out.res.NodeAttr[i]); err != nil {
-				return fail(fmt.Errorf("node %d: %w", i, err))
-			}
-		}
 		if out.res.DiskIO == nil {
 			continue
 		}
@@ -254,7 +238,7 @@ func (o Options) run(exp string, pt point, cols []metric) (Row, *extsort.Result,
 			return fail(fmt.Errorf("node %d per-disk counters at D=%d sum to %+v, node counters are %+v", i, pt.disks, dsum, s))
 		}
 	}
-	row, err := out.row(exp, cols, "output", cfg.BlockKeys)
+	row, err := out.row(exp, cols, "output", m.BlockKeys)
 	if err != nil {
 		return fail(err)
 	}

@@ -119,7 +119,8 @@ type Config struct {
 	// it is part of the resume fingerprint.
 	Topology Topology
 	// Radix is the tree fan-in r (default 4).  Flat and grid derive
-	// theirs from p (p and ⌈√p⌉) and ignore this.
+	// theirs from p (p and ⌈√p⌉) and ignore this; no topology accepts
+	// a negative one.
 	Radix int
 	// Merkle upgrades the final checkpoint manifest to a Merkle-anchored
 	// one: each node hashes the artifacts its phase-5 manifest depends on
@@ -177,7 +178,7 @@ func (c *Config) ApplyDefaults(p int) {
 	if c.MessageKeys <= 0 {
 		c.MessageKeys = 8192
 	}
-	if c.Radix <= 0 {
+	if c.Radix == 0 {
 		c.Radix = 4
 	}
 	if c.HistTolerance == 0 {
@@ -207,9 +208,10 @@ func (c Config) Validate(p int) error {
 	default:
 		return fmt.Errorf("extsort: unknown topology %d", c.Topology)
 	}
-	// Only a tree reads Radix; flat and grid derive theirs from p.
-	if c.Topology == TopologyTree && c.Radix < 2 {
-		return fmt.Errorf("extsort: Radix=%d must be >= 2", c.Radix)
+	// Only a tree reads Radix; flat and grid derive theirs from p, but
+	// a negative one is an error under every topology.
+	if c.Radix < 0 || c.Topology == TopologyTree && c.Radix < 2 {
+		return fmt.Errorf("extsort: Radix=%d must be >= 2 for a tree and never negative", c.Radix)
 	}
 	// Written as a negated in-range check so NaN — for which every
 	// comparison is false — is rejected instead of slipping through to

@@ -7,7 +7,9 @@ import (
 	"hetsort/internal/diskio"
 	"hetsort/internal/pdm"
 	"hetsort/internal/perf"
+	"hetsort/internal/record"
 	"hetsort/internal/trace"
+	"hetsort/internal/vtime"
 )
 
 // Machine is one run's whole description: the Algorithm-1 Config and
@@ -20,7 +22,6 @@ type Machine struct {
 	Net          cluster.NetModel
 	DisksPerNode int
 	DiskAccess   pdm.AccessMode
-	Contention   func() float64
 	Trace        *trace.Log
 	// Disks opens node id's private disk (default: a fresh MemFS).
 	Disks func(id int) (diskio.FS, error)
@@ -74,8 +75,7 @@ func (m *Machine) Build() (*cluster.Cluster, error) {
 		disks = func(id int) diskio.FS { return fss[id] }
 	}
 	c, err := cluster.New(cluster.Config{Slowdowns: m.Loads, Net: m.Net, BlockKeys: m.BlockKeys,
-		Disks: disks, DisksPerNode: m.DisksPerNode, DiskAccess: m.DiskAccess,
-		Contention: m.Contention, Trace: m.Trace})
+		Disks: disks, DisksPerNode: m.DisksPerNode, DiskAccess: m.DiskAccess, Trace: m.Trace})
 	if err == nil && m.CrashPhase != 0 {
 		err = c.ScheduleCrash(m.CrashNode, -1, StepNames[m.CrashPhase-1])
 	}
@@ -83,4 +83,41 @@ func (m *Machine) Build() (*cluster.Cluster, error) {
 		return nil, err
 	}
 	return c, nil
+}
+
+// Run is every run's one tail on the built cluster c.  A fresh run
+// sorts the staged "input" files into "output" with Algorithm 1, or
+// with algo when it is non-nil (the DeWitt baseline); a resumed run
+// disarms the injected crash and continues Algorithm 1 from the
+// manifests, taking InputSum from them.  Either way the output is then
+// verified against InputSum and every node's time attribution is
+// checked to sum to its clock.
+func (m *Machine) Run(c *cluster.Cluster, algo func(*cluster.Cluster, Config) (*Result, error), resume bool) (*Result, error) {
+	var res *Result
+	var err error
+	switch {
+	case resume:
+		c.ClearCrashes()
+		var sum record.Checksum
+		if res, sum, err = Resume(c, m.Config, "input", "output"); err == nil {
+			m.InputSum = sum
+		}
+	case algo != nil:
+		res, err = algo(c, m.Config)
+	default:
+		res, err = Sort(c, m.Config, "input", "output")
+	}
+	if err != nil {
+		return nil, err
+	}
+	if err := VerifyOutput(c, "output", m.BlockKeys, m.InputSum); err != nil {
+		return nil, err
+	}
+	for i := 0; i < c.P(); i++ {
+		n := c.Node(i)
+		if err := vtime.CheckAttribution(n.Clock(), n.Attribution()); err != nil {
+			return nil, fmt.Errorf("extsort: node %d: %w", i, err)
+		}
+	}
+	return res, nil
 }

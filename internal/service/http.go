@@ -222,7 +222,6 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	e := metrics.NewExposition("hetsortd")
 	e.Gauge("jobs_running", "Jobs currently executing on the shared machine.", float64(running), nil)
 	e.Gauge("jobs_queued", "Jobs admitted and waiting for a running slot.", float64(queued), nil)
-	e.Gauge("tenants", "Tenants sharing the machine right now (the disk/network contention factor).", float64(s.tenants.Load()), nil)
 	e.Counter("jobs_submitted_total", "Jobs accepted by the admission controller.", float64(s.nSubmitted.Load()), nil)
 	e.Counter("jobs_done_total", "Jobs that completed successfully.", float64(s.nDone.Load()), nil)
 	e.Counter("jobs_failed_total", "Jobs that ended in an error.", float64(s.nFailed.Load()), nil)

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -18,7 +19,6 @@ import (
 	"hetsort/internal/record"
 	"hetsort/internal/storage"
 	"hetsort/internal/trace"
-	"hetsort/internal/vtime"
 )
 
 // Job states, as persisted in status.json.
@@ -121,10 +121,6 @@ func (sp *JobSpec) validate(store storage.Backend, m *MachineConfig) error {
 		if n == 0 || n%record.KeySize != 0 {
 			return fmt.Errorf("service: input object %s is %d bytes, not a positive multiple of %d", sp.Input, n, record.KeySize)
 		}
-	}
-	// ApplyDefaults would silently turn a negative radix into the default.
-	if sp.Radix < 0 {
-		return fmt.Errorf("service: radix %d must be non-negative", sp.Radix)
 	}
 	return nil
 }
@@ -278,9 +274,8 @@ func (sp *JobSpec) loadInput(store storage.Backend, parts int) ([]record.Key, er
 }
 
 // machine resolves a job's run on the shared machine: the machine's
-// perf vector, network and B, the job's sort parameters and crash, and
-// the contention hook that stretches disk and network charges by the
-// number of running tenants.
+// perf vector, network and B, and the job's sort parameters and crash.
+// Every job is priced as if it had the machine to itself.
 func (s *Service) machine(sp *JobSpec) (*extsort.Machine, error) {
 	topo, err := extsort.ParseTopology(sp.Topology)
 	if err != nil {
@@ -301,7 +296,6 @@ func (s *Service) machine(sp *JobSpec) (*extsort.Machine, error) {
 			Merkle:      true,
 		},
 		Net:        s.net,
-		Contention: func() float64 { return float64(s.tenants.Load()) },
 		CrashPhase: sp.CrashPhase,
 		CrashNode:  sp.CrashNode,
 	}
@@ -386,37 +380,22 @@ func (s *Service) run(j *job) error {
 	}
 
 	var res *extsort.Result
-	var want record.Checksum
 	if resume {
-		res, want, err = extsort.Resume(cl, m.Config, "input", "output")
-		if err != nil && errors.Is(err, os.ErrNotExist) {
+		res, err = m.Run(cl, nil, true)
+		if errors.Is(err, os.ErrNotExist) {
 			// The daemon died before the first commit: no manifests to
 			// resume from, but the spec regenerates the input — run
 			// fresh.
 			s.nResumedFallback.Add(1)
-			res, want, err = s.runFresh(cl, j, m.Config)
+			res, err = s.runFresh(cl, j, m)
 		} else if err == nil {
 			s.nResumed.Add(1)
 		}
-		if err == nil {
-			j.statusMu.Lock()
-			j.status.Resumed = true
-			j.statusMu.Unlock()
-		}
 	} else {
-		res, want, err = s.runFresh(cl, j, m.Config)
+		res, err = s.runFresh(cl, j, m)
 	}
 	if err != nil {
 		return err
-	}
-	if err := extsort.VerifyOutput(cl, "output", m.BlockKeys, want); err != nil {
-		return err
-	}
-	for i := 0; i < cl.P(); i++ {
-		n := cl.Node(i)
-		if err := vtime.CheckAttribution(n.Clock(), n.Attribution()); err != nil {
-			return fmt.Errorf("service: job %s node %d: %w", j.id, i, err)
-		}
 	}
 	if err := s.saveTrace(j.id, m.Trace); err != nil {
 		return err
@@ -435,45 +414,33 @@ func (s *Service) run(j *job) error {
 	j.status.Partitions = res.PartitionSizes
 	j.status.NodeClocks = res.NodeClocks
 	j.status.Root = root
+	j.status.Resumed = resume
 	j.statusMu.Unlock()
 	return nil
 }
 
 // runFresh loads the input, distributes perf-proportional shares onto
 // the job's node trees, and sorts.
-func (s *Service) runFresh(cl *cluster.Cluster, j *job, ecfg extsort.Config) (*extsort.Result, record.Checksum, error) {
+func (s *Service) runFresh(cl *cluster.Cluster, j *job, m *extsort.Machine) (*extsort.Result, error) {
 	keys, err := j.spec.loadInput(s.store, cl.P())
 	if err != nil {
-		return nil, record.Checksum{}, err
+		return nil, err
 	}
-	want, err := extsort.StageInput(cl, ecfg.Perf, keys, ecfg.BlockKeys, "input")
-	if err != nil {
-		return nil, record.Checksum{}, err
+	if m.InputSum, err = extsort.StageInput(cl, m.Perf, keys, m.BlockKeys, "input"); err != nil {
+		return nil, err
 	}
-	ecfg.InputSum = want
-	res, err := extsort.Sort(cl, ecfg, "input", "output")
-	if err != nil {
-		return nil, record.Checksum{}, err
-	}
-	return res, want, nil
+	return m.Run(cl, nil, false)
 }
 
 // saveTrace renders the job's event log as Chrome trace_event JSON into
 // the backend (outside the Merkle leaf set: a resumed run's trace
 // legitimately differs from an uninterrupted one's).
 func (s *Service) saveTrace(id string, tl *trace.Log) error {
-	var buf jsonBuffer
+	var buf bytes.Buffer
 	if err := trace.WriteChromeTrace(&buf, tl); err != nil {
 		return err
 	}
-	return s.store.Put(traceName(id), buf.b)
-}
-
-type jsonBuffer struct{ b []byte }
-
-func (w *jsonBuffer) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
+	return s.store.Put(traceName(id), buf.Bytes())
 }
 
 // JobRoot computes the Merkle root anchoring a completed job: the

@@ -1,20 +1,18 @@
 // Package service implements hetsortd: a long-running multi-tenant
 // sort service in front of the simulated cluster.  Jobs are submitted
 // over HTTP (see http.go), admitted against the machine's memory and
-// disk budgets, queued when the machine is saturated, and executed as
-// Algorithm-1 runs that genuinely contend for the shared machine — with
-// k jobs running, every tenant's disk transfers and link occupancy
-// stretch by k (cluster.Config.Contention), so multiprogramming costs
-// show up in the virtual times exactly as they would on real shared
-// drives.  Contention never touches data: a job's output bytes are
-// identical at any multiprogramming level.
+// disk budgets, queued when the machine is saturated, and executed
+// through extsort.Machine.Run, the tail every sort shares.  Jobs run
+// concurrently, but each is priced as a dedicated machine: a job's
+// virtual times and output bytes are the same at any multiprogramming
+// level.
 //
 // Every job's artifacts — spec, per-node working files, checkpoint
 // manifests, status, trace — live on a storage.Backend under the prefix
 // jobs/<id>/, so the whole service state survives a daemon crash: on
 // restart, Recover re-admits every job whose durable status is still
 // "queued" or "running", resuming the running ones from their
-// checkpoint manifests (extsort.Resume) and falling back to a fresh run
+// checkpoint manifests and falling back to a fresh run
 // when a job died before its first commit.  Completed jobs are anchored
 // by a Merkle root over their artifact set (spec + sorted outputs);
 // `hetsortd verify` recomputes the root from the backend alone.
@@ -99,11 +97,6 @@ type Service struct {
 	cfg   Config
 	store storage.Backend
 	net   cluster.NetModel // the machine's Network, parsed
-
-	// tenants counts the currently running jobs; every tenant's
-	// cluster samples it as the contention factor on each disk and
-	// network charge.
-	tenants atomic.Int64
 
 	mu      sync.Mutex
 	jobs    map[string]*job
@@ -346,9 +339,7 @@ func (s *Service) start(j *job) {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		s.tenants.Add(1)
 		s.execute(j)
-		s.tenants.Add(-1)
 		// Settle the accounting before Wait returns, so a client that
 		// reads the counters right after sees the job finished.
 		s.finish(j)

@@ -8,7 +8,6 @@ import (
 	"hetsort/internal/extsort"
 	"hetsort/internal/pdm"
 	"hetsort/internal/progress"
-	"hetsort/internal/record"
 	"hetsort/internal/sampling"
 	"hetsort/internal/trace"
 	"hetsort/internal/vtime"
@@ -88,13 +87,9 @@ type Report struct {
 	TraceLog *trace.Log `json:"-"`
 }
 
-// report is the tail every sort shares: it verifies the nodes' "output"
-// files against want, the input's checksum, and builds the Report of
-// res, with the machine's trace and every node's metrics snapshot.
-func (m *machine) report(res *extsort.Result, want record.Checksum) (*Report, error) {
-	if err := extsort.VerifyOutput(m.c, "output", m.BlockKeys, want); err != nil {
-		return nil, err
-	}
+// report builds the Report of res, a run Machine.Run has verified,
+// with the machine's trace and every node's metrics snapshot.
+func (m *machine) report(res *extsort.Result) *Report {
 	r := &Report{
 		Time:            res.Time,
 		StepTimes:       res.StepTimes,
@@ -129,7 +124,7 @@ func (m *machine) report(res *extsort.Result, want record.Checksum) (*Report, er
 	if slices.ContainsFunc(res.DiskIO, func(dio []pdm.IOStats) bool { return dio != nil }) {
 		r.DiskIO = res.DiskIO
 	}
-	return r, nil
+	return r
 }
 
 // Stragglers runs the perf-model divergence analysis over the report:
