@@ -153,14 +153,14 @@ func Resume(outputPath string, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := m.Run(m.c, nil, true)
+	rep, err := m.Run(m.c, nil, true)
 	if err != nil {
 		return nil, err
 	}
 	if err := concatOutput(m.c, m.BlockKeys, outputPath); err != nil {
 		return nil, err
 	}
-	return m.report(res), nil
+	return rep, nil
 }
 
 // IsCrash reports whether err was caused by an injected node crash (see

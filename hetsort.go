@@ -355,18 +355,12 @@ func Sort(keys []Key, cfg Config) ([]Key, *Report, error) {
 // sort runs the configured algorithm on the staged "input" files, whose
 // checksum is want, and reports it.
 func (m *machine) sort(want record.Checksum) (*Report, error) {
-	var algo func(*cluster.Cluster, extsort.Config) (*extsort.Result, error)
+	var algo func(*cluster.Cluster, extsort.Config) (*Report, error)
 	if m.cfg.Algorithm == AlgorithmDeWitt {
-		algo = func(c *cluster.Cluster, cfg extsort.Config) (*extsort.Result, error) {
-			return dewitt.Sort(c, dewitt.Config{Config: cfg}, "input", "output")
-		}
+		algo = dewitt.Algo(0)
 	}
 	m.InputSum = want
-	res, err := m.Run(m.c, algo, false)
-	if err != nil {
-		return nil, err
-	}
-	return m.report(res), nil
+	return m.Run(m.c, algo, false)
 }
 
 // Calibration reports one run of the paper's perf-vector calibration

@@ -28,11 +28,9 @@ import (
 	"hetsort/internal/cluster"
 	"hetsort/internal/diskio"
 	"hetsort/internal/extsort"
-	"hetsort/internal/pdm"
 	"hetsort/internal/polyphase"
 	"hetsort/internal/record"
 	"hetsort/internal/sampling"
-	"hetsort/internal/vtime"
 )
 
 // Message tags.
@@ -66,9 +64,9 @@ func (c *Config) applyDefaults(p int) {
 // Sort runs the two-step distribution sort.  Every node must hold its
 // unsorted portion in inputName on its private FS; on success every
 // node holds its sorted bucket in outputName (concatenation in rank
-// order is globally sorted).  The result has no per-step breakdown;
+// order is globally sorted).  The report has no per-step breakdown;
 // its Pivots are the splitters.
-func Sort(c *cluster.Cluster, cfg Config, inputName, outputName string) (*extsort.Result, error) {
+func Sort(c *cluster.Cluster, cfg Config, inputName, outputName string) (*extsort.Report, error) {
 	p := c.P()
 	cfg.applyDefaults(p)
 	if err := cfg.Perf.Validate(); err != nil {
@@ -86,25 +84,21 @@ func Sort(c *cluster.Cluster, cfg Config, inputName, outputName string) (*extsor
 	if err != nil {
 		return nil, err
 	}
-	res := &extsort.Result{
-		PartitionSizes: make([]int64, p),
-		NodeClocks:     make([]float64, p),
-		NodeIO:         make([]pdm.IOStats, p),
-		NodeAttr:       make([]vtime.Breakdown, p),
-		Pivots:         splitOut[0],
-		Time:           c.MaxClock(),
+	res, err := extsort.Collect(c, cfg.Perf, outputName)
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < p; i++ {
-		res.NodeClocks[i] = c.Node(i).Clock()
-		res.NodeIO[i] = c.Node(i).IOStats()
-		res.NodeAttr[i] = c.Node(i).Attribution()
-		sz, err := diskio.CountKeys(c.Node(i).FS(), outputName)
-		if err != nil {
-			return nil, err
-		}
-		res.PartitionSizes[i] = sz
-	}
+	res.Pivots = splitOut[0]
 	return res, nil
+}
+
+// Algo is the baseline as extsort.Machine.Run's algo: it sorts the
+// staged "input" files into "output", node i drawing
+// sampleFactor·p·perf[i] random keys (0 = the default).
+func Algo(sampleFactor int) func(*cluster.Cluster, extsort.Config) (*extsort.Report, error) {
+	return func(c *cluster.Cluster, cfg extsort.Config) (*extsort.Report, error) {
+		return Sort(c, Config{Config: cfg, SampleFactor: sampleFactor}, "input", "output")
+	}
 }
 
 func nodeMain(n *cluster.Node, cfg Config, inputName, outputName string) ([]record.Key, error) {

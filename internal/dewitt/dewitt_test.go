@@ -30,7 +30,7 @@ func newCluster(t *testing.T, v perf.Vector) *cluster.Cluster {
 }
 
 func runSort(t *testing.T, c *cluster.Cluster, v perf.Vector, cfg Config,
-	dist record.Distribution, n int64, seed int64) *extsort.Result {
+	dist record.Distribution, n int64, seed int64) *extsort.Report {
 	t.Helper()
 	sum, err := extsort.DistributeInput(c, v, dist, n, seed, cfg.BlockKeys, "input")
 	if err != nil {
@@ -159,7 +159,7 @@ func TestWorseBalanceThanRegularSampling(t *testing.T) {
 		cfg.SampleFactor = 4 // modest sample, as in the original paper
 		cfg.Seed = s * 131
 		resD := runSort(t, cD, v, cfg, record.Uniform, n, 100+s)
-		dSum += resD.SublistExpansion(v)
+		dSum += resD.SublistExpansion
 
 		cA := newCluster(t, v)
 		sum, err := extsort.DistributeInput(cA, v, record.Uniform, n, 100+s, 64, "input")
@@ -175,7 +175,7 @@ func TestWorseBalanceThanRegularSampling(t *testing.T) {
 		if err := extsort.VerifyOutput(cA, "output", 64, sum); err != nil {
 			t.Fatal(err)
 		}
-		aSum += resA.SublistExpansion(v)
+		aSum += resA.SublistExpansion
 	}
 	if dSum/trials < aSum/trials-0.02 {
 		t.Fatalf("probabilistic splitting (%v) implausibly beat regular sampling (%v)",
@@ -185,7 +185,7 @@ func TestWorseBalanceThanRegularSampling(t *testing.T) {
 
 func TestDeterministic(t *testing.T) {
 	v := perf.Vector{1, 3}
-	run := func() *extsort.Result {
+	run := func() *extsort.Report {
 		c := newCluster(t, v)
 		return runSort(t, c, v, testConfig(v), record.Uniform, v.NearestValidSize(16000), 11)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"hetsort/internal/cluster"
 	"hetsort/internal/dewitt"
 	"hetsort/internal/extsort"
 	"hetsort/internal/perf"
@@ -51,7 +50,7 @@ func Ablations(o Options) ([]Row, error) {
 		// A6: DeWitt baseline vs Algorithm 1.
 		{"A6", []metric{vsec, blockIOs}, paperRun(o,
 			point{labels: variant("algorithm1")},
-			point{labels: variant("dewitt"), algo: dewittSort(o.Seed)})},
+			point{labels: variant("dewitt"), cfg: extsort.Config{Seed: o.Seed}, algo: dewitt.Algo(8)})},
 	} {
 		got, err := o.table(t.id, t.cols, t.pts)
 		if err != nil {
@@ -72,12 +71,4 @@ func Ablations(o Options) ([]Row, error) {
 	}
 	sort.SliceStable(rows, func(i, j int) bool { return rows[i].Experiment < rows[j].Experiment })
 	return rows, nil
-}
-
-// dewittSort adapts the DeWitt et al. baseline to the point runner.
-func dewittSort(seed int64) func(*cluster.Cluster, extsort.Config) (*extsort.Result, error) {
-	return func(c *cluster.Cluster, cfg extsort.Config) (*extsort.Result, error) {
-		cfg.Seed = seed
-		return dewitt.Sort(c, dewitt.Config{Config: cfg, SampleFactor: 8}, "input", "output")
-	}
 }

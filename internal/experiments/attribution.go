@@ -53,7 +53,7 @@ func RunAttribution(o Options) (*AttributionReport, error) {
 	var meanBusy [5]float64
 	for s := 0; s < 5; s++ {
 		for i := range v {
-			b := res.StepAttr[s][i]
+			b := res.StepBreakdown[s][i]
 			meanBusy[s] += b.Compute + b.Disk + b.Network
 		}
 		meanBusy[s] /= float64(len(v))
@@ -62,10 +62,10 @@ func RunAttribution(o Options) (*AttributionReport, error) {
 		an := AttributionNode{
 			Node: i, Perf: v[i],
 			Clock:     res.NodeClocks[i],
-			Breakdown: res.NodeAttr[i],
+			Breakdown: res.NodeBreakdown[i],
 		}
 		for s := 0; s < 5; s++ {
-			b := res.StepAttr[s][i]
+			b := res.StepBreakdown[s][i]
 			an.StepBusy[s] = b.Compute + b.Disk + b.Network
 			if meanBusy[s] > 0 {
 				an.StepSkew[s] = an.StepBusy[s] / meanBusy[s]

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"hetsort/internal/perf"
 	"hetsort/internal/record"
 )
 
@@ -126,6 +127,19 @@ func TestTable3Shape(t *testing.T) {
 	out := Table3String(rows)
 	if !strings.Contains(out, "Myrinet") {
 		t.Fatalf("render:\n%s", out)
+	}
+}
+
+// TestClassPartition: Table 3's Mean and Max columns read one perf
+// class, and a class no node has reads 0.
+func TestClassPartition(t *testing.T) {
+	v := perf.Vector{1, 1, 4, 4}
+	sizes := []int64{100, 120, 400, 420}
+	if mean, largest := classPartition(sizes, v, 4); mean != 410 || largest != 420 {
+		t.Fatalf("class 4: mean %v, max %v", mean, largest)
+	}
+	if mean, largest := classPartition(sizes, v, 9); mean != 0 || largest != 0 {
+		t.Fatalf("missing class: mean %v, max %v", mean, largest)
 	}
 }
 

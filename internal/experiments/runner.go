@@ -108,14 +108,14 @@ type point struct {
 	// redistribution and finishes the sort by recovery from the manifests.
 	crash bool
 	// algo replaces Algorithm 1 (A6's DeWitt baseline).
-	algo func(*cluster.Cluster, extsort.Config) (*extsort.Result, error)
+	algo func(*cluster.Cluster, extsort.Config) (*extsort.Report, error)
 }
 
 // outcome is what a metric is read from.
 type outcome struct {
 	pt  point
 	c   *cluster.Cluster
-	res *extsort.Result // nil for sequential points
+	res *extsort.Report // nil for sequential points
 	seq polyphase.Stats // sequential points only
 	// blockIOs sums every node's PDM block I/Os, an interrupted attempt's
 	// included.
@@ -132,14 +132,14 @@ var (
 	vsec      = metric{"vsec", func(o *outcome) float64 { return o.c.MaxClock() }}
 	blockIOs  = metric{"block_ios", func(o *outcome) float64 { return float64(o.blockIOs) }}
 	phases    = metric{"phases", func(o *outcome) float64 { return float64(o.seq.Phases) }}
-	expansion = metric{"expansion", func(o *outcome) float64 { return o.res.SublistExpansion(o.pt.perf) }}
+	expansion = metric{"expansion", func(o *outcome) float64 { return o.res.SublistExpansion }}
 	// sampleKeys counts the key-valued samples shipped through the step-2
 	// collectives, pivotRounds the collective rounds they took.
 	sampleKeys  = metric{"sample_keys", func(o *outcome) float64 { return float64(o.res.PivotSampleKeys) }}
 	pivotRounds = metric{"rounds", func(o *outcome) float64 { return float64(o.res.PivotRounds) }}
 	hiddenDisk  = metric{"hidden_disk_sec", func(o *outcome) float64 {
 		var s float64
-		for _, b := range o.res.NodeAttr {
+		for _, b := range o.res.NodeBreakdown {
 			s += b.Overlapped
 		}
 		return s
@@ -190,8 +190,8 @@ func (o *outcome) row(exp string, cols []metric, name string, blockKeys int) (Ro
 // (crashed and resumed if the point says so) through Machine.Run, which
 // verifies the output and every node's time attribution, and every
 // node's per-disk counters checked to sum to its node counters.
-func (o Options) run(exp string, pt point, cols []metric) (Row, *extsort.Result, error) {
-	fail := func(err error) (Row, *extsort.Result, error) {
+func (o Options) run(exp string, pt point, cols []metric) (Row, *extsort.Report, error) {
+	fail := func(err error) (Row, *extsort.Report, error) {
 		return Row{}, nil, fmt.Errorf("%s: %w", Row{Experiment: exp, Labels: pt.labels}.Key(), err)
 	}
 	m := extsort.Machine{Config: pt.cfg, Loads: pt.slowdowns, Net: pt.net,

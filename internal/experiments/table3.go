@@ -79,14 +79,11 @@ func Table3(o Options) ([]Table3Row, error) {
 			if rerr != nil {
 				return 0, rerr
 			}
-			meanSum += res.MeanPartition(s.v, fastClass)
+			mean, mp := classPartition(res.PartitionSizes, s.v, fastClass)
+			meanSum += mean
 			trials++
-			if mp := res.MaxPartition(s.v, fastClass); mp > maxPart {
-				maxPart = mp
-			}
-			if sm := float64(res.MaxPartition(s.v, fastClass)) / optFast; sm > smax {
-				smax = sm
-			}
+			maxPart = max(maxPart, mp)
+			smax = max(smax, float64(mp)/optFast)
 			return res.Time, nil
 		})
 		meanPart := meanSum / float64(trials)
@@ -106,6 +103,25 @@ func Table3(o Options) ([]Table3Row, error) {
 		})
 	}
 	return rows, nil
+}
+
+// classPartition returns the mean and the largest final partition over
+// the nodes of the given perf class (the paper's "Mean" column reports
+// the fast nodes' mean in the heterogeneous rows); 0, 0 for a class no
+// node has.
+func classPartition(sizes []int64, v perf.Vector, class int) (mean float64, largest int64) {
+	var sum, cnt int64
+	for i, s := range sizes {
+		if v[i] == class {
+			sum += s
+			cnt++
+			largest = max(largest, s)
+		}
+	}
+	if cnt == 0 {
+		return 0, 0
+	}
+	return float64(sum) / float64(cnt), largest
 }
 
 // Table3String renders the reproduced table next to the paper values.

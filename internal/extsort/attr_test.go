@@ -20,15 +20,15 @@ import (
 // run's phase-0 manifest commit happens before step 1's window): each
 // category's residual is non-negative, and on a plain run (exact=true)
 // the windows account for the whole clock.
-func checkRunAttribution(t *testing.T, res *Result, exact bool) {
+func checkRunAttribution(t *testing.T, res *Report, exact bool) {
 	t.Helper()
-	for i, b := range res.NodeAttr {
+	for i, b := range res.NodeBreakdown {
 		if err := vtime.CheckAttribution(res.NodeClocks[i], b); err != nil {
 			t.Errorf("node %d: %v", i, err)
 		}
 		var steps vtime.Breakdown
-		for s := range res.StepAttr {
-			steps = steps.Add(res.StepAttr[s][i])
+		for s := range res.StepBreakdown {
+			steps = steps.Add(res.StepBreakdown[s][i])
 		}
 		resid := b.Sub(steps)
 		for cat, v := range map[string]float64{"compute": resid.Compute, "disk": resid.Disk,
@@ -53,7 +53,7 @@ func TestAttributionSumsToClock(t *testing.T) {
 	// A heterogeneous run must show real work and real waiting: the
 	// fast nodes wait at barriers for the loaded ones.
 	var idle, busy float64
-	for _, b := range res.NodeAttr {
+	for _, b := range res.NodeBreakdown {
 		idle += b.Idle
 		busy += b.Compute + b.Disk + b.Network
 	}

@@ -40,7 +40,6 @@ import (
 	"hetsort/internal/polyphase"
 	"hetsort/internal/progress"
 	"hetsort/internal/record"
-	"hetsort/internal/sampling"
 	"hetsort/internal/trace"
 	"hetsort/internal/vtime"
 )
@@ -52,7 +51,7 @@ const (
 	tagBarrierBase = 300 // barriers use tagBarrierBase + 2*step
 )
 
-// Step names index the per-step metrics in Result: pdm's phases 1..5.
+// Step names index the per-step metrics in Report: pdm's phases 1..5.
 var StepNames = [5]string(pdm.PhaseNames[1:])
 
 // Config parameterises Algorithm 1.
@@ -225,93 +224,10 @@ func (c Config) Validate(p int) error {
 	return nil
 }
 
-// Result reports one Algorithm-1 run.
-type Result struct {
-	// Time is the virtual makespan.
-	Time float64
-	// NodeClocks is each node's final clock.
-	NodeClocks []float64
-	// PartitionSizes is the final number of keys per node.
-	PartitionSizes []int64
-	// StepTimes[s] is the cluster-wide duration of step s (barrier to
-	// barrier, max over nodes).
-	StepTimes [5]float64
-	// NodeIO is each node's total I/O.
-	NodeIO []pdm.IOStats
-	// DiskIO[i][d] is node i's I/O on member disk d; nil per node when
-	// the node has a single disk.  Summing over d reproduces NodeIO[i].
-	DiskIO [][]pdm.IOStats
-	// StepIO[s][i] is node i's I/O during step s, barrier to barrier:
-	// a checkpointed step's cell includes its manifest commit (one
-	// write, one seek, plus step 5's Merkle hashing under Merkle).  The
-	// node counter's phase cells are the view without manifests:
-	// commits are charged to phase 0.
-	StepIO [5][]pdm.IOStats
-	// NodeAttr[i] splits node i's final clock into compute, disk,
-	// network and idle-wait virtual time.  The categories sum to
-	// NodeClocks[i] (vtime.CheckAttribution holds for every node).
-	NodeAttr []vtime.Breakdown
-	// StepAttr[s][i] is node i's attribution during step s, barrier to
-	// barrier (so the barrier wait counts as the step's idle time).
-	StepAttr [5][]vtime.Breakdown
-	// Pivots are the broadcast pivots (diagnostics).
-	Pivots []record.Key
-	// PivotRounds is the number of step-2 collective rounds: 1 for the
-	// one-shot strategies, the refinement round count for Histogram, plus
-	// one for settleTies where some pivot is tied.
-	PivotRounds int
-	// PivotSampleKeys counts the key-valued samples entering the
-	// step-2 collectives — the "samples shipped" axis of the
-	// histogram-vs-sampling tradeoff.  Per strategy: regular/random
-	// sampling count every node's sampled keys;
-	// Histogram counts the candidate splitters broadcast per round.
-	// Count vectors (integer metadata, not key samples) are excluded.
-	PivotSampleKeys int64
-}
-
-// SublistExpansion returns the Table-3 S(max) metric for the run: the
-// worst ratio of a node's final partition to its perf-optimal share.
-func (r *Result) SublistExpansion(v perf.Vector) float64 {
-	e, err := sampling.WeightedExpansion(r.PartitionSizes, v)
-	if err != nil {
-		return 0
-	}
-	return e
-}
-
-// MeanPartition returns the mean final partition size over the nodes
-// with the given perf value (the paper's "Mean" column reports the fast
-// nodes' mean in the heterogeneous rows).
-func (r *Result) MeanPartition(v perf.Vector, class int) float64 {
-	var sum, cnt int64
-	for i, s := range r.PartitionSizes {
-		if v[i] == class {
-			sum += s
-			cnt++
-		}
-	}
-	if cnt == 0 {
-		return 0
-	}
-	return float64(sum) / float64(cnt)
-}
-
-// MaxPartition returns the largest final partition among nodes of the
-// given perf class.
-func (r *Result) MaxPartition(v perf.Vector, class int) int64 {
-	var max int64
-	for i, s := range r.PartitionSizes {
-		if v[i] == class && s > max {
-			max = s
-		}
-	}
-	return max
-}
-
 // Sort runs Algorithm 1.  Every node must already hold its portion in
 // the file inputName on its private FS; on success every node holds its
 // sorted partition in outputName.
-func Sort(c *cluster.Cluster, cfg Config, inputName, outputName string) (*Result, error) {
+func Sort(c *cluster.Cluster, cfg Config, inputName, outputName string) (*Report, error) {
 	if err := cfg.resolve(c); err != nil {
 		return nil, err
 	}
@@ -333,7 +249,7 @@ func (c *Config) resolve(cl *cluster.Cluster) error {
 // and returns the completed result together with the original run's
 // input checksum for verification.  All recovery I/O is charged to the
 // PDM counters.  The configuration must match the interrupted run's.
-func Resume(c *cluster.Cluster, cfg Config, inputName, outputName string) (*Result, record.Checksum, error) {
+func Resume(c *cluster.Cluster, cfg Config, inputName, outputName string) (*Report, record.Checksum, error) {
 	if err := cfg.resolve(c); err != nil {
 		return nil, record.Checksum{}, err
 	}
@@ -357,19 +273,8 @@ func Resume(c *cluster.Cluster, cfg Config, inputName, outputName string) (*Resu
 
 // runWorkers executes the five phases on every node, fresh (plan nil) or
 // resuming from a recovery plan.
-func runWorkers(c *cluster.Cluster, cfg Config, inputName, outputName string, plan *checkpoint.Recovery) (*Result, error) {
+func runWorkers(c *cluster.Cluster, cfg Config, inputName, outputName string, plan *checkpoint.Recovery) (*Report, error) {
 	p := c.P()
-	res := &Result{
-		NodeClocks:     make([]float64, p),
-		PartitionSizes: make([]int64, p),
-		NodeIO:         make([]pdm.IOStats, p),
-		DiskIO:         make([][]pdm.IOStats, p),
-		NodeAttr:       make([]vtime.Breakdown, p),
-	}
-	for s := range res.StepIO {
-		res.StepIO[s] = make([]pdm.IOStats, p)
-		res.StepAttr[s] = make([]vtime.Breakdown, p)
-	}
 	radix := resolveRadix(p, cfg.Topology, cfg.Radix)
 	if cfg.Progress != nil {
 		var totalKeys int64
@@ -394,32 +299,26 @@ func runWorkers(c *cluster.Cluster, cfg Config, inputName, outputName string, pl
 		return nil, err
 	}
 
-	for i := 0; i < p; i++ {
-		res.NodeClocks[i] = c.Node(i).Clock()
-		res.NodeIO[i] = c.Node(i).IOStats()
-		res.DiskIO[i] = c.Node(i).DiskIO()
-		res.NodeAttr[i] = c.Node(i).Attribution()
-		sz, err := diskio.CountKeys(c.Node(i).FS(), outputName)
-		if err != nil {
-			return nil, fmt.Errorf("extsort: counting node %d output: %w", i, err)
-		}
-		res.PartitionSizes[i] = sz
-		w := &workers[i]
-		res.PivotRounds = max(res.PivotRounds, w.pivotRounds)
-		res.PivotSampleKeys += w.sampleKeys
+	res, err := Collect(c, cfg.Perf, outputName)
+	if err != nil {
+		return nil, err
 	}
-	res.Time = c.MaxClock()
 	res.Pivots = workers[0].pivots
+	for i := range workers {
+		res.PivotRounds = max(res.PivotRounds, workers[i].pivotRounds)
+		res.PivotSampleKeys += workers[i].sampleKeys
+	}
 	// Step durations: max end over nodes, minus max previous end.
 	prev := 0.0
-	for s := 0; s < 5; s++ {
+	for s := range 5 {
+		res.StepIO[s] = make([]pdm.IOStats, p)
+		res.StepBreakdown[s] = make([]vtime.Breakdown, p)
 		var end float64
 		for i := range workers {
-			res.StepIO[s][i] = workers[i].io[s]
-			res.StepAttr[s][i] = workers[i].attr[s]
-			if workers[i].ends[s] > end {
-				end = workers[i].ends[s]
-			}
+			w := &workers[i]
+			res.StepIO[s][i] = w.io[s]
+			res.StepBreakdown[s][i] = w.attr[s]
+			end = max(end, w.ends[s])
 		}
 		res.StepTimes[s] = end - prev
 		prev = end
@@ -466,7 +365,7 @@ type worker struct {
 	secs   []diskio.Section
 	srcs   []polyphase.MergeSource
 
-	// This node's step-2 accounting (Result.PivotRounds, PivotSampleKeys).
+	// This node's step-2 accounting (Report.PivotRounds, PivotSampleKeys).
 	pivotRounds int
 	sampleKeys  int64
 

@@ -34,7 +34,7 @@ func newCluster(t *testing.T, v perf.Vector) *cluster.Cluster {
 }
 
 func runSort(t *testing.T, c *cluster.Cluster, v perf.Vector, cfg Config,
-	dist record.Distribution, n int64, seed int64) *Result {
+	dist record.Distribution, n int64, seed int64) *Report {
 	t.Helper()
 	sum, err := DistributeInput(c, v, dist, n, seed, cfg.BlockKeys, "input")
 	if err != nil {
@@ -64,7 +64,7 @@ func TestHomogeneousSort(t *testing.T) {
 	if total != 40000 {
 		t.Fatalf("partitions sum to %d", total)
 	}
-	if exp := res.SublistExpansion(v); exp > 1.25 {
+	if exp := res.SublistExpansion; exp > 1.25 {
 		t.Fatalf("expansion %v too high for uniform input", exp)
 	}
 }
@@ -74,7 +74,7 @@ func TestHeterogeneousSort(t *testing.T) {
 	c := newCluster(t, v)
 	n := v.NearestValidSize(40000)
 	res := runSort(t, c, v, testConfig(v), record.Uniform, n, 2)
-	if exp := res.SublistExpansion(v); exp > 1.3 {
+	if exp := res.SublistExpansion; exp > 1.3 {
 		t.Fatalf("weighted expansion %v too high", exp)
 	}
 	// Fast nodes must hold roughly 4x the slow nodes' data.
@@ -235,7 +235,7 @@ func TestHeterogeneousConfigBeatsHomogeneousOnLoadedCluster(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	v := perf.Vector{1, 3}
-	run := func() *Result {
+	run := func() *Report {
 		c := newCluster(t, v)
 		return runSort(t, c, v, testConfig(v), record.Uniform, v.NearestValidSize(16000), 19)
 	}
@@ -525,23 +525,6 @@ func TestSortProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestResultHelpers(t *testing.T) {
-	v := perf.Vector{1, 1, 4, 4}
-	res := &Result{PartitionSizes: []int64{100, 120, 400, 420}}
-	if got := res.MeanPartition(v, 4); got != 410 {
-		t.Fatalf("MeanPartition=%v", got)
-	}
-	if got := res.MaxPartition(v, 4); got != 420 {
-		t.Fatalf("MaxPartition=%v", got)
-	}
-	if got := res.MaxPartition(v, 9); got != 0 {
-		t.Fatalf("missing class MaxPartition=%v", got)
-	}
-	if res.SublistExpansion(perf.Vector{1}) != 0 {
-		t.Fatal("mismatched vector should give 0")
 	}
 }
 

@@ -57,7 +57,7 @@ var fuseCases = []fuseCase{
 // run sorts the case's input on a fresh cluster and returns the result,
 // the output and the cluster; ref selects the unfused reference, whose
 // memory holds every portion in one run, so the verdict refuses.
-func (fc fuseCase) run(t *testing.T, ref bool) (*Result, []record.Key, *cluster.Cluster) {
+func (fc fuseCase) run(t *testing.T, ref bool) (*Report, []record.Key, *cluster.Cluster) {
 	t.Helper()
 	c, err := cluster.New(cluster.Config{Slowdowns: fc.v.Slowdowns(), BlockKeys: 64, DisksPerNode: fc.disks})
 	if err != nil {
@@ -184,7 +184,7 @@ func TestFusedRunsFallBack(t *testing.T) {
 func TestFusedReceiveTreeHasPLeaves(t *testing.T) {
 	res, _, _ := fuseCases[0].run(t, false)
 	for i, want := range []float64{0.062609760, 0.079134400} {
-		if got := res.StepAttr[3][i].Compute; math.Abs(got-want) > 1e-9 {
+		if got := res.StepBreakdown[3][i].Compute; math.Abs(got-want) > 1e-9 {
 			t.Errorf("node %d: step 4 charged %.9f vsec of compute, want %.9f", i, got, want)
 		}
 	}
@@ -203,7 +203,7 @@ func TestFusedCrashResume(t *testing.T) {
 	if !cfg.fusedFits(1, 2) {
 		t.Fatal("the final round does not fuse")
 	}
-	run := func(t *testing.T, crashNode int, point string) (*Result, []record.Key, *cluster.Cluster) {
+	run := func(t *testing.T, crashNode int, point string) (*Report, []record.Key, *cluster.Cluster) {
 		c, err := cluster.New(cluster.Config{Slowdowns: fc.v.Slowdowns(), BlockKeys: 64})
 		if err != nil {
 			t.Fatal(err)

@@ -21,7 +21,7 @@ func TestHistogramStrategySortsAndBalances(t *testing.T) {
 			// Refinement stops once every pivot rank is within
 			// tol = 5% of the smallest share, so the expansion must
 			// sit inside that band (plus the rare-duplicate slack).
-			if exp := res.SublistExpansion(v); exp > 1.10 {
+			if exp := res.SublistExpansion; exp > 1.10 {
 				t.Fatalf("histogram expansion %v outside the tolerance band", exp)
 			}
 			if res.PivotRounds < 1 {
@@ -42,7 +42,7 @@ func TestHistogramAllDistributions(t *testing.T) {
 			cfg := testConfig(v)
 			cfg.Strategy = Histogram
 			res := runSort(t, c, v, cfg, d, v.NearestValidSize(12000), 23)
-			if exp := res.SublistExpansion(v); exp > 1.05 {
+			if exp := res.SublistExpansion; exp > 1.05 {
 				t.Fatalf("expansion %v > 1 + the default tolerance", exp)
 			}
 		})
@@ -73,7 +73,7 @@ func TestHistogramExpansionWithinTolerance(t *testing.T) {
 				cfg := Config{Perf: v, BlockKeys: 64, MemoryKeys: 4096, Tapes: 4, MessageKeys: 1024,
 					Topology: m.topo, Radix: 4, Strategy: Histogram, HistTolerance: tol}
 				res := runSort(t, c, v, cfg, d, v.NearestValidSize(int64(512*m.p)), 1)
-				if exp := res.SublistExpansion(v); exp > 1+tol {
+				if exp := res.SublistExpansion; exp > 1+tol {
 					t.Fatalf("expansion %v > 1 + %v after %d rounds", exp, tol, res.PivotRounds)
 				}
 			})
@@ -87,7 +87,7 @@ func TestHistogramShipsFewerSamplesThanRegular(t *testing.T) {
 	// must shrink even after paying for every refinement round.
 	v := perf.Vector{1, 1, 4, 4, 1, 1, 4, 4, 1, 1, 4, 4, 1, 1, 4, 4}
 	n := v.NearestValidSize(64000)
-	run := func(s Strategy) *Result {
+	run := func(s Strategy) *Report {
 		c := newCluster(t, v)
 		cfg := testConfig(v)
 		cfg.Strategy = s

@@ -244,7 +244,7 @@ func TestResumeRebuildsIndex(t *testing.T) {
 	// run sorts with a checkpoint, node `node` dying at each of the
 	// points in turn, and returns the last (uninterrupted) resume's result
 	// and the cuts node's manifest held after the final crash.
-	run := func(points ...string) (*Result, []int64, []record.Key) {
+	run := func(points ...string) (*Report, []int64, []record.Key) {
 		c := newCluster(t, v)
 		cfg := testConfig(v)
 		cfg.Checkpoint = true
@@ -254,7 +254,7 @@ func TestResumeRebuildsIndex(t *testing.T) {
 		}
 		cfg.InputSum = sum
 		var cuts []int64
-		sort := func() (*Result, error) { return Sort(c, cfg, "input", "output") }
+		sort := func() (*Report, error) { return Sort(c, cfg, "input", "output") }
 		for _, point := range points {
 			if err := c.ScheduleCrash(node, -1, point); err != nil {
 				t.Fatal(err)
@@ -265,7 +265,7 @@ func TestResumeRebuildsIndex(t *testing.T) {
 			c.ClearCrashes()
 			_, all := manifestState(t, c)
 			cuts = all[node]
-			sort = func() (*Result, error) { res, _, err := Resume(c, cfg, "input", "output"); return res, err }
+			sort = func() (*Report, error) { res, _, err := Resume(c, cfg, "input", "output"); return res, err }
 		}
 		res, err := sort()
 		if err != nil {

@@ -90,10 +90,10 @@ func (m *Machine) Build() (*cluster.Cluster, error) {
 // with algo when it is non-nil (the DeWitt baseline); a resumed run
 // disarms the injected crash and continues Algorithm 1 from the
 // manifests, taking InputSum from them.  Either way the output is then
-// verified against InputSum and every node's time attribution is
-// checked to sum to its clock.
-func (m *Machine) Run(c *cluster.Cluster, algo func(*cluster.Cluster, Config) (*Result, error), resume bool) (*Result, error) {
-	var res *Result
+// verified against InputSum, every node's time attribution is checked
+// to sum to its clock, and the report gains the rendered Trace.
+func (m *Machine) Run(c *cluster.Cluster, algo func(*cluster.Cluster, Config) (*Report, error), resume bool) (*Report, error) {
+	var res *Report
 	var err error
 	switch {
 	case resume:
@@ -118,6 +118,11 @@ func (m *Machine) Run(c *cluster.Cluster, algo func(*cluster.Cluster, Config) (*
 		if err := vtime.CheckAttribution(n.Clock(), n.Attribution()); err != nil {
 			return nil, fmt.Errorf("extsort: node %d: %w", i, err)
 		}
+	}
+	if m.Trace != nil {
+		res.TraceLog = m.Trace
+		res.Timeline = m.Trace.Timeline()
+		res.Gantt = m.Trace.Gantt(60)
 	}
 	return res, nil
 }

@@ -16,7 +16,7 @@ import (
 // returns the per-node outputs, each node's per-phase PDM I/O
 // attribution, and the result.
 func runOverlapOnce(t *testing.T, v perf.Vector, disks int, cfg Config, dist record.Distribution,
-	n int64, seed int64) ([][]record.Key, [][pdm.PhaseCount]pdm.IOStats, *Result) {
+	n int64, seed int64) ([][]record.Key, [][pdm.PhaseCount]pdm.IOStats, *Report) {
 	t.Helper()
 	c, err := cluster.New(cluster.Config{Slowdowns: v.Slowdowns(), BlockKeys: 64, DisksPerNode: disks})
 	if err != nil {
@@ -104,7 +104,7 @@ func TestOverlapMatchesSynchronousProperty(t *testing.T) {
 			if overRes.Time > syncRes.Time {
 				t.Errorf("overlapped run slower: %.6f vs %.6f virtual s", overRes.Time, syncRes.Time)
 			}
-			for i, b := range overRes.NodeAttr {
+			for i, b := range overRes.NodeBreakdown {
 				if err := vtime.CheckAttribution(overRes.NodeClocks[i], b); err != nil {
 					t.Errorf("node %d: %v", i, err)
 				}

@@ -61,7 +61,7 @@ func TestRegularBeatsRandomPivotsOnBalance(t *testing.T) {
 		cfg.Strategy = s
 		cfg.Seed = 99
 		res := runSort(t, c, v, cfg, record.Uniform, n, 13)
-		return res.SublistExpansion(v)
+		return res.SublistExpansion
 	}
 	reg := run(RegularSampling)
 	rnd := run(RandomPivots)

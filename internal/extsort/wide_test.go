@@ -156,7 +156,7 @@ func TestIdealNetworkLowerBound(t *testing.T) {
 
 func TestMultiDiskNodesSpeedUpIOSteps(t *testing.T) {
 	v := perf.Homogeneous(2)
-	run := func(d int) *Result {
+	run := func(d int) *Report {
 		c, err := cluster.New(cluster.Config{Slowdowns: v.Slowdowns(), BlockKeys: 64, DisksPerNode: d})
 		if err != nil {
 			t.Fatal(err)
@@ -229,7 +229,7 @@ func TestLargeScaleStress(t *testing.T) {
 	if err := VerifyOutput(c, "output", cfg.BlockKeys, sum); err != nil {
 		t.Fatal(err)
 	}
-	if exp := res.SublistExpansion(v); exp > 2.0 {
+	if exp := res.SublistExpansion; exp > 2.0 {
 		t.Fatalf("stress expansion %v breaks the PSRS bound", exp)
 	}
 }

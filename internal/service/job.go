@@ -379,7 +379,7 @@ func (s *Service) run(j *job) error {
 		return err
 	}
 
-	var res *extsort.Result
+	var res *extsort.Report
 	if resume {
 		res, err = m.Run(cl, nil, true)
 		if errors.Is(err, os.ErrNotExist) {
@@ -421,7 +421,7 @@ func (s *Service) run(j *job) error {
 
 // runFresh loads the input, distributes perf-proportional shares onto
 // the job's node trees, and sorts.
-func (s *Service) runFresh(cl *cluster.Cluster, j *job, m *extsort.Machine) (*extsort.Result, error) {
+func (s *Service) runFresh(cl *cluster.Cluster, j *job, m *extsort.Machine) (*extsort.Report, error) {
 	keys, err := j.spec.loadInput(s.store, cl.P())
 	if err != nil {
 		return nil, err

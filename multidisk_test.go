@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"hetsort/internal/pdm"
@@ -13,62 +14,62 @@ import (
 // TestSortMultiDiskEquivalence: the PDM D parameter is timing-only at
 // the sort's interface — output, I/O counts and partitions are
 // identical at any D and access mode, per-disk counters sum to the node
-// counters, and D=4 finishes strictly faster than D=1.
+// counters, and D=4 finishes strictly faster than D=1 — for Algorithm 1
+// and the DeWitt baseline alike.
 func TestSortMultiDiskEquivalence(t *testing.T) {
 	keys := make([]Key, 32768)
 	for i := range keys {
 		keys[i] = Key(2654435761 * uint32(i+7))
 	}
-	base := Config{MemoryKeys: 4096, BlockKeys: 128, Tapes: 5, MessageKeys: 512}
-	run := func(mut func(*Config)) ([]Key, *Report) {
-		cfg := base
-		mut(&cfg)
-		sorted, rep, err := Sort(keys, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sorted, rep
-	}
-	s1, r1 := run(func(c *Config) {})
-	s4, r4 := run(func(c *Config) { c.Disks = 4 })
-	sInd, rInd := run(func(c *Config) { c.Disks = 4; c.DiskAccess = DiskAccessIndependent })
-
-	for name, s := range map[string][]Key{"D=4": s4, "D=4-independent": sInd} {
-		if len(s) != len(s1) {
-			t.Fatalf("%s returned %d keys, D=1 %d", name, len(s), len(s1))
-		}
-		for i := range s1 {
-			if s[i] != s1[i] {
-				t.Fatalf("%s output differs from D=1 at key %d", name, i)
+	for _, algo := range []string{AlgorithmExternalPSRS, AlgorithmDeWitt} {
+		t.Run(algo, func(t *testing.T) {
+			base := Config{MemoryKeys: 4096, BlockKeys: 128, Tapes: 5, MessageKeys: 512, Algorithm: algo}
+			run := func(mut func(*Config)) ([]Key, *Report) {
+				cfg := base
+				mut(&cfg)
+				sorted, rep, err := Sort(keys, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sorted, rep
 			}
-		}
-	}
-	for i := range r1.NodeIO {
-		if r1.NodeIO[i] != r4.NodeIO[i] || r1.NodeIO[i] != rInd.NodeIO[i] {
-			t.Fatalf("node %d I/O differs across D: %v / %v / %v",
-				i, r1.NodeIO[i], r4.NodeIO[i], rInd.NodeIO[i])
-		}
-	}
-	if r1.DiskIO != nil {
-		t.Fatal("Report.DiskIO populated at D=1")
-	}
-	if len(r4.DiskIO) != len(r4.NodeIO) {
-		t.Fatalf("Report.DiskIO has %d nodes, want %d", len(r4.DiskIO), len(r4.NodeIO))
-	}
-	for i, dio := range r4.DiskIO {
-		if len(dio) != 4 {
-			t.Fatalf("node %d has %d disk entries, want 4", i, len(dio))
-		}
-		var sum pdm.IOStats
-		for _, s := range dio {
-			sum = sum.Add(s)
-		}
-		if sum != r4.NodeIO[i] {
-			t.Fatalf("node %d per-disk sum %v != node I/O %v", i, sum, r4.NodeIO[i])
-		}
-	}
-	if r4.Time >= r1.Time {
-		t.Fatalf("D=4 (%v virtual s) not faster than D=1 (%v)", r4.Time, r1.Time)
+			s1, r1 := run(func(c *Config) {})
+			s4, r4 := run(func(c *Config) { c.Disks = 4 })
+			sInd, rInd := run(func(c *Config) { c.Disks = 4; c.DiskAccess = DiskAccessIndependent })
+
+			for name, s := range map[string][]Key{"D=4": s4, "D=4-independent": sInd} {
+				if !slices.Equal(s, s1) {
+					t.Fatalf("%s output differs from D=1", name)
+				}
+			}
+			for i := range r1.NodeIO {
+				if r1.NodeIO[i] != r4.NodeIO[i] || r1.NodeIO[i] != rInd.NodeIO[i] {
+					t.Fatalf("node %d I/O differs across D: %v / %v / %v",
+						i, r1.NodeIO[i], r4.NodeIO[i], rInd.NodeIO[i])
+				}
+			}
+			if r1.DiskIO != nil {
+				t.Fatal("Report.DiskIO populated at D=1")
+			}
+			if len(r4.DiskIO) != len(r4.NodeIO) {
+				t.Fatalf("Report.DiskIO has %d nodes, want %d", len(r4.DiskIO), len(r4.NodeIO))
+			}
+			for i, dio := range r4.DiskIO {
+				if len(dio) != 4 {
+					t.Fatalf("node %d has %d disk entries, want 4", i, len(dio))
+				}
+				var sum pdm.IOStats
+				for _, s := range dio {
+					sum = sum.Add(s)
+				}
+				if sum != r4.NodeIO[i] {
+					t.Fatalf("node %d per-disk sum %v != node I/O %v", i, sum, r4.NodeIO[i])
+				}
+			}
+			if r4.Time >= r1.Time {
+				t.Fatalf("D=4 (%v virtual s) not faster than D=1 (%v)", r4.Time, r1.Time)
+			}
+		})
 	}
 }
 
