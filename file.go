@@ -47,7 +47,6 @@ func SortFile(inputPath, outputPath string, cfg Config) (*Report, error) {
 	var want record.Checksum
 	br := bufio.NewReaderSize(in, 1<<20)
 	keyBuf := make([]record.Key, block)
-	byteBuf := make([]byte, block*record.KeySize)
 	for i := 0; i < c.P(); i++ {
 		f, err := c.Node(i).FS().Create("input")
 		if err != nil {
@@ -60,12 +59,12 @@ func SortFile(inputPath, outputPath string, cfg Config) (*Report, error) {
 			if chunk > remaining {
 				chunk = remaining
 			}
-			bb := byteBuf[:chunk*record.KeySize]
-			if _, err := io.ReadFull(br, bb); err != nil {
+			keys := keyBuf[:chunk]
+			if _, err := io.ReadFull(br, record.Bytes(keys)); err != nil {
 				f.Close()
 				return nil, fmt.Errorf("hetsort: reading input: %w", err)
 			}
-			keys := record.DecodeKeys(keyBuf[:0], bb)
+			record.DiskOrder(keys)
 			want.Update(keys)
 			if err := w.WriteKeys(keys); err != nil {
 				f.Close()
@@ -101,7 +100,6 @@ func concatOutput(c *cluster.Cluster, block int, outputPath string) error {
 	}
 	bw := bufio.NewWriterSize(out, 1<<20)
 	keyBuf := make([]record.Key, block)
-	byteBuf := make([]byte, block*record.KeySize)
 	for i := 0; i < c.P(); i++ {
 		f, err := c.Node(i).FS().Open("output")
 		if err != nil {
@@ -112,9 +110,11 @@ func concatOutput(c *cluster.Cluster, block int, outputPath string) error {
 		for {
 			n, err := diskio.ReadChunk(r, keyBuf)
 			if err == nil && n > 0 {
-				_, err = bw.Write(record.EncodeKeys(byteBuf[:0], keyBuf[:n]))
+				record.DiskOrder(keyBuf[:n])
+				_, err = bw.Write(record.Bytes(keyBuf[:n]))
 			}
 			if err != nil {
+				r.Release()
 				f.Close()
 				out.Close()
 				return err
@@ -123,6 +123,7 @@ func concatOutput(c *cluster.Cluster, block int, outputPath string) error {
 				break
 			}
 		}
+		r.Release()
 		if err := f.Close(); err != nil {
 			out.Close()
 			return err

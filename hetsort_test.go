@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -298,12 +299,15 @@ func TestSortFileRoundTrip(t *testing.T) {
 	}
 	w := bufio.NewWriter(f)
 	var buf [4]byte
-	for i := 0; i < n; i++ {
-		binary.LittleEndian.PutUint32(buf[:], 2654435761*uint32(i+7))
+	want := make([]uint32, n)
+	for i := range want {
+		want[i] = 2654435761 * uint32(i+7)
+		binary.LittleEndian.PutUint32(buf[:], want[i])
 		w.Write(buf[:])
 	}
 	w.Flush()
 	f.Close()
+	slices.Sort(want)
 
 	rep, err := SortFile(inPath, outPath, Config{
 		Perf: []int{1, 2, 2}, WorkDir: filepath.Join(dir, "work"),
@@ -322,13 +326,11 @@ func TestSortFileRoundTrip(t *testing.T) {
 	if len(out) != n*4 {
 		t.Fatalf("output %d bytes", len(out))
 	}
-	prev := uint32(0)
-	for i := 0; i < n; i++ {
-		k := binary.LittleEndian.Uint32(out[i*4:])
-		if k < prev {
-			t.Fatalf("output unsorted at %d", i)
+	// The output is the sorted input as little-endian uint32 values.
+	for i, k := range want {
+		if got := binary.LittleEndian.Uint32(out[i*4:]); got != k {
+			t.Fatalf("output key %d is %#x, want %#x", i, got, k)
 		}
-		prev = k
 	}
 	// The node work directories must exist on real disk.
 	if _, err := os.Stat(filepath.Join(dir, "work", "node0")); err != nil {

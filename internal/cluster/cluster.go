@@ -198,6 +198,16 @@ func (c *Cluster) LinksCreated() int {
 	return created
 }
 
+// The metrics keys under which Run leaves each node's contention
+// accounting: the peak number of in-links holding queued messages at
+// once, and LinkQueueHWM.  How far the queues back up follows the host's
+// scheduling of the node goroutines, not the model, so two runs of one
+// sort may differ in both.
+const (
+	FanInHWMKey     = "net.fanin.hwm"
+	LinkQueueHWMKey = "net.link.queue.hwm"
+)
+
 // LinkQueueHWM returns the worst per-link queue high-water mark over
 // node id's incoming links during the last Run.
 func (c *Cluster) LinkQueueHWM(id int) int64 {
@@ -407,8 +417,8 @@ func (c *Cluster) Run(fn func(*Node) error) error {
 	// peak concurrently backed-up in-links (≈ peak open incoming
 	// streams) and the worst per-link queue depth.
 	for i, n := range c.nodes {
-		n.metrics.Gauge("net.fanin.hwm").Set(float64(n.faninHWM.Load()))
-		n.metrics.Gauge("net.link.queue.hwm").Set(float64(c.LinkQueueHWM(i)))
+		n.metrics.Gauge(FanInHWMKey).Set(float64(n.faninHWM.Load()))
+		n.metrics.Gauge(LinkQueueHWMKey).Set(float64(c.LinkQueueHWM(i)))
 		if n.disks > 1 {
 			n.metrics.Gauge("disk.parallel.steps").Set(float64(n.ioSteps))
 			if n.ioSteps > 0 {

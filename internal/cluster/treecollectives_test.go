@@ -208,7 +208,7 @@ func TestTreeCollectivesBoundFanIn(t *testing.T) {
 		t.Fatal(err)
 	}
 	faninHWM := func(c *Cluster, id int) float64 {
-		return c.Node(id).Metrics().Snapshot()["net.fanin.hwm"]
+		return c.Node(id).Metrics().Snapshot()[FanInHWMKey]
 	}
 	if got := faninHWM(flat, 0); got != p-1 {
 		t.Fatalf("flat root fan-in HWM = %v, want %d", got, p-1)

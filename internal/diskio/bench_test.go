@@ -2,59 +2,89 @@ package diskio
 
 import (
 	"fmt"
-	"io"
 	"testing"
 
 	"hetsort/internal/pdm"
 	"hetsort/internal/record"
 )
 
-func BenchmarkWriterThroughput(b *testing.B) {
-	keys := record.Uniform.Generate(1<<16, 1, 1)
-	b.SetBytes(int64(len(keys)) * record.KeySize)
-	fs := NewMemFS()
-	var c pdm.Counter
-	for i := 0; i < b.N; i++ {
-		f, err := fs.Create("bench")
+// benchFS runs a layer benchmark on each node disk: in memory and on a
+// directory of the host's filesystem.
+func benchFS(b *testing.B, run func(b *testing.B, fs FS)) {
+	b.Run("MemFS", func(b *testing.B) { run(b, NewMemFS()) })
+	b.Run("DirFS", func(b *testing.B) {
+		d, err := NewDirFS(b.TempDir())
 		if err != nil {
 			b.Fatal(err)
 		}
-		w := NewWriter(f, 2048, Accounting{Counter: &c})
-		if err := w.WriteKeys(keys); err != nil {
-			b.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			b.Fatal(err)
-		}
-		f.Close()
-	}
+		run(b, d)
+	})
 }
 
-func BenchmarkReaderThroughput(b *testing.B) {
+// reportPerKey adds ns/key to a benchmark that moves keys keys per
+// iteration.
+func reportPerKey(b *testing.B, keys int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(keys), "ns/key")
+}
+
+// BenchmarkWriterThroughput writes 2^16 keys in blocks of 2048 through a
+// Writer, the caller's slice holding every block whole.
+func BenchmarkWriterThroughput(b *testing.B) {
 	keys := record.Uniform.Generate(1<<16, 1, 1)
-	fs := NewMemFS()
-	if err := WriteFile(fs, "bench", keys, 2048, Accounting{}); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(keys)) * record.KeySize)
-	buf := make([]record.Key, 2048)
-	for i := 0; i < b.N; i++ {
-		f, err := fs.Open("bench")
-		if err != nil {
-			b.Fatal(err)
-		}
-		r := NewReader(f, 2048, Accounting{})
-		for {
-			n, err := r.ReadKeys(buf)
-			if err == io.EOF || n == 0 {
-				break
-			}
+	benchFS(b, func(b *testing.B, fs FS) {
+		var c pdm.Counter
+		b.SetBytes(int64(len(keys)) * record.KeySize)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			f, err := fs.Create("bench")
 			if err != nil {
 				b.Fatal(err)
 			}
+			w := NewWriter(f, 2048, Accounting{Counter: &c})
+			if err := w.WriteKeys(keys); err != nil {
+				b.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				b.Fatal(err)
+			}
+			f.Close()
 		}
-		f.Close()
-	}
+		reportPerKey(b, len(keys))
+	})
+}
+
+// BenchmarkReaderThroughput reads 2^16 keys back in blocks of 2048
+// through a Reader, released after each pass.
+func BenchmarkReaderThroughput(b *testing.B) {
+	keys := record.Uniform.Generate(1<<16, 1, 1)
+	benchFS(b, func(b *testing.B, fs FS) {
+		if err := WriteFile(fs, "bench", keys, 2048, Accounting{}); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(keys)) * record.KeySize)
+		b.ReportAllocs()
+		buf := make([]record.Key, 2048)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			f, err := fs.Open("bench")
+			if err != nil {
+				b.Fatal(err)
+			}
+			r := NewReader(f, 2048, Accounting{})
+			for {
+				n, err := ReadChunk(r, buf)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if n == 0 {
+					break
+				}
+			}
+			r.Release()
+			f.Close()
+		}
+		reportPerKey(b, len(keys))
+	})
 }
 
 func BenchmarkReadKeyAt(b *testing.B) {

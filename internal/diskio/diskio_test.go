@@ -2,11 +2,14 @@ package diskio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -674,5 +677,103 @@ func TestMemFSRecyclesUnderConcurrency(t *testing.T) {
 	fs.Remove("f")
 	if after := MemFSPages(); after != before {
 		t.Fatalf("MemFS held %d pages before and %d after every file was removed", before, after)
+	}
+}
+
+// writeLog records the length of every Write on its File.
+type writeLog struct {
+	File
+	writes []int
+}
+
+func (w *writeLog) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, len(p))
+	return w.File.Write(p)
+}
+
+// writeChunks writes keys through a Writer with the given block size in
+// chunks of the given sizes, cycled: below, at and above a block, so
+// that whole blocks go out both from the caller's slice and from the
+// Writer's buffer.
+func writeChunks(t *testing.T, f File, keys []record.Key, block int, chunks []int) {
+	t.Helper()
+	w := NewWriter(f, block, Accounting{})
+	for i := 0; len(keys) > 0; i++ {
+		n := min(chunks[i%len(chunks)], len(keys))
+		if err := w.WriteKeys(keys[:n]); err != nil {
+			t.Fatal(err)
+		}
+		keys = keys[n:]
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWriterOneWritePerBlock: however the keys arrive, the file sees one
+// Write of a whole block per block and one for the final partial block,
+// and the caller's keys are left as they were.
+func TestWriterOneWritePerBlock(t *testing.T) {
+	const block = 64
+	keys := record.Uniform.Generate(1000, 7, 1)
+	orig := slices.Clone(keys)
+	fs := NewMemFS()
+	f, err := fs.Create("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &writeLog{File: f}
+	writeChunks(t, log, keys, block, []int{1, 64, 200, 63, 128, 5})
+	f.Close()
+	want := make([]int, 0, len(keys)/block+1)
+	for n := len(keys); n > 0; n -= block {
+		want = append(want, min(n, block)*record.KeySize)
+	}
+	if !slices.Equal(log.writes, want) {
+		t.Fatalf("Write sizes %v, want %v", log.writes, want)
+	}
+	if !slices.Equal(keys, orig) {
+		t.Fatal("the Writer changed the caller's keys")
+	}
+	got, err := ReadFileAll(fs, "x", block, Accounting{})
+	if err != nil || !slices.Equal(got, keys) {
+		t.Fatalf("read back %d keys (%v), want the %d written", len(got), err, len(keys))
+	}
+}
+
+// TestDirFSFileIsLittleEndian: a key file on a DirFS is the keys as
+// little-endian uint32 values and nothing else, whether WriteFile wrote
+// it in one call or a Writer got it in chunks of every size.
+func TestDirFSFileIsLittleEndian(t *testing.T) {
+	d, err := NewDirFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := record.Uniform.Generate(1000, 8, 1)
+	keys[0], keys[1] = 0x04030201, 0xffffffff
+	if err := WriteFile(d, "whole", keys, 64, Accounting{}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := d.Create("chunked")
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeChunks(t, f, keys, 64, []int{3, 64, 130, 61})
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"whole", "chunked"} {
+		raw, err := os.ReadFile(filepath.Join(d.Root(), name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(raw) != len(keys)*record.KeySize {
+			t.Fatalf("%s: %d bytes, want %d", name, len(raw), len(keys)*record.KeySize)
+		}
+		for i, k := range keys {
+			if got := binary.LittleEndian.Uint32(raw[i*record.KeySize:]); got != k {
+				t.Fatalf("%s: key %d reads %#x, want %#x", name, i, got, k)
+			}
+		}
 	}
 }

@@ -20,6 +20,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"unsafe"
+
+	"hetsort/internal/record"
 )
 
 // File is the handle the sorters use: sequential read/write plus seek.
@@ -245,20 +247,26 @@ var (
 // maps past the pools).
 func pageClass(n int) int { return max(0, bits.Len(uint(n-1))-minPageShift) }
 
-// getPage returns a buffer of length n whose capacity is its pool size.
-// Its bytes are whatever the last holder left: callers expose only what
-// they write.
-func getPage(n int) []byte {
-	c, size := pageClass(n), n
+// getKeys returns a buffer of n keys, and getPage one of n bytes, whose
+// capacity is its pool size.  Its contents are whatever the last holder
+// left: callers expose only what they write.  A pool buffer is born as
+// keys, which getPage views as bytes, so a key buffer is always aligned.
+func getKeys(n int) []record.Key {
+	c, size := pageClass(n*record.KeySize), n
 	if c < len(pagePools) {
-		size = 1 << (minPageShift + c)
+		size = (1 << (minPageShift + c)) / record.KeySize
 		if p := pagePools[c].Get(); p != nil {
 			poolHits.Add(1)
-			return unsafe.Slice((*byte)(p.(unsafe.Pointer)), size)[:n]
+			return unsafe.Slice((*record.Key)(p.(unsafe.Pointer)), size)[:n]
 		}
 	}
 	poolMisses.Add(1)
-	return make([]byte, n, size)
+	return make([]record.Key, n, size)
+}
+
+func getPage(n int) []byte {
+	k := getKeys((n + record.KeySize - 1) / record.KeySize)
+	return record.Bytes(k[:cap(k)])[:n]
 }
 
 // putPage gives b back to its pool; a buffer of any other capacity is

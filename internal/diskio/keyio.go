@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync/atomic"
-	"unsafe"
 
 	"hetsort/internal/pdm"
 	"hetsort/internal/record"
@@ -14,33 +14,24 @@ import (
 
 // Block buffers are recycled across Readers and Writers: a sort opens
 // and closes thousands of short-lived block streams (one per run, per
-// tape, per segment), and the per-stream block allocations dominated the
-// allocation profile.  Byte buffers and decode buffers alike come from
-// the page pool (getPage), which pools them without allocating.
+// tape, per segment), whose block allocations dominated the allocation
+// profile.  A stream's one key buffer comes from the page pool (getKeys).
 var (
 	poolHits   atomic.Int64 // buffers served from a pool
 	poolMisses atomic.Int64 // fresh allocations (empty pool or too small)
 )
 
 // PoolStats reports the process-wide buffer pool behaviour, over MemFS
-// pages, block buffers and decode buffers alike: hits (a pooled buffer
-// was reused) and misses (a fresh buffer had to be allocated).  The
-// pools are shared by every simulated node, so these are process-level
-// observability numbers, not per-node virtual-time quantities.
+// pages and block buffers alike: hits (a pooled buffer was reused) and
+// misses (a fresh buffer had to be allocated).  The pools are shared by
+// every simulated node, so these are process-level observability
+// numbers, not per-node virtual-time quantities.
 func PoolStats() (hits, misses int64) {
 	return poolHits.Load(), poolMisses.Load()
 }
 
-// getKeyBuf returns an empty decode buffer of capacity ≥ n: a page.
-func getKeyBuf(n int) []record.Key {
-	b := getPage(n * record.KeySize)
-	return unsafe.Slice((*record.Key)(unsafe.Pointer(unsafe.SliceData(b))), cap(b)/record.KeySize)[:0]
-}
-
-// putKeyBuf gives a decode buffer back to the page pool.
-func putKeyBuf(b []record.Key) {
-	putPage(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(b))), cap(b)*record.KeySize))
-}
+// putKeys gives a key buffer back to the page pool.
+func putKeys(k []record.Key) { putPage(record.Bytes(k[:cap(k)])) }
 
 // Accounting bundles the sinks every block transfer reports to — the
 // PDM I/O counter (complexity accounting), the virtual-time meter
@@ -156,18 +147,19 @@ func (a Accounting) startOffset(f File) int64 {
 
 // Writer streams keys to a file in blocks of BlockSize keys, charging
 // the accounting sinks one block write per block (a final partial block
-// counts as one whole transfer, as in the PDM).  Under acct.Overlap the
-// charges go through an overlap window held from NewWriter to Close
-// (write-behind: the drive drains blocks while the CPU produces more).
+// counts as one whole transfer, as in the PDM), each in one Write of its
+// keys' bytes: the caller's, when they make a whole block and nothing is
+// buffered, else the Writer's buffer.  Under acct.Overlap the charges go
+// through an overlap window held from NewWriter to Close (write-behind:
+// the drive drains blocks while the CPU produces more).
 type Writer struct {
 	f      File
 	acct   Accounting
 	om     vtime.OverlapMeter // open overlap window, nil when synchronous
 	off    int64              // byte offset of the next block written
 	block  int                // keys per block
-	buf    []byte
-	n      int   // keys buffered
-	total  int64 // keys written overall
+	keys   []record.Key       // keys buffered, capacity block
+	total  int64              // keys written overall
 	closed bool
 	err    error
 }
@@ -186,7 +178,7 @@ func NewWriter(f File, blockKeys int, acct Accounting) *Writer {
 		f:     f,
 		acct:  acct,
 		block: blockKeys,
-		buf:   getPage(blockKeys * record.KeySize)[:0],
+		keys:  getKeys(blockKeys)[:0],
 		om:    acct.openWindow(),
 		off:   acct.startOffset(f),
 	}
@@ -201,36 +193,41 @@ func (w *Writer) WriteKeys(keys []record.Key) error {
 		return errWriterClosed
 	}
 	for len(keys) > 0 {
-		room := w.block - w.n
-		take := len(keys)
-		if take > room {
-			take = room
-		}
-		w.buf = record.EncodeKeys(w.buf, keys[:take])
-		w.n += take
+		var err error
+		take := min(len(keys), w.block-len(w.keys))
 		w.total += int64(take)
-		keys = keys[take:]
-		if w.n == w.block {
-			if err := w.flushBlock(); err != nil {
-				return err
-			}
+		if take == w.block && record.HostLE {
+			err = w.write(keys[:take]) // a whole block of the caller's, nothing buffered
+		} else if w.keys = append(w.keys, keys[:take]...); len(w.keys) == w.block {
+			err = w.flushBlock()
 		}
+		if err != nil {
+			return err
+		}
+		keys = keys[take:]
 	}
 	return nil
 }
 
 func (w *Writer) flushBlock() error {
-	if w.n == 0 {
+	if len(w.keys) == 0 {
 		return nil
 	}
-	if _, err := w.f.Write(w.buf); err != nil {
+	record.DiskOrder(w.keys)
+	err := w.write(w.keys)
+	w.keys = w.keys[:0]
+	return err
+}
+
+// write writes one block, keys, to the file as its bytes.
+func (w *Writer) write(keys []record.Key) error {
+	b := record.Bytes(keys)
+	if _, err := w.f.Write(b); err != nil {
 		w.err = fmt.Errorf("diskio: writing block: %w", err)
 		return w.err
 	}
 	w.acct.transfer(w.off, 1, true, w.om)
-	w.off += int64(len(w.buf))
-	w.buf = w.buf[:0]
-	w.n = 0
+	w.off += int64(len(b))
 	return nil
 }
 
@@ -249,8 +246,8 @@ func (w *Writer) Close() error {
 		err = w.flushBlock()
 	}
 	w.closed = true
-	putPage(w.buf)
-	w.buf = nil
+	putKeys(w.keys)
+	w.keys = nil
 	if w.om != nil {
 		w.om.EndOverlap()
 	}
@@ -258,9 +255,10 @@ func (w *Writer) Close() error {
 }
 
 // Reader streams keys from a file in blocks of BlockSize keys, charging
-// one block read per block fetched.  Under acct.Overlap the charges go
-// through an overlap window held from NewReader to Release (prefetch:
-// the drive reads ahead while the CPU consumes).
+// one block read per block fetched, each read straight into the bytes of
+// its one key buffer.  Under acct.Overlap the charges go through an
+// overlap window held from NewReader to Release (prefetch: the drive
+// reads ahead while the CPU consumes).
 type Reader struct {
 	f     File
 	acct  Accounting
@@ -268,8 +266,7 @@ type Reader struct {
 	off   int64              // byte offset of the next block read
 	left  int64              // keys still to fetch; negative: to the end of the file
 	block int
-	buf   []byte
-	keys  []record.Key
+	keys  []record.Key // the block read, capacity block
 	pos   int
 	err   error
 }
@@ -283,8 +280,7 @@ func NewReader(f File, blockKeys int, acct Accounting) *Reader {
 		f:     f,
 		acct:  acct,
 		block: blockKeys,
-		buf:   getPage(blockKeys * record.KeySize),
-		keys:  getKeyBuf(blockKeys),
+		keys:  getKeys(blockKeys)[:0],
 		om:    acct.openWindow(),
 		off:   acct.startOffset(f),
 		left:  -1,
@@ -427,7 +423,7 @@ func (r *Reader) fill() error {
 		r.err = io.EOF
 		return r.err
 	}
-	want := r.buf
+	want := record.Bytes(r.keys[:r.block])
 	if lim := r.left * record.KeySize; r.left > 0 && lim < int64(len(want)) {
 		want = want[:lim]
 	}
@@ -446,28 +442,25 @@ func (r *Reader) fill() error {
 		if r.left > 0 {
 			r.left -= int64(n / record.KeySize)
 		}
-		r.keys = record.DecodeKeys(r.keys[:0], r.buf[:n])
-		r.pos = 0
+		r.keys, r.pos = r.keys[:n/record.KeySize], 0
+		record.DiskOrder(r.keys)
 		return nil
 	}
-	if err == io.ErrUnexpectedEOF {
-		err = io.EOF
-	}
-	if err == nil {
+	if err == nil || err == io.ErrUnexpectedEOF {
 		err = io.EOF
 	}
 	r.err = err
 	return err
 }
 
-// Buffered returns the keys decoded but not yet consumed.  The slice is
+// Buffered returns the keys read but not yet consumed.  The slice is
 // valid until the next Fill, ReadKey or ReadKeys call.
 func (r *Reader) Buffered() []record.Key { return r.keys[r.pos:] }
 
 // Discard consumes the first n buffered keys.
 func (r *Reader) Discard(n int) { r.pos += n }
 
-// Fill decodes the next block once the buffer is empty, charging one
+// Fill reads the next block once the buffer is empty, charging one
 // block read; io.EOF when the file is exhausted.  Together with
 // Buffered and Discard this satisfies polyphase.MergeSource.
 func (r *Reader) Fill() error {
@@ -477,13 +470,12 @@ func (r *Reader) Fill() error {
 	return r.fill()
 }
 
-// Release closes the overlap window and returns the Reader's block
-// buffers to the pool.  The Reader must not be used afterwards; further
+// Release closes the overlap window and returns the Reader's key
+// buffer to the pool.  The Reader must not be used afterwards; further
 // reads fail cleanly.  Release is idempotent.
 func (r *Reader) Release() {
-	putPage(r.buf)
-	putKeyBuf(r.keys)
-	r.buf, r.keys, r.pos = nil, nil, 0
+	putKeys(r.keys)
+	r.keys, r.pos = nil, 0
 	if r.err == nil {
 		r.err = errReleased
 	}
@@ -538,39 +530,31 @@ func ReadChunk(r *Reader, dst []record.Key) (int, error) {
 }
 
 // ReadKeyAt reads the key at index idx (in keys) from f, charging one
-// seek and one block read.  The file position afterwards is undefined.
-// This is the access pattern of the pivot-sampling step (paper step 2).
+// seek and one block read: ReadBlockAt of one key.  The file position
+// afterwards is undefined.  This is the access pattern of the
+// pivot-sampling step (paper step 2).
 func ReadKeyAt(f File, idx int64, acct Accounting) (record.Key, error) {
-	if _, err := f.Seek(idx*record.KeySize, io.SeekStart); err != nil {
-		return 0, fmt.Errorf("diskio: seek to key %d: %w", idx, err)
-	}
-	acct.ChargeSeek(idx*record.KeySize, 1)
-	var buf [record.KeySize]byte
-	if _, err := io.ReadFull(f, buf[:]); err != nil {
-		return 0, fmt.Errorf("diskio: read key %d: %w", idx, err)
-	}
-	acct.ChargeRead(idx*record.KeySize, 1)
-	return record.GetKey(buf[:]), nil
+	var k [1]record.Key
+	_, err := ReadBlockAt(f, idx, 1, acct, k[:0])
+	return k[0], err
 }
 
-// ReadBlockAt decodes into keys (reused) the cnt ≤ B keys of f from
-// index idx on, read as one block: one seek and one block read charged,
-// at the block's offset.  raw, when at least cnt keys long, is the byte
-// buffer read into.  The file position afterwards is undefined.
-func ReadBlockAt(f File, idx, cnt int64, acct Accounting, raw []byte, keys []record.Key) ([]record.Key, error) {
+// ReadBlockAt reads into keys (reused) the cnt ≤ B keys of f from index
+// idx on, as one block: one seek and one block read charged, at the
+// block's offset.  The file position afterwards is undefined.
+func ReadBlockAt(f File, idx, cnt int64, acct Accounting, keys []record.Key) ([]record.Key, error) {
 	off := idx * record.KeySize
-	if int64(len(raw)) < cnt*record.KeySize {
-		raw = make([]byte, cnt*record.KeySize)
-	}
+	keys = slices.Grow(keys[:0], int(cnt))[:cnt]
 	if _, err := f.Seek(off, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("diskio: seek to key %d: %w", idx, err)
 	}
-	if _, err := io.ReadFull(f, raw[:cnt*record.KeySize]); err != nil {
+	if _, err := io.ReadFull(f, record.Bytes(keys)); err != nil {
 		return nil, fmt.Errorf("diskio: read %d keys at %d: %w", cnt, idx, err)
 	}
 	acct.ChargeSeek(off, 1)
 	acct.ChargeRead(off, 1)
-	return record.DecodeKeys(keys[:0], raw[:cnt*record.KeySize]), nil
+	record.DiskOrder(keys)
+	return keys, nil
 }
 
 // WriteFile creates name on fs and writes all keys to it in blocks.

@@ -355,7 +355,6 @@ type worker struct {
 	cuts      []int64
 	ownRounds int
 	index     *sortedIndex // step 1's by-product (sortedIndex)
-	raw       []byte       // a block's bytes, for probes
 
 	// Every file read once open and, in step 4, two loser trees (mergeBucket);
 	// secs backs the buckets, srcs the merges' sources.

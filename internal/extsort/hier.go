@@ -15,6 +15,12 @@ import (
 // shared link (per-link FIFO) without inter-round barriers.
 const tagRoundBase = 400
 
+// redistQueueHWMKey formats the metrics key of a node's deepest in-link
+// queue after redistribution round t.  Like cluster.FanInHWMKey and
+// cluster.LinkQueueHWMKey it follows the host's scheduling: those three
+// are the only NodeMetrics keys in which two runs of one sort may differ.
+const redistQueueHWMKey = "redist.r%d.queue.hwm"
+
 // roundPrefix prefixes every intermediate bucket file (swept by cleanup).
 const roundPrefix = "hetsort.rt"
 
@@ -217,7 +223,7 @@ func (w *worker) redistribute() error {
 				return err
 			}
 		}
-		n.Metrics().Gauge(fmt.Sprintf("redist.r%d.queue.hwm", t)).Set(float64(n.MaxInQueueHWM()))
+		n.Metrics().Gauge(fmt.Sprintf(redistQueueHWMKey, t)).Set(float64(n.MaxInQueueHWM()))
 		endRound()
 	}
 	n.Metrics().Gauge("redist.fanin.streams").Set(float64(maxFan))

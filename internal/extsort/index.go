@@ -166,11 +166,8 @@ func (c Config) fuseRuns(li int64, id int) bool {
 // synchronously charged, and one compute op per key read, as a scan
 // charges.
 func (w *worker) probe(x *sortedIndex, r int, b int64, f diskio.File, keys []record.Key) ([]record.Key, error) {
-	if w.raw == nil {
-		w.raw = make([]byte, x.block*record.KeySize)
-	}
 	cnt := min(x.block, x.runs[r].Keys-b*x.block)
-	keys, err := diskio.ReadBlockAt(f, x.runs[r].Off+b*x.block, cnt, w.n.Acct(), w.raw, keys)
+	keys, err := diskio.ReadBlockAt(f, x.runs[r].Off+b*x.block, cnt, w.n.Acct(), keys)
 	w.n.ChargeCompute(cnt)
 	return keys, err
 }

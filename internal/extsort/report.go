@@ -83,7 +83,10 @@ type Report struct {
 	PivotSampleKeys int64
 	// NodeMetrics is each node's metrics-registry snapshot: link
 	// traffic, merge-kernel counters, queue depths, checkpoint commit
-	// latencies (see internal/metrics).
+	// latencies (see internal/metrics).  Two runs of one sort give equal
+	// snapshots but for the queue peaks net.fanin.hwm,
+	// net.link.queue.hwm and redist.r<t>.queue.hwm, which follow the
+	// host's scheduling.
 	NodeMetrics []map[string]float64
 	// Timeline and Gantt hold the rendered virtual-time trace when the
 	// run was traced (Machine.Trace, the facade's Config.Trace).

@@ -585,9 +585,10 @@ func TestFlatIsRadixPTree(t *testing.T) {
 								flat.res.PartitionSizes, flat.res.Pivots, tree.res.PartitionSizes, tree.res.Pivots)
 						}
 						// The metrics snapshots hold the links' queue high-water
-						// marks, which the host's scheduling moves; the fan-in
-						// gauge and the message count are compared on their own.
-						flat.res.NodeMetrics, tree.res.NodeMetrics = nil, nil
+						// marks, which the host's scheduling moves: those alone
+						// are masked.
+						maskHostScheduled(flat.res.NodeMetrics)
+						maskHostScheduled(tree.res.NodeMetrics)
 						if f, tr := fmt.Sprintf("%+v", *flat.res), fmt.Sprintf("%+v", *tree.res); f != tr {
 							t.Errorf("results differ:\nflat %s\ntree %s", f, tr)
 						}
@@ -596,6 +597,56 @@ func TestFlatIsRadixPTree(t *testing.T) {
 						}
 					})
 				}
+			}
+		}
+	}
+}
+
+// maskHostScheduled deletes from every snapshot the keys that follow the
+// host's scheduling: cluster.FanInHWMKey, cluster.LinkQueueHWMKey and
+// redistQueueHWMKey.
+func maskHostScheduled(ms []map[string]float64) {
+	for _, m := range ms {
+		delete(m, cluster.FanInHWMKey)
+		delete(m, cluster.LinkQueueHWMKey)
+		for k := range m {
+			var t int
+			if n, _ := fmt.Sscanf(k, redistQueueHWMKey, &t); n == 1 && k == fmt.Sprintf(redistQueueHWMKey, t) {
+				delete(m, k)
+			}
+		}
+	}
+}
+
+// TestNodeMetricsRepeat sorts one input twice, over a two-round tree
+// exchange with histogram pivots, fused, and under checkpoints, and
+// requires equal metrics snapshots on every node but for the keys that
+// follow the host's scheduling.
+func TestNodeMetricsRepeat(t *testing.T) {
+	v := perf.Vector{1, 1, 4, 4, 1, 1, 4, 4, 1}
+	cfg := testConfig(v)
+	cfg.MemoryKeys = 8192
+	cfg.Strategy, cfg.Topology, cfg.Radix, cfg.Checkpoint = Histogram, TopologyTree, 3, true
+	n := v.NearestValidSize(3000 * int64(len(v)))
+	var snaps [2][]map[string]float64
+	for i := range snaps {
+		res := runSort(t, newCluster(t, v), v, cfg, record.ZipfS2, n, 5)
+		if _, ok := res.NodeMetrics[0][fmt.Sprintf(redistQueueHWMKey, 1)]; !ok {
+			t.Fatalf("no round-1 queue gauge: the exchange did not run two rounds")
+		}
+		maskHostScheduled(res.NodeMetrics)
+		snaps[i] = res.NodeMetrics
+	}
+	for i := range v {
+		a, b := snaps[0][i], snaps[1][i]
+		for k := range a {
+			if bv, ok := b[k]; !ok || bv != a[k] {
+				t.Errorf("node %d: %s is %v in one run of a sort and %v in the other", i, k, a[k], bv)
+			}
+		}
+		for k := range b {
+			if _, ok := a[k]; !ok {
+				t.Errorf("node %d: %s is set in one run of a sort only", i, k)
 			}
 		}
 	}

@@ -3,7 +3,8 @@
 //
 // The paper sorts 32-bit integers (4 bytes each: "an input size of
 // 33554432 integers corresponds to 134217728 bytes").  We follow it and
-// use uint32 keys with a fixed little-endian 4-byte on-disk encoding.
+// use uint32 keys with a fixed 4-byte on-disk encoding, unchanged: little
+// endian on every host, so where the host is too encoding is a copy.
 // The paper's public benchmark suite contains "eight different
 // benchmarks corresponding to eight different inputs"; the exact
 // distributions are not listed in the text, so we provide the eight
@@ -16,6 +17,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"unsafe"
 )
 
 // Key is one data item: a 32-bit unsigned integer, 4 bytes on disk.
@@ -24,48 +26,54 @@ type Key = uint32
 // KeySize is the on-disk size of a Key in bytes.
 const KeySize = 4
 
-// PutKey encodes k into buf (little endian).  buf must have at least
-// KeySize bytes.
-func PutKey(buf []byte, k Key) { binary.LittleEndian.PutUint32(buf, k) }
+// HostLE reports whether a Key's memory holds its encoding: a little-endian host.
+var HostLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
-// GetKey decodes a key from buf (little endian).
-func GetKey(buf []byte) Key { return binary.LittleEndian.Uint32(buf) }
+// Bytes views keys as the bytes they occupy in memory, without a copy:
+// their encoding where HostLE, else after DiskOrder.  Keys are only ever
+// viewed as bytes, never bytes as keys, so no view is misaligned.
+func Bytes(keys []Key) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(keys))), len(keys)*KeySize)
+}
 
-// EncodeKeys appends the encoding of keys to dst and returns it.  dst
-// grows once; the keys go in two to a 64-bit store.
+// DiskOrder converts keys in place between host and disk byte order,
+// either way: nothing to do where HostLE, else the per-key loop.
+func DiskOrder(keys []Key) {
+	if !HostLE {
+		decodeLoop(keys, Bytes(keys))
+	}
+}
+
+// EncodeKeys appends the encoding of keys to dst and returns it: a copy
+// where HostLE.
 func EncodeKeys(dst []byte, keys []Key) []byte {
-	off := len(dst)
-	dst = slices.Grow(dst, KeySize*len(keys))[:off+KeySize*len(keys)]
-	out := dst[off:]
-	for len(keys) >= 2 && len(out) >= 2*KeySize {
-		binary.LittleEndian.PutUint64(out, uint64(keys[0])|uint64(keys[1])<<32)
-		out, keys = out[2*KeySize:], keys[2:]
+	if !HostLE {
+		keys = slices.Clone(keys)
+		DiskOrder(keys)
 	}
-	if len(keys) > 0 {
-		PutKey(out, keys[0])
-	}
-	return dst
+	return append(dst, Bytes(keys)...)
 }
 
 // DecodeKeys decodes len(buf)/KeySize keys from buf, appending to dst,
-// which grows once; the keys come out two to a 64-bit load.  It panics if
-// len(buf) is not a multiple of KeySize.
+// which grows once: a copy where HostLE.  It panics if len(buf) is not a
+// multiple of KeySize.
 func DecodeKeys(dst []Key, buf []byte) []Key {
 	if len(buf)%KeySize != 0 {
 		panic(fmt.Sprintf("record: buffer length %d not a multiple of %d", len(buf), KeySize))
 	}
 	off, n := len(dst), len(buf)/KeySize
 	dst = slices.Grow(dst, n)[:off+n]
-	out := dst[off:]
-	for len(out) >= 2 && len(buf) >= 2*KeySize {
-		w := binary.LittleEndian.Uint64(buf)
-		out[0], out[1] = Key(w), Key(w>>32)
-		out, buf = out[2:], buf[2*KeySize:]
-	}
-	if len(out) > 0 {
-		out[0] = GetKey(buf)
-	}
+	copy(Bytes(dst[off:]), buf)
+	DiskOrder(dst[off:])
 	return dst
+}
+
+// decodeLoop is DiskOrder on a big-endian host: it fills keys from the
+// encoding in buf, one load per key, so buf may be Bytes(keys).
+func decodeLoop(keys []Key, buf []byte) {
+	for i := range keys {
+		keys[i] = binary.LittleEndian.Uint32(buf[i*KeySize:])
+	}
 }
 
 // sortCutoff is the length below which SortKeys sorts by insertion: four
@@ -135,11 +143,11 @@ type Checksum struct {
 
 // Update folds the keys into the checksum.
 func (c *Checksum) Update(keys []Key) {
+	sum, xor := c.Sum, c.Xor
 	for _, k := range keys {
-		c.Count++
-		c.Sum += uint64(k)
-		c.Xor ^= k
+		sum, xor = sum+uint64(k), xor^k
 	}
+	c.Count, c.Sum, c.Xor = c.Count+int64(len(keys)), sum, xor
 }
 
 // Equal reports whether two checksums describe the same multiset

@@ -3,6 +3,7 @@ package record
 import (
 	"bytes"
 	"encoding/binary"
+	"math/rand"
 	"slices"
 	"sort"
 	"testing"
@@ -10,11 +11,10 @@ import (
 )
 
 func TestKeyRoundTrip(t *testing.T) {
-	buf := make([]byte, KeySize)
 	for _, k := range []Key{0, 1, 0xdeadbeef, 0xffffffff} {
-		PutKey(buf, k)
-		if got := GetKey(buf); got != k {
-			t.Fatalf("round trip %x -> %x", k, got)
+		buf := EncodeKeys(nil, []Key{k})
+		if got := DecodeKeys(nil, buf); len(buf) != KeySize || len(got) != 1 || got[0] != k {
+			t.Fatalf("round trip %x -> %x -> %x", k, buf, got)
 		}
 	}
 }
@@ -70,27 +70,72 @@ func TestEncodeDecodeProperty(t *testing.T) {
 	}
 }
 
-// TestCodecMatchesPerKeyEncoding pins the block codec, which moves two
-// keys per 64-bit word, to the per-key definition (PutKey/GetKey) at odd
-// and even lengths and behind a prefix that leaves the pairs unaligned.
+// perKeyLE is the on-disk format by definition: each key's four bytes,
+// least significant first, appended to dst.
+func perKeyLE(dst []byte, keys []Key) []byte {
+	for _, k := range keys {
+		dst = binary.LittleEndian.AppendUint32(dst, k)
+	}
+	return dst
+}
+
+// TestCodecMatchesPerKeyEncoding pins EncodeKeys and DecodeKeys to the
+// per-key little-endian definition at every length 0…65, appended onto a
+// non-empty dst of 1…3 bytes (keys).
 func TestCodecMatchesPerKeyEncoding(t *testing.T) {
-	keys := []Key{0x04030201, 0xffffffff, 0, 0x80000000, 7, 0xdeadbeef, 1, 2, 3}
+	keys := Uniform.Generate(65, 9, 1)
+	keys[0], keys[1], keys[2] = 0x04030201, 0xffffffff, 0
 	for n := 0; n <= len(keys); n++ {
-		for pre := 0; pre <= 3; pre++ {
+		for pre := 1; pre <= 3; pre++ {
 			prefix := bytes.Repeat([]byte{0xaa}, pre)
-			want := slices.Clone(prefix)
-			for _, k := range keys[:n] {
-				want = binary.LittleEndian.AppendUint32(want, k)
-			}
+			want := perKeyLE(slices.Clone(prefix), keys[:n])
 			got := EncodeKeys(slices.Clone(prefix), keys[:n])
 			if !bytes.Equal(got, want) {
 				t.Fatalf("n=%d prefix=%d: EncodeKeys = %x, want %x", n, pre, got, want)
 			}
-			dec := DecodeKeys([]Key{9, 9, 9}[:pre], got[pre:])
+			dec := DecodeKeys([]Key{9, 9, 9}[:pre], want[pre:])
 			if !slices.Equal(dec[:pre], []Key{9, 9, 9}[:pre]) || !slices.Equal(dec[pre:], keys[:n]) {
 				t.Fatalf("n=%d prefix=%d: DecodeKeys = %v", n, pre, dec)
 			}
 		}
+	}
+}
+
+// TestBigEndianLoopMatchesCopy runs the per-key loop, which only a
+// big-endian host reaches (through DiskOrder, under EncodeKeys and
+// DecodeKeys), on every host: against the per-key definition, against
+// the codec (a copy on a little-endian host), and in place, as DiskOrder
+// runs it.
+func TestBigEndianLoopMatchesCopy(t *testing.T) {
+	keys := Uniform.Generate(65, 11, 1)
+	for n := 0; n <= len(keys); n++ {
+		enc := perKeyLE(nil, keys[:n])
+		dec := make([]Key, n)
+		decodeLoop(dec, enc)
+		if !slices.Equal(dec, keys[:n]) || !slices.Equal(dec, DecodeKeys(nil, enc)) {
+			t.Fatalf("n=%d: decodeLoop = %v, want %v", n, dec, keys[:n])
+		}
+		inPlace := make([]Key, n)
+		copy(Bytes(inPlace), enc)
+		decodeLoop(inPlace, Bytes(inPlace))
+		if !slices.Equal(inPlace, keys[:n]) {
+			t.Fatalf("n=%d: decodeLoop in place = %v, want %v", n, inPlace, keys[:n])
+		}
+	}
+}
+
+// TestDiskOrderRoundTrip: keys put in disk order are their encoding as
+// bytes, and a second DiskOrder brings them back.
+func TestDiskOrderRoundTrip(t *testing.T) {
+	keys := Uniform.Generate(33, 4, 1)
+	disk := slices.Clone(keys)
+	DiskOrder(disk)
+	if !bytes.Equal(Bytes(disk), perKeyLE(nil, keys)) {
+		t.Fatalf("Bytes after DiskOrder = %x, want %x", Bytes(disk), perKeyLE(nil, keys))
+	}
+	DiskOrder(disk)
+	if !slices.Equal(disk, keys) {
+		t.Fatal("DiskOrder twice changed the keys")
 	}
 }
 
@@ -187,6 +232,31 @@ func TestChecksumPermutationInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestChecksumUpdateMatchesPerKey builds fingerprints across split
+// Update calls of random lengths and holds each, bit for bit, to one
+// folded key by key.
+func TestChecksumUpdateMatchesPerKey(t *testing.T) {
+	rnd := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		keys := Uniform.Generate(rnd.Intn(2000), int64(trial), 1)
+		var want Checksum
+		for _, k := range keys {
+			want.Count++
+			want.Sum += uint64(k)
+			want.Xor ^= k
+		}
+		var got Checksum
+		for rest := keys; len(rest) > 0; {
+			n := rnd.Intn(len(rest) + 1)
+			got.Update(rest[:n])
+			rest = rest[n:]
+		}
+		if got != want {
+			t.Fatalf("trial %d (%d keys): split Update gives %v, per key %v", trial, len(keys), got, want)
+		}
 	}
 }
 
