@@ -400,6 +400,7 @@ func (c *Cluster) Run(fn func(*Node) error) error {
 			// Runs after every send the node made: a peer that sees the
 			// close finds all of them queued.
 			defer close(n.exited)
+			defer func() { n.liveClock.Store(math.Float64bits(n.clock)) }()
 			defer func() {
 				if r := recover(); r != nil {
 					if ce, ok := r.(*CrashError); ok {
@@ -483,9 +484,12 @@ type Node struct {
 
 	// liveClock mirrors clock as atomically published float bits so
 	// progress samplers in other goroutines can read a node's virtual
-	// time mid-run.  Only the node goroutine writes it (in ChargeTime);
-	// it is a pure observation channel and never feeds back into the
-	// simulation, so vtime attribution is unperturbed.
+	// time mid-run.  Only the node goroutine writes it: on every disk,
+	// network and idle charge (ChargeTime) and when its Run function
+	// returns, not on compute charges, so it lags clock by at most the
+	// compute since the node's last transfer.  It is a pure observation
+	// channel and never feeds back into the simulation, so vtime
+	// attribution is unperturbed.
 	liveClock atomic.Uint64
 
 	// attr splits the clock into compute/disk/network/idle: every
@@ -621,10 +625,13 @@ func (n *Node) ChargeTime(cat vtime.Category, sec float64) {
 	n.crashIfDue()
 }
 
-// LiveClock returns the node's virtual time as last published by
-// ChargeTime.  Unlike Clock it is safe to call from any goroutine while
-// the cluster is running, which is what the progress sampler needs; it
-// may lag Clock by at most the charge currently being applied.
+// LiveClock returns the node's virtual time as last published: by every
+// disk, network and idle charge, and when the node's Run function
+// returns, on a crash as well.  Unlike Clock it is safe to call from any
+// goroutine while the cluster is running, which is what the progress
+// sampler needs; mid-run it may lag Clock by the compute charged since
+// the node's last transfer (about one block's worth), and after Run it
+// equals Clock.
 func (n *Node) LiveClock() float64 {
 	return math.Float64frombits(n.liveClock.Load())
 }
@@ -662,7 +669,10 @@ func (n *Node) ChargeCompute(ops int64) {
 			n.overlapCredit = n.overlapCap
 		}
 	}
-	n.ChargeTime(vtime.Compute, sec)
+	// ChargeTime without the live-clock publish, which Run's exit makes.
+	n.clock += sec
+	n.attr.Charge(vtime.Compute, sec)
+	n.crashIfDue()
 }
 
 // blockSec is the virtual transfer time of one block on a single member
@@ -746,11 +756,7 @@ func (n *Node) ChargeOverlappedIOBlocks(blocks int64, write bool) {
 		n.mPrefetch.Add(blocks)
 		n.mPrefetchStalls.Add(blocks)
 	}
-	if exposed := sec - hidden; exposed > 0 {
-		n.ChargeTime(vtime.Disk, exposed)
-	} else {
-		n.crashIfDue()
-	}
+	n.ChargeTime(vtime.Disk, max(sec-hidden, 0))
 }
 
 // Disks returns the node's PDM D parameter.
@@ -827,11 +833,7 @@ func (n *Node) chargeDiskBlock(d int) {
 	n.stripeUsed[d] = true
 	n.prevDisk = d
 	n.stepBlocks++
-	if wait := done - n.clock; wait > 0 {
-		n.ChargeTime(vtime.Disk, wait)
-	} else {
-		n.crashIfDue()
-	}
+	n.ChargeTime(vtime.Disk, max(done-n.clock, 0))
 }
 
 // ChargeDiskIOBlocks implements vtime.DiskMeter: the disk layer names
@@ -868,11 +870,7 @@ func (n *Node) ChargeDiskSeek(disk int, seeks int64) {
 	done := start + sec
 	n.diskDone[d] = done
 	n.diskBusy[d] += sec
-	if wait := done - n.clock; wait > 0 {
-		n.ChargeTime(vtime.Disk, wait)
-	} else {
-		n.crashIfDue()
-	}
+	n.ChargeTime(vtime.Disk, max(done-n.clock, 0))
 }
 
 // ChargeIOBlocks implements vtime.Meter for transfers with no placement

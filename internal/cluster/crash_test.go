@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -248,5 +249,41 @@ func TestInterruptAbortsRun(t *testing.T) {
 	c.ClearCrashes()
 	if err := c.Run(func(n *Node) error { return nil }); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLiveClockPublishedAtExit: compute charges leave the live clock
+// where the last transfer published it, so a node whose last charges are
+// compute, or that dies on one, lags until its function returns; from
+// then on LiveClock is Clock, bit for bit.
+func TestLiveClockPublishedAtExit(t *testing.T) {
+	c := mustNew(t, 1, 1)
+	n1 := c.Node(1)
+	crashAt := n1.blockSec() + 50*1000*n1.cost.ComputeSec*n1.slowdown
+	if err := c.ScheduleCrash(1, crashAt, ""); err != nil {
+		t.Fatal(err)
+	}
+	err := c.Run(func(n *Node) error {
+		n.ChargeIOBlocks(1)
+		published := n.LiveClock()
+		for i := 0; i < 100; i++ {
+			n.ChargeCompute(1000)
+			if n.LiveClock() != published {
+				t.Errorf("node %d: a compute charge published the live clock", n.ID())
+			}
+		}
+		return nil
+	})
+	if !IsCrash(err) {
+		t.Fatalf("want node 1 to crash on a compute charge, got %v", err)
+	}
+	for i := range c.P() {
+		n := c.Node(i)
+		if math.Float64bits(n.LiveClock()) != math.Float64bits(n.Clock()) {
+			t.Errorf("node %d: live clock %v after Run, clock %v", i, n.LiveClock(), n.Clock())
+		}
+	}
+	if n1.Clock() >= c.Node(0).Clock() {
+		t.Errorf("node 1 ran on to clock %v; it should have died mid-compute", n1.Clock())
 	}
 }

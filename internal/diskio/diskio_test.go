@@ -777,3 +777,130 @@ func TestDirFSFileIsLittleEndian(t *testing.T) {
 		}
 	}
 }
+
+// callLog records every Read and Seek on its File, with what it returned.
+type callLog struct {
+	File
+	calls []string
+}
+
+func (c *callLog) Read(p []byte) (int, error) {
+	n, err := c.File.Read(p)
+	c.calls = append(c.calls, fmt.Sprintf("read %d: %d %v", len(p), n, err))
+	return n, err
+}
+
+func (c *callLog) Seek(off int64, whence int) (int64, error) {
+	at, err := c.File.Seek(off, whence)
+	c.calls = append(c.calls, fmt.Sprintf("seek %d %d: %d %v", off, whence, at, err))
+	return at, err
+}
+
+// TestReadKeysDirectMatchesBuffered: ReadKeys into a slice with room for
+// whole blocks reads them straight into it, and the file and the meter
+// cannot tell: the same Read and Seek calls, the same charges on the same
+// member disks, the same keys and the same final error as reading the
+// stream key by key through the Reader's buffer — on a whole file with a
+// ragged last block, on a section, on a section the file ends inside, and
+// with a fault at the third block's read.
+func TestReadKeysDirectMatchesBuffered(t *testing.T) {
+	const block = 16
+	keys := record.Uniform.Generate(5*block+3, 11, 1)
+	cases := []struct {
+		name      string
+		sec       Section
+		failAfter int64 // FaultFS budget; negative: no fault
+	}{
+		{"whole file", Section{Name: "x", Keys: -1}, -1},
+		{"section", Section{Name: "x", Off: 7, Keys: 3*block + 5}, -1},
+		{"section past the end", Section{Name: "x", Off: 9, Keys: 5 * block}, -1},
+		{"fault at block 3", Section{Name: "x", Keys: -1}, 3},
+	}
+	type outcome struct {
+		keys    []record.Key
+		calls   []string
+		charges map[int]int64
+		reads   []int64
+		err     string
+		held    int // the most keys the Reader's buffer held after a ReadKeys of whole blocks
+	}
+	run := func(t *testing.T, sec Section, failAfter int64, chunk int) outcome {
+		var o outcome
+		fs := NewFaultFS(NewMemFS(), -1)
+		if err := WriteFile(fs, "x", keys, block, Accounting{}); err != nil {
+			t.Fatal(err)
+		}
+		f, err := fs.Open("x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		fs.FailAfter = fs.Ops() + failAfter
+		if failAfter < 0 {
+			fs.FailAfter = -1
+		}
+		meter := newDiskMeter()
+		acct, node, perDisk := diskAcct(3, block, meter)
+		log := &callLog{File: f}
+		r := NewReader(log, block, acct)
+		defer r.Release()
+		if sec.Keys >= 0 {
+			r.Seek(sec)
+		}
+		for {
+			var n int
+			if chunk == 0 {
+				var k record.Key
+				if k, err = r.ReadKey(); err == nil {
+					o.keys, n = append(o.keys, k), 1
+				}
+			} else {
+				dst := make([]record.Key, chunk)
+				n, err = r.ReadKeys(dst)
+				o.keys = append(o.keys, dst[:n]...)
+				if chunk%block == 0 {
+					o.held = max(o.held, len(r.keys))
+				}
+			}
+			if err != nil || n == 0 {
+				break
+			}
+		}
+		if err != nil {
+			o.err = err.Error()
+		}
+		o.calls, o.charges = log.calls, meter.blocks
+		o.reads = append(o.reads, node.Snapshot().Reads)
+		for _, d := range perDisk {
+			o.reads = append(o.reads, d.Snapshot().Reads)
+		}
+		return o
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			want := run(t, c.sec, c.failAfter, 0)
+			if want.err == "" {
+				t.Fatal("the key-by-key read ended without an error")
+			}
+			for _, chunk := range []int{block - 1, block, block + 1, 3*block + 5} {
+				got := run(t, c.sec, c.failAfter, chunk)
+				id := fmt.Sprintf("chunk %d", chunk)
+				if !slices.Equal(got.keys, want.keys) {
+					t.Errorf("%s: read %d keys, key by key %d, or other keys", id, len(got.keys), len(want.keys))
+				}
+				if !slices.Equal(got.calls, want.calls) {
+					t.Errorf("%s: file calls\n%q\nkey by key\n%q", id, got.calls, want.calls)
+				}
+				if !reflect.DeepEqual(got.charges, want.charges) || !slices.Equal(got.reads, want.reads) {
+					t.Errorf("%s: charges %v, counters %v; key by key %v, %v", id, got.charges, got.reads, want.charges, want.reads)
+				}
+				if got.err != want.err {
+					t.Errorf("%s: ended with %q, key by key %q", id, got.err, want.err)
+				}
+				if got.held != 0 {
+					t.Errorf("%s: the Reader buffered %d keys of a block read into the caller's slice", id, got.held)
+				}
+			}
+		})
+	}
+}

@@ -256,9 +256,10 @@ func (w *Writer) Close() error {
 
 // Reader streams keys from a file in blocks of BlockSize keys, charging
 // one block read per block fetched, each read straight into the bytes of
-// its one key buffer.  Under acct.Overlap the charges go through an
-// overlap window held from NewReader to Release (prefetch: the drive
-// reads ahead while the CPU consumes).
+// its one key buffer or, by ReadKeys, of the caller's slice.  Under
+// acct.Overlap the charges go through an overlap window held from
+// NewReader to Release (prefetch: the drive reads ahead while the CPU
+// consumes).
 type Reader struct {
 	f     File
 	acct  Accounting
@@ -415,41 +416,51 @@ func (r *Reader) position(s Section) {
 	}
 }
 
-func (r *Reader) fill() error {
+// fill reads the next block into dst, which has room for one, charging
+// one block read, and returns the number of keys read; io.EOF when the
+// file is exhausted.
+func (r *Reader) fill(dst []record.Key) (int, error) {
 	if r.err != nil {
-		return r.err
+		return 0, r.err
 	}
 	if r.left == 0 {
 		r.err = io.EOF
-		return r.err
+		return 0, r.err
 	}
-	want := record.Bytes(r.keys[:r.block])
+	want := record.Bytes(dst[:r.block])
 	if lim := r.left * record.KeySize; r.left > 0 && lim < int64(len(want)) {
 		want = want[:lim]
 	}
 	n, err := io.ReadFull(r.f, want)
 	if r.left > 0 && n < len(want) && (err == io.EOF || err == io.ErrUnexpectedEOF) {
 		r.err = fmt.Errorf("diskio: %s ends %d keys short of the section read from it", r.f.Name(), r.left-int64(n/record.KeySize))
-		return r.err
+		return 0, r.err
 	}
 	if n > 0 {
 		if n%record.KeySize != 0 {
 			r.err = fmt.Errorf("diskio: truncated key at end of %s", r.f.Name())
-			return r.err
+			return 0, r.err
 		}
 		r.acct.transfer(r.off, 1, false, r.om)
 		r.off += int64(n)
+		k := n / record.KeySize
 		if r.left > 0 {
-			r.left -= int64(n / record.KeySize)
+			r.left -= int64(k)
 		}
-		r.keys, r.pos = r.keys[:n/record.KeySize], 0
-		record.DiskOrder(r.keys)
-		return nil
+		record.DiskOrder(dst[:k])
+		return k, nil
 	}
 	if err == nil || err == io.ErrUnexpectedEOF {
 		err = io.EOF
 	}
 	r.err = err
+	return 0, err
+}
+
+// refill reads the next block into the Reader's key buffer.
+func (r *Reader) refill() error {
+	k, err := r.fill(r.keys[:cap(r.keys)])
+	r.keys, r.pos = r.keys[:k], 0
 	return err
 }
 
@@ -467,7 +478,7 @@ func (r *Reader) Fill() error {
 	if r.pos < len(r.keys) {
 		return nil
 	}
-	return r.fill()
+	return r.refill()
 }
 
 // Release closes the overlap window and returns the Reader's key
@@ -485,7 +496,7 @@ func (r *Reader) Release() {
 // ReadKey returns the next key, or io.EOF when the stream is exhausted.
 func (r *Reader) ReadKey() (record.Key, error) {
 	if r.pos >= len(r.keys) {
-		if err := r.fill(); err != nil {
+		if err := r.refill(); err != nil {
 			return 0, err
 		}
 	}
@@ -496,21 +507,32 @@ func (r *Reader) ReadKey() (record.Key, error) {
 
 // ReadKeys fills dst with up to len(dst) keys and returns how many were
 // read.  It returns io.EOF (with n possibly > 0 on a short final read
-// being impossible: EOF is only returned with n==0 once exhausted).
+// being impossible: EOF is only returned with n==0 once exhausted).  A
+// block that finds nothing buffered and room for all of it in dst is
+// read straight into dst, with the same File call and charge.
 func (r *Reader) ReadKeys(dst []record.Key) (int, error) {
 	n := 0
 	for n < len(dst) {
-		if r.pos >= len(r.keys) {
-			if err := r.fill(); err != nil {
-				if n > 0 && err == io.EOF {
-					return n, nil
-				}
-				return n, err
-			}
+		if r.pos < len(r.keys) {
+			c := copy(dst[n:], r.keys[r.pos:])
+			r.pos += c
+			n += c
+			continue
 		}
-		c := copy(dst[n:], r.keys[r.pos:])
-		r.pos += c
-		n += c
+		var err error
+		if len(dst)-n >= r.block {
+			var k int
+			k, err = r.fill(dst[n:])
+			n += k
+		} else {
+			err = r.refill()
+		}
+		if err != nil {
+			if n > 0 && err == io.EOF {
+				return n, nil
+			}
+			return n, err
+		}
 	}
 	return n, nil
 }

@@ -36,13 +36,16 @@ func itemKey(it selectionItem) record.Key { return record.Key(it) }
 const selectionSentinel = ^selectionItem(0)
 
 // selectionHeap is a binary min-heap of selectionItems for replacement
-// selection.  The sifts move a hole instead of swapping, but visit the
-// levels and take the ties (left child first) of the textbook sift, and
-// charge what it would: two comparisons per level visited on the way down,
-// one on the way up, plus one.  The levels visited are the depth the moved
+// selection, 1-based: items[1..n], so a node's children are an aligned
+// pair and its eight descendants three levels down one aligned 64-byte
+// line.  The sifts move a hole instead of swapping, but visit the levels
+// and take the ties (left child first) of the textbook sift, and charge
+// what it would: two comparisons per level visited on the way down, one
+// on the way up, plus one.  The levels visited are the depth the moved
 // item comes to rest at, plus one.
 type selectionHeap struct {
-	items []selectionItem // cap > len: push and pop keep the sentinel at items[:len+1][len]
+	items []selectionItem // items[0] unused; cap > len: the sentinel is at items[:len+1][len]
+	ahead selectionItem   // folds siftDown's look-ahead loads, so none is dropped
 	meter vtime.Meter
 }
 
@@ -50,18 +53,18 @@ func newSelectionHeap(capacity int, meter vtime.Meter) *selectionHeap {
 	if meter == nil {
 		meter = vtime.Nop{}
 	}
-	return &selectionHeap{items: make([]selectionItem, 0, capacity+1), meter: meter}
+	return &selectionHeap{items: make([]selectionItem, 1, capacity+2), meter: meter}
 }
 
-func (h *selectionHeap) len() int { return len(h.items) }
+func (h *selectionHeap) len() int { return len(h.items) - 1 }
 
 func (h *selectionHeap) push(it selectionItem) {
 	i := len(h.items)
 	h.items = append(h.items, it, selectionSentinel)[:i+1]
 	items := h.items
 	var ops int64
-	for i > 0 {
-		parent := (i - 1) / 2
+	for i > 1 {
+		parent := i / 2
 		ops++
 		if it >= items[parent] {
 			break
@@ -73,10 +76,10 @@ func (h *selectionHeap) push(it selectionItem) {
 	h.meter.ChargeCompute(ops + 1)
 }
 
-func (h *selectionHeap) peek() selectionItem { return h.items[0] }
+func (h *selectionHeap) peek() selectionItem { return h.items[1] }
 
 func (h *selectionHeap) pop() selectionItem {
-	top := h.items[0]
+	top := h.items[1]
 	last := len(h.items) - 1
 	it := h.items[last]
 	h.items[last] = selectionSentinel
@@ -89,10 +92,15 @@ func (h *selectionHeap) replaceTop(it selectionItem) { h.siftDown(it) }
 
 // siftDown puts it where the root's hole comes to rest.
 func (h *selectionHeap) siftDown(it selectionItem) {
-	n := len(h.items)
-	items := h.items[:n+1]
-	i, levels := 0, int64(1)
-	for c := 1; c < n; c = 2*i + 1 {
+	n := h.len()
+	items := h.items[:n+2]
+	i, levels, ahead := 1, int64(1), h.ahead
+	for c := 2; c <= n; c = 2 * i {
+		// Load the line of i's descendants three levels down, which the
+		// descent reaches two levels on, while this level's compare
+		// resolves.  Go keeps load addresses off CMOV, so the clamp is a
+		// branch; a branchless one measured no faster.
+		ahead ^= items[min(8*i, n)]
 		// The smaller child, the left one on a tie.  Which one it is is a
 		// coin toss on random keys, so it is computed (min and a 0/1 the
 		// compiler sets without a jump), not branched on.
@@ -113,5 +121,6 @@ func (h *selectionHeap) siftDown(it selectionItem) {
 	if n > 0 {
 		items[i] = it
 	}
+	h.ahead = ahead
 	h.meter.ChargeCompute(2*levels + 1)
 }

@@ -3,6 +3,7 @@ package polyphase
 import (
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"slices"
 	"sort"
 	"testing"
@@ -1033,7 +1034,8 @@ func formOnTapes(t *testing.T, keys []record.Key, block, memory int, reference b
 
 // TestReplacementSelectionMatchesReference: over every generator and an
 // all-equal input, heaps of 1 to 4096 keys and inputs from empty to seven
-// heaps and a bit, the packed former forms the runs of the struct-item
+// heaps and a bit, and a heap of the workloads' 65536 keys over two heaps
+// and a bit, the packed former forms the runs of the struct-item
 // reference — same boundaries, same keys on the same tapes — and charges
 // the same amounts in the same order, the tapes' block writes included.
 func TestReplacementSelectionMatchesReference(t *testing.T) {
@@ -1053,31 +1055,99 @@ func TestReplacementSelectionMatchesReference(t *testing.T) {
 		}
 		return keys
 	}})
-	for _, in := range inputs {
-		for _, m := range []int{1, 2, 3, 64, 4096} {
-			for _, n := range []int{0, 1, m, 7*m + 5} {
-				keys := in.gen(n)
-				want := formOnTapes(t, keys, block, m, true)
-				got := formOnTapes(t, keys, block, m, false)
-				id := fmt.Sprintf("%s M=%d n=%d", in.name, m, n)
-				if got.runs != want.runs || got.total != want.total {
-					t.Fatalf("%s: formed %d runs of %d keys, reference %d of %d", id, got.runs, got.total, want.runs, want.total)
+	type shape struct{ m, n int }
+	var shapes []shape
+	for _, m := range []int{1, 2, 3, 5, 7, 64, 100, 4096} {
+		for _, n := range []int{0, 1, m, 7*m + 5} {
+			shapes = append(shapes, shape{m, n})
+		}
+	}
+	// The workloads' M, where the look-ahead clamp and the sentinel bind at
+	// other depths than in the small heaps; on the first generator only.
+	shapes = append(shapes, shape{1 << 16, 2<<16 + 7})
+	for i, in := range inputs {
+		for _, sh := range shapes {
+			if sh.m == 1<<16 && i > 0 {
+				continue
+			}
+			m, n := sh.m, sh.n
+			keys := in.gen(n)
+			want := formOnTapes(t, keys, block, m, true)
+			got := formOnTapes(t, keys, block, m, false)
+			id := fmt.Sprintf("%s M=%d n=%d", in.name, m, n)
+			if got.runs != want.runs || got.total != want.total {
+				t.Fatalf("%s: formed %d runs of %d keys, reference %d of %d", id, got.runs, got.total, want.runs, want.total)
+			}
+			for i := range want.lengths {
+				if !slices.Equal(got.lengths[i], want.lengths[i]) {
+					t.Fatalf("%s: tape %d run lengths %v, reference %v", id, i, got.lengths[i], want.lengths[i])
 				}
-				for i := range want.lengths {
-					if !slices.Equal(got.lengths[i], want.lengths[i]) {
-						t.Fatalf("%s: tape %d run lengths %v, reference %v", id, i, got.lengths[i], want.lengths[i])
+				if !slices.Equal(got.keys[i], want.keys[i]) {
+					t.Fatalf("%s: tape %d holds other keys than the reference's", id, i)
+				}
+			}
+			if !slices.Equal(got.events, want.events) {
+				at := 0
+				for at < len(got.events) && at < len(want.events) && got.events[at] == want.events[at] {
+					at++
+				}
+				t.Fatalf("%s: %d charges, reference %d; first difference at charge %d: %v, reference %v",
+					id, len(got.events), len(want.events), at, got.events[at:min(at+4, len(got.events))], want.events[at:min(at+4, len(want.events))])
+			}
+		}
+	}
+}
+
+// TestSelectionHeapIsTextbookHeap: random push, replaceTop and pop
+// sequences on heaps of 1 to 1100 items leave the 1-based heap's
+// items[1..n] equal to the 0-based textbook heap's items[0..n-1], with
+// the sentinel at items[n+1], and charge what the textbook heap charges,
+// after every operation.  Keys from a narrow range make ties common.
+func TestSelectionHeapIsTextbookHeap(t *testing.T) {
+	rng := rand.New(rand.NewPCG(45, 1))
+	for _, capacity := range []int{1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 64, 100, 1100} {
+		for _, keyRange := range []uint32{4, 1 << 31} {
+			gotMeter, wantMeter := &eventMeter{}, &eventMeter{}
+			h := newSelectionHeap(capacity, gotMeter)
+			ref := &refHeap{meter: wantMeter}
+			item := func() refItem {
+				return refItem{key: record.Key(rng.Uint32N(keyRange)), run: int64(rng.IntN(3))}
+			}
+			for op := 0; op < min(20*capacity, 5000)+50; op++ {
+				var name string
+				switch x := rng.IntN(8); {
+				case h.len() == 0 || h.len() < capacity && x < 3:
+					it := item()
+					name = "push"
+					h.push(packItem(uint64(it.run), it.key))
+					ref.push(it)
+				case x < 7:
+					it := item()
+					name = "replaceTop"
+					h.replaceTop(packItem(uint64(it.run), it.key))
+					ref.replaceTop(it)
+				default:
+					name = "pop"
+					top := h.pop()
+					if want := packItem(uint64(ref.items[0].run), ref.items[0].key); top != want {
+						t.Fatalf("cap %d op %d: pop returned %#x, textbook %#x", capacity, op, top, want)
 					}
-					if !slices.Equal(got.keys[i], want.keys[i]) {
-						t.Fatalf("%s: tape %d holds other keys than the reference's", id, i)
+					ref.pop()
+				}
+				n := h.len()
+				if n != len(ref.items) {
+					t.Fatalf("cap %d op %d %s: %d items, textbook %d", capacity, op, name, n, len(ref.items))
+				}
+				for j, it := range ref.items {
+					if want := packItem(uint64(it.run), it.key); h.items[j+1] != want {
+						t.Fatalf("cap %d op %d %s: items[%d] = %#x, textbook items[%d] = %#x", capacity, op, name, j+1, h.items[j+1], j, want)
 					}
 				}
-				if !slices.Equal(got.events, want.events) {
-					at := 0
-					for at < len(got.events) && at < len(want.events) && got.events[at] == want.events[at] {
-						at++
-					}
-					t.Fatalf("%s: %d charges, reference %d; first difference at charge %d: %v, reference %v",
-						id, len(got.events), len(want.events), at, got.events[at:min(at+4, len(got.events))], want.events[at:min(at+4, len(want.events))])
+				if s := h.items[:n+2][n+1]; s != selectionSentinel {
+					t.Fatalf("cap %d op %d %s: items[%d] = %#x, not the sentinel", capacity, op, name, n+1, s)
+				}
+				if g, w := gotMeter.events, wantMeter.events; len(g) != op+1 || len(w) != op+1 || g[op] != w[op] {
+					t.Fatalf("cap %d op %d %s: charged %v, textbook %v", capacity, op, name, g[len(g)-1:], w[len(w)-1:])
 				}
 			}
 		}

@@ -81,7 +81,8 @@ type NodeProgress struct {
 	Step     int    `json:"step"` // 0 = setup/between steps, 1..5 = Algorithm-1 step
 	StepName string `json:"step_name"`
 	// Clock is the node's virtual time as last published by its own
-	// goroutine; it may trail the true clock by one in-flight charge.
+	// goroutine (cluster.Node.LiveClock); mid-run it may trail the true
+	// clock by the compute charged since the node's last transfer.
 	Clock float64 `json:"clock_vsec"`
 	// IO sums the per-step cells below (always internally consistent:
 	// both come from the same per-phase atomics).

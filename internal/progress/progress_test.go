@@ -4,6 +4,7 @@
 package progress_test
 
 import (
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -90,7 +91,8 @@ func TestAnalyzeOverloadedPartition(t *testing.T) {
 }
 
 // reconcile asserts a final snapshot against its run's report: done,
-// internally consistent, and byte-exact against the PDM counters.
+// internally consistent, byte-exact against the PDM counters, and
+// carrying each node's final clock bit for bit.
 func reconcile(t *testing.T, s *progress.Snapshot, rep *hetsort.Report, blockKeys int) {
 	t.Helper()
 	if s == nil {
@@ -116,6 +118,9 @@ func reconcile(t *testing.T, s *progress.Snapshot, rep *hetsort.Report, blockKey
 		}
 		if want := np.IO.Total() * int64(blockKeys); np.KeysMoved != want {
 			t.Errorf("node %d: KeysMoved %d != Total()*B = %d", i, np.KeysMoved, want)
+		}
+		if math.Float64bits(np.Clock) != math.Float64bits(rep.NodeClocks[i]) {
+			t.Errorf("node %d: snapshot clock %v != report clock %v", i, np.Clock, rep.NodeClocks[i])
 		}
 	}
 }
