@@ -70,23 +70,42 @@ func (discardSink) beginRun() (int, error)      { return 0, nil }
 func (discardSink) emitKeys([]record.Key) error { return nil }
 func (discardSink) endRun() error               { return nil }
 
-// BenchmarkMerge times the kernel merging k interleaved uniform runs read
-// in B-key blocks into a block writer on an in-memory file: a polyphase
-// merge step at wide64-tree's shape (T 8, B 128) and at het4-mem's
-// (T 15, B 2048), and wide64-tree's radix-4 redistribution merge (a
-// node's own bucket and 3 streams, B 128).
+// BenchmarkMerge times the kernel merging k sorted runs read in B-key
+// blocks into a block writer on an in-memory file.  The uniform runs are
+// dealt key by key, so chunks are a key or two: a polyphase merge step
+// at wide64-tree's shape (T 8, B 128) and at het4-mem's (T 15, B 2048),
+// and wide64-tree's radix-4 redistribution merge (a node's own bucket
+// and 3 streams, B 128).  Two shapes hand most of their keys back from
+// the per-key lane to the chunk path: skew4-hist's polyphase merge of
+// zipf-s2 runs (T 4, B 1024), whose hot keys make long chunks, and a
+// banded merge whose runs are dealt 16 consecutive keys at a time, so
+// every chunk is 16 keys.
 func BenchmarkMerge(b *testing.B) {
 	const n = 1 << 20
-	for _, sh := range []struct{ k, block int }{{7, 128}, {14, 2048}, {4, 128}} {
-		keys := record.Uniform.Generate(n, 1, 1)
+	for _, sh := range []struct {
+		name           string
+		dist           record.Distribution
+		k, block, band int
+	}{
+		{"", record.Uniform, 7, 128, 1},
+		{"", record.Uniform, 14, 2048, 1},
+		{"", record.Uniform, 4, 128, 1},
+		{"zipf-s2/", record.ZipfS2, 3, 1024, 1},
+		{"band=16/", record.Uniform, 4, 128, 16},
+	} {
+		keys := sh.dist.Generate(n, 1, 1)
+		if sh.band > 1 {
+			slices.Sort(keys)
+		}
 		runs := make([][]record.Key, sh.k)
 		for i, key := range keys {
-			runs[i%sh.k] = append(runs[i%sh.k], key)
+			r := i / sh.band % sh.k
+			runs[r] = append(runs[r], key)
 		}
 		for _, r := range runs {
 			slices.Sort(r)
 		}
-		b.Run(fmt.Sprintf("k=%d/B=%d", sh.k, sh.block), func(b *testing.B) {
+		b.Run(fmt.Sprintf("%sk=%d/B=%d", sh.name, sh.k, sh.block), func(b *testing.B) {
 			b.SetBytes(n * record.KeySize)
 			for i := 0; i < b.N; i++ {
 				srcs := make([]MergeSource, sh.k)

@@ -624,32 +624,69 @@ func testRuns(d record.Distribution, k int, tails bool) [][]record.Key {
 	return runs
 }
 
-// TestPackedMergeMatchesIndexedKernel: over every generator, k of 1 to
-// 64 sources and blocks of 1 to 128 keys, the packed-tree kernel emits
-// the indexed kernel's bytes in the same emit batches, makes the same
-// Fills and compute charges (amounts included) in the same order with
-// the same keys emitted at each, and reports the same observer
-// counters.  Every other run is a band of its own, so gallops fire, and
-// every third ends in 0xFFFFFFFF keys, which tie each other and sit
-// just below the drained head: a replay that broke head ties by source
-// index, or a sentinel that tied the top key, would show here.
+// laneRuns deals n ascending keys to k runs, band j (of sizes[j%len])
+// to run j%k, so that on distinct keys every chunk of the merge is a
+// band cut at buffer ends.  With ties, each band starts on the key the
+// band before ended on, so chunks end on a tie between two sources.
+func laneRuns(k, n int, sizes []int, ties bool) [][]record.Key {
+	runs := make([][]record.Key, k)
+	key := record.Key(0)
+	for j, i := 0, 0; i < n; j++ {
+		for c := 0; c < sizes[j%len(sizes)] && i < n; c, i = c+1, i+1 {
+			if c > 0 || !ties {
+				key++
+			}
+			runs[j%k] = append(runs[j%k], key)
+		}
+	}
+	return runs
+}
+
+// TestPackedMergeMatchesIndexedKernel: the packed-tree kernel emits the
+// indexed kernel's bytes in the same emit batches, makes the same Fills
+// and compute charges (amounts included) in the same order with the
+// same keys emitted at each, and reports the same observer counters.
+// Over every generator, k of 1 to 64 sources and blocks of 1 to 128
+// keys, every other run is a band of its own, so gallops fire, and every
+// third ends in 0xFFFFFFFF keys, which tie each other and sit just below
+// the drained head: a replay that broke head ties by source index, or a
+// sentinel that tied the top key, would show here.  Banded runs then
+// hold every exit of the per-key lane to the indexed kernel: chunks of
+// laneKeys-1, laneKeys and laneKeys+1 keys, short and long chunks that
+// straddle a batch or end on a buffer's last key, and ties between
+// sources at chunk ends.
 func TestPackedMergeMatchesIndexedKernel(t *testing.T) {
+	type shape struct {
+		id   string
+		runs [][]record.Key
+		blks []int
+	}
+	var shapes []shape
 	for _, d := range record.Distributions() {
 		for _, k := range []int{1, 2, 3, 4, 5, 7, 16, 17, 64} {
-			for _, blk := range []int{1, 3, 8, 64, 128} {
-				runs := testRuns(d, k, true)
-				id := fmt.Sprintf("%v k=%d B=%d", d, k, blk)
-				got := recordMerge(t, runs, blk, Merge, true)
-				want := recordMerge(t, runs, blk, indexMerge, true)
-				if !slices.Equal(got.out, want.out) {
-					t.Fatalf("%s: emitted keys differ from the indexed kernel's", id)
-				}
-				if i := firstDiff(got.events, want.events); i >= 0 {
-					t.Fatalf("%s: event %d of the emit/Fill/charge log: %v, indexed kernel %v", id, i, got.events[i:min(i+8, len(got.events))], want.events[i:min(i+8, len(want.events))])
-				}
-				if got.counters != want.counters {
-					t.Fatalf("%s: observer counters %v, indexed kernel %v", id, got.counters, want.counters)
-				}
+			shapes = append(shapes, shape{fmt.Sprintf("%v k=%d", d, k), testRuns(d, k, true), []int{1, 2, 3, 8, 64, 128}})
+		}
+	}
+	for _, sizes := range [][]int{{laneKeys - 1}, {laneKeys}, {laneKeys + 1}, {1, laneKeys - 1, laneKeys, laneKeys + 1, 97}, {2, 200, 1, 1, laneKeys + 1}} {
+		for _, k := range []int{2, 3, 4, 7} {
+			for _, ties := range []bool{false, true} {
+				shapes = append(shapes, shape{fmt.Sprintf("bands %v k=%d ties=%v", sizes, k, ties), laneRuns(k, 2200, sizes, ties), []int{1, 2, 3, 4, 97, 1024}})
+			}
+		}
+	}
+	for _, sh := range shapes {
+		for _, blk := range sh.blks {
+			id := fmt.Sprintf("%s B=%d", sh.id, blk)
+			got := recordMerge(t, sh.runs, blk, Merge, true)
+			want := recordMerge(t, sh.runs, blk, indexMerge, true)
+			if !slices.Equal(got.out, want.out) {
+				t.Fatalf("%s: emitted keys differ from the indexed kernel's", id)
+			}
+			if i := firstDiff(got.events, want.events); i >= 0 {
+				t.Fatalf("%s: event %d of the emit/Fill/charge log: %v, indexed kernel %v", id, i, got.events[i:min(i+8, len(got.events))], want.events[i:min(i+8, len(want.events))])
+			}
+			if got.counters != want.counters {
+				t.Fatalf("%s: observer counters %v, indexed kernel %v", id, got.counters, want.counters)
 			}
 		}
 	}
@@ -1188,7 +1225,8 @@ func (b *batcher) flush() error {
 }
 
 // pullMerge drains a Merger's pull form the way a merge drains a leaf:
-// Fill on an empty buffer, then the buffered keys in pieces of 1 to 7.
+// Fill on an empty buffer, then Discard the buffered keys in pieces of 1
+// to 7.  It emits each Fill's batch whole.
 func pullMerge(srcs []MergeSource, meter vtime.Meter, emit func([]record.Key) error) error {
 	var m Merger
 	if err := m.Reset(srcs, meter); err != nil {
@@ -1201,29 +1239,56 @@ func pullMerge(srcs []MergeSource, meter vtime.Meter, emit func([]record.Key) er
 			} else if err != nil {
 				return err
 			}
+			if err := emit(m.Buffered()); err != nil {
+				return err
+			}
 		}
-		c := m.Buffered()[:min(piece, len(m.Buffered()))]
-		if err := emit(c); err != nil {
-			return err
-		}
-		m.Discard(len(c))
+		m.Discard(min(piece, len(m.Buffered())))
 	}
+}
+
+// fillTotals is an exact event log with the compute charged between two
+// source Fills summed into one "c<amount>" before the second, and after
+// the last event.  The pull form also charges at each of its own Fills,
+// so these sums, the source Fills and the emits are what it shares with
+// Merge.
+func fillTotals(events []string) []string {
+	var out []string
+	var sum int64
+	for _, e := range events {
+		var n int64
+		if _, err := fmt.Sscanf(e, "c%d@", &n); err == nil {
+			sum += n
+			continue
+		}
+		if e[0] == 'f' {
+			out, sum = append(out, fmt.Sprint("c", sum)), 0
+		}
+		out = append(out, e)
+	}
+	return append(out, fmt.Sprint("c", sum))
 }
 
 // TestPullFormMatchesMerge: over every generator, k of 1 to 17 sources
 // and blocks of 1 to 128 keys, a Merger drained as a MergeSource yields
-// Merge's bytes, charges the same compute in total and reports the same
+// Merge's bytes in Merge's emit batches (an outer tree's chunks end at
+// them), makes the same source Fills with the same keys out before each
+// and the same compute charged between them, and reports the same
 // observer counters.
 func TestPullFormMatchesMerge(t *testing.T) {
 	for _, d := range record.Distributions() {
 		for _, k := range []int{1, 2, 3, 5, 16, 17} {
 			for _, blk := range []int{1, 8, 128} {
 				runs := testRuns(d, k, true)
-				got := recordMerge(t, runs, blk, pullMerge, false)
-				want := recordMerge(t, runs, blk, Merge, false)
+				got := recordMerge(t, runs, blk, pullMerge, true)
+				want := recordMerge(t, runs, blk, Merge, true)
 				id := fmt.Sprintf("%v k=%d B=%d", d, k, blk)
 				if !slices.Equal(got.out, want.out) {
 					t.Fatalf("%s: the pull form's keys differ from Merge's", id)
+				}
+				gotEv, wantEv := fillTotals(got.events), fillTotals(want.events)
+				if i := firstDiff(gotEv, wantEv); i >= 0 {
+					t.Fatalf("%s: event %d of the emit/Fill/charge log: %v, Merge %v", id, i, gotEv[i:min(i+8, len(gotEv))], wantEv[i:min(i+8, len(wantEv))])
 				}
 				if got.compute != want.compute || got.counters != want.counters {
 					t.Fatalf("%s: the pull form charged %d compute with counters %v, Merge %d with %v", id, got.compute, got.counters, want.compute, want.counters)

@@ -28,8 +28,8 @@ type MergeSource interface {
 
 // MergeObserver is an optional extension of vtime.Meter: a meter that
 // also implements it receives the merge kernel's counters when a merge
-// drains — emitted keys, emitted chunks, chunks that took the
-// block-copy fast path (more than one key moved per tree replay), and
+// drains — emitted keys, emitted chunks, chunks of more than one key
+// (the block-copy fast path's, priced as one replay), and the priced
 // tournament-tree comparisons.  cluster.Node implements it to feed the
 // per-node metrics registry; the int64-only signature keeps this package
 // free of a metrics dependency.
@@ -67,17 +67,20 @@ const batchKeys = 1024
 // ceil(log2 k) comparisons, against ~2·log2 k for a binary heap's sift.
 // A slot carries its head, so neither the runner-up scan nor the replay
 // looks anything up.  The replay swaps only when a stored loser's head
-// is strictly below the climber's: a tie keeps the climber.
+// is strictly below the climber's (a tie keeps the climber), by an
+// xor-mask select with no jump on the keys.
 //
-// The kernel also has a block-copy fast path.  In a min-tournament the
-// runner-up must have lost its match directly against the winner, so it
-// sits on the winner's root path; every buffered winner key ≤ that
-// runner-up can be emitted as one chunk with no per-key tree work.  With
-// k sources over B-key blocks the expected chunk is B/k keys, turning
-// per-key heap traffic into per-chunk traffic.
-//
-// Compute is charged per chunk: the emitted keys (the copy/scan work)
-// plus one replayed path (~2 ops per level for compare+swap).
+// A chunk is the winner's keys up to the runner-up, which lost directly
+// to the winner and so sits on its root path.  A short chunk is played a
+// key at a time: the winner's head goes out and its path is replayed
+// with its next key, until that changes the winner.  At laneKeys keys, a
+// buffer's last key or a full batch the chunk goes back whole to the
+// block-copy path, which emits every buffered winner key ≤ the runner-up
+// for one path scan and one replay (a banded chunk over k sources and
+// B-key blocks is ~B/k keys); after a long chunk the next goes there
+// directly.  The chunks are the same either way, and compute is charged
+// per chunk, whatever the host replayed: the emitted keys (the copy/scan
+// work) plus one replayed path (~2 ops per level for compare+swap).
 //
 // emit receives the output in batches, not chunks: on interleaved input
 // a chunk is a key or two, and a call per chunk cost more than the tree
@@ -106,6 +109,7 @@ type Merger struct {
 	at      int      // where next resumes
 	w       int      // the winner in play
 	second  uint64   // its runner-up's head
+	cnt     int      // the chunk path's last chunk: past laneKeys, the lane waits
 	pending int64    // compute not yet charged
 	obs     [4]int64 // the observer's counters: keys, chunks, fast chunks, comparisons
 
@@ -143,7 +147,7 @@ func (m *Merger) Reset(srcs []MergeSource, meter vtime.Meter) error {
 		meter = vtime.Nop{}
 	}
 	m.srcs, m.meter, m.at = append(m.srcs[:0], srcs...), meter, atEnd
-	m.pending, m.obs, m.n, m.cur = 0, [4]int64{}, 0, nil
+	m.pending, m.obs, m.n, m.cnt, m.cur = 0, [4]int64{}, 0, 0, nil
 	if len(srcs) == 0 {
 		return nil
 	}
@@ -262,24 +266,60 @@ func (m *Merger) next() (out []record.Key, err error) {
 	return out, err
 }
 
+// laneKeys is the longest chunk play's per-key lane closes itself.
+const laneKeys = 4
+
+// climb replays the path above tree node j with the climbing word x,
+// leaves the winner in tree[0] and returns it.  A stored loser whose head
+// is strictly below x's swaps with it (a tie keeps x): as x's index is at
+// most srcMask, t|srcMask < x compares the heads alone.  The swap is an
+// xor-mask select, so no jump depends on the keys.
+func climb(tree []uint64, j int, x uint64) uint64 {
+	for ; j >= 1; j >>= 1 {
+		t := tree[j]
+		_, lt := bits.Sub64(t|srcMask, x, 0) // 1 if t|srcMask < x, else 0
+		d := (t ^ x) & -lt
+		tree[j], x = t^d, x^d
+	}
+	tree[0] = x
+	return x
+}
+
+// lane plays chunks a key at a time from the winner w, n keys batched, as
+// Merge describes.  No stored loser moves within a chunk, so handing the
+// open chunk back only rewinds pos[w] and n: lane returns the winner and
+// the batch's length there.
+func (m *Merger) lane(w, n int) (int, int) {
+	bases, pos, tree, k2, n0 := m.bases, m.pos, m.tree, len(m.bases), n
+	var chunks, fast int
+	for c := 0; ; {
+		b, p := bases[w], pos[w]
+		if c == laneKeys || p+1 == len(b) || n == batchKeys {
+			pos[w], n = p-c, n-c
+			m.obs[0], m.obs[1], m.obs[2] = m.obs[0]+int64(n-n0), m.obs[1]+int64(chunks), m.obs[2]+int64(fast)
+			return w, n
+		}
+		m.keys[n], pos[w] = b[p], p+1
+		n++
+		x := int(climb(tree, (k2+w)>>1, uint64(b[p+1])<<srcBits|uint64(w)) & srcMask)
+		closed := 0
+		if x != w { // whether the chunk closed is a coin toss: a SETNE, no jump
+			closed = 1
+		}
+		chunks, fast, c, w = chunks+closed, fast+closed&min(c, 1), (c+1)&(closed-1), x
+	}
+}
+
 // play is the kernel's hot loop: it replays the winner's path with its
 // new head (but at atTop) and plays the next chunk, until there is a
 // batch to hand out, and leaves m.at where next resumes.  The hot state
 // lives in locals and goes back to m on the way out.
 func (m *Merger) play() (out []record.Key) {
 	bases, pos, tree, k2, w, second, n := m.bases, m.pos, m.tree, len(m.bases), m.w, m.second, m.n
-	var keys, chunks, fast int64 // what this call plays; its compute and comparisons follow
+	keys, chunks := m.obs[0], m.obs[1] // what this call plays follows from the counters
 	for replay := m.at != atTop; ; replay = true {
-		if replay { // t>>srcBits < x>>srcBits: a select, compiled to CMOVs
-			x := slot(bases[w], pos[w], w)
-			for j := (k2 + w) >> 1; j >= 1; j >>= 1 {
-				t := tree[j]
-				if t|srcMask < x&^srcMask {
-					t, x = x, t
-				}
-				tree[j] = t
-			}
-			tree[0] = x
+		if replay {
+			climb(tree, (k2+w)>>1, slot(bases[w], pos[w], w))
 		}
 		if tree[0]>>srcBits == drained {
 			m.at = atEnd
@@ -288,7 +328,9 @@ func (m *Merger) play() (out []record.Key) {
 			}
 			break
 		}
-		w = int(tree[0] & srcMask)
+		if w = int(tree[0] & srcMask); m.cnt <= laneKeys { // after a long chunk the next goes straight to the chunk path
+			w, n = m.lane(w, n)
+		}
 		// The runner-up is the least head among the losers stored on the
 		// winner's root path (it lost directly to the winner).
 		second = ^uint64(0)
@@ -322,12 +364,8 @@ func (m *Merger) play() (out []record.Key) {
 			m.at, out, n = atTop, m.keys[:n], 0
 			break
 		}
-		keys += int64(cnt)
-		chunks++
-		if cnt > 1 {
-			fast++ // block-copy fast path: a multi-key chunk per replay
-		}
-		pos[w] += cnt
+		m.obs[0], m.obs[1], m.obs[2] = m.obs[0]+int64(cnt), m.obs[1]+1, m.obs[2]+int64(min(cnt-1, 1))
+		pos[w], m.cnt = pos[w]+cnt, cnt
 		switch {
 		case cnt == 1: // most chunks: no copy call
 			m.keys[n] = buf[0]
@@ -353,7 +391,8 @@ func (m *Merger) play() (out []record.Key) {
 	// A chunk's compute is its keys and one replayed path, ~2 ops per
 	// level for the runner-up scan and the replay, plus one.
 	levels := int64(bits.Len(uint(k2 - 1)))
+	keys, chunks = m.obs[0]-keys, m.obs[1]-chunks
 	m.w, m.second, m.n, m.pending = w, second, n, m.pending+keys+(2*levels+1)*chunks
-	m.obs[0], m.obs[1], m.obs[2], m.obs[3] = m.obs[0]+keys, m.obs[1]+chunks, m.obs[2]+fast, m.obs[3]+2*levels*chunks
+	m.obs[3] += 2 * levels * chunks
 	return out
 }
