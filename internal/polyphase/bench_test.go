@@ -33,23 +33,32 @@ func BenchmarkSort(b *testing.B) {
 // a MemFS reader, runs discarded) at the small shape of the tests and at
 // the in-regime shape of the bench's het4-mem node 2 (M 65536, B 2048,
 // 2^20 keys), on uniform keys and on zipf-s2, whose loads are mostly one
-// key and whose low byte is constant.
+// key and vary only in bits 12-27.  Two more shapes are the load formers
+// two bench workloads run, at their M and B: skew4-hist's Guidesort on
+// zipf-s2 (M 16384, B 1024, 2^19 keys) and wide64-tree's Load-sort on
+// uniform keys (M 4096, B 128, 2^17 keys).  There the in-core sorter,
+// record.SortKeys, does most of the work.
 func BenchmarkRunFormation(b *testing.B) {
+	all := []RunFormation{ReplacementSelection, LoadSort, Guidesort}
 	shapes := []struct {
 		name                string
 		keys, block, memory int
+		dists               []record.Distribution
+		formers             []RunFormation
 	}{
-		{"small", 1 << 16, 1024, 1 << 13},
-		{"regime", 1 << 20, 2048, 1 << 16},
+		{"small", 1 << 16, 1024, 1 << 13, []record.Distribution{record.Uniform, record.ZipfS2}, all},
+		{"regime", 1 << 20, 2048, 1 << 16, []record.Distribution{record.Uniform, record.ZipfS2}, all},
+		{"skew4", 1 << 19, 1024, 1 << 14, []record.Distribution{record.ZipfS2}, []RunFormation{Guidesort}},
+		{"wide64", 1 << 17, 128, 1 << 12, []record.Distribution{record.Uniform}, []RunFormation{LoadSort}},
 	}
 	for _, sh := range shapes {
-		for _, d := range []record.Distribution{record.Uniform, record.ZipfS2} {
+		for _, d := range sh.dists {
 			fs := diskio.NewMemFS()
 			keys := d.Generate(sh.keys, 1, 1)
 			if err := diskio.WriteFile(fs, "in", keys, sh.block, diskio.Accounting{}); err != nil {
 				b.Fatal(err)
 			}
-			for _, rf := range []RunFormation{ReplacementSelection, LoadSort, Guidesort} {
+			for _, rf := range sh.formers {
 				b.Run(fmt.Sprintf("%s/%v/%v", sh.name, d, rf), func(b *testing.B) {
 					b.SetBytes(int64(sh.keys) * record.KeySize)
 					for i := 0; i < b.N; i++ {

@@ -3,6 +3,7 @@ package record
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -154,7 +155,26 @@ func sortCase(t *testing.T, name string, keys []Key) {
 
 func TestSortKeysTable(t *testing.T) {
 	const m = 4096
-	for _, n := range []int{0, 1, 2, sortCutoff - 1, sortCutoff, sortCutoff + 1, m} {
+	// Around the cutoff and around m, every length mod 4, so the four-key
+	// scatter's tail holds one, two and three keys.
+	lengths := []int{0, 1, 2, sortCutoff - 1, sortCutoff, sortCutoff + 1, sortCutoff + 2, sortCutoff + 3,
+		m - 1, m, m + 1, m + 2, m + 3}
+	// Loads whose varying bits are masked: the pass plan starts at the
+	// lowest varying bit, so most of these are not byte-aligned.
+	masks := []struct {
+		name string
+		mask Key
+	}{
+		{"top-byte", 0xff000000}, // one pass
+		{"low-byte", 0x000000ff},
+		{"mid-bytes", 0x00ffff00},
+		{"bits-12-27", 0x0ffff000}, // zipf-s2's rank<<12: two passes
+		{"bits-3-9", 0x000003f8},   // across a byte boundary: one pass
+		{"bit-0", 0x00000001},
+		{"bit-31", 0x80000000},
+		{"ends", 0xf000000f}, // bits 0-3 and 28-31, a constant middle
+	}
+	for _, n := range lengths {
 		uniform := Uniform.Generate(n, int64(n)+1, 1)
 		sortCase(t, "uniform", uniform)
 		reverse := slices.Clone(uniform)
@@ -162,20 +182,47 @@ func TestSortKeysTable(t *testing.T) {
 		sortCase(t, "sorted", reverse)
 		slices.Reverse(reverse)
 		sortCase(t, "reverse", reverse)
-		equal, top, low, mid := make([]Key, n), make([]Key, n), make([]Key, n), make([]Key, n)
-		for i, k := range uniform {
+		sortCase(t, "zipf-s2", ZipfS2.Generate(n, int64(n)+1, 1))
+		sortCase(t, "heavy-dup", HeavyDup.Generate(n, int64(n)+1, 1))
+		equal := make([]Key, n)
+		for i := range equal {
 			equal[i] = 0xdeadbeef
-			top[i] = k&0xff000000 | 0x00abcdef // only the top byte varies: three passes skipped
-			low[i] = k&0x000000ff | 0x12345600 // only the low byte varies
-			mid[i] = k&0x00ffff00 | 0x7f000001 // the two middle bytes vary
 		}
 		sortCase(t, "all-equal", equal)
-		sortCase(t, "top-byte", top)
-		sortCase(t, "low-byte", low)
-		sortCase(t, "mid-bytes", mid)
+		for _, c := range masks {
+			masked := make([]Key, n)
+			for i, k := range uniform {
+				masked[i] = k&c.mask | 0x5a5a5a5a&^c.mask
+			}
+			sortCase(t, c.name, masked)
+		}
 	}
 	for _, d := range Distributions() {
 		sortCase(t, d.String(), d.Generate(m, 5, 4))
+	}
+}
+
+// TestSortKeysRepeatThreshold: a load whose low digit has one value in
+// exactly len/repeatShare keys sorts by the one-key scatter, one key more
+// by the four-key scatter; both must sort.
+func TestSortKeysRepeatThreshold(t *testing.T) {
+	for _, n := range []int{sortCutoff, 1000, 4096 + 3} {
+		at := n / repeatShare
+		for _, hot := range []int{at, at + 1} {
+			keys := Uniform.Generate(n, int64(n), 1)
+			for i := range keys {
+				if keys[i]&0xff == 0x5a {
+					keys[i]++
+				}
+			}
+			// Spread the hot digit over the load, so some four-key steps
+			// hold several copies and some none.
+			for j := 0; j < hot; j++ {
+				i := j * n / hot
+				keys[i] = keys[i]&^0xff | 0x5a
+			}
+			sortCase(t, fmt.Sprintf("hot=%d", hot), keys)
+		}
 	}
 }
 
@@ -201,20 +248,15 @@ func TestSortKeysShortScratchPanics(t *testing.T) {
 }
 
 func FuzzSortKeys(f *testing.F) {
-	f.Add([]byte{}, byte(0))
-	f.Add(EncodeKeys(nil, Uniform.Generate(sortCutoff+3, 1, 1)), byte(0xff))
-	f.Add(EncodeKeys(nil, ZipfS2.Generate(300, 2, 1)), byte(0x0f))
-	f.Fuzz(func(t *testing.T, raw []byte, mask byte) {
+	f.Add([]byte{}, Key(0))
+	f.Add(EncodeKeys(nil, Uniform.Generate(sortCutoff+3, 1, 1)), ^Key(0))
+	f.Add(EncodeKeys(nil, ZipfS2.Generate(300, 2, 1)), Key(0x000ff0f8))
+	f.Fuzz(func(t *testing.T, raw []byte, mask Key) {
 		keys := DecodeKeys(nil, raw[:len(raw)/KeySize*KeySize])
-		// mask chooses which key bytes vary, so the pass-skip rule is fuzzed too.
-		var m Key
-		for b := 0; b < KeySize; b++ {
-			if mask>>b&1 == 1 {
-				m |= 0xff << (8 * b)
-			}
-		}
+		// mask chooses which key bits vary, so the pass plan and the
+		// pass-skip rule are fuzzed too.
 		for i := range keys {
-			keys[i] &= m
+			keys[i] &= mask
 		}
 		sortCase(t, "fuzz", keys)
 	})
@@ -517,4 +559,26 @@ func TestGenerateZeroAndPanics(t *testing.T) {
 		}
 	}()
 	Uniform.Generate(-1, 1, 4)
+}
+
+// BenchmarkSortKeys times the in-core sorter alone on loads of the M the
+// bench workloads use: 4096 (wide64-tree), 16384 (skew4-hist) and 65536
+// (het4-mem, whose former does not call it; BenchmarkRunFormation's regime
+// shape does).  zipf-s2 repeats one digit in most keys, heavy-dup draws
+// five values, and sorted keys arrive in order.
+func BenchmarkSortKeys(b *testing.B) {
+	for _, d := range []Distribution{Uniform, ZipfS2, HeavyDup, Sorted} {
+		for _, n := range []int{1 << 12, 1 << 14, 1 << 16} {
+			in := d.Generate(n, 1, 1)
+			keys, scratch := make([]Key, n), make([]Key, n)
+			b.Run(fmt.Sprintf("%v/n=%d", d, n), func(b *testing.B) {
+				b.SetBytes(int64(n) * KeySize)
+				for i := 0; i < b.N; i++ {
+					copy(keys, in)
+					SortKeys(keys, scratch)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/key")
+			})
+		}
+	}
 }
