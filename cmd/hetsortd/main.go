@@ -160,7 +160,7 @@ func verifyMain(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("%s: output sorted, merkle root verified: %s\n", id, root)
+	fmt.Printf("%s: output sorted, multiset matches the input, merkle root verified: %s\n", id, root)
 }
 
 func fatal(err error) {

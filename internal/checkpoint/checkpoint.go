@@ -27,7 +27,6 @@ import (
 	"strings"
 
 	"hetsort/internal/diskio"
-	"hetsort/internal/merkle"
 	"hetsort/internal/record"
 )
 
@@ -53,14 +52,10 @@ var ErrCorrupt = errors.New("checkpoint: manifest corrupt")
 const Phases = 5
 
 // FileInfo names a durable file a committed phase depends on, with its
-// expected length in keys so recovery can detect truncation.  When the
-// run is Merkle-anchored (Manifest.Root non-empty), SHA256 carries the
-// hex content hash that forms the file's leaf in the manifest's Merkle
-// tree.
+// expected length in keys so recovery can detect truncation.
 type FileInfo struct {
-	Name   string `json:"name"`
-	Keys   int64  `json:"keys"`
-	SHA256 string `json:"sha256,omitempty"`
+	Name string `json:"name"`
+	Keys int64  `json:"keys"`
 }
 
 // Manifest is one node's durable progress record.
@@ -100,12 +95,6 @@ type Manifest struct {
 	Cuts []int64 `json:"cuts,omitempty"`
 	// Files lists the durable files this phase depends on.
 	Files []FileInfo `json:"files,omitempty"`
-	// Root, when non-empty, is the hex Merkle root over Files: each
-	// file's content hash (FileInfo.SHA256) is a leaf bound to its name,
-	// so one 32-byte value anchors every artifact the committed phase
-	// depends on.  Optional — plain checkpointed runs leave it empty and
-	// skip the hashing I/O.
-	Root string `json:"root,omitempty"`
 }
 
 // Tie places a pivot's cut inside the run of its key's copies, in the
@@ -117,95 +106,6 @@ type Tie struct {
 	Pivot int   `json:"pivot"`
 	Node  int   `json:"node"`
 	Take  int64 `json:"take"`
-}
-
-// HashFile computes the SHA-256 of the named file's content, charging
-// acct for the block reads it performs (blockKeys keys per block) so the
-// hashing cost shows up honestly in the PDM counters and virtual time.
-func HashFile(fs diskio.FS, name string, blockKeys int, acct diskio.Accounting) (string, error) {
-	f, err := fs.Open(name)
-	if err != nil {
-		return "", fmt.Errorf("checkpoint: hashing %s: %w", name, err)
-	}
-	defer f.Close()
-	if blockKeys <= 0 {
-		blockKeys = 2048
-	}
-	h := sha256.New()
-	buf := make([]byte, blockKeys*record.KeySize)
-	var off int64
-	for {
-		n, err := f.Read(buf)
-		if n > 0 {
-			h.Write(buf[:n])
-			acct.ChargeRead(off, 1)
-			off += int64(n)
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return "", fmt.Errorf("checkpoint: hashing %s: %w", name, err)
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// Merkleize fills in each dependency's content hash and the manifest's
-// Merkle root, reading every file in m.Files from fs (costs charged to
-// acct).  Call before Save on the manifests that should anchor their
-// artifacts; the hetsortd service does this at the final phase so a
-// job's output set verifies against one root.
-func (m *Manifest) Merkleize(fs diskio.FS, blockKeys int, acct diskio.Accounting) error {
-	leaves := make([]merkle.Leaf, 0, len(m.Files))
-	for i := range m.Files {
-		hash, err := HashFile(fs, m.Files[i].Name, blockKeys, acct)
-		if err != nil {
-			return err
-		}
-		m.Files[i].SHA256 = hash
-		var sum merkle.Sum
-		if _, err := hex.Decode(sum[:], []byte(hash)); err != nil {
-			return fmt.Errorf("checkpoint: bad hash for %s: %w", m.Files[i].Name, err)
-		}
-		leaves = append(leaves, merkle.Leaf{Name: m.Files[i].Name, Sum: sum})
-	}
-	t, err := merkle.New(leaves)
-	if err != nil {
-		return fmt.Errorf("checkpoint: building manifest tree: %w", err)
-	}
-	root := t.Root()
-	m.Root = hex.EncodeToString(root[:])
-	return nil
-}
-
-// VerifyRoot recomputes the Merkle root from the recorded per-file
-// hashes and checks it against m.Root.  It reads no file content — use
-// Validate (which re-hashes) for end-to-end artifact verification.
-func (m *Manifest) VerifyRoot() error {
-	if m.Root == "" {
-		return nil
-	}
-	leaves := make([]merkle.Leaf, 0, len(m.Files))
-	for _, fi := range m.Files {
-		var sum merkle.Sum
-		if len(fi.SHA256) != 2*merkle.HashSize {
-			return fmt.Errorf("%w: file %s has root but no valid hash", ErrCorrupt, fi.Name)
-		}
-		if _, err := hex.Decode(sum[:], []byte(fi.SHA256)); err != nil {
-			return fmt.Errorf("%w: file %s has root but no valid hash", ErrCorrupt, fi.Name)
-		}
-		leaves = append(leaves, merkle.Leaf{Name: fi.Name, Sum: sum})
-	}
-	t, err := merkle.New(leaves)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	root := t.Root()
-	if got := hex.EncodeToString(root[:]); got != m.Root {
-		return fmt.Errorf("%w: merkle root %s does not match recorded %s", ErrCorrupt, got, m.Root)
-	}
-	return nil
 }
 
 // Save durably commits m to fs using temp-write + sync + atomic rename,
@@ -343,9 +243,9 @@ func (m *Manifest) validateTies() error {
 
 // Validate checks that every file the manifest depends on exists on fs
 // with the recorded length, that its runs are sections of those files,
-// that the phase's cuts span every run and its ties place pivots, and —
-// for Merkle-anchored manifests — that every file's content re-hashes to
-// the recorded leaf and the leaves still produce the root.
+// and that the phase's cuts span every run and its ties place pivots.
+// File contents are not read: Machine.Run verifies a resumed run's
+// output against the input checksum.
 func (m *Manifest) Validate(fs diskio.FS) error {
 	if err := m.validateRuns(fs); err != nil {
 		return err
@@ -362,18 +262,8 @@ func (m *Manifest) Validate(fs diskio.FS) error {
 			return fmt.Errorf("checkpoint: node %d phase %d dependency %s has %d keys, manifest says %d",
 				m.Node, m.Phase, fi.Name, n, fi.Keys)
 		}
-		if fi.SHA256 != "" {
-			got, err := HashFile(fs, fi.Name, 0, diskio.Accounting{})
-			if err != nil {
-				return err
-			}
-			if got != fi.SHA256 {
-				return fmt.Errorf("checkpoint: node %d phase %d dependency %s content hash %s, manifest says %s",
-					m.Node, m.Phase, fi.Name, got, fi.SHA256)
-			}
-		}
 	}
-	return m.VerifyRoot()
+	return nil
 }
 
 // Recovery is the cluster-wide resume plan assembled from the per-node

@@ -121,14 +121,6 @@ type Config struct {
 	// theirs from p (p and ⌈√p⌉) and ignore this; no topology accepts
 	// a negative one.
 	Radix int
-	// Merkle upgrades the final checkpoint manifest to a Merkle-anchored
-	// one: each node hashes the artifacts its phase-5 manifest depends on
-	// and records a Merkle root over them, so the run's outputs verify
-	// against one 32-byte value (hetsortd anchors every job this way).
-	// The hashing re-reads the output once, charged as phase-0 I/O.  It
-	// is an execution strategy excluded from the resume fingerprint — it
-	// changes no output byte.  Requires Checkpoint.
-	Merkle bool
 	// Progress, when set, is bound to the cluster at the start of the
 	// run so other goroutines can sample live per-node, per-step
 	// snapshots while Algorithm 1 executes (see internal/progress).  It
@@ -418,15 +410,7 @@ func (w *worker) commit(phase int, files []checkpoint.FileInfo) error {
 	step := n.Counter().CurrentPhase()
 	n.SetIOPhase(0)
 	start := n.Clock()
-	var err error
-	if w.cfg.Merkle && phase == checkpoint.Phases {
-		// Anchor the finished run: hash the final manifest's artifact
-		// set and bind it under one Merkle root.
-		err = m.Merkleize(n.FS(), w.cfg.BlockKeys, n.Acct())
-	}
-	if err == nil {
-		err = checkpoint.Save(n.FS(), m, n.Acct())
-	}
+	err := checkpoint.Save(n.FS(), m, n.Acct())
 	n.Metrics().Histogram("checkpoint.commit.vsec").Observe(n.Clock() - start)
 	n.SetIOPhase(step)
 	if err != nil {

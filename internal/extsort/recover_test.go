@@ -1,6 +1,9 @@
 package extsort
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -11,6 +14,7 @@ import (
 	"hetsort/internal/checkpoint"
 	"hetsort/internal/cluster"
 	"hetsort/internal/diskio"
+	"hetsort/internal/merkle"
 	"hetsort/internal/perf"
 	"hetsort/internal/record"
 	"hetsort/internal/trace"
@@ -442,6 +446,84 @@ func TestResumeRefusesTamperedCuts(t *testing.T) {
 			}
 			if _, _, err := Resume(c, cfg, "input", "output"); !errors.Is(err, checkpoint.ErrCorrupt) {
 				t.Fatalf("resume over tampered state: %v, want ErrCorrupt", err)
+			}
+		})
+	}
+}
+
+// TestResumeLoadsRetiredMerkleFields: manifests once carried a content
+// hash per file ("sha256") and a Merkle root over them ("root") in a run
+// that anchored its artifacts.  A manifest written that way — a daemon
+// upgraded in the middle of a job — still loads, and its run resumes to
+// the bytes of an uninterrupted run.  The fields are filled in as that
+// format computed them: the SHA-256 of each file's bytes, and the root
+// of those leaves bound to the file names.
+func TestResumeLoadsRetiredMerkleFields(t *testing.T) {
+	v := perf.Vector{1, 1}
+	refC := newCluster(t, v)
+	refCfg := testConfig(v)
+	refCfg.Checkpoint = true
+	var err error
+	if refCfg.InputSum, err = DistributeInput(refC, v, record.Uniform, v.NearestValidSize(1<<12), 3, refCfg.BlockKeys, "input"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Sort(refC, refCfg, "input", "output"); err != nil {
+		t.Fatal(err)
+	}
+	want := collectOutput(t, refC, refCfg.BlockKeys)
+	for _, point := range []string{StepNames[4], "committed:" + StepNames[4]} {
+		t.Run(point, func(t *testing.T) {
+			c, cfg := crashedPair(t, point)
+			for i := 0; i < c.P(); i++ {
+				fs := c.Node(i).FS()
+				m, err := checkpoint.Load(fs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw, err := json.Marshal(m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var old map[string]any
+				if err := json.Unmarshal(raw, &old); err != nil {
+					t.Fatal(err)
+				}
+				var leaves []merkle.Leaf
+				for _, fi := range old["files"].([]any) {
+					fi := fi.(map[string]any)
+					content, err := diskio.ReadFileAll(fs, fi["name"].(string), cfg.BlockKeys, diskio.Accounting{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					leaf := merkle.Leaf{Name: fi["name"].(string), Sum: sha256.Sum256(record.EncodeKeys(nil, content))}
+					fi["sha256"] = hex.EncodeToString(leaf.Sum[:])
+					leaves = append(leaves, leaf)
+				}
+				tree, err := merkle.New(leaves)
+				if err != nil {
+					t.Fatal(err)
+				}
+				root := tree.Root()
+				old["root"] = hex.EncodeToString(root[:])
+				body, err := json.Marshal(old)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum := sha256.Sum256(body)
+				f, err := fs.Create(checkpoint.ManifestName)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(f, "hetsort-checkpoint-v1 sha256=%x\n%s", sum, body)
+				if err := f.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, _, err := Resume(c, cfg, "input", "output"); err != nil {
+				t.Fatalf("resume from manifests with sha256 and root fields: %v", err)
+			}
+			if got := collectOutput(t, c, cfg.BlockKeys); !slices.Equal(got, want) {
+				t.Fatal("resumed output differs from an uninterrupted run's")
 			}
 		})
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 // TestConcurrentJobsPriceAsDedicated: two jobs run concurrently on the
-// shared machine must produce byte-identical outputs, equal Merkle roots
+// shared machine must produce byte-identical outputs, equal job roots
 // and exactly the virtual times of the same jobs run serially, because
 // every job is priced as a dedicated machine.  (Per-node attribution is
 // checked by Machine.Run, so a Done state certifies CheckAttribution.)
@@ -99,8 +99,9 @@ func TestConcurrentJobsPriceAsDedicated(t *testing.T) {
 
 // TestJobSortsLikeTheFacade: a generated job's node outputs are
 // byte-identical to hetsort.Sort's on the same keys, perf, B, M, T and
-// message size with checkpointing on, and its partitions are the
-// facade's PartitionSizes.
+// message size with checkpointing on, its partitions are the facade's
+// PartitionSizes, and it is priced exactly as the facade's sort: the
+// same makespan and the same clock on every node.
 func TestJobSortsLikeTheFacade(t *testing.T) {
 	store := storage.NewObject()
 	cfg := testConfig()
@@ -137,5 +138,8 @@ func TestJobSortsLikeTheFacade(t *testing.T) {
 	}
 	if !slices.Equal(st.Partitions, rep.PartitionSizes) {
 		t.Fatalf("job partitions %v, facade %v", st.Partitions, rep.PartitionSizes)
+	}
+	if st.Time != rep.Time || !slices.Equal(st.NodeClocks, rep.NodeClocks) {
+		t.Fatalf("job clocks %.9f %v, facade %.9f %v", st.Time, st.NodeClocks, rep.Time, rep.NodeClocks)
 	}
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -10,6 +11,7 @@ import (
 	"os"
 	"sync"
 
+	"hetsort/internal/checkpoint"
 	"hetsort/internal/cluster"
 	"hetsort/internal/diskio"
 	"hetsort/internal/extsort"
@@ -249,20 +251,8 @@ func loadStatus(store storage.Backend, id string) (*JobStatus, error) {
 	return &st, nil
 }
 
-// loadInput materialises the job's input keys (uploaded object or
-// deterministic generation).
-func (sp *JobSpec) loadInput(store storage.Backend, parts int) ([]record.Key, error) {
-	if sp.Gen != nil {
-		dist := sp.Gen.Dist
-		if dist == "" {
-			dist = "uniform"
-		}
-		d, err := record.ParseDistribution(dist)
-		if err != nil {
-			return nil, err
-		}
-		return d.Generate(int(sp.Gen.Count), sp.Gen.Seed, parts), nil
-	}
+// loadInput reads the job's uploaded input keys.
+func (sp *JobSpec) loadInput(store storage.Backend) ([]record.Key, error) {
 	body, err := store.Get(sp.Input)
 	if err != nil {
 		return nil, fmt.Errorf("service: input object %s: %w", sp.Input, err)
@@ -293,7 +283,6 @@ func (s *Service) machine(sp *JobSpec) (*extsort.Machine, error) {
 			Topology:    topo,
 			Radix:       sp.Radix,
 			Checkpoint:  true,
-			Merkle:      true,
 		},
 		Net:        s.net,
 		CrashPhase: sp.CrashPhase,
@@ -404,12 +393,8 @@ func (s *Service) run(j *job) error {
 	if err != nil {
 		return err
 	}
-	var keys int64
-	for _, p := range res.PartitionSizes {
-		keys += p
-	}
 	j.statusMu.Lock()
-	j.status.Keys = keys
+	j.status.Keys = m.InputSum.Count // Run verified the output against it
 	j.status.Time = res.Time
 	j.status.Partitions = res.PartitionSizes
 	j.status.NodeClocks = res.NodeClocks
@@ -419,14 +404,22 @@ func (s *Service) run(j *job) error {
 	return nil
 }
 
-// runFresh loads the input, distributes perf-proportional shares onto
-// the job's node trees, and sorts.
+// runFresh stages the job's input — generated, or the uploaded object —
+// as perf-proportional shares on the job's node trees, and sorts.
 func (s *Service) runFresh(cl *cluster.Cluster, j *job, m *extsort.Machine) (*extsort.Report, error) {
-	keys, err := j.spec.loadInput(s.store, cl.P())
-	if err != nil {
-		return nil, err
+	var err error
+	if g := j.spec.Gen; g != nil {
+		var dist record.Distribution
+		if dist, err = record.ParseDistribution(cmp.Or(g.Dist, "uniform")); err == nil {
+			m.InputSum, err = extsort.DistributeInput(cl, m.Perf, dist, g.Count, g.Seed, m.BlockKeys, "input")
+		}
+	} else {
+		var keys []record.Key
+		if keys, err = j.spec.loadInput(s.store); err == nil {
+			m.InputSum, err = extsort.StageInput(cl, m.Perf, keys, m.BlockKeys, "input")
+		}
 	}
-	if m.InputSum, err = extsort.StageInput(cl, m.Perf, keys, m.BlockKeys, "input"); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return m.Run(cl, nil, false)
@@ -470,8 +463,10 @@ func JobRoot(store storage.Backend, id string, p int) (string, error) {
 }
 
 // VerifyJob recomputes a completed job's Merkle root from the backend
-// and checks the concatenated node outputs are globally sorted — the
-// `hetsortd verify` core.  It returns the recomputed root.
+// and checks its node outputs with extsort.VerifyOutput — each sorted,
+// in order across nodes, and together the input multiset recorded in
+// node 0's checkpoint manifest — the `hetsortd verify` core.  It returns
+// the recomputed root.
 func VerifyJob(store storage.Backend, id string) (string, error) {
 	st, err := loadStatus(store, id)
 	if err != nil {
@@ -491,28 +486,33 @@ func VerifyJob(store storage.Backend, id string) (string, error) {
 	if root != st.Root {
 		return "", fmt.Errorf("service: job %s root mismatch: recomputed %s, recorded %s", id, root, st.Root)
 	}
-	// Sortedness across the concatenated partitions, in node order.
-	var last record.Key
-	var total int64
-	for i := 0; i < p; i++ {
-		body, err := store.Get(fmt.Sprintf("jobs/%s/node%d/output", id, i))
-		if err != nil {
+	disks, loads := make([]diskio.FS, p), make([]float64, p)
+	for i := range disks {
+		loads[i] = 1
+		if disks[i], err = store.FS(nodePrefix(id, i)); err != nil {
 			return "", err
 		}
-		keys := record.DecodeKeys(nil, body)
-		for _, k := range keys {
-			if total > 0 && k < last {
-				return "", fmt.Errorf("service: job %s output not sorted at node %d (key %d after %d)", id, i, k, last)
-			}
-			last = k
-			total++
+		n, err := diskio.CountKeys(disks[i], "output")
+		if err == nil && n != st.Partitions[i] {
+			err = fmt.Errorf("has %d keys, status says %d", n, st.Partitions[i])
 		}
-		if int64(len(keys)) != st.Partitions[i] {
-			return "", fmt.Errorf("service: job %s node %d output has %d keys, status says %d", id, i, len(keys), st.Partitions[i])
+		if err != nil {
+			return "", fmt.Errorf("service: job %s node %d output: %w", id, i, err)
 		}
 	}
-	if total != st.Keys {
-		return "", fmt.Errorf("service: job %s outputs hold %d keys, status says %d", id, total, st.Keys)
+	m, err := checkpoint.Load(disks[0])
+	if err == nil && m.Input.Count != st.Keys {
+		err = fmt.Errorf("input holds %d keys, status says %d", m.Input.Count, st.Keys)
+	}
+	if err != nil {
+		return "", fmt.Errorf("service: job %s node 0 manifest: %w", id, err)
+	}
+	cl, err := cluster.New(cluster.Config{Slowdowns: loads, Disks: func(i int) diskio.FS { return disks[i] }})
+	if err == nil {
+		err = extsort.VerifyOutput(cl, "output", 2048, m.Input) // any B reads the same keys
+	}
+	if err != nil {
+		return "", fmt.Errorf("service: job %s: %w", id, err)
 	}
 	return root, nil
 }

@@ -22,6 +22,20 @@ func readOutputs(t *testing.T, store storage.Backend, id string, p int) []byte {
 	return buf.Bytes()
 }
 
+// zeroOutput overwrites node 0's output of job id with as many zero
+// keys: still sorted, still the recorded length, another multiset.
+func zeroOutput(t *testing.T, store storage.Backend, id string) {
+	t.Helper()
+	name := "jobs/" + id + "/node0/output"
+	body, err := store.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put(name, make([]byte, len(body))); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDaemonKillAndRecovery is the acceptance scenario: a job dies
 // mid-run (injected node crash = the daemon-death model: the durable
 // status stays "running"), a fresh Service over the same backend
@@ -175,4 +189,45 @@ func TestRecoveryBeforeFirstCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Stop()
+}
+
+// TestRecoveryRefusesCorruptedOutput: the daemon died after every node
+// committed phase 5 but before the job's status reached "done", and a
+// node output was then corrupted in place (same length, sorted, another
+// multiset).  The restarted daemon resumes the job from its manifests,
+// and the output check against their input checksum fails it: the job
+// ends "failed", in memory and durably, and is never "done".
+func TestRecoveryRefusesCorruptedOutput(t *testing.T) {
+	store := storage.NewObject()
+	s1, err := New(testConfig(), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := s1.Submit(testSpec(4000, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.Wait(id)
+	s1.Stop()
+	st, err := loadStatus(store, id)
+	if err != nil || st.State != StateDone {
+		t.Fatalf("reference run: %+v, %v", st, err)
+	}
+	if err := saveStatus(store, &JobStatus{ID: id, State: StateRunning}); err != nil {
+		t.Fatal(err)
+	}
+	zeroOutput(t, store, id)
+
+	s2, err := New(testConfig(), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2.Wait(id)
+	s2.Stop()
+	if st, _ := s2.Status(id); st.State != StateFailed {
+		t.Fatalf("recovered job with a corrupted output: %s (%s)", st.State, st.Error)
+	}
+	if st, err := loadStatus(store, id); err != nil || st.State != StateFailed {
+		t.Fatalf("durable state: %+v, %v", st, err)
+	}
 }

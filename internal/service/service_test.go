@@ -93,6 +93,35 @@ func TestVerifyDetectsTampering(t *testing.T) {
 	}
 }
 
+// TestVerifyChecksTheMultiset: an output replaced by sorted keys of the
+// same length (all zeros), with status.json re-rooted over the tampered
+// artifacts, passes the root, the sortedness and the key counts — only
+// the multiset check against the manifests' input checksum refuses it.
+func TestVerifyChecksTheMultiset(t *testing.T) {
+	store := storage.NewObject()
+	s, err := New(testConfig(), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _ := s.Submit(testSpec(2000, 7))
+	s.Wait(id)
+	s.Stop()
+	zeroOutput(t, store, id)
+	st, err := loadStatus(store, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Root, err = JobRoot(store, id, len(st.Partitions)); err != nil {
+		t.Fatal(err)
+	}
+	if err := saveStatus(store, st); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := VerifyJob(store, id); err == nil || !strings.Contains(err.Error(), "multiset") {
+		t.Fatalf("verify of a re-rooted all-zero output: %v", err)
+	}
+}
+
 func TestAdmissionQueueBackpressure(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxJobs = 1
