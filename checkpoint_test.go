@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -63,10 +64,22 @@ func TestSortFileCrashAndResume(t *testing.T) {
 	runCfg.Checkpoint.Enabled = true
 	runCfg.Checkpoint.CrashNode = 2
 	runCfg.Checkpoint.CrashPhase = 4
+	// An earlier output at the path survives the crash untouched, and
+	// no partial output is left beside it.
 	outPath := filepath.Join(dir, "out.u32")
+	earlier := []byte("an earlier output")
+	if err := os.WriteFile(outPath, earlier, 0o600); err != nil {
+		t.Fatal(err)
+	}
 	_, err = SortFile(inPath, outPath, runCfg)
 	if !IsCrash(err) {
 		t.Fatalf("want an injected crash, got %v", err)
+	}
+	if got, err := os.ReadFile(outPath); err != nil || !bytes.Equal(got, earlier) {
+		t.Fatalf("a crashed SortFile changed the file at its output path: %q, %v", got, err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, ".out.u32.*")); len(left) > 0 {
+		t.Fatalf("a crashed SortFile left %v behind", left)
 	}
 
 	// Resume in a fresh configuration value (no crash scheduled), as a
@@ -87,6 +100,33 @@ func TestSortFileCrashAndResume(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("resumed output differs from the uninterrupted run")
+	}
+	if st, err := os.Stat(outPath); err != nil {
+		t.Fatal(err)
+	} else if st.Mode().Perm() != 0o600 {
+		t.Fatalf("the resumed output's mode is %v, not the replaced file's -rw-------", st.Mode())
+	}
+}
+
+// TestSortFileRefusesANonRegularOutput: an output path that names
+// something other than a regular file is refused before the sort, and
+// left where it is.
+func TestSortFileRefusesANonRegularOutput(t *testing.T) {
+	dir := t.TempDir()
+	inPath := filepath.Join(dir, "in.u32")
+	writeKeyFile(t, inPath, 4000)
+	outDir := filepath.Join(dir, "out")
+	if err := os.Mkdir(outDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SortFile(inPath, outDir, Config{}); err == nil || !strings.Contains(err.Error(), "not a regular file") {
+		t.Fatalf("SortFile onto a directory: %v", err)
+	}
+	if _, err := Resume(outDir, Config{WorkDir: filepath.Join(dir, "work")}); err == nil || !strings.Contains(err.Error(), "not a regular file") {
+		t.Fatalf("Resume onto a directory: %v", err)
+	}
+	if st, err := os.Stat(outDir); err != nil || !st.IsDir() {
+		t.Fatalf("the directory at the output path is gone: %v", err)
 	}
 }
 

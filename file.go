@@ -1,31 +1,38 @@
 package hetsort
 
 import (
-	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
-	"io"
+	"io/fs"
+	"math/rand/v2"
 	"os"
+	"path/filepath"
 
 	"hetsort/internal/cluster"
-	"hetsort/internal/diskio"
+	"hetsort/internal/extsort"
 	"hetsort/internal/record"
 )
 
 // SortFile sorts a host file of little-endian uint32 values into
-// outputPath using the configured cluster.  The input is streamed onto
-// the node disks in perf-proportional contiguous portions, Algorithm 1
-// runs, and the nodes' sorted partitions are concatenated in rank order
-// into the output file.  When cfg.WorkDir is empty the node disks live
-// in memory, so the input must fit in RAM; set WorkDir for genuinely
-// out-of-core runs.
+// outputPath using the configured cluster.  Each node reads its
+// perf-proportional contiguous portion of the input onto its disk,
+// Algorithm 1 runs, and each node's sorted partition is written into
+// the output file at its rank's offset, as it is verified.  The output
+// replaces outputPath only once the run has succeeded, and outputPath
+// must be a regular file or not exist.  When cfg.WorkDir is empty the
+// node disks live in memory, so the input must fit in RAM; set WorkDir
+// for genuinely out-of-core runs.
 func SortFile(inputPath, outputPath string, cfg Config) (*Report, error) {
+	outputPath, old, err := outputTarget(outputPath)
+	if err != nil {
+		return nil, err
+	}
 	m, err := cfg.resolve()
 	if err != nil {
 		return nil, err
 	}
 	defer m.release()
-	c, block := m.c, m.BlockKeys
 
 	in, err := os.Open(inputPath)
 	if err != nil {
@@ -39,101 +46,58 @@ func SortFile(inputPath, outputPath string, cfg Config) (*Report, error) {
 	if st.Size()%record.KeySize != 0 {
 		return nil, fmt.Errorf("hetsort: input size %d is not a multiple of %d bytes", st.Size(), record.KeySize)
 	}
-	total := st.Size() / record.KeySize
-	shares := m.Perf.Shares(total)
-
-	// Stream each node's contiguous portion onto its disk, folding the
-	// checksum as we go.
-	var want record.Checksum
-	br := bufio.NewReaderSize(in, 1<<20)
-	keyBuf := make([]record.Key, block)
-	for i := 0; i < c.P(); i++ {
-		f, err := c.Node(i).FS().Create("input")
-		if err != nil {
-			return nil, err
-		}
-		w := diskio.NewWriter(f, block, diskio.Accounting{})
-		remaining := shares[i]
-		for remaining > 0 {
-			chunk := int64(block)
-			if chunk > remaining {
-				chunk = remaining
-			}
-			keys := keyBuf[:chunk]
-			if _, err := io.ReadFull(br, record.Bytes(keys)); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("hetsort: reading input: %w", err)
-			}
-			record.DiskOrder(keys)
-			want.Update(keys)
-			if err := w.WriteKeys(keys); err != nil {
-				f.Close()
-				return nil, err
-			}
-			remaining -= chunk
-		}
-		if err := w.Close(); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Close(); err != nil {
-			return nil, err
-		}
+	if m.InputSum, err = extsort.StageFile(m.c, m.Perf, in, st.Size()/record.KeySize, m.BlockKeys, "input"); err != nil {
+		return nil, err
 	}
+	return m.toFile(outputPath, old, false)
+}
 
-	rep, err := m.sort(want)
+// outputTarget resolves the output path: the file it names, symbolic
+// links followed, and that file's info, or nil when there is none yet.
+// Anything there but a regular file is refused.
+func outputTarget(path string) (string, fs.FileInfo, error) {
+	st, err := os.Stat(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return path, nil, nil
+	}
+	if err == nil && !st.Mode().IsRegular() {
+		err = fmt.Errorf("hetsort: output %s is not a regular file", path)
+	}
+	if err == nil {
+		path, err = filepath.EvalSymlinks(path)
+	}
+	return path, st, err
+}
+
+// toFile runs the staged sort, or resumes it, with the verification pass
+// landing the output, each node's keys at their byte offset, in a new
+// file beside path.  That file replaces path, keeping old's permissions,
+// only once the run has succeeded: a failed run leaves path as it was.
+func (m *machine) toFile(path string, old fs.FileInfo, resume bool) (*Report, error) {
+	tmp := filepath.Join(filepath.Dir(path), fmt.Sprintf(".%s.%016x", filepath.Base(path), rand.Uint64()))
+	out, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
 	if err != nil {
 		return nil, err
 	}
-	if err := concatOutput(c, block, outputPath); err != nil {
+	m.Land = func(int64) (extsort.Lander, error) {
+		return func(off int64, keys []record.Key) error {
+			record.DiskOrder(keys)
+			_, err := out.WriteAt(record.Bytes(keys), off*record.KeySize)
+			return err
+		}, nil
+	}
+	rep, err := m.Run(m.c, m.algo, resume)
+	if err == nil && old != nil {
+		err = out.Chmod(old.Mode().Perm())
+	}
+	if err = cmp.Or(err, out.Close()); err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
 		return nil, err
 	}
 	return rep, nil
-}
-
-// concatOutput concatenates the nodes' sorted partitions in rank order
-// into the host file outputPath.
-func concatOutput(c *cluster.Cluster, block int, outputPath string) error {
-	out, err := os.Create(outputPath)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriterSize(out, 1<<20)
-	keyBuf := make([]record.Key, block)
-	for i := 0; i < c.P(); i++ {
-		f, err := c.Node(i).FS().Open("output")
-		if err != nil {
-			out.Close()
-			return err
-		}
-		r := diskio.NewReader(f, block, diskio.Accounting{})
-		for {
-			n, err := diskio.ReadChunk(r, keyBuf)
-			if err == nil && n > 0 {
-				record.DiskOrder(keyBuf[:n])
-				_, err = bw.Write(record.Bytes(keyBuf[:n]))
-			}
-			if err != nil {
-				r.Release()
-				f.Close()
-				out.Close()
-				return err
-			}
-			if n == 0 {
-				break
-			}
-		}
-		r.Release()
-		if err := f.Close(); err != nil {
-			out.Close()
-			return err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
 }
 
 // Resume continues a SortFile run that was interrupted after being
@@ -150,18 +114,15 @@ func Resume(outputPath string, cfg Config) (*Report, error) {
 	if cfg.Algorithm != "" && cfg.Algorithm != AlgorithmExternalPSRS {
 		return nil, fmt.Errorf("hetsort: cannot resume algorithm %q (checkpointing is external-psrs only)", cfg.Algorithm)
 	}
+	outputPath, old, err := outputTarget(outputPath)
+	if err != nil {
+		return nil, err
+	}
 	m, err := cfg.resolve()
 	if err != nil {
 		return nil, err
 	}
-	rep, err := m.Run(m.c, nil, true)
-	if err != nil {
-		return nil, err
-	}
-	if err := concatOutput(m.c, m.BlockKeys, outputPath); err != nil {
-		return nil, err
-	}
-	return rep, nil
+	return m.toFile(outputPath, old, true)
 }
 
 // IsCrash reports whether err was caused by an injected node crash (see

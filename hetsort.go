@@ -225,12 +225,13 @@ type CheckpointConfig struct {
 	CrashNode int
 }
 
-// machine is a Config resolved: the built extsort.Machine and its
-// simulated cluster.
+// machine is a Config resolved: the built extsort.Machine, its cluster
+// and the algorithm Machine.Run takes (nil: Algorithm 1).
 type machine struct {
 	cfg Config
 	extsort.Machine
-	c *cluster.Cluster
+	c    *cluster.Cluster
+	algo func(*cluster.Cluster, extsort.Config) (*Report, error)
 }
 
 // resolve parses the Config's names and builds its extsort.Machine, so
@@ -245,12 +246,14 @@ func (cfg Config) resolve() (*machine, error) {
 			v = perf.Homogeneous(cfg.Nodes)
 		}
 	}
+	var algo func(*cluster.Cluster, extsort.Config) (*Report, error)
 	switch cfg.Algorithm {
 	case "", AlgorithmExternalPSRS:
 	case AlgorithmDeWitt:
 		if cfg.Checkpoint.Enabled {
 			return nil, errors.New("hetsort: checkpointing is only implemented for the external-psrs algorithm")
 		}
+		algo = dewitt.Algo(0)
 	default:
 		return nil, fmt.Errorf("hetsort: unknown algorithm %q", cfg.Algorithm)
 	}
@@ -262,7 +265,7 @@ func (cfg Config) resolve() (*machine, error) {
 	if err := errors.Join(rfErr, stratErr, topoErr, accessErr, netErr); err != nil {
 		return nil, fmt.Errorf("hetsort: %w", err)
 	}
-	m := &machine{cfg: cfg, Machine: extsort.Machine{
+	m := &machine{cfg: cfg, algo: algo, Machine: extsort.Machine{
 		Config: extsort.Config{
 			Perf:          v,
 			BlockKeys:     cfg.BlockKeys,
@@ -326,41 +329,19 @@ func Sort(keys []Key, cfg Config) ([]Key, *Report, error) {
 		return nil, nil, err
 	}
 	defer m.release()
-	want, err := extsort.StageInput(m.c, m.Perf, keys, m.BlockKeys, "input")
-	if err != nil {
+	if m.InputSum, err = extsort.StageInput(m.c, m.Perf, keys, m.BlockKeys, "input"); err != nil {
 		return nil, nil, err
 	}
-	rep, err := m.sort(want)
+	var out []Key
+	m.Land = func(n int64) (extsort.Lander, error) {
+		out = make([]Key, n)
+		return func(off int64, keys []Key) error { copy(out[off:], keys); return nil }, nil
+	}
+	rep, err := m.Run(m.c, m.algo, false)
 	if err != nil {
 		return nil, nil, err
-	}
-	// Each node's output is read straight into its slot of the result.
-	out := make([]Key, len(keys))
-	slot := out
-	for i, size := range rep.PartitionSizes {
-		f, r, err := diskio.Section{Name: "output", Keys: size}.Open(m.c.Node(i).FS(), m.BlockKeys, diskio.Accounting{})
-		if err == nil {
-			_, err = r.ReadKeys(slot[:size])
-			r.Release()
-			f.Close()
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("hetsort: reading node %d's output: %w", i, err)
-		}
-		slot = slot[size:]
 	}
 	return out, rep, nil
-}
-
-// sort runs the configured algorithm on the staged "input" files, whose
-// checksum is want, and reports it.
-func (m *machine) sort(want record.Checksum) (*Report, error) {
-	var algo func(*cluster.Cluster, extsort.Config) (*Report, error)
-	if m.cfg.Algorithm == AlgorithmDeWitt {
-		algo = dewitt.Algo(0)
-	}
-	m.InputSum = want
-	return m.Run(m.c, algo, false)
 }
 
 // Calibration reports one run of the paper's perf-vector calibration

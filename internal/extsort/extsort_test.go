@@ -2,6 +2,8 @@ package extsort
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -528,36 +530,106 @@ func TestSortProperty(t *testing.T) {
 	}
 }
 
-// TestVerifyOutputFailures: verification reads two-key blocks and names
-// the first descent, whether it falls inside a block, across two blocks
-// of one node or across two nodes.
+// sixteen is sixteen sorted node outputs of 16 keys each, node i's
+// from 100·i on, changed by edit.
+func sixteen(edit func(outs [][]record.Key)) [][]record.Key {
+	outs := make([][]record.Key, 16)
+	for i := range outs {
+		for k := range 16 {
+			outs[i] = append(outs[i], record.Key(100*i+k))
+		}
+	}
+	edit(outs)
+	return outs
+}
+
+// TestVerifyOutputFailures runs every case through VerifyOutput and
+// through LandOutput's landing form, each at GOMAXPROCS 1 and 4: the
+// nodes are verified on a pool, and the lowest failing node's error
+// must win however the pool's goroutines interleave.
 func TestVerifyOutputFailures(t *testing.T) {
 	for _, tc := range []struct {
-		outs [][]record.Key
-		want string // "" = passes
+		name  string
+		outs  [][]record.Key
+		sizes map[int]int64 // the landing form's partition sizes that differ from the outputs'
+		want  string        // "" = passes
 	}{
-		{[][]record.Key{{1, 2, 3}, {3, 4}}, ""},
-		{[][]record.Key{{2, 1, 3}, {4}}, "node 0 output not sorted (1 after 2)"},
-		{[][]record.Key{{1, 3, 2}, {4}}, "node 0 output not sorted (2 after 3)"},
-		{[][]record.Key{{1, 5}, {3, 4}}, "boundary violation: node 1 starts at 3 below node 0's last 5"},
-		{[][]record.Key{{}, {3, 4}}, ""},
+		{"sorted", [][]record.Key{{1, 2, 3}, {3, 4}}, nil, ""},
+		{"unsorted-first", [][]record.Key{{2, 1, 3}, {4}}, nil, "node 0 output not sorted (1 after 2)"},
+		{"unsorted-last", [][]record.Key{{1, 3, 2}, {4}}, nil, "node 0 output not sorted (2 after 3)"},
+		{"boundary", [][]record.Key{{1, 5}, {3, 4}}, nil, "boundary violation: node 1 starts at 3 below node 0's last 5"},
+		{"empty-first", [][]record.Key{{}, {3, 4}}, nil, ""},
+		{"p16", sixteen(func([][]record.Key) {}), nil, ""},
+		// Node 5 is long and fails at its end, node 11 at its start: the
+		// pool may finish node 11 first, but node 5's error wins.
+		{"p16-two-failing", sixteen(func(outs [][]record.Key) {
+			for k := range 20000 {
+				outs[5] = append(outs[5], record.Key(516+k/100))
+			}
+			outs[5] = append(outs[5], 515)
+			outs[11][0] = 1199
+		}), nil, "node 5 output not sorted (515 after 715)"},
+		{"p16-boundary-and-unsorted", sixteen(func(outs [][]record.Key) {
+			outs[7][0], outs[7][9] = 605, 0
+		}), nil, "boundary violation: node 7 starts at 605 below node 6's last 615"},
+		{"p16-empty-between", sixteen(func(outs [][]record.Key) { outs[8] = nil }), nil, ""},
+		{"p16-boundary-across-empty", sixteen(func(outs [][]record.Key) {
+			outs[8], outs[9][0] = nil, 714
+		}), nil, "boundary violation: node 9 starts at 714 below node 8's last 715"},
+		{"p16-count", sixteen(func([][]record.Key) {}), map[int]int64{3: 15, 4: 17},
+			"node 3 output holds 16 keys, the report says 15"},
 	} {
 		c := newCluster(t, perf.Homogeneous(len(tc.outs)))
 		var all []record.Key
+		sizes := make([]int64, len(tc.outs))
 		for i, keys := range tc.outs {
 			if err := diskio.WriteFile(c.Node(i).FS(), "output", keys, 2, diskio.Accounting{}); err != nil {
 				t.Fatal(err)
 			}
 			all = append(all, keys...)
-		}
-		err := VerifyOutput(c, "output", 2, record.ChecksumOf(all))
-		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
-			t.Errorf("%v: got %v, want %q", tc.outs, err, tc.want)
-		}
-		if tc.want == "" {
-			if err := VerifyOutput(c, "output", 2, record.ChecksumOf(all[1:])); err == nil {
-				t.Errorf("%v: a lost key went unnoticed", tc.outs)
+			sizes[i] = int64(len(keys))
+			if s, ok := tc.sizes[i]; ok {
+				sizes[i] = s
 			}
+		}
+		var landed []record.Key
+		land := func(n int64) (Lander, error) {
+			landed = make([]record.Key, n)
+			return func(off int64, keys []record.Key) error {
+				copy(landed[off:], keys)
+				return nil
+			}, nil
+		}
+		for _, procs := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/GOMAXPROCS=%d", tc.name, procs), func(t *testing.T) {
+				prev := runtime.GOMAXPROCS(procs)
+				t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+				for _, form := range []string{"verify", "land"} {
+					verify := func(want record.Checksum) error {
+						if form == "verify" {
+							return VerifyOutput(c, "output", 2, want)
+						}
+						return LandOutput(c, "output", 2, want, sizes, land)
+					}
+					want := tc.want
+					if form == "verify" && tc.sizes != nil {
+						want = "" // only the landing form knows the sizes
+					}
+					err := verify(record.ChecksumOf(all))
+					if want == "" && err != nil || want != "" && (err == nil || !strings.Contains(err.Error(), want)) {
+						t.Errorf("%s: got %v, want %q", form, err, want)
+					}
+					if want != "" {
+						continue
+					}
+					if form == "land" && !slices.Equal(landed, all) {
+						t.Errorf("%s: landed %v, want %v", form, landed, all)
+					}
+					if err := verify(record.ChecksumOf(all[1:])); err == nil {
+						t.Errorf("%s: a lost key went unnoticed", form)
+					}
+				}
+			})
 		}
 	}
 }

@@ -28,6 +28,8 @@ type Machine struct {
 	// CrashPhase, when 1..5, kills node CrashNode at the end of that
 	// phase, just before its commit, in the cluster's first run.
 	CrashPhase, CrashNode int
+	// Land, when set, is where Run's verification pass lands the output.
+	Land func(n int64) (Lander, error)
 }
 
 // Resolve fills in the defaults and checks every value: the perf
@@ -89,9 +91,11 @@ func (m *Machine) Build() (*cluster.Cluster, error) {
 // sorts the staged "input" files into "output" with Algorithm 1, or
 // with algo when it is non-nil (the DeWitt baseline); a resumed run
 // disarms the injected crash and continues Algorithm 1 from the
-// manifests, taking InputSum from them.  Either way the output is then
-// verified against InputSum, every node's time attribution is checked
-// to sum to its clock, and the report gains the rendered Trace.
+// manifests, taking InputSum from them.  Either way one LandOutput pass
+// then verifies the output and lands it where Land says (uncharged, so in
+// chunks of at least 32 KiB whatever B is), every node's time
+// attribution is checked to sum to its clock, and the report gains the
+// rendered Trace.
 func (m *Machine) Run(c *cluster.Cluster, algo func(*cluster.Cluster, Config) (*Report, error), resume bool) (*Report, error) {
 	var res *Report
 	var err error
@@ -110,7 +114,7 @@ func (m *Machine) Run(c *cluster.Cluster, algo func(*cluster.Cluster, Config) (*
 	if err != nil {
 		return nil, err
 	}
-	if err := VerifyOutput(c, "output", m.BlockKeys, m.InputSum); err != nil {
+	if err := LandOutput(c, "output", max(m.BlockKeys, 8192), m.InputSum, res.PartitionSizes, m.Land); err != nil {
 		return nil, err
 	}
 	for i := 0; i < c.P(); i++ {

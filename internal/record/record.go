@@ -240,6 +240,10 @@ func (c *Checksum) Update(keys []Key) {
 	c.Count, c.Sum, c.Xor = c.Count+int64(len(keys)), sum, xor
 }
 
+// Add folds in o, another multiset's checksum: the counts and sums add,
+// the xors xor, so a split's parts add up to the whole's checksum.
+func (c *Checksum) Add(o Checksum) { c.Count, c.Sum, c.Xor = c.Count+o.Count, c.Sum+o.Sum, c.Xor^o.Xor }
+
 // Equal reports whether two checksums describe the same multiset
 // fingerprint.
 func (c Checksum) Equal(o Checksum) bool { return c == o }

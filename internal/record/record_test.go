@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -299,6 +300,38 @@ func TestChecksumUpdateMatchesPerKey(t *testing.T) {
 		if got != want {
 			t.Fatalf("trial %d (%d keys): split Update gives %v, per key %v", trial, len(keys), got, want)
 		}
+	}
+}
+
+// TestChecksumAddMatchesUpdate holds Add over the parts of any split of
+// a key slice, bit for bit, to Update over the whole.  Both start from a
+// checksum whose sum sits less than 2³² below 2⁶⁴, so the sums wrap.
+func TestChecksumAddMatchesUpdate(t *testing.T) {
+	wrapped := 0
+	f := func(count int64, below, xor uint32, keys []Key, cuts []uint16) bool {
+		base := Checksum{Count: count, Sum: math.MaxUint64 - uint64(below), Xor: xor}
+		want := base
+		want.Update(keys)
+		if want.Sum < base.Sum {
+			wrapped++
+		}
+		got := base
+		for rest := keys; ; cuts = cuts[1:] {
+			n := len(rest)
+			if len(cuts) > 0 {
+				n = int(cuts[0]) % (len(rest) + 1)
+			}
+			got.Add(ChecksumOf(rest[:n]))
+			if rest = rest[n:]; len(rest) == 0 {
+				return got == want
+			}
+		}
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	if wrapped == 0 {
+		t.Fatal("no case wrapped the sum")
 	}
 }
 
