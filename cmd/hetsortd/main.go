@@ -18,8 +18,10 @@
 //
 //	curl -s localhost:8080/metrics | hetsortd promlint
 //
-// The store is either a directory (dir:PATH) or the in-memory object
-// store (mem, useful only for demos: state dies with the process).
+// The store holds every job's spec, status, trace and node disks, and
+// the uploaded inputs: a directory (dir:PATH, a diskio.DirFS) or memory
+// (mem, a diskio.MemFS, useful only for demos: state dies with the
+// process).
 package main
 
 import (
@@ -29,12 +31,13 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"hetsort"
+	"hetsort/internal/diskio"
 	"hetsort/internal/metrics"
 	"hetsort/internal/service"
-	"hetsort/internal/storage"
 )
 
 func main() {
@@ -75,12 +78,12 @@ func promlintMain(args []string) {
 	}
 }
 
-func openStore(spec string) (storage.Backend, error) {
+func openStore(spec string) (diskio.FS, error) {
 	switch {
 	case spec == "mem":
-		return storage.NewObject(), nil
+		return diskio.NewMemFS(), nil
 	case len(spec) > 4 && spec[:4] == "dir:":
-		return storage.NewDir(spec[4:])
+		return diskio.NewDirFS(spec[4:])
 	default:
 		return nil, fmt.Errorf("hetsortd: -store wants dir:PATH or mem, got %q", spec)
 	}
@@ -147,7 +150,8 @@ func verifyMain(args []string) {
 	fs := flag.NewFlagSet("hetsortd verify", flag.ExitOnError)
 	store := fs.String("store", "", "storage backend: dir:PATH")
 	fs.Parse(args)
-	if *store == "" || fs.NArg() != 1 {
+	// Only a directory outlives the daemon that wrote it.
+	if !strings.HasPrefix(*store, "dir:") || fs.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: hetsortd verify -store dir:PATH JOB-ID")
 		os.Exit(2)
 	}

@@ -22,7 +22,6 @@ var exportAllowlist = map[string]string{
 	"internal/diskio.MemFSPages":          "the page pool's only observable; tests hold it level across sorts",
 	"internal/diskio.NewFaultFS":          "test fake",
 	"internal/diskio.NewTransientFaultFS": "test fake",
-	"internal/storage.NewFaulty":          "test fake",
 	"internal/sampling.CombineSorted":     "bench/ calls it",
 	"internal/sampling.HeteroSpacing":     "bench/ calls it",
 	"internal/sampling.RegularSamples":    "bench/ calls it",

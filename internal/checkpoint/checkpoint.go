@@ -33,10 +33,6 @@ import (
 // ManifestName is the live manifest file on each node's private FS.
 const ManifestName = "hetsort.ckpt"
 
-// manifestTemp is the scratch name the durable-replace protocol writes
-// before the atomic rename.
-const manifestTemp = ManifestName + ".tmp"
-
 // magic heads every manifest; bump the suffix on incompatible changes.
 const magic = "hetsort-checkpoint-v1"
 
@@ -108,9 +104,10 @@ type Tie struct {
 	Take  int64 `json:"take"`
 }
 
-// Save durably commits m to fs using temp-write + sync + atomic rename,
-// charging one metadata block write and one seek to acct (the cost that
-// makes checkpoint overhead visible in the PDM counters).
+// Save durably commits m to fs with diskio.ReplaceFile (temp write +
+// sync + atomic rename), charging one metadata block write and one seek
+// to acct (the cost that makes checkpoint overhead visible in the PDM
+// counters).
 func Save(fs diskio.FS, m *Manifest, acct diskio.Accounting) error {
 	m.Version = Version
 	body, err := json.Marshal(m)
@@ -118,32 +115,15 @@ func Save(fs diskio.FS, m *Manifest, acct diskio.Accounting) error {
 		return fmt.Errorf("checkpoint: encoding manifest: %w", err)
 	}
 	sum := sha256.Sum256(body)
-	f, err := fs.Create(manifestTemp)
-	if err != nil {
-		return fmt.Errorf("checkpoint: creating manifest temp: %w", err)
-	}
-	header := fmt.Sprintf("%s sha256=%s\n", magic, hex.EncodeToString(sum[:]))
-	if _, err := io.WriteString(f, header); err != nil {
-		f.Close()
-		return fmt.Errorf("checkpoint: writing manifest: %w", err)
-	}
-	if _, err := f.Write(body); err != nil {
-		f.Close()
-		return fmt.Errorf("checkpoint: writing manifest: %w", err)
-	}
-	// fsync before rename when the FS supports it (DirFS does), so the
-	// rename never publishes an unflushed manifest.
-	if s, ok := f.(interface{ Sync() error }); ok {
-		if err := s.Sync(); err != nil {
-			f.Close()
-			return fmt.Errorf("checkpoint: syncing manifest: %w", err)
+	err = diskio.ReplaceFile(fs, ManifestName, func(w io.Writer) error {
+		if _, err := fmt.Fprintf(w, "%s sha256=%s\n", magic, hex.EncodeToString(sum[:])); err != nil {
+			return err
 		}
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("checkpoint: closing manifest: %w", err)
-	}
-	if err := fs.Rename(manifestTemp, ManifestName); err != nil {
-		return fmt.Errorf("checkpoint: publishing manifest: %w", err)
+		_, err := w.Write(body)
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("checkpoint: committing manifest: %w", err)
 	}
 	// One block write at offset 0 of the manifest file, and the
 	// publishing seek (on a D-disk node both land on member disk 0).

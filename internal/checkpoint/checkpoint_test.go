@@ -50,11 +50,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("commit not charged: %+v", s)
 	}
 	// The temp file must not linger after a successful commit.
-	names, _ := fs.Names()
-	for _, n := range names {
-		if n == manifestTemp {
-			t.Fatal("temp manifest left behind")
-		}
+	if names, _ := fs.Names(); !slices.Equal(names, []string{ManifestName}) {
+		t.Fatalf("files after a commit: %v", names)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"hetsort/internal/diskio"
 	"hetsort/internal/pdm"
 	"hetsort/internal/record"
-	"hetsort/internal/storage"
 )
 
 // fsImpl is one diskio.FS implementation under the conformance table.
@@ -25,9 +24,21 @@ type fsImpl struct {
 	inMemory bool
 }
 
-func view(t *testing.T, b storage.Backend) diskio.FS {
+// newDir returns a DirFS over a fresh temporary directory.
+func newDir(t *testing.T) diskio.FS {
 	t.Helper()
-	fs, err := b.FS("jobs/j1/node0")
+	d, err := diskio.NewDirFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// view returns the diskio.Sub view of a job's node tree on fsys, the way
+// hetsortd hands a node its disk.
+func view(t *testing.T, fsys diskio.FS) diskio.FS {
+	t.Helper()
+	fs, err := diskio.Sub(fsys, "jobs/j1/node0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,24 +46,13 @@ func view(t *testing.T, b storage.Backend) diskio.FS {
 }
 
 // fsImpls lists every FS the sorts can be handed: the two diskio
-// filesystems and the two storage backends' FS views.
+// filesystems and their Sub views (object-view is the prefixing view
+// over a MemFS, dir-view the DirFS rooted at the subdirectory).
 var fsImpls = []fsImpl{
 	{"mem", func(*testing.T) diskio.FS { return diskio.NewMemFS() }, true},
-	{"dir", func(t *testing.T) diskio.FS {
-		d, err := diskio.NewDirFS(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
-	}, false},
-	{"object-view", func(t *testing.T) diskio.FS { return view(t, storage.NewObject()) }, true},
-	{"dir-view", func(t *testing.T) diskio.FS {
-		d, err := storage.NewDir(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return view(t, d)
-	}, false},
+	{"dir", newDir, false},
+	{"object-view", func(t *testing.T) diskio.FS { return view(t, diskio.NewMemFS()) }, true},
+	{"dir-view", func(t *testing.T) diskio.FS { return view(t, newDir(t)) }, false},
 }
 
 func TestFSConformance(t *testing.T) {

@@ -643,12 +643,14 @@ func TestMemFSRecyclesUnderConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				f, err := fs.Install("f", bytes.Repeat([]byte{byte(2*i + w)}, size))
+				err := ReplaceFile(fs, "f", func(f io.Writer) error {
+					_, err := f.Write(bytes.Repeat([]byte{byte(2*i + w)}, size))
+					return err
+				})
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				f.Close()
 				if i%10 == 9 {
 					fs.Remove("f") // may lose the race to the other writer
 				}

@@ -13,10 +13,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math/bits"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -172,9 +175,9 @@ func (d *DirFS) Rename(oldName, newName string) error {
 }
 
 // SyncDir makes directory-entry changes (a rename, create or remove)
-// durable by fsyncing the directory itself.  The storage backends and
-// DirFS.Rename call it after every atomic-replace; it is a hook
-// variable so tests can observe or stub the sync.
+// durable by fsyncing the directory itself.  DirFS.Rename calls it, so
+// every ReplaceFile on a DirFS ends with it; it is a hook variable so
+// tests can observe or stub the sync.
 var SyncDir = func(dir string) error {
 	f, err := os.Open(dir)
 	if err != nil {
@@ -186,6 +189,76 @@ var SyncDir = func(dir string) error {
 		return fmt.Errorf("diskio: syncing directory %s: %w", dir, serr)
 	}
 	return cerr
+}
+
+// ReplaceFile atomically replaces name on fsys with what write writes.
+// It writes a temporary file beside name, syncs it where the file
+// supports Sync, closes it and renames it over name, so a reader sees
+// the old file or the whole new one and a handle opened before keeps
+// the old bytes; DirFS.Rename also syncs the directory, so after a
+// crash name holds one of the two.  The temporary name is unique per
+// call, so concurrent replaces of one name never share a file, and a
+// failed replace removes its temporary file and leaves name as it was.
+func ReplaceFile(fsys FS, name string, write func(io.Writer) error) error {
+	tmp := fmt.Sprintf("%s.tmp%016x", name, rand.Uint64())
+	f, err := fsys.Create(tmp)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if s, ok := f.(interface{ Sync() error }); ok && err == nil {
+		err = s.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, name)
+	}
+	if err != nil {
+		_ = fsys.Remove(tmp) // best effort: err is what the caller must see
+	}
+	return err
+}
+
+// Sub returns the FS of the files under dir on fsys, after io/fs.Sub.
+// A DirFS's is the DirFS rooted at that subdirectory; any other FS's is
+// a view that puts dir + "/" before every name and whose Names lists
+// only the names under it, with that prefix cut.
+func Sub(fsys FS, dir string) (FS, error) {
+	if dir == "." || !fs.ValidPath(dir) {
+		return nil, fmt.Errorf("diskio: invalid directory %q", dir)
+	}
+	if d, ok := fsys.(*DirFS); ok {
+		return NewDirFS(filepath.Join(d.root, filepath.FromSlash(dir)))
+	}
+	return &subFS{inner: fsys, prefix: dir + "/"}, nil
+}
+
+// subFS is Sub's view; the handles it returns are the inner FS's, named
+// with the full name.
+type subFS struct {
+	inner  FS
+	prefix string
+}
+
+func (s *subFS) Create(name string) (File, error) { return s.inner.Create(s.prefix + name) }
+func (s *subFS) Open(name string) (File, error)   { return s.inner.Open(s.prefix + name) }
+func (s *subFS) Remove(name string) error         { return s.inner.Remove(s.prefix + name) }
+
+func (s *subFS) Rename(oldName, newName string) error {
+	return s.inner.Rename(s.prefix+oldName, s.prefix+newName)
+}
+
+func (s *subFS) Names() ([]string, error) {
+	all, err := s.inner.Names()
+	var names []string
+	for _, n := range all {
+		if rest, ok := strings.CutPrefix(n, s.prefix); ok {
+			names = append(names, rest)
+		}
+	}
+	return names, err
 }
 
 // Names implements FS.
@@ -212,8 +285,8 @@ func (d *DirFS) Names() ([]string, error) {
 }
 
 // MemFS is an in-memory FS: the default node disk of every test and
-// example, and the byte store under storage.Object.  The zero value is
-// not usable; call NewMemFS.
+// example, and the whole store of `hetsortd -store mem`.  The zero value
+// is not usable; call NewMemFS.
 type MemFS struct {
 	mu    sync.Mutex // guards the name table only; bytes are under each file's own lock
 	files map[string]*memData
@@ -298,8 +371,8 @@ func memPageAt(off int64) (i int, start, size int64) {
 }
 
 // memData is one file's bytes, in the pages above; every page but the
-// last is full.  Handles hold the *memData, so a Create or Install that
-// replaces the name-table entry leaves handles opened before it on the
+// last is full.  Handles hold the *memData, so a Create that replaces
+// the name-table entry leaves handles opened before it on the
 // old bytes.  The name table and every open handle each hold one
 // reference; the last to go gives the pages back.
 type memData struct {
@@ -312,19 +385,14 @@ type memData struct {
 // NewMemFS returns an empty in-memory filesystem.
 func NewMemFS() *MemFS { return &MemFS{files: make(map[string]*memData)} }
 
-// Create implements FS.
-func (m *MemFS) Create(name string) (File, error) { return m.Install(name, nil) }
-
-// Install is Create with initial content: name atomically becomes a
-// file holding a copy of data, so a concurrent Open sees the old file or
-// the whole new one, never a prefix (storage.Object's Put).
-func (m *MemFS) Install(name string, data []byte) (File, error) {
+// Create implements FS.  The name gets new bytes, so a handle opened
+// on the name before keeps reading the old ones.
+func (m *MemFS) Create(name string) (File, error) {
 	if name == "" {
 		return nil, errors.New("diskio: empty file name")
 	}
 	d := &memData{}
 	d.refs.Store(2) // the table's and the returned handle's
-	d.writeAt(0, data)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if old := m.files[name]; old != nil {

@@ -1,8 +1,8 @@
 // Package merkle builds Merkle trees over named artifacts, so one root
 // hash anchors every file a sort run produced.  The service records the
 // root of a job's artifacts (spec + per-node sorted partitions) when the
-// job completes; `hetsortd verify` recomputes the tree from the storage
-// backend and compares roots, detecting any bit of drift in any
+// job completes; `hetsortd verify` recomputes the tree from the daemon's
+// store and compares roots, detecting any bit of drift in any
 // artifact — including a missing or extra one, since the artifact *name*
 // is hashed into its leaf.
 //

@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"hetsort"
+	"hetsort/internal/diskio"
 	"hetsort/internal/record"
-	"hetsort/internal/storage"
 )
 
 // TestConcurrentJobsPriceAsDedicated: two jobs run concurrently on the
@@ -20,7 +20,7 @@ func TestConcurrentJobsPriceAsDedicated(t *testing.T) {
 	specs := []JobSpec{testSpec(4000, 21), testSpec(6000, 22)}
 
 	// Serial reference: MaxJobs=1 forces one tenant at a time.
-	serialStore := storage.NewObject()
+	serialStore := diskio.NewMemFS()
 	serialCfg := testConfig()
 	serialCfg.MaxJobs = 1
 	serial, err := New(serialCfg, serialStore)
@@ -39,7 +39,7 @@ func TestConcurrentJobsPriceAsDedicated(t *testing.T) {
 	serial.Stop()
 
 	// Concurrent: both jobs run at once.
-	concStore := storage.NewObject()
+	concStore := diskio.NewMemFS()
 	conc, err := New(testConfig(), concStore) // MaxJobs=2
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestConcurrentJobsPriceAsDedicated(t *testing.T) {
 // PartitionSizes, and it is priced exactly as the facade's sort: the
 // same makespan and the same clock on every node.
 func TestJobSortsLikeTheFacade(t *testing.T) {
-	store := storage.NewObject()
+	store := diskio.NewMemFS()
 	cfg := testConfig()
 	s, err := New(cfg, store)
 	if err != nil {

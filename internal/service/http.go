@@ -6,13 +6,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"strings"
 	"time"
 
+	"hetsort/internal/diskio"
 	"hetsort/internal/metrics"
 	"hetsort/internal/progress"
 	"hetsort/internal/record"
-	"hetsort/internal/storage"
 )
 
 // apiError is the machine-readable error object every non-2xx response
@@ -44,7 +45,7 @@ func writeError(w http.ResponseWriter, code int, err error) {
 //	                         SSE stream of snapshots until the job ends
 //	GET  /metrics            Prometheus text exposition (0.0.4)
 //	PUT  /objects/{name...}  upload an input object (names under inputs/)
-//	GET  /objects/{name...}  download any backend object
+//	GET  /objects/{name...}  download any object in the store
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", s.handleSubmit)
@@ -117,19 +118,26 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", fmt.Sprint(st.Keys*record.KeySize))
 	for i := range st.Partitions {
-		body, err := s.store.Get(fmt.Sprintf("jobs/%s/node%d/output", id, i))
-		if err != nil {
-			// Headers are gone; the short body tells the client.
-			return
-		}
-		if _, err := w.Write(body); err != nil {
+		// Headers are gone; a short body tells the client.
+		if copyObject(w, s.store, fmt.Sprintf("jobs/%s/node%d/output", id, i)) != nil {
 			return
 		}
 	}
 }
 
+// copyObject writes the content of the named object to w.
+func copyObject(w io.Writer, store diskio.FS, name string) error {
+	f, err := store.Open(name)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	_, err = io.Copy(w, f)
+	return err
+}
+
 func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
-	body, err := s.store.Get(traceName(r.PathValue("id")))
+	body, err := readObject(s.store, traceName(r.PathValue("id")))
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return
@@ -261,6 +269,8 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	e.WriteTo(w)
 }
 
+// Object names arrive unescaped (%2F is a slash), so each is checked
+// whole with validName before it names anything in the store.
 func (s *Service) handlePutObject(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	// Uploads are confined to inputs/ so a client cannot clobber job
@@ -269,23 +279,32 @@ func (s *Service) handlePutObject(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusForbidden, fmt.Errorf("uploads must be under inputs/, got %q", name))
 		return
 	}
-	body, err := io.ReadAll(r.Body)
+	if err := validName(name); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	var n int64
+	err := diskio.ReplaceFile(s.store, name, func(f io.Writer) (err error) {
+		n, err = io.Copy(f, r.Body)
+		return err
+	})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := s.store.Put(name, body); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]any{"name": name, "bytes": len(body)})
+	writeJSON(w, http.StatusCreated, map[string]any{"name": name, "bytes": n})
 }
 
 func (s *Service) handleGetObject(w http.ResponseWriter, r *http.Request) {
-	body, err := s.store.Get(r.PathValue("name"))
+	name := r.PathValue("name")
+	if err := validName(name); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	body, err := readObject(s.store, name)
 	if err != nil {
 		code := http.StatusInternalServerError
-		if errors.Is(err, storage.ErrNotExist) {
+		if errors.Is(err, os.ErrNotExist) {
 			code = http.StatusNotFound
 		}
 		writeError(w, code, err)

@@ -1,13 +1,14 @@
 package service
 
 import (
-	"bytes"
 	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"sync"
 
@@ -19,7 +20,6 @@ import (
 	"hetsort/internal/perf"
 	"hetsort/internal/progress"
 	"hetsort/internal/record"
-	"hetsort/internal/storage"
 	"hetsort/internal/trace"
 )
 
@@ -44,7 +44,7 @@ type GenSpec struct {
 // JobSpec is a sort-job submission.  The machine (perf vector, network)
 // is the service's; the spec chooses the data and sort parameters.
 type JobSpec struct {
-	// Input names the backend object holding the input keys as
+	// Input names the store object holding the input keys as
 	// little-endian uint32 bytes (uploaded via PUT /objects/...).
 	// Exactly one of Input and Gen must be set.
 	Input string `json:"input,omitempty"`
@@ -70,8 +70,8 @@ type JobSpec struct {
 	// CrashNode/CrashPhase inject a node death at the end of phase
 	// CrashPhase (1..5) on fresh runs — the test hook that models the
 	// daemon dying mid-job: the injected crash aborts the run without
-	// updating the durable status, so the job stays "running" on the
-	// backend and the next daemon instance resumes it from its
+	// updating the durable status, so the job stays "running" in the
+	// store and the next daemon instance resumes it from its
 	// checkpoint manifests.  Zero disables injection; resumed runs
 	// never re-arm it.
 	CrashNode  int `json:"crash_node,omitempty"`
@@ -80,19 +80,19 @@ type JobSpec struct {
 
 // inputBytes estimates the input size for admission (0 when unknown —
 // validate rejects those specs anyway).
-func (sp *JobSpec) inputBytes(store storage.Backend) int64 {
+func (sp *JobSpec) inputBytes(store diskio.FS) int64 {
 	if sp.Gen != nil {
 		return extsort.SatMul(sp.Gen.Count, record.KeySize)
 	}
 	if sp.Input != "" {
-		if n, err := store.Stat(sp.Input); err == nil {
+		if n, err := objectSize(store, sp.Input); err == nil {
 			return n
 		}
 	}
 	return 0
 }
 
-func (sp *JobSpec) validate(store storage.Backend, m *MachineConfig) error {
+func (sp *JobSpec) validate(store diskio.FS, m *MachineConfig) error {
 	switch {
 	case sp.Input == "" && sp.Gen == nil:
 		return errors.New("service: spec needs input or gen")
@@ -116,7 +116,10 @@ func (sp *JobSpec) validate(store storage.Backend, m *MachineConfig) error {
 			}
 		}
 	default:
-		n, err := store.Stat(sp.Input)
+		if err := validName(sp.Input); err != nil {
+			return err
+		}
+		n, err := objectSize(store, sp.Input)
 		if err != nil {
 			return fmt.Errorf("service: input object %s: %w", sp.Input, err)
 		}
@@ -140,7 +143,7 @@ type JobStatus struct {
 	NodeClocks []float64 `json:"node_clocks,omitempty"`
 	// Root is the hex Merkle root anchoring the job's artifact set
 	// (spec.json and every node's sorted output, names bound into the
-	// leaves).  `hetsortd verify` recomputes it from the backend.
+	// leaves).  `hetsortd verify` recomputes it from the store.
 	Root string `json:"root,omitempty"`
 	// Resumed marks a job that was recovered from checkpoints by a
 	// restarted daemon.
@@ -194,7 +197,7 @@ func (j *job) setState(state, errMsg string) {
 	j.statusMu.Unlock()
 }
 
-// Backend object names of a job's artifacts.
+// Store object names of a job's artifacts.
 func specName(id string) string   { return "jobs/" + id + "/spec.json" }
 func statusName(id string) string { return "jobs/" + id + "/status.json" }
 func traceName(id string) string  { return "jobs/" + id + "/trace.json" }
@@ -202,7 +205,45 @@ func nodePrefix(id string, i int) string {
 	return fmt.Sprintf("jobs/%s/node%d", id, i)
 }
 
-func saveSpec(store storage.Backend, id string, sp *JobSpec) error {
+// validName refuses an object name that is not a clean, non-empty,
+// slash-separated relative path, so no name a client sends reaches
+// outside the tree it names (inputs/../jobs/x, say).
+func validName(name string) error {
+	if name == "." || !fs.ValidPath(name) {
+		return fmt.Errorf("service: invalid object name %q", name)
+	}
+	return nil
+}
+
+// readObject returns the content of the named object.
+func readObject(store diskio.FS, name string) ([]byte, error) {
+	f, err := store.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return io.ReadAll(f)
+}
+
+// objectSize returns the size of the named object in bytes.
+func objectSize(store diskio.FS, name string) (int64, error) {
+	f, err := store.Open(name)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	return f.Seek(0, io.SeekEnd)
+}
+
+// writeObject atomically replaces the named object with data.
+func writeObject(store diskio.FS, name string, data []byte) error {
+	return diskio.ReplaceFile(store, name, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+func saveSpec(store diskio.FS, id string, sp *JobSpec) error {
 	// The crash injection models the daemon dying, not the job itself:
 	// it is scrubbed from the durable spec so (a) a recovered job does
 	// not re-arm its own death and loop forever, and (b) a crashed-and-
@@ -215,11 +256,11 @@ func saveSpec(store storage.Backend, id string, sp *JobSpec) error {
 	if err != nil {
 		return err
 	}
-	return store.Put(specName(id), body)
+	return writeObject(store, specName(id), body)
 }
 
-func loadSpec(store storage.Backend, id string) (*JobSpec, error) {
-	body, err := store.Get(specName(id))
+func loadSpec(store diskio.FS, id string) (*JobSpec, error) {
+	body, err := readObject(store, specName(id))
 	if err != nil {
 		return nil, err
 	}
@@ -230,16 +271,16 @@ func loadSpec(store storage.Backend, id string) (*JobSpec, error) {
 	return &sp, nil
 }
 
-func saveStatus(store storage.Backend, st *JobStatus) error {
+func saveStatus(store diskio.FS, st *JobStatus) error {
 	body, err := json.Marshal(st)
 	if err != nil {
 		return err
 	}
-	return store.Put(statusName(st.ID), body)
+	return writeObject(store, statusName(st.ID), body)
 }
 
-func loadStatus(store storage.Backend, id string) (*JobStatus, error) {
-	body, err := store.Get(statusName(id))
+func loadStatus(store diskio.FS, id string) (*JobStatus, error) {
+	body, err := readObject(store, statusName(id))
 	if err != nil {
 		return nil, err
 	}
@@ -252,8 +293,8 @@ func loadStatus(store storage.Backend, id string) (*JobStatus, error) {
 }
 
 // loadInput reads the job's uploaded input keys.
-func (sp *JobSpec) loadInput(store storage.Backend) ([]record.Key, error) {
-	body, err := store.Get(sp.Input)
+func (sp *JobSpec) loadInput(store diskio.FS) ([]record.Key, error) {
+	body, err := readObject(store, sp.Input)
 	if err != nil {
 		return nil, fmt.Errorf("service: input object %s: %w", sp.Input, err)
 	}
@@ -313,8 +354,8 @@ func (s *Service) execute(j *job) {
 		j.status.State = StateCanceled
 		j.status.Error = "canceled"
 	case j.stopping && !j.canceled:
-		// Stop() interrupted the job: in memory it is failed, on the
-		// backend it stays "running" for the next daemon to resume.
+		// Stop() interrupted the job: in memory it is failed, in the
+		// store it stays "running" for the next daemon to resume.
 		j.status.State = StateFailed
 		j.status.Error = err.Error()
 		j.statusMu.Unlock()
@@ -344,7 +385,7 @@ func (s *Service) run(j *job) error {
 		return err
 	}
 	m.Trace, m.Progress = new(trace.Log), progress.NewTracker()
-	m.Disks = func(i int) (diskio.FS, error) { return s.store.FS(nodePrefix(j.id, i)) }
+	m.Disks = func(i int) (diskio.FS, error) { return diskio.Sub(s.store, nodePrefix(j.id, i)) }
 	cl, err := m.Build()
 	if err != nil {
 		return err
@@ -426,29 +467,27 @@ func (s *Service) runFresh(cl *cluster.Cluster, j *job, m *extsort.Machine) (*ex
 }
 
 // saveTrace renders the job's event log as Chrome trace_event JSON into
-// the backend (outside the Merkle leaf set: a resumed run's trace
+// the store (outside the Merkle leaf set: a resumed run's trace
 // legitimately differs from an uninterrupted one's).
 func (s *Service) saveTrace(id string, tl *trace.Log) error {
-	var buf bytes.Buffer
-	if err := trace.WriteChromeTrace(&buf, tl); err != nil {
-		return err
-	}
-	return s.store.Put(traceName(id), buf.Bytes())
+	return diskio.ReplaceFile(s.store, traceName(id), func(w io.Writer) error {
+		return trace.WriteChromeTrace(w, tl)
+	})
 }
 
 // JobRoot computes the Merkle root anchoring a completed job: the
 // leaves are the job's spec and every node's sorted output, each hashed
-// from the backend and bound to its job-relative name.  Deterministic
+// from the store and bound to its job-relative name.  Deterministic
 // artifacts only — the trace is excluded, because a resumed run's trace
 // differs from an uninterrupted one's while its outputs must not.
-func JobRoot(store storage.Backend, id string, p int) (string, error) {
+func JobRoot(store diskio.FS, id string, p int) (string, error) {
 	names := []string{"spec.json"}
 	for i := 0; i < p; i++ {
 		names = append(names, fmt.Sprintf("node%d/output", i))
 	}
 	leaves := make([]merkle.Leaf, 0, len(names))
 	for _, n := range names {
-		body, err := store.Get("jobs/" + id + "/" + n)
+		body, err := readObject(store, "jobs/"+id+"/"+n)
 		if err != nil {
 			return "", fmt.Errorf("service: job %s artifact %s: %w", id, n, err)
 		}
@@ -462,12 +501,12 @@ func JobRoot(store storage.Backend, id string, p int) (string, error) {
 	return hex.EncodeToString(root[:]), nil
 }
 
-// VerifyJob recomputes a completed job's Merkle root from the backend
+// VerifyJob recomputes a completed job's Merkle root from the store
 // and checks its node outputs with extsort.VerifyOutput — each sorted,
 // in order across nodes, and together the input multiset recorded in
 // node 0's checkpoint manifest — the `hetsortd verify` core.  It returns
 // the recomputed root.
-func VerifyJob(store storage.Backend, id string) (string, error) {
+func VerifyJob(store diskio.FS, id string) (string, error) {
 	st, err := loadStatus(store, id)
 	if err != nil {
 		return "", err
@@ -489,7 +528,7 @@ func VerifyJob(store storage.Backend, id string) (string, error) {
 	disks, loads := make([]diskio.FS, p), make([]float64, p)
 	for i := range disks {
 		loads[i] = 1
-		if disks[i], err = store.FS(nodePrefix(id, i)); err != nil {
+		if disks[i], err = diskio.Sub(store, nodePrefix(id, i)); err != nil {
 			return "", err
 		}
 		n, err := diskio.CountKeys(disks[i], "output")

@@ -9,16 +9,16 @@ import (
 	"strings"
 	"testing"
 
+	"hetsort/internal/diskio"
 	"hetsort/internal/metrics"
 	"hetsort/internal/progress"
-	"hetsort/internal/storage"
 )
 
 // TestProgressEndpoint drives the live-introspection API: JSON by
 // default, an SSE stream on request, 404 for unknown jobs, and a final
 // snapshot that is marked done with every node's I/O settled.
 func TestProgressEndpoint(t *testing.T) {
-	s, err := New(testConfig(), storage.NewObject())
+	s, err := New(testConfig(), diskio.NewMemFS())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestProgressEndpoint(t *testing.T) {
 // 0.0.4 text exposition, with the right Content-Type and a histogram
 // family for completed-job makespans.
 func TestMetricsExposition(t *testing.T) {
-	s, err := New(testConfig(), storage.NewObject())
+	s, err := New(testConfig(), diskio.NewMemFS())
 	if err != nil {
 		t.Fatal(err)
 	}

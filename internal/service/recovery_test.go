@@ -3,17 +3,21 @@ package service
 import (
 	"bytes"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
-	"hetsort/internal/storage"
+	"hetsort/internal/diskio"
 )
 
 // readOutputs concatenates a job's node outputs from the backend.
-func readOutputs(t *testing.T, store storage.Backend, id string, p int) []byte {
+func readOutputs(t *testing.T, store diskio.FS, id string, p int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	for i := 0; i < p; i++ {
-		body, err := store.Get(fmt.Sprintf("jobs/%s/node%d/output", id, i))
+		body, err := readObject(store, fmt.Sprintf("jobs/%s/node%d/output", id, i))
 		if err != nil {
 			t.Fatalf("output of %s node %d: %v", id, i, err)
 		}
@@ -24,14 +28,14 @@ func readOutputs(t *testing.T, store storage.Backend, id string, p int) []byte {
 
 // zeroOutput overwrites node 0's output of job id with as many zero
 // keys: still sorted, still the recorded length, another multiset.
-func zeroOutput(t *testing.T, store storage.Backend, id string) {
+func zeroOutput(t *testing.T, store diskio.FS, id string) {
 	t.Helper()
 	name := "jobs/" + id + "/node0/output"
-	body, err := store.Get(name)
+	body, err := readObject(store, name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Put(name, make([]byte, len(body))); err != nil {
+	if err := writeObject(store, name, make([]byte, len(body))); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -47,7 +51,7 @@ func TestDaemonKillAndRecovery(t *testing.T) {
 			spec := testSpec(4000, 11)
 
 			// Reference: the same job, uninterrupted, on its own backend.
-			refStore := storage.NewObject()
+			refStore := diskio.NewMemFS()
 			ref, err := New(testConfig(), refStore)
 			if err != nil {
 				t.Fatal(err)
@@ -65,7 +69,7 @@ func TestDaemonKillAndRecovery(t *testing.T) {
 
 			// Victim: same spec with an injected node death after the
 			// given phase.
-			store := storage.NewObject()
+			store := diskio.NewMemFS()
 			s1, err := New(testConfig(), store)
 			if err != nil {
 				t.Fatal(err)
@@ -123,7 +127,7 @@ func TestDaemonKillAndRecovery(t *testing.T) {
 // TestRecoveryQueuedJob: a job that never started (durably "queued")
 // restarts fresh on the next daemon.
 func TestRecoveryQueuedJob(t *testing.T) {
-	store := storage.NewObject()
+	store := diskio.NewMemFS()
 	// Fabricate the durable state of a queued job (as a crashed daemon
 	// would leave it: spec + queued status, no node trees).
 	spec := testSpec(2000, 3)
@@ -163,7 +167,7 @@ func TestRecoveryQueuedJob(t *testing.T) {
 // running but before any node committed a manifest — resume has nothing
 // to plan from and must fall back to a fresh run.
 func TestRecoveryBeforeFirstCommit(t *testing.T) {
-	store := storage.NewObject()
+	store := diskio.NewMemFS()
 	spec := testSpec(2000, 5)
 	if err := saveSpec(store, "job-0001", &spec); err != nil {
 		t.Fatal(err)
@@ -198,7 +202,7 @@ func TestRecoveryBeforeFirstCommit(t *testing.T) {
 // and the output check against their input checksum fails it: the job
 // ends "failed", in memory and durably, and is never "done".
 func TestRecoveryRefusesCorruptedOutput(t *testing.T) {
-	store := storage.NewObject()
+	store := diskio.NewMemFS()
 	s1, err := New(testConfig(), store)
 	if err != nil {
 		t.Fatal(err)
@@ -229,5 +233,79 @@ func TestRecoveryRefusesCorruptedOutput(t *testing.T) {
 	}
 	if st, err := loadStatus(store, id); err != nil || st.State != StateFailed {
 		t.Fatalf("durable state: %+v, %v", st, err)
+	}
+}
+
+// TestRecoveryFromAnEarlierStore reads testdata/daemon-store, a store
+// directory written by hetsortd while it still kept its state through
+// its own storage package (internal/storage, since folded into
+// diskio): testConfig(), job-0001 is testSpec(2000, 5) run to done, and
+// job-0002 is testSpec(2000, 6) crashed on node 2 after phase 3, its
+// durable state still "running".  Today's daemon must verify the done
+// job against its recorded root and resume the crashed one to the
+// outputs and root of an uninterrupted run.
+func TestRecoveryFromAnEarlierStore(t *testing.T) {
+	const src = "testdata/daemon-store"
+	dir := t.TempDir()
+	err := filepath.WalkDir(src, func(path string, e fs.DirEntry, err error) error {
+		if err != nil || e.IsDir() {
+			return err
+		}
+		body, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		dst := filepath.Join(dir, strings.TrimPrefix(path, src))
+		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+			return err
+		}
+		return os.WriteFile(dst, body, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := diskio.NewDirFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := loadStatus(store, "job-0001")
+	if err != nil || done.State != StateDone {
+		t.Fatalf("done job: %+v, %v", done, err)
+	}
+	if root, err := VerifyJob(store, "job-0001"); err != nil || root != done.Root {
+		t.Fatalf("verify of the done job: %q, %v (recorded %q)", root, err, done.Root)
+	}
+
+	ref, err := New(testConfig(), diskio.NewMemFS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	refID, err := ref.Submit(testSpec(2000, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Wait(refID)
+	ref.Stop()
+	refSt, _ := ref.Status(refID)
+
+	s, err := New(testConfig(), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Wait("job-0002")
+	s.Stop()
+	st, _ := s.Status("job-0002")
+	if st.State != StateDone || !st.Resumed || s.nResumed.Load() != 1 {
+		t.Fatalf("crashed job after recovery: %+v, %d resumed from manifests", st, s.nResumed.Load())
+	}
+	p := len(testConfig().Machine.Perf)
+	if !bytes.Equal(readOutputs(t, store, "job-0002", p), readOutputs(t, ref.store, refID, p)) {
+		t.Fatal("resumed output bytes differ from an uninterrupted run's")
+	}
+	if st.Root != refSt.Root {
+		t.Fatalf("resumed root %s != uninterrupted root %s", st.Root, refSt.Root)
+	}
+	if _, err := VerifyJob(store, "job-0002"); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -8,14 +8,15 @@
 // level.
 //
 // Every job's artifacts — spec, per-node working files, checkpoint
-// manifests, status, trace — live on a storage.Backend under the prefix
-// jobs/<id>/, so the whole service state survives a daemon crash: on
+// manifests, status, trace — live on one diskio.FS, the store, under
+// jobs/<id>/; node i's disk is the diskio.Sub view of jobs/<id>/node<i>.
+// On a DirFS store the whole service state survives a daemon crash: on
 // restart, Recover re-admits every job whose durable status is still
 // "queued" or "running", resuming the running ones from their
-// checkpoint manifests and falling back to a fresh run
-// when a job died before its first commit.  Completed jobs are anchored
-// by a Merkle root over their artifact set (spec + sorted outputs);
-// `hetsortd verify` recomputes the root from the backend alone.
+// checkpoint manifests and falling back to a fresh run when a job died
+// before its first commit.  Completed jobs are anchored by a Merkle root
+// over their artifact set (spec + sorted outputs); `hetsortd verify`
+// recomputes the root from the store alone.
 package service
 
 import (
@@ -29,11 +30,11 @@ import (
 	"sync/atomic"
 
 	"hetsort/internal/cluster"
+	"hetsort/internal/diskio"
 	"hetsort/internal/extsort"
 	"hetsort/internal/metrics"
 	"hetsort/internal/perf"
 	"hetsort/internal/record"
-	"hetsort/internal/storage"
 )
 
 // Errors the admission controller returns from Submit; the HTTP layer
@@ -92,10 +93,10 @@ type Config struct {
 }
 
 // Service is the hetsortd daemon core: an admission-controlled job
-// queue over one shared simulated machine and one storage backend.
+// queue over one shared simulated machine and one store.
 type Service struct {
 	cfg   Config
-	store storage.Backend
+	store diskio.FS
 	net   cluster.NetModel // the machine's Network, parsed
 
 	mu      sync.Mutex
@@ -119,11 +120,11 @@ type Service struct {
 	jobVsec metrics.Histogram
 }
 
-// New builds a service over the given backend and recovers every job
-// the backend says was queued or in flight when the previous daemon
+// New builds a service over the given store and recovers every job
+// the store says was queued or in flight when the previous daemon
 // died (see Recover).  It refuses a machine no job could run on: a bad
 // perf vector, an unknown network or a negative B.
-func New(cfg Config, store storage.Backend) (*Service, error) {
+func New(cfg Config, store diskio.FS) (*Service, error) {
 	cfg.Machine.applyDefaults()
 	net, err := cluster.NetByName(cfg.Machine.Network)
 	if err != nil {
@@ -171,14 +172,14 @@ func (s *Service) runningJobs() []*job {
 	return out
 }
 
-// recover scans the backend for jobs a previous daemon left behind and
+// recover scans the store for jobs a previous daemon left behind and
 // re-admits them: durable state "queued" restarts fresh, "running"
 // resumes from the job's checkpoint manifests.  Job IDs continue after
 // the highest recovered one.
 func (s *Service) recover() error {
-	names, err := s.store.List("jobs/")
+	names, err := s.store.Names()
 	if err != nil {
-		return fmt.Errorf("service: scanning backend: %w", err)
+		return fmt.Errorf("service: scanning store: %w", err)
 	}
 	var ids []string
 	seen := make(map[string]bool)

@@ -8,12 +8,14 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"hetsort/internal/diskio"
 	"hetsort/internal/record"
-	"hetsort/internal/storage"
 )
 
 // testConfig is a small, fast machine: 4 heterogeneous nodes, tiny
@@ -41,7 +43,7 @@ func testSpec(count, seed int64) JobSpec {
 }
 
 func TestJobLifecycle(t *testing.T) {
-	store := storage.NewObject()
+	store := diskio.NewMemFS()
 	s, err := New(testConfig(), store)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +72,7 @@ func TestJobLifecycle(t *testing.T) {
 }
 
 func TestVerifyDetectsTampering(t *testing.T) {
-	store := storage.NewObject()
+	store := diskio.NewMemFS()
 	s, err := New(testConfig(), store)
 	if err != nil {
 		t.Fatal(err)
@@ -80,12 +82,12 @@ func TestVerifyDetectsTampering(t *testing.T) {
 	s.Stop()
 	// Corrupt one output byte; the recomputed root must change.
 	name := "jobs/" + id + "/node0/output"
-	body, err := store.Get(name)
+	body, err := readObject(store, name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	body[0] ^= 0xff
-	if err := store.Put(name, body); err != nil {
+	if err := writeObject(store, name, body); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := VerifyJob(store, id); err == nil {
@@ -98,7 +100,7 @@ func TestVerifyDetectsTampering(t *testing.T) {
 // artifacts, passes the root, the sortedness and the key counts — only
 // the multiset check against the manifests' input checksum refuses it.
 func TestVerifyChecksTheMultiset(t *testing.T) {
-	store := storage.NewObject()
+	store := diskio.NewMemFS()
 	s, err := New(testConfig(), store)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +128,7 @@ func TestAdmissionQueueBackpressure(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxJobs = 1
 	cfg.MaxQueue = 1
-	s, err := New(cfg, storage.NewObject())
+	s, err := New(cfg, diskio.NewMemFS())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +160,7 @@ func TestAdmissionQueueBackpressure(t *testing.T) {
 func TestAdmissionBudget(t *testing.T) {
 	cfg := testConfig()
 	cfg.Machine.DiskBytes = 1 << 20 // 1 MiB: fits small jobs only
-	s, err := New(cfg, storage.NewObject())
+	s, err := New(cfg, diskio.NewMemFS())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +172,7 @@ func TestAdmissionBudget(t *testing.T) {
 	// Memory budget: each node wants MemoryKeys·4 bytes.
 	cfg = testConfig()
 	cfg.Machine.MemoryBytes = 1024 // under 4 nodes × 1024 keys × 4 B
-	s2, err := New(cfg, storage.NewObject())
+	s2, err := New(cfg, diskio.NewMemFS())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +192,7 @@ func TestAdmissionLinkMemoryTopology(t *testing.T) {
 	// Workspace: 4 nodes × 1024 keys × 4 B = 16 KiB.  Flat links:
 	// 4·4·65536·4 B = 4 MiB > budget.  Tree links: 4·2·65536·4 = 2 MiB.
 	cfg.Machine.MemoryBytes = 3 << 20
-	store := storage.NewObject()
+	store := diskio.NewMemFS()
 	s, err := New(cfg, store)
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +227,7 @@ func TestAdmissionLinkMemoryTopology(t *testing.T) {
 }
 
 func TestSpecValidation(t *testing.T) {
-	s, err := New(testConfig(), storage.NewObject())
+	s, err := New(testConfig(), diskio.NewMemFS())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,11 +256,11 @@ func TestNewRejectsBadMachine(t *testing.T) {
 		{Perf: []int{1, 0}},
 		{BlockKeys: -1},
 	} {
-		if _, err := New(Config{Machine: m}, storage.NewObject()); err == nil {
+		if _, err := New(Config{Machine: m}, diskio.NewMemFS()); err == nil {
 			t.Errorf("machine %+v accepted", m)
 		}
 	}
-	s, err := New(Config{Machine: MachineConfig{BlockKeys: 8192}}, storage.NewObject())
+	s, err := New(Config{Machine: MachineConfig{BlockKeys: 8192}}, diskio.NewMemFS())
 	if err != nil {
 		t.Fatalf("B = 8192 refused: %v", err)
 	}
@@ -269,7 +271,7 @@ func TestNewRejectsBadMachine(t *testing.T) {
 // configuration checks is refused by Submit with 400: no job id, nothing
 // written to the backend, no budget reserved.
 func TestSubmitRejectsUnrunnableSpec(t *testing.T) {
-	store := storage.NewObject()
+	store := diskio.NewMemFS()
 	s, err := New(testConfig(), store)
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +300,7 @@ func TestSubmitRejectsUnrunnableSpec(t *testing.T) {
 			t.Errorf("spec %+v: POST /jobs answered %s, want 400", spec, resp.Status)
 		}
 	}
-	if names, _ := store.List("jobs/"); len(names) != 0 {
+	if names, _ := store.Names(); len(names) != 0 {
 		t.Errorf("refused specs left backend objects: %v", names)
 	}
 	if s.resMem != 0 || s.resDisk != 0 || len(s.List()) != 0 {
@@ -309,7 +311,7 @@ func TestSubmitRejectsUnrunnableSpec(t *testing.T) {
 func TestCancelQueuedJob(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxJobs = 1
-	s, err := New(cfg, storage.NewObject())
+	s, err := New(cfg, diskio.NewMemFS())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +344,7 @@ func TestCancelQueuedJob(t *testing.T) {
 // channel (the executor closes it; a second close panics the daemon)
 // and must still take effect — the job ends canceled, not done.
 func TestCancelPromotionWindow(t *testing.T) {
-	s, err := New(testConfig(), storage.NewObject())
+	s, err := New(testConfig(), diskio.NewMemFS())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +401,7 @@ func TestCancelPromotionWindow(t *testing.T) {
 // budget, not admitted with a tiny overflowed demand and then OOM the
 // daemon at generation time.
 func TestSubmitHugeGenCount(t *testing.T) {
-	s, err := New(testConfig(), storage.NewObject())
+	s, err := New(testConfig(), diskio.NewMemFS())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +420,7 @@ func TestSubmitHugeGenCount(t *testing.T) {
 func TestStopClosesQueuedJobs(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxJobs = 1
-	store := storage.NewObject()
+	store := diskio.NewMemFS()
 	s, err := New(cfg, store)
 	if err != nil {
 		t.Fatal(err)
@@ -459,10 +461,10 @@ func TestStopClosesQueuedJobs(t *testing.T) {
 }
 
 // TestHTTPEndToEnd drives the whole API over a real HTTP server against
-// the object-store backend: upload an input object, submit, poll,
+// an in-memory store: upload an input object, submit, poll,
 // download the result, check the trace and metrics.
 func TestHTTPEndToEnd(t *testing.T) {
-	s, err := New(testConfig(), storage.NewObject())
+	s, err := New(testConfig(), diskio.NewMemFS())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,24 +576,176 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFaultyBackendFailsJob wires the fault-injecting store under the
-// service: the job must fail cleanly, not wedge the daemon.
+// testStores makes the two stores hetsortd runs on: -store mem and
+// -store dir:PATH.
+var testStores = map[string]func(t *testing.T) diskio.FS{
+	"mem": func(*testing.T) diskio.FS { return diskio.NewMemFS() },
+	"dir": func(t *testing.T) diskio.FS {
+		d, err := diskio.NewDirFS(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	},
+}
+
+// TestStoreObjects holds the service's reads and writes of whole objects
+// on both stores: writeObject replaces an object whole, readObject and
+// objectSize see the new content, and a missing object is
+// os.ErrNotExist, which GET /objects answers with 404.
+func TestStoreObjects(t *testing.T) {
+	for name, mk := range testStores {
+		t.Run(name, func(t *testing.T) {
+			store := mk(t)
+			for name, body := range map[string]string{"jobs/j1/spec.json": `{"a":1}`, "inputs/data": "xyzw"} {
+				if err := writeObject(store, name, []byte(body)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, err := readObject(store, "jobs/j1/spec.json"); err != nil || string(got) != `{"a":1}` {
+				t.Fatalf("read: %q, %v", got, err)
+			}
+			if n, err := objectSize(store, "inputs/data"); err != nil || n != 4 {
+				t.Fatalf("size: %d, %v", n, err)
+			}
+			if err := writeObject(store, "inputs/data", []byte("replaced")); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := readObject(store, "inputs/data"); err != nil || string(got) != "replaced" {
+				t.Fatalf("replaced: %q, %v", got, err)
+			}
+			if names, _ := store.Names(); !slices.Equal(names, []string{"inputs/data", "jobs/j1/spec.json"}) {
+				t.Fatalf("store holds %v", names)
+			}
+			if _, err := readObject(store, "ghost"); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("read of a missing object: %v", err)
+			}
+			if _, err := objectSize(store, "ghost"); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("size of a missing object: %v", err)
+			}
+		})
+	}
+}
+
+// TestStoreReadsGiveTheirPagesBack: the service's reads close what they
+// open, so on a mem store a replaced or removed object's pages go back
+// to the pool instead of being left to the garbage collector.
+func TestStoreReadsGiveTheirPagesBack(t *testing.T) {
+	store := diskio.NewMemFS()
+	before := diskio.MemFSPages()
+	for v := byte(0); v < 3; v++ {
+		if err := writeObject(store, "inputs/f", bytes.Repeat([]byte{v}, 100<<10)); err != nil {
+			t.Fatal(err)
+		}
+		if data, err := readObject(store, "inputs/f"); err != nil || data[0] != v {
+			t.Fatalf("read: %v", err)
+		}
+		if _, err := objectSize(store, "inputs/f"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Remove("inputs/f"); err != nil {
+		t.Fatal(err)
+	}
+	if after := diskio.MemFSPages(); after != before {
+		t.Fatalf("MemFS held %d pages before and %d after the object was removed", before, after)
+	}
+}
+
+// TestObjectNamesAreChecked: an object name arrives unescaped, so
+// inputs%2F..%2Fjobs%2Fx passes the inputs/ prefix check as
+// inputs/../jobs/x.  On a mem and a dir store, PUT and GET refuse such a
+// name with 400, and nothing outside inputs/ appears or changes; a
+// missing object is 404, and a job spec may not name such an input.
+func TestObjectNamesAreChecked(t *testing.T) {
+	for name, mk := range testStores {
+		t.Run(name, func(t *testing.T) {
+			store := mk(t)
+			if err := writeObject(store, "jobs/x", []byte("artifact")); err != nil {
+				t.Fatal(err)
+			}
+			s, err := New(testConfig(), store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Stop()
+			srv := httptest.NewServer(s.Handler())
+			defer srv.Close()
+			do := func(method, path, body string) (int, string) {
+				t.Helper()
+				req, _ := http.NewRequest(method, srv.URL+"/objects/"+path, strings.NewReader(body))
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				got, _ := io.ReadAll(resp.Body)
+				return resp.StatusCode, string(got)
+			}
+			if code, _ := do(http.MethodPut, "inputs/ok", "keys"); code != http.StatusCreated {
+				t.Fatalf("upload of a valid name: %d", code)
+			}
+			for _, bad := range []string{"inputs%2F..%2Fjobs%2Fx", "inputs/..%2Fjobs%2Fx"} {
+				for _, method := range []string{http.MethodPut, http.MethodGet} {
+					if code, body := do(method, bad, "evil"); code != http.StatusBadRequest {
+						t.Errorf("%s %s: %d %s, want 400", method, bad, code, body)
+					}
+				}
+			}
+			if names, _ := store.Names(); !slices.Equal(names, []string{"inputs/ok", "jobs/x"}) {
+				t.Errorf("store holds %v", names)
+			}
+			if body, err := readObject(store, "jobs/x"); err != nil || string(body) != "artifact" {
+				t.Errorf("jobs/x holds %q, %v", body, err)
+			}
+			if code, body := do(http.MethodGet, "inputs/ok", ""); code != http.StatusOK || body != "keys" {
+				t.Errorf("GET inputs/ok: %d %q", code, body)
+			}
+			if code, _ := do(http.MethodGet, "inputs/missing", ""); code != http.StatusNotFound {
+				t.Errorf("GET inputs/missing: %d, want 404", code)
+			}
+			spec := JobSpec{Input: "inputs/../jobs/x", MemoryKeys: 1024, Tapes: 4, MessageKeys: 128}
+			if id, err := s.Submit(spec); err == nil {
+				t.Errorf("a spec naming %s was admitted as %s", spec.Input, id)
+			}
+		})
+	}
+}
+
+// TestFaultyBackendFailsJob puts the daemon's store behind a FaultFS
+// whose budget lets Submit write the spec and status (six operations)
+// and then runs out inside the job's sort: the job must end failed, and
+// the daemon must still list its jobs and stop.
 func TestFaultyBackendFailsJob(t *testing.T) {
-	store := storage.NewFaulty(storage.NewObject(), 3)
+	store := diskio.NewFaultFS(diskio.NewMemFS(), 50)
 	s, err := New(testConfig(), store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Stop()
 	id, err := s.Submit(testSpec(2000, 1))
 	if err != nil {
-		// Also acceptable: the submission itself hits the dead store.
-		return
+		t.Fatalf("submit within the budget: %v", err)
 	}
 	s.Wait(id)
-	st, _ := s.Status(id)
-	if st.State == StateDone {
-		t.Fatal("job completed against a dead object store")
+	if store.Injected() == 0 {
+		t.Fatalf("the job ran in %d store operations and met no fault", store.Ops())
+	}
+	if st, _ := s.Status(id); st.State != StateFailed {
+		t.Fatalf("job on a failing store: %s (%s), want failed", st.State, st.Error)
+	}
+	stopped := make(chan []JobStatus)
+	go func() {
+		list := s.List()
+		s.Stop()
+		stopped <- list
+	}()
+	select {
+	case list := <-stopped:
+		if len(list) != 1 || list[0].ID != id {
+			t.Fatalf("list: %+v", list)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("List or Stop blocked after a store fault")
 	}
 }
 
@@ -601,7 +755,7 @@ func TestFaultyBackendFailsJob(t *testing.T) {
 // close before the counters moved, and a client that woke in between
 // read the job as still running.
 func TestWaitSeesTheJobCounted(t *testing.T) {
-	s, err := New(testConfig(), storage.NewObject())
+	s, err := New(testConfig(), diskio.NewMemFS())
 	if err != nil {
 		t.Fatal(err)
 	}
