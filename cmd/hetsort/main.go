@@ -23,32 +23,34 @@ import (
 	"strings"
 
 	"hetsort"
+	"hetsort/internal/enum"
 	"hetsort/internal/record"
 	"hetsort/internal/trace"
 )
 
 func main() {
+	var cfg hetsort.Config
+	flag.StringVar(&cfg.WorkDir, "workdir", "", "directory for node disks (empty = in-memory)")
+	flag.IntVar(&cfg.BlockKeys, "block", 2048, "disk block size B in keys")
+	flag.IntVar(&cfg.MemoryKeys, "memory", 0, "per-node memory M in keys (0 = the library default, 65536)")
+	flag.IntVar(&cfg.Tapes, "tapes", 15, "polyphase merge file count")
+	flag.IntVar(&cfg.MessageKeys, "msg", 8192, "redistribution message size in keys")
+	flag.IntVar(&cfg.Disks, "disks", 1, "PDM disks per node D: models D member disks, block u of a file on disk u mod D (timing only)")
+	flag.TextVar(&cfg.DiskAccess, "disk-access", hetsort.DiskAccessStriped, "multi-disk scheduling model: "+enum.Names[hetsort.DiskAccess]()+" (timing only)")
+	flag.TextVar(&cfg.RunFormation, "run-formation", hetsort.RunReplacementSelection, "initial run former: "+enum.Names[hetsort.RunFormation]())
+	flag.TextVar(&cfg.Network, "net", hetsort.NetworkFastEthernet, "network model: "+enum.Names[hetsort.Network]())
+	flag.TextVar(&cfg.PivotStrategy, "pivot", hetsort.PivotRegularSampling, "pivot strategy: "+enum.Names[hetsort.PivotStrategy]())
+	flag.Float64Var(&cfg.HistTolerance, "hist-tol", 0, "histogram refinement tolerance as a fraction of the smallest share (default 0.05; -pivot histogram only)")
+	flag.TextVar(&cfg.Topology, "topology", hetsort.TopologyFlat, "redistribution topology: "+enum.Names[hetsort.Topology]()+" (tree/grid bound per-node fan-in at large p)")
+	flag.IntVar(&cfg.Radix, "radix", 0, "tree fan-in r for -topology tree (default 4)")
+	flag.BoolVar(&cfg.Overlap, "overlap", false, "overlap disk I/O with compute: reads charged as prefetched, writes as written behind (same I/O counts, lower virtual time)")
 	var (
 		input    = flag.String("input", "", "input file of little-endian uint32 values")
 		output   = flag.String("output", "", "output file (sorted)")
 		perfStr  = flag.String("perf", "1,1,1,1", "comma-separated perf vector (relative node speeds)")
-		workdir  = flag.String("workdir", "", "directory for node disks (empty = in-memory)")
-		block    = flag.Int("block", 2048, "disk block size B in keys")
-		memory   = flag.Int("memory", 0, "per-node memory M in keys (0 = the library default, 65536)")
-		tapes    = flag.Int("tapes", 15, "polyphase merge file count")
-		msg      = flag.Int("msg", 8192, "redistribution message size in keys")
-		disks    = flag.Int("disks", 1, "PDM disks per node D: models D member disks, block u of a file on disk u mod D (timing only)")
-		diskAcc  = flag.String("disk-access", hetsort.DiskAccessStriped, "multi-disk scheduling model: striped, independent (timing only)")
-		runForm  = flag.String("run-formation", hetsort.RunReplacementSelection, "initial run former: replacement-selection, load-sort, guidesort")
-		network  = flag.String("net", hetsort.NetworkFastEthernet, "network model: fast-ethernet, myrinet, ideal")
 		gen      = flag.Int64("gen", 0, "generate this many keys into -input instead of sorting")
 		dist     = flag.String("dist", "uniform", "distribution for -gen (uniform, gaussian, zipf, sorted, reverse, nearly-sorted, bucket, staggered, heavy-dup, zipf-s2, staircase, sampler-killer)")
 		seed     = flag.Int64("seed", 1, "seed for -gen")
-		pivot    = flag.String("pivot", "", "pivot strategy: regular-sampling (default), random-pivots, histogram")
-		histTol  = flag.Float64("hist-tol", 0, "histogram refinement tolerance as a fraction of the smallest share (default 0.05; -pivot histogram only)")
-		topology = flag.String("topology", "flat", "redistribution topology: flat, tree, grid (tree/grid bound per-node fan-in at large p)")
-		radix    = flag.Int("radix", 0, "tree fan-in r for -topology tree (default 4)")
-		overlap  = flag.Bool("overlap", false, "overlap disk I/O with compute: reads charged as prefetched, writes as written behind (same I/O counts, lower virtual time)")
 		verbose  = flag.Bool("v", false, "print the full per-step report")
 		withGant = flag.Bool("trace", false, "print a virtual-time Gantt chart of the run")
 		traceOut = flag.String("trace-out", "", "write a Chrome trace_event JSON of the run (load in Perfetto); implies tracing")
@@ -104,24 +106,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: hetsort -input IN -output OUT [flags]; see -h")
 		os.Exit(2)
 	}
-	cfg := hetsort.Config{
-		Perf:          perfV,
-		BlockKeys:     *block,
-		MemoryKeys:    *memory,
-		Tapes:         *tapes,
-		MessageKeys:   *msg,
-		Disks:         *disks,
-		DiskAccess:    *diskAcc,
-		RunFormation:  *runForm,
-		Network:       *network,
-		WorkDir:       *workdir,
-		Trace:         *withGant || *traceOut != "" || *evtsOut != "",
-		Overlap:       *overlap,
-		Topology:      *topology,
-		Radix:         *radix,
-		PivotStrategy: *pivot,
-		HistTolerance: *histTol,
-	}
+	cfg.Perf = perfV
+	cfg.Trace = *withGant || *traceOut != "" || *evtsOut != ""
 	if *ckptDir != "" {
 		cfg.WorkDir = *ckptDir
 		cfg.Checkpoint.Enabled = true

@@ -3,6 +3,8 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -63,19 +65,41 @@ func TestResultJSONSuccess(t *testing.T) {
 // "hetsort:" prefix already, and one the command makes itself both
 // print behind exactly one prefix.
 func TestErrLineOnePrefix(t *testing.T) {
-	_, _, facadeErr := hetsort.Sort(nil, hetsort.Config{PivotStrategy: "bogus"})
+	_, _, facadeErr := hetsort.Sort(nil, hetsort.Config{Algorithm: hetsort.Algorithm(5)})
 	if facadeErr == nil {
-		t.Fatal("unknown pivot strategy accepted")
+		t.Fatal("unknown algorithm accepted")
 	}
 	for _, tc := range []struct {
 		err  error
 		want string
 	}{
-		{facadeErr, "hetsort: unknown pivot strategy"},
+		{facadeErr, "hetsort: unknown algorithm"},
 		{errors.New("-gen requires -input"), "hetsort: -gen requires -input"},
 	} {
 		if got := errLine(tc.err); !strings.HasPrefix(got, tc.want) {
 			t.Errorf("errLine(%q) = %q, want it to start %q", tc.err, got, tc.want)
 		}
+	}
+}
+
+// TestUnknownFlagNameExitsTwo: an enum flag refuses a name its table
+// does not hold while the flags are parsed, before anything is read,
+// exiting 2 with the accepted names.  The test runs main in a child
+// process of its own binary.
+func TestUnknownFlagNameExitsTwo(t *testing.T) {
+	if os.Getenv("HETSORT_TEST_MAIN") == "1" {
+		os.Args = []string{"hetsort", "-pivot", "bogus", "-input", "missing", "-output", "out"}
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestUnknownFlagNameExitsTwo$")
+	cmd.Env = append(os.Environ(), "HETSORT_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("-pivot bogus: %v, want exit status 2\n%s", err, out)
+	}
+	if want := "regular-sampling, random-pivots or histogram"; !strings.Contains(string(out), want) {
+		t.Errorf("-pivot bogus printed\n%s\nwithout the accepted names %q", out, want)
 	}
 }

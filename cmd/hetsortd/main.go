@@ -36,6 +36,7 @@ import (
 
 	"hetsort"
 	"hetsort/internal/diskio"
+	"hetsort/internal/enum"
 	"hetsort/internal/metrics"
 	"hetsort/internal/service"
 )
@@ -91,16 +92,17 @@ func openStore(spec string) (diskio.FS, error) {
 
 func serveMain(args []string) {
 	fs := flag.NewFlagSet("hetsortd", flag.ExitOnError)
+	var cfg service.Config
+	fs.TextVar(&cfg.Machine.Network, "net", hetsort.NetworkFastEthernet, "network model: "+enum.Names[hetsort.Network]())
+	fs.IntVar(&cfg.Machine.BlockKeys, "block", 2048, "disk block size B in keys")
+	fs.Int64Var(&cfg.Machine.MemoryBytes, "mem-budget", 256<<20, "machine memory budget in bytes for admission")
+	fs.Int64Var(&cfg.Machine.DiskBytes, "disk-budget", 4<<30, "machine disk budget in bytes for admission")
+	fs.IntVar(&cfg.MaxJobs, "max-jobs", 2, "concurrently running jobs")
+	fs.IntVar(&cfg.MaxQueue, "max-queue", 8, "queued jobs behind the running ones")
 	var (
-		addr       = fs.String("addr", ":8080", "HTTP listen address")
-		store      = fs.String("store", "mem", "storage backend: dir:PATH or mem")
-		perfStr    = fs.String("perf", "1,1,1,1", "machine perf vector (relative node speeds)")
-		network    = fs.String("net", "fast-ethernet", "network model: fast-ethernet, myrinet, ideal")
-		block      = fs.Int("block", 2048, "disk block size B in keys")
-		maxJobs    = fs.Int("max-jobs", 2, "concurrently running jobs")
-		maxQueue   = fs.Int("max-queue", 8, "queued jobs behind the running ones")
-		memBudget  = fs.Int64("mem-budget", 256<<20, "machine memory budget in bytes for admission")
-		diskBudget = fs.Int64("disk-budget", 4<<30, "machine disk budget in bytes for admission")
+		addr    = fs.String("addr", ":8080", "HTTP listen address")
+		store   = fs.String("store", "mem", "storage backend: dir:PATH or mem")
+		perfStr = fs.String("perf", "1,1,1,1", "machine perf vector (relative node speeds)")
 	)
 	fs.Parse(args)
 
@@ -108,21 +110,12 @@ func serveMain(args []string) {
 	if err != nil {
 		fatal(err)
 	}
+	cfg.Machine.Perf = perfV
 	backend, err := openStore(*store)
 	if err != nil {
 		fatal(err)
 	}
-	svc, err := service.New(service.Config{
-		Machine: service.MachineConfig{
-			Perf:        perfV,
-			Network:     *network,
-			BlockKeys:   *block,
-			MemoryBytes: *memBudget,
-			DiskBytes:   *diskBudget,
-		},
-		MaxJobs:  *maxJobs,
-		MaxQueue: *maxQueue,
-	}, backend)
+	svc, err := service.New(cfg, backend)
 	if err != nil {
 		fatal(err)
 	}
@@ -136,7 +129,7 @@ func serveMain(args []string) {
 		srv.Close()
 	}()
 	fmt.Printf("hetsortd: serving on %s (store %s, machine perf %v, %d slots + %d queue)\n",
-		*addr, *store, perfV, *maxJobs, *maxQueue)
+		*addr, *store, perfV, cfg.MaxJobs, cfg.MaxQueue)
 	err = srv.ListenAndServe()
 	// Interrupt the running jobs; their durable status stays "running"
 	// so the next daemon resumes them from their checkpoints.

@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"hetsort/internal/enum"
 )
 
 // exportAllowlist names the top-level exported identifiers under
@@ -34,35 +36,7 @@ var exportAllowlist = map[string]string{
 // elsewhere as a selector on an import of that package.  Methods are
 // out of scope, since an interface can call them.
 func TestInternalExportsHaveCallers(t *testing.T) {
-	type file struct {
-		dir string
-		f   *ast.File
-	}
-	var files []file
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (path == "bench" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		files = append(files, file{filepath.ToSlash(filepath.Dir(path)), f})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	files, _ := parseSources(t)
 
 	// declared maps "<dir>.<Name>" to the declaring identifier.
 	declared := map[string]*ast.Ident{}
@@ -145,6 +119,81 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 	for key := range exportAllowlist {
 		if declared[key] == nil {
 			t.Errorf("allowlist entry %s names no declaration", key)
+		}
+	}
+}
+
+// source is one parsed non-test Go file of the module outside bench/.
+type source struct {
+	dir string // its directory, slash-separated, relative to the root
+	f   *ast.File
+}
+
+// parseSources parses every non-test Go file of the module outside
+// bench/ and hidden directories.
+func parseSources(t *testing.T) ([]source, *token.FileSet) {
+	var files []source
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (path == "bench" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files = append(files, source{filepath.ToSlash(filepath.Dir(path)), f})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files, fset
+}
+
+// TestEnumNamesWrittenOnce: each name in the tables of the six enums a
+// Config names appears in the module's non-test code outside bench/ as
+// a string literal exactly once, in its table; everything else reaches
+// a name through the typed value (String, MarshalText).  The one
+// exemption is internal/metrics' Prometheus metric type "histogram",
+// which names something else.
+func TestEnumNamesWrittenOnce(t *testing.T) {
+	seen := map[string][]string{} // name → positions of its literals
+	for _, names := range []string{enum.Names[Network](), enum.Names[RunFormation](), enum.Names[Algorithm](),
+		enum.Names[PivotStrategy](), enum.Names[Topology](), enum.Names[DiskAccess]()} {
+		for _, name := range strings.Split(names, ", ") {
+			seen[name] = nil
+		}
+	}
+	files, fset := parseSources(t)
+	for _, fl := range files {
+		ast.Inspect(fl.f, func(n ast.Node) bool {
+			lit, ok := n.(*ast.BasicLit)
+			if !ok || lit.Kind != token.STRING {
+				return true
+			}
+			v, _ := strconv.Unquote(lit.Value)
+			if pos, ok := seen[v]; ok && !(fl.dir == "internal/metrics" && v == "histogram") {
+				seen[v] = append(pos, fset.Position(lit.Pos()).String())
+			}
+			return true
+		})
+	}
+	if len(seen) != 16 {
+		t.Errorf("the six tables hold %d distinct names, want 16", len(seen))
+	}
+	for name, pos := range seen {
+		if len(pos) != 1 {
+			t.Errorf("%q is written %d times as a string literal, want once: %v", name, len(pos), pos)
 		}
 	}
 }

@@ -111,8 +111,8 @@ func Resume(outputPath string, cfg Config) (*Report, error) {
 	if cfg.WorkDir == "" {
 		return nil, errors.New("hetsort: Resume requires Config.WorkDir (manifests and node disks must be durable)")
 	}
-	if cfg.Algorithm != "" && cfg.Algorithm != AlgorithmExternalPSRS {
-		return nil, fmt.Errorf("hetsort: cannot resume algorithm %q (checkpointing is external-psrs only)", cfg.Algorithm)
+	if cfg.Algorithm != AlgorithmExternalPSRS {
+		return nil, fmt.Errorf("hetsort: cannot resume algorithm %v (checkpointing is %v only)", cfg.Algorithm, AlgorithmExternalPSRS)
 	}
 	outputPath, old, err := outputTarget(outputPath)
 	if err != nil {

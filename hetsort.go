@@ -28,6 +28,7 @@ import (
 	"hetsort/internal/cluster"
 	"hetsort/internal/dewitt"
 	"hetsort/internal/diskio"
+	"hetsort/internal/enum"
 	"hetsort/internal/extsort"
 	"hetsort/internal/pdm"
 	"hetsort/internal/perf"
@@ -41,74 +42,88 @@ import (
 // 4 bytes on disk, exactly the paper's data items.
 type Key = uint32
 
-// Network names accepted by Config.Network.
-const (
-	NetworkFastEthernet = "fast-ethernet" // the paper's default interconnect
-	NetworkMyrinet      = "myrinet"       // the paper's second interconnect
-	NetworkIdeal        = "ideal"         // zero-cost network
+// The six named choices of a sort are typed values: each has its names
+// in one table, which its String, MarshalText and UnmarshalText read, so
+// a flag (flag.TextVar), a JSON field and Go code set them alike, and
+// the zero value is the default.
+type (
+	// Network selects the interconnect model.
+	Network = cluster.Network
+	// RunFormation selects the initial run former.
+	RunFormation = polyphase.RunFormation
+	// DiskAccess selects the multi-disk scheduling model.
+	DiskAccess = pdm.AccessMode
+	// PivotStrategy selects the step-2 pivot scheme.
+	PivotStrategy = extsort.Strategy
+	// Topology selects the communication structure of steps 2 and 4.
+	Topology = extsort.Topology
 )
 
-// Run-formation names accepted by Config.RunFormation.
+// The values of Network, RunFormation, DiskAccess, PivotStrategy and
+// Topology; the first of each is its default.
 const (
-	RunReplacementSelection = "replacement-selection"
-	RunLoadSort             = "load-sort"
-	RunGuidesort            = "guidesort"
-)
+	NetworkFastEthernet = cluster.NetFastEthernet // the paper's default interconnect
+	NetworkMyrinet      = cluster.NetMyrinet      // the paper's second interconnect
+	NetworkIdeal        = cluster.NetIdeal        // zero-cost network
 
-// Disk-access names accepted by Config.DiskAccess.
-const (
+	RunReplacementSelection = polyphase.ReplacementSelection
+	RunLoadSort             = polyphase.LoadSort
+	RunGuidesort            = polyphase.Guidesort
+
 	// DiskAccessStriped schedules multi-disk I/O in lockstep stripes
-	// (the PDM's striped model, default): a parallel I/O step completes
-	// when the slowest involved member disk does, and breaking the
-	// round-robin order costs a new step.
-	DiskAccessStriped = "striped"
+	// (the PDM's striped model): a parallel I/O step completes when the
+	// slowest involved member disk does, and breaking the round-robin
+	// order costs a new step.
+	DiskAccessStriped = pdm.Striped
 	// DiskAccessIndependent lets each member disk serve requests
 	// independently (the PDM's independent model): any D distinct disks
 	// can transfer concurrently regardless of order.
-	DiskAccessIndependent = "independent"
-)
+	DiskAccessIndependent = pdm.Independent
 
-// Algorithm names accepted by Config.Algorithm.
-const (
-	// AlgorithmExternalPSRS is the paper's Algorithm 1 (default).
-	AlgorithmExternalPSRS = "external-psrs"
-	// AlgorithmDeWitt is the randomized two-step distribution sort of
-	// DeWitt, Naughton & Schneider (PDIS 1991), the prior work the
-	// paper's section 2 identifies as closest in spirit.  It skips the
-	// up-front external sort (fewer I/Os) but balances load only as
-	// well as its random sample.
-	AlgorithmDeWitt = "dewitt"
-)
-
-// Pivot-strategy names accepted by Config.PivotStrategy.
-const (
-	// PivotRegularSampling is the paper's Algorithm 1 (default).
-	PivotRegularSampling = "regular-sampling"
+	// PivotRegularSampling is the paper's Algorithm 1.
+	PivotRegularSampling = extsort.RegularSampling
 	// PivotRandom picks pivots from unstructured random samples (the
 	// strawman the regular-position discipline improves on).
-	PivotRandom = "random-pivots"
+	PivotRandom = extsort.RandomPivots
 	// PivotHistogram iteratively refines candidate splitters against
 	// exact global histogram counts (Harsh, Kale & Solomonik's
 	// Histogram Sort with Sampling): provable balance within
 	// HistTolerance of every node's perf share, robust on the
 	// duplicate-heavy and adversarial inputs that defeat one-shot
 	// sampling, shipping only O(p) candidate keys per round.
-	PivotHistogram = "histogram"
-)
+	PivotHistogram = extsort.Histogram
 
-// Topology names accepted by Config.Topology.
-const (
 	// TopologyFlat is Algorithm 1 as written: star collectives for the
-	// pivots and one all-to-all redistribution round (default).
-	TopologyFlat = "flat"
+	// pivots and one all-to-all redistribution round.
+	TopologyFlat = extsort.TopologyFlat
 	// TopologyTree aggregates pivot samples up a radix-r reduction tree
 	// and redistributes through ⌈log_r p⌉ rounds of r-way exchanges, so
 	// no node holds more than O(r) open streams — the structure that
 	// scales the cluster to p=1024.
-	TopologyTree = "tree"
+	TopologyTree = extsort.TopologyTree
 	// TopologyGrid is the 2-round √p×√p special case of the tree.
-	TopologyGrid = "grid"
+	TopologyGrid = extsort.TopologyGrid
 )
+
+// Algorithm selects the sorting algorithm.
+type Algorithm int
+
+const (
+	// AlgorithmExternalPSRS is the paper's Algorithm 1 (default).
+	AlgorithmExternalPSRS Algorithm = iota
+	// AlgorithmDeWitt is the randomized two-step distribution sort of
+	// DeWitt, Naughton & Schneider (PDIS 1991), the prior work the
+	// paper's section 2 identifies as closest in spirit.  It skips the
+	// up-front external sort (fewer I/Os) but balances load only as
+	// well as its random sample.
+	AlgorithmDeWitt
+)
+
+var algorithmNames = enum.Table[Algorithm]{Kind: "algorithm", Names: []string{"external-psrs", "dewitt"}}
+
+func (a Algorithm) String() string                { return algorithmNames.Name(a) }
+func (a Algorithm) MarshalText() ([]byte, error)  { return algorithmNames.Marshal(a) }
+func (a *Algorithm) UnmarshalText(b []byte) error { return algorithmNames.Unmarshal(a, b) }
 
 // Config parameterises a sort.  The zero value is a valid homogeneous
 // 4-node configuration with the paper's parameters (8 KiB blocks, 15
@@ -136,22 +151,22 @@ type Config struct {
 	// Timing only: files, I/O counts and output bytes are independent
 	// of D, and a checkpointed run may be resumed under a different D.
 	Disks int
-	// DiskAccess selects the multi-disk scheduling model by name:
+	// DiskAccess selects the multi-disk scheduling model:
 	// DiskAccessStriped (default) or DiskAccessIndependent.  Timing
 	// only; ignored at D = 1.
-	DiskAccess string
-	// Network selects the interconnect model by name (default
+	DiskAccess DiskAccess
+	// Network selects the interconnect model (default
 	// NetworkFastEthernet).
-	Network string
-	// RunFormation selects the initial run former by name (default
+	Network Network
+	// RunFormation selects the initial run former (default
 	// RunReplacementSelection).
-	RunFormation string
-	// Algorithm selects the sorting algorithm by name (default
+	RunFormation RunFormation
+	// Algorithm selects the sorting algorithm (default
 	// AlgorithmExternalPSRS).
-	Algorithm string
-	// PivotStrategy selects the step-2 pivot scheme by name (default
+	Algorithm Algorithm
+	// PivotStrategy selects the step-2 pivot scheme (default
 	// PivotRegularSampling); only meaningful for AlgorithmExternalPSRS.
-	PivotStrategy string
+	PivotStrategy PivotStrategy
 	// HistTolerance is the refinement tolerance when PivotStrategy is
 	// PivotHistogram, as a fraction of the smallest perf share
 	// (default 0.05).  Must be a finite value in (0, 1) when set.
@@ -186,7 +201,7 @@ type Config struct {
 	// every node's fan-in at O(Radix) per round instead of O(p), at the
 	// cost of ⌈log_r p⌉ redistribution rounds; every node's output is
 	// byte-identical to flat.  Only meaningful for AlgorithmExternalPSRS.
-	Topology string
+	Topology Topology
 	// Radix is the tree fan-in r (default 4); ignored for flat and grid,
 	// but refused when negative under every topology.
 	Radix int
@@ -234,10 +249,9 @@ type machine struct {
 	algo func(*cluster.Cluster, extsort.Config) (*Report, error)
 }
 
-// resolve parses the Config's names and builds its extsort.Machine, so
-// a bad Config fails before a node directory is created or any data
-// moves.  The injected crash is armed; Resume and CalibrateReport
-// disarm it.
+// resolve builds the Config's extsort.Machine, so a bad Config fails
+// before a node directory is created or any data moves.  The injected
+// crash is armed; Resume and CalibrateReport disarm it.
 func (cfg Config) resolve() (*machine, error) {
 	v := perf.Vector(cfg.Perf)
 	if len(v) == 0 {
@@ -246,24 +260,15 @@ func (cfg Config) resolve() (*machine, error) {
 			v = perf.Homogeneous(cfg.Nodes)
 		}
 	}
+	if err := enum.Valid(cfg.Algorithm); err != nil {
+		return nil, fmt.Errorf("hetsort: %w", err)
+	}
 	var algo func(*cluster.Cluster, extsort.Config) (*Report, error)
-	switch cfg.Algorithm {
-	case "", AlgorithmExternalPSRS:
-	case AlgorithmDeWitt:
+	if cfg.Algorithm == AlgorithmDeWitt {
 		if cfg.Checkpoint.Enabled {
 			return nil, errors.New("hetsort: checkpointing is only implemented for the external-psrs algorithm")
 		}
 		algo = dewitt.Algo(0)
-	default:
-		return nil, fmt.Errorf("hetsort: unknown algorithm %q", cfg.Algorithm)
-	}
-	rf, rfErr := polyphase.ParseRunFormation(cfg.RunFormation)
-	strat, stratErr := extsort.ParseStrategy(cfg.PivotStrategy)
-	topo, topoErr := extsort.ParseTopology(cfg.Topology)
-	access, accessErr := pdm.ParseAccessMode(cfg.DiskAccess)
-	net, netErr := cluster.NetByName(cfg.Network)
-	if err := errors.Join(rfErr, stratErr, topoErr, accessErr, netErr); err != nil {
-		return nil, fmt.Errorf("hetsort: %w", err)
 	}
 	m := &machine{cfg: cfg, algo: algo, Machine: extsort.Machine{
 		Config: extsort.Config{
@@ -272,20 +277,20 @@ func (cfg Config) resolve() (*machine, error) {
 			MemoryKeys:    cfg.MemoryKeys,
 			Tapes:         cfg.Tapes,
 			MessageKeys:   cfg.MessageKeys,
-			RunFormation:  rf,
-			Strategy:      strat,
+			RunFormation:  cfg.RunFormation,
+			Strategy:      cfg.PivotStrategy,
 			HistTolerance: cfg.HistTolerance,
 			Seed:          cfg.Seed,
 			Overlap:       cfg.Overlap,
-			Topology:      topo,
+			Topology:      cfg.Topology,
 			Radix:         cfg.Radix,
 			Checkpoint:    cfg.Checkpoint.Enabled,
 			Progress:      cfg.Progress,
 		},
 		Loads:        cfg.Loads,
-		Net:          net,
+		Net:          cfg.Network,
 		DisksPerNode: cfg.Disks,
-		DiskAccess:   access,
+		DiskAccess:   cfg.DiskAccess,
 		CrashPhase:   cfg.Checkpoint.CrashPhase,
 		CrashNode:    cfg.Checkpoint.CrashNode,
 	}}

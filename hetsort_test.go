@@ -2,8 +2,12 @@ package hetsort
 
 import (
 	"bufio"
+	"encoding"
 	"encoding/binary"
+	"encoding/json"
+	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -13,11 +17,8 @@ import (
 	"testing"
 	"testing/quick"
 
-	"hetsort/internal/cluster"
 	"hetsort/internal/diskio"
-	"hetsort/internal/extsort"
-	"hetsort/internal/pdm"
-	"hetsort/internal/polyphase"
+	"hetsort/internal/service"
 )
 
 func TestSortDefaultConfig(t *testing.T) {
@@ -188,15 +189,15 @@ func TestSortConfigErrors(t *testing.T) {
 	if _, _, err := Sort(keys, Config{Perf: []int{1, 0}}); err == nil {
 		t.Fatal("bad perf accepted")
 	}
-	if _, _, err := Sort(keys, Config{Network: "token-ring"}); err == nil {
+	if _, _, err := Sort(keys, Config{Network: Network(7)}); err == nil {
 		t.Fatal("bad network accepted")
 	}
-	for _, net := range []string{NetworkFastEthernet, NetworkMyrinet, NetworkIdeal} {
+	for _, net := range []Network{NetworkFastEthernet, NetworkMyrinet, NetworkIdeal} {
 		if _, _, err := Sort(keys, Config{Network: net}); err != nil {
-			t.Errorf("network %q rejected: %v", net, err)
+			t.Errorf("network %v rejected: %v", net, err)
 		}
 	}
-	if _, _, err := Sort(keys, Config{RunFormation: "bogosort"}); err == nil {
+	if _, _, err := Sort(keys, Config{RunFormation: RunFormation(7)}); err == nil {
 		t.Fatal("bad run formation accepted")
 	}
 	if _, _, err := Sort(keys, Config{Nodes: 2, Loads: []float64{1}}); err == nil {
@@ -209,9 +210,9 @@ func TestSortConfigErrors(t *testing.T) {
 // must not fail them (it used to: "Radix=1 must be >= 2").
 func TestRadixIgnoredUnlessTree(t *testing.T) {
 	keys := []Key{5, 3, 8, 1, 9, 2, 7, 4}
-	for _, topo := range []string{TopologyFlat, TopologyGrid} {
+	for _, topo := range []Topology{TopologyFlat, TopologyGrid} {
 		if _, _, err := Sort(keys, Config{Topology: topo, Radix: 1}); err != nil {
-			t.Errorf("topology %q rejected the Radix it ignores: %v", topo, err)
+			t.Errorf("topology %v rejected the Radix it ignores: %v", topo, err)
 		}
 	}
 	if _, _, err := Sort(keys, Config{Topology: TopologyTree, Radix: 1}); err == nil || !strings.Contains(err.Error(), "Radix") {
@@ -387,8 +388,8 @@ func TestSortPivotStrategies(t *testing.T) {
 	for i := range keys {
 		keys[i] = Key(2654435761 * uint32(i+13))
 	}
-	for _, strat := range []string{PivotRegularSampling, PivotRandom, PivotHistogram} {
-		t.Run(strat, func(t *testing.T) {
+	for _, strat := range []PivotStrategy{PivotRegularSampling, PivotRandom, PivotHistogram} {
+		t.Run(strat.String(), func(t *testing.T) {
 			sorted, rep, err := Sort(keys, Config{
 				PivotStrategy: strat, MemoryKeys: 4096, BlockKeys: 128, Tapes: 5, MessageKeys: 512,
 			})
@@ -403,7 +404,7 @@ func TestSortPivotStrategies(t *testing.T) {
 			}
 		})
 	}
-	if _, _, err := Sort(keys, Config{PivotStrategy: "bogopivot"}); err == nil {
+	if _, _, err := Sort(keys, Config{PivotStrategy: PivotStrategy(7)}); err == nil {
 		t.Fatal("bad pivot strategy accepted")
 	}
 }
@@ -434,7 +435,7 @@ func TestSortDeWittAlgorithm(t *testing.T) {
 	if stepSum != 0 {
 		t.Fatalf("DeWitt should have no step breakdown, got %v", rep.StepTimes)
 	}
-	if _, _, err := Sort(keys, Config{Algorithm: "bogosort"}); err == nil {
+	if _, _, err := Sort(keys, Config{Algorithm: Algorithm(7)}); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 }
@@ -520,7 +521,8 @@ const retiredSketch = "quantile" + "-sketch"
 
 // TestBadConfigFailsBeforeDataMoves: every configuration error is
 // reported before a node directory is created or the input is opened,
-// so a missing input path does not mask it.
+// so a missing input path does not mask it.  A typed enum value its
+// table does not name is one.
 func TestBadConfigFailsBeforeDataMoves(t *testing.T) {
 	dir := t.TempDir()
 	two := []int{1, 1}
@@ -530,8 +532,12 @@ func TestBadConfigFailsBeforeDataMoves(t *testing.T) {
 	}{
 		{Config{Perf: two, Checkpoint: CheckpointConfig{Enabled: true, CrashPhase: 6}}, "CrashPhase"},
 		{Config{Perf: two, Checkpoint: CheckpointConfig{Enabled: true, CrashPhase: 2, CrashNode: 7}}, "CrashNode"},
-		{Config{Perf: two, Algorithm: "bogus"}, "unknown algorithm"},
-		{Config{Perf: two, PivotStrategy: retiredSketch}, "want regular-sampling, random-pivots or histogram"},
+		{Config{Perf: two, Algorithm: Algorithm(5)}, "unknown algorithm 5 (want external-psrs or dewitt)"},
+		{Config{Perf: two, Network: Network(7)}, "unknown network 7"},
+		{Config{Perf: two, RunFormation: RunFormation(7)}, "unknown run formation 7"},
+		{Config{Perf: two, PivotStrategy: PivotStrategy(-1)}, "unknown pivot strategy -1 (want regular-sampling, random-pivots or histogram)"},
+		{Config{Perf: two, Topology: Topology(3)}, "unknown topology 3"},
+		{Config{Perf: two, DiskAccess: DiskAccess(9), Disks: 2}, "unknown disk access mode 9"},
 		{Config{Perf: two, Algorithm: AlgorithmDeWitt, Checkpoint: CheckpointConfig{Enabled: true}}, "checkpointing"},
 		{Config{Perf: two, Topology: TopologyTree, Radix: -1}, "Radix"},
 	} {
@@ -546,48 +552,108 @@ func TestBadConfigFailsBeforeDataMoves(t *testing.T) {
 	}
 }
 
-// TestNameTablesRoundTrip holds every facade name constant to the table
-// its enum parses and prints: each name round-trips, "" is the default,
-// and an unknown name — "bogus", or a retired one — is rejected with an
-// error listing the accepted ones.
+// enumValue is one of the six typed enums a Config names.
+type enumValue interface {
+	~int
+	fmt.Stringer
+	encoding.TextMarshaler
+}
+
+// TestNameTablesRoundTrip holds each of the six enums to its one names
+// table: every name round-trips through MarshalText/UnmarshalText, JSON
+// and flag.TextVar; "" is the default; and an unknown name — "bogus",
+// or a retired one — is refused with an error listing the accepted
+// ones, as is a value out of the table's range.
 func TestNameTablesRoundTrip(t *testing.T) {
-	// retired names parsed once and must be refused now.
-	retired := map[string][]string{"pivot strategy": {"overpartitioning", retiredSketch}}
-	// roundTrip parses a name and prints the value it parsed to.
-	for _, tc := range []struct {
-		kind      string
-		names     []string
-		roundTrip func(string) (string, error)
-	}{
-		{"run formation", []string{RunReplacementSelection, RunLoadSort, RunGuidesort},
-			func(s string) (string, error) { v, err := polyphase.ParseRunFormation(s); return v.String(), err }},
-		{"pivot strategy", []string{PivotRegularSampling, PivotRandom, PivotHistogram},
-			func(s string) (string, error) { v, err := extsort.ParseStrategy(s); return v.String(), err }},
-		{"topology", []string{TopologyFlat, TopologyTree, TopologyGrid},
-			func(s string) (string, error) { v, err := extsort.ParseTopology(s); return v.String(), err }},
-		{"disk access mode", []string{DiskAccessStriped, DiskAccessIndependent},
-			func(s string) (string, error) { v, err := pdm.ParseAccessMode(s); return v.String(), err }},
-		{"network", []string{NetworkFastEthernet, NetworkMyrinet, NetworkIdeal},
-			func(s string) (string, error) { v, err := cluster.NetByName(s); return v.Name, err }},
-	} {
-		for _, name := range tc.names {
-			if got, err := tc.roundTrip(name); err != nil || got != name {
-				t.Errorf("%s %q parses to %q, %v", tc.kind, name, got, err)
-			}
+	roundTrip[Network](t)
+	roundTrip[RunFormation](t)
+	roundTrip[Algorithm](t)
+	roundTrip[PivotStrategy](t, "overpartitioning", retiredSketch)
+	roundTrip[Topology](t)
+	roundTrip[DiskAccess](t)
+
+	// A JobSpec carries the topology by name, and stores the default
+	// as the field's absence.
+	var sp service.JobSpec
+	if err := json.Unmarshal([]byte(`{"gen":{"count":8},"topology":"tree"}`), &sp); err != nil || sp.Topology != TopologyTree {
+		t.Errorf(`"topology":"tree" decodes to %v, %v`, sp.Topology, err)
+	}
+	if b, err := json.Marshal(&sp); err != nil || !strings.Contains(string(b), `"topology":"tree"`) {
+		t.Errorf("a tree spec encodes to %s, %v", b, err)
+	}
+	sp.Topology = TopologyFlat
+	if b, err := json.Marshal(&sp); err != nil || strings.Contains(string(b), "topology") {
+		t.Errorf("a flat spec encodes to %s, %v; want no topology field", b, err)
+	}
+	if err := json.Unmarshal([]byte(`{"topology":"bogus"}`), &sp); err == nil || !strings.Contains(err.Error(), "flat, tree or grid") {
+		t.Errorf(`"topology":"bogus" decodes with %v`, err)
+	}
+}
+
+// roundTrip checks one enum E as TestNameTablesRoundTrip says, retired
+// naming names that must be refused besides "bogus".
+func roundTrip[E enumValue, P interface {
+	*E
+	encoding.TextUnmarshaler
+}](t *testing.T, retired ...string) {
+	t.Helper()
+	var names []string
+	var rangeErr error
+	for e := E(0); rangeErr == nil; e++ {
+		b, err := e.MarshalText()
+		if rangeErr = err; err != nil {
+			break
 		}
-		if got, err := tc.roundTrip(""); err != nil || got != tc.names[0] {
-			t.Errorf(`%s "" parses to %v, %v; want the default %q`, tc.kind, got, err, tc.names[0])
+		names = append(names, string(b))
+		if e.String() != string(b) {
+			t.Errorf("%T %d prints %q but marshals to %q", e, int(e), e, b)
 		}
-		for _, bad := range append([]string{"bogus"}, retired[tc.kind]...) {
-			_, err := tc.roundTrip(bad)
-			if err == nil {
-				t.Fatalf("%s: unknown name %q accepted", tc.kind, bad)
-			}
-			for _, name := range tc.names {
-				if !strings.Contains(err.Error(), name) {
-					t.Errorf("%s: error %q does not list %q", tc.kind, err, name)
-				}
-			}
+		var back E
+		if err := P(&back).UnmarshalText(b); err != nil || back != e {
+			t.Errorf("%T %q unmarshals to %v, %v", e, b, back, err)
+		}
+		var field struct{ V E }
+		if j, err := json.Marshal(struct{ V E }{e}); err != nil || string(j) != `{"V":"`+string(b)+`"}` {
+			t.Errorf("%T %q encodes to %s, %v", e, b, j, err)
+		} else if err := json.Unmarshal(j, &field); err != nil || field.V != e {
+			t.Errorf("%T %s decodes to %v, %v", e, j, field.V, err)
+		}
+		if v, err := parseFlag[E, P](string(b)); err != nil || v != e {
+			t.Errorf("%T flag %q sets %v, %v", e, b, v, err)
 		}
 	}
+	if len(names) < 2 {
+		t.Fatalf("%T names %v", E(0), names)
+	}
+	last := E(len(names) - 1)
+	if err := P(&last).UnmarshalText(nil); err != nil || last != 0 {
+		t.Errorf(`%T "" unmarshals to %v, %v; want the default %s`, last, last, err, names[0])
+	}
+	errs := []error{rangeErr}
+	for _, bad := range append([]string{"bogus"}, retired...) {
+		var v E
+		errs = append(errs, P(&v).UnmarshalText([]byte(bad)))
+		_, err := parseFlag[E, P](bad)
+		errs = append(errs, err)
+		errs = append(errs, json.Unmarshal([]byte(`{"V":"`+bad+`"}`), &struct{ V E }{}))
+	}
+	want := strings.Join(names[:len(names)-1], ", ") + " or " + names[len(names)-1]
+	for _, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%T: error %v does not list %s", E(0), err, want)
+		}
+	}
+}
+
+// parseFlag sets an E through flag.TextVar, as the commands do.
+func parseFlag[E enumValue, P interface {
+	*E
+	encoding.TextUnmarshaler
+}](arg string) (E, error) {
+	fs := flag.NewFlagSet("enum", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	var v E
+	fs.TextVar(P(&v), "x", E(0), "")
+	err := fs.Parse([]string{"-x", arg})
+	return v, err
 }

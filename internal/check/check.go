@@ -107,8 +107,7 @@ func Execute(c *Case, opts RunOptions) *Outcome {
 	if opts.NoVariants {
 		return o
 	}
-	psrs := base.Algorithm == "" || base.Algorithm == hetsort.AlgorithmExternalPSRS
-	if psrs {
+	if base.Algorithm == hetsort.AlgorithmExternalPSRS {
 		// Fusing steps 4 and 5 is an execution strategy: messages as large
 		// as M fit no final round's buffers, so the unfused variant takes
 		// the barrier fallback wherever the base run fused.
@@ -123,13 +122,14 @@ func Execute(c *Case, opts RunOptions) *Outcome {
 		// flat output byte for byte.  A flat base fans out across the
 		// tree radixes and the grid; a hierarchical base gets the flat
 		// reference run instead.
-		if flatTopology(base) {
+		if base.Topology == hetsort.TopologyFlat {
 			topos := []struct {
-				label, topo string
-				radix       int
+				label string
+				topo  hetsort.Topology
+				radix int
 			}{
 				{"tree/r2", hetsort.TopologyTree, 2},
-				{"grid", hetsort.TopologyGrid, 0},
+				{hetsort.TopologyGrid.String(), hetsort.TopologyGrid, 0},
 				{"tree/r4", hetsort.TopologyTree, 4},
 				{"tree/r16", hetsort.TopologyTree, 16},
 			}
@@ -144,7 +144,7 @@ func Execute(c *Case, opts RunOptions) *Outcome {
 		} else {
 			cfg := base
 			cfg.Topology, cfg.Radix = hetsort.TopologyFlat, 0
-			o.Runs = append(o.Runs, execute("flat", c.Keys, cfg))
+			o.Runs = append(o.Runs, execute(hetsort.TopologyFlat.String(), c.Keys, cfg))
 		}
 		// Disks is an equivalence axis too: the PDM D parameter is
 		// timing-only, so a multi-disk node must reproduce the
@@ -158,7 +158,7 @@ func Execute(c *Case, opts RunOptions) *Outcome {
 			o.Runs = append(o.Runs, execute("disks/d4", c.Keys, cfg))
 		} else {
 			cfg := base
-			cfg.Disks, cfg.DiskAccess = 0, ""
+			cfg.Disks, cfg.DiskAccess = 0, hetsort.DiskAccessStriped
 			o.Runs = append(o.Runs, execute("disks/d1", c.Keys, cfg))
 		}
 		if !base.Checkpoint.Enabled {
@@ -352,12 +352,6 @@ func selected(invs []Invariant, name string) bool {
 		}
 	}
 	return false
-}
-
-// flatTopology reports whether a config runs the flat single-round
-// redistribution (the default).
-func flatTopology(cfg hetsort.Config) bool {
-	return cfg.Topology == "" || cfg.Topology == hetsort.TopologyFlat
 }
 
 // nodes returns the cluster size a config resolves to.

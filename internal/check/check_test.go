@@ -1,6 +1,7 @@
 package check
 
 import (
+	"go/parser"
 	"strings"
 	"testing"
 
@@ -455,8 +456,8 @@ func TestShrinkProducesMinimalRepro(t *testing.T) {
 	if shrunk.Config.Overlap {
 		t.Error("shrinker kept the irrelevant Overlap axis")
 	}
-	if shrunk.Config.Topology != "" || shrunk.Config.Radix != 0 {
-		t.Errorf("shrinker kept the irrelevant topology axes (%q, r=%d)",
+	if shrunk.Config.Topology != hetsort.TopologyFlat || shrunk.Config.Radix != 0 {
+		t.Errorf("shrinker kept the irrelevant topology axes (%v, r=%d)",
 			shrunk.Config.Topology, shrunk.Config.Radix)
 	}
 	if re := Check(shrunk, RunOptions{}, "error"); len(re) == 0 {
@@ -467,6 +468,11 @@ func TestShrinkProducesMinimalRepro(t *testing.T) {
 		if !strings.Contains(repro, want) {
 			t.Errorf("repro missing %q:\n%s", want, repro)
 		}
+	}
+	// An enum field prints as its value, its name beside it in a comment.
+	lit := configLiteral(hetsort.Config{Topology: hetsort.TopologyTree, Radix: 2})
+	if _, err := parser.ParseExpr(lit); err != nil || !strings.Contains(lit, "Topology: 1 /* tree */") {
+		t.Errorf("config literal %s: %v", lit, err)
 	}
 }
 

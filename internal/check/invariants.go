@@ -197,7 +197,7 @@ func checkPermutation(c *Case, r *Run) error {
 
 // appliesPSRS gates invariants that presume Algorithm 1's structure.
 func appliesPSRS(c *Case) bool {
-	return c.Config.Algorithm == "" || c.Config.Algorithm == hetsort.AlgorithmExternalPSRS
+	return c.Config.Algorithm == hetsort.AlgorithmExternalPSRS
 }
 
 // appliesBalance gates the Theorem-1 bound to its hypotheses: external
@@ -206,10 +206,7 @@ func appliesPSRS(c *Case) bool {
 // portions fall back to exhaustive sampling, where the bound is
 // trivially tighter but the shares round away).
 func appliesBalance(c *Case) bool {
-	if !appliesPSRS(c) {
-		return false
-	}
-	if s := c.Config.PivotStrategy; s != "" && s != hetsort.PivotRegularSampling {
+	if !appliesPSRS(c) || c.Config.PivotStrategy != hetsort.PivotRegularSampling {
 		return false
 	}
 	v := vectorOf(c.Config)
@@ -320,7 +317,7 @@ func checkHistRounds(c *Case, r *Run) error {
 // deliberately trades ceil(log_r p)-1 extra disk passes over the
 // received data for O(r) fan-in (DESIGN.md §10).
 func checkStepIO(c *Case, r *Run) error {
-	if r.Report == nil || r.Resumed || !flatTopology(r.Config) {
+	if r.Report == nil || r.Resumed || r.Config.Topology != hetsort.TopologyFlat {
 		return nil
 	}
 	cfg := withDefaults(r.Config)
@@ -428,7 +425,7 @@ func stepBudgets(pp pdm.Params, cfg hetsort.Config, i int, li, qi int64, rounds 
 // fuse.
 func fuseRuns(cfg hetsort.Config, li int64, i int) bool {
 	v := vectorOf(cfg)
-	if li <= 0 || cfg.PivotStrategy != "" && cfg.PivotStrategy != hetsort.PivotRegularSampling && cfg.PivotStrategy != hetsort.PivotRandom {
+	if li <= 0 || cfg.PivotStrategy != hetsort.PivotRegularSampling && cfg.PivotStrategy != hetsort.PivotRandom {
 		return false
 	}
 	cm := vtime.DefaultCostModel()

@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 
 	"hetsort"
@@ -53,48 +54,24 @@ func Shrink(c *Case, invariant string, opts RunOptions, maxRuns int) *Case {
 	// restarts the list (an earlier axis may shrink further once a
 	// later one was zeroed).
 	transforms := []func(hetsort.Config) (hetsort.Config, bool){
-		axis("Trace", func(g *hetsort.Config) *bool { return &g.Trace }),
-		axis("Overlap", func(g *hetsort.Config) *bool { return &g.Overlap }),
-		func(g hetsort.Config) (hetsort.Config, bool) {
-			if g.Checkpoint == (hetsort.CheckpointConfig{}) {
-				return g, false
-			}
-			g.Checkpoint = hetsort.CheckpointConfig{}
-			return g, true
-		},
-		stringAxis(func(g *hetsort.Config) *string { return &g.Network }),
-		stringAxis(func(g *hetsort.Config) *string { return &g.RunFormation }),
+		zeroAxis(func(g *hetsort.Config) *bool { return &g.Trace }),
+		zeroAxis(func(g *hetsort.Config) *bool { return &g.Overlap }),
+		zeroAxis(func(g *hetsort.Config) *hetsort.CheckpointConfig { return &g.Checkpoint }),
+		zeroAxis(func(g *hetsort.Config) *hetsort.Network { return &g.Network }),
+		zeroAxis(func(g *hetsort.Config) *hetsort.RunFormation { return &g.RunFormation }),
 		// DiskAccess before Disks: an access-mode-dependent failure
 		// keeps both, a mode-independent one shrinks to striped first.
-		stringAxis(func(g *hetsort.Config) *string { return &g.DiskAccess }),
-		intAxis(func(g *hetsort.Config) *int { return &g.Disks }),
+		zeroAxis(func(g *hetsort.Config) *hetsort.DiskAccess { return &g.DiskAccess }),
+		zeroAxis(func(g *hetsort.Config) *int { return &g.Disks }),
 		// Radix before Topology: a radix-dependent failure keeps both,
 		// a radix-independent one shrinks to the default radix first.
-		intAxis(func(g *hetsort.Config) *int { return &g.Radix }),
-		stringAxis(func(g *hetsort.Config) *string { return &g.Topology }),
-		stringAxis(func(g *hetsort.Config) *string { return &g.PivotStrategy }),
-		stringAxis(func(g *hetsort.Config) *string { return &g.Algorithm }),
-		func(g hetsort.Config) (hetsort.Config, bool) {
-			if g.Loads == nil {
-				return g, false
-			}
-			g.Loads = nil
-			return g, true
-		},
-		func(g hetsort.Config) (hetsort.Config, bool) {
-			if g.HistTolerance == 0 {
-				return g, false
-			}
-			g.HistTolerance = 0
-			return g, true
-		},
-		func(g hetsort.Config) (hetsort.Config, bool) {
-			if g.Seed == 0 {
-				return g, false
-			}
-			g.Seed = 0
-			return g, true
-		},
+		zeroAxis(func(g *hetsort.Config) *int { return &g.Radix }),
+		zeroAxis(func(g *hetsort.Config) *hetsort.Topology { return &g.Topology }),
+		zeroAxis(func(g *hetsort.Config) *hetsort.PivotStrategy { return &g.PivotStrategy }),
+		zeroAxis(func(g *hetsort.Config) *hetsort.Algorithm { return &g.Algorithm }),
+		zeroAxis(func(g *hetsort.Config) *[]float64 { return &g.Loads }),
+		zeroAxis(func(g *hetsort.Config) *float64 { return &g.HistTolerance }),
+		zeroAxis(func(g *hetsort.Config) *int64 { return &g.Seed }),
 		func(g hetsort.Config) (hetsort.Config, bool) {
 			// Flatten the perf vector to homogeneous of the same size.
 			if len(g.Perf) == 0 {
@@ -112,10 +89,10 @@ func Shrink(c *Case, invariant string, opts RunOptions, maxRuns int) *Case {
 			g.Nodes = 2
 			return g, true
 		},
-		intAxis(func(g *hetsort.Config) *int { return &g.MessageKeys }),
-		intAxis(func(g *hetsort.Config) *int { return &g.Tapes }),
-		intAxis(func(g *hetsort.Config) *int { return &g.BlockKeys }),
-		intAxis(func(g *hetsort.Config) *int { return &g.MemoryKeys }),
+		zeroAxis(func(g *hetsort.Config) *int { return &g.MessageKeys }),
+		zeroAxis(func(g *hetsort.Config) *int { return &g.Tapes }),
+		zeroAxis(func(g *hetsort.Config) *int { return &g.BlockKeys }),
+		zeroAxis(func(g *hetsort.Config) *int { return &g.MemoryKeys }),
 	}
 	for changed := true; changed && runsLeft > 0; {
 		changed = false
@@ -137,32 +114,14 @@ func Shrink(c *Case, invariant string, opts RunOptions, maxRuns int) *Case {
 	return cur
 }
 
-func axis(_ string, field func(*hetsort.Config) *bool) func(hetsort.Config) (hetsort.Config, bool) {
+// zeroAxis shrinks one field to its zero value, the default.
+func zeroAxis[T any](field func(*hetsort.Config) *T) func(hetsort.Config) (hetsort.Config, bool) {
 	return func(g hetsort.Config) (hetsort.Config, bool) {
-		if !*field(&g) {
+		if reflect.ValueOf(field(&g)).Elem().IsZero() {
 			return g, false
 		}
-		*field(&g) = false
-		return g, true
-	}
-}
-
-func stringAxis(field func(*hetsort.Config) *string) func(hetsort.Config) (hetsort.Config, bool) {
-	return func(g hetsort.Config) (hetsort.Config, bool) {
-		if *field(&g) == "" {
-			return g, false
-		}
-		*field(&g) = ""
-		return g, true
-	}
-}
-
-func intAxis(field func(*hetsort.Config) *int) func(hetsort.Config) (hetsort.Config, bool) {
-	return func(g hetsort.Config) (hetsort.Config, bool) {
-		if *field(&g) == 0 {
-			return g, false
-		}
-		*field(&g) = 0
+		var zero T
+		*field(&g) = zero
 		return g, true
 	}
 }
@@ -220,26 +179,26 @@ func configLiteral(cfg hetsort.Config) string {
 	if cfg.MessageKeys != 0 {
 		add("MessageKeys: %d", cfg.MessageKeys)
 	}
-	if cfg.Network != "" {
-		add("Network: %q", cfg.Network)
+	if cfg.Network != 0 {
+		add("Network: %d /* %v */", cfg.Network, cfg.Network)
 	}
 	if cfg.Disks != 0 {
 		add("Disks: %d", cfg.Disks)
 	}
-	if cfg.DiskAccess != "" {
-		add("DiskAccess: %q", cfg.DiskAccess)
+	if cfg.DiskAccess != 0 {
+		add("DiskAccess: %d /* %v */", cfg.DiskAccess, cfg.DiskAccess)
 	}
-	if cfg.RunFormation != "" {
-		add("RunFormation: %q", cfg.RunFormation)
+	if cfg.RunFormation != 0 {
+		add("RunFormation: %d /* %v */", cfg.RunFormation, cfg.RunFormation)
 	}
-	if cfg.Algorithm != "" {
-		add("Algorithm: %q", cfg.Algorithm)
+	if cfg.Algorithm != 0 {
+		add("Algorithm: %d /* %v */", cfg.Algorithm, cfg.Algorithm)
 	}
-	if cfg.PivotStrategy != "" {
-		add("PivotStrategy: %q", cfg.PivotStrategy)
+	if cfg.PivotStrategy != 0 {
+		add("PivotStrategy: %d /* %v */", cfg.PivotStrategy, cfg.PivotStrategy)
 	}
-	if cfg.Topology != "" {
-		add("Topology: %q", cfg.Topology)
+	if cfg.Topology != 0 {
+		add("Topology: %d /* %v */", cfg.Topology, cfg.Topology)
 	}
 	if cfg.Radix != 0 {
 		add("Radix: %d", cfg.Radix)

@@ -133,11 +133,11 @@ func Sweep(opts Options) *Summary {
 
 // runsPerCase predicts how many runs Execute performs for accounting.
 func runsPerCase(c *Case, ro RunOptions) int {
-	if c.Config.Algorithm != "" && c.Config.Algorithm != hetsort.AlgorithmExternalPSRS {
+	if c.Config.Algorithm != hetsort.AlgorithmExternalPSRS {
 		return 1
 	}
 	runs := 4 // base + unfused + overlap + cross-D disks
-	if flatTopology(c.Config) {
+	if c.Config.Topology == hetsort.TopologyFlat {
 		runs += 4 // tree/r2 + grid + tree/r4 + tree/r16
 		if ro.QuickTopology {
 			runs -= 2
@@ -211,11 +211,11 @@ func CornerCases(quick bool) []*Case {
 		cfg.Perf = []int{1, 1, 4, 4}
 	})
 	// The degenerate sizes again under each non-default pivot strategy.
-	for _, strat := range []string{hetsort.PivotRandom, hetsort.PivotHistogram} {
+	for _, strat := range []hetsort.PivotStrategy{hetsort.PivotRandom, hetsort.PivotHistogram} {
 		strat := strat
-		add("empty/"+strat, nil, func(cfg *hetsort.Config) { cfg.PivotStrategy = strat })
-		add("n<p/"+strat, []hetsort.Key{9, 1}, func(cfg *hetsort.Config) { cfg.PivotStrategy = strat })
-		add("all-equal/"+strat, allEqual(500), func(cfg *hetsort.Config) { cfg.PivotStrategy = strat })
+		add("empty/"+strat.String(), nil, func(cfg *hetsort.Config) { cfg.PivotStrategy = strat })
+		add("n<p/"+strat.String(), []hetsort.Key{9, 1}, func(cfg *hetsort.Config) { cfg.PivotStrategy = strat })
+		add("all-equal/"+strat.String(), allEqual(500), func(cfg *hetsort.Config) { cfg.PivotStrategy = strat })
 	}
 	// Hierarchical bases: duplicate-heavy routing through the tree, and
 	// n<p under the grid (Execute adds the flat reference run for the
@@ -286,7 +286,7 @@ func GenerateCase(seed int64, quick bool) *Case {
 		cfg.Nodes = 4
 	}
 
-	strategies := []string{"", hetsort.PivotRandom, hetsort.PivotHistogram}
+	strategies := []hetsort.PivotStrategy{hetsort.PivotRegularSampling, hetsort.PivotRandom, hetsort.PivotHistogram}
 	cfg.PivotStrategy = strategies[r.Intn(len(strategies))]
 	if cfg.PivotStrategy == hetsort.PivotHistogram && r.Intn(2) == 0 {
 		cfg.HistTolerance = []float64{0.01, 0.1, 0.5}[r.Intn(3)]
@@ -323,8 +323,8 @@ func GenerateCase(seed int64, quick bool) *Case {
 		// Occasionally sweep the DeWitt baseline (PSRS-only axes and
 		// invariants auto-skip).
 		cfg.Algorithm = hetsort.AlgorithmDeWitt
-		cfg.PivotStrategy = ""
-		cfg.Topology, cfg.Radix = "", 0
+		cfg.PivotStrategy = hetsort.PivotRegularSampling
+		cfg.Topology, cfg.Radix = hetsort.TopologyFlat, 0
 	}
 	if r.Intn(4) == 0 {
 		cfg.Network = hetsort.NetworkIdeal
@@ -376,8 +376,8 @@ func GenerateCase(seed int64, quick bool) *Case {
 	}
 
 	name := fmt.Sprintf("seed%d/%s/p%d/%s/n=%d", seed, dist, p, stratName(cfg), n)
-	if !flatTopology(cfg) {
-		name += "/" + cfg.Topology
+	if cfg.Topology != hetsort.TopologyFlat {
+		name += "/" + cfg.Topology.String()
 		if cfg.Topology == hetsort.TopologyTree {
 			name += fmt.Sprintf("-r%d", cfg.Radix)
 		}
@@ -393,10 +393,10 @@ func GenerateCase(seed int64, quick bool) *Case {
 
 func stratName(cfg hetsort.Config) string {
 	if cfg.Algorithm == hetsort.AlgorithmDeWitt {
-		return "dewitt"
+		return cfg.Algorithm.String()
 	}
-	if cfg.PivotStrategy == "" {
+	if cfg.PivotStrategy == hetsort.PivotRegularSampling {
 		return "regular"
 	}
-	return cfg.PivotStrategy
+	return cfg.PivotStrategy.String()
 }

@@ -247,27 +247,31 @@ func TestNetModelTransfer(t *testing.T) {
 	if got := m.TransferSec(500); got != 0.501 {
 		t.Fatalf("TransferSec=%v", got)
 	}
-	if got := Ideal().TransferSec(1 << 30); got != 0 {
+	if got := NetIdeal.Model().TransferSec(1 << 30); got != 0 {
 		t.Fatalf("ideal transfer should be free, got %v", got)
 	}
 }
 
-func TestNetByName(t *testing.T) {
-	for _, m := range []NetModel{FastEthernet(), Myrinet(), Ideal()} {
-		if got, err := NetByName(m.Name); err != nil || got != m {
-			t.Errorf("NetByName(%q) = %v, %v", m.Name, got, err)
+// TestNetworkModels pins each preset's numbers and name: every model
+// number of a run on it depends on them.
+func TestNetworkModels(t *testing.T) {
+	for _, want := range []NetModel{
+		{Name: "fast-ethernet", LatencySec: 120e-6, BytesPerSec: 11e6},
+		{Name: "myrinet", LatencySec: 12e-6, BytesPerSec: 140e6},
+		{Name: "ideal"},
+	} {
+		var n Network
+		if err := n.UnmarshalText([]byte(want.Name)); err != nil || n.Model() != want {
+			t.Errorf("%s: %v, %v; want %v", want.Name, n.Model(), err, want)
 		}
 	}
-	if got, err := NetByName(""); err != nil || got != FastEthernet() {
-		t.Errorf(`NetByName("") = %v, %v; want the default`, got, err)
-	}
-	if _, err := NetByName("token-ring"); err == nil {
-		t.Error("unknown network accepted")
+	if FastEthernet() != NetFastEthernet.Model() || Network(0) != NetFastEthernet {
+		t.Error("Fast Ethernet is not the default network")
 	}
 }
 
 func TestPresetsOrdering(t *testing.T) {
-	fe, my := FastEthernet(), Myrinet()
+	fe, my := FastEthernet(), NetMyrinet.Model()
 	if my.LatencySec >= fe.LatencySec {
 		t.Fatal("Myrinet latency should beat Fast Ethernet")
 	}

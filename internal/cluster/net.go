@@ -15,7 +15,11 @@
 // for the paper's two interconnects (Fast Ethernet and Myrinet).
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+
+	"hetsort/internal/enum"
+)
 
 // NetModel is a latency/bandwidth model of an interconnect.
 type NetModel struct {
@@ -42,34 +46,41 @@ func (m NetModel) String() string {
 	return fmt.Sprintf("%s(lat=%.0fus bw=%.1fMB/s)", m.Name, m.LatencySec*1e6, m.BytesPerSec/1e6)
 }
 
-// FastEthernet models the paper's default interconnect: 100 Mb/s
-// switched Fast Ethernet driven by MPI, with the high per-message
-// software latency typical of year-2000 TCP stacks.
-func FastEthernet() NetModel {
-	return NetModel{Name: "fast-ethernet", LatencySec: 120e-6, BytesPerSec: 11e6}
-}
+// Network names one of the interconnect presets; its Model is the
+// latency/bandwidth model.
+type Network int
 
-// Myrinet models the paper's second interconnect: 1.28 Gb/s Myrinet
-// with OS-bypass messaging (much lower latency, ~10x bandwidth).
-func Myrinet() NetModel {
-	return NetModel{Name: "myrinet", LatencySec: 12e-6, BytesPerSec: 140e6}
-}
+const (
+	// NetFastEthernet models the paper's default interconnect: 100 Mb/s
+	// switched Fast Ethernet driven by MPI, with the high per-message
+	// software latency typical of year-2000 TCP stacks.
+	NetFastEthernet Network = iota
+	// NetMyrinet models the paper's second interconnect: 1.28 Gb/s
+	// Myrinet with OS-bypass messaging (much lower latency, ~10x
+	// bandwidth).
+	NetMyrinet
+	// NetIdeal is a zero-cost network, useful to isolate compute/disk
+	// effects.
+	NetIdeal
+)
 
-// Ideal is a zero-cost network, useful to isolate compute/disk effects.
-func Ideal() NetModel {
-	return NetModel{Name: "ideal", LatencySec: 0, BytesPerSec: 0}
-}
+var networkNames = enum.Table[Network]{Kind: "network", Names: []string{"fast-ethernet", "myrinet", "ideal"}}
 
-// NetByName returns the preset whose Name is name; "" means
-// FastEthernet.
-func NetByName(name string) (NetModel, error) {
-	if name == "" {
-		return FastEthernet(), nil
+func (n Network) String() string                { return networkNames.Name(n) }
+func (n Network) MarshalText() ([]byte, error)  { return networkNames.Marshal(n) }
+func (n *Network) UnmarshalText(b []byte) error { return networkNames.Unmarshal(n, b) }
+
+// Model returns the network's latency/bandwidth model, named after it.
+func (n Network) Model() NetModel {
+	m := NetModel{Name: n.String()}
+	switch n {
+	case NetFastEthernet:
+		m.LatencySec, m.BytesPerSec = 120e-6, 11e6
+	case NetMyrinet:
+		m.LatencySec, m.BytesPerSec = 12e-6, 140e6
 	}
-	for _, m := range []NetModel{FastEthernet(), Myrinet(), Ideal()} {
-		if m.Name == name {
-			return m, nil
-		}
-	}
-	return NetModel{}, fmt.Errorf("unknown network %q (want fast-ethernet, myrinet or ideal)", name)
+	return m
 }
+
+// FastEthernet returns the default interconnect's model.
+func FastEthernet() NetModel { return NetFastEthernet.Model() }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"hetsort"
 	"hetsort/internal/dewitt"
 	"hetsort/internal/extsort"
 	"hetsort/internal/perf"
@@ -50,7 +51,7 @@ func Ablations(o Options) ([]Row, error) {
 		// A6: DeWitt baseline vs Algorithm 1.
 		{"A6", []metric{vsec, blockIOs}, paperRun(o,
 			point{labels: variant("algorithm1")},
-			point{labels: variant("dewitt"), cfg: extsort.Config{Seed: o.Seed}, algo: dewitt.Algo(8)})},
+			point{labels: variant(hetsort.AlgorithmDeWitt.String()), cfg: extsort.Config{Seed: o.Seed}, algo: dewitt.Algo(8)})},
 	} {
 		got, err := o.table(t.id, t.cols, t.pts)
 		if err != nil {

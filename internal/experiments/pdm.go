@@ -101,8 +101,8 @@ func pdmRunFormers(o Options) ([]Row, error) {
 		former polyphase.RunFormation
 	}{
 		{name: "galloping", former: polyphase.LoadSort},
-		{name: "guidesort", former: polyphase.Guidesort},
-		{name: "replacement-selection", former: polyphase.ReplacementSelection},
+		{name: polyphase.Guidesort.String(), former: polyphase.Guidesort},
+		{name: polyphase.ReplacementSelection.String(), former: polyphase.ReplacementSelection},
 	} {
 		labels := map[string]string{"part": "run-formation", "variant": vt.name, "run_former": vt.former.String()}
 		row, err := o.runSequential("pdm", labels, []metric{vsec, blockIOs}, 1, keys, func(cfg *polyphase.Config) {

@@ -100,7 +100,7 @@ type point struct {
 	slowdowns []float64
 	disks     int
 	access    pdm.AccessMode
-	net       cluster.NetModel
+	net       cluster.Network
 	// cfg is the sort configuration.  The runner sets Perf and InputSum
 	// and fills B, M, T and the message size from Options where zero.
 	cfg extsort.Config

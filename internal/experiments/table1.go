@@ -55,6 +55,6 @@ func Table1String(rows []Table1Row) string {
 		t.AddRow(r.Node, r.PaperNode, r.Slowdown, r.Perf, r.Disk)
 	}
 	out := t.String()
-	out += "Networks: " + cluster.FastEthernet().String() + ", " + cluster.Myrinet().String() + "\n"
+	out += "Networks: " + cluster.NetFastEthernet.Model().String() + ", " + cluster.NetMyrinet.Model().String() + "\n"
 	return out
 }

@@ -53,14 +53,14 @@ func Table3(o Options) ([]Table3Row, error) {
 	homogeneous := perf.Homogeneous(4)
 	type spec struct {
 		v     perf.Vector
-		net   cluster.NetModel
+		net   cluster.Network
 		size  int64
 		paper Table3PaperRow
 	}
 	specs := []spec{
-		{homogeneous, cluster.FastEthernet(), o.scale(1 << 24), Table3PaperRows[0]},
-		{PaperVector, cluster.FastEthernet(), PaperVector.NearestValidSize(o.scale(1 << 24)), Table3PaperRows[1]},
-		{PaperVector, cluster.Myrinet(), PaperVector.NearestValidSize(o.scale(1 << 24)), Table3PaperRows[2]},
+		{homogeneous, cluster.NetFastEthernet, o.scale(1 << 24), Table3PaperRows[0]},
+		{PaperVector, cluster.NetFastEthernet, PaperVector.NearestValidSize(o.scale(1 << 24)), Table3PaperRows[1]},
+		{PaperVector, cluster.NetMyrinet, PaperVector.NearestValidSize(o.scale(1 << 24)), Table3PaperRows[2]},
 	}
 	var rows []Table3Row
 	for _, s := range specs {
@@ -93,7 +93,7 @@ func Table3(o Options) ([]Table3Row, error) {
 		rows = append(rows, Table3Row{
 			Label:         s.paper.Label,
 			Perf:          s.v,
-			Net:           s.net.Name,
+			Net:           s.net.String(),
 			InputSize:     s.size,
 			Time:          sum,
 			MeanPartition: meanPart,

@@ -34,6 +34,7 @@ import (
 	"hetsort/internal/checkpoint"
 	"hetsort/internal/cluster"
 	"hetsort/internal/diskio"
+	"hetsort/internal/enum"
 	"hetsort/internal/histsort"
 	"hetsort/internal/pdm"
 	"hetsort/internal/perf"
@@ -194,10 +195,8 @@ func (c Config) Validate(p int) error {
 	if c.MessageKeys <= 0 {
 		return fmt.Errorf("extsort: MessageKeys=%d must be positive", c.MessageKeys)
 	}
-	switch c.Topology {
-	case TopologyFlat, TopologyTree, TopologyGrid:
-	default:
-		return fmt.Errorf("extsort: unknown topology %d", c.Topology)
+	if err := enum.Valid(c.RunFormation, c.Strategy, c.Topology); err != nil {
+		return fmt.Errorf("extsort: %w", err)
 	}
 	// Only a tree reads Radix; flat and grid derive theirs from p, but
 	// a negative one is an error under every topology.

@@ -277,7 +277,7 @@ func TestMyrinetBarelyChangesTime(t *testing.T) {
 		return res.Time
 	}
 	fe := run(cluster.FastEthernet())
-	my := run(cluster.Myrinet())
+	my := run(cluster.NetMyrinet.Model())
 	if my > fe {
 		t.Fatalf("Myrinet (%v) slower than Fast Ethernet (%v)?", my, fe)
 	}

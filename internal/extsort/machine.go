@@ -5,6 +5,7 @@ import (
 
 	"hetsort/internal/cluster"
 	"hetsort/internal/diskio"
+	"hetsort/internal/enum"
 	"hetsort/internal/pdm"
 	"hetsort/internal/perf"
 	"hetsort/internal/record"
@@ -19,7 +20,7 @@ import (
 type Machine struct {
 	Config
 	Loads        []float64 // the nodes' slowdowns (default Perf.Slowdowns())
-	Net          cluster.NetModel
+	Net          cluster.Network
 	DisksPerNode int
 	DiskAccess   pdm.AccessMode
 	Trace        *trace.Log
@@ -33,11 +34,15 @@ type Machine struct {
 }
 
 // Resolve fills in the defaults and checks every value: the perf
-// vector, the loads, the injected crash, then the Config.  It opens
-// nothing, and resolving twice changes nothing.
+// vector, the loads, the network and disk access mode, the injected
+// crash, then the Config.  It opens nothing, and resolving twice
+// changes nothing.
 func (m *Machine) Resolve() error {
 	if err := m.Perf.Validate(); err != nil {
 		return err
+	}
+	if err := enum.Valid(m.Net, m.DiskAccess); err != nil {
+		return fmt.Errorf("extsort: %w", err)
 	}
 	p := len(m.Perf)
 	if m.Loads == nil {
@@ -76,7 +81,7 @@ func (m *Machine) Build() (*cluster.Cluster, error) {
 		}
 		disks = func(id int) diskio.FS { return fss[id] }
 	}
-	c, err := cluster.New(cluster.Config{Slowdowns: m.Loads, Net: m.Net, BlockKeys: m.BlockKeys,
+	c, err := cluster.New(cluster.Config{Slowdowns: m.Loads, Net: m.Net.Model(), BlockKeys: m.BlockKeys,
 		Disks: disks, DisksPerNode: m.DisksPerNode, DiskAccess: m.DiskAccess, Trace: m.Trace})
 	if err == nil && m.CrashPhase != 0 {
 		err = c.ScheduleCrash(m.CrashNode, -1, StepNames[m.CrashPhase-1])

@@ -44,15 +44,12 @@ const (
 	Histogram
 )
 
-// strategyNames is indexed by Strategy.
-var strategyNames = []string{"regular-sampling", "random-pivots", "histogram"}
+var strategyNames = enum.Table[Strategy]{Kind: "pivot strategy",
+	Names: []string{"regular-sampling", "random-pivots", "histogram"}}
 
-func (s Strategy) String() string { return enum.Name(strategyNames, "pivot strategy", s) }
-
-// ParseStrategy maps a name onto the strategy ("" = RegularSampling).
-func ParseStrategy(s string) (Strategy, error) {
-	return enum.Parse[Strategy](strategyNames, "pivot strategy", s)
-}
+func (s Strategy) String() string                { return strategyNames.Name(s) }
+func (s Strategy) MarshalText() ([]byte, error)  { return strategyNames.Marshal(s) }
+func (s *Strategy) UnmarshalText(b []byte) error { return strategyNames.Unmarshal(s, b) }
 
 // pivotSelector is a pivot strategy's part of step 2.  Step 2 has one
 // shape, on every topology: rounds of reduce-then-broadcast over the

@@ -33,15 +33,11 @@ const (
 	TopologyGrid
 )
 
-// topologyNames is indexed by Topology.
-var topologyNames = []string{"flat", "tree", "grid"}
+var topologyNames = enum.Table[Topology]{Kind: "topology", Names: []string{"flat", "tree", "grid"}}
 
-func (t Topology) String() string { return enum.Name(topologyNames, "topology", t) }
-
-// ParseTopology maps a name onto the topology ("" = TopologyFlat).
-func ParseTopology(s string) (Topology, error) {
-	return enum.Parse[Topology](topologyNames, "topology", s)
-}
+func (t Topology) String() string                { return topologyNames.Name(t) }
+func (t Topology) MarshalText() ([]byte, error)  { return topologyNames.Marshal(t) }
+func (t *Topology) UnmarshalText(b []byte) error { return topologyNames.Unmarshal(t, b) }
 
 // resolveRadix turns the topology into the one fan-in r the whole run
 // uses — the collective tree of step 2 and the barriers, the

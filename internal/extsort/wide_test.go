@@ -147,7 +147,7 @@ func TestIdealNetworkLowerBound(t *testing.T) {
 		res := runSort(t, c, v, testConfig(v), record.Uniform, 20000, 127)
 		return res.Time
 	}
-	ideal := run(cluster.Ideal())
+	ideal := run(cluster.NetIdeal.Model())
 	fe := run(cluster.FastEthernet())
 	if ideal > fe {
 		t.Fatalf("ideal network (%v) slower than Fast Ethernet (%v)", ideal, fe)

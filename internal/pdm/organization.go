@@ -43,15 +43,11 @@ const (
 	Independent
 )
 
-// accessModeNames is indexed by AccessMode.
-var accessModeNames = []string{"striped", "independent"}
+var accessModeNames = enum.Table[AccessMode]{Kind: "disk access mode", Names: []string{"striped", "independent"}}
 
-func (a AccessMode) String() string { return enum.Name(accessModeNames, "disk access mode", a) }
-
-// ParseAccessMode maps a name onto the mode ("" = Striped).
-func ParseAccessMode(s string) (AccessMode, error) {
-	return enum.Parse[AccessMode](accessModeNames, "disk access mode", s)
-}
+func (a AccessMode) String() string                { return accessModeNames.Name(a) }
+func (a AccessMode) MarshalText() ([]byte, error)  { return accessModeNames.Marshal(a) }
+func (a *AccessMode) UnmarshalText(b []byte) error { return accessModeNames.Unmarshal(a, b) }
 
 // SortIOs returns the number of parallel I/O steps an optimal sort needs
 // under the given access mode.  With striping the model collapses to a

@@ -32,16 +32,12 @@ const (
 	Guidesort
 )
 
-// runFormationNames is indexed by RunFormation.
-var runFormationNames = []string{"replacement-selection", "load-sort", "guidesort"}
+var runFormationNames = enum.Table[RunFormation]{Kind: "run formation",
+	Names: []string{"replacement-selection", "load-sort", "guidesort"}}
 
-func (rf RunFormation) String() string { return enum.Name(runFormationNames, "run formation", rf) }
-
-// ParseRunFormation maps a name onto the former ("" =
-// ReplacementSelection).
-func ParseRunFormation(s string) (RunFormation, error) {
-	return enum.Parse[RunFormation](runFormationNames, "run formation", s)
-}
+func (rf RunFormation) String() string                { return runFormationNames.Name(rf) }
+func (rf RunFormation) MarshalText() ([]byte, error)  { return runFormationNames.Marshal(rf) }
+func (rf *RunFormation) UnmarshalText(b []byte) error { return runFormationNames.Unmarshal(rf, b) }
 
 // runSink receives the formed runs, each as beginRun, its keys in order
 // over any number of emitKeys calls, endRun.

@@ -130,8 +130,9 @@ func reconcile(t *testing.T, s *progress.Snapshot, rep *hetsort.Report, blockKey
 // the flat path gives.
 func TestSnapshotReconcilesAcrossTopologies(t *testing.T) {
 	for _, tc := range []struct {
-		name, topo string
-		radix      int
+		name  string
+		topo  hetsort.Topology
+		radix int
 	}{
 		{"flat", hetsort.TopologyFlat, 0},
 		{"tree", hetsort.TopologyTree, 2},

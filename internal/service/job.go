@@ -57,15 +57,16 @@ type JobSpec struct {
 	MessageKeys int   `json:"message_keys,omitempty"`
 	Overlap     bool  `json:"overlap,omitempty"`
 	Seed        int64 `json:"seed,omitempty"`
-	// Topology selects the redistribution structure ("flat", "tree" or
-	// "grid"; empty = flat) and Radix the tree fan-in.  Besides changing
+	// Topology selects the redistribution structure (a name its
+	// UnmarshalText accepts; absent or empty = flat, which is stored
+	// absent) and Radix the tree fan-in.  Besides changing
 	// the job's communication pattern, the topology changes its
 	// admission footprint: the flat all-to-all pins O(p²) link-buffer
 	// memory, which demand() charges against the machine budget — an
 	// over-subscribed flat job is rejected with 422 where the tree
 	// variant of the same spec fits.
-	Topology string `json:"topology,omitempty"`
-	Radix    int    `json:"radix,omitempty"`
+	Topology extsort.Topology `json:"topology,omitempty"`
+	Radix    int              `json:"radix,omitempty"`
 
 	// CrashNode/CrashPhase inject a node death at the end of phase
 	// CrashPhase (1..5) on fresh runs — the test hook that models the
@@ -308,10 +309,6 @@ func (sp *JobSpec) loadInput(store diskio.FS) ([]record.Key, error) {
 // perf vector, network and B, and the job's sort parameters and crash.
 // Every job is priced as if it had the machine to itself.
 func (s *Service) machine(sp *JobSpec) (*extsort.Machine, error) {
-	topo, err := extsort.ParseTopology(sp.Topology)
-	if err != nil {
-		return nil, fmt.Errorf("service: %w", err)
-	}
 	m := &extsort.Machine{
 		Config: extsort.Config{
 			Perf:        perf.Vector(s.cfg.Machine.Perf),
@@ -321,11 +318,11 @@ func (s *Service) machine(sp *JobSpec) (*extsort.Machine, error) {
 			MessageKeys: sp.MessageKeys,
 			Seed:        sp.Seed,
 			Overlap:     sp.Overlap,
-			Topology:    topo,
+			Topology:    sp.Topology,
 			Radix:       sp.Radix,
 			Checkpoint:  true,
 		},
-		Net:        s.net,
+		Net:        s.cfg.Machine.Network,
 		CrashPhase: sp.CrashPhase,
 		CrashNode:  sp.CrashNode,
 	}
@@ -376,7 +373,14 @@ func (s *Service) execute(j *job) {
 	}
 	st := j.status
 	j.statusMu.Unlock()
-	saveStatus(s.store, &st)
+	if saveStatus(s.store, &st) == nil && st.State == StateDone {
+		// Once done is durable, nothing reads the staged input again:
+		// drop it, since finish hands its disk reservation back.  A
+		// copy left behind by a failed removal is only waste.
+		for i := range s.cfg.Machine.Perf {
+			s.store.Remove(nodePrefix(j.id, i) + "/input")
+		}
+	}
 }
 
 func (s *Service) run(j *job) error {

@@ -31,6 +31,7 @@ import (
 
 	"hetsort/internal/cluster"
 	"hetsort/internal/diskio"
+	"hetsort/internal/enum"
 	"hetsort/internal/extsort"
 	"hetsort/internal/metrics"
 	"hetsort/internal/perf"
@@ -56,9 +57,9 @@ var (
 type MachineConfig struct {
 	// Perf is the machine's performance vector (default {1,1,1,1}).
 	Perf []int
-	// Network is the interconnect name cluster.NetByName resolves
-	// (default fast-ethernet).
-	Network string
+	// Network is the interconnect (default cluster.NetFastEthernet,
+	// the zero value); hetsortd's -net flag sets it by name.
+	Network cluster.Network
 	// BlockKeys is the disk block size B in keys (default 2048).
 	BlockKeys int
 	// MemoryBytes bounds the summed per-job memory demand
@@ -97,7 +98,6 @@ type Config struct {
 type Service struct {
 	cfg   Config
 	store diskio.FS
-	net   cluster.NetModel // the machine's Network, parsed
 
 	mu      sync.Mutex
 	jobs    map[string]*job
@@ -126,8 +126,7 @@ type Service struct {
 // perf vector, an unknown network or a negative B.
 func New(cfg Config, store diskio.FS) (*Service, error) {
 	cfg.Machine.applyDefaults()
-	net, err := cluster.NetByName(cfg.Machine.Network)
-	if err != nil {
+	if err := enum.Valid(cfg.Machine.Network); err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
 	if err := perf.Vector(cfg.Machine.Perf).Validate(); err != nil {
@@ -142,7 +141,7 @@ func New(cfg Config, store diskio.FS) (*Service, error) {
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 8
 	}
-	s := &Service{cfg: cfg, store: store, net: net, jobs: make(map[string]*job), nextID: 1}
+	s := &Service{cfg: cfg, store: store, jobs: make(map[string]*job), nextID: 1}
 	if err := s.recover(); err != nil {
 		return nil, err
 	}

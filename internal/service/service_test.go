@@ -9,12 +9,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"hetsort/internal/cluster"
 	"hetsort/internal/diskio"
+	"hetsort/internal/extsort"
 	"hetsort/internal/record"
 )
 
@@ -39,6 +42,44 @@ func testSpec(count, seed int64) JobSpec {
 		MemoryKeys:  1024,
 		Tapes:       4,
 		MessageKeys: 128,
+	}
+}
+
+// TestDoneJobDropsItsStagedInput: a done job's node directories keep
+// their sorted outputs and manifests but no staged input, and the job
+// still verifies.
+func TestDoneJobDropsItsStagedInput(t *testing.T) {
+	store := diskio.NewMemFS()
+	s, err := New(testConfig(), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	id, err := s.Submit(testSpec(2000, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Wait(id); err != nil {
+		t.Fatal(err)
+	}
+	names, err := store.Names()
+	if err != nil {
+		t.Fatal(err)
+	}
+	outputs := 0
+	for _, n := range names {
+		switch path.Base(n) {
+		case "input":
+			t.Errorf("done job kept %s", n)
+		case "output":
+			outputs++
+		}
+	}
+	if outputs != 4 {
+		t.Errorf("done job holds %d outputs, want 4: %v", outputs, names)
+	}
+	if _, err := VerifyJob(store, id); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -203,7 +244,7 @@ func TestAdmissionLinkMemoryTopology(t *testing.T) {
 	if _, err := s.Submit(spec); !errors.Is(err, ErrBudget) {
 		t.Fatalf("flat wide-message job: %v, want ErrBudget", err)
 	}
-	spec.Topology = "tree"
+	spec.Topology = extsort.TopologyTree
 	spec.Radix = 2
 	id, err := s.Submit(spec)
 	if err != nil {
@@ -219,8 +260,8 @@ func TestAdmissionLinkMemoryTopology(t *testing.T) {
 	if root, err := VerifyJob(store, id); err != nil || root != st.Root {
 		t.Fatalf("verify: %q %v (want %q)", root, err, st.Root)
 	}
-	// An unknown topology must be rejected at validation.
-	spec.Topology = "torus"
+	// An out-of-range topology must be rejected at validation.
+	spec.Topology = extsort.Topology(9)
 	if _, err := s.Submit(spec); err == nil || errors.Is(err, ErrBudget) {
 		t.Fatalf("unknown topology: %v", err)
 	}
@@ -252,7 +293,7 @@ func TestSpecValidation(t *testing.T) {
 // only a large memory_keys can serve is not such a machine.
 func TestNewRejectsBadMachine(t *testing.T) {
 	for _, m := range []MachineConfig{
-		{Network: "bogus"},
+		{Network: cluster.Network(9)},
 		{Perf: []int{1, 0}},
 		{BlockKeys: -1},
 	} {
@@ -282,7 +323,7 @@ func TestSubmitRejectsUnrunnableSpec(t *testing.T) {
 	for _, edit := range []func(*JobSpec){
 		func(sp *JobSpec) { sp.MemoryKeys = 100 },
 		func(sp *JobSpec) { sp.Tapes = 2 },
-		func(sp *JobSpec) { sp.Topology, sp.Radix = "tree", 1 },
+		func(sp *JobSpec) { sp.Topology, sp.Radix = extsort.TopologyTree, 1 },
 		func(sp *JobSpec) { sp.CrashPhase, sp.CrashNode = 2, 9 },
 	} {
 		spec := testSpec(2000, 1)
@@ -299,6 +340,17 @@ func TestSubmitRejectsUnrunnableSpec(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("spec %+v: POST /jobs answered %s, want 400", spec, resp.Status)
 		}
+	}
+	// A name the topology table does not hold is refused as the spec
+	// is decoded.
+	resp, err := http.Post(srv.URL+"/jobs", "application/json",
+		strings.NewReader(`{"gen":{"count":2000,"seed":1},"topology":"bogus"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf(`"topology":"bogus": POST /jobs answered %s, want 400`, resp.Status)
 	}
 	if names, _ := store.Names(); len(names) != 0 {
 		t.Errorf("refused specs left backend objects: %v", names)

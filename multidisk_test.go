@@ -21,8 +21,8 @@ func TestSortMultiDiskEquivalence(t *testing.T) {
 	for i := range keys {
 		keys[i] = Key(2654435761 * uint32(i+7))
 	}
-	for _, algo := range []string{AlgorithmExternalPSRS, AlgorithmDeWitt} {
-		t.Run(algo, func(t *testing.T) {
+	for _, algo := range []Algorithm{AlgorithmExternalPSRS, AlgorithmDeWitt} {
+		t.Run(algo.String(), func(t *testing.T) {
 			base := Config{MemoryKeys: 4096, BlockKeys: 128, Tapes: 5, MessageKeys: 512, Algorithm: algo}
 			run := func(mut func(*Config)) ([]Key, *Report) {
 				cfg := base

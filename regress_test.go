@@ -150,7 +150,7 @@ func withTrace(cfg Config) Config {
 // the same ground; this keeps the guarantee even with the harness
 // filtered out).
 func TestDegenerateInputs(t *testing.T) {
-	strategies := []string{"", PivotRandom, PivotHistogram}
+	strategies := []PivotStrategy{PivotRegularSampling, PivotRandom, PivotHistogram}
 	inputs := []struct {
 		name string
 		keys []Key
@@ -168,11 +168,7 @@ func TestDegenerateInputs(t *testing.T) {
 	}
 	for _, strat := range strategies {
 		for _, in := range inputs {
-			name := strat
-			if name == "" {
-				name = "regular-sampling"
-			}
-			t.Run(name+"/"+in.name, func(t *testing.T) {
+			t.Run(strat.String()+"/"+in.name, func(t *testing.T) {
 				out, rep, err := Sort(in.keys, Config{
 					Nodes: 4, PivotStrategy: strat,
 					MemoryKeys: 256, BlockKeys: 16, Tapes: 4, MessageKeys: 32,
